@@ -9,15 +9,16 @@
 
 namespace itag {
 
-/// Append-only little-endian byte writer for compact state blobs (engine
-/// state, RNG streams, platform-simulator snapshots) persisted through the
-/// storage engine. Deliberately mirrors the wire primitives in net/wire.h:
-/// same framing conventions (u32-length-prefixed strings, IEEE-754 bit
-/// patterns for doubles), but kept dependency-free so the lower layers
-/// (crowd, strategy, itag) can use it without pulling in the api/net tier.
+/// Append-only little-endian byte writer: the one set of byte conventions
+/// (u32-length-prefixed strings, IEEE-754 bit patterns for doubles) shared
+/// by storage state blobs (engine state, RNG streams, platform-simulator
+/// snapshots) and the wire payloads net/wire.cc encodes. Dependency-free,
+/// so the lower layers (crowd, strategy, itag) use it without pulling in
+/// the api/net tier.
 class ByteWriter {
  public:
   void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  void U16(uint16_t v) { AppendLe(v); }
   void U32(uint32_t v) { AppendLe(v); }
   void U64(uint64_t v) { AppendLe(v); }
   void I64(int64_t v) { AppendLe(static_cast<uint64_t>(v)); }
@@ -30,8 +31,10 @@ class ByteWriter {
   /// u32 byte count + raw bytes (embedded NULs survive).
   void Str(std::string_view s) {
     U32(static_cast<uint32_t>(s.size()));
-    buf_.append(s.data(), s.size());
+    Raw(s);
   }
+  /// The bytes alone, no length prefix.
+  void Raw(std::string_view bytes) { buf_.append(bytes.data(), bytes.size()); }
   void U32Vec(const std::vector<uint32_t>& v) {
     U32(static_cast<uint32_t>(v.size()));
     for (uint32_t e : v) U32(e);
@@ -62,9 +65,10 @@ class ByteWriter {
   std::string buf_;
 };
 
-/// Bounds-checked reader over a ByteWriter blob. Every getter returns false
-/// (and poisons the reader) once the input is exhausted; decoders should
-/// check AtEnd() so truncated or oversized blobs are rejected.
+/// Bounds-checked reader over a ByteWriter blob or wire payload. Every
+/// getter returns false (and poisons the reader) once the input is
+/// exhausted; decoders check AtEnd() so truncated blobs and trailing bytes
+/// are both rejected.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
@@ -74,6 +78,7 @@ class ByteReader {
     *v = static_cast<uint8_t>(data_[pos_++]);
     return true;
   }
+  bool U16(uint16_t* v) { return TakeLe(v); }
   bool U32(uint32_t* v) { return TakeLe(v); }
   bool U64(uint64_t* v) { return TakeLe(v); }
   bool I64(int64_t* v) {

@@ -49,7 +49,7 @@ Result<api::AnyResponse> Client::InterpretFrame(const Frame& frame) {
       // A typed refusal from the server; the carried Status *is* the
       // result. Version is deliberately not checked here — the mismatch
       // reply of a newer/older server must still be readable.
-      WireReader r(frame.payload);
+      ByteReader r(frame.payload);
       Status error;
       if (!DecodeStatus(r, &error) || !r.AtEnd()) {
         return Status::Corruption("malformed error reply");

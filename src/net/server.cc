@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <iterator>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -498,9 +499,9 @@ void Server::HandleFrame(Reactor& r, const std::shared_ptr<Conn>& conn,
         Work{conn, std::move(frame), trace, std::move(root)});
     return;
   }
-  size_t shard = ShardHintOf(frame);
-  if (shard != SIZE_MAX) {
-    groups.by_shard[shard].push_back(
+  if (std::optional<core::ProjectId> project =
+          PeekProjectId(frame.type, frame.payload)) {
+    groups.by_shard[ShardOfId(*project, num_shards_)].push_back(
         Work{conn, std::move(frame), trace, std::move(root)});
     return;
   }
@@ -511,36 +512,6 @@ void Server::HandleFrame(Reactor& r, const std::shared_ptr<Conn>& conn,
       [this, w = Work{conn, std::move(frame), trace, std::move(root)}]() mutable {
         DispatchOne(w);
       });
-}
-
-size_t Server::ShardHintOf(const Frame& frame) const {
-  // Requests whose encoded payload leads with the target project's global
-  // id (little-endian u64, per docs/wire-protocol.md): BatchUploadResources,
-  // BatchControl and ProjectQuery at offset 0; BatchAcceptTasks carries the
-  // tagger id first, project id at offset 8. Everything else (or a payload
-  // too short to peek — the decode on the worker answers it with a typed
-  // error) has no single-shard routing.
-  size_t off;
-  switch (frame.type) {
-    case api::kRequestTypeIndex<api::BatchUploadResourcesRequest>:
-    case api::kRequestTypeIndex<api::BatchControlRequest>:
-    case api::kRequestTypeIndex<api::ProjectQueryRequest>:
-      off = 0;
-      break;
-    case api::kRequestTypeIndex<api::BatchAcceptTasksRequest>:
-      off = 8;
-      break;
-    default:
-      return SIZE_MAX;
-  }
-  if (frame.payload.size() < off + 8) return SIZE_MAX;
-  const auto* p =
-      reinterpret_cast<const unsigned char*>(frame.payload.data()) + off;
-  uint64_t project = 0;
-  for (int i = 7; i >= 0; --i) {
-    project = (project << 8) | static_cast<uint64_t>(p[i]);
-  }
-  return ShardOfId(project, num_shards_);
 }
 
 void Server::FlushDispatchGroups(DispatchGroups& groups) {

@@ -242,16 +242,13 @@ class Server {
   /// kErrorBacklogBytes of refusals pile up.
   void SendError(const std::shared_ptr<Conn>& conn, uint64_t correlation,
                  const Status& error, uint16_t type);
-  /// Destination-shard hint peeked from an encoded request payload, or
-  /// SIZE_MAX when the request has no single-shard routing.
-  size_t ShardHintOf(const Frame& frame) const;
 
   api::Service* service_;
   ServerOptions options_;
   ReplHooks repl_hooks_;
   std::atomic<uint64_t> next_conn_id_{1};
   /// Shard count of the backend (1 for a single-system backend); the
-  /// modulus of the global-id shard routing mirrored by ShardHintOf.
+  /// modulus of the global-id shard routing of peeked project ids.
   size_t num_shards_ = 1;
 
   Socket listener_;

@@ -1,632 +1,262 @@
 #include "net/wire.h"
 
-#include <cstring>
+#include <tuple>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/crc32.h"
 
 namespace itag::net {
 
-// ------------------------------------------------------------- primitives
-
 namespace {
 
-/// Appends `v` little-endian, independent of host byte order.
+// ------------------------------------------------------------ field lists
+
+/// The payload layout: the data members of every wire struct, in wire
+/// order. Put and Get below walk this one list in both directions, so the
+/// encoder and the decoder cannot disagree on a struct's layout.
 template <typename T>
-void AppendLe(std::string* buf, T v) {
-  char bytes[sizeof(T)];
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    bytes[i] = static_cast<char>(v & 0xFF);
-    v = static_cast<T>(v >> 8);
+constexpr auto FieldsOf() {
+  // ---- shared core structs
+  if constexpr (std::is_same_v<T, core::ProjectSpec>) {
+    return std::make_tuple(&T::name, &T::kind, &T::description, &T::budget,
+                           &T::pay_cents, &T::platform, &T::strategy);
+  } else if constexpr (std::is_same_v<T, core::ProjectInfo>) {
+    return std::make_tuple(&T::id, &T::provider, &T::spec, &T::state,
+                           &T::budget_remaining, &T::tasks_completed,
+                           &T::num_resources, &T::quality, &T::projected_gain);
+  } else if constexpr (std::is_same_v<T, core::QualityPoint>) {
+    return std::make_tuple(&T::tasks, &T::quality, &T::time);
+  } else if constexpr (std::is_same_v<T, core::TagFrequency>) {
+    return std::make_tuple(&T::tag, &T::count);
+  } else if constexpr (std::is_same_v<T,
+                                      core::QualityManager::ResourceDetail>) {
+    return std::make_tuple(&T::resource, &T::posts, &T::quality,
+                           &T::projected_gain_next_task, &T::stopped,
+                           &T::top_tags);
+  } else if constexpr (std::is_same_v<T, core::AcceptedTask>) {
+    return std::make_tuple(&T::handle, &T::project, &T::resource, &T::uri,
+                           &T::pay_cents);
+  } else if constexpr (std::is_same_v<T, api::BatchOutcome>) {
+    return std::make_tuple(&T::statuses, &T::ok_count);
+
+    // ---- request structs
+  } else if constexpr (std::is_same_v<T, api::RegisterProviderRequest>) {
+    return std::make_tuple(&T::name);
+  } else if constexpr (std::is_same_v<T, api::RegisterTaggerRequest>) {
+    return std::make_tuple(&T::name);
+  } else if constexpr (std::is_same_v<T, api::CreateProjectRequest>) {
+    return std::make_tuple(&T::provider, &T::spec);
+  } else if constexpr (std::is_same_v<T, api::UploadResourceItem>) {
+    return std::make_tuple(&T::kind, &T::uri, &T::description,
+                           &T::initial_tags);
+  } else if constexpr (std::is_same_v<T, api::BatchUploadResourcesRequest>) {
+    return std::make_tuple(&T::project, &T::items);
+  } else if constexpr (std::is_same_v<T, api::ControlItem>) {
+    return std::make_tuple(&T::action, &T::resource, &T::budget_tasks,
+                           &T::strategy);
+  } else if constexpr (std::is_same_v<T, api::BatchControlRequest>) {
+    return std::make_tuple(&T::project, &T::items);
+  } else if constexpr (std::is_same_v<T, api::ProjectQueryRequest>) {
+    return std::make_tuple(&T::project, &T::include_feed,
+                           &T::detail_resources);
+  } else if constexpr (std::is_same_v<T, api::BatchAcceptTasksRequest>) {
+    return std::make_tuple(&T::tagger, &T::project, &T::count);
+  } else if constexpr (std::is_same_v<T, api::SubmitTagsItem>) {
+    return std::make_tuple(&T::tagger, &T::handle, &T::tags);
+  } else if constexpr (std::is_same_v<T, api::BatchSubmitTagsRequest>) {
+    return std::make_tuple(&T::items);
+  } else if constexpr (std::is_same_v<T, api::DecideItem>) {
+    return std::make_tuple(&T::handle, &T::approve);
+  } else if constexpr (std::is_same_v<T, api::BatchDecideRequest>) {
+    return std::make_tuple(&T::provider, &T::items);
+  } else if constexpr (std::is_same_v<T, api::StepRequest>) {
+    return std::make_tuple(&T::ticks);
+  } else if constexpr (std::is_same_v<T, api::CheckpointRequest>) {
+    return std::make_tuple();
+  } else if constexpr (std::is_same_v<T, api::MetricsQueryRequest>) {
+    return std::make_tuple(&T::prefix);
+  } else if constexpr (std::is_same_v<T, api::TraceQueryRequest>) {
+    return std::make_tuple(&T::min_duration_us, &T::endpoint,
+                           &T::max_traces);
+  } else if constexpr (std::is_same_v<T, api::PromoteRequest>) {
+    return std::make_tuple();
+
+    // ---- response structs
+  } else if constexpr (std::is_same_v<T, api::RegisterProviderResponse>) {
+    return std::make_tuple(&T::status, &T::provider);
+  } else if constexpr (std::is_same_v<T, api::RegisterTaggerResponse>) {
+    return std::make_tuple(&T::status, &T::tagger);
+  } else if constexpr (std::is_same_v<T, api::CreateProjectResponse>) {
+    return std::make_tuple(&T::status, &T::project);
+  } else if constexpr (std::is_same_v<T, api::BatchUploadResourcesResponse>) {
+    return std::make_tuple(&T::outcome, &T::resources);
+  } else if constexpr (std::is_same_v<T, api::BatchControlResponse>) {
+    return std::make_tuple(&T::outcome);
+  } else if constexpr (std::is_same_v<T, api::ProjectQueryResponse>) {
+    return std::make_tuple(&T::status, &T::info, &T::feed, &T::details,
+                           &T::detail_outcome);
+  } else if constexpr (std::is_same_v<T, api::BatchAcceptTasksResponse>) {
+    return std::make_tuple(&T::status, &T::tasks);
+  } else if constexpr (std::is_same_v<T, api::BatchSubmitTagsResponse>) {
+    return std::make_tuple(&T::outcome);
+  } else if constexpr (std::is_same_v<T, api::BatchDecideResponse>) {
+    return std::make_tuple(&T::outcome);
+  } else if constexpr (std::is_same_v<T, api::StepResponse>) {
+    return std::make_tuple(&T::status, &T::now);
+  } else if constexpr (std::is_same_v<T, api::CheckpointResponse>) {
+    return std::make_tuple(&T::status, &T::durable, &T::tables, &T::rows);
+  } else if constexpr (std::is_same_v<T, api::MetricsQueryResponse>) {
+    return std::make_tuple(&T::status, &T::metrics);
+  } else if constexpr (std::is_same_v<T, api::TraceQueryResponse>) {
+    return std::make_tuple(&T::status, &T::traces);
+  } else if constexpr (std::is_same_v<T, api::PromoteResponse>) {
+    return std::make_tuple(&T::status, &T::was_replica);
+
+    // ---- observability structs (v3 MetricsQuery, v4 TraceQuery)
+  } else if constexpr (std::is_same_v<T, obs::MetricSample>) {
+    return std::make_tuple(&T::name, &T::kind, &T::count, &T::gauge, &T::sum,
+                           &T::buckets);
+  } else if constexpr (std::is_same_v<T, obs::SpanAnnotation>) {
+    return std::make_tuple(&T::key, &T::value);
+  } else if constexpr (std::is_same_v<T, obs::SpanRecord>) {
+    return std::make_tuple(&T::span_id, &T::parent_span_id, &T::name,
+                           &T::start_ns, &T::end_ns, &T::annotations);
+  } else if constexpr (std::is_same_v<T, obs::TraceRecord>) {
+    return std::make_tuple(&T::trace_id, &T::sampled, &T::duration_ns,
+                           &T::endpoint, &T::spans);
+
+    // ---- replication stream (v5 frame kinds 3-5)
+  } else if constexpr (std::is_same_v<T, ReplSubscribe>) {
+    return std::make_tuple(&T::num_dbs, &T::num_shards, &T::seed,
+                           &T::from_lsns);
+  } else if constexpr (std::is_same_v<T, ReplBatch>) {
+    return std::make_tuple(&T::db_index, &T::head_lsn, &T::head_bytes,
+                           &T::record);
+  } else if constexpr (std::is_same_v<T, ReplAck>) {
+    return std::make_tuple(&T::applied_lsns);
+  } else {
+    static_assert(sizeof(T) == 0, "not a wire struct: give it a field list");
   }
-  buf->append(bytes, sizeof(T));
 }
 
-}  // namespace
+/// The largest valid value of each one-byte wire type. A decoded byte above
+/// it fails the parse, so a corrupt or future-version value never smuggles
+/// an out-of-range enum into the core.
+constexpr auto kLargest = std::make_tuple(
+    true, tagging::ResourceKind::kScientificPaper,
+    core::PlatformChoice::kAudience, strategy::StrategyKind::kEstimatedGain,
+    core::ProjectState::kStopped, api::ControlAction::kSwitchStrategy,
+    obs::MetricKind::kHistogram);
 
-void WireWriter::U16(uint16_t v) { AppendLe(&buf_, v); }
-void WireWriter::U32(uint32_t v) { AppendLe(&buf_, v); }
-void WireWriter::U64(uint64_t v) { AppendLe(&buf_, v); }
-
-void WireWriter::F64(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  U64(bits);
-}
-
-void WireWriter::Str(std::string_view s) {
-  U32(static_cast<uint32_t>(s.size()));
-  buf_.append(s.data(), s.size());
-}
-
-bool WireReader::Take(void* out, size_t n) {
-  if (!ok_ || data_.size() - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  std::memcpy(out, data_.data() + pos_, n);
-  pos_ += n;
+/// Invariants a decoded struct must hold beyond its fields' own checks.
+template <typename T>
+bool Valid(const T&) {
   return true;
 }
-
-bool WireReader::U8(uint8_t* v) { return Take(v, 1); }
-
-namespace {
+bool Valid(const obs::MetricSample& m) {
+  // The bucket model is fixed (kHistogramBuckets for histograms, empty
+  // otherwise); any other length is a malformed sample, not something
+  // ApproxQuantile/RenderText should be handed.
+  return m.buckets.empty() || m.buckets.size() == obs::kHistogramBuckets;
+}
+bool Valid(const obs::SpanRecord& m) {
+  // A span that ends before it starts (or a zero id) cannot have been
+  // produced by the tracer; reject it as malformed rather than letting
+  // renderers underflow the duration.
+  return m.span_id != 0 && m.end_ns >= m.start_ns;
+}
 
 template <typename T>
-bool TakeLe(WireReader* r, bool (WireReader::*take8)(uint8_t*), T* v) {
-  *v = 0;
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    uint8_t b;
-    if (!(r->*take8)(&b)) return false;
-    *v = static_cast<T>(*v | (static_cast<T>(b) << (8 * i)));
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+// ------------------------------------------- the generic encoder / decoder
+
+/// Appends `v`: bools and enums as one byte, uint32_t as four, the other
+/// integers and doubles as eight, strings and vectors u32-count-prefixed,
+/// Status via EncodeStatus, and wire structs field by field.
+template <typename T>
+void Put(ByteWriter& w, const T& v) {
+  if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    w.U8(static_cast<uint8_t>(v));
+  } else if constexpr (std::is_same_v<T, uint32_t>) {
+    w.U32(v);
+  } else if constexpr (std::is_integral_v<T>) {
+    static_assert(sizeof(T) == 8, "wire integers are uint32_t or 64-bit");
+    w.U64(static_cast<uint64_t>(v));
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.F64(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.Str(v);
+  } else if constexpr (std::is_same_v<T, Status>) {
+    EncodeStatus(w, v);
+  } else if constexpr (kIsVector<T>) {
+    w.U32(static_cast<uint32_t>(v.size()));
+    for (const auto& e : v) Put(w, e);
+  } else {
+    std::apply([&](auto... field) { (Put(w, v.*field), ...); }, FieldsOf<T>());
   }
-  return true;
 }
 
-}  // namespace
-
-bool WireReader::U16(uint16_t* v) { return TakeLe(this, &WireReader::U8, v); }
-bool WireReader::U32(uint32_t* v) { return TakeLe(this, &WireReader::U8, v); }
-bool WireReader::U64(uint64_t* v) { return TakeLe(this, &WireReader::U8, v); }
-
-bool WireReader::I64(int64_t* v) {
-  uint64_t u;
-  if (!U64(&u)) return false;
-  *v = static_cast<int64_t>(u);
-  return true;
-}
-
-bool WireReader::F64(double* v) {
-  uint64_t bits;
-  if (!U64(&bits)) return false;
-  std::memcpy(v, &bits, sizeof(*v));
-  return true;
-}
-
-bool WireReader::Str(std::string* v) {
-  uint32_t n;
-  if (!U32(&n)) return false;
-  if (data_.size() - pos_ < n) {
-    ok_ = false;
-    return false;
+/// Reads what Put<T> wrote. False on truncation, an out-of-range byte, or
+/// a struct that breaks its Valid() invariant.
+template <typename T>
+bool Get(ByteReader& r, T* v) {
+  if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    uint8_t b = 0;
+    if (!r.U8(&b) || b > static_cast<uint8_t>(std::get<T>(kLargest))) {
+      return false;
+    }
+    *v = static_cast<T>(b);
+    return true;
+  } else if constexpr (std::is_same_v<T, uint32_t>) {
+    return r.U32(v);
+  } else if constexpr (std::is_integral_v<T>) {
+    uint64_t u = 0;
+    if (!r.U64(&u)) return false;
+    *v = static_cast<T>(u);
+    return true;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return r.F64(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return r.Str(v);
+  } else if constexpr (std::is_same_v<T, Status>) {
+    return DecodeStatus(r, v);
+  } else if constexpr (kIsVector<T>) {
+    uint32_t n = 0;
+    if (!r.U32(&n)) return false;
+    v->clear();
+    // No reserve(n): every element consumes >= 1 byte, so a lying count
+    // fails fast on read instead of pre-allocating gigabytes.
+    for (uint32_t i = 0; i < n; ++i) {
+      typename T::value_type e{};
+      if (!Get(r, &e)) return false;
+      v->push_back(std::move(e));
+    }
+    return true;
+  } else {
+    return std::apply(
+               [&](auto... field) { return (Get(r, &(v->*field)) && ...); },
+               FieldsOf<T>()) &&
+           Valid(*v);
   }
-  v->assign(data_.data() + pos_, n);
-  pos_ += n;
-  return true;
 }
-
-// ------------------------------------------------- field (de)serializers
-//
-// One Put/Get overload pair per wire-visible type, fields in struct
-// declaration order. Enums are a single byte, range-checked on decode so a
-// corrupt or future-version value fails the parse instead of smuggling an
-// out-of-range enum into the core.
-
-namespace {
-
-void Put(WireWriter& w, uint32_t v) { w.U32(v); }
-bool Get(WireReader& r, uint32_t* v) { return r.U32(v); }
-
-void Put(WireWriter& w, uint64_t v) { w.U64(v); }
-bool Get(WireReader& r, uint64_t* v) { return r.U64(v); }
-
-void Put(WireWriter& w, const std::string& s) { w.Str(s); }
-bool Get(WireReader& r, std::string* s) { return r.Str(s); }
-
-void PutBool(WireWriter& w, bool v) { w.U8(v ? 1 : 0); }
-bool GetBool(WireReader& r, bool* v) {
-  uint8_t b;
-  if (!r.U8(&b) || b > 1) return false;
-  *v = b != 0;
-  return true;
-}
-
-template <typename E>
-void PutEnum(WireWriter& w, E v) {
-  w.U8(static_cast<uint8_t>(v));
-}
-template <typename E>
-bool GetEnum(WireReader& r, E* v, uint8_t max_value) {
-  uint8_t b;
-  if (!r.U8(&b) || b > max_value) return false;
-  *v = static_cast<E>(b);
-  return true;
-}
-
-void Put(WireWriter& w, const Status& s) { EncodeStatus(w, s); }
-bool Get(WireReader& r, Status* s) { return DecodeStatus(r, s); }
-
-// Forward declarations so the PutVec/GetVec templates below resolve
-// element overloads defined later in this file (the element types live in
-// itag::core / itag::api, so ADL cannot find these).
-void Put(WireWriter& w, const core::QualityPoint& p);
-bool Get(WireReader& r, core::QualityPoint* p);
-void Put(WireWriter& w, const core::TagFrequency& t);
-bool Get(WireReader& r, core::TagFrequency* t);
-void Put(WireWriter& w, const core::QualityManager::ResourceDetail& d);
-bool Get(WireReader& r, core::QualityManager::ResourceDetail* d);
-void Put(WireWriter& w, const core::AcceptedTask& t);
-bool Get(WireReader& r, core::AcceptedTask* t);
-void Put(WireWriter& w, const api::UploadResourceItem& m);
-bool Get(WireReader& r, api::UploadResourceItem* m);
-void Put(WireWriter& w, const api::ControlItem& m);
-bool Get(WireReader& r, api::ControlItem* m);
-void Put(WireWriter& w, const api::SubmitTagsItem& m);
-bool Get(WireReader& r, api::SubmitTagsItem* m);
-void Put(WireWriter& w, const api::DecideItem& m);
-bool Get(WireReader& r, api::DecideItem* m);
-void Put(WireWriter& w, const obs::MetricSample& m);
-bool Get(WireReader& r, obs::MetricSample* m);
-void Put(WireWriter& w, const obs::SpanAnnotation& m);
-bool Get(WireReader& r, obs::SpanAnnotation* m);
-void Put(WireWriter& w, const obs::SpanRecord& m);
-bool Get(WireReader& r, obs::SpanRecord* m);
-void Put(WireWriter& w, const obs::TraceRecord& m);
-bool Get(WireReader& r, obs::TraceRecord* m);
 
 template <typename T>
-void PutVec(WireWriter& w, const std::vector<T>& v) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  for (const T& e : v) Put(w, e);
-}
-template <typename T>
-bool GetVec(WireReader& r, std::vector<T>* v) {
-  uint32_t n;
-  if (!r.U32(&n)) return false;
-  v->clear();
-  // No reserve(n): every element consumes >= 1 byte, so a lying count
-  // fails fast on read instead of pre-allocating gigabytes.
-  for (uint32_t i = 0; i < n; ++i) {
-    T e{};
-    if (!Get(r, &e)) return false;
-    v->push_back(std::move(e));
-  }
-  return true;
+std::string Encode(const T& msg) {
+  ByteWriter w;
+  Put(w, msg);
+  return w.Take();
 }
 
-// ---- shared core structs
-
-void Put(WireWriter& w, const core::ProjectSpec& s) {
-  w.Str(s.name);
-  PutEnum(w, s.kind);
-  w.Str(s.description);
-  w.U32(s.budget);
-  w.U32(s.pay_cents);
-  PutEnum(w, s.platform);
-  PutEnum(w, s.strategy);
-}
-bool Get(WireReader& r, core::ProjectSpec* s) {
-  return r.Str(&s->name) &&
-         GetEnum(r, &s->kind,
-                 static_cast<uint8_t>(tagging::ResourceKind::kScientificPaper)) &&
-         r.Str(&s->description) && r.U32(&s->budget) && r.U32(&s->pay_cents) &&
-         GetEnum(r, &s->platform,
-                 static_cast<uint8_t>(core::PlatformChoice::kAudience)) &&
-         GetEnum(r, &s->strategy,
-                 static_cast<uint8_t>(strategy::StrategyKind::kEstimatedGain));
-}
-
-void Put(WireWriter& w, const core::ProjectInfo& i) {
-  w.U64(i.id);
-  w.U64(i.provider);
-  Put(w, i.spec);
-  PutEnum(w, i.state);
-  w.U32(i.budget_remaining);
-  w.U32(i.tasks_completed);
-  w.U64(i.num_resources);
-  w.F64(i.quality);
-  w.F64(i.projected_gain);
-}
-bool Get(WireReader& r, core::ProjectInfo* i) {
-  uint64_t num_resources = 0;
-  bool ok =
-      r.U64(&i->id) && r.U64(&i->provider) && Get(r, &i->spec) &&
-      GetEnum(r, &i->state,
-              static_cast<uint8_t>(core::ProjectState::kStopped)) &&
-      r.U32(&i->budget_remaining) && r.U32(&i->tasks_completed) &&
-      r.U64(&num_resources) && r.F64(&i->quality) && r.F64(&i->projected_gain);
-  i->num_resources = static_cast<size_t>(num_resources);
-  return ok;
-}
-
-void Put(WireWriter& w, const core::QualityPoint& p) {
-  w.U32(p.tasks);
-  w.F64(p.quality);
-  w.I64(p.time);
-}
-bool Get(WireReader& r, core::QualityPoint* p) {
-  return r.U32(&p->tasks) && r.F64(&p->quality) && r.I64(&p->time);
-}
-
-void Put(WireWriter& w, const core::TagFrequency& t) {
-  w.Str(t.tag);
-  w.U32(t.count);
-}
-bool Get(WireReader& r, core::TagFrequency* t) {
-  return r.Str(&t->tag) && r.U32(&t->count);
-}
-
-void Put(WireWriter& w, const core::QualityManager::ResourceDetail& d) {
-  w.U32(d.resource);
-  w.U32(d.posts);
-  w.F64(d.quality);
-  w.F64(d.projected_gain_next_task);
-  PutBool(w, d.stopped);
-  PutVec(w, d.top_tags);
-}
-bool Get(WireReader& r, core::QualityManager::ResourceDetail* d) {
-  return r.U32(&d->resource) && r.U32(&d->posts) && r.F64(&d->quality) &&
-         r.F64(&d->projected_gain_next_task) && GetBool(r, &d->stopped) &&
-         GetVec(r, &d->top_tags);
-}
-
-void Put(WireWriter& w, const core::AcceptedTask& t) {
-  w.U64(t.handle);
-  w.U64(t.project);
-  w.U32(t.resource);
-  w.Str(t.uri);
-  w.U32(t.pay_cents);
-}
-bool Get(WireReader& r, core::AcceptedTask* t) {
-  return r.U64(&t->handle) && r.U64(&t->project) && r.U32(&t->resource) &&
-         r.Str(&t->uri) && r.U32(&t->pay_cents);
-}
-
-void Put(WireWriter& w, const api::BatchOutcome& o) {
-  PutVec(w, o.statuses);
-  w.U64(o.ok_count);
-}
-bool Get(WireReader& r, api::BatchOutcome* o) {
-  uint64_t ok_count = 0;
-  bool ok = GetVec(r, &o->statuses) && r.U64(&ok_count);
-  o->ok_count = static_cast<size_t>(ok_count);
-  return ok;
-}
-
-// ---- request structs
-
-void Put(WireWriter& w, const api::RegisterProviderRequest& m) {
-  w.Str(m.name);
-}
-bool Get(WireReader& r, api::RegisterProviderRequest* m) {
-  return r.Str(&m->name);
-}
-
-void Put(WireWriter& w, const api::RegisterTaggerRequest& m) { w.Str(m.name); }
-bool Get(WireReader& r, api::RegisterTaggerRequest* m) {
-  return r.Str(&m->name);
-}
-
-void Put(WireWriter& w, const api::CreateProjectRequest& m) {
-  w.U64(m.provider);
-  Put(w, m.spec);
-}
-bool Get(WireReader& r, api::CreateProjectRequest* m) {
-  return r.U64(&m->provider) && Get(r, &m->spec);
-}
-
-void Put(WireWriter& w, const api::UploadResourceItem& m) {
-  PutEnum(w, m.kind);
-  w.Str(m.uri);
-  w.Str(m.description);
-  PutVec(w, m.initial_tags);
-}
-bool Get(WireReader& r, api::UploadResourceItem* m) {
-  return GetEnum(r, &m->kind,
-                 static_cast<uint8_t>(
-                     tagging::ResourceKind::kScientificPaper)) &&
-         r.Str(&m->uri) && r.Str(&m->description) &&
-         GetVec(r, &m->initial_tags);
-}
-
-void Put(WireWriter& w, const api::BatchUploadResourcesRequest& m) {
-  w.U64(m.project);
-  PutVec(w, m.items);
-}
-bool Get(WireReader& r, api::BatchUploadResourcesRequest* m) {
-  return r.U64(&m->project) && GetVec(r, &m->items);
-}
-
-void Put(WireWriter& w, const api::ControlItem& m) {
-  PutEnum(w, m.action);
-  w.U32(m.resource);
-  w.U32(m.budget_tasks);
-  PutEnum(w, m.strategy);
-}
-bool Get(WireReader& r, api::ControlItem* m) {
-  return GetEnum(r, &m->action,
-                 static_cast<uint8_t>(api::ControlAction::kSwitchStrategy)) &&
-         r.U32(&m->resource) && r.U32(&m->budget_tasks) &&
-         GetEnum(r, &m->strategy,
-                 static_cast<uint8_t>(strategy::StrategyKind::kEstimatedGain));
-}
-
-void Put(WireWriter& w, const api::BatchControlRequest& m) {
-  w.U64(m.project);
-  PutVec(w, m.items);
-}
-bool Get(WireReader& r, api::BatchControlRequest* m) {
-  return r.U64(&m->project) && GetVec(r, &m->items);
-}
-
-void Put(WireWriter& w, const api::ProjectQueryRequest& m) {
-  w.U64(m.project);
-  PutBool(w, m.include_feed);
-  PutVec(w, m.detail_resources);
-}
-bool Get(WireReader& r, api::ProjectQueryRequest* m) {
-  return r.U64(&m->project) && GetBool(r, &m->include_feed) &&
-         GetVec(r, &m->detail_resources);
-}
-
-void Put(WireWriter& w, const api::BatchAcceptTasksRequest& m) {
-  w.U64(m.tagger);
-  w.U64(m.project);
-  w.U64(static_cast<uint64_t>(m.count));
-}
-bool Get(WireReader& r, api::BatchAcceptTasksRequest* m) {
-  uint64_t count = 0;
-  bool ok = r.U64(&m->tagger) && r.U64(&m->project) && r.U64(&count);
-  m->count = static_cast<size_t>(count);
-  return ok;
-}
-
-void Put(WireWriter& w, const api::SubmitTagsItem& m) {
-  w.U64(m.tagger);
-  w.U64(m.handle);
-  PutVec(w, m.tags);
-}
-bool Get(WireReader& r, api::SubmitTagsItem* m) {
-  return r.U64(&m->tagger) && r.U64(&m->handle) && GetVec(r, &m->tags);
-}
-
-void Put(WireWriter& w, const api::BatchSubmitTagsRequest& m) {
-  PutVec(w, m.items);
-}
-bool Get(WireReader& r, api::BatchSubmitTagsRequest* m) {
-  return GetVec(r, &m->items);
-}
-
-void Put(WireWriter& w, const api::DecideItem& m) {
-  w.U64(m.handle);
-  PutBool(w, m.approve);
-}
-bool Get(WireReader& r, api::DecideItem* m) {
-  return r.U64(&m->handle) && GetBool(r, &m->approve);
-}
-
-void Put(WireWriter& w, const api::BatchDecideRequest& m) {
-  w.U64(m.provider);
-  PutVec(w, m.items);
-}
-bool Get(WireReader& r, api::BatchDecideRequest* m) {
-  return r.U64(&m->provider) && GetVec(r, &m->items);
-}
-
-void Put(WireWriter& w, const api::StepRequest& m) { w.I64(m.ticks); }
-bool Get(WireReader& r, api::StepRequest* m) { return r.I64(&m->ticks); }
-
-void Put(WireWriter& w, const api::CheckpointRequest& m) { (void)w; (void)m; }
-bool Get(WireReader& r, api::CheckpointRequest* m) {
-  (void)r;
-  (void)m;
-  return true;  // empty payload; DecodeInto's AtEnd() rejects extra bytes
-}
-
-void Put(WireWriter& w, const api::MetricsQueryRequest& m) {
-  w.Str(m.prefix);
-}
-bool Get(WireReader& r, api::MetricsQueryRequest* m) {
-  return r.Str(&m->prefix);
-}
-
-void Put(WireWriter& w, const api::TraceQueryRequest& m) {
-  w.U64(m.min_duration_us);
-  w.Str(m.endpoint);
-  w.U32(m.max_traces);
-}
-bool Get(WireReader& r, api::TraceQueryRequest* m) {
-  return r.U64(&m->min_duration_us) && r.Str(&m->endpoint) &&
-         r.U32(&m->max_traces);
-}
-
-// ---- response structs
-
-void Put(WireWriter& w, const api::RegisterProviderResponse& m) {
-  Put(w, m.status);
-  w.U64(m.provider);
-}
-bool Get(WireReader& r, api::RegisterProviderResponse* m) {
-  return Get(r, &m->status) && r.U64(&m->provider);
-}
-
-void Put(WireWriter& w, const api::RegisterTaggerResponse& m) {
-  Put(w, m.status);
-  w.U64(m.tagger);
-}
-bool Get(WireReader& r, api::RegisterTaggerResponse* m) {
-  return Get(r, &m->status) && r.U64(&m->tagger);
-}
-
-void Put(WireWriter& w, const api::CreateProjectResponse& m) {
-  Put(w, m.status);
-  w.U64(m.project);
-}
-bool Get(WireReader& r, api::CreateProjectResponse* m) {
-  return Get(r, &m->status) && r.U64(&m->project);
-}
-
-void Put(WireWriter& w, const api::BatchUploadResourcesResponse& m) {
-  Put(w, m.outcome);
-  PutVec(w, m.resources);
-}
-bool Get(WireReader& r, api::BatchUploadResourcesResponse* m) {
-  return Get(r, &m->outcome) && GetVec(r, &m->resources);
-}
-
-void Put(WireWriter& w, const api::BatchControlResponse& m) {
-  Put(w, m.outcome);
-}
-bool Get(WireReader& r, api::BatchControlResponse* m) {
-  return Get(r, &m->outcome);
-}
-
-void Put(WireWriter& w, const api::ProjectQueryResponse& m) {
-  Put(w, m.status);
-  Put(w, m.info);
-  PutVec(w, m.feed);
-  PutVec(w, m.details);
-  Put(w, m.detail_outcome);
-}
-bool Get(WireReader& r, api::ProjectQueryResponse* m) {
-  return Get(r, &m->status) && Get(r, &m->info) && GetVec(r, &m->feed) &&
-         GetVec(r, &m->details) && Get(r, &m->detail_outcome);
-}
-
-void Put(WireWriter& w, const api::BatchAcceptTasksResponse& m) {
-  Put(w, m.status);
-  PutVec(w, m.tasks);
-}
-bool Get(WireReader& r, api::BatchAcceptTasksResponse* m) {
-  return Get(r, &m->status) && GetVec(r, &m->tasks);
-}
-
-void Put(WireWriter& w, const api::BatchSubmitTagsResponse& m) {
-  Put(w, m.outcome);
-}
-bool Get(WireReader& r, api::BatchSubmitTagsResponse* m) {
-  return Get(r, &m->outcome);
-}
-
-void Put(WireWriter& w, const api::BatchDecideResponse& m) {
-  Put(w, m.outcome);
-}
-bool Get(WireReader& r, api::BatchDecideResponse* m) {
-  return Get(r, &m->outcome);
-}
-
-void Put(WireWriter& w, const api::StepResponse& m) {
-  Put(w, m.status);
-  w.I64(m.now);
-}
-bool Get(WireReader& r, api::StepResponse* m) {
-  return Get(r, &m->status) && r.I64(&m->now);
-}
-
-void Put(WireWriter& w, const api::CheckpointResponse& m) {
-  Put(w, m.status);
-  PutBool(w, m.durable);
-  w.U64(m.tables);
-  w.U64(m.rows);
-}
-bool Get(WireReader& r, api::CheckpointResponse* m) {
-  return Get(r, &m->status) && GetBool(r, &m->durable) && r.U64(&m->tables) &&
-         r.U64(&m->rows);
-}
-
-// ---- observability structs
-
-void Put(WireWriter& w, const obs::MetricSample& m) {
-  w.Str(m.name);
-  PutEnum(w, m.kind);
-  w.U64(m.count);
-  w.I64(m.gauge);
-  w.U64(m.sum);
-  PutVec(w, m.buckets);
-}
-bool Get(WireReader& r, obs::MetricSample* m) {
-  return r.Str(&m->name) &&
-         GetEnum(r, &m->kind,
-                 static_cast<uint8_t>(obs::MetricKind::kHistogram)) &&
-         r.U64(&m->count) && r.I64(&m->gauge) && r.U64(&m->sum) &&
-         GetVec(r, &m->buckets) &&
-         // The bucket model is fixed (kHistogramBuckets for histograms,
-         // empty otherwise); any other length is a malformed sample, not
-         // something ApproxQuantile/RenderText should be handed.
-         (m->buckets.empty() ||
-          m->buckets.size() == obs::kHistogramBuckets);
-}
-
-void Put(WireWriter& w, const api::MetricsQueryResponse& m) {
-  Put(w, m.status);
-  PutVec(w, m.metrics);
-}
-bool Get(WireReader& r, api::MetricsQueryResponse* m) {
-  return Get(r, &m->status) && GetVec(r, &m->metrics);
-}
-
-// ---- tracing structs (v4 TraceQuery)
-
-void Put(WireWriter& w, const obs::SpanAnnotation& m) {
-  w.Str(m.key);
-  w.Str(m.value);
-}
-bool Get(WireReader& r, obs::SpanAnnotation* m) {
-  return r.Str(&m->key) && r.Str(&m->value);
-}
-
-void Put(WireWriter& w, const obs::SpanRecord& m) {
-  w.U64(m.span_id);
-  w.U64(m.parent_span_id);
-  w.Str(m.name);
-  w.U64(m.start_ns);
-  w.U64(m.end_ns);
-  PutVec(w, m.annotations);
-}
-bool Get(WireReader& r, obs::SpanRecord* m) {
-  return r.U64(&m->span_id) && r.U64(&m->parent_span_id) && r.Str(&m->name) &&
-         r.U64(&m->start_ns) && r.U64(&m->end_ns) &&
-         GetVec(r, &m->annotations) &&
-         // A span that ends before it starts (or a zero id) cannot have
-         // been produced by the tracer; reject it as malformed rather than
-         // letting renderers underflow the duration.
-         m->span_id != 0 && m->end_ns >= m->start_ns;
-}
-
-void Put(WireWriter& w, const obs::TraceRecord& m) {
-  w.U64(m.trace_id);
-  PutBool(w, m.sampled);
-  w.U64(m.duration_ns);
-  w.Str(m.endpoint);
-  PutVec(w, m.spans);
-}
-bool Get(WireReader& r, obs::TraceRecord* m) {
-  return r.U64(&m->trace_id) && GetBool(r, &m->sampled) &&
-         r.U64(&m->duration_ns) && r.Str(&m->endpoint) && GetVec(r, &m->spans);
-}
-
-void Put(WireWriter& w, const api::TraceQueryResponse& m) {
-  Put(w, m.status);
-  PutVec(w, m.traces);
-}
-bool Get(WireReader& r, api::TraceQueryResponse* m) {
-  return Get(r, &m->status) && GetVec(r, &m->traces);
-}
-
-// ---- replication admin (v5 Promote)
-
-void Put(WireWriter& w, const api::PromoteRequest& m) { (void)w; (void)m; }
-bool Get(WireReader& r, api::PromoteRequest* m) {
-  (void)r;
-  (void)m;
-  return true;  // empty payload; DecodeInto's AtEnd() rejects extra bytes
-}
-
-void Put(WireWriter& w, const api::PromoteResponse& m) {
-  Put(w, m.status);
-  PutBool(w, m.was_replica);
-}
-bool Get(WireReader& r, api::PromoteResponse* m) {
-  return Get(r, &m->status) && GetBool(r, &m->was_replica);
-}
-
-/// Parses `payload` as message type T (rejecting trailing bytes) and stores
-/// it into the variant `*out`.
-template <typename T, typename Variant>
-Status DecodeInto(std::string_view payload, Variant* out, const char* name) {
-  WireReader r(payload);
+/// Parses `payload` as a T, rejecting trailing bytes, and stores it into
+/// `*out` (a T, or a variant with a T alternative).
+template <typename T, typename Out>
+Status DecodeAs(std::string_view payload, Out* out, const char* name) {
+  ByteReader r(payload);
   T msg{};
   if (!Get(r, &msg) || !r.AtEnd()) {
     return Status::InvalidArgument(std::string("malformed ") + name +
@@ -636,17 +266,32 @@ Status DecodeInto(std::string_view payload, Variant* out, const char* name) {
   return Status::OK();
 }
 
+/// Decodes the `Variant` alternative whose index is the type tag `type`.
+template <typename Variant, size_t... I>
+Status DecodeAlternative(const char* side, uint16_t type,
+                         std::string_view payload, Variant* out,
+                         std::index_sequence<I...>) {
+  if (type >= sizeof...(I)) {
+    return Status::Unimplemented(std::string("unknown ") + side +
+                                 " type tag " + std::to_string(type));
+  }
+  using Decoder = Status (*)(std::string_view, Variant*, const char*);
+  static constexpr Decoder kDecoders[] = {
+      &DecodeAs<std::variant_alternative_t<I, Variant>, Variant>...};
+  return kDecoders[type](payload, out, api::RequestTypeName(type));
+}
+
 }  // namespace
 
 // ----------------------------------------------------------------- Status
 
-void EncodeStatus(WireWriter& w, const Status& status) {
+void EncodeStatus(ByteWriter& w, const Status& status) {
   w.U8(static_cast<uint8_t>(status.code()));
   w.Str(status.message());
 }
 
-bool DecodeStatus(WireReader& r, Status* out) {
-  uint8_t code;
+bool DecodeStatus(ByteReader& r, Status* out) {
+  uint8_t code = 0;
   std::string message;
   if (!r.U8(&code) || code > static_cast<uint8_t>(StatusCode::kInternal) ||
       !r.Str(&message)) {
@@ -662,7 +307,7 @@ namespace {
 
 std::string EncodeFrame(FrameKind kind, uint16_t type, uint64_t correlation,
                         uint32_t version, const std::string& payload) {
-  WireWriter w;
+  ByteWriter w;
   w.U32(kMagic);
   w.U32(version);
   w.U8(static_cast<uint8_t>(kind));
@@ -673,7 +318,7 @@ std::string EncodeFrame(FrameKind kind, uint16_t type, uint64_t correlation,
   uint32_t crc = Crc32(w.buffer().data(), w.buffer().size());
   crc = Crc32Extend(crc, payload.data(), payload.size());
   w.U32(crc);
-  w.Raw(payload.data(), payload.size());
+  w.Raw(payload);
   return w.Take();
 }
 
@@ -694,17 +339,15 @@ std::string EncodeResponseFrame(uint64_t correlation,
 
 std::string EncodeErrorFrame(uint64_t correlation, const Status& error,
                              uint16_t type) {
-  WireWriter w;
-  EncodeStatus(w, error);
   return EncodeFrame(FrameKind::kError, type, correlation, api::kApiVersion,
-                     w.buffer());
+                     Encode(error));
 }
 
 Status TryDecodeFrame(std::string_view buf, Frame* out, size_t* consumed,
                       size_t max_frame_bytes) {
   *consumed = 0;
   if (buf.size() < kHeaderSize) return Status::OK();
-  WireReader r(buf.substr(0, kHeaderSize));
+  ByteReader r(buf.substr(0, kHeaderSize));
   uint32_t magic = 0, version = 0, payload_size = 0, crc = 0;
   uint8_t kind = 0, reserved = 0;
   uint16_t type = 0;
@@ -753,93 +396,49 @@ uint16_t TypeTagOf(const api::AnyResponse& response) {
 }
 
 std::string EncodeRequestPayload(const api::AnyRequest& request) {
-  WireWriter w;
-  std::visit([&w](const auto& m) { Put(w, m); }, request);
-  return w.Take();
+  return std::visit([](const auto& m) { return Encode(m); }, request);
 }
 
 std::string EncodeResponsePayload(const api::AnyResponse& response) {
-  WireWriter w;
-  std::visit([&w](const auto& m) { Put(w, m); }, response);
-  return w.Take();
+  return std::visit([](const auto& m) { return Encode(m); }, response);
 }
 
 Status DecodeRequestPayload(uint16_t type, std::string_view payload,
                             api::AnyRequest* out) {
-  static_assert(api::kRequestTypeCount == 14,
-                "new AnyRequest alternative: extend the codec switches");
-  const char* name = api::RequestTypeName(type);
-  switch (type) {
-    case 0:
-      return DecodeInto<api::RegisterProviderRequest>(payload, out, name);
-    case 1:
-      return DecodeInto<api::RegisterTaggerRequest>(payload, out, name);
-    case 2:
-      return DecodeInto<api::CreateProjectRequest>(payload, out, name);
-    case 3:
-      return DecodeInto<api::BatchUploadResourcesRequest>(payload, out, name);
-    case 4:
-      return DecodeInto<api::BatchControlRequest>(payload, out, name);
-    case 5:
-      return DecodeInto<api::ProjectQueryRequest>(payload, out, name);
-    case 6:
-      return DecodeInto<api::BatchAcceptTasksRequest>(payload, out, name);
-    case 7:
-      return DecodeInto<api::BatchSubmitTagsRequest>(payload, out, name);
-    case 8:
-      return DecodeInto<api::BatchDecideRequest>(payload, out, name);
-    case 9:
-      return DecodeInto<api::StepRequest>(payload, out, name);
-    case 10:
-      return DecodeInto<api::CheckpointRequest>(payload, out, name);
-    case 11:
-      return DecodeInto<api::MetricsQueryRequest>(payload, out, name);
-    case 12:
-      return DecodeInto<api::TraceQueryRequest>(payload, out, name);
-    case 13:
-      return DecodeInto<api::PromoteRequest>(payload, out, name);
-    default:
-      return Status::Unimplemented("unknown request type tag " +
-                                   std::to_string(type));
-  }
+  return DecodeAlternative(
+      "request", type, payload, out,
+      std::make_index_sequence<std::variant_size_v<api::AnyRequest>>());
 }
 
 Status DecodeResponsePayload(uint16_t type, std::string_view payload,
                              api::AnyResponse* out) {
-  const char* name = api::RequestTypeName(type);
+  return DecodeAlternative(
+      "response", type, payload, out,
+      std::make_index_sequence<std::variant_size_v<api::AnyResponse>>());
+}
+
+std::optional<core::ProjectId> PeekProjectId(uint16_t type,
+                                             std::string_view payload) {
+  // The project id leads the field lists of the first three; in
+  // BatchAcceptTasks it follows the u64 tagger id.
+  size_t offset = 0;
   switch (type) {
-    case 0:
-      return DecodeInto<api::RegisterProviderResponse>(payload, out, name);
-    case 1:
-      return DecodeInto<api::RegisterTaggerResponse>(payload, out, name);
-    case 2:
-      return DecodeInto<api::CreateProjectResponse>(payload, out, name);
-    case 3:
-      return DecodeInto<api::BatchUploadResourcesResponse>(payload, out, name);
-    case 4:
-      return DecodeInto<api::BatchControlResponse>(payload, out, name);
-    case 5:
-      return DecodeInto<api::ProjectQueryResponse>(payload, out, name);
-    case 6:
-      return DecodeInto<api::BatchAcceptTasksResponse>(payload, out, name);
-    case 7:
-      return DecodeInto<api::BatchSubmitTagsResponse>(payload, out, name);
-    case 8:
-      return DecodeInto<api::BatchDecideResponse>(payload, out, name);
-    case 9:
-      return DecodeInto<api::StepResponse>(payload, out, name);
-    case 10:
-      return DecodeInto<api::CheckpointResponse>(payload, out, name);
-    case 11:
-      return DecodeInto<api::MetricsQueryResponse>(payload, out, name);
-    case 12:
-      return DecodeInto<api::TraceQueryResponse>(payload, out, name);
-    case 13:
-      return DecodeInto<api::PromoteResponse>(payload, out, name);
+    case api::kRequestTypeIndex<api::BatchUploadResourcesRequest>:
+    case api::kRequestTypeIndex<api::BatchControlRequest>:
+    case api::kRequestTypeIndex<api::ProjectQueryRequest>:
+      break;
+    case api::kRequestTypeIndex<api::BatchAcceptTasksRequest>:
+      offset = 8;
+      break;
     default:
-      return Status::Unimplemented("unknown response type tag " +
-                                   std::to_string(type));
+      return std::nullopt;
   }
+  core::ProjectId project = 0;
+  if (payload.size() < offset ||
+      !ByteReader(payload.substr(offset)).U64(&project)) {
+    return std::nullopt;
+  }
+  return project;
 }
 
 // ------------------------------------------------------------- replication
@@ -847,62 +446,30 @@ Status DecodeResponsePayload(uint16_t type, std::string_view payload,
 std::string EncodeReplSubscribeFrame(uint64_t correlation,
                                      const ReplSubscribe& msg,
                                      uint32_t version) {
-  WireWriter w;
-  w.U32(msg.num_dbs);
-  w.U32(msg.num_shards);
-  w.U64(msg.seed);
-  PutVec(w, msg.from_lsns);
   return EncodeFrame(FrameKind::kReplSubscribe, 0, correlation, version,
-                     w.buffer());
+                     Encode(msg));
 }
 
 std::string EncodeReplBatchFrame(uint64_t correlation, const ReplBatch& msg) {
-  WireWriter w;
-  w.U32(msg.db_index);
-  w.U64(msg.head_lsn);
-  w.U64(msg.head_bytes);
-  w.Str(msg.record);
   return EncodeFrame(FrameKind::kReplBatch, 0, correlation, api::kApiVersion,
-                     w.buffer());
+                     Encode(msg));
 }
 
 std::string EncodeReplAckFrame(uint64_t correlation, const ReplAck& msg) {
-  WireWriter w;
-  PutVec(w, msg.applied_lsns);
   return EncodeFrame(FrameKind::kReplAck, 0, correlation, api::kApiVersion,
-                     w.buffer());
+                     Encode(msg));
 }
 
 Status DecodeReplSubscribe(const Frame& frame, ReplSubscribe* out) {
-  WireReader r(frame.payload);
-  ReplSubscribe msg;
-  if (!r.U32(&msg.num_dbs) || !r.U32(&msg.num_shards) || !r.U64(&msg.seed) ||
-      !GetVec(r, &msg.from_lsns) || !r.AtEnd()) {
-    return Status::InvalidArgument("malformed ReplSubscribe payload");
-  }
-  *out = std::move(msg);
-  return Status::OK();
+  return DecodeAs<ReplSubscribe>(frame.payload, out, "ReplSubscribe");
 }
 
 Status DecodeReplBatch(const Frame& frame, ReplBatch* out) {
-  WireReader r(frame.payload);
-  ReplBatch msg;
-  if (!r.U32(&msg.db_index) || !r.U64(&msg.head_lsn) ||
-      !r.U64(&msg.head_bytes) || !r.Str(&msg.record) || !r.AtEnd()) {
-    return Status::InvalidArgument("malformed ReplBatch payload");
-  }
-  *out = std::move(msg);
-  return Status::OK();
+  return DecodeAs<ReplBatch>(frame.payload, out, "ReplBatch");
 }
 
 Status DecodeReplAck(const Frame& frame, ReplAck* out) {
-  WireReader r(frame.payload);
-  ReplAck msg;
-  if (!GetVec(r, &msg.applied_lsns) || !r.AtEnd()) {
-    return Status::InvalidArgument("malformed ReplAck payload");
-  }
-  *out = std::move(msg);
-  return Status::OK();
+  return DecodeAs<ReplAck>(frame.payload, out, "ReplAck");
 }
 
 }  // namespace itag::net

@@ -3,11 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "api/requests.h"
+#include "common/binio.h"
 #include "common/status.h"
 
 namespace itag::net {
@@ -25,7 +27,7 @@ namespace itag::net {
 //       12     8  correlation  echoed verbatim on the reply
 //       20     4  payload_size bytes following the header
 //       24     4  crc          CRC-32 over header[0..24) + payload
-//       28     …  payload      body, encoded per docs/wire-protocol.md
+//       28     …  payload      body, laid out by the field lists in wire.cc
 //
 // All integers are little-endian; doubles travel as their IEEE-754 bit
 // pattern, so responses round-trip bit-exactly. The CRC (the WAL's
@@ -66,62 +68,12 @@ struct Frame {
   std::string payload;
 };
 
-// ------------------------------------------------------------- primitives
-
-/// Append-only little-endian writer the serializers build payloads with.
-class WireWriter {
- public:
-  void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void U16(uint16_t v);
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v);
-  /// u32 byte count + raw bytes (no terminator; embedded NULs survive).
-  void Str(std::string_view s);
-  void Raw(const void* data, size_t n) {
-    buf_.append(static_cast<const char*>(data), n);
-  }
-
-  const std::string& buffer() const { return buf_; }
-  std::string Take() { return std::move(buf_); }
-
- private:
-  std::string buf_;
-};
-
-/// Bounds-checked reader over an encoded payload. Every getter returns
-/// false (and poisons the reader) once the input is exhausted; decoders
-/// check the final AtEnd() so trailing garbage is rejected too.
-class WireReader {
- public:
-  explicit WireReader(std::string_view data) : data_(data) {}
-
-  bool U8(uint8_t* v);
-  bool U16(uint16_t* v);
-  bool U32(uint32_t* v);
-  bool U64(uint64_t* v);
-  bool I64(int64_t* v);
-  bool F64(double* v);
-  bool Str(std::string* v);
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return ok_ && pos_ == data_.size(); }
-
- private:
-  bool Take(void* out, size_t n);
-
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
 // ----------------------------------------------------------------- Status
 
 /// Statuses travel code **and** message, so a client sees exactly the
 /// per-item diagnostics an in-process caller would (error fidelity).
-void EncodeStatus(WireWriter& w, const Status& status);
-bool DecodeStatus(WireReader& r, Status* out);
+void EncodeStatus(ByteWriter& w, const Status& status);
+bool DecodeStatus(ByteReader& r, Status* out);
 
 // ----------------------------------------------------------------- frames
 
@@ -162,6 +114,13 @@ Status DecodeRequestPayload(uint16_t type, std::string_view payload,
                             api::AnyRequest* out);
 Status DecodeResponsePayload(uint16_t type, std::string_view payload,
                              api::AnyResponse* out);
+
+/// The project id an encoded request payload of variant index `type`
+/// targets, read without decoding the rest: BatchUploadResources,
+/// BatchControl, ProjectQuery and BatchAcceptTasks carry one. nullopt for
+/// every other type and for a payload too short to hold the id.
+std::optional<core::ProjectId> PeekProjectId(uint16_t type,
+                                             std::string_view payload);
 
 // ------------------------------------------------------------- replication
 //
