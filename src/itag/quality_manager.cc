@@ -710,41 +710,40 @@ const std::vector<QualityPoint>& QualityManager::QualityFeed(
   return rec == nullptr ? kEmpty : rec->feed;
 }
 
+ProjectionPlan PlanProjection(const tagging::Corpus& corpus,
+                              const quality::EmpiricalGainEstimator& estimator,
+                              uint32_t budget) {
+  const size_t n = corpus.size();
+  ProjectionPlan plan{std::vector<uint32_t>(n, 0), 0.0};
+  budget = std::min(budget, kProjectionHorizon);
+  if (n == 0 || budget == 0) return plan;
+  std::vector<quality::ProjectionCurve> curves;
+  curves.reserve(n);
+  for (ResourceId r = 0; r < n; ++r) {
+    curves.push_back(estimator.Curve(corpus.stats(r)));
+  }
+  plan.tasks = strategy::GreedyAllocate(
+      n, budget,
+      [&curves](uint32_t r, uint32_t extra) {
+        return curves[r].Quality(extra);
+      },
+      quality::ThresholdPrefix(curves, budget));
+  for (ResourceId r = 0; r < n; ++r) {
+    plan.gain += curves[r].Quality(plan.tasks[r]) - curves[r].Quality(0);
+  }
+  plan.gain /= static_cast<double>(n);
+  return plan;
+}
+
 Result<double> QualityManager::ProjectedGain(ProjectId project) const {
   const ProjectRec* rec = GetRec(project);
   const tagging::Corpus* corpus = resources_->GetCorpus(project);
   if (rec == nullptr || corpus == nullptr) {
     return Status::NotFound("project " + std::to_string(project));
   }
-  if (corpus->size() == 0) return 0.0;
   uint32_t budget = rec->engine != nullptr ? rec->engine->budget_remaining()
                                            : rec->spec.budget;
-  if (budget == 0) return 0.0;
-  // Cap the planning horizon: the projection view only needs a coarse
-  // number, and the greedy split is O(B log n).
-  budget = std::min<uint32_t>(budget, 5000);
-
-  // Quality curve from the empirical (Dirichlet-smoothed) estimator.
-  std::vector<SparseDist> thetas(corpus->size());
-  std::vector<uint32_t> k0(corpus->size());
-  for (ResourceId r = 0; r < corpus->size(); ++r) {
-    thetas[r] = gain_.EstimateTheta(corpus->stats(r));
-    k0[r] = corpus->PostCount(r);
-  }
-  auto curve = [&](uint32_t r, uint32_t extra) {
-    if (thetas[r].empty()) {
-      // No data at all: optimistic linear ramp to the first few posts.
-      return extra == 0 ? 0.0 : 1.0 - 1.0 / (1.0 + extra);
-    }
-    return quality::ExpectedQualityClosedForm(thetas[r], k0[r] + extra, 3.0);
-  };
-  std::vector<uint32_t> x =
-      strategy::GreedyAllocate(corpus->size(), budget, curve);
-  double gain = 0.0;
-  for (ResourceId r = 0; r < corpus->size(); ++r) {
-    gain += curve(r, x[r]) - curve(r, 0);
-  }
-  return gain / static_cast<double>(corpus->size());
+  return PlanProjection(*corpus, gain_, budget).gain;
 }
 
 Result<QualityManager::ResourceDetail> QualityManager::GetResourceDetail(

@@ -31,6 +31,24 @@ struct QualityPoint {
   Tick time = 0;
 };
 
+/// Planning horizon of the projected gain: the projection view only needs a
+/// coarse number, so at most this many of the remaining tasks are planned.
+inline constexpr uint32_t kProjectionHorizon = 5000;
+
+/// The split behind QualityManager::ProjectedGain.
+struct ProjectionPlan {
+  std::vector<uint32_t> tasks;  ///< extra tasks planned per resource
+  double gain = 0.0;            ///< mean projected quality gain per resource
+};
+
+/// Plans min(budget, kProjectionHorizon) more tasks over `corpus` with the
+/// greedy split of strategy::GreedyAllocate on the estimator's projection
+/// curves, warm-started from their quality::ThresholdPrefix: O(Σ|θ̂ᵣ| +
+/// n log n) rather than the cold start's O(B log n).
+ProjectionPlan PlanProjection(const tagging::Corpus& corpus,
+                              const quality::EmpiricalGainEstimator& estimator,
+                              uint32_t budget);
+
 /// The Quality Manager of Fig. 2: receives the provider's budget, creates a
 /// Project, "executes the best strategy to allocate resources to taggers",
 /// constantly feeds quality information back, and lets the provider change
@@ -133,7 +151,7 @@ class QualityManager {
 
   /// Projected additional quality if the remaining budget is spent with the
   /// estimated-gain-optimal split (the "projected quality gains" shown
-  /// while the provider picks a budget).
+  /// while the provider picks a budget): PlanProjection's gain.
   Result<double> ProjectedGain(ProjectId project) const;
 
   /// Per-resource detail for Fig. 6: current quality and the posts so far.

@@ -134,13 +134,13 @@ Status ShardedSystem::Init() {
   }
   next_project_shard_.store(projects, std::memory_order_release);
   now_.store(shards_[0]->system->clock().Now(), std::memory_order_release);
-  // Debug surface: one placement gauge per live project.
+  // Debug surface: one placement gauge per live project, i.e. per snapshot
+  // the refresh above published.
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const ProjectInfo& info :
-         shard.system->ListProjects(static_cast<ProviderId>(-1))) {
-      SetPlacementGauge(GlobalProjectOf(s, info.id), s);
+    std::shared_lock<std::shared_mutex> lock(shard.snap_mu);
+    for (const auto& [local, snap] : shard.snapshots) {
+      SetPlacementGauge(snap.project, s);
     }
   }
   metrics_.placement_version->Set(
@@ -612,19 +612,25 @@ std::vector<Status> ShardedSystem::RouteByHandle(
 
 void ShardedSystem::RefreshSnapshot(size_t shard_index,
                                     ProjectId local) const {
+  Result<ProjectInfo> info =
+      shards_[shard_index]->system->GetProjectInfo(local);
+  PublishSnapshot(shard_index, local, info.ok() ? &info.value() : nullptr);
+}
+
+void ShardedSystem::PublishSnapshot(size_t shard_index, ProjectId local,
+                                    const ProjectInfo* info) const {
   Shard& shard = *shards_[shard_index];
-  Result<ProjectInfo> info = shard.system->GetProjectInfo(local);
   // Slot history, not the codec: a migrated project's snapshot must carry
   // the global id it was created under. Resolved before snap_mu (leaf
   // order: shard.mu → placement_mu_, snap_mu independent).
   const uint64_t global = GlobalProjectOf(shard_index, local);
   std::unique_lock<std::shared_mutex> lock(shard.snap_mu);
-  if (!info.ok()) {
+  if (info == nullptr) {
     shard.snapshots.erase(local);
     return;
   }
   QualitySnapshot& snap = shard.snapshots[local];
-  const ProjectInfo& pi = info.value();
+  const ProjectInfo& pi = *info;
   snap.project = global;
   snap.state = pi.state;
   snap.quality = pi.quality;
@@ -649,7 +655,7 @@ void ShardedSystem::RefreshShard(size_t shard_index) const {
   Shard& shard = *shards_[shard_index];
   for (const ProjectInfo& info :
        shard.system->ListProjects(static_cast<ProviderId>(-1))) {
-    RefreshSnapshot(shard_index, info.id);
+    PublishSnapshot(shard_index, info.id, &info);
   }
   RefreshStats(shard_index);
 }

@@ -386,6 +386,10 @@ class ShardedSystem {
 
   /// Refreshes the snapshot of one local project (shard mutex held).
   void RefreshSnapshot(size_t shard_index, ProjectId local) const;
+  /// Publishes `info` as the snapshot of one local project, or drops the
+  /// snapshot when `info` is null (project gone; shard mutex held).
+  void PublishSnapshot(size_t shard_index, ProjectId local,
+                       const ProjectInfo* info) const;
   /// Refreshes every project snapshot + shard stats (shard mutex held).
   void RefreshShard(size_t shard_index) const;
   /// Publishes current ledger/project counters (shard mutex held).

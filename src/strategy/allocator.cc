@@ -1,15 +1,23 @@
 #include "strategy/allocator.h"
 
 #include <cassert>
+#include <numeric>
 #include <queue>
 #include <tuple>
 
 namespace itag::strategy {
 
 std::vector<uint32_t> GreedyAllocate(size_t num_resources, uint32_t budget,
-                                     const QualityCurve& curve) {
-  std::vector<uint32_t> x(num_resources, 0);
+                                     const QualityCurve& curve,
+                                     std::vector<uint32_t> start) {
+  std::vector<uint32_t> x = start.empty()
+                                ? std::vector<uint32_t>(num_resources, 0)
+                                : std::move(start);
+  assert(x.size() == num_resources);
   if (num_resources == 0) return x;
+  const uint64_t assigned =
+      std::accumulate(x.begin(), x.end(), uint64_t{0});
+  assert(assigned <= budget);
   // Max-heap of (marginal gain, resource); ties by lower id for determinism.
   using Item = std::tuple<double, uint32_t>;
   auto cmp = [](const Item& a, const Item& b) {
@@ -18,11 +26,14 @@ std::vector<uint32_t> GreedyAllocate(size_t num_resources, uint32_t budget,
     }
     return std::get<1>(a) > std::get<1>(b);
   };
-  std::priority_queue<Item, std::vector<Item>, decltype(cmp)> heap(cmp);
+  std::vector<Item> items;
+  items.reserve(num_resources);
   for (uint32_t i = 0; i < num_resources; ++i) {
-    heap.emplace(curve(i, 1) - curve(i, 0), i);
+    items.emplace_back(curve(i, x[i] + 1) - curve(i, x[i]), i);
   }
-  for (uint32_t b = 0; b < budget; ++b) {
+  std::priority_queue<Item, std::vector<Item>, decltype(cmp)> heap(
+      cmp, std::move(items));
+  for (uint64_t b = assigned; b < budget; ++b) {
     auto [gain, i] = heap.top();
     heap.pop();
     (void)gain;

@@ -17,9 +17,17 @@ using QualityCurve = std::function<double(uint32_t resource, uint32_t extra)>;
 /// choose x with Σx_i = B maximizing Σ_i E[q_i(c_i + x_i)].
 ///
 /// GreedyAllocate assigns the B tasks one at a time, each to the resource
-/// with the largest marginal gain E(i, x_i+1) - E(i, x_i). O(B log n).
+/// with the largest marginal gain E(i, x_i+1) - E(i, x_i), ties to the lower
+/// id. O(B log n).
+///
+/// A nonempty `start` (one count per resource, Σstart ≤ B) resumes the
+/// greedy from that state and runs only the remaining B − Σstart steps:
+/// 2n + 2(B − Σstart) curve evaluations instead of 2n + 2B. The result is
+/// the cold start's whenever `start` is a state the cold greedy passes
+/// through, e.g. quality::ThresholdPrefix of concave curves.
 std::vector<uint32_t> GreedyAllocate(size_t num_resources, uint32_t budget,
-                                     const QualityCurve& curve);
+                                     const QualityCurve& curve,
+                                     std::vector<uint32_t> start = {});
 
 /// Exact dynamic program over (resource, budget) for cross-checking greedy
 /// optimality on small instances. O(n * B^2) time, O(B) space per layer —

@@ -6,12 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
 #include "itag/itag_system.h"
+#include "strategy/allocator.h"
 
 namespace itag::core {
 namespace {
 
 using strategy::StrategyKind;
+using tagging::ResourceId;
 using tagging::ResourceKind;
 
 class QualityManagerTest : public ::testing::Test {
@@ -204,6 +212,195 @@ TEST_F(QualityManagerTest, ListProjectsFiltersByProvider) {
   auto all = qm_->ListProjects(static_cast<ProviderId>(-1));
   EXPECT_EQ(all.size(), 2u);
   (void)theirs;
+}
+
+// ------------------------------------------------------- projection plan
+
+/// The projected-gain solve as it was before the warm start, kept as the
+/// oracle: the closed form over θ̂ fed to a cold-start greedy,
+/// O(B·(log n + |θ|)).
+class OracleProjection {
+ public:
+  explicit OracleProjection(const tagging::Corpus& corpus) {
+    quality::EmpiricalGainEstimator gain;
+    for (ResourceId r = 0; r < corpus.size(); ++r) {
+      thetas_.push_back(gain.EstimateTheta(corpus.stats(r)));
+      k0_.push_back(corpus.PostCount(r));
+    }
+  }
+
+  double Quality(uint32_t r, uint32_t extra) const {
+    if (thetas_[r].empty()) {
+      // No data at all: optimistic linear ramp to the first few posts.
+      return extra == 0 ? 0.0 : 1.0 - 1.0 / (1.0 + extra);
+    }
+    return quality::ExpectedQualityClosedForm(thetas_[r], k0_[r] + extra,
+                                              3.0);
+  }
+
+  ProjectionPlan Plan(uint32_t budget) const {
+    const size_t n = thetas_.size();
+    ProjectionPlan plan{std::vector<uint32_t>(n, 0), 0.0};
+    if (n == 0 || budget == 0) return plan;
+    budget = std::min<uint32_t>(budget, 5000);
+    plan.tasks = strategy::GreedyAllocate(
+        n, budget, [this](uint32_t r, uint32_t x) { return Quality(r, x); });
+    for (ResourceId r = 0; r < n; ++r) {
+      plan.gain += Quality(r, plan.tasks[r]) - Quality(r, 0);
+    }
+    plan.gain /= static_cast<double>(n);
+    return plan;
+  }
+
+ private:
+  std::vector<SparseDist> thetas_;
+  std::vector<uint32_t> k0_;
+};
+
+tagging::Post PostOf(std::vector<tagging::TagId> tags) {
+  tagging::Post post;
+  post.tags = std::move(tags);
+  return post;
+}
+
+/// Posts of 1-4 distinct tags drawn from `vocab` tags.
+std::vector<tagging::Post> SmallPosts(Rng* rng, uint32_t count,
+                                      uint32_t vocab) {
+  std::vector<tagging::Post> posts;
+  for (uint32_t p = 0; p < count; ++p) {
+    std::vector<tagging::TagId> tags;
+    for (uint32_t t = 1 + rng->Uniform(4); t > 0; --t) {
+      tagging::TagId tag = rng->Uniform(vocab);
+      if (std::find(tags.begin(), tags.end(), tag) == tags.end()) {
+        tags.push_back(tag);
+      }
+    }
+    posts.push_back(PostOf(std::move(tags)));
+  }
+  return posts;
+}
+
+/// n resources of every shape the projection meets: no posts (the ramp),
+/// one tag only (a = 0, so every gain is 0 and ties decide), a copy of the
+/// previous resource (ties broken by id), a few small posts, and in half
+/// the corpora one resource with up to 10⁴ posts. `wide` adds a resource
+/// whose one post has 20+ distinct tags: its clamp binds, so the solve
+/// starts from zero.
+tagging::Corpus RandomCorpus(Rng* rng, size_t n, bool wide) {
+  tagging::Corpus corpus;
+  const uint32_t vocab = 2 + rng->Uniform(60);
+  const size_t heavy = rng->Uniform(2) == 0 ? rng->Uniform(n) : n;
+  const size_t wide_at = wide ? rng->Uniform(n) : n;
+  std::vector<tagging::Post> previous;
+  for (size_t r = 0; r < n; ++r) {
+    corpus.AddResource(ResourceKind::kWebUrl, "u" + std::to_string(r));
+    std::vector<tagging::Post> posts;
+    if (r == wide_at) {
+      std::vector<tagging::TagId> tags;
+      for (uint32_t t = 20 + rng->Uniform(10); t > 0; --t) {
+        tags.push_back(vocab + t);
+      }
+      posts.push_back(PostOf(std::move(tags)));
+    } else if (r == heavy) {
+      posts = SmallPosts(rng, 1 + rng->Uniform(10000), vocab);
+    } else {
+      switch (rng->Uniform(6)) {
+        case 0:
+          break;
+        case 1:
+          posts.assign(1 + rng->Uniform(5), PostOf({rng->Uniform(vocab)}));
+          break;
+        case 2:
+          posts = previous;
+          break;
+        default:
+          posts = SmallPosts(rng, 1 + rng->Uniform(6), vocab);
+      }
+    }
+    for (const tagging::Post& post : posts) {
+      EXPECT_TRUE(corpus.AddPost(static_cast<ResourceId>(r), post).ok());
+    }
+    previous = std::move(posts);
+  }
+  return corpus;
+}
+
+uint64_t Sum(const std::vector<uint32_t>& x) {
+  uint64_t s = 0;
+  for (uint32_t v : x) s += v;
+  return s;
+}
+
+TEST(ProjectionPlanTest, MatchesTheColdStartOracle) {
+  // Summing θ̂'s terms once (a) or once per point (the oracle) rounds
+  // differently, so two resources whose gains are equal in exact
+  // arithmetic, e.g. the same counts under other tag ids, can swap order.
+  // The plans may differ only by units whose oracle gains agree to within
+  // a few ulps of a quality in [0, 1].
+  constexpr double kRoundingTie = 1e-15;
+  Rng rng(20140331);
+  quality::EmpiricalGainEstimator estimator;
+  int plans = 0;
+  int rounding_swaps = 0;
+  for (int trial = 0; trial < 160; ++trial) {
+    const size_t n = trial == 0 ? 1 : trial == 1 ? 300 : 1 + rng.Uniform(300);
+    const bool wide = trial % 4 == 3;
+    tagging::Corpus corpus = RandomCorpus(&rng, n, wide);
+    OracleProjection oracle(corpus);
+    std::vector<quality::ProjectionCurve> curves;
+    for (ResourceId r = 0; r < n; ++r) {
+      curves.push_back(estimator.Curve(corpus.stats(r)));
+    }
+    bool any_gain = false;
+    for (const quality::ProjectionCurve& c : curves) {
+      any_gain = any_gain || c.Gain(0) > 0.0;
+    }
+    for (uint32_t budget :
+         {1u, static_cast<uint32_t>(n - 1), static_cast<uint32_t>(n),
+          static_cast<uint32_t>(n + 1), 4999u, 5000u, 1000000u}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " n " +
+                   std::to_string(n) + " budget " + std::to_string(budget));
+      ++plans;
+      const uint32_t horizon = std::min(budget, kProjectionHorizon);
+      ProjectionPlan plan = PlanProjection(corpus, estimator, budget);
+      ProjectionPlan want = oracle.Plan(budget);
+      EXPECT_NEAR(plan.gain, want.gain, 1e-12);
+      ASSERT_EQ(Sum(plan.tasks), horizon);
+
+      // The warm start reproduces the cold-start greedy on its own curves
+      // exactly.
+      EXPECT_EQ(plan.tasks,
+                strategy::GreedyAllocate(
+                    n, horizon, [&curves](uint32_t r, uint32_t x) {
+                      return curves[r].Quality(x);
+                    }));
+      std::vector<uint32_t> start = quality::ThresholdPrefix(curves, horizon);
+      if (wide) {
+        EXPECT_EQ(Sum(start), 0u);
+      } else if (any_gain) {
+        EXPECT_LE(Sum(start), horizon);
+        EXPECT_GE(Sum(start) + 1.5 * n + 1, horizon);
+      }
+
+      if (plan.tasks == want.tasks) continue;
+      ++rounding_swaps;
+      double lo = HUGE_VAL;
+      double hi = -HUGE_VAL;
+      for (ResourceId r = 0; r < n; ++r) {
+        for (uint32_t x = std::min(plan.tasks[r], want.tasks[r]);
+             x < std::max(plan.tasks[r], want.tasks[r]); ++x) {
+          double g = oracle.Quality(r, x + 1) - oracle.Quality(r, x);
+          lo = std::min(lo, g);
+          hi = std::max(hi, g);
+        }
+      }
+      EXPECT_LE(hi - lo, kRoundingTie);
+    }
+  }
+  // Rounding ties decide only a small share of the plans.
+  RecordProperty("plans", plans);
+  RecordProperty("rounding_swaps", rounding_swaps);
+  EXPECT_LT(rounding_swaps * 10, plans);
 }
 
 // ------------------------------------------------------- notifications

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/random.h"
 #include "quality/convergence_model.h"
@@ -299,6 +301,89 @@ TEST(GainEstimatorTest, EmpiricalThetaSmoothing) {
   EXPECT_NEAR(theta.Sum(), 1.0, 1e-12);
   // counts 1,1 + alpha 1 => equal probabilities.
   EXPECT_NEAR(theta.Prob(0), 0.5, 1e-12);
+}
+
+TEST(ProjectionCurveTest, MatchesClosedFormOverTheta) {
+  Rng rng(99);
+  EmpiricalGainEstimator est(/*alpha=*/0.5, /*tags_per_post=*/2.5);
+  for (int trial = 0; trial < 20; ++trial) {
+    Corpus c;
+    ResourceId r = c.AddResource(ResourceKind::kWebUrl, "u");
+    uint32_t posts = 1 + rng.Uniform(50);
+    for (uint32_t p = 0; p < posts; ++p) {
+      TagId first = rng.Uniform(30);
+      ASSERT_TRUE(c.AddPost(r, MakePost({first, first + 1 + rng.Uniform(5)}))
+                      .ok());
+    }
+    ProjectionCurve curve = est.Curve(c.stats(r));
+    SparseDist theta = est.EstimateTheta(c.stats(r));
+    for (uint32_t x : {0u, 1u, 2u, 7u, 100u, 4999u}) {
+      EXPECT_NEAR(curve.Quality(x),
+                  ExpectedQualityClosedForm(theta, posts + x, 2.5), 1e-15);
+    }
+  }
+}
+
+TEST(ProjectionCurveTest, RampWithoutPosts) {
+  Corpus c;
+  ResourceId r = c.AddResource(ResourceKind::kWebUrl, "u");
+  ProjectionCurve curve = EmpiricalGainEstimator().Curve(c.stats(r));
+  EXPECT_TRUE(curve.Concave());
+  EXPECT_EQ(curve.Quality(0), 0.0);
+  EXPECT_EQ(curve.Quality(1), 0.5);
+  EXPECT_DOUBLE_EQ(curve.Quality(9), 0.9);
+}
+
+TEST(ProjectionCurveTest, ConcaveUnlessTheClampBinds) {
+  Corpus c;
+  ResourceId narrow = c.AddResource(ResourceKind::kWebUrl, "n");
+  ResourceId wide = c.AddResource(ResourceKind::kWebUrl, "w");
+  ASSERT_TRUE(c.AddPost(narrow, MakePost({0, 1, 2})).ok());
+  std::vector<TagId> twenty;
+  for (TagId t = 0; t < 20; ++t) twenty.push_back(t);
+  ASSERT_TRUE(c.AddPost(wide, MakePost(twenty)).ok());
+  EmpiricalGainEstimator est;
+  EXPECT_TRUE(est.Curve(c.stats(narrow)).Concave());
+  // 20 equally likely tags after one post: a ≥ √1, so q(0) is clamped to 0.
+  EXPECT_FALSE(est.Curve(c.stats(wide)).Concave());
+}
+
+TEST(ProjectionCurveTest, GainsAboveCountsEveryGainAboveTheThreshold) {
+  Rng rng(5);
+  std::vector<ProjectionCurve> curves = {ProjectionCurve()};
+  for (int i = 0; i < 30; ++i) {
+    curves.emplace_back(0.01 + 0.9 * rng.NextDouble(), 1 + rng.Uniform(100));
+  }
+  for (const ProjectionCurve& curve : curves) {
+    ASSERT_TRUE(curve.Concave());
+    for (double lambda : {0.3, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6}) {
+      uint32_t above = 0;
+      while (above < 5000 && curve.Gain(above) > lambda) ++above;
+      EXPECT_EQ(curve.GainsAbove(lambda, 5000), above) << lambda;
+      EXPECT_EQ(curve.GainsAbove(lambda, 3), std::min(above, 3u)) << lambda;
+      // The relaxation bounds the count from above.
+      double slope = 0.0;
+      double mu = std::pow(lambda, -2.0 / 3.0);
+      double bound = curve.CountBound(mu, &slope);
+      if (above > 0) {
+        EXPECT_LT(above, bound) << lambda;
+      }
+      EXPECT_GE(slope, 0.0);
+    }
+  }
+}
+
+TEST(ThresholdPrefixTest, ColdStartWhenACurveIsNotConcave) {
+  // a = 1.2 after one post: the clamp binds at k₀.
+  std::vector<ProjectionCurve> curves = {ProjectionCurve(0.3, 4),
+                                         ProjectionCurve(1.2, 1)};
+  EXPECT_EQ(ThresholdPrefix(curves, 1000),
+            (std::vector<uint32_t>{0, 0}));
+  curves[1] = ProjectionCurve(0.9, 1);
+  std::vector<uint32_t> start = ThresholdPrefix(curves, 1000);
+  EXPECT_LE(start[0] + start[1], 1000u);
+  // Within the documented 1.5·n + 1 of the budget.
+  EXPECT_GE(start[0] + start[1], 1000u - 4u);
 }
 
 TEST(GainEstimatorTest, MonteCarloEmptyTheta) {

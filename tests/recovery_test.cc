@@ -31,6 +31,7 @@
 #include "net/server.h"
 #include "net/wire.h"
 #include "net_test_scenario.h"
+#include "obs/metrics.h"
 
 namespace itag {
 namespace {
@@ -185,10 +186,27 @@ TEST_F(RecoveryTest, RestartEquivalenceShardedSystem) {
   api::Service a(DurableShardOpts(Dir("a"), kShards));
   api::Service b(DurableShardOpts(Dir("b"), kShards));
   ASSERT_TRUE(a.Init().ok());
-  ASSERT_TRUE(b.Init().ok());
   std::vector<core::ProjectInfo> projects =
       a.sharded()->ListProjects(static_cast<core::ProviderId>(-1));
   ASSERT_FALSE(projects.empty());
+  // Init publishes every project's placement gauge: b's Init sets back the
+  // values a's Init published.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  auto gauge = [&registry](ProjectId project) {
+    return registry.GetGauge("core.placement.project." +
+                             std::to_string(project));
+  };
+  std::vector<int64_t> placed;
+  for (const core::ProjectInfo& info : projects) {
+    placed.push_back(gauge(info.id)->value());
+    EXPECT_GE(placed.back(), 0);
+    EXPECT_LT(placed.back(), static_cast<int64_t>(kShards));
+    gauge(info.id)->Set(-1);
+  }
+  ASSERT_TRUE(b.Init().ok());
+  for (size_t i = 0; i < projects.size(); ++i) {
+    EXPECT_EQ(gauge(projects[i].id)->value(), placed[i]);
+  }
   for (const core::ProjectInfo& info : projects) {
     Result<core::QualitySnapshot> sa = a.sharded()->PeekQuality(info.id);
     Result<core::QualitySnapshot> sb = b.sharded()->PeekQuality(info.id);

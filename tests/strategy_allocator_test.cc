@@ -118,6 +118,59 @@ TEST(AllocatorTest, DeterministicTieBreaking) {
   EXPECT_EQ(x[2], 1u);
 }
 
+TEST(AllocatorTest, WarmStartFromAGreedyStateMatchesColdStart) {
+  // The greedy's state after any number of steps is a valid start: the
+  // remaining steps depend on the counts alone.
+  Rng rng(4242);
+  for (int trial = 0; trial < 20; ++trial) {
+    size_t n = 1 + rng.Uniform(8);
+    uint32_t budget = rng.Uniform(40);
+    std::vector<double> scale(n);
+    std::vector<uint32_t> offset(n);
+    for (size_t i = 0; i < n; ++i) {
+      scale[i] = 0.2 + rng.NextDouble();
+      offset[i] = rng.Uniform(6);
+    }
+    auto curve = ConcaveCurve(scale, offset);
+    std::vector<uint32_t> cold = GreedyAllocate(n, budget, curve);
+    uint32_t steps = rng.Uniform(budget + 1);
+    std::vector<uint32_t> start = GreedyAllocate(n, steps, curve);
+    EXPECT_EQ(GreedyAllocate(n, budget, curve, start), cold)
+        << "trial " << trial;
+  }
+}
+
+TEST(AllocatorTest, WarmStartAtThresholdPrefixSkipsTheColdSteps) {
+  // n = 128 projection curves (8 of them ramps) and B = 5000: the cold start
+  // evaluates the curve 2B + 2n times; the warm start from the threshold
+  // prefix reaches the same allocation in at most 8n evaluations.
+  constexpr uint32_t kN = 128;
+  constexpr uint32_t kBudget = 5000;
+  Rng rng(1234);
+  std::vector<quality::ProjectionCurve> curves;
+  for (uint32_t i = 0; i < kN; ++i) {
+    if (i % 16 == 0) {
+      curves.emplace_back();
+    } else {
+      // a < 1 ≤ √k₀: every curve is concave.
+      curves.emplace_back(0.05 + 0.9 * rng.NextDouble(), 1 + rng.Uniform(20));
+    }
+  }
+  size_t evals = 0;
+  QualityCurve counting = [&](uint32_t i, uint32_t x) {
+    ++evals;
+    return curves[i].Quality(x);
+  };
+  std::vector<uint32_t> cold = GreedyAllocate(kN, kBudget, counting);
+  EXPECT_EQ(evals, 2u * kBudget + 2u * kN);
+
+  std::vector<uint32_t> start = quality::ThresholdPrefix(curves, kBudget);
+  ASSERT_LE(Sum(start), kBudget);
+  evals = 0;
+  EXPECT_EQ(GreedyAllocate(kN, kBudget, counting, start), cold);
+  EXPECT_LE(evals, 8u * kN);
+}
+
 class AllocatorPropertyTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(AllocatorPropertyTest, GreedyOptimalAcrossBudgets) {
