@@ -7,7 +7,8 @@
 //      strategies (RAND) hoist their O(n) eligibility scan out of the loop.
 //  (b) end-to-end tagger traffic through itag::api::Service: accept /
 //      submit / moderate in batches of kBatch against the same flow issued
-//      one call at a time, same audience project shape and seed.
+//      one call at a time on the service's one-shard core, same audience
+//      project shape and seed.
 //
 // Both paths do identical allocation work (ChooseBatch is sequence-
 // equivalent to repeated ChooseNext), so tasks/sec is directly comparable.
@@ -89,9 +90,16 @@ struct E2EResult {
   double tps = 0.0;
 };
 
+/// One-shard core options: the ids and RNG streams of a single system.
+ShardedSystemOptions OneShard() {
+  ShardedSystemOptions opts;
+  opts.num_shards = 1;
+  return opts;
+}
+
 /// One audience project, one tireless tagger, one moderating provider.
 struct E2EFixture {
-  api::Service service;
+  api::Service service{OneShard()};
   ProviderId provider = 0;
   UserTaggerId tagger = 0;
   ProjectId project = 0;
@@ -125,7 +133,7 @@ struct E2EFixture {
 
 E2EResult RunE2EPerCall(size_t resources, uint32_t budget) {
   E2EFixture fx(resources, budget);
-  core::ITagSystem& system = fx.service.system();
+  core::ShardedSystem& system = *fx.service.sharded();
   auto t0 = std::chrono::steady_clock::now();
   E2EResult out;
   while (true) {

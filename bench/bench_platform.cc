@@ -61,11 +61,12 @@ Throughput DrainRaw(CrowdPlatform* platform, uint32_t tasks) {
 /// engine, task window pump, platform, auto-moderation, quality feed.
 Throughput DrainService(core::PlatformChoice platform, uint32_t workers,
                         uint32_t tasks) {
-  core::ITagSystemOptions options;
-  options.mturk_pool.num_workers = workers;
-  options.mturk_pool.mean_service_ticks = 8.0;
-  options.mturk_pool.activity = 0.3;
-  options.social.share_prob = 0.5;
+  core::ShardedSystemOptions options;
+  options.num_shards = 1;
+  options.shard.mturk_pool.num_workers = workers;
+  options.shard.mturk_pool.mean_service_ticks = 8.0;
+  options.shard.mturk_pool.activity = 0.3;
+  options.shard.social.share_prob = 0.5;
   api::Service service(std::move(options));
   (void)service.Init();
 

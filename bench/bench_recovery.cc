@@ -31,9 +31,10 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "api/service.h"
+#include "itag/itag_system.h"
 #include "storage/database.h"
 
 using namespace itag;  // NOLINT
@@ -46,6 +47,13 @@ double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+/// Exits the bench when `status` failed; `what` names the step.
+void CheckOk(const Status& status, const char* what) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", what, status.ToString().c_str());
+  std::exit(1);
 }
 
 struct Sample {
@@ -92,74 +100,60 @@ struct PagedSample {
 /// subsequent cold open reads meta + catalog only).
 void BuildState(const core::ITagSystemOptions& opts, uint32_t posts,
                 double* checkpoint_ms = nullptr) {
-  api::Service service(opts);
-  Status init = service.Init();
-  if (!init.ok()) {
-    std::fprintf(stderr, "init failed: %s\n", init.ToString().c_str());
-    std::exit(1);
-  }
-  core::ProviderId provider = service.RegisterProvider({"prov"}).provider;
-  core::UserTaggerId tagger = service.RegisterTagger({"tagger"}).tagger;
-  api::CreateProjectRequest create;
-  create.provider = provider;
-  create.spec.name = "recovery-bench";
-  create.spec.budget = posts;
-  create.spec.pay_cents = 2;
-  create.spec.platform = core::PlatformChoice::kAudience;
-  create.spec.strategy = strategy::StrategyKind::kFewestPostsFirst;
-  core::ProjectId project = service.CreateProject(create).project;
-  api::BatchUploadResourcesRequest upload;
-  upload.project = project;
+  core::ITagSystem system(opts);
+  CheckOk(system.Init(), "init");
+  core::ProviderId provider = system.RegisterProvider("prov").value_or(0);
+  core::UserTaggerId tagger = system.RegisterTagger("tagger").value_or(0);
+  core::ProjectSpec spec;
+  spec.name = "recovery-bench";
+  spec.budget = posts;
+  spec.pay_cents = 2;
+  spec.platform = core::PlatformChoice::kAudience;
+  spec.strategy = strategy::StrategyKind::kFewestPostsFirst;
+  core::ProjectId project = system.CreateProject(provider, spec).value_or(0);
+  std::vector<core::ResourceUpload> uploads;
   const uint32_t resources = std::max<uint32_t>(16, posts / 100);
   for (uint32_t r = 0; r < resources; ++r) {
-    upload.items.push_back(
+    uploads.push_back(
         {tagging::ResourceKind::kWebUrl, "res-" + std::to_string(r), "", {}});
   }
-  (void)service.BatchUploadResources(upload);
-  (void)service.BatchControl(
-      {project, {{api::ControlAction::kStart, 0, 0, {}}}});
+  std::vector<tagging::ResourceId> ids;
+  (void)system.UploadResourceBatch(project, uploads, &ids);
+  (void)system.StartProject(project);
 
   uint32_t done = 0;
   while (done < posts) {
-    api::BatchAcceptTasksResponse accepted =
-        service.BatchAcceptTasks({tagger, project, 512});
-    if (!accepted.status.ok() || accepted.tasks.empty()) break;
-    api::BatchSubmitTagsRequest submit;
-    api::BatchDecideRequest decide;
-    decide.provider = provider;
-    for (const core::AcceptedTask& task : accepted.tasks) {
-      submit.items.push_back({tagger, task.handle,
-                              {"tag-" + std::to_string(task.resource % 32),
-                               "common-" + std::to_string(task.handle % 7)}});
-      decide.items.push_back({task.handle, true});
+    Result<std::vector<core::AcceptedTask>> accepted =
+        system.AcceptTasks(tagger, project, 512);
+    if (!accepted.ok() || accepted.value().empty()) break;
+    std::vector<core::TagSubmission> submit;
+    std::vector<std::pair<core::TaskHandle, bool>> decide;
+    for (const core::AcceptedTask& task : accepted.value()) {
+      submit.push_back({tagger, task.handle,
+                        {"tag-" + std::to_string(task.resource % 32),
+                         "common-" + std::to_string(task.handle % 7)}});
+      decide.emplace_back(task.handle, true);
     }
-    (void)service.BatchSubmitTags(submit);
-    (void)service.BatchDecide(decide);
-    done += static_cast<uint32_t>(accepted.tasks.size());
+    (void)system.SubmitTagsBatch(submit);
+    (void)system.DecideBatch(provider, decide);
+    done += static_cast<uint32_t>(accepted.value().size());
   }
   if (checkpoint_ms != nullptr) {
     auto ck_start = std::chrono::steady_clock::now();
-    api::CheckpointResponse ck = service.Checkpoint({});
+    Result<core::CheckpointInfo> ck = system.Checkpoint();
     *checkpoint_ms = MsSince(ck_start);
-    if (!ck.status.ok()) {
-      std::fprintf(stderr, "checkpoint failed: %s\n",
-                   ck.status.ToString().c_str());
-      std::exit(1);
-    }
+    CheckOk(ck.status(), "checkpoint");
   }
 }
 
 /// Times one Init() (open + recover) on the existing directory.
 double TimeRecover(const std::string& dir, uint64_t* rows) {
   auto start = std::chrono::steady_clock::now();
-  api::Service service(Opts(dir));
-  Status init = service.Init();
+  core::ITagSystem system(Opts(dir));
+  Status init = system.Init();
   double ms = MsSince(start);
-  if (!init.ok()) {
-    std::fprintf(stderr, "recovery failed: %s\n", init.ToString().c_str());
-    std::exit(1);
-  }
-  *rows = service.system().database().TotalRows();
+  CheckOk(init, "recovery");
+  *rows = system.database().TotalRows();
   return ms;
 }
 
@@ -177,11 +171,7 @@ double TimeColdOpen(const std::string& dir, uint64_t* rows) {
   auto start = std::chrono::steady_clock::now();
   Status open = db->Open(opts);
   double ms = MsSince(start);
-  if (!open.ok()) {
-    std::fprintf(stderr, "paged cold open failed: %s\n",
-                 open.ToString().c_str());
-    std::exit(1);
-  }
+  CheckOk(open, "paged cold open");
   if (db->recovery_stats().wal_records_replayed != 0) {
     std::fprintf(stderr,
                  "paged cold open replayed WAL frames after a checkpoint\n");
@@ -219,16 +209,12 @@ int main(int argc, char** argv) {
 
     // Checkpoint latency, then cold recovery #2 off the snapshot.
     {
-      api::Service service(Opts(dir));
-      if (!service.Init().ok()) return 1;
+      core::ITagSystem system(Opts(dir));
+      if (!system.Init().ok()) return 1;
       auto ck_start = std::chrono::steady_clock::now();
-      api::CheckpointResponse ck = service.Checkpoint({});
+      Result<core::CheckpointInfo> ck = system.Checkpoint();
       s.checkpoint_ms = MsSince(ck_start);
-      if (!ck.status.ok()) {
-        std::fprintf(stderr, "checkpoint failed: %s\n",
-                     ck.status.ToString().c_str());
-        return 1;
-      }
+      CheckOk(ck.status(), "checkpoint");
     }
     s.snapshot_bytes = fs::exists(dir + "/snapshot.db")
                            ? fs::file_size(dir + "/snapshot.db")

@@ -158,9 +158,16 @@ BENCHMARK(BM_CheckpointRecover)->Arg(5000);
 
 // --------------------------------------------------- service-level ingest
 
+/// One-shard core options: the ids and RNG streams of a single system.
+core::ShardedSystemOptions OneShard() {
+  core::ShardedSystemOptions opts;
+  opts.num_shards = 1;
+  return opts;
+}
+
 /// A fresh in-memory service with one draft project, ready for uploads.
 struct IngestFixture {
-  api::Service service;
+  api::Service service{OneShard()};
   core::ProjectId project = 0;
 
   IngestFixture() {
@@ -184,7 +191,7 @@ void BM_ServiceUploadPerCall(benchmark::State& state) {
     IngestFixture fx;
     state.ResumeTiming();
     for (const std::string& uri : uris) {
-      benchmark::DoNotOptimize(fx.service.system().UploadResource(
+      benchmark::DoNotOptimize(fx.service.sharded()->UploadResource(
           fx.project, tagging::ResourceKind::kWebUrl, uri, ""));
     }
   }

@@ -30,12 +30,15 @@ struct Audience {
 }  // namespace
 
 int main() {
-  api::Service service;
+  // One shard: the ids and RNG streams of a single iTag system.
+  ShardedSystemOptions options;
+  options.num_shards = 1;
+  api::Service service(options);
   if (Status s = service.Init(); !s.ok()) {
     std::fprintf(stderr, "init failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  core::ITagSystem& system = service.system();
+  core::ShardedSystem& system = *service.sharded();
   Rng rng(2014);
 
   // Two providers publish audience projects with different pay.

@@ -119,7 +119,9 @@ int main(int argc, char** argv) {
   // API — the production path a Delicious-scale ingest would take.
   {
     sim::SyntheticWorkload wl = sim::GenerateDelicious(DemoConfig(kSeed));
-    api::Service service;
+    core::ShardedSystemOptions options;
+    options.num_shards = 1;  // the ids and RNG streams of a single system
+    api::Service service(options);
     (void)service.Init();
     core::ProviderId owner =
         service.RegisterProvider({"delicious-import"}).provider;

@@ -31,7 +31,7 @@ void PrintProjectRow(const ProjectInfo& info) {
 void ShowDashboard(api::Service& service, ProviderId provider,
                    const char* title) {
   std::printf("\n--- %s ---\n", title);
-  for (const ProjectInfo& info : service.system().ListProjects(provider)) {
+  for (const ProjectInfo& info : service.sharded()->ListProjects(provider)) {
     PrintProjectRow(info);
   }
 }
@@ -39,7 +39,10 @@ void ShowDashboard(api::Service& service, ProviderId provider,
 }  // namespace
 
 int main() {
-  api::Service service;
+  // One shard: the ids and RNG streams of a single iTag system.
+  ShardedSystemOptions options;
+  options.num_shards = 1;
+  api::Service service(options);
   if (Status s = service.Init(); !s.ok()) {
     std::fprintf(stderr, "init failed: %s\n", s.ToString().c_str());
     return 1;
@@ -77,12 +80,12 @@ int main() {
               uploaded.outcome.ok_count, upload.items.size(),
               uploaded.outcome.statuses.back().ToString().c_str());
   const std::vector<tagging::ResourceId>& resources = uploaded.resources;
-  (void)service.system().ImportPost(project, resources[0],
-                                    {"harbor", "ships"});
+  (void)service.sharded()->ImportPost(project, resources[0],
+                                      {"harbor", "ships"});
 
   std::printf("Recommended strategy: %s\n",
               strategy::StrategyKindName(
-                  service.system().RecommendStrategy(project).value()));
+                  service.sharded()->RecommendStrategy(project).value()));
   ShowDashboard(service, provider, "dashboard after upload (Fig. 3)");
 
   // -- Run phase 1 ----------------------------------------------------------
@@ -156,7 +159,7 @@ int main() {
   // -- Notifications (Fig. 6) -----------------------------------------------
   std::printf("\nLatest notifications:\n");
   for (const Notification& n :
-       service.system().LatestNotifications(provider, 5)) {
+       service.sharded()->LatestNotifications(provider, 5)) {
     std::printf("  t=%lld project=%llu %s\n",
                 static_cast<long long>(n.time),
                 static_cast<unsigned long long>(n.project),
@@ -164,11 +167,11 @@ int main() {
   }
 
   // -- Spend + export -------------------------------------------------------
-  std::printf("\ntotal incentives paid: %llu cents across %zu payments\n",
-              static_cast<unsigned long long>(
-                  service.system().ledger().TotalPaid()),
-              service.system().ledger().PaymentCount());
-  auto rows = service.system().ExportProject(
+  ShardStats spend = service.sharded()->StatsOf(0);  // the only shard
+  std::printf("\ntotal incentives paid: %llu cents across %llu payments\n",
+              static_cast<unsigned long long>(spend.paid_cents),
+              static_cast<unsigned long long>(spend.payments));
+  auto rows = service.sharded()->ExportProject(
       project, "/tmp/itag_provider_export.csv");
   std::printf("exported %zu tag rows to /tmp/itag_provider_export.csv\n",
               rows.ok() ? rows.value() : 0);

@@ -17,7 +17,10 @@ using namespace itag;        // NOLINT
 using namespace itag::core;  // NOLINT
 
 int main() {
-  api::Service service;
+  // One shard: the ids and RNG streams of a single iTag system.
+  ShardedSystemOptions options;
+  options.num_shards = 1;
+  api::Service service(options);
   if (Status s = service.Init(); !s.ok()) {
     std::fprintf(stderr, "init failed: %s\n", s.ToString().c_str());
     return 1;
@@ -57,7 +60,7 @@ int main() {
               upload.items.size());
 
   // 3. iTag recommends a strategy from the current statistics.
-  auto rec = service.system().RecommendStrategy(project);
+  auto rec = service.sharded()->RecommendStrategy(project);
   std::printf("recommended strategy: %s\n",
               strategy::StrategyKindName(rec.value()));
 
@@ -107,7 +110,7 @@ int main() {
     std::printf("\n");
   }
 
-  auto rows = service.system().ExportProject(
+  auto rows = service.sharded()->ExportProject(
       project, "/tmp/itag_quickstart_export.csv");
   std::printf("exported %zu tag rows to /tmp/itag_quickstart_export.csv\n",
               rows.ok() ? rows.value() : 0);

@@ -64,8 +64,8 @@ struct RegisterProviderRequest {
 };
 struct RegisterProviderResponse {
   Status status;
-  /// Valid only when status is OK. On the sharded backend this id is
-  /// broadcast to every shard and usable with any project.
+  /// Valid only when status is OK. The id is broadcast to every shard and
+  /// usable with any project.
   core::ProviderId provider = 0;
 };
 
@@ -88,8 +88,8 @@ struct CreateProjectRequest {
 };
 struct CreateProjectResponse {
   Status status;
-  /// Valid only when status is OK. On the sharded backend this is a global
-  /// id encoding the owning shard; pass it back verbatim everywhere.
+  /// Valid only when status is OK. A global id encoding the owning shard;
+  /// pass it back verbatim everywhere.
   core::ProjectId project = 0;
 };
 
@@ -183,8 +183,8 @@ struct BatchAcceptTasksRequest {
 };
 struct BatchAcceptTasksResponse {
   Status status;
-  /// Task handles are opaque; on the sharded backend they are global ids
-  /// that route the later submit/decide to the owning shard.
+  /// Task handles are opaque global ids that route the later
+  /// submit/decide to the owning shard.
   std::vector<core::AcceptedTask> tasks;
 };
 
@@ -194,9 +194,9 @@ struct SubmitTagsItem {
   core::TaskHandle handle = 0;
   std::vector<std::string> tags;  ///< raw texts; normalized server-side
 };
-/// Items may target different projects (and shards); the sharded backend
-/// groups them per shard and submits shard-parallel, merging statuses back
-/// in request order. Per-item failures: zero handle / empty tags →
+/// Items may target different projects (and shards); the core groups them
+/// per shard and submits shard-parallel, merging statuses back in request
+/// order. Per-item failures: zero handle / empty tags →
 /// InvalidArgument; unknown or already-submitted handle → NotFound; a
 /// handle accepted by a different tagger → FailedPrecondition.
 struct BatchSubmitTagsRequest {
@@ -215,7 +215,7 @@ struct DecideItem {
 };
 /// Batched moderation. Approvals of the same project are flushed through
 /// one CompletePostBatch pass (one quality-feed point per project per
-/// request); the sharded backend additionally fans groups out per shard.
+/// request); groups are fanned out per shard.
 /// Per-item failures: zero/unknown handle → NotFound; a submission in a
 /// project not owned by `provider` → FailedPrecondition. A rejection is a
 /// *successful* decision (OK) that refunds the task.
@@ -230,8 +230,8 @@ struct BatchDecideResponse {
 // ------------------------------------------------------------- simulation
 
 /// Advances simulated time, pumping every running platform-backed project
-/// (all shards in parallel on the sharded backend). `ticks` must be >= 0
-/// (InvalidArgument); 0 is a no-op that just reads the clock.
+/// (all shards in parallel). `ticks` must be >= 0 (InvalidArgument); 0 is
+/// a no-op that just reads the clock.
 struct StepRequest {
   Tick ticks = 1;
 };
@@ -242,16 +242,16 @@ struct StepResponse {
 
 // ------------------------------------------------------------------ admin
 
-/// Forces a durability checkpoint: every backend database serializes its
-/// tables to the snapshot file and truncates its WAL (all shards, pool-
-/// parallel, on the sharded backend). Mutations are already written through
-/// as they happen, so a checkpoint bounds *recovery time*, not durability;
-/// operators (and the daemon's SIGTERM handler) call this before planned
-/// restarts. A no-op success with durable=false on in-memory backends.
+/// Forces a durability checkpoint: every database of the core serializes
+/// its tables to the snapshot file and truncates its WAL (pool-parallel).
+/// Mutations are already written through as they happen, so a checkpoint
+/// bounds *recovery time*, not durability; operators (and the daemon's
+/// SIGTERM handler) call this before planned restarts. A no-op success
+/// with durable=false on an in-memory core.
 struct CheckpointRequest {};
 struct CheckpointResponse {
   Status status;
-  /// False when the backend is in-memory (nothing was written).
+  /// False when the core is in-memory (nothing was written).
   bool durable = false;
   /// Tables and total rows covered by the snapshot, summed across shards.
   uint64_t tables = 0;

@@ -71,10 +71,6 @@ class ApiCallScope {
   obs::ScopedTimer timer_;
 };
 
-/// Current simulated time of either backend.
-Tick NowOf(core::ITagSystem* system) { return system->clock().Now(); }
-Tick NowOf(core::ShardedSystem* sharded) { return sharded->Now(); }
-
 /// The typed per-item / whole-call admission failure.
 Status AdmissionDenied(uint64_t project) {
   return Status::ResourceExhausted("project " + std::to_string(project) +
@@ -130,22 +126,14 @@ bool AdmissionController::AdmitExactly(uint64_t project, uint64_t want) {
   return true;
 }
 
-Service::Service(core::ITagSystemOptions options)
-    : owned_(std::make_unique<core::ITagSystem>(std::move(options))),
-      backend_(owned_.get()) {}
-
-Service::Service(core::ITagSystem* system) : backend_(system) {}
-
 Service::Service(core::ShardedSystemOptions options)
-    : owned_sharded_(
-          std::make_unique<core::ShardedSystem>(std::move(options))),
-      backend_(owned_sharded_.get()) {}
+    : owned_(std::make_unique<core::ShardedSystem>(std::move(options))),
+      sharded_(owned_.get()) {}
 
-Service::Service(core::ShardedSystem* sharded) : backend_(sharded) {}
+Service::Service(core::ShardedSystem* sharded) : sharded_(sharded) {}
 
 Status Service::Init() {
   if (owned_ != nullptr) return owned_->Init();
-  if (owned_sharded_ != nullptr) return owned_sharded_->Init();
   return Status::OK();
 }
 
@@ -176,13 +164,9 @@ RegisterProviderResponse Service::RegisterProvider(
     resp.status = Status::InvalidArgument("provider name must be non-empty");
     return resp;
   }
-  std::visit(
-      [&](auto* sys) {
-        Result<core::ProviderId> r = sys->RegisterProvider(req.name);
-        resp.status = r.status();
-        if (r.ok()) resp.provider = r.value();
-      },
-      backend_);
+  Result<core::ProviderId> r = sharded_->RegisterProvider(req.name);
+  resp.status = r.status();
+  if (r.ok()) resp.provider = r.value();
   return resp;
 }
 
@@ -198,13 +182,9 @@ RegisterTaggerResponse Service::RegisterTagger(
     resp.status = Status::InvalidArgument("tagger name must be non-empty");
     return resp;
   }
-  std::visit(
-      [&](auto* sys) {
-        Result<core::UserTaggerId> r = sys->RegisterTagger(req.name);
-        resp.status = r.status();
-        if (r.ok()) resp.tagger = r.value();
-      },
-      backend_);
+  Result<core::UserTaggerId> r = sharded_->RegisterTagger(req.name);
+  resp.status = r.status();
+  if (r.ok()) resp.tagger = r.value();
   return resp;
 }
 
@@ -219,13 +199,9 @@ CreateProjectResponse Service::CreateProject(const CreateProjectRequest& req) {
     resp.status = Status::InvalidArgument("project name must be non-empty");
     return resp;
   }
-  std::visit(
-      [&](auto* sys) {
-        Result<core::ProjectId> r = sys->CreateProject(req.provider, req.spec);
-        resp.status = r.status();
-        if (r.ok()) resp.project = r.value();
-      },
-      backend_);
+  Result<core::ProjectId> r = sharded_->CreateProject(req.provider, req.spec);
+  resp.status = r.status();
+  if (r.ok()) resp.project = r.value();
   return resp;
 }
 
@@ -240,8 +216,8 @@ BatchUploadResourcesResponse Service::BatchUploadResources(
     return resp;
   }
   // Pre-validate, then upload the valid items as one backend batch — a
-  // single routed, locked pass on the sharded core. `routed` maps backend
-  // results back to the request slots that passed validation.
+  // single routed, locked pass on the core. `routed` maps backend results
+  // back to the request slots that passed validation.
   std::vector<core::ResourceUpload> uploads;
   std::vector<size_t> routed;
   for (size_t i = 0; i < req.items.size(); ++i) {
@@ -266,17 +242,13 @@ BatchUploadResourcesResponse Service::BatchUploadResources(
     uploads.resize(granted);
     routed.resize(granted);
   }
-  std::visit(
-      [&](auto* sys) {
-        std::vector<tagging::ResourceId> ids;
-        std::vector<Status> statuses =
-            sys->UploadResourceBatch(req.project, uploads, &ids);
-        for (size_t j = 0; j < statuses.size(); ++j) {
-          resp.outcome.statuses[routed[j]] = std::move(statuses[j]);
-          resp.resources[routed[j]] = ids[j];
-        }
-      },
-      backend_);
+  std::vector<tagging::ResourceId> ids;
+  std::vector<Status> statuses =
+      sharded_->UploadResourceBatch(req.project, uploads, &ids);
+  for (size_t j = 0; j < statuses.size(); ++j) {
+    resp.outcome.statuses[routed[j]] = std::move(statuses[j]);
+    resp.resources[routed[j]] = ids[j];
+  }
   for (const Status& s : resp.outcome.statuses) {
     if (s.ok()) ++resp.outcome.ok_count;
   }
@@ -298,50 +270,46 @@ BatchControlResponse Service::BatchControl(const BatchControlRequest& req) {
     granted = static_cast<size_t>(
         admission_->AdmitUpTo(req.project, req.items.size()));
   }
-  // Deliberately per-item on the sharded backend (one route + snapshot
-  // refresh per verb): control batches are a console session's worth of
-  // lifecycle verbs, not a bulk-ingest path like BatchUploadResources.
-  std::visit(
-      [&](auto* sys) {
-        for (size_t i = 0; i < req.items.size(); ++i) {
-          if (i >= granted) {
-            Record(&resp.outcome, AdmissionDenied(req.project));
-            continue;
-          }
-          const ControlItem& item = req.items[i];
-          Status s;
-          switch (item.action) {
-            case ControlAction::kStart:
-              s = sys->StartProject(req.project);
-              break;
-            case ControlAction::kPause:
-              s = sys->PauseProject(req.project);
-              break;
-            case ControlAction::kStop:
-              s = sys->StopProject(req.project);
-              break;
-            case ControlAction::kPromoteResource:
-              s = sys->PromoteResource(req.project, item.resource);
-              break;
-            case ControlAction::kStopResource:
-              s = sys->StopResource(req.project, item.resource);
-              break;
-            case ControlAction::kResumeResource:
-              s = sys->ResumeResource(req.project, item.resource);
-              break;
-            case ControlAction::kAddBudget:
-              s = item.budget_tasks == 0
-                      ? Status::InvalidArgument("budget_tasks must be positive")
-                      : sys->AddBudget(req.project, item.budget_tasks);
-              break;
-            case ControlAction::kSwitchStrategy:
-              s = sys->SwitchStrategy(req.project, item.strategy);
-              break;
-          }
-          Record(&resp.outcome, std::move(s));
-        }
-      },
-      backend_);
+  // Deliberately per-item (one route + snapshot refresh per verb): control
+  // batches are a console session's worth of lifecycle verbs, not a
+  // bulk-ingest path like BatchUploadResources.
+  for (size_t i = 0; i < req.items.size(); ++i) {
+    if (i >= granted) {
+      Record(&resp.outcome, AdmissionDenied(req.project));
+      continue;
+    }
+    const ControlItem& item = req.items[i];
+    Status s;
+    switch (item.action) {
+      case ControlAction::kStart:
+        s = sharded_->StartProject(req.project);
+        break;
+      case ControlAction::kPause:
+        s = sharded_->PauseProject(req.project);
+        break;
+      case ControlAction::kStop:
+        s = sharded_->StopProject(req.project);
+        break;
+      case ControlAction::kPromoteResource:
+        s = sharded_->PromoteResource(req.project, item.resource);
+        break;
+      case ControlAction::kStopResource:
+        s = sharded_->StopResource(req.project, item.resource);
+        break;
+      case ControlAction::kResumeResource:
+        s = sharded_->ResumeResource(req.project, item.resource);
+        break;
+      case ControlAction::kAddBudget:
+        s = item.budget_tasks == 0
+                ? Status::InvalidArgument("budget_tasks must be positive")
+                : sharded_->AddBudget(req.project, item.budget_tasks);
+        break;
+      case ControlAction::kSwitchStrategy:
+        s = sharded_->SwitchStrategy(req.project, item.strategy);
+        break;
+    }
+    Record(&resp.outcome, std::move(s));
+  }
   return resp;
 }
 
@@ -352,22 +320,18 @@ ProjectQueryResponse Service::ProjectQuery(const ProjectQueryRequest& req) {
     resp.status = AdmissionDenied(req.project);
     return resp;
   }
-  std::visit(
-      [&](auto* sys) {
-        Result<core::ProjectInfo> info = sys->GetProjectInfo(req.project);
-        resp.status = info.status();
-        if (!info.ok()) return;
-        resp.info = info.value();
-        if (req.include_feed) resp.feed = sys->QualityFeed(req.project);
-        resp.detail_outcome.statuses.reserve(req.detail_resources.size());
-        for (tagging::ResourceId r : req.detail_resources) {
-          Result<core::QualityManager::ResourceDetail> d =
-              sys->GetResourceDetail(req.project, r);
-          if (d.ok()) resp.details.push_back(d.value());
-          Record(&resp.detail_outcome, d.status());
-        }
-      },
-      backend_);
+  Result<core::ProjectInfo> info = sharded_->GetProjectInfo(req.project);
+  resp.status = info.status();
+  if (!info.ok()) return resp;
+  resp.info = info.value();
+  if (req.include_feed) resp.feed = sharded_->QualityFeed(req.project);
+  resp.detail_outcome.statuses.reserve(req.detail_resources.size());
+  for (tagging::ResourceId r : req.detail_resources) {
+    Result<core::QualityManager::ResourceDetail> d =
+        sharded_->GetResourceDetail(req.project, r);
+    if (d.ok()) resp.details.push_back(d.value());
+    Record(&resp.detail_outcome, d.status());
+  }
   return resp;
 }
 
@@ -390,14 +354,10 @@ BatchAcceptTasksResponse Service::BatchAcceptTasks(
     resp.status = AdmissionDenied(req.project);
     return resp;
   }
-  std::visit(
-      [&](auto* sys) {
-        Result<std::vector<core::AcceptedTask>> r =
-            sys->AcceptTasks(req.tagger, req.project, req.count);
-        resp.status = r.status();
-        if (r.ok()) resp.tasks = std::move(r).value();
-      },
-      backend_);
+  Result<std::vector<core::AcceptedTask>> r =
+      sharded_->AcceptTasks(req.tagger, req.project, req.count);
+  resp.status = r.status();
+  if (r.ok()) resp.tasks = std::move(r).value();
   return resp;
 }
 
@@ -410,8 +370,8 @@ BatchSubmitTagsResponse Service::BatchSubmitTags(
     for (Status& s : resp.outcome.statuses) s = ReplicaRejected();
     return resp;
   }
-  // Pre-validate, then hand the valid items to the backend as one batch —
-  // the sharded core groups them per shard and fans out on its pool.
+  // Pre-validate, then hand the valid items to the core as one batch — it
+  // groups them per shard and fans out on its pool.
   // `routed` maps backend results back to the request slots that passed.
   std::vector<core::TagSubmission> submissions;
   std::vector<size_t> routed;
@@ -428,14 +388,10 @@ BatchSubmitTagsResponse Service::BatchSubmitTags(
       routed.push_back(i);
     }
   }
-  std::visit(
-      [&](auto* sys) {
-        std::vector<Status> statuses = sys->SubmitTagsBatch(submissions);
-        for (size_t j = 0; j < statuses.size(); ++j) {
-          resp.outcome.statuses[routed[j]] = std::move(statuses[j]);
-        }
-      },
-      backend_);
+  std::vector<Status> statuses = sharded_->SubmitTagsBatch(submissions);
+  for (size_t j = 0; j < statuses.size(); ++j) {
+    resp.outcome.statuses[routed[j]] = std::move(statuses[j]);
+  }
   for (const Status& s : resp.outcome.statuses) {
     if (s.ok()) ++resp.outcome.ok_count;
   }
@@ -485,15 +441,11 @@ std::vector<BatchSubmitTagsResponse> Service::BatchSubmitTagsMulti(
       }
     }
   }
-  std::visit(
-      [&](auto* sys) {
-        std::vector<Status> statuses = sys->SubmitTagsBatch(submissions);
-        for (size_t j = 0; j < statuses.size(); ++j) {
-          resps[routed[j].first].outcome.statuses[routed[j].second] =
-              std::move(statuses[j]);
-        }
-      },
-      backend_);
+  std::vector<Status> statuses = sharded_->SubmitTagsBatch(submissions);
+  for (size_t j = 0; j < statuses.size(); ++j) {
+    resps[routed[j].first].outcome.statuses[routed[j].second] =
+        std::move(statuses[j]);
+  }
   for (BatchSubmitTagsResponse& resp : resps) {
     for (const Status& s : resp.outcome.statuses) {
       if (s.ok()) ++resp.outcome.ok_count;
@@ -515,8 +467,8 @@ BatchDecideResponse Service::BatchDecide(const BatchDecideRequest& req) {
     for (Status& s : resp.outcome.statuses) s = ReplicaRejected();
     return resp;
   }
-  // Pre-validate, then let the backend group all approvals of a project into
-  // one CompletePostBatch pass (per-shard-parallel on the sharded core).
+  // Pre-validate, then let the core group all approvals of a project into
+  // one CompletePostBatch pass (per-shard-parallel).
   std::vector<std::pair<core::TaskHandle, bool>> decisions;
   std::vector<size_t> routed;
   for (size_t i = 0; i < req.items.size(); ++i) {
@@ -528,15 +480,10 @@ BatchDecideResponse Service::BatchDecide(const BatchDecideRequest& req) {
       routed.push_back(i);
     }
   }
-  std::visit(
-      [&](auto* sys) {
-        std::vector<Status> statuses =
-            sys->DecideBatch(req.provider, decisions);
-        for (size_t j = 0; j < statuses.size(); ++j) {
-          resp.outcome.statuses[routed[j]] = std::move(statuses[j]);
-        }
-      },
-      backend_);
+  std::vector<Status> statuses = sharded_->DecideBatch(req.provider, decisions);
+  for (size_t j = 0; j < statuses.size(); ++j) {
+    resp.outcome.statuses[routed[j]] = std::move(statuses[j]);
+  }
   for (const Status& s : resp.outcome.statuses) {
     if (s.ok()) ++resp.outcome.ok_count;
   }
@@ -548,19 +495,12 @@ StepResponse Service::Step(const StepRequest& req) {
   StepResponse resp;
   if (replica_mode()) {
     resp.status = ReplicaRejected();
-    std::visit([&](auto* sys) { resp.now = NowOf(sys); }, backend_);
-    return resp;
+  } else if (req.ticks < 0) {
+    resp.status = Status::InvalidArgument("ticks must be non-negative");
+  } else {
+    resp.status = req.ticks == 0 ? Status::OK() : sharded_->Step(req.ticks);
   }
-  std::visit(
-      [&](auto* sys) {
-        if (req.ticks < 0) {
-          resp.status = Status::InvalidArgument("ticks must be non-negative");
-        } else {
-          resp.status = req.ticks == 0 ? Status::OK() : sys->Step(req.ticks);
-        }
-        resp.now = NowOf(sys);
-      },
-      backend_);
+  resp.now = sharded_->Now();
   return resp;
 }
 
@@ -568,17 +508,13 @@ CheckpointResponse Service::Checkpoint(const CheckpointRequest& req) {
   ApiCallScope obs_scope(kRequestTypeIndex<CheckpointRequest>);
   (void)req;
   CheckpointResponse resp;
-  std::visit(
-      [&](auto* sys) {
-        Result<core::CheckpointInfo> r = sys->Checkpoint();
-        resp.status = r.status();
-        if (r.ok()) {
-          resp.durable = r.value().durable;
-          resp.tables = r.value().tables;
-          resp.rows = r.value().rows;
-        }
-      },
-      backend_);
+  Result<core::CheckpointInfo> r = sharded_->Checkpoint();
+  resp.status = r.status();
+  if (r.ok()) {
+    resp.durable = r.value().durable;
+    resp.tables = r.value().tables;
+    resp.rows = r.value().rows;
+  }
   return resp;
 }
 

@@ -9,10 +9,8 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <variant>
 
 #include "api/requests.h"
-#include "itag/itag_system.h"
 #include "itag/sharded_system.h"
 #include "obs/metrics.h"
 
@@ -52,24 +50,22 @@ class AdmissionController {
 };
 
 /// The batch-first service surface: every call takes a typed request,
-/// validates it, routes it to the backend, and returns a typed response
-/// whose per-item Status vector isolates bad items instead of aborting the
-/// whole ingest. This is the layer a network frontend would serialize.
+/// validates it, routes it to the sharded core, and returns a typed
+/// response whose per-item Status vector isolates bad items instead of
+/// aborting the whole ingest. This is the layer a network frontend would
+/// serialize.
 ///
-/// Two interchangeable backends:
-///  - `core::ITagSystem` — the single-threaded Fig. 2 facade. The service
-///    adds no locking; callers must serialize.
-///  - `core::ShardedSystem` — the sharded, thread-safe core. Every endpoint
-///    (and Dispatch) may then be called from any number of threads
-///    concurrently; cross-shard batches (BatchSubmitTags, BatchDecide) are
-///    grouped per shard and fanned out on the sharded system's worker
-///    pool, and Step() pumps all shards in parallel. Ids in requests and
-///    responses are the sharded layer's global ids.
+/// The core is a `core::ShardedSystem`, so every endpoint (and Dispatch)
+/// may be called from any number of threads concurrently. Cross-shard
+/// batches (BatchSubmitTags, BatchDecide) are grouped per shard and fanned
+/// out on the core's worker pool, and Step() pumps all shards in parallel.
+/// Ids in requests and responses are the core's global ids; a one-shard
+/// core (`num_shards = 1`) hands out the ids and RNG streams of a single
+/// facade, since shard 0 keeps the template seed and global = local.
 ///
-/// Construction: own a fresh backend (`Service(ITagSystemOptions)` /
-/// `Service(ShardedSystemOptions)` + Init()) or wrap an existing one
-/// non-owningly (`Service(&system)` / `Service(&sharded)`), e.g. in tests
-/// that also poke the backend directly.
+/// Construction: own a fresh core (`Service(ShardedSystemOptions)` +
+/// Init()) or wrap an existing one non-owningly (`Service(&sharded)`),
+/// e.g. in tests that also poke the core directly.
 ///
 /// Observability: every endpoint bumps `api.<Endpoint>.requests` and
 /// observes its wall time into `api.<Endpoint>.latency_us` in the process
@@ -77,17 +73,13 @@ class AdmissionController {
 /// the whole registry back. See docs/observability.md.
 class Service {
  public:
-  /// Owns a fresh single-threaded ITagSystem.
-  explicit Service(core::ITagSystemOptions options = {});
-  /// Wraps an existing ITagSystem non-owningly.
-  explicit Service(core::ITagSystem* system);
-  /// Owns a fresh sharded, thread-safe core (see ShardedSystemOptions for
-  /// the shard-count and worker-pool knobs).
+  /// Owns a fresh sharded core (see ShardedSystemOptions for the
+  /// shard-count and worker-pool knobs).
   explicit Service(core::ShardedSystemOptions options);
   /// Wraps an existing ShardedSystem non-owningly.
   explicit Service(core::ShardedSystem* sharded);
 
-  /// Initializes an owned backend; no-op (OK) when wrapping, so callers can
+  /// Initializes an owned core; no-op (OK) when wrapping, so callers can
   /// Init() unconditionally.
   Status Init();
 
@@ -134,8 +126,8 @@ class Service {
   RegisterProviderResponse RegisterProvider(
       const RegisterProviderRequest& req);
   RegisterTaggerResponse RegisterTagger(const RegisterTaggerRequest& req);
-  /// Validates spec.name; on the sharded backend the project lands on a
-  /// round-robin-chosen shard and the returned id is global.
+  /// Validates spec.name; the project lands on a round-robin-chosen shard
+  /// and the returned id is global.
   CreateProjectResponse CreateProject(const CreateProjectRequest& req);
   /// Uploads item-by-item; an empty uri yields InvalidArgument for that
   /// item only. `resources[i]` is kInvalidResource where item i failed.
@@ -168,8 +160,8 @@ class Service {
   /// Advances simulated time (ticks must be >= 0); pumps every shard in
   /// parallel on the sharded core.
   StepResponse Step(const StepRequest& req);
-  /// Durability checkpoint (snapshot + WAL truncate; all shards on the
-  /// sharded core). durable=false when the backend is in-memory.
+  /// Durability checkpoint of every shard (snapshot + WAL truncate).
+  /// durable=false when the core is in-memory.
   CheckpointResponse Checkpoint(const CheckpointRequest& req);
   /// Point-in-time snapshot of the process metrics registry, filtered by
   /// the request's name prefix. Read-only, always OK, lock-free against
@@ -187,31 +179,20 @@ class Service {
   PromoteResponse Promote(const PromoteRequest& req);
 
   /// Routes a type-erased request to its endpoint — the single entry point a
-  /// wire frontend needs. Thread-safe iff the backend is sharded.
+  /// wire frontend needs.
   AnyResponse Dispatch(const AnyRequest& req);
 
-  /// The wrapped single-threaded facade, for flows the typed surface does
-  /// not cover yet (export, notifications, recommendations). Only valid on
-  /// an ITagSystem backend (throws std::bad_variant_access otherwise).
-  core::ITagSystem& system() {
-    return *std::get<core::ITagSystem*>(backend_);
-  }
-
-  /// The wrapped sharded core, or nullptr when the backend is the
-  /// single-threaded facade.
-  core::ShardedSystem* sharded() {
-    auto* p = std::get_if<core::ShardedSystem*>(&backend_);
-    return p == nullptr ? nullptr : *p;
-  }
+  /// The core every endpoint routes to (never null), for flows the typed
+  /// surface does not cover yet (export, notifications, recommendations).
+  core::ShardedSystem* sharded() { return sharded_; }
 
  private:
   /// The typed write rejection of replica mode; message carries the
   /// "leader=<addr>" token clients redirect on.
   Status ReplicaRejected() const;
 
-  std::unique_ptr<core::ITagSystem> owned_;
-  std::unique_ptr<core::ShardedSystem> owned_sharded_;
-  std::variant<core::ITagSystem*, core::ShardedSystem*> backend_;
+  std::unique_ptr<core::ShardedSystem> owned_;
+  core::ShardedSystem* sharded_;  ///< owned_.get(), or the wrapped core
   std::unique_ptr<AdmissionController> admission_;
   /// Replica mode (see SetReplicaMode). leader_addr_ is written once,
   /// before traffic; the flag alone flips at promote time.

@@ -122,12 +122,8 @@ Status Server::Start() {
   port_ = port;
   ITAG_RETURN_IF_ERROR(listener_.SetNonBlocking(true));
 
-  // The shard-hint routing mirrors the backend's `global % num_shards`;
-  // a single-system backend degenerates to one routing bucket.
-  core::ShardedSystem* sharded = service_->sharded();
-  num_shards_ =
-      (sharded != nullptr && sharded->num_shards() > 0) ? sharded->num_shards()
-                                                        : 1;
+  // The shard-hint routing mirrors the core's `global % num_shards`.
+  num_shards_ = service_->sharded()->num_shards();
 
   size_t n_reactors = options_.reactors;
   if (n_reactors == 0) {

@@ -111,11 +111,10 @@ struct ServerStats {
 /// one gathering writev per syscall — workers never block on a slow peer.
 ///
 /// The correlation id ties replies to requests, so clients may pipeline
-/// freely; replies can overtake each other. The wrapped Service must be
-/// thread-safe whenever `workers > 1`, `reactors > 1`, or more than one
-/// client connects — i.e. back it with a core::ShardedSystem (see
-/// api/service.h). Protocol rules, the error taxonomy, and the
-/// backpressure contract are specified in docs/wire-protocol.md.
+/// freely; replies can overtake each other. The wrapped Service is
+/// thread-safe, so any number of reactors, workers and clients may share
+/// it. Protocol rules, the error taxonomy, and the backpressure contract
+/// are specified in docs/wire-protocol.md.
 class Server {
  public:
   /// Serves `service` (borrowed; must outlive the server).
@@ -247,8 +246,8 @@ class Server {
   ServerOptions options_;
   ReplHooks repl_hooks_;
   std::atomic<uint64_t> next_conn_id_{1};
-  /// Shard count of the backend (1 for a single-system backend); the
-  /// modulus of the global-id shard routing of peeked project ids.
+  /// Shard count of the core; the modulus of the global-id shard routing
+  /// of peeked project ids.
   size_t num_shards_ = 1;
 
   Socket listener_;

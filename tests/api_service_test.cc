@@ -18,6 +18,13 @@ using core::ProjectId;
 using core::ProviderId;
 using core::UserTaggerId;
 
+/// One shard: the ids and RNG streams of a single iTag system.
+core::ShardedSystemOptions OneShard() {
+  core::ShardedSystemOptions opts;
+  opts.num_shards = 1;
+  return opts;
+}
+
 class ApiServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -54,7 +61,7 @@ class ApiServiceTest : public ::testing::Test {
     ASSERT_TRUE(r.outcome.all_ok());
   }
 
-  Service service_;
+  Service service_{OneShard()};
   ProviderId provider_ = 0;
   UserTaggerId tagger_ = 0;
   ProjectId project_ = 0;
@@ -312,7 +319,7 @@ TEST_F(ApiServiceTest, DispatchRoutesVariantRequests) {
 }
 
 TEST_F(ApiServiceTest, NonOwningServiceWrapsExistingSystem) {
-  core::ITagSystem system;
+  core::ShardedSystem system(OneShard());
   ASSERT_TRUE(system.Init().ok());
   Service wrapper(&system);
   EXPECT_TRUE(wrapper.Init().ok());  // no-op on a wrapped system
@@ -324,8 +331,9 @@ TEST_F(ApiServiceTest, NonOwningServiceWrapsExistingSystem) {
 
 TEST_F(ApiServiceTest, FacadeAddBudgetSaturatesOnDraftProjects) {
   // Satellite bugfix: topping up near UINT32_MAX clamps instead of wrapping.
-  ASSERT_TRUE(service_.system().AddBudget(project_, 0xFFFFFFF0u).ok());
-  ASSERT_TRUE(service_.system().AddBudget(project_, 0xFFFFFFF0u).ok());
+  core::ITagSystem& facade = service_.sharded()->shard_system(0);
+  ASSERT_TRUE(facade.AddBudget(project_, 0xFFFFFFF0u).ok());
+  ASSERT_TRUE(facade.AddBudget(project_, 0xFFFFFFF0u).ok());
   ProjectQueryResponse info = service_.ProjectQuery({project_, false, {}});
   EXPECT_EQ(info.info.budget_remaining, 0xFFFFFFFFu);
 }

@@ -10,12 +10,14 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/service.h"
 #include "common/seqlock.h"
 #include "common/sharding.h"
 #include "common/thread_pool.h"
+#include "itag/itag_system.h"
 #include "itag/sharded_system.h"
 
 namespace itag {
@@ -145,6 +147,31 @@ uint32_t DriveProject(api::Service& service, ProviderId provider,
   return completed;
 }
 
+/// The single-threaded oracle of DriveProject: the same accept, submit and
+/// decide batches, issued on the facade directly.
+uint32_t DriveFacade(core::ITagSystem& system, ProviderId provider,
+                     UserTaggerId tagger, ProjectId project) {
+  uint32_t completed = 0;
+  for (;;) {
+    auto accepted = system.AcceptTasks(tagger, project, 7);
+    if (!accepted.ok() || accepted.value().empty()) break;
+    std::vector<core::TagSubmission> submit;
+    std::vector<std::pair<core::TaskHandle, bool>> decide;
+    for (const AcceptedTask& task : accepted.value()) {
+      submit.push_back({tagger, task.handle, TagsFor(task)});
+      decide.emplace_back(task.handle, true);
+    }
+    for (const Status& s : system.SubmitTagsBatch(submit)) {
+      EXPECT_TRUE(s.ok());
+    }
+    for (const Status& s : system.DecideBatch(provider, decide)) {
+      EXPECT_TRUE(s.ok());
+      if (s.ok()) ++completed;
+    }
+  }
+  return completed;
+}
+
 struct ProjectOutcome {
   uint32_t completed = 0;
   uint32_t tasks_completed = 0;
@@ -163,6 +190,20 @@ ProjectOutcome OutcomeOf(api::Service& service, uint32_t completed,
   out.budget_remaining = snap.info.budget_remaining;
   out.quality = snap.info.quality;
   out.feed_points = snap.feed.size();
+  return out;
+}
+
+ProjectOutcome OutcomeOf(core::ITagSystem& system, uint32_t completed,
+                         ProjectId project) {
+  ProjectOutcome out;
+  out.completed = completed;
+  Result<core::ProjectInfo> info = system.GetProjectInfo(project);
+  EXPECT_TRUE(info.ok());
+  if (!info.ok()) return out;
+  out.tasks_completed = info.value().tasks_completed;
+  out.budget_remaining = info.value().budget_remaining;
+  out.quality = info.value().quality;
+  out.feed_points = system.QualityFeed(project).size();
   return out;
 }
 
@@ -235,41 +276,41 @@ TEST(ConcurrentDispatchTest, MatchesSingleThreadedReplay) {
     monitor.join();
   }
 
-  // --- reference run: same per-project traffic, one thread, one system ---
-  api::Service reference{core::ITagSystemOptions{}};
+  // --- reference run: same per-project traffic, one thread, on the facade
+  // itself (below the api and shard layers under test) --------------------
+  core::ITagSystem reference;
   ASSERT_TRUE(reference.Init().ok());
-  ProviderId ref_provider = reference.RegisterProvider({"prov"}).provider;
+  ProviderId ref_provider = reference.RegisterProvider("prov").value();
   std::vector<UserTaggerId> ref_taggers;
   for (size_t t = 0; t < kThreads; ++t) {
     ref_taggers.push_back(
-        reference.RegisterTagger({"tagger-" + std::to_string(t)}).tagger);
+        reference.RegisterTagger("tagger-" + std::to_string(t)).value());
   }
   std::vector<ProjectId> ref_projects;
   for (size_t p = 0; p < kProjects; ++p) {
-    api::CreateProjectRequest create;
-    create.provider = ref_provider;
-    create.spec = StressSpec(kBudget);
-    auto resp = reference.CreateProject(create);
-    ASSERT_TRUE(resp.status.ok());
-    api::BatchUploadResourcesRequest upload;
-    upload.project = resp.project;
+    Result<ProjectId> project =
+        reference.CreateProject(ref_provider, StressSpec(kBudget));
+    ASSERT_TRUE(project.ok());
+    std::vector<core::ResourceUpload> uploads;
     for (int r = 0; r < kResources; ++r) {
-      api::UploadResourceItem item;
+      core::ResourceUpload item;
       item.uri = "res-" + std::to_string(r);
-      upload.items.push_back(std::move(item));
+      uploads.push_back(std::move(item));
     }
-    ASSERT_TRUE(reference.BatchUploadResources(upload).outcome.all_ok());
-    ASSERT_TRUE(reference.BatchControl({resp.project,
-                                        {{api::ControlAction::kStart}}})
-                    .outcome.all_ok());
-    ref_projects.push_back(resp.project);
+    std::vector<tagging::ResourceId> ids;
+    for (const Status& s :
+         reference.UploadResourceBatch(project.value(), uploads, &ids)) {
+      ASSERT_TRUE(s.ok());
+    }
+    ASSERT_TRUE(reference.StartProject(project.value()).ok());
+    ref_projects.push_back(project.value());
   }
   std::vector<uint32_t> ref_completed(kProjects, 0);
   for (size_t t = 0; t < kThreads; ++t) {
     for (size_t j = 0; j < kProjectsPerThread; ++j) {
       size_t idx = t * kProjectsPerThread + j;
-      ref_completed[idx] = DriveProject(reference, ref_provider,
-                                        ref_taggers[t], ref_projects[idx]);
+      ref_completed[idx] = DriveFacade(reference, ref_provider,
+                                       ref_taggers[t], ref_projects[idx]);
     }
   }
 
@@ -288,11 +329,11 @@ TEST(ConcurrentDispatchTest, MatchesSingleThreadedReplay) {
   }
   // Ledger totals: every approved task paid 5 cents, on both sides.
   EXPECT_EQ(sharded.sharded()->TotalPaidCents(),
-            reference.system().ledger().TotalPaid());
+            reference.ledger().TotalPaid());
   // Per-tagger earnings aggregate identically across shards.
   for (size_t t = 0; t < kThreads; ++t) {
     auto got = sharded.sharded()->GetTagger(taggers[t]);
-    auto want = reference.system().GetTagger(ref_taggers[t]);
+    auto want = reference.GetTagger(ref_taggers[t]);
     ASSERT_TRUE(got.ok());
     ASSERT_TRUE(want.ok());
     EXPECT_EQ(got.value().approved, want.value().approved);

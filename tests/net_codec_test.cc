@@ -341,8 +341,10 @@ std::string ResponseBytes(const api::AnyResponse& resp) {
 TEST(WirePayloadTest, DispatchOracleOverEveryRequestVariant) {
   std::vector<api::AnyRequest> script = nettest::FullCoverageScript();
 
-  api::Service direct{core::ITagSystemOptions{}};
-  api::Service via_codec{core::ITagSystemOptions{}};
+  core::ShardedSystemOptions one_shard;
+  one_shard.num_shards = 1;
+  api::Service direct(one_shard);
+  api::Service via_codec(one_shard);
   ASSERT_TRUE(direct.Init().ok());
   ASSERT_TRUE(via_codec.Init().ok());
 

@@ -311,7 +311,7 @@ TEST(NetFuzzTest, ServerSurvivesMutatedStreamsAndKeepsServing) {
   // trips to a response of the right alternative.)
   Client healthy;
   ASSERT_TRUE(healthy.Connect("127.0.0.1", server.port()).ok());
-  std::vector<api::AnyRequest> script = nettest::FullCoverageScriptSharded(2);
+  std::vector<api::AnyRequest> script = nettest::FullCoverageScript(2);
   for (size_t i = 0; i < script.size(); ++i) {
     SCOPED_TRACE("post-fuzz request #" + std::to_string(i));
     Result<api::AnyResponse> got = healthy.Dispatch(script[i]);

@@ -31,9 +31,9 @@ inline api::AnyResponse Play(api::Service& scratch,
 }
 
 /// Builds the full-coverage script against `scratch` — a fresh, in-memory
-/// Service whose backend topology must match the one the script will later
-/// replay against (ids learned here are baked into the requests: on a
-/// sharded scratch they come out as global ids routing to the same shards).
+/// Service whose shard count must match the one the script will later
+/// replay against (ids learned here are baked into the requests as global
+/// ids routing to the same shards).
 inline std::vector<api::AnyRequest> BuildFullCoverageScript(
     api::Service& scratch) {
   std::vector<api::AnyRequest> script;
@@ -194,21 +194,11 @@ inline std::vector<api::AnyRequest> BuildFullCoverageScript(
   return script;
 }
 
-/// The script over the default single-system scratch (what the codec and
-/// loopback tests replay against 1-shard backends).
-inline std::vector<api::AnyRequest> FullCoverageScript() {
-  api::Service scratch{core::ITagSystemOptions{}};
-  [[maybe_unused]] Status init = scratch.Init();
-  assert(init.ok());
-  return BuildFullCoverageScript(scratch);
-}
-
-/// The script rebuilt over a sharded scratch of `num_shards` shards, so the
-/// learned project ids / task handles are global ids valid on any
-/// identically-sharded backend (the recovery tests replay it against a
-/// durable multi-shard core).
-inline std::vector<api::AnyRequest> FullCoverageScriptSharded(
-    size_t num_shards) {
+/// The script built over an in-memory scratch core of `num_shards` shards,
+/// so the learned project ids / task handles are global ids valid on any
+/// identically-sharded core (the recovery tests replay it against durable
+/// ones).
+inline std::vector<api::AnyRequest> FullCoverageScript(size_t num_shards = 1) {
   core::ShardedSystemOptions opts;
   opts.num_shards = num_shards;
   opts.pool_threads = 1;

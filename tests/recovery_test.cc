@@ -1,10 +1,10 @@
 // Durability and crash-recovery of the whole stack (PAPER Fig. 2's "every
 // workflow backed by the database"):
 //  - restart-equivalence: replaying the shared full-coverage Dispatch
-//    script against a durable backend with a close-and-reopen injected
+//    script against a durable core with a close-and-reopen injected
 //    between every request yields responses bit-identical to an
-//    uninterrupted run — for a single ITagSystem and a multi-shard
-//    ShardedSystem (final QualitySnapshots included);
+//    uninterrupted run — at one shard and at three (final inboxes,
+//    ledgers, clocks and QualitySnapshots included);
 //  - the same property over the wire, with the server torn down and
 //    restarted (no checkpoint — WAL-only recovery) mid-script;
 //  - torn-tail crash injection: truncating the WAL mid-record recovers to
@@ -38,7 +38,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-using core::ITagSystemOptions;
 using core::ProjectId;
 using core::ShardedSystemOptions;
 
@@ -48,29 +47,22 @@ std::string Bytes(const api::AnyResponse& resp) {
   return net::EncodeResponsePayload(resp);
 }
 
-ITagSystemOptions DurableOpts(const std::string& dir) {
-  ITagSystemOptions opts;
-  opts.db.directory = dir;
+ShardedSystemOptions DurableOpts(const std::string& dir, size_t shards = 1) {
+  ShardedSystemOptions opts;
+  opts.num_shards = shards;
+  opts.pool_threads = 2;
+  opts.shard.db.directory = dir;
   return opts;
 }
 
 /// Paged-engine variant: rows live in the page file (storage/pager), with
 /// tiny pages and a one-frame cache so the scripts below exercise node
 /// splits, overflow chains, and eviction — not just the happy path.
-ITagSystemOptions PagedOpts(const std::string& dir) {
-  ITagSystemOptions opts;
-  opts.db.directory = dir;
-  opts.db.paged = true;
-  opts.db.page_size = 512;
-  opts.db.page_cache_mb = 0;  // floored to one frame
-  return opts;
-}
-
-ShardedSystemOptions DurableShardOpts(const std::string& dir, size_t shards) {
-  ShardedSystemOptions opts;
-  opts.num_shards = shards;
-  opts.pool_threads = 2;
-  opts.shard.db.directory = dir;
+ShardedSystemOptions PagedOpts(const std::string& dir, size_t shards = 1) {
+  ShardedSystemOptions opts = DurableOpts(dir, shards);
+  opts.shard.db.paged = true;
+  opts.shard.db.page_size = 512;
+  opts.shard.db.page_cache_mb = 0;  // floored to one frame
   return opts;
 }
 
@@ -94,15 +86,18 @@ class RecoveryTest : public ::testing::Test {
 
   std::string Dir(const std::string& leaf) { return root_ + "/" + leaf; }
 
+  void ExpectRestartEquivalence(size_t shards);
+  void ExpectPagedRestartEquivalence(size_t shards);
+
   std::string root_;
 };
 
 // ---------------------------------------------------------------- helpers
 
 /// Replays `script` on one long-lived service.
-template <typename Options>
 std::vector<std::string> ReplayUninterrupted(
-    const Options& opts, const std::vector<api::AnyRequest>& script) {
+    const ShardedSystemOptions& opts,
+    const std::vector<api::AnyRequest>& script) {
   api::Service service(opts);
   EXPECT_TRUE(service.Init().ok());
   std::vector<std::string> out;
@@ -113,11 +108,11 @@ std::vector<std::string> ReplayUninterrupted(
   return out;
 }
 
-/// Replays `script`, destroying and reopening the whole backend (full
+/// Replays `script`, destroying and reopening the whole core (full
 /// recovery from storage) before every single request.
-template <typename Options>
 std::vector<std::string> ReplayWithReopens(
-    const Options& opts, const std::vector<api::AnyRequest>& script) {
+    const ShardedSystemOptions& opts,
+    const std::vector<api::AnyRequest>& script) {
   std::vector<std::string> out;
   out.reserve(script.size());
   for (const api::AnyRequest& req : script) {
@@ -142,49 +137,19 @@ void ExpectSameResponses(const std::vector<api::AnyRequest>& script,
 
 // ----------------------------------------------- restart equivalence
 
-TEST_F(RecoveryTest, RestartEquivalenceSingleSystem) {
-  std::vector<api::AnyRequest> script = nettest::FullCoverageScript();
+void RecoveryTest::ExpectRestartEquivalence(size_t shards) {
+  std::vector<api::AnyRequest> script = nettest::FullCoverageScript(shards);
   std::vector<std::string> baseline =
-      ReplayUninterrupted(DurableOpts(Dir("a")), script);
+      ReplayUninterrupted(DurableOpts(Dir("a"), shards), script);
   std::vector<std::string> recovered =
-      ReplayWithReopens(DurableOpts(Dir("b")), script);
+      ReplayWithReopens(DurableOpts(Dir("b"), shards), script);
   ExpectSameResponses(script, baseline, recovered);
 
-  // Beyond the wire surface: notification inboxes and ledgers line up too.
-  api::Service a(DurableOpts(Dir("a")));
-  api::Service b(DurableOpts(Dir("b")));
-  ASSERT_TRUE(a.Init().ok());
-  ASSERT_TRUE(b.Init().ok());
-  std::vector<core::Notification> na = a.system().LatestNotifications(0, 64);
-  std::vector<core::Notification> nb = b.system().LatestNotifications(0, 64);
-  ASSERT_EQ(na.size(), nb.size());
-  for (size_t i = 0; i < na.size(); ++i) {
-    EXPECT_EQ(static_cast<int>(na[i].kind), static_cast<int>(nb[i].kind));
-    EXPECT_EQ(na[i].time, nb[i].time);
-    EXPECT_EQ(na[i].project, nb[i].project);
-    EXPECT_EQ(na[i].message, nb[i].message);
-  }
-  EXPECT_EQ(a.system().ledger().TotalPaid(), b.system().ledger().TotalPaid());
-  EXPECT_EQ(a.system().ledger().PaymentCount(),
-            b.system().ledger().PaymentCount());
-  EXPECT_EQ(a.system().clock().Now(), b.system().clock().Now());
-}
-
-TEST_F(RecoveryTest, RestartEquivalenceShardedSystem) {
-  constexpr size_t kShards = 3;
-  std::vector<api::AnyRequest> script =
-      nettest::FullCoverageScriptSharded(kShards);
-  std::vector<std::string> baseline =
-      ReplayUninterrupted(DurableShardOpts(Dir("a"), kShards), script);
-  std::vector<std::string> recovered =
-      ReplayWithReopens(DurableShardOpts(Dir("b"), kShards), script);
-  ExpectSameResponses(script, baseline, recovered);
-
-  // Final per-project QualitySnapshots, bit-identical (monitoring works
-  // immediately after recovery; `version` counts refreshes since open and
-  // is zeroed for the comparison).
-  api::Service a(DurableShardOpts(Dir("a"), kShards));
-  api::Service b(DurableShardOpts(Dir("b"), kShards));
+  // Beyond the wire surface: final per-project QualitySnapshots,
+  // bit-identical (monitoring works immediately after recovery; `version`
+  // counts refreshes since open and is zeroed for the comparison).
+  api::Service a(DurableOpts(Dir("a"), shards));
+  api::Service b(DurableOpts(Dir("b"), shards));
   ASSERT_TRUE(a.Init().ok());
   std::vector<core::ProjectInfo> projects =
       a.sharded()->ListProjects(static_cast<core::ProviderId>(-1));
@@ -200,7 +165,7 @@ TEST_F(RecoveryTest, RestartEquivalenceShardedSystem) {
   for (const core::ProjectInfo& info : projects) {
     placed.push_back(gauge(info.id)->value());
     EXPECT_GE(placed.back(), 0);
-    EXPECT_LT(placed.back(), static_cast<int64_t>(kShards));
+    EXPECT_LT(placed.back(), static_cast<int64_t>(shards));
     gauge(info.id)->Set(-1);
   }
   ASSERT_TRUE(b.Init().ok());
@@ -222,8 +187,30 @@ TEST_F(RecoveryTest, RestartEquivalenceShardedSystem) {
     EXPECT_EQ(x.tasks_completed, y.tasks_completed);
     EXPECT_EQ(x.num_resources, y.num_resources);
   }
+
+  // Notification inboxes, ledgers and clocks line up too: merged across
+  // shards, and shard by shard.
+  std::vector<core::Notification> na =
+      a.sharded()->LatestNotifications(0, 64);
+  std::vector<core::Notification> nb =
+      b.sharded()->LatestNotifications(0, 64);
+  ASSERT_EQ(na.size(), nb.size());
+  for (size_t i = 0; i < na.size(); ++i) {
+    EXPECT_EQ(static_cast<int>(na[i].kind), static_cast<int>(nb[i].kind));
+    EXPECT_EQ(na[i].time, nb[i].time);
+    EXPECT_EQ(na[i].project, nb[i].project);
+    EXPECT_EQ(na[i].message, nb[i].message);
+  }
   EXPECT_EQ(a.sharded()->TotalPaidCents(), b.sharded()->TotalPaidCents());
   EXPECT_EQ(a.sharded()->Now(), b.sharded()->Now());
+  for (size_t s = 0; s < shards; ++s) {
+    core::ITagSystem& shard_a = a.sharded()->shard_system(s);
+    core::ITagSystem& shard_b = b.sharded()->shard_system(s);
+    EXPECT_EQ(shard_a.ledger().TotalPaid(), shard_b.ledger().TotalPaid());
+    EXPECT_EQ(shard_a.ledger().PaymentCount(),
+              shard_b.ledger().PaymentCount());
+    EXPECT_EQ(shard_a.clock().Now(), shard_b.clock().Now());
+  }
 
   // The round-robin placement cursor was re-derived: the next create on
   // both systems lands on the same shard (same global id).
@@ -238,35 +225,37 @@ TEST_F(RecoveryTest, RestartEquivalenceShardedSystem) {
   EXPECT_EQ(ca.project, cb.project);
 }
 
+TEST_F(RecoveryTest, RestartEquivalenceSingleSystem) {
+  ExpectRestartEquivalence(1);
+}
+
+TEST_F(RecoveryTest, RestartEquivalenceShardedSystem) {
+  ExpectRestartEquivalence(3);
+}
+
 // The full-coverage script through the paged storage path must be
 // byte-equal to the in-memory-table path — replaying against the paged
 // engine with a close-and-reopen before every request included. This is
 // the reopen-equivalence gate for the pager subsystem: any divergence in
 // B+tree ordering, row encoding, or recovery shows up as a response diff.
-TEST_F(RecoveryTest, RestartEquivalencePagedSingleSystem) {
-  std::vector<api::AnyRequest> script = nettest::FullCoverageScript();
+void RecoveryTest::ExpectPagedRestartEquivalence(size_t shards) {
+  std::vector<api::AnyRequest> script = nettest::FullCoverageScript(shards);
   std::vector<std::string> baseline =
-      ReplayUninterrupted(DurableOpts(Dir("mem")), script);
+      ReplayUninterrupted(DurableOpts(Dir("mem"), shards), script);
   std::vector<std::string> paged =
-      ReplayUninterrupted(PagedOpts(Dir("paged")), script);
+      ReplayUninterrupted(PagedOpts(Dir("paged"), shards), script);
   ExpectSameResponses(script, baseline, paged);
   std::vector<std::string> paged_reopened =
-      ReplayWithReopens(PagedOpts(Dir("paged_reopen")), script);
+      ReplayWithReopens(PagedOpts(Dir("paged_reopen"), shards), script);
   ExpectSameResponses(script, baseline, paged_reopened);
 }
 
+TEST_F(RecoveryTest, RestartEquivalencePagedSingleSystem) {
+  ExpectPagedRestartEquivalence(1);
+}
+
 TEST_F(RecoveryTest, RestartEquivalencePagedShardedSystem) {
-  constexpr size_t kShards = 3;
-  std::vector<api::AnyRequest> script =
-      nettest::FullCoverageScriptSharded(kShards);
-  ShardedSystemOptions mem = DurableShardOpts(Dir("mem"), kShards);
-  ShardedSystemOptions paged = DurableShardOpts(Dir("paged"), kShards);
-  paged.shard.db.paged = true;
-  paged.shard.db.page_size = 512;
-  paged.shard.db.page_cache_mb = 0;
-  std::vector<std::string> baseline = ReplayUninterrupted(mem, script);
-  std::vector<std::string> recovered = ReplayWithReopens(paged, script);
-  ExpectSameResponses(script, baseline, recovered);
+  ExpectPagedRestartEquivalence(3);
 }
 
 // A kill-9-shaped restart over the wire: the server process state is
@@ -275,18 +264,17 @@ TEST_F(RecoveryTest, RestartEquivalencePagedShardedSystem) {
 // responses bit-identical to an uninterrupted wire run.
 TEST_F(RecoveryTest, RestartEquivalenceOverTheWire) {
   constexpr size_t kShards = 2;
-  std::vector<api::AnyRequest> script =
-      nettest::FullCoverageScriptSharded(kShards);
+  std::vector<api::AnyRequest> script = nettest::FullCoverageScript(kShards);
 
   std::vector<std::string> baseline =
-      ReplayUninterrupted(DurableShardOpts(Dir("a"), kShards), script);
+      ReplayUninterrupted(DurableOpts(Dir("a"), kShards), script);
 
   std::vector<std::string> over_wire;
   size_t cut = script.size() / 2;
   for (size_t segment = 0; segment < 2; ++segment) {
     // Abrupt teardown after the first segment: the Service and backend are
     // destroyed without any checkpoint; only storage survives.
-    api::Service served(DurableShardOpts(Dir("b"), kShards));
+    api::Service served(DurableOpts(Dir("b"), kShards));
     ASSERT_TRUE(served.Init().ok());
     net::Server server(&served);
     ASSERT_TRUE(server.Start().ok());
@@ -335,9 +323,11 @@ TEST_F(RecoveryTest, TornWalTailLandsOnLastCompleteRecord) {
   // project state after every API call.
   std::vector<std::string> fingerprints;
   ProjectId project = 0;
+  std::string wal;  // the one shard's WAL
   {
     api::Service service(DurableOpts(dir));
     ASSERT_TRUE(service.Init().ok());
+    wal = service.sharded()->ReplWalPaths()[0];
     auto fingerprint = [&]() {
       api::ProjectQueryRequest q;
       q.project = project;
@@ -389,7 +379,6 @@ TEST_F(RecoveryTest, TornWalTailLandsOnLastCompleteRecord) {
   // last mutating call was a BatchDecide (one atomic batch record), so
   // recovery must land exactly on the state after the preceding
   // BatchSubmitTags — fingerprints[n-2].
-  const std::string wal = dir + "/wal.log";
   std::vector<uint64_t> bounds = WalFrameBoundaries(wal);
   ASSERT_GE(bounds.size(), 3u);
   uint64_t last_start = bounds[bounds.size() - 2];
@@ -408,7 +397,7 @@ TEST_F(RecoveryTest, TornWalTailLandsOnLastCompleteRecord) {
 
   // Conservation invariants on the recovered state. At the recovered point
   // all 4 tasks of the last round are submitted-but-undecided.
-  core::ITagSystem& sys = service.system();
+  core::ITagSystem& sys = service.sharded()->shard_system(0);
   Result<core::ProjectInfo> info = sys.GetProjectInfo(project);
   ASSERT_TRUE(info.ok());
   size_t pending = sys.PendingApprovals(project).size();
@@ -496,14 +485,15 @@ TEST_F(RecoveryTest, PlatformWorkloadResumesBitEqualAfterRestart) {
   for (int i = 0; i < 6; ++i) q.detail_resources.push_back(i);
   EXPECT_EQ(Bytes(a.Dispatch(api::AnyRequest{q})),
             Bytes(b.Dispatch(api::AnyRequest{q})));
-  EXPECT_EQ(a.system().ledger().TotalPaid(), b.system().ledger().TotalPaid());
-  EXPECT_EQ(a.system().ledger().PaymentCount(),
-            b.system().ledger().PaymentCount());
-  EXPECT_EQ(a.system().clock().Now(), b.system().clock().Now());
+  core::ITagSystem& sys_a = a.sharded()->shard_system(0);
+  core::ITagSystem& sys_b = b.sharded()->shard_system(0);
+  EXPECT_EQ(sys_a.ledger().TotalPaid(), sys_b.ledger().TotalPaid());
+  EXPECT_EQ(sys_a.ledger().PaymentCount(), sys_b.ledger().PaymentCount());
+  EXPECT_EQ(sys_a.clock().Now(), sys_b.clock().Now());
   // The marketplace itself recovered: same open window, same pending
   // decisions, same per-worker stats for a sample of workers.
-  crowd::CrowdPlatform* pa = a.system().PlatformFor(project);
-  crowd::CrowdPlatform* pb = b.system().PlatformFor(project);
+  crowd::CrowdPlatform* pa = sys_a.PlatformFor(project);
+  crowd::CrowdPlatform* pb = sys_b.PlatformFor(project);
   ASSERT_NE(pa, nullptr);
   ASSERT_NE(pb, nullptr);
   EXPECT_EQ(pa->OpenTaskCount(), pb->OpenTaskCount());
@@ -535,7 +525,7 @@ TEST_F(RecoveryTest, PlatformWorkloadResumesBitEqualAfterRestart) {
 TEST_F(RecoveryTest, ShardedMigrationSurvivesKill9Restart) {
   constexpr size_t kShards = 3;
   constexpr uint32_t kBudget = 12;
-  ShardedSystemOptions opts = DurableShardOpts(Dir("db"), kShards);
+  ShardedSystemOptions opts = DurableOpts(Dir("db"), kShards);
   auto spec = [](const std::string& name, uint32_t budget) {
     core::ProjectSpec s;
     s.name = name;
@@ -658,7 +648,7 @@ TEST_F(RecoveryTest, CheckpointBoundsRecoveryAndSurvivesRestart) {
     EXPECT_GT(ck.tables, 0u);
     EXPECT_GT(ck.rows, 0u);
     // The WAL is truncated; post-checkpoint traffic lands in the fresh WAL.
-    EXPECT_EQ(fs::file_size(dir + "/wal.log"), 0u);
+    EXPECT_EQ(fs::file_size(service.sharded()->ReplWalPaths()[0]), 0u);
     api::BatchAcceptTasksResponse accepted =
         service.BatchAcceptTasks({tagger, project, 2});
     ASSERT_TRUE(accepted.status.ok());
@@ -671,12 +661,14 @@ TEST_F(RecoveryTest, CheckpointBoundsRecoveryAndSurvivesRestart) {
   // submission both survive.
   api::Service service(DurableOpts(dir));
   ASSERT_TRUE(service.Init().ok());
-  EXPECT_EQ(service.system().PendingApprovals(project).size(), 1u);
-  Result<core::ProjectInfo> info = service.system().GetProjectInfo(project);
+  EXPECT_EQ(service.sharded()->PendingApprovals(project).size(), 1u);
+  Result<core::ProjectInfo> info = service.sharded()->GetProjectInfo(project);
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info.value().budget_remaining, 8u);
-  // The in-memory backend reports a typed non-durable no-op.
-  api::Service memory{core::ITagSystemOptions{}};
+  // An in-memory core reports a typed non-durable no-op.
+  ShardedSystemOptions in_memory;
+  in_memory.num_shards = 1;
+  api::Service memory(in_memory);
   ASSERT_TRUE(memory.Init().ok());
   api::CheckpointResponse ck = memory.Checkpoint({});
   EXPECT_TRUE(ck.status.ok());
@@ -708,12 +700,12 @@ TEST_F(RecoveryTest, PagedCheckpointBoundsWalReplay) {
     api::CheckpointResponse ck = service.Checkpoint({});
     ASSERT_TRUE(ck.status.ok());
     EXPECT_TRUE(ck.durable);
-    EXPECT_EQ(fs::file_size(dir + "/wal.log"), 0u);
+    EXPECT_EQ(fs::file_size(service.sharded()->ReplWalPaths()[0]), 0u);
   }
   {
     api::Service service(PagedOpts(dir));
     ASSERT_TRUE(service.Init().ok());
-    storage::Database& db = service.system().database();
+    storage::Database& db = service.sharded()->shard_system(0).database();
     EXPECT_TRUE(db.paged());
     EXPECT_EQ(db.recovery_stats().wal_records_scanned, 0u);
     EXPECT_EQ(db.recovery_stats().wal_records_replayed, 0u);
@@ -722,12 +714,12 @@ TEST_F(RecoveryTest, PagedCheckpointBoundsWalReplay) {
   }
   api::Service service(PagedOpts(dir));
   ASSERT_TRUE(service.Init().ok());
-  storage::Database& db = service.system().database();
+  storage::Database& db = service.sharded()->shard_system(0).database();
   // Only the tail frame(s) of the one RegisterTagger call replayed — not
   // the full history since the directory was created.
   EXPECT_GT(db.recovery_stats().wal_records_replayed, 0u);
   EXPECT_LE(db.recovery_stats().wal_records_replayed, 3u);
-  Result<core::TaggerProfile> tagger = service.system().GetTagger(0);
+  Result<core::TaggerProfile> tagger = service.sharded()->GetTagger(0);
   ASSERT_TRUE(tagger.ok());
   EXPECT_EQ(tagger.value().name, "tail");
 }

@@ -213,8 +213,7 @@ void ExpectPromotedAndWritable(api::Service& oracle, api::Service& promoted) {
 }
 
 TEST_F(ReplFailoverTest, CaughtUpReplicaMatchesRestartedPrimaryAfterKill) {
-  std::vector<api::AnyRequest> script =
-      nettest::FullCoverageScriptSharded(kShards);
+  std::vector<api::AnyRequest> script = nettest::FullCoverageScript(kShards);
 
   auto primary = std::make_unique<PrimaryHarness>(Dir("primary"));
   ReplicaHarness replica(Dir("replica"), primary->server->port());
@@ -235,8 +234,7 @@ TEST_F(ReplFailoverTest, CaughtUpReplicaMatchesRestartedPrimaryAfterKill) {
 }
 
 TEST_F(ReplFailoverTest, MidStreamPromoteMatchesTruncatedWalOracle) {
-  std::vector<api::AnyRequest> script =
-      nettest::FullCoverageScriptSharded(kShards);
+  std::vector<api::AnyRequest> script = nettest::FullCoverageScript(kShards);
   size_t cut = script.size() / 2;
 
   PrimaryHarness primary(Dir("primary"));

@@ -448,7 +448,7 @@ TEST_F(ReplFaultTest, DropDuplicateTruncateStillConvergesByteEqual) {
   FollowerHarness follower(Dir("follower"), proxy.port());
 
   for (const api::AnyRequest& req :
-       nettest::FullCoverageScriptSharded(kShards)) {
+       nettest::FullCoverageScript(kShards)) {
     primary.service.Dispatch(req);
   }
   ASSERT_TRUE(ConvergeWithFlushes(primary.service, *follower.follower))
@@ -483,7 +483,7 @@ TEST_F(ReplFaultTest, SeverAtEveryFrameBoundaryStillConvergesByteEqual) {
   FollowerHarness follower(Dir("follower"), proxy.port());
 
   for (const api::AnyRequest& req :
-       nettest::FullCoverageScriptSharded(kShards)) {
+       nettest::FullCoverageScript(kShards)) {
     primary.service.Dispatch(req);
   }
   // A connection whose remaining tail is shorter than its sever threshold
@@ -514,8 +514,7 @@ TEST_F(ReplFaultTest, FollowerRetriesWhilePrimaryIsDown) {
   // must keep retrying without crashing or corrupting its cursor, and
   // converge once a primary is reachable again.
   auto primary = std::make_unique<PrimaryHarness>(Dir("primary"));
-  std::vector<api::AnyRequest> script =
-      nettest::FullCoverageScriptSharded(kShards);
+  std::vector<api::AnyRequest> script = nettest::FullCoverageScript(kShards);
   size_t cut = script.size() / 2;
   for (size_t i = 0; i < cut; ++i) primary->service.Dispatch(script[i]);
 

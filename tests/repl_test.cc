@@ -159,8 +159,7 @@ struct FollowerHarness {
 };
 
 TEST_F(ReplTest, FollowerConvergesByteEqualAfterEveryRequest) {
-  std::vector<api::AnyRequest> script =
-      nettest::FullCoverageScriptSharded(kShards);
+  std::vector<api::AnyRequest> script = nettest::FullCoverageScript(kShards);
 
   PrimaryHarness primary(Dir("primary"));
   FollowerHarness follower(Dir("follower"), primary.server->port());
@@ -182,8 +181,7 @@ TEST_F(ReplTest, FollowerConvergesByteEqualAfterEveryRequest) {
 }
 
 TEST_F(ReplTest, FollowerResumesFromDurableCursorAfterRestart) {
-  std::vector<api::AnyRequest> script =
-      nettest::FullCoverageScriptSharded(kShards);
+  std::vector<api::AnyRequest> script = nettest::FullCoverageScript(kShards);
   size_t cut = script.size() / 2;
 
   PrimaryHarness primary(Dir("primary"));
@@ -218,8 +216,7 @@ TEST_F(ReplTest, FollowerResumesFromDurableCursorAfterRestart) {
 TEST_F(ReplTest, ReplicaRejectsWritesTypedWhileReadsServe) {
   PrimaryHarness primary(Dir("primary"));
   // Seed the primary so reads have something to serve.
-  std::vector<api::AnyRequest> script =
-      nettest::FullCoverageScriptSharded(kShards);
+  std::vector<api::AnyRequest> script = nettest::FullCoverageScript(kShards);
   for (const api::AnyRequest& req : script) primary.service.Dispatch(req);
 
   FollowerHarness follower(Dir("follower"), primary.server->port());
