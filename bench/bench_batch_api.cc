@@ -7,7 +7,7 @@
 //      strategies (RAND) hoist their O(n) eligibility scan out of the loop.
 //  (b) end-to-end tagger traffic through itag::api::Service: accept /
 //      submit / moderate in batches of kBatch against the same flow issued
-//      one call at a time on the service's one-shard core, same audience
+//      as one-item batches on the service's one-shard core, same audience
 //      project shape and seed.
 //
 // Both paths do identical allocation work (ChooseBatch is sequence-
@@ -137,14 +137,13 @@ E2EResult RunE2EPerCall(size_t resources, uint32_t budget) {
   auto t0 = std::chrono::steady_clock::now();
   E2EResult out;
   while (true) {
-    auto task = system.AcceptTask(fx.tagger, fx.project);
-    if (!task.ok()) break;
-    if (!system.SubmitTags(fx.tagger, task.value().handle,
-                           fx.TagsFor(task.value()))
-             .ok()) {
-      continue;
-    }
-    if (system.Decide(fx.provider, task.value().handle, true).ok()) {
+    auto accepted = system.AcceptTasks(fx.tagger, fx.project, 1);
+    if (!accepted.ok()) break;
+    const AcceptedTask& task = accepted.value()[0];
+    std::vector<Status> submitted =
+        system.SubmitTagsBatch({{fx.tagger, task.handle, fx.TagsFor(task)}});
+    if (!submitted[0].ok()) continue;
+    if (system.DecideBatch(fx.provider, {{task.handle, true}})[0].ok()) {
       ++out.completed;
     }
   }

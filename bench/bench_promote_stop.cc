@@ -39,10 +39,13 @@ Outcome RunSession(bool promote_target, bool stop_target) {
 
   // 20 resources; resource 0 is the watched one and starts cold while the
   // rest carry history (so FC would normally starve it).
+  std::vector<ResourceUpload> uploads;
   for (int i = 0; i < 20; ++i) {
-    (void)system.UploadResource(project, tagging::ResourceKind::kWebUrl,
-                                "r" + std::to_string(i), "");
+    uploads.push_back(
+        {tagging::ResourceKind::kWebUrl, "r" + std::to_string(i), "", {}});
   }
+  std::vector<tagging::ResourceId> ids;
+  (void)system.UploadResourceBatch(project, uploads, &ids);
   for (int i = 1; i < 20; ++i) {
     for (int p = 0; p < 6; ++p) {
       (void)system.ImportPost(project, i, {"seed-" + std::to_string(i)});
@@ -57,15 +60,13 @@ Outcome RunSession(bool promote_target, bool stop_target) {
     if (promote_target && task % 3 == 0) {
       (void)system.PromoteResource(project, 0);
     }
-    auto accepted = system.AcceptTask(tagger, project);
+    auto accepted = system.AcceptTasks(tagger, project, 1);
     if (!accepted.ok()) break;
     std::string tag = "content-" + std::to_string(rng.Uniform(4));
-    if (!system.SubmitTags(tagger, accepted.value().handle, {tag}).ok()) {
-      break;
-    }
-    auto pending = system.PendingApprovals(project);
-    for (const auto& sub : pending) {
-      (void)system.Decide(provider, sub.handle, true);
+    TaskHandle handle = accepted.value()[0].handle;
+    if (!system.SubmitTagsBatch({{tagger, handle, {tag}}})[0].ok()) break;
+    for (const auto& sub : system.PendingApprovals(project)) {
+      (void)system.DecideBatch(provider, {{sub.handle, true}});
     }
   }
 

@@ -236,32 +236,9 @@ int main() {
   }
 
   bool gated = cores >= 4;
+  const double first_pass_ratio = ratio;
   bool pass = ratio >= kGateRatio;
-  std::string gate = gated ? (pass ? "pass" : "fail") : "informational";
-
-  // Machine-readable summary (stdout + BENCH_rebalance.json).
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"bench\":\"rebalance\",\"host_cores\":%zu,\"hot_pct\":%d,"
-      "\"shards\":%zu,\"projects\":%zu,\"uniform_tps\":%.1f,"
-      "\"static_tps\":%.1f,\"rebalanced_tps\":%.1f,"
-      "\"skew_recovery_ratio\":%.3f,\"static_ratio\":%.3f,"
-      "\"migrations\":%llu,\"gate_ratio\":%.2f,\"gate\":\"%s\"}",
-      cores, kHotPct, kShards, kProjects, uniform_tps, static_tps,
-      rebalanced_tps, ratio, static_ratio,
-      static_cast<unsigned long long>(migrations), kGateRatio, gate.c_str());
-  std::printf("\n%s\n", buf);
-  std::ofstream("BENCH_rebalance.json") << buf << "\n";
-
-  if (!gated) {
-    std::printf("\nverdict: informational — host has %zu core(s); placement "
-                "cannot change throughput without shard parallelism "
-                "(measured %.3f of uniform; %llu migration(s) fired)\n",
-                cores, ratio, static_cast<unsigned long long>(migrations));
-    return 0;
-  }
-  if (!pass) {
+  if (gated && !pass) {
     // Same noisy-runner policy as the other throughput gates: re-measure
     // the two legs once before failing.
     std::printf("\nretrying verdict measurement (first pass %.3f)...\n",
@@ -284,6 +261,33 @@ int main() {
                 "(%.3f)\n", uniform_retry, rebalanced_retry, retry);
     if (retry > ratio) ratio = retry;
     pass = ratio >= kGateRatio;
+  }
+  std::string gate = gated ? (pass ? "pass" : "fail") : "informational";
+
+  // Machine-readable summary (stdout + BENCH_rebalance.json), written once
+  // the verdict is in: skew_recovery_ratio and gate are the ones that set
+  // the exit code; the *_tps legs and first_pass_ratio are the first pass.
+  char buf[640];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"bench\":\"rebalance\",\"host_cores\":%zu,\"hot_pct\":%d,"
+      "\"shards\":%zu,\"projects\":%zu,\"uniform_tps\":%.1f,"
+      "\"static_tps\":%.1f,\"rebalanced_tps\":%.1f,"
+      "\"skew_recovery_ratio\":%.3f,\"first_pass_ratio\":%.3f,"
+      "\"static_ratio\":%.3f,\"migrations\":%llu,\"gate_ratio\":%.2f,"
+      "\"gate\":\"%s\"}",
+      cores, kHotPct, kShards, kProjects, uniform_tps, static_tps,
+      rebalanced_tps, ratio, first_pass_ratio, static_ratio,
+      static_cast<unsigned long long>(migrations), kGateRatio, gate.c_str());
+  std::printf("\n%s\n", buf);
+  std::ofstream("BENCH_rebalance.json") << buf << "\n";
+
+  if (!gated) {
+    std::printf("\nverdict: informational — host has %zu core(s); placement "
+                "cannot change throughput without shard parallelism "
+                "(measured %.3f of uniform; %llu migration(s) fired)\n",
+                cores, ratio, static_cast<unsigned long long>(migrations));
+    return 0;
   }
   std::printf("\nverdict: rebalanced throughput %s %.0f%% of the uniform "
               "oracle (%.3f)\n",

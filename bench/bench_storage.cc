@@ -3,8 +3,9 @@
 // B+-tree ops, WAL appends, and full checkpoint+recovery cycles. Validates
 // that the embedded engine sustains the manager workloads comfortably.
 // Since the batch-API redesign it also measures the resource-ingest path
-// end to end through itag::api::Service — per-call UploadResource vs one
-// BatchUploadResources request hitting the same tables.
+// end to end through itag::api::Service — one-item UploadResourceBatch
+// calls on the core vs one BatchUploadResources request hitting the same
+// tables.
 
 #include <benchmark/benchmark.h>
 
@@ -182,17 +183,19 @@ struct IngestFixture {
 };
 
 void BM_ServiceUploadPerCall(benchmark::State& state) {
-  std::vector<std::string> uris;
+  std::vector<std::vector<core::ResourceUpload>> singles;
   for (int64_t i = 0; i < state.range(0); ++i) {
-    uris.push_back("url-" + std::to_string(i));
+    singles.push_back(
+        {{tagging::ResourceKind::kWebUrl, "url-" + std::to_string(i), "", {}}});
   }
+  std::vector<tagging::ResourceId> ids;
   for (auto _ : state) {
     state.PauseTiming();
     IngestFixture fx;
     state.ResumeTiming();
-    for (const std::string& uri : uris) {
-      benchmark::DoNotOptimize(fx.service.sharded()->UploadResource(
-          fx.project, tagging::ResourceKind::kWebUrl, uri, ""));
+    for (const std::vector<core::ResourceUpload>& items : singles) {
+      benchmark::DoNotOptimize(
+          fx.service.sharded()->UploadResourceBatch(fx.project, items, &ids));
     }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -170,12 +170,18 @@ struct ProjectQueryResponse {
 
 // ---------------------------------------------------------- tagger traffic
 
+/// Largest `count` one BatchAcceptTasks may ask for, so that a reply (one
+/// handle, resource and uri per task) stays far below the wire's
+/// net::kDefaultMaxFrameBytes and a saturated budget never makes the
+/// allocator reserve billions of ids.
+inline constexpr size_t kMaxAcceptTasks = 1024;
+
 /// Draws up to `count` strategy-assigned tasks for one tagger in a single
 /// allocation pass (AllocationEngine::ChooseBatch under the hood). `count`
-/// must be positive (InvalidArgument). May return fewer than `count` tasks
-/// when the budget runs out mid-batch; fails whole (NotFound /
-/// FailedPrecondition / ResourceExhausted, like AcceptTask) only when
-/// nothing can be drawn at all.
+/// must be in [1, kMaxAcceptTasks] (InvalidArgument otherwise, with nothing
+/// debited). May return fewer than `count` tasks when the budget runs out
+/// mid-batch; fails whole (NotFound / FailedPrecondition /
+/// ResourceExhausted) only when nothing can be drawn at all.
 struct BatchAcceptTasksRequest {
   core::UserTaggerId tagger = 0;
   core::ProjectId project = 0;

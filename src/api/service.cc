@@ -343,8 +343,14 @@ BatchAcceptTasksResponse Service::BatchAcceptTasks(
     resp.status = ReplicaRejected();
     return resp;
   }
+  // Both bounds are checked before anything is debited or admitted.
   if (req.count == 0) {
     resp.status = Status::InvalidArgument("count must be positive");
+    return resp;
+  }
+  if (req.count > kMaxAcceptTasks) {
+    resp.status = Status::InvalidArgument(
+        "count must be at most " + std::to_string(kMaxAcceptTasks));
     return resp;
   }
   // All-or-nothing: a partially admitted accept would hand out fewer tasks
@@ -361,40 +367,51 @@ BatchAcceptTasksResponse Service::BatchAcceptTasks(
   return resp;
 }
 
-BatchSubmitTagsResponse Service::BatchSubmitTags(
-    const BatchSubmitTagsRequest& req) {
-  ApiCallScope obs_scope(kRequestTypeIndex<BatchSubmitTagsRequest>);
-  BatchSubmitTagsResponse resp;
-  resp.outcome.statuses.resize(req.items.size());
+void Service::SubmitTagsInto(const BatchSubmitTagsRequest* reqs, size_t n,
+                             BatchSubmitTagsResponse* resps) {
   if (replica_mode()) {
-    for (Status& s : resp.outcome.statuses) s = ReplicaRejected();
-    return resp;
+    for (size_t r = 0; r < n; ++r) {
+      resps[r].outcome.statuses.assign(reqs[r].items.size(),
+                                       ReplicaRejected());
+    }
+    return;
   }
   // Pre-validate, then hand the valid items to the core as one batch — it
-  // groups them per shard and fans out on its pool.
-  // `routed` maps backend results back to the request slots that passed.
+  // groups them per shard and fans out on its pool. `routed` points each
+  // backend result at the response slot of the item that passed.
   std::vector<core::TagSubmission> submissions;
-  std::vector<size_t> routed;
-  for (size_t i = 0; i < req.items.size(); ++i) {
-    const SubmitTagsItem& item = req.items[i];
-    if (item.handle == 0) {
-      resp.outcome.statuses[i] =
-          Status::InvalidArgument("handle must be non-zero");
-    } else if (item.tags.empty()) {
-      resp.outcome.statuses[i] =
-          Status::InvalidArgument("submission must carry tags");
-    } else {
-      submissions.push_back({item.tagger, item.handle, item.tags});
-      routed.push_back(i);
+  std::vector<Status*> routed;
+  for (size_t r = 0; r < n; ++r) {
+    std::vector<Status>& statuses = resps[r].outcome.statuses;
+    statuses.resize(reqs[r].items.size());
+    for (size_t i = 0; i < statuses.size(); ++i) {
+      const SubmitTagsItem& item = reqs[r].items[i];
+      if (item.handle == 0) {
+        statuses[i] = Status::InvalidArgument("handle must be non-zero");
+      } else if (item.tags.empty()) {
+        statuses[i] = Status::InvalidArgument("submission must carry tags");
+      } else {
+        submissions.push_back({item.tagger, item.handle, item.tags});
+        routed.push_back(&statuses[i]);
+      }
     }
   }
   std::vector<Status> statuses = sharded_->SubmitTagsBatch(submissions);
   for (size_t j = 0; j < statuses.size(); ++j) {
-    resp.outcome.statuses[routed[j]] = std::move(statuses[j]);
+    *routed[j] = std::move(statuses[j]);
   }
-  for (const Status& s : resp.outcome.statuses) {
-    if (s.ok()) ++resp.outcome.ok_count;
+  for (size_t r = 0; r < n; ++r) {
+    for (const Status& s : resps[r].outcome.statuses) {
+      if (s.ok()) ++resps[r].outcome.ok_count;
+    }
   }
+}
+
+BatchSubmitTagsResponse Service::BatchSubmitTags(
+    const BatchSubmitTagsRequest& req) {
+  ApiCallScope obs_scope(kRequestTypeIndex<BatchSubmitTagsRequest>);
+  BatchSubmitTagsResponse resp;
+  SubmitTagsInto(&req, 1, &resp);
   return resp;
 }
 
@@ -407,50 +424,8 @@ std::vector<BatchSubmitTagsResponse> Service::BatchSubmitTagsMulti(
       MetricsForType(kRequestTypeIndex<BatchSubmitTagsRequest>);
   em.requests->Inc(reqs.size());
   auto t0 = std::chrono::steady_clock::now();
-
   std::vector<BatchSubmitTagsResponse> resps(reqs.size());
-  if (replica_mode()) {
-    for (size_t r = 0; r < reqs.size(); ++r) {
-      resps[r].outcome.statuses.assign(reqs[r].items.size(),
-                                       ReplicaRejected());
-    }
-    uint64_t us = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    for (size_t r = 0; r < reqs.size(); ++r) em.latency->Observe(us);
-    return resps;
-  }
-  // Same per-item validation as BatchSubmitTags, with (request, slot)
-  // routing so backend statuses scatter back to the right response.
-  std::vector<core::TagSubmission> submissions;
-  std::vector<std::pair<size_t, size_t>> routed;
-  for (size_t r = 0; r < reqs.size(); ++r) {
-    resps[r].outcome.statuses.resize(reqs[r].items.size());
-    for (size_t i = 0; i < reqs[r].items.size(); ++i) {
-      const SubmitTagsItem& item = reqs[r].items[i];
-      if (item.handle == 0) {
-        resps[r].outcome.statuses[i] =
-            Status::InvalidArgument("handle must be non-zero");
-      } else if (item.tags.empty()) {
-        resps[r].outcome.statuses[i] =
-            Status::InvalidArgument("submission must carry tags");
-      } else {
-        submissions.push_back({item.tagger, item.handle, item.tags});
-        routed.emplace_back(r, i);
-      }
-    }
-  }
-  std::vector<Status> statuses = sharded_->SubmitTagsBatch(submissions);
-  for (size_t j = 0; j < statuses.size(); ++j) {
-    resps[routed[j].first].outcome.statuses[routed[j].second] =
-        std::move(statuses[j]);
-  }
-  for (BatchSubmitTagsResponse& resp : resps) {
-    for (const Status& s : resp.outcome.statuses) {
-      if (s.ok()) ++resp.outcome.ok_count;
-    }
-  }
+  SubmitTagsInto(reqs.data(), reqs.size(), resps.data());
   uint64_t elapsed_us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)

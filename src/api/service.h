@@ -137,7 +137,9 @@ class Service {
   BatchControlResponse BatchControl(const BatchControlRequest& req);
   /// Project snapshot + optional feed + optional per-resource details.
   ProjectQueryResponse ProjectQuery(const ProjectQueryRequest& req);
-  /// Draws up to `count` tasks in one allocation pass (count must be > 0).
+  /// Draws up to `count` tasks in one allocation pass; InvalidArgument,
+  /// before any budget or admission token is spent, unless
+  /// 1 <= count <= kMaxAcceptTasks.
   BatchAcceptTasksResponse BatchAcceptTasks(
       const BatchAcceptTasksRequest& req);
   /// Validates items (non-zero handle, non-empty tags), then submits the
@@ -190,6 +192,13 @@ class Service {
   /// The typed write rejection of replica mode; message carries the
   /// "leader=<addr>" token clients redirect on.
   Status ReplicaRejected() const;
+
+  /// The body of both BatchSubmitTags endpoints (their metrics and spans
+  /// stay with them): validates every item of reqs[0..n), submits the
+  /// valid ones as ONE core batch in request order, and fills resps[0..n)
+  /// (statuses and ok_count).
+  void SubmitTagsInto(const BatchSubmitTagsRequest* reqs, size_t n,
+                      BatchSubmitTagsResponse* resps);
 
   std::unique_ptr<core::ShardedSystem> owned_;
   core::ShardedSystem* sharded_;  ///< owned_.get(), or the wrapped core

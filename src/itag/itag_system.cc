@@ -412,14 +412,6 @@ Result<ProjectId> ITagSystem::CreateProject(ProviderId provider,
   return quality_->CreateProject(provider, spec);
 }
 
-Result<ResourceId> ITagSystem::UploadResource(ProjectId project,
-                                              tagging::ResourceKind kind,
-                                              const std::string& uri,
-                                              const std::string& description) {
-  BatchScope batch(&db_);
-  return resources_->UploadResource(project, kind, uri, description);
-}
-
 Status ITagSystem::ImportPost(ProjectId project, ResourceId resource,
                               const std::vector<std::string>& raw_tags) {
   BatchScope batch(&db_);
@@ -435,8 +427,8 @@ std::vector<Status> ITagSystem::UploadResourceBatch(
   ids->clear();
   ids->reserve(items.size());
   for (const ResourceUpload& item : items) {
-    Result<ResourceId> r =
-        UploadResource(project, item.kind, item.uri, item.description);
+    Result<ResourceId> r = resources_->UploadResource(
+        project, item.kind, item.uri, item.description);
     Status s = r.status();
     ResourceId id = tagging::kInvalidResource;
     if (r.ok()) {
@@ -587,55 +579,6 @@ Status ITagSystem::ApplyRejection(const PendingSubmission& sub,
   return Status::OK();
 }
 
-Status ITagSystem::ApplyDecision(const PendingSubmission& sub, bool approve) {
-  const QualityManager::ProjectRec* rec = quality_->GetRec(sub.project);
-  if (rec == nullptr) return Status::NotFound("project gone");
-
-  crowd::CrowdPlatform* platform = nullptr;
-  if (sub.platform_task != 0) {
-    platform = PlatformFor(sub.project);
-  }
-
-  if (!approve) return ApplyRejection(sub, rec, platform);
-
-  tagging::Corpus* corpus = resources_->GetCorpus(sub.project);
-  if (corpus == nullptr) return Status::Internal("corpus missing");
-  ITAG_ASSIGN_OR_RETURN(tagging::Post post, BuildPost(sub, corpus));
-  ITAG_RETURN_IF_ERROR(
-      quality_->CompletePost(sub.project, sub.resource, std::move(post)));
-  return SettleApproval(sub, rec, platform);
-}
-
-Status ITagSystem::Decide(ProviderId provider, TaskHandle handle,
-                          bool approve) {
-  auto it = pending_.find(handle);
-  if (it == pending_.end()) {
-    // Unknown handles are NotFound across the board — including handles
-    // still sitting in accepted_ (accepted but not yet submitted), which
-    // have no pending submission to decide on.
-    return Status::NotFound("submission " + std::to_string(handle));
-  }
-  const QualityManager::ProjectRec* rec = quality_->GetRec(it->second.project);
-  if (rec == nullptr) {
-    return Status::NotFound("project " + std::to_string(it->second.project));
-  }
-  if (rec->provider != provider) {
-    return Status::FailedPrecondition("not this provider's project");
-  }
-  BatchScope batch(&db_);
-  // A decision on a platform submission moves the simulator's task/worker
-  // state (Approve/Reject), which lives outside the relational tables —
-  // resolve which simulator that is before the decision consumes the entry.
-  crowd::CrowdPlatform* touched =
-      it->second.platform_task != 0 ? PlatformFor(it->second.project)
-                                    : nullptr;
-  Status s = ApplyDecision(it->second, approve);
-  pending_.erase(it);
-  DeletePending(handle);
-  if (touched != nullptr) PersistPlatform(touched);
-  return s;
-}
-
 std::vector<Status> ITagSystem::DecideBatch(
     ProviderId provider,
     const std::vector<std::pair<TaskHandle, bool>>& decisions) {
@@ -700,9 +643,8 @@ std::vector<Status> ITagSystem::DecideBatch(
     DeletePending(handle);
   }
 
-  // One corpus/quality pass per touched project; like the single-call path,
-  // a submission is only settled (worker paid, stats recorded) once its
-  // post is in the corpus.
+  // One corpus/quality pass per touched project; a submission is only
+  // settled (worker paid, stats recorded) once its post is in the corpus.
   for (auto& [project, queued] : approved) {
     std::vector<std::pair<ResourceId, tagging::Post>> posts;
     posts.reserve(queued.size());
@@ -896,28 +838,6 @@ std::vector<ProjectInfo> ITagSystem::ListOpenProjects() const {
   return out;
 }
 
-Result<AcceptedTask> ITagSystem::AcceptTask(UserTaggerId tagger,
-                                            ProjectId project) {
-  ITAG_RETURN_IF_ERROR(users_->GetTagger(tagger).status());
-  BatchScope batch(&db_);
-  ITAG_ASSIGN_OR_RETURN(ResourceId resource,
-                        quality_->ChooseNextTask(project));
-  const QualityManager::ProjectRec* rec = quality_->GetRec(project);
-  const tagging::Corpus* corpus = resources_->GetCorpus(project);
-  AcceptedTask task;
-  task.handle = next_handle_++;
-  task.project = project;
-  task.resource = resource;
-  task.uri = corpus->resource(resource).uri;
-  task.pay_cents = rec->spec.pay_cents;
-  accepted_.emplace(task.handle, task);
-  accepted_by_.emplace(task.handle, tagger);
-  PersistAccepted(task, tagger);
-  ++tasks_accepted_total_;
-  PersistCore();
-  return task;
-}
-
 Result<std::vector<AcceptedTask>> ITagSystem::AcceptTasks(UserTaggerId tagger,
                                                           ProjectId project,
                                                           size_t count) {
@@ -966,7 +886,6 @@ Status ITagSystem::SubmitTags(UserTaggerId tagger, TaskHandle handle,
   if (normalized.empty()) {
     return Status::InvalidArgument("no usable tags in submission");
   }
-  BatchScope batch(&db_);
   PendingSubmission sub;
   sub.handle = handle;
   sub.project = it->second.project;

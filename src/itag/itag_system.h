@@ -155,24 +155,18 @@ class ITagSystem {
   /// AddBudget/SwitchStrategy change them.
   Result<ProjectId> CreateProject(ProviderId provider,
                                   const ProjectSpec& spec);
-  /// Uploads one resource; returns its project-local id. NotFound for
-  /// unknown projects.
-  Result<tagging::ResourceId> UploadResource(ProjectId project,
-                                             tagging::ResourceKind kind,
-                                             const std::string& uri,
-                                             const std::string& description);
   /// Imports the provider's historical tags for a resource (Fig. 4 upload).
   /// InvalidArgument when no tag survives normalization.
   Status ImportPost(ProjectId project, tagging::ResourceId resource,
                     const std::vector<std::string>& raw_tags);
 
-  /// Batched upload: one UploadResource (+ ImportPost when initial_tags are
-  /// present) per item, one Status per item in request order — a bad item
-  /// never aborts the rest. `ids` (required) is filled aligned with
-  /// `items`, kInvalidResource where an item failed; an item whose resource
-  /// was created but whose tag import failed keeps its id alongside the
-  /// import's error status. The sharded layer overrides this with a single
-  /// routed, locked pass.
+  /// Uploads resources (Fig. 4): creates one resource per item, plus an
+  /// ImportPost when its initial_tags are present, and returns one Status
+  /// per item in request order — a bad item never aborts the rest. NotFound
+  /// for unknown projects. `ids` (required) is filled aligned with `items`
+  /// with the new project-local ids, kInvalidResource where an item failed;
+  /// an item whose resource was created but whose tag import failed keeps
+  /// its id alongside the import's error status.
   std::vector<Status> UploadResourceBatch(
       ProjectId project, const std::vector<ResourceUpload>& items,
       std::vector<tagging::ResourceId>* ids);
@@ -212,14 +206,15 @@ class ITagSystem {
   /// touches without scanning.
   Result<ProjectId> PendingProjectOf(TaskHandle handle) const;
 
-  /// Provider decision on a pending submission (Approve/Disapprove buttons).
-  Status Decide(ProviderId provider, TaskHandle handle, bool approve);
-
-  /// Batched moderation: decides every (handle, approve) pair, returning one
-  /// Status per item in request order — a bad handle never aborts the rest.
-  /// Approved posts of the same project are recorded through one
-  /// CompletePostBatch pass (one quality-feed point per project per call)
-  /// instead of one O(corpus) update per submission.
+  /// Provider decisions on pending submissions (the Approve/Disapprove
+  /// buttons): decides every (handle, approve) pair, returning one Status
+  /// per item in request order — a bad handle never aborts the rest.
+  /// NotFound for a handle with no pending submission (never issued, not
+  /// yet submitted, or already decided); FailedPrecondition when the
+  /// project is not `provider`'s; InvalidArgument when an approved
+  /// submission has no usable tags. Approved posts of the same project are
+  /// recorded through one CompletePostBatch pass (one quality-feed point
+  /// per project per call) instead of one O(corpus) update per submission.
   std::vector<Status> DecideBatch(
       ProviderId provider,
       const std::vector<std::pair<TaskHandle, bool>>& decisions);
@@ -233,35 +228,25 @@ class ITagSystem {
   /// (Fig. 7). Only Running projects with budget are listed.
   std::vector<ProjectInfo> ListOpenProjects() const;
 
-  /// Joins a project: the strategy picks the resource the tagger should tag
-  /// (§III-B "they are assigned resources to tag, as decided by the
-  /// strategy"). NotFound for unknown tagger/project; FailedPrecondition
-  /// while the project is not Running; ResourceExhausted when the budget is
+  /// Joins a project: the strategy picks the resources the tagger should
+  /// tag (§III-B "they are assigned resources to tag, as decided by the
+  /// strategy"), up to `count` of them in one allocation pass
+  /// (AllocationEngine::ChooseBatch). May return fewer tasks when the
+  /// budget runs out mid-batch. Fails whole only when nothing can be drawn
+  /// at all: NotFound for unknown tagger/project; FailedPrecondition while
+  /// the project is not Running; ResourceExhausted when the budget is
   /// spent.
-  Result<AcceptedTask> AcceptTask(UserTaggerId tagger, ProjectId project);
-
-  /// Batched join: draws up to `count` strategy-assigned tasks in one
-  /// allocation pass (ChooseBatch), amortizing the project/corpus lookups.
-  /// May return fewer tasks when budget runs out mid-batch; fails like
-  /// AcceptTask when nothing can be drawn at all.
   Result<std::vector<AcceptedTask>> AcceptTasks(UserTaggerId tagger,
                                                 ProjectId project,
                                                 size_t count);
 
-  /// Submits tags for an accepted task; they await provider approval.
-  ///
-  /// @param tagger  Must be the tagger that accepted `handle`
-  ///                (FailedPrecondition otherwise).
-  /// @param handle  An open accepted task; NotFound for never-issued or
-  ///                already-submitted handles.
-  /// @param raw_tags Raw texts; normalized and deduplicated here.
-  ///                 InvalidArgument when nothing usable remains.
-  Status SubmitTags(UserTaggerId tagger, TaskHandle handle,
-                    const std::vector<std::string>& raw_tags);
-
-  /// Batched submission: one SubmitTags per item, returning one Status per
-  /// item in request order — a bad item never aborts the rest. Per-item
-  /// error statuses match SubmitTags.
+  /// Submits tags for accepted tasks; they await provider approval. One
+  /// Status per item in request order — a bad item never aborts the rest.
+  /// Per item: the tagger must be the one that accepted the handle
+  /// (FailedPrecondition otherwise); the handle must be an open accepted
+  /// task (NotFound for never-issued or already-submitted handles); the
+  /// raw tags are normalized and deduplicated here (InvalidArgument when
+  /// nothing usable remains).
   std::vector<Status> SubmitTagsBatch(const std::vector<TagSubmission>& items);
 
   // ------------------------------------------------------------ simulation
@@ -285,7 +270,7 @@ class ITagSystem {
   crowd::PaymentLedger& ledger() { return ledger_; }
   SimClock& clock() { return clock_; }
 
-  /// Total audience tasks ever handed out through AcceptTask/AcceptTasks
+  /// Total audience tasks ever handed out through AcceptTasks
   /// (persisted; the sharded layer re-derives its per-shard stats from it).
   uint64_t tasks_accepted_total() const { return tasks_accepted_total_; }
 
@@ -393,7 +378,9 @@ class ITagSystem {
   Status PumpProject(ProjectId project, QualityManager::ProjectRec* rec);
   Status HandleSubmission(crowd::CrowdPlatform* platform,
                           const crowd::TaskEvent& ev, ApprovedPosts* approved);
-  Status ApplyDecision(const PendingSubmission& sub, bool approve);
+  /// One item of SubmitTagsBatch; returns that item's status.
+  Status SubmitTags(UserTaggerId tagger, TaskHandle handle,
+                    const std::vector<std::string>& raw_tags);
   /// Interns the submission's tags into a corpus post; InvalidArgument when
   /// nothing usable remains.
   Result<tagging::Post> BuildPost(const PendingSubmission& sub,

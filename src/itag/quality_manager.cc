@@ -537,47 +537,25 @@ Status QualityManager::ResumeResource(ProjectId project,
   return Status::OK();
 }
 
-namespace {
-
-/// Shared gate for the per-call and batched draw paths.
-Status CheckRunning(const QualityManager::ProjectRec* rec, ProjectId project) {
+Result<std::vector<ResourceId>> QualityManager::ChooseTaskBatch(
+    ProjectId project, size_t k) {
+  ProjectRec* rec = Rec(project);
   if (rec == nullptr) {
     return Status::NotFound("project " + std::to_string(project));
   }
   if (rec->state != ProjectState::kRunning || rec->engine == nullptr) {
     return Status::FailedPrecondition("project not running");
   }
-  return Status::OK();
-}
-
-}  // namespace
-
-void QualityManager::NotifyIfExhausted(ProjectId project, ProjectRec* rec,
-                                       const Status& status) {
-  if (!status.IsResourceExhausted() || rec->exhausted_notified) return;
-  rec->exhausted_notified = true;
-  PushNotification(rec->provider,
-                   {NotificationKind::kBudgetExhausted, clock_->Now(),
-                    project, "budget exhausted for '" + rec->spec.name + "'"});
-}
-
-Result<ResourceId> QualityManager::ChooseNextTask(ProjectId project) {
-  ProjectRec* rec = Rec(project);
-  ITAG_RETURN_IF_ERROR(CheckRunning(rec, project));
-  Result<ResourceId> chosen = rec->engine->ChooseNext();
-  if (!chosen.ok()) NotifyIfExhausted(project, rec, chosen.status());
+  Result<std::vector<ResourceId>> chosen = rec->engine->ChooseBatch(k);
+  if (chosen.status().IsResourceExhausted() && !rec->exhausted_notified) {
+    rec->exhausted_notified = true;  // re-armed by a top-up or a refund
+    PushNotification(
+        rec->provider,
+        {NotificationKind::kBudgetExhausted, clock_->Now(), project,
+         "budget exhausted for '" + rec->spec.name + "'"});
+  }
   // Success moved budget/assignment/RNG; failure may have flagged the
   // exhaustion notification. Either way the row is dirty.
-  PersistProject(project, *rec);
-  return chosen;
-}
-
-Result<std::vector<ResourceId>> QualityManager::ChooseTaskBatch(
-    ProjectId project, size_t k) {
-  ProjectRec* rec = Rec(project);
-  ITAG_RETURN_IF_ERROR(CheckRunning(rec, project));
-  Result<std::vector<ResourceId>> chosen = rec->engine->ChooseBatch(k);
-  if (!chosen.ok()) NotifyIfExhausted(project, rec, chosen.status());
   PersistProject(project, *rec);
   return chosen;
 }
@@ -607,39 +585,6 @@ void QualityManager::EmitQualityPoint(ProjectId project, ProjectRec& rec) {
                        Value::Int(p.time)});
   }
   rec.feed.push_back(p);
-}
-
-Status QualityManager::CompletePost(ProjectId project, ResourceId resource,
-                                    tagging::Post post) {
-  ProjectRec* rec = Rec(project);
-  if (rec == nullptr || rec->engine == nullptr) {
-    return Status::FailedPrecondition("project not started");
-  }
-  tagging::Corpus* corpus = resources_->GetCorpus(project);
-  if (corpus == nullptr) return Status::Internal("corpus missing");
-
-  double before = stability_.ResourceQuality(resource,
-                                             corpus->stats(resource));
-  ITAG_RETURN_IF_ERROR(tags_->LinkPost(project, corpus, resource,
-                                       std::move(post)));
-  rec->engine->NotifyPost(resource);
-  ++rec->tasks_completed;
-  EmitQualityPoint(project, *rec);
-  PersistProject(project, *rec);
-
-  double after = stability_.ResourceQuality(resource,
-                                            corpus->stats(resource));
-  if (before < kNotifyQualityBar && after >= kNotifyQualityBar) {
-    PushNotification(rec->provider,
-                     {NotificationKind::kQualityImproved, clock_->Now(),
-                      project,
-                      "resource " + corpus->resource(resource).uri +
-                          " reached quality " + std::to_string(after)});
-  }
-  PushNotification(rec->provider,
-                   {NotificationKind::kNewTagging, clock_->Now(), project,
-                    "new tagging on " + corpus->resource(resource).uri});
-  return Status::OK();
 }
 
 std::vector<Status> QualityManager::CompletePostBatch(

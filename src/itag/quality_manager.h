@@ -86,7 +86,8 @@ class QualityManager {
   /// Starts (or resumes) task allocation. Requires at least one resource.
   Status Start(ProjectId project);
 
-  /// Pauses allocation (ChooseNextTask refuses while paused).
+  /// Pauses allocation: ChooseTaskBatch refuses while paused, so no
+  /// AllocationEngine::ChooseBatch draw happens.
   Status Pause(ProjectId project);
 
   /// Stops the project for good.
@@ -115,33 +116,27 @@ class QualityManager {
   Status StopResource(ProjectId project, tagging::ResourceId resource);
   Status ResumeResource(ProjectId project, tagging::ResourceId resource);
 
-  /// Draws the next resource to task (the platform pump and the tagger UI
-  /// both call this). Decrements budget. Fails while not Running.
-  Result<tagging::ResourceId> ChooseNextTask(ProjectId project);
-
-  /// Batched draw: up to `k` resources in one engine pass, amortizing the
-  /// project lookup and state checks across the whole batch. Sequence-
-  /// equivalent to `k` ChooseNextTask calls; may return fewer than `k`
-  /// picks when the budget runs out mid-batch. Error statuses match
-  /// ChooseNextTask (including the one-shot budget-exhausted notification).
+  /// Draws the next resources to task (the platform pump and the tagger UI
+  /// both call this): up to `k` of them in one AllocationEngine::ChooseBatch
+  /// pass, which decrements the budget per pick and may return fewer than
+  /// `k` when the budget runs out mid-batch. NotFound for unknown projects,
+  /// FailedPrecondition while not Running, ResourceExhausted (with the
+  /// one-shot budget-exhausted notification) when nothing can be drawn.
   Result<std::vector<tagging::ResourceId>> ChooseTaskBatch(ProjectId project,
                                                            size_t k);
 
   /// Refunds one task of budget (rejected submission).
   Status RefundTask(ProjectId project);
 
-  /// Records an approved post into corpus + storage, refreshes strategy
-  /// state, appends to the quality feed, and emits notifications.
-  Status CompletePost(ProjectId project, tagging::ResourceId resource,
-                      tagging::Post post);
-
-  /// Batched UPDATE(): records a whole tick's (or request's) worth of
-  /// approved posts in one pass. Every post is linked and fed to the
-  /// strategy individually (a failing post is skipped, not fatal to the
-  /// rest — the returned statuses align with `posts`), but the O(corpus)
-  /// quality-feed point and the new-tagging notification are emitted once
-  /// per batch — the amortization that lets Step() pump heavy platform
-  /// traffic. Quality-improved notifications still fire per resource.
+  /// UPDATE(): records a whole tick's (or request's) worth of approved
+  /// posts in one pass. Every post is linked into corpus + storage and fed
+  /// to the strategy individually (a failing post is skipped, not fatal to
+  /// the rest — the returned statuses align with `posts`), but the
+  /// O(corpus) quality-feed point and the new-tagging notification are
+  /// emitted once per batch — the amortization that lets Step() pump heavy
+  /// platform traffic. Quality-improved notifications still fire per
+  /// resource. FailedPrecondition for every post when the project is not
+  /// started.
   std::vector<Status> CompletePostBatch(
       ProjectId project,
       std::vector<std::pair<tagging::ResourceId, tagging::Post>> posts);
@@ -210,9 +205,6 @@ class QualityManager {
  private:
   ProjectRec* Rec(ProjectId project);
   void EmitQualityPoint(ProjectId project, ProjectRec& rec);
-  /// Pushes the one-shot budget-exhausted notification when `status` says so.
-  void NotifyIfExhausted(ProjectId project, ProjectRec* rec,
-                         const Status& status);
 
   /// True when mutations must be written through to storage.
   bool persist() const { return db_ != nullptr && db_->durable(); }

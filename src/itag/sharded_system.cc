@@ -501,40 +501,6 @@ auto ShardedSystem::WithProject(ProjectId project, Fn&& fn) const
                            std::to_string(project)));
 }
 
-template <typename Fn>
-auto ShardedSystem::WithHandle(TaskHandle handle, const char* noun,
-                               Fn&& fn) const
-    -> decltype(fn(size_t{0}, static_cast<ITagSystem*>(nullptr),
-                   TaskHandle{0})) {
-  using R = decltype(fn(size_t{0}, static_cast<ITagSystem*>(nullptr),
-                        TaskHandle{0}));
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    uint64_t cur;
-    {
-      std::shared_lock<std::shared_mutex> pl(placement_mu_);
-      cur = placement_.TranslateHandle(handle);
-    }
-    uint64_t local = ToLocal(cur);
-    if (local == 0) {  // report the handle the caller used, not the alias
-      return R(Status::NotFound(std::string(noun) + " " +
-                                std::to_string(handle)));
-    }
-    size_t s = ShardOf(cur);
-    Shard& shard = *shards_[s];
-    shard.ops->Inc();
-    obs::Span span("core.shard");
-    span.Annotate("shard", static_cast<uint64_t>(s));
-    std::lock_guard<std::mutex> lock(shard.mu);
-    {
-      std::shared_lock<std::shared_mutex> pl(placement_mu_);
-      if (placement_.TranslateHandle(handle) != cur) continue;
-    }
-    return fn(s, shard.system.get(), static_cast<TaskHandle>(local));
-  }
-  return R(Status::Aborted("placement moved repeatedly while routing " +
-                           std::string(noun) + " " + std::to_string(handle)));
-}
-
 template <typename Item, typename HandleOf, typename Relabel,
           typename RunShard>
 std::vector<Status> ShardedSystem::RouteByHandle(
@@ -775,19 +741,6 @@ Result<ProjectId> ShardedSystem::CreateProject(ProviderId provider,
   return global;
 }
 
-Result<ResourceId> ShardedSystem::UploadResource(
-    ProjectId project, tagging::ResourceKind kind, const std::string& uri,
-    const std::string& description) {
-  return WithProject(
-      project,
-      [&](size_t s, ITagSystem* sys, ProjectId local) -> Result<ResourceId> {
-        Result<ResourceId> r =
-            sys->UploadResource(local, kind, uri, description);
-        if (r.ok()) RefreshSnapshot(s, local);
-        return r;
-      });
-}
-
 std::vector<Status> ShardedSystem::UploadResourceBatch(
     ProjectId project, const std::vector<ResourceUpload>& items,
     std::vector<ResourceId>* ids) {
@@ -989,23 +942,6 @@ std::vector<PendingSubmission> ShardedSystem::PendingApprovals(
   return r.ok() ? std::move(r).value() : std::vector<PendingSubmission>{};
 }
 
-Status ShardedSystem::Decide(ProviderId provider, TaskHandle handle,
-                             bool approve) {
-  return WithHandle(
-      handle, "submission",
-      [&](size_t s, ITagSystem* sys, TaskHandle local) -> Status {
-        // Resolve the touched project before the decision consumes the
-        // handle.
-        Result<ProjectId> project = sys->PendingProjectOf(local);
-        Status st = sys->Decide(provider, local, approve);
-        if (st.ok()) {
-          if (project.ok()) RefreshSnapshot(s, project.value());
-          RefreshStats(s);
-        }
-        return st;
-      });
-}
-
 std::vector<Status> ShardedSystem::DecideBatch(
     ProviderId provider,
     const std::vector<std::pair<TaskHandle, bool>>& decisions) {
@@ -1065,23 +1001,6 @@ std::vector<ProjectInfo> ShardedSystem::ListOpenProjects() const {
   return out;
 }
 
-Result<AcceptedTask> ShardedSystem::AcceptTask(UserTaggerId tagger,
-                                               ProjectId project) {
-  return WithProject(
-      project,
-      [&](size_t s, ITagSystem* sys, ProjectId local) -> Result<AcceptedTask> {
-        Result<AcceptedTask> r = sys->AcceptTask(tagger, local);
-        if (!r.ok()) return r;
-        AcceptedTask task = std::move(r).value();
-        task.handle = ToGlobal(task.handle, s);  // fresh handle: codec
-        task.project = project;  // the global id the caller routed by
-        ++shards_[s]->tasks_accepted;
-        RefreshSnapshot(s, local);
-        RefreshStats(s);
-        return task;
-      });
-}
-
 Result<std::vector<AcceptedTask>> ShardedSystem::AcceptTasks(
     UserTaggerId tagger, ProjectId project, size_t count) {
   return WithProject(
@@ -1101,14 +1020,6 @@ Result<std::vector<AcceptedTask>> ShardedSystem::AcceptTasks(
         RefreshStats(s);
         return tasks;
       });
-}
-
-Status ShardedSystem::SubmitTags(UserTaggerId tagger, TaskHandle handle,
-                                 const std::vector<std::string>& raw_tags) {
-  return WithHandle(handle, "task",
-                    [&](size_t, ITagSystem* sys, TaskHandle local) -> Status {
-                      return sys->SubmitTags(tagger, local, raw_tags);
-                    });
 }
 
 std::vector<Status> ShardedSystem::SubmitTagsBatch(

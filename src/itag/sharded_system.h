@@ -157,15 +157,11 @@ class ShardedSystem {
   /// id. Errors match ITagSystem::CreateProject.
   Result<ProjectId> CreateProject(ProviderId provider,
                                   const ProjectSpec& spec);
-  Result<tagging::ResourceId> UploadResource(ProjectId project,
-                                             tagging::ResourceKind kind,
-                                             const std::string& uri,
-                                             const std::string& description);
   Status ImportPost(ProjectId project, tagging::ResourceId resource,
                     const std::vector<std::string>& raw_tags);
   /// Whole batch in one routed pass: one shard-lock acquisition and one
-  /// snapshot refresh regardless of item count (vs per-item routing).
-  /// Unknown projects fail every item with NotFound.
+  /// snapshot refresh regardless of item count. Unknown projects fail every
+  /// item with NotFound.
   std::vector<Status> UploadResourceBatch(
       ProjectId project, const std::vector<ResourceUpload>& items,
       std::vector<tagging::ResourceId>* ids);
@@ -193,7 +189,6 @@ class ShardedSystem {
                                                 size_t limit);
   std::vector<PendingSubmission> PendingApprovals(ProjectId project) const;
 
-  Status Decide(ProviderId provider, TaskHandle handle, bool approve);
   /// Cross-shard batched moderation: items are grouped by the shard their
   /// handle encodes, decided shard-parallel on the worker pool, and the
   /// per-item statuses merged back in request order.
@@ -206,13 +201,10 @@ class ShardedSystem {
 
   // ------------------------------------------------------------ tagger API
   std::vector<ProjectInfo> ListOpenProjects() const;
-  Result<AcceptedTask> AcceptTask(UserTaggerId tagger, ProjectId project);
   /// Routes to the owning shard; returned handles/project ids are global.
   Result<std::vector<AcceptedTask>> AcceptTasks(UserTaggerId tagger,
                                                 ProjectId project,
                                                 size_t count);
-  Status SubmitTags(UserTaggerId tagger, TaskHandle handle,
-                    const std::vector<std::string>& raw_tags);
   /// Cross-shard batched submission, same grouping/fan-out/merge contract
   /// as DecideBatch.
   std::vector<Status> SubmitTagsBatch(
@@ -362,18 +354,12 @@ class ShardedSystem {
       -> decltype(fn(size_t{0}, static_cast<ITagSystem*>(nullptr),
                      ProjectId{0}));
 
-  /// Handle-keyed twin of WithProject: translates `handle` through the
-  /// placement map's handle table (migrations re-mint handles), locks the
-  /// owning shard, re-checks + retries on a racing migration.
-  template <typename Fn>
-  auto WithHandle(TaskHandle handle, const char* noun, Fn&& fn) const
-      -> decltype(fn(size_t{0}, static_cast<ITagSystem*>(nullptr),
-                     TaskHandle{0}));
-
-  /// Shared scaffolding of the cross-shard batch entry points: groups
-  /// `items` by the shard their global handle (`handle_of(item)`) encodes
-  /// — items with a bogus handle get NotFound("<noun> <handle>") in place —
-  /// rewrites each grouped item's handle shard-local via `relabel`, then
+  /// The one handle-keyed router (SubmitTagsBatch, DecideBatch): groups
+  /// `items` by the shard their global handle (`handle_of(item)`, translated
+  /// through the placement map's handle table, since migrations re-mint
+  /// handles) encodes — items with a bogus handle get
+  /// NotFound("<noun> <handle>") in place — rewrites each grouped item's
+  /// handle shard-local via `relabel`, then
   /// runs `run_shard(shard_index, system, local_items, slots, &out)` under
   /// each involved shard's mutex, pool-parallel when more than one shard is
   /// involved. `slots` maps group positions back to request positions;

@@ -164,6 +164,35 @@ TEST_F(ApiServiceTest, AcceptBatchRespectsBudget) {
   EXPECT_TRUE(empty.status.IsResourceExhausted());
 }
 
+TEST_F(ApiServiceTest, AcceptCountAboveTheLimitIsRejectedBeforeAnyDebit) {
+  Upload(3);
+  Start();
+  ControlItem topup;
+  topup.action = ControlAction::kAddBudget;
+  topup.budget_tasks = 2 * kMaxAcceptTasks;
+  ASSERT_TRUE(service_.BatchControl({project_, {topup}}).outcome.all_ok());
+  // Enough admission tokens for one at-limit accept and a few queries, but
+  // not for an over-limit accept on top: a charged rejection would starve
+  // the at-limit accept below.
+  service_.SetAdmissionLimit(kMaxAcceptTasks + kMaxAcceptTasks / 2);
+  const uint32_t budget =
+      service_.ProjectQuery({project_, false, {}}).info.budget_remaining;
+
+  BatchAcceptTasksResponse over =
+      service_.BatchAcceptTasks({tagger_, project_, kMaxAcceptTasks + 1});
+  EXPECT_TRUE(over.status.IsInvalidArgument()) << over.status.ToString();
+  EXPECT_TRUE(over.tasks.empty());
+  EXPECT_EQ(service_.ProjectQuery({project_, false, {}}).info.budget_remaining,
+            budget);
+
+  BatchAcceptTasksResponse at =
+      service_.BatchAcceptTasks({tagger_, project_, kMaxAcceptTasks});
+  ASSERT_TRUE(at.status.ok()) << at.status.ToString();
+  EXPECT_EQ(at.tasks.size(), kMaxAcceptTasks);
+  EXPECT_EQ(service_.ProjectQuery({project_, false, {}}).info.budget_remaining,
+            budget - kMaxAcceptTasks);
+}
+
 TEST_F(ApiServiceTest, SubmitAndDecideBatchesWithPartialFailures) {
   Upload(3);
   Start();

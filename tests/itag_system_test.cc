@@ -35,13 +35,25 @@ class ITagSystemTest : public ::testing::Test {
     ProjectId p =
         system_->CreateProject(provider_, AudienceSpec("proj", budget))
             .value();
+    std::vector<std::string> uris;
     for (size_t i = 0; i < resources; ++i) {
-      auto r = system_->UploadResource(p, ResourceKind::kWebUrl,
-                                       "http://r/" + std::to_string(i), "");
-      EXPECT_TRUE(r.ok());
+      uris.push_back("http://r/" + std::to_string(i));
     }
+    Upload(p, ResourceKind::kWebUrl, uris);
     EXPECT_TRUE(system_->StartProject(p).ok());
     return p;
+  }
+
+  /// Uploads one resource per uri as one batch; every item must succeed.
+  std::vector<tagging::ResourceId> Upload(
+      ProjectId p, ResourceKind kind, const std::vector<std::string>& uris) {
+    std::vector<ResourceUpload> items;
+    for (const std::string& uri : uris) items.push_back({kind, uri, "", {}});
+    std::vector<tagging::ResourceId> ids;
+    for (const Status& s : system_->UploadResourceBatch(p, items, &ids)) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+    return ids;
   }
 
   std::unique_ptr<ITagSystem> system_;
@@ -72,8 +84,7 @@ TEST_F(ITagSystemTest, ProjectLifecycle) {
       system_->CreateProject(provider_, AudienceSpec("life")).value();
   // Cannot start with no resources.
   EXPECT_TRUE(system_->StartProject(p).IsFailedPrecondition());
-  ASSERT_TRUE(
-      system_->UploadResource(p, ResourceKind::kImage, "a.jpg", "").ok());
+  Upload(p, ResourceKind::kImage, {"a.jpg"});
   ASSERT_TRUE(system_->StartProject(p).ok());
   EXPECT_EQ(system_->GetProjectInfo(p).value().state, ProjectState::kRunning);
   EXPECT_TRUE(system_->StartProject(p).IsFailedPrecondition());
@@ -88,7 +99,7 @@ TEST_F(ITagSystemTest, ProjectLifecycle) {
 TEST_F(ITagSystemTest, ImportPostSeedsStatistics) {
   ProjectId p =
       system_->CreateProject(provider_, AudienceSpec("imports")).value();
-  auto r = system_->UploadResource(p, ResourceKind::kWebUrl, "u", "").value();
+  tagging::ResourceId r = Upload(p, ResourceKind::kWebUrl, {"u"})[0];
   ASSERT_TRUE(
       system_->ImportPost(p, r, {"Machine Learning", "AI", "ai "}).ok());
   auto detail_status = system_->GetResourceDetail(p, r);
@@ -113,15 +124,17 @@ TEST_F(ITagSystemTest, AudienceTaggingEndToEnd) {
   EXPECT_EQ(open[0].id, p);
 
   // Fig. 8: accept -> submit -> provider approves -> paid.
-  AcceptedTask task = system_->AcceptTask(alice, p).value();
+  AcceptedTask task = system_->AcceptTasks(alice, p, 1).value()[0];
   EXPECT_EQ(task.pay_cents, 4u);
   ASSERT_TRUE(
-      system_->SubmitTags(alice, task.handle, {"tag one", "tagtwo"}).ok());
+      system_->SubmitTagsBatch({{alice, task.handle, {"tag one", "tagtwo"}}})[0]
+          .ok());
 
   auto pending = system_->PendingApprovals(p);
   ASSERT_EQ(pending.size(), 1u);
   EXPECT_EQ(pending[0].tagger, alice);
-  ASSERT_TRUE(system_->Decide(provider_, pending[0].handle, true).ok());
+  ASSERT_TRUE(
+      system_->DecideBatch(provider_, {{pending[0].handle, true}})[0].ok());
 
   // Tagger got credited, both approval rates updated, post landed.
   TaggerProfile prof = system_->GetTagger(alice).value();
@@ -137,12 +150,14 @@ TEST_F(ITagSystemTest, AudienceTaggingEndToEnd) {
 TEST_F(ITagSystemTest, RejectionRefundsBudget) {
   ProjectId p = MakeStartedProject(/*budget=*/5);
   UserTaggerId spammer = system_->RegisterTagger("spammer").value();
-  AcceptedTask task = system_->AcceptTask(spammer, p).value();
+  AcceptedTask task = system_->AcceptTasks(spammer, p, 1).value()[0];
   EXPECT_EQ(system_->GetProjectInfo(p).value().budget_remaining, 4u);
-  ASSERT_TRUE(system_->SubmitTags(spammer, task.handle, {"junk"}).ok());
+  ASSERT_TRUE(system_->SubmitTagsBatch({{spammer, task.handle, {"junk"}}})[0]
+                  .ok());
   auto pending = system_->PendingApprovals(p);
   ASSERT_EQ(pending.size(), 1u);
-  ASSERT_TRUE(system_->Decide(provider_, pending[0].handle, false).ok());
+  ASSERT_TRUE(
+      system_->DecideBatch(provider_, {{pending[0].handle, false}})[0].ok());
   // Refund restores the debited task.
   EXPECT_EQ(system_->GetProjectInfo(p).value().budget_remaining, 5u);
   TaggerProfile prof = system_->GetTagger(spammer).value();
@@ -155,26 +170,27 @@ TEST_F(ITagSystemTest, SubmitValidation) {
   ProjectId p = MakeStartedProject();
   UserTaggerId a = system_->RegisterTagger("a").value();
   UserTaggerId b = system_->RegisterTagger("b").value();
-  AcceptedTask task = system_->AcceptTask(a, p).value();
+  AcceptedTask task = system_->AcceptTasks(a, p, 1).value()[0];
   // Another tagger cannot submit someone else's task.
-  EXPECT_TRUE(system_->SubmitTags(b, task.handle, {"x"})
+  EXPECT_TRUE(system_->SubmitTagsBatch({{b, task.handle, {"x"}}})[0]
                   .IsFailedPrecondition());
   // Empty/blank tags rejected.
-  EXPECT_TRUE(
-      system_->SubmitTags(a, task.handle, {"  "}).IsInvalidArgument());
+  EXPECT_TRUE(system_->SubmitTagsBatch({{a, task.handle, {"  "}}})[0]
+                  .IsInvalidArgument());
   // Unknown handle.
-  EXPECT_TRUE(system_->SubmitTags(a, 9999, {"x"}).IsNotFound());
+  EXPECT_TRUE(system_->SubmitTagsBatch({{a, 9999, {"x"}}})[0].IsNotFound());
 }
 
 TEST_F(ITagSystemTest, DecideValidation) {
   ProjectId p = MakeStartedProject();
   UserTaggerId a = system_->RegisterTagger("a").value();
-  AcceptedTask task = system_->AcceptTask(a, p).value();
-  ASSERT_TRUE(system_->SubmitTags(a, task.handle, {"x"}).ok());
+  AcceptedTask task = system_->AcceptTasks(a, p, 1).value()[0];
+  ASSERT_TRUE(system_->SubmitTagsBatch({{a, task.handle, {"x"}}})[0].ok());
   ProviderId other = system_->RegisterProvider("intruder").value();
+  EXPECT_TRUE(system_->DecideBatch(other, {{task.handle, true}})[0]
+                  .IsFailedPrecondition());
   EXPECT_TRUE(
-      system_->Decide(other, task.handle, true).IsFailedPrecondition());
-  EXPECT_TRUE(system_->Decide(provider_, 424242, true).IsNotFound());
+      system_->DecideBatch(provider_, {{424242, true}})[0].IsNotFound());
 }
 
 TEST_F(ITagSystemTest, PromoteAndStopThroughFacade) {
@@ -184,13 +200,13 @@ TEST_F(ITagSystemTest, PromoteAndStopThroughFacade) {
   ASSERT_TRUE(system_->ImportPost(p, 0, {"t1"}).ok());
   ASSERT_TRUE(system_->ImportPost(p, 0, {"t2"}).ok());
   ASSERT_TRUE(system_->PromoteResource(p, 0).ok());
-  AcceptedTask task = system_->AcceptTask(a, p).value();
+  AcceptedTask task = system_->AcceptTasks(a, p, 1).value()[0];
   EXPECT_EQ(task.resource, 0u);
 
   // Stop resource 1: it is never assigned again.
   ASSERT_TRUE(system_->StopResource(p, 1).ok());
   for (int i = 0; i < 5; ++i) {
-    AcceptedTask t = system_->AcceptTask(a, p).value();
+    AcceptedTask t = system_->AcceptTasks(a, p, 1).value()[0];
     EXPECT_NE(t.resource, 1u);
   }
   // Resume re-admits it.
@@ -211,11 +227,13 @@ TEST_F(ITagSystemTest, QualityFeedAndNotifications) {
   UserTaggerId a = system_->RegisterTagger("a").value();
   size_t feed_before = system_->QualityFeed(p).size();
   for (int i = 0; i < 8; ++i) {
-    AcceptedTask task = system_->AcceptTask(a, p).value();
-    ASSERT_TRUE(system_->SubmitTags(a, task.handle, {"same-tag"}).ok());
+    AcceptedTask task = system_->AcceptTasks(a, p, 1).value()[0];
+    ASSERT_TRUE(
+        system_->SubmitTagsBatch({{a, task.handle, {"same-tag"}}})[0].ok());
     auto pending = system_->PendingApprovals(p);
     ASSERT_EQ(pending.size(), 1u);
-    ASSERT_TRUE(system_->Decide(provider_, pending[0].handle, true).ok());
+    ASSERT_TRUE(
+      system_->DecideBatch(provider_, {{pending[0].handle, true}})[0].ok());
   }
   EXPECT_GT(system_->QualityFeed(p).size(), feed_before);
   // Identical tags stabilize the rfd: quality notification must fire.
@@ -232,25 +250,21 @@ TEST_F(ITagSystemTest, QualityFeedAndNotifications) {
 TEST_F(ITagSystemTest, BudgetExhaustionStopsAssignment) {
   ProjectId p = MakeStartedProject(/*budget=*/2, /*resources=*/2);
   UserTaggerId a = system_->RegisterTagger("a").value();
-  ASSERT_TRUE(system_->AcceptTask(a, p).ok());
-  ASSERT_TRUE(system_->AcceptTask(a, p).ok());
-  auto exhausted = system_->AcceptTask(a, p);
+  ASSERT_TRUE(system_->AcceptTasks(a, p, 1).ok());
+  ASSERT_TRUE(system_->AcceptTasks(a, p, 1).ok());
+  auto exhausted = system_->AcceptTasks(a, p, 1);
   EXPECT_TRUE(exhausted.status().IsResourceExhausted());
   // Budget top-up reopens the tap (Fig. 3 "add budget").
   ASSERT_TRUE(system_->AddBudget(p, 1).ok());
-  EXPECT_TRUE(system_->AcceptTask(a, p).ok());
+  EXPECT_TRUE(system_->AcceptTasks(a, p, 1).ok());
 }
 
 TEST_F(ITagSystemTest, MTurkProjectRunsViaStep) {
   ProjectSpec spec = AudienceSpec("crowd-run", /*budget=*/30);
   spec.platform = PlatformChoice::kMTurk;
   ProjectId p = system_->CreateProject(provider_, spec).value();
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(system_
-                    ->UploadResource(p, ResourceKind::kWebUrl,
-                                     "http://r/" + std::to_string(i), "")
-                    .ok());
-  }
+  Upload(p, ResourceKind::kWebUrl,
+         {"http://r/0", "http://r/1", "http://r/2", "http://r/3"});
   ASSERT_TRUE(system_->StartProject(p).ok());
   ASSERT_TRUE(system_->Step(2500).ok());
   ProjectInfo info = system_->GetProjectInfo(p).value();
@@ -263,12 +277,7 @@ TEST_F(ITagSystemTest, SocialProjectRunsViaStep) {
   ProjectSpec spec = AudienceSpec("social-run", /*budget=*/20);
   spec.platform = PlatformChoice::kSocialNetwork;
   ProjectId p = system_->CreateProject(provider_, spec).value();
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(system_
-                    ->UploadResource(p, ResourceKind::kImage,
-                                     "img" + std::to_string(i), "")
-                    .ok());
-  }
+  Upload(p, ResourceKind::kImage, {"img0", "img1", "img2"});
   ASSERT_TRUE(system_->StartProject(p).ok());
   ASSERT_TRUE(system_->Step(4000).ok());
   EXPECT_GT(system_->GetProjectInfo(p).value().tasks_completed, 0u);
@@ -278,8 +287,7 @@ TEST_F(ITagSystemTest, ApprovalPolicyFiltersCarelessWork) {
   ProjectSpec spec = AudienceSpec("moderated", /*budget=*/40);
   spec.platform = PlatformChoice::kMTurk;
   ProjectId p = system_->CreateProject(provider_, spec).value();
-  ASSERT_TRUE(
-      system_->UploadResource(p, ResourceKind::kWebUrl, "u", "").ok());
+  Upload(p, ResourceKind::kWebUrl, {"u"});
   // Reject everything: tasks bounce forever, none complete, provider's
   // approval rate collapses.
   system_->SetApprovalPolicy(provider_,

@@ -90,10 +90,12 @@ TEST_F(QualityManagerTest, ChooseCompleteLoopUpdatesEverything) {
   ProjectId p = NewProject(10, 2);
   ASSERT_TRUE(qm_->Start(p).ok());
   for (int i = 0; i < 6; ++i) {
-    auto r = qm_->ChooseNextTask(p);
+    auto r = qm_->ChooseTaskBatch(p, 1);
     ASSERT_TRUE(r.ok());
     clock_.Advance(5);
-    ASSERT_TRUE(qm_->CompletePost(p, r.value(), MakePost(p, "tag-a")).ok());
+    ASSERT_TRUE(
+        qm_->CompletePostBatch(p, {{r.value()[0], MakePost(p, "tag-a")}})[0]
+            .ok());
   }
   ProjectInfo info = qm_->GetInfo(p).value();
   EXPECT_EQ(info.tasks_completed, 6u);
@@ -109,18 +111,18 @@ TEST_F(QualityManagerTest, ChooseCompleteLoopUpdatesEverything) {
 
 TEST_F(QualityManagerTest, ChooseFailsWhenNotRunning) {
   ProjectId p = NewProject();
-  EXPECT_TRUE(qm_->ChooseNextTask(p).status().IsFailedPrecondition());
+  EXPECT_TRUE(qm_->ChooseTaskBatch(p, 1).status().IsFailedPrecondition());
   ASSERT_TRUE(qm_->Start(p).ok());
   ASSERT_TRUE(qm_->Pause(p).ok());
-  EXPECT_TRUE(qm_->ChooseNextTask(p).status().IsFailedPrecondition());
+  EXPECT_TRUE(qm_->ChooseTaskBatch(p, 1).status().IsFailedPrecondition());
 }
 
 TEST_F(QualityManagerTest, BudgetExhaustionNotifiesOnce) {
   ProjectId p = NewProject(1, 1);
   ASSERT_TRUE(qm_->Start(p).ok());
-  ASSERT_TRUE(qm_->ChooseNextTask(p).ok());
+  ASSERT_TRUE(qm_->ChooseTaskBatch(p, 1).ok());
   for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(qm_->ChooseNextTask(p).status().IsResourceExhausted());
+    EXPECT_TRUE(qm_->ChooseTaskBatch(p, 1).status().IsResourceExhausted());
   }
   size_t exhausted = 0;
   for (const auto& n : qm_->Notifications(provider_).Latest(100)) {
@@ -129,9 +131,9 @@ TEST_F(QualityManagerTest, BudgetExhaustionNotifiesOnce) {
   EXPECT_EQ(exhausted, 1u);
   // Top-up re-arms the alert.
   ASSERT_TRUE(qm_->AddBudget(p, 1).ok());
-  ASSERT_TRUE(qm_->ChooseNextTask(p).ok());
+  ASSERT_TRUE(qm_->ChooseTaskBatch(p, 1).ok());
   for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(qm_->ChooseNextTask(p).status().IsResourceExhausted());
+    EXPECT_TRUE(qm_->ChooseTaskBatch(p, 1).status().IsResourceExhausted());
   }
   exhausted = 0;
   for (const auto& n : qm_->Notifications(provider_).Latest(100)) {
@@ -147,9 +149,11 @@ TEST_F(QualityManagerTest, ProjectedGainPositiveAndShrinks) {
   // Feed lots of stable posts: the remaining-budget projection shrinks.
   ASSERT_TRUE(qm_->Start(p).ok());
   for (int i = 0; i < 60; ++i) {
-    auto r = qm_->ChooseNextTask(p);
+    auto r = qm_->ChooseTaskBatch(p, 1);
     ASSERT_TRUE(r.ok());
-    ASSERT_TRUE(qm_->CompletePost(p, r.value(), MakePost(p, "same")).ok());
+    ASSERT_TRUE(
+        qm_->CompletePostBatch(p, {{r.value()[0], MakePost(p, "same")}})[0]
+            .ok());
   }
   double after = qm_->ProjectedGain(p).value();
   EXPECT_LT(after, before);
@@ -158,8 +162,8 @@ TEST_F(QualityManagerTest, ProjectedGainPositiveAndShrinks) {
 TEST_F(QualityManagerTest, ProjectedGainZeroWithoutBudget) {
   ProjectId p = NewProject(2, 1);
   ASSERT_TRUE(qm_->Start(p).ok());
-  ASSERT_TRUE(qm_->ChooseNextTask(p).ok());
-  ASSERT_TRUE(qm_->ChooseNextTask(p).ok());
+  ASSERT_TRUE(qm_->ChooseTaskBatch(p, 1).ok());
+  ASSERT_TRUE(qm_->ChooseTaskBatch(p, 1).ok());
   EXPECT_EQ(qm_->ProjectedGain(p).value(), 0.0);
 }
 

@@ -553,26 +553,36 @@ TEST_F(RecoveryTest, ShardedMigrationSurvivesKill9Restart) {
     // Bystanders so shards 1 and 2 aren't empty.
     (void)sys->CreateProject(provider, spec("b1", 5)).value();
     (void)sys->CreateProject(provider, spec("b2", 5)).value();
+    std::vector<core::ResourceUpload> uploads;
     for (int r = 0; r < 3; ++r) {
-      ASSERT_TRUE(sys->UploadResource(project, tagging::ResourceKind::kWebUrl,
-                                      "u" + std::to_string(r), "")
-                      .ok());
+      uploads.push_back(
+          {tagging::ResourceKind::kWebUrl, "u" + std::to_string(r), "", {}});
+    }
+    std::vector<tagging::ResourceId> ids;
+    for (const Status& s : sys->UploadResourceBatch(project, uploads, &ids)) {
+      ASSERT_TRUE(s.ok());
     }
     ASSERT_TRUE(sys->StartProject(project).ok());
     auto tasks = sys->AcceptTasks(tagger, project, 4);
     ASSERT_TRUE(tasks.ok());
     for (const core::AcceptedTask& task : tasks.value()) {
-      ASSERT_TRUE(sys->SubmitTags(tagger, task.handle, {"x", "y"}).ok());
+      ASSERT_TRUE(
+          sys->SubmitTagsBatch({{tagger, task.handle, {"x", "y"}}})[0].ok());
     }
-    ASSERT_TRUE(sys->Decide(provider, tasks.value()[0].handle, true).ok());
-    ASSERT_TRUE(sys->Decide(provider, tasks.value()[1].handle, false).ok());
+    ASSERT_TRUE(
+        sys->DecideBatch(provider, {{tasks.value()[0].handle, true}})[0].ok());
+    ASSERT_TRUE(
+        sys->DecideBatch(provider, {{tasks.value()[1].handle, false}})[0]
+            .ok());
     old_handles = {tasks.value()[2].handle, tasks.value()[3].handle};
 
     ASSERT_TRUE(sys->MigrateProject(project, 2).ok());
     // Post-migration traffic lands in the destination shard's WAL.
-    auto extra = sys->AcceptTask(tagger, project);
+    auto extra = sys->AcceptTasks(tagger, project, 1);
     ASSERT_TRUE(extra.ok());
-    ASSERT_TRUE(sys->SubmitTags(tagger, extra.value().handle, {"late"}).ok());
+    ASSERT_TRUE(
+        sys->SubmitTagsBatch({{tagger, extra.value()[0].handle, {"late"}}})[0]
+            .ok());
 
     q.project = project;
     q.include_feed = true;
@@ -594,7 +604,7 @@ TEST_F(RecoveryTest, ShardedMigrationSurvivesKill9Restart) {
     // pre-migration handles are still decidable through the recovered
     // handle-translation table.
     ASSERT_EQ(sys->PendingApprovals(project).size(), 3u);
-    ASSERT_TRUE(sys->Decide(provider, old_handles[0], true).ok());
+    ASSERT_TRUE(sys->DecideBatch(provider, {{old_handles[0], true}})[0].ok());
     core::ProjectInfo info = sys->GetProjectInfo(project).value();
     size_t pending = sys->PendingApprovals(project).size();
     EXPECT_EQ(pending, 2u);
@@ -616,7 +626,9 @@ TEST_F(RecoveryTest, ShardedMigrationSurvivesKill9Restart) {
       << "second migration diverged across checkpoint + restart";
   EXPECT_EQ(service.sharded()->StatsOf(1).projects, 2u);
   // A handle now two migrations old still resolves in one hop.
-  EXPECT_TRUE(service.sharded()->Decide(provider, old_handles[1], true).ok());
+  EXPECT_TRUE(
+      service.sharded()->DecideBatch(provider, {{old_handles[1], true}})[0]
+          .ok());
 }
 
 // ----------------------------------------------------- checkpoint paths

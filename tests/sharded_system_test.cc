@@ -48,6 +48,26 @@ ProjectSpec AudienceSpec(const std::string& name, uint32_t budget) {
   return spec;
 }
 
+/// {prefix0, prefix1, ..., prefix<n-1>}.
+std::vector<std::string> Numbered(const std::string& prefix, int n) {
+  std::vector<std::string> out;
+  for (int i = 0; i < n; ++i) out.push_back(prefix + std::to_string(i));
+  return out;
+}
+
+/// Uploads one web resource per uri as one batch; every item must succeed.
+void UploadAll(ShardedSystem& sys, ProjectId p,
+               const std::vector<std::string>& uris) {
+  std::vector<core::ResourceUpload> items;
+  for (const std::string& uri : uris) {
+    items.push_back({tagging::ResourceKind::kWebUrl, uri, "", {}});
+  }
+  std::vector<tagging::ResourceId> ids;
+  for (const Status& s : sys.UploadResourceBatch(p, items, &ids)) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+}
+
 TEST(ShardingCodecTest, RoundTripsAndNeverYieldsZero) {
   for (size_t n : {1u, 2u, 4u, 7u}) {
     for (uint64_t local = 1; local < 100; ++local) {
@@ -121,11 +141,7 @@ TEST(ShardedSystemTest, FullTaggingRoundTripThroughGlobalIds) {
   std::vector<ProjectId> projects;
   for (int i = 0; i < 5; ++i) {
     ProjectId p = sys.CreateProject(provider, AudienceSpec("p", 20)).value();
-    for (int r = 0; r < 3; ++r) {
-      ASSERT_TRUE(sys.UploadResource(p, tagging::ResourceKind::kWebUrl,
-                                     "uri-" + std::to_string(r), "")
-                      .ok());
-    }
+    UploadAll(sys, p, Numbered("uri-", 3));
     ASSERT_TRUE(sys.StartProject(p).ok());
     projects.push_back(p);
   }
@@ -135,7 +151,9 @@ TEST(ShardedSystemTest, FullTaggingRoundTripThroughGlobalIds) {
     ASSERT_EQ(tasks.value().size(), 4u);
     for (const AcceptedTask& task : tasks.value()) {
       EXPECT_EQ(task.project, p);  // global id round-trips
-      ASSERT_TRUE(sys.SubmitTags(tagger, task.handle, {"alpha", "beta"}).ok());
+      ASSERT_TRUE(
+          sys.SubmitTagsBatch({{tagger, task.handle, {"alpha", "beta"}}})[0]
+              .ok());
     }
     // Pending approvals surface global ids.
     std::vector<PendingSubmission> pending = sys.PendingApprovals(p);
@@ -170,10 +188,9 @@ TEST(ShardedSystemTest, CrossShardBatchesMergeStatusesInInputOrder) {
   std::vector<AcceptedTask> tasks;
   for (int i = 0; i < 4; ++i) {
     ProjectId p = sys.CreateProject(provider, AudienceSpec("p", 5)).value();
-    ASSERT_TRUE(
-        sys.UploadResource(p, tagging::ResourceKind::kWebUrl, "u", "").ok());
+    UploadAll(sys, p, {"u"});
     ASSERT_TRUE(sys.StartProject(p).ok());
-    tasks.push_back(sys.AcceptTask(tagger, p).value());
+    tasks.push_back(sys.AcceptTasks(tagger, p, 1).value()[0]);
   }
   // Interleave valid handles with bogus ones; statuses must line up.
   std::vector<TagSubmission> submissions;
@@ -215,8 +232,7 @@ TEST(ShardedSystemTest, ListingsMergeAcrossShardsWithGlobalIds) {
   std::set<ProjectId> a_projects;
   for (int i = 0; i < 6; ++i) {
     ProjectId p = sys.CreateProject(a, AudienceSpec("pa", 10)).value();
-    ASSERT_TRUE(
-        sys.UploadResource(p, tagging::ResourceKind::kWebUrl, "u", "").ok());
+    UploadAll(sys, p, {"u"});
     ASSERT_TRUE(sys.StartProject(p).ok());
     a_projects.insert(p);
   }
@@ -243,19 +259,21 @@ TEST(ShardedSystemTest, PeekQualityTracksProjectWithoutShardLock) {
   EXPECT_EQ(snap0.value().state, core::ProjectState::kDraft);
   EXPECT_EQ(snap0.value().budget_remaining, 10u);
 
-  auto resource = sys.UploadResource(p, tagging::ResourceKind::kWebUrl,
-                                     "u", "");
-  ASSERT_TRUE(resource.ok());
+  std::vector<tagging::ResourceId> ids;
+  ASSERT_TRUE(
+      sys.UploadResourceBatch(
+             p, {{tagging::ResourceKind::kWebUrl, "u", "", {}}}, &ids)[0]
+          .ok());
   // Imported provider tags move the corpus quality; the lock-free snapshot
   // must follow without any other mutation happening (regression: stale
   // PeekQuality after ImportPost).
-  ASSERT_TRUE(sys.ImportPost(p, resource.value(), {"seed", "tags"}).ok());
+  ASSERT_TRUE(sys.ImportPost(p, ids[0], {"seed", "tags"}).ok());
   EXPECT_DOUBLE_EQ(sys.PeekQuality(p).value().quality,
                    sys.GetProjectInfo(p).value().quality);
   ASSERT_TRUE(sys.StartProject(p).ok());
-  AcceptedTask task = sys.AcceptTask(tagger, p).value();
-  ASSERT_TRUE(sys.SubmitTags(tagger, task.handle, {"x"}).ok());
-  ASSERT_TRUE(sys.Decide(provider, task.handle, true).ok());
+  AcceptedTask task = sys.AcceptTasks(tagger, p, 1).value()[0];
+  ASSERT_TRUE(sys.SubmitTagsBatch({{tagger, task.handle, {"x"}}})[0].ok());
+  ASSERT_TRUE(sys.DecideBatch(provider, {{task.handle, true}})[0].ok());
 
   auto snap1 = sys.PeekQuality(p);
   ASSERT_TRUE(snap1.ok());
@@ -288,11 +306,7 @@ TEST(ShardedSystemTest, StepPumpsPlatformProjectsOnEveryShard) {
     spec.budget = 40;
     spec.platform = core::PlatformChoice::kMTurk;
     ProjectId p = sys.CreateProject(provider, spec).value();
-    for (int r = 0; r < 4; ++r) {
-      ASSERT_TRUE(sys.UploadResource(p, tagging::ResourceKind::kWebUrl,
-                                     "u" + std::to_string(r), "")
-                      .ok());
-    }
+    UploadAll(sys, p, Numbered("u", 4));
     ASSERT_TRUE(sys.StartProject(p).ok());
     projects.push_back(p);
   }
@@ -319,8 +333,7 @@ TEST(ShardedSystemTest, ApprovalPolicySeesGlobalIds) {
   spec.budget = 30;
   spec.platform = core::PlatformChoice::kMTurk;
   ProjectId p = sys.CreateProject(provider, spec).value();
-  ASSERT_TRUE(
-      sys.UploadResource(p, tagging::ResourceKind::kWebUrl, "u", "").ok());
+  UploadAll(sys, p, {"u"});
   ASSERT_TRUE(sys.StartProject(p).ok());
   std::vector<ProjectId> seen;
   sys.SetApprovalPolicy(provider, [&](const PendingSubmission& sub) {
@@ -418,17 +431,15 @@ TEST(ShardedMigrationTest, ProjectKeepsIdAndHandlesAcrossMoves) {
   }
   ProjectId p = projects[0];
   ASSERT_EQ(ShardOfId(p, 4), 0u);
-  for (int r = 0; r < 3; ++r) {
-    ASSERT_TRUE(sys.UploadResource(p, tagging::ResourceKind::kWebUrl,
-                                   "u" + std::to_string(r), "")
-                    .ok());
-  }
+  UploadAll(sys, p, Numbered("u", 3));
   ASSERT_TRUE(sys.StartProject(p).ok());
   auto tasks = sys.AcceptTasks(tagger, p, 4);
   ASSERT_TRUE(tasks.ok());
   // Two submitted (pending approval), two still only accepted.
-  ASSERT_TRUE(sys.SubmitTags(tagger, tasks.value()[0].handle, {"a"}).ok());
-  ASSERT_TRUE(sys.SubmitTags(tagger, tasks.value()[1].handle, {"b"}).ok());
+  ASSERT_TRUE(
+      sys.SubmitTagsBatch({{tagger, tasks.value()[0].handle, {"a"}}})[0].ok());
+  ASSERT_TRUE(
+      sys.SubmitTagsBatch({{tagger, tasks.value()[1].handle, {"b"}}})[0].ok());
   ProjectInfo before = sys.GetProjectInfo(p).value();
 
   uint64_t v0 = sys.placement_version();
@@ -456,13 +467,15 @@ TEST(ShardedMigrationTest, ProjectKeepsIdAndHandlesAcrossMoves) {
   // Old handles keep working through the handle-translation table: the two
   // accepted-but-unsubmitted tasks submit, and all four decide, by the
   // handles issued before the move.
-  ASSERT_TRUE(sys.SubmitTags(tagger, tasks.value()[2].handle, {"c"}).ok());
-  ASSERT_TRUE(sys.SubmitTags(tagger, tasks.value()[3].handle, {"d"}).ok());
+  ASSERT_TRUE(
+      sys.SubmitTagsBatch({{tagger, tasks.value()[2].handle, {"c"}}})[0].ok());
+  ASSERT_TRUE(
+      sys.SubmitTagsBatch({{tagger, tasks.value()[3].handle, {"d"}}})[0].ok());
   std::vector<PendingSubmission> pending = sys.PendingApprovals(p);
   ASSERT_EQ(pending.size(), 4u);
   for (const PendingSubmission& sub : pending) EXPECT_EQ(sub.project, p);
   for (const AcceptedTask& task : tasks.value()) {
-    EXPECT_TRUE(sys.Decide(provider, task.handle, true).ok());
+    EXPECT_TRUE(sys.DecideBatch(provider, {{task.handle, true}})[0].ok());
   }
   EXPECT_EQ(sys.GetProjectInfo(p).value().tasks_completed, 4u);
   EXPECT_EQ(sys.TotalPaidCents(), 4u * 5u);
@@ -470,17 +483,17 @@ TEST(ShardedMigrationTest, ProjectKeepsIdAndHandlesAcrossMoves) {
   // Re-migration: a handle minted *between* the two moves still resolves
   // (chains collapse to one hop), and the codec alias of the slot the
   // project vacated doesn't leak a foreign project.
-  AcceptedTask mid = sys.AcceptTask(tagger, p).value();
+  AcceptedTask mid = sys.AcceptTasks(tagger, p, 1).value()[0];
   EXPECT_EQ(mid.project, p);
   ASSERT_TRUE(sys.MigrateProject(p, 1).ok());
-  ASSERT_TRUE(sys.SubmitTags(tagger, mid.handle, {"e"}).ok());
-  EXPECT_TRUE(sys.Decide(provider, mid.handle, false).ok());
+  ASSERT_TRUE(sys.SubmitTagsBatch({{tagger, mid.handle, {"e"}}})[0].ok());
+  EXPECT_TRUE(sys.DecideBatch(provider, {{mid.handle, false}})[0].ok());
   EXPECT_EQ(sys.GetProjectInfo(p).value().tasks_completed, 4u);
   // New work on the migrated project routes cleanly.
-  AcceptedTask fresh = sys.AcceptTask(tagger, p).value();
+  AcceptedTask fresh = sys.AcceptTasks(tagger, p, 1).value()[0];
   EXPECT_EQ(fresh.project, p);
-  ASSERT_TRUE(sys.SubmitTags(tagger, fresh.handle, {"f"}).ok());
-  EXPECT_TRUE(sys.Decide(provider, fresh.handle, true).ok());
+  ASSERT_TRUE(sys.SubmitTagsBatch({{tagger, fresh.handle, {"f"}}})[0].ok());
+  EXPECT_TRUE(sys.DecideBatch(provider, {{fresh.handle, true}})[0].ok());
   EXPECT_EQ(sys.TotalPaidCents(), 5u * 5u);
 }
 
@@ -495,19 +508,17 @@ TEST(ShardedMigrationTest, MigrationIsEquivalentToNoMigrationReplay) {
     ProviderId provider = sys.RegisterProvider("prov").value();
     UserTaggerId tagger = sys.RegisterTagger("tag").value();
     ProjectId p = sys.CreateProject(provider, AudienceSpec("p", 30)).value();
-    for (int r = 0; r < 4; ++r) {
-      EXPECT_TRUE(sys.UploadResource(p, tagging::ResourceKind::kWebUrl,
-                                     "u" + std::to_string(r), "")
-                      .ok());
-    }
+    UploadAll(sys, p, Numbered("u", 4));
     EXPECT_TRUE(sys.ImportPost(p, 0, {"seed", "alpha"}).ok());
     EXPECT_TRUE(sys.StartProject(p).ok());
     for (int round = 0; round < 3; ++round) {
       auto tasks = sys.AcceptTasks(tagger, p, 3);
       EXPECT_TRUE(tasks.ok());
       for (size_t i = 0; i < tasks.value().size(); ++i) {
-        EXPECT_TRUE(sys.SubmitTags(tagger, tasks.value()[i].handle,
-                                   {"t" + std::to_string(round), "common"})
+        EXPECT_TRUE(sys.SubmitTagsBatch({{tagger,
+                                          tasks.value()[i].handle,
+                                          {"t" + std::to_string(round),
+                                           "common"}}})[0]
                         .ok());
       }
       if (migrate_mid && round == 1) {
@@ -516,7 +527,8 @@ TEST(ShardedMigrationTest, MigrationIsEquivalentToNoMigrationReplay) {
       // Decide via the pre-captured (possibly pre-migration) handles.
       for (size_t i = 0; i < tasks.value().size(); ++i) {
         EXPECT_TRUE(
-            sys.Decide(provider, tasks.value()[i].handle, i != 1).ok());
+            sys.DecideBatch(provider, {{tasks.value()[i].handle, i != 1}})[0]
+                .ok());
       }
     }
     return FingerprintOf(sys, p, tagger);
@@ -527,9 +539,9 @@ TEST(ShardedMigrationTest, MigrationIsEquivalentToNoMigrationReplay) {
 }
 
 TEST(ShardedMigrationTest, ConcurrentTrafficDuringMigrationMatchesReplay) {
-  // Hammer SubmitTags + project queries while the project bounces between
-  // shards; record which ops succeeded, then replay exactly those ops on a
-  // migration-free system. Failed routes (NotFound/Aborted) are
+  // Hammer one-item accept/submit/decide batches + project queries while
+  // the project bounces between shards; record which ops succeeded, then
+  // replay exactly those ops on a migration-free system. Failed routes (NotFound/Aborted) are
   // side-effect-free by contract, so the two worlds must end bit-identical.
   constexpr int kOps = 48;
   ShardedSystem sys(Opts(4));
@@ -537,11 +549,7 @@ TEST(ShardedMigrationTest, ConcurrentTrafficDuringMigrationMatchesReplay) {
   ProviderId provider = sys.RegisterProvider("prov").value();
   UserTaggerId tagger = sys.RegisterTagger("tag").value();
   ProjectId p = sys.CreateProject(provider, AudienceSpec("hot", 100)).value();
-  for (int r = 0; r < 3; ++r) {
-    ASSERT_TRUE(sys.UploadResource(p, tagging::ResourceKind::kWebUrl,
-                                   "u" + std::to_string(r), "")
-                    .ok());
-  }
+  UploadAll(sys, p, Numbered("u", 3));
   ASSERT_TRUE(sys.StartProject(p).ok());
 
   std::atomic<bool> stop{false};
@@ -582,22 +590,23 @@ TEST(ShardedMigrationTest, ConcurrentTrafficDuringMigrationMatchesReplay) {
   {
     std::vector<TaskHandle> handles(kOps, 0);
     for (int i = 0; i < kOps; ++i) {
-      auto task = sys.AcceptTask(tagger, p);
+      auto task = sys.AcceptTasks(tagger, p, 1);
       EXPECT_TRUE(task.ok() || task.status().IsNotFound() ||
                   task.status().IsAborted())
           << task.status().ToString();
       if (!task.ok()) continue;
       ops[i].accepted = true;
-      handles[i] = task.value().handle;
-      Status submitted =
-          sys.SubmitTags(tagger, handles[i], {"w" + std::to_string(i % 5)});
+      handles[i] = task.value()[0].handle;
+      Status submitted = sys.SubmitTagsBatch(
+          {{tagger, handles[i], {"w" + std::to_string(i % 5)}}})[0];
       EXPECT_TRUE(submitted.ok() || submitted.IsNotFound() ||
                   submitted.IsAborted())
           << submitted.ToString();
       if (!submitted.ok()) continue;
       ops[i].submitted = true;
       ops[i].approve = (i % 3) != 0;
-      Status decided = sys.Decide(provider, handles[i], ops[i].approve);
+      Status decided =
+          sys.DecideBatch(provider, {{handles[i], ops[i].approve}})[0];
       EXPECT_TRUE(decided.ok() || decided.IsNotFound() || decided.IsAborted())
           << decided.ToString();
       ops[i].decided = decided.ok();
@@ -619,25 +628,21 @@ TEST(ShardedMigrationTest, ConcurrentTrafficDuringMigrationMatchesReplay) {
   ProjectId rp =
       replay.CreateProject(rprovider, AudienceSpec("hot", 100)).value();
   ASSERT_EQ(rp, p);
-  for (int r = 0; r < 3; ++r) {
-    ASSERT_TRUE(replay
-                    .UploadResource(rp, tagging::ResourceKind::kWebUrl,
-                                    "u" + std::to_string(r), "")
-                    .ok());
-  }
+  UploadAll(replay, rp, Numbered("u", 3));
   ASSERT_TRUE(replay.StartProject(rp).ok());
   for (int i = 0; i < kOps; ++i) {
     if (!ops[i].accepted) continue;
-    auto task = replay.AcceptTask(rtagger, rp);
+    auto task = replay.AcceptTasks(rtagger, rp, 1);
     ASSERT_TRUE(task.ok()) << task.status().ToString();
+    TaskHandle handle = task.value()[0].handle;
     if (!ops[i].submitted) continue;
     ASSERT_TRUE(replay
-                    .SubmitTags(rtagger, task.value().handle,
-                                {"w" + std::to_string(i % 5)})
+                    .SubmitTagsBatch(
+                        {{rtagger, handle, {"w" + std::to_string(i % 5)}}})[0]
                     .ok());
     if (!ops[i].decided) continue;
     ASSERT_TRUE(
-        replay.Decide(rprovider, task.value().handle, ops[i].approve).ok());
+        replay.DecideBatch(rprovider, {{handle, ops[i].approve}})[0].ok());
   }
   ProjectFingerprint replayed = FingerprintOf(replay, rp, rtagger);
   ExpectSameFingerprint(replayed, hammered);
