@@ -36,7 +36,8 @@
 // and the rest spread uniformly — the skew the sharded core's rebalancer
 // is built to dissolve. The run then adds a second reconciliation: each
 // worker attributes its project-routed op units (1 per accept and per
-// query section, one per submit/decide item) to the project it targeted,
+// query view read, one per query detail and per submit/decide item) to the
+// project it targeted,
 // the summary maps
 // projects to shards via the server's core.placement.project.<id> gauges,
 // and the per-shard client totals must equal the server's
@@ -217,9 +218,9 @@ void RunWorker(uint16_t port, const ScenarioConfig& cfg, size_t thread_index,
         Result<uint64_t> c = client.DispatchAsync(api::AnyRequest{q});
         if (!CheckTransport(c, counts)) return;
         ++counts->sent[api::kRequestTypeIndex<api::ProjectQueryRequest>];
-        // Each ProjectQuery section is its own routed backend call: the
-        // info snapshot always, plus one more when the feed rides along.
-        counts->project_ops[pidx] += q.include_feed ? 2 : 1;
+        // One routed op for the view read (info and feed together), plus
+        // one per detail resource.
+        counts->project_ops[pidx] += 1 + q.detail_resources.size();
         flight.push_back(*c);
       }
       for (uint64_t c : flight) {

@@ -149,14 +149,24 @@ struct BatchControlResponse {
   BatchOutcome outcome;
 };
 
-/// Reads one project's snapshot, optionally with its live quality feed and
-/// per-resource details. NotFound (top-level status) for unknown projects;
-/// bad detail_resources fail item-wise in detail_outcome.
+/// Largest `detail_resources` one ProjectQuery may list. Each detail
+/// carries up to 16 top tags, so this keeps a reply far below the wire's
+/// net::kDefaultMaxFrameBytes and bounds the work one read can ask for.
+inline constexpr size_t kMaxDetailResources = 256;
+
+/// Reads one project's info, optionally with its live quality feed (both
+/// from one published version) and per-resource details. NotFound
+/// (top-level status) for unknown projects; InvalidArgument, with
+/// nothing admitted or computed, when more than kMaxDetailResources
+/// details are asked for; bad detail_resources fail item-wise in
+/// detail_outcome.
 struct ProjectQueryRequest {
   core::ProjectId project = 0;
   /// Appends the live quality feed (Fig. 5) to the response.
   bool include_feed = false;
-  /// Appends per-resource details (Fig. 6) for these resources.
+  /// Appends per-resource details (Fig. 6) for these resources, at most
+  /// kMaxDetailResources of them. Details read the live corpus, so they
+  /// may be newer than the info and feed.
   std::vector<tagging::ResourceId> detail_resources;
 };
 struct ProjectQueryResponse {

@@ -316,15 +316,24 @@ BatchControlResponse Service::BatchControl(const BatchControlRequest& req) {
 ProjectQueryResponse Service::ProjectQuery(const ProjectQueryRequest& req) {
   ApiCallScope obs_scope(kRequestTypeIndex<ProjectQueryRequest>);
   ProjectQueryResponse resp;
+  if (req.detail_resources.size() > kMaxDetailResources) {
+    resp.status = Status::InvalidArgument(
+        "detail_resources must list at most " +
+        std::to_string(kMaxDetailResources) + " resources");
+    return resp;
+  }
   if (admission_ != nullptr && !admission_->AdmitExactly(req.project, 1)) {
     resp.status = AdmissionDenied(req.project);
     return resp;
   }
-  Result<core::ProjectInfo> info = sharded_->GetProjectInfo(req.project);
-  resp.status = info.status();
-  if (!info.ok()) return resp;
-  resp.info = info.value();
-  if (req.include_feed) resp.feed = sharded_->QualityFeed(req.project);
+  // Info and feed come from one published version, without a shard lock.
+  Result<std::shared_ptr<const core::ProjectView>> view =
+      sharded_->GetProjectView(req.project);
+  resp.status = view.status();
+  if (!view.ok()) return resp;
+  resp.info = view.value()->info;
+  resp.info.id = req.project;  // the id the caller routed by
+  if (req.include_feed) resp.feed = *view.value()->feed;
   resp.detail_outcome.statuses.reserve(req.detail_resources.size());
   for (tagging::ResourceId r : req.detail_resources) {
     Result<core::QualityManager::ResourceDetail> d =

@@ -135,7 +135,10 @@ class Service {
       const BatchUploadResourcesRequest& req);
   /// Applies lifecycle/budget/strategy verbs in order, one Status each.
   BatchControlResponse BatchControl(const BatchControlRequest& req);
-  /// Project snapshot + optional feed + optional per-resource details.
+  /// Project info + optional feed, both from the project's published view
+  /// (no shard mutex), + optional per-resource details (read under the
+  /// shard mutex). InvalidArgument, before admission and before any
+  /// detail is computed, when more than kMaxDetailResources are asked for.
   ProjectQueryResponse ProjectQuery(const ProjectQueryRequest& req);
   /// Draws up to `count` tasks in one allocation pass; InvalidArgument,
   /// before any budget or admission token is spent, unless

@@ -386,6 +386,39 @@ void ITagSystem::DeleteInFlight(int platform, crowd::TaskId task) {
   in_flight_rows_.erase(it);
 }
 
+// ------------------------------------------------------------- publication
+
+class ITagSystem::PublishScope {
+ public:
+  explicit PublishScope(ITagSystem* sys) : sys_(sys) { ++sys_->publish_depth_; }
+  ~PublishScope() {
+    if (--sys_->publish_depth_ > 0) return;
+    std::vector<ProjectId> queue;
+    queue.swap(sys_->publish_queue_);
+    for (ProjectId project : queue) sys_->publish_hook_(project);
+  }
+  PublishScope(const PublishScope&) = delete;
+  PublishScope& operator=(const PublishScope&) = delete;
+
+ private:
+  ITagSystem* sys_;
+};
+
+void ITagSystem::MarkChanged(ProjectId project) {
+  if (!publish_hook_) return;
+  if (publish_depth_ == 0) {
+    publish_hook_(project);
+  } else if (std::find(publish_queue_.begin(), publish_queue_.end(),
+                       project) == publish_queue_.end()) {
+    publish_queue_.push_back(project);
+  }
+}
+
+Status ITagSystem::MarkIfOk(ProjectId project, Status status) {
+  if (status.ok()) MarkChanged(project);
+  return status;
+}
+
 // ------------------------------------------------------------------- users
 
 Result<ProviderId> ITagSystem::RegisterProvider(const std::string& name) {
@@ -409,18 +442,24 @@ Result<TaggerProfile> ITagSystem::GetTagger(UserTaggerId id) const {
 Result<ProjectId> ITagSystem::CreateProject(ProviderId provider,
                                             const ProjectSpec& spec) {
   BatchScope batch(&db_);
-  return quality_->CreateProject(provider, spec);
+  Result<ProjectId> id = quality_->CreateProject(provider, spec);
+  if (id.ok()) MarkChanged(id.value());
+  return id;
 }
 
 Status ITagSystem::ImportPost(ProjectId project, ResourceId resource,
                               const std::vector<std::string>& raw_tags) {
   BatchScope batch(&db_);
-  return resources_->ImportPost(project, resource, raw_tags);
+  return MarkIfOk(project,
+                  resources_->ImportPost(project, resource, raw_tags));
 }
 
 std::vector<Status> ITagSystem::UploadResourceBatch(
     ProjectId project, const std::vector<ResourceUpload>& items,
     std::vector<ResourceId>* ids) {
+  // One publication for the whole batch, not one per imported item.
+  PublishScope publish(this);
+  MarkChanged(project);
   BatchScope batch(&db_);
   std::vector<Status> out;
   out.reserve(items.size());
@@ -444,24 +483,24 @@ std::vector<Status> ITagSystem::UploadResourceBatch(
 }
 
 Status ITagSystem::StartProject(ProjectId project) {
-  return quality_->Start(project);
+  return MarkIfOk(project, quality_->Start(project));
 }
 
 Status ITagSystem::PauseProject(ProjectId project) {
-  return quality_->Pause(project);
+  return MarkIfOk(project, quality_->Pause(project));
 }
 
 Status ITagSystem::StopProject(ProjectId project) {
-  return quality_->Stop(project);
+  return MarkIfOk(project, quality_->Stop(project));
 }
 
 Status ITagSystem::AddBudget(ProjectId project, uint32_t tasks) {
-  return quality_->AddBudget(project, tasks);
+  return MarkIfOk(project, quality_->AddBudget(project, tasks));
 }
 
 Status ITagSystem::SwitchStrategy(ProjectId project,
                                   strategy::StrategyKind kind) {
-  return quality_->SwitchStrategy(project, kind);
+  return MarkIfOk(project, quality_->SwitchStrategy(project, kind));
 }
 
 Result<strategy::StrategyKind> ITagSystem::RecommendStrategy(
@@ -470,15 +509,15 @@ Result<strategy::StrategyKind> ITagSystem::RecommendStrategy(
 }
 
 Status ITagSystem::PromoteResource(ProjectId project, ResourceId resource) {
-  return quality_->PromoteResource(project, resource);
+  return MarkIfOk(project, quality_->PromoteResource(project, resource));
 }
 
 Status ITagSystem::StopResource(ProjectId project, ResourceId resource) {
-  return quality_->StopResource(project, resource);
+  return MarkIfOk(project, quality_->StopResource(project, resource));
 }
 
 Status ITagSystem::ResumeResource(ProjectId project, ResourceId resource) {
-  return quality_->ResumeResource(project, resource);
+  return MarkIfOk(project, quality_->ResumeResource(project, resource));
 }
 
 Result<ProjectInfo> ITagSystem::GetProjectInfo(ProjectId project) const {
@@ -512,14 +551,6 @@ std::vector<PendingSubmission> ITagSystem::PendingApprovals(
     if (sub.project == project) out.push_back(sub);
   }
   return out;
-}
-
-Result<ProjectId> ITagSystem::PendingProjectOf(TaskHandle handle) const {
-  auto it = pending_.find(handle);
-  if (it == pending_.end()) {
-    return Status::NotFound("submission " + std::to_string(handle));
-  }
-  return it->second.project;
 }
 
 Result<tagging::Post> ITagSystem::BuildPost(const PendingSubmission& sub,
@@ -582,6 +613,9 @@ Status ITagSystem::ApplyRejection(const PendingSubmission& sub,
 std::vector<Status> ITagSystem::DecideBatch(
     ProviderId provider,
     const std::vector<std::pair<TaskHandle, bool>>& decisions) {
+  // Every project a decided submission belongs to publishes once, after
+  // the whole batch, whatever the item's outcome.
+  PublishScope publish(this);
   BatchScope db_batch(&db_);
   bool touched_mturk = false;
   bool touched_social = false;
@@ -602,6 +636,7 @@ std::vector<Status> ITagSystem::DecideBatch(
       continue;
     }
     const PendingSubmission& sub = it->second;
+    MarkChanged(sub.project);
     const QualityManager::ProjectRec* rec = quality_->GetRec(sub.project);
     if (rec == nullptr) {
       out.push_back(
@@ -780,6 +815,7 @@ Result<ProjectId> ITagSystem::AdoptProject(
     PersistSys(kSysLedger, totals.Take());
   }
   PersistCore();
+  MarkChanged(id);
   return id;
 }
 
@@ -787,6 +823,10 @@ Status ITagSystem::EraseProject(ProjectId project) {
   if (quality_->GetRec(project) == nullptr) {
     return Status::NotFound("project " + std::to_string(project));
   }
+  // Published on every return path: the observer drops a project that is
+  // gone and keeps one a failed erase left behind.
+  PublishScope publish(this);
+  MarkChanged(project);
   BatchScope batch(&db_);
   for (auto it = accepted_.begin(); it != accepted_.end();) {
     if (it->second.project != project) {
@@ -863,6 +903,7 @@ Result<std::vector<AcceptedTask>> ITagSystem::AcceptTasks(UserTaggerId tagger,
   }
   tasks_accepted_total_ += tasks.size();
   PersistCore();
+  MarkChanged(project);
   return tasks;
 }
 
@@ -1074,6 +1115,9 @@ Status ITagSystem::Step(Tick ticks) {
     PersistCore();
     PersistPlatform(mturk_.get());
     PersistPlatform(social_.get());
+  }
+  if (publish_hook_) {
+    for (ProjectId project : quality_->ProjectIds()) MarkChanged(project);
   }
   return result;
 }

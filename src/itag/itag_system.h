@@ -97,6 +97,12 @@ using PostSource = std::function<sim::GeneratedPost(
 /// recovery (see docs/persistence.md).
 using ApprovalPolicy = std::function<bool(const PendingSubmission&)>;
 
+/// Observer of project publications (see ITagSystem::SetPublishHook):
+/// receives the local id of a project whose GetProjectInfo or QualityFeed
+/// a mutating call may have changed. The project may be gone by then (an
+/// EraseProject), which the observer sees as GetProjectInfo's NotFound.
+using PublishHook = std::function<void(ProjectId project)>;
+
 /// What a checkpoint covered; returned by ITagSystem::Checkpoint and
 /// ShardedSystem::Checkpoint (aggregated across shards there).
 struct CheckpointInfo {
@@ -108,6 +114,15 @@ struct CheckpointInfo {
 /// The iTag system facade (Fig. 2): wires the four managers, the storage
 /// engine and the simulated crowdsourcing platforms behind the provider and
 /// tagger APIs of §III. Single-threaded; time advances through Step().
+///
+/// Publication: once per outermost mutating call, the facade hands every
+/// project whose info or feed that call may have changed to the installed
+/// PublishHook. These are create, upload and import, the lifecycle and
+/// per-resource controls, AcceptTasks (each on OK), the projects a
+/// DecideBatch touched, every project on Step, and adopt and erase.
+/// SubmitTagsBatch only moves the pending set, so it publishes nothing.
+/// Init and Reattach publish nothing either: the embedder republishes
+/// everything once its own routing state is loaded.
 class ITagSystem {
  public:
   explicit ITagSystem(ITagSystemOptions options = {});
@@ -200,12 +215,6 @@ class ITagSystem {
   /// Pending submissions of one project, oldest first.
   std::vector<PendingSubmission> PendingApprovals(ProjectId project) const;
 
-  /// The project a pending submission belongs to; NotFound when the handle
-  /// has no pending submission (never issued, not yet submitted, or already
-  /// decided). Lets batch routers learn which projects a decision batch
-  /// touches without scanning.
-  Result<ProjectId> PendingProjectOf(TaskHandle handle) const;
-
   /// Provider decisions on pending submissions (the Approve/Disapprove
   /// buttons): decides every (handle, approve) pair, returning one Status
   /// per item in request order — a bad handle never aborts the rest.
@@ -260,6 +269,12 @@ class ITagSystem {
   /// platform-backed project: posting tasks, collecting submissions,
   /// auto-deciding them via the provider's policy.
   Status Step(Tick ticks);
+
+  /// Installs the publication observer (see the class comment). The
+  /// facade only calls it, on the thread making the mutating call; the
+  /// sharded core installs one per shard to keep its lock-free per-project
+  /// views current, whichever path the write came through.
+  void SetPublishHook(PublishHook hook) { publish_hook_ = std::move(hook); }
 
   /// Direct manager access for tests/benchmarks.
   QualityManager& quality_manager() { return *quality_; }
@@ -344,6 +359,17 @@ class ITagSystem {
   };
   using ApprovedPosts = std::map<ProjectId, std::vector<ApprovedItem>>;
 
+  // ----------------------------------------------------------- publication
+  /// Marks a call that may mark projects before its mutation is complete
+  /// or that nests other public mutating calls: publication waits until
+  /// the outermost scope ends.
+  class PublishScope;
+  /// Hands `project` to the publish hook, now or at the end of the
+  /// outermost open PublishScope. No-op without a hook.
+  void MarkChanged(ProjectId project);
+  /// MarkChanged(project) when `status` is OK; returns `status`.
+  Status MarkIfOk(ProjectId project, Status status);
+
   // ----------------------------------------------------------- persistence
   /// True when runtime state must be written through to storage.
   bool persist() const { return db_.durable(); }
@@ -406,6 +432,9 @@ class ITagSystem {
   std::unique_ptr<crowd::MTurkSim> mturk_;
   std::unique_ptr<crowd::SocialNetSim> social_;
   PostSource post_source_;
+  PublishHook publish_hook_;
+  int publish_depth_ = 0;               ///< open PublishScopes
+  std::vector<ProjectId> publish_queue_;  ///< marked inside them, deduped
   std::map<ProviderId, ApprovalPolicy> policies_;
   std::map<crowd::TaskId, InFlight> in_flight_mturk_;
   std::map<crowd::TaskId, InFlight> in_flight_social_;

@@ -339,6 +339,13 @@ Result<ProjectId> QualityManager::CreateProject(ProviderId provider,
   return id;
 }
 
+std::vector<ProjectId> QualityManager::ProjectIds() const {
+  std::vector<ProjectId> ids;
+  ids.reserve(projects_.size());
+  for (const auto& entry : projects_) ids.push_back(entry.first);
+  return ids;
+}
+
 Result<ProjectInfo> QualityManager::GetInfo(ProjectId project) const {
   const ProjectRec* rec = GetRec(project);
   if (rec == nullptr) {
@@ -520,7 +527,8 @@ Status QualityManager::StopResource(ProjectId project, ResourceId resource) {
     return Status::FailedPrecondition("project not started");
   }
   ITAG_RETURN_IF_ERROR(rec->engine->SetStopped(resource, true));
-  if (resource < rec->stopped.size()) rec->stopped[resource] = 1;
+  if (resource >= rec->stopped.size()) rec->stopped.resize(resource + 1, 0);
+  rec->stopped[resource] = 1;
   PersistProject(project, *rec);
   return Status::OK();
 }
@@ -532,7 +540,8 @@ Status QualityManager::ResumeResource(ProjectId project,
     return Status::FailedPrecondition("project not started");
   }
   ITAG_RETURN_IF_ERROR(rec->engine->SetStopped(resource, false));
-  if (resource < rec->stopped.size()) rec->stopped[resource] = 0;
+  if (resource >= rec->stopped.size()) rec->stopped.resize(resource + 1, 0);
+  rec->stopped[resource] = 0;
   PersistProject(project, *rec);
   return Status::OK();
 }

@@ -72,6 +72,9 @@ class QualityManager {
   /// Number of projects (recovered ones included).
   size_t ProjectCount() const { return projects_.size(); }
 
+  /// Ids of every project, ascending.
+  std::vector<ProjectId> ProjectIds() const;
+
   /// Creates a project in Draft state (and its corpus).
   Result<ProjectId> CreateProject(ProviderId provider,
                                   const ProjectSpec& spec);
@@ -197,7 +200,9 @@ class QualityManager {
     std::unique_ptr<strategy::AllocationEngine> engine;
     std::vector<QualityPoint> feed;
     uint32_t tasks_completed = 0;
-    std::vector<uint8_t> stopped;  // provider's per-resource Stop flags
+    /// Provider's per-resource Stop flags; sized at Start, grown when a
+    /// resource uploaded later is stopped.
+    std::vector<uint8_t> stopped;
     bool exhausted_notified = false;  // de-dups budget-exhausted alerts
   };
   const ProjectRec* GetRec(ProjectId project) const;

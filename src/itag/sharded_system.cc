@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <set>
 
 #include "obs/trace.h"
 #include "storage/schema.h"
@@ -44,6 +43,10 @@ ShardedSystem::ShardedSystem(ShardedSystemOptions options)
     shard_options.seed = options_.shard.seed + i;
     auto shard = std::make_unique<Shard>();
     shard->system = std::make_unique<ITagSystem>(std::move(shard_options));
+    // Every write, through this class or straight into the facade,
+    // republishes the projects it changed.
+    shard->system->SetPublishHook(
+        [this, i](ProjectId local) { PublishView(i, local); });
     shard->ops = obs::MetricsRegistry::Default().GetCounter(
         "core.shard." + std::to_string(i) + ".ops");
     shards_.push_back(std::move(shard));
@@ -79,7 +82,7 @@ Status ShardedSystem::Init() {
   if (initialized_) return Status::FailedPrecondition("already initialized");
   // Phase 1 — durable shards recover independently (own directory, own
   // WAL), so the whole reopen parallelizes across the pool. Counters and
-  // snapshots wait: globalizing a migrated project needs the placement map,
+  // views wait: globalizing a migrated project needs the placement map,
   // which loads after the shards.
   std::vector<Status> results(shards_.size());
   std::vector<std::function<void()>> tasks;
@@ -110,7 +113,7 @@ Status ShardedSystem::Init() {
     ITAG_RETURN_IF_ERROR(ResolveIntents());
   }
   // Phase 3 — re-derive the per-shard counters from recovered state and
-  // publish fresh snapshots so the lock-free monitoring path works
+  // publish every project view so the lock-free read path works
   // immediately.
   std::vector<std::function<void()>> refresh;
   refresh.reserve(shards_.size());
@@ -134,13 +137,13 @@ Status ShardedSystem::Init() {
   }
   next_project_shard_.store(projects, std::memory_order_release);
   now_.store(shards_[0]->system->clock().Now(), std::memory_order_release);
-  // Debug surface: one placement gauge per live project, i.e. per snapshot
+  // Debug surface: one placement gauge per live project, i.e. per view
   // the refresh above published.
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     std::shared_lock<std::shared_mutex> lock(shard.snap_mu);
-    for (const auto& [local, snap] : shard.snapshots) {
-      SetPlacementGauge(snap.project, s);
+    for (const auto& [local, entry] : shard.views) {
+      SetPlacementGauge(entry.view->info.id, s);
     }
   }
   metrics_.placement_version->Set(
@@ -576,35 +579,107 @@ std::vector<Status> ShardedSystem::RouteByHandle(
   return out;
 }
 
-void ShardedSystem::RefreshSnapshot(size_t shard_index,
-                                    ProjectId local) const {
-  Result<ProjectInfo> info =
-      shards_[shard_index]->system->GetProjectInfo(local);
-  PublishSnapshot(shard_index, local, info.ok() ? &info.value() : nullptr);
-}
-
-void ShardedSystem::PublishSnapshot(size_t shard_index, ProjectId local,
-                                    const ProjectInfo* info) const {
+void ShardedSystem::PublishView(size_t shard_index, ProjectId local) const {
   Shard& shard = *shards_[shard_index];
-  // Slot history, not the codec: a migrated project's snapshot must carry
-  // the global id it was created under. Resolved before snap_mu (leaf
-  // order: shard.mu → placement_mu_, snap_mu independent).
-  const uint64_t global = GlobalProjectOf(shard_index, local);
-  std::unique_lock<std::shared_mutex> lock(shard.snap_mu);
-  if (info == nullptr) {
-    shard.snapshots.erase(local);
+  const ITagSystem& sys = *shard.system;
+  Result<ProjectInfo> info = sys.GetProjectInfo(local);
+  if (!info.ok()) {
+    std::unique_lock<std::shared_mutex> lock(shard.snap_mu);
+    shard.views.erase(local);
     return;
   }
-  QualitySnapshot& snap = shard.snapshots[local];
-  const ProjectInfo& pi = *info;
-  snap.project = global;
-  snap.state = pi.state;
-  snap.quality = pi.quality;
-  snap.projected_gain = pi.projected_gain;
-  snap.budget_remaining = pi.budget_remaining;
-  snap.tasks_completed = pi.tasks_completed;
-  snap.num_resources = static_cast<uint32_t>(pi.num_resources);
-  ++snap.version;
+  // Writers are serialized (shard mutex, or a facade-direct caller that
+  // owns the system), so the current entry can be read without snap_mu.
+  auto it = shard.views.find(local);
+  const ProjectView* prev = it == shard.views.end() ? nullptr
+                                                    : it->second.view.get();
+  auto view = std::make_shared<ProjectView>();
+  view->info = std::move(info).value();
+  // Slot history, not the codec: a migrated project's view must carry the
+  // global id it was created under. Resolved before snap_mu (leaf order:
+  // shard.mu → placement_mu_, snap_mu independent).
+  view->info.id = GlobalProjectOf(shard_index, local);
+  // A project's feed only ever grows (an adopted one arrives under a fresh
+  // local id), so an unchanged length means the previous copy still holds.
+  const std::vector<QualityPoint>& feed = sys.QualityFeed(local);
+  view->feed = prev != nullptr && prev->feed->size() == feed.size()
+                   ? prev->feed
+                   : std::make_shared<const std::vector<QualityPoint>>(feed);
+  view->version = prev != nullptr ? prev->version + 1 : 1;
+  std::unique_lock<std::shared_mutex> lock(shard.snap_mu);
+  shard.views[local].view = std::move(view);
+}
+
+std::shared_ptr<const ProjectView> ShardedSystem::FindView(
+    ProjectId project, bool attribute) const {
+  // Lock-free with respect to shard mutexes even mid-migration: the
+  // destination view is published (under the new slot) before routing
+  // flips, so a reader either sees the source entry or the destination
+  // one. A racing flip can make one probe miss both; one retry after a
+  // version change covers it.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const uint64_t v0 = placement_version_.load(std::memory_order_acquire);
+    PlacementMap::Location loc;
+    {
+      std::shared_lock<std::shared_mutex> pl(placement_mu_);
+      if (!placement_.Resolve(project, &loc) || loc.local == 0) {
+        return nullptr;
+      }
+    }
+    Shard& shard = *shards_[loc.shard];
+    if (attribute) shard.ops->Inc();
+    {
+      std::shared_lock<std::shared_mutex> lock(shard.snap_mu);
+      auto it = shard.views.find(static_cast<ProjectId>(loc.local));
+      if (it != shard.views.end()) {
+        if (attribute) it->second.reads.fetch_add(1, std::memory_order_relaxed);
+        return it->second.view;
+      }
+    }
+    if (placement_version_.load(std::memory_order_acquire) == v0) break;
+  }
+  return nullptr;
+}
+
+template <typename Keep>
+std::vector<ProjectInfo> ShardedSystem::ListViews(Keep keep) const {
+  struct Row {
+    ProjectInfo info;
+    size_t shard;
+    ProjectId local;
+  };
+  std::vector<Row> rows;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = *shards_[s];
+    std::shared_lock<std::shared_mutex> lock(shard.snap_mu);
+    for (const auto& [local, entry] : shard.views) {
+      if (keep(entry.view->info)) rows.push_back({entry.view->info, s, local});
+    }
+  }
+  {
+    // Mid-migration both copies have a view; list the one routing names.
+    std::shared_lock<std::shared_mutex> pl(placement_mu_);
+    rows.erase(std::remove_if(rows.begin(), rows.end(),
+                              [this](const Row& row) {
+                                PlacementMap::Location at;
+                                return !placement_.Resolve(row.info.id, &at) ||
+                                       at.shard != row.shard ||
+                                       at.local != row.local;
+                              }),
+               rows.end());
+  }
+  // The Fig. 3 order: quality descending, then shard, then local id.
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    if (a.info.quality != b.info.quality) {
+      return a.info.quality > b.info.quality;
+    }
+    if (a.shard != b.shard) return a.shard < b.shard;
+    return a.local < b.local;
+  });
+  std::vector<ProjectInfo> out;
+  out.reserve(rows.size());
+  for (Row& row : rows) out.push_back(std::move(row.info));
+  return out;
 }
 
 void ShardedSystem::RefreshStats(size_t shard_index) const {
@@ -619,10 +694,21 @@ void ShardedSystem::RefreshStats(size_t shard_index) const {
 
 void ShardedSystem::RefreshShard(size_t shard_index) const {
   Shard& shard = *shards_[shard_index];
-  for (const ProjectInfo& info :
-       shard.system->ListProjects(static_cast<ProviderId>(-1))) {
-    PublishSnapshot(shard_index, info.id, &info);
+  const std::vector<ProjectId> live =
+      shard.system->quality_manager().ProjectIds();
+  {
+    // A follower's replayed migration can take a project off this shard
+    // without any call here publishing the drop.
+    std::unique_lock<std::shared_mutex> lock(shard.snap_mu);
+    for (auto it = shard.views.begin(); it != shard.views.end();) {
+      if (std::binary_search(live.begin(), live.end(), it->first)) {
+        ++it;
+      } else {
+        it = shard.views.erase(it);
+      }
+    }
   }
+  for (ProjectId local : live) PublishView(shard_index, local);
   RefreshStats(shard_index);
 }
 
@@ -732,7 +818,6 @@ Result<ProjectId> ShardedSystem::CreateProject(ProviderId provider,
   if (!r.ok()) return r;
   next_project_shard_.fetch_add(1, std::memory_order_relaxed);
   ++shard.projects_created;
-  RefreshSnapshot(s, r.value());
   RefreshStats(s);
   // Fresh projects own their codec slot — no placement entry needed, only
   // the debug gauge.
@@ -746,11 +831,9 @@ std::vector<Status> ShardedSystem::UploadResourceBatch(
     std::vector<ResourceId>* ids) {
   Result<std::vector<Status>> r = WithProject(
       project,
-      [&](size_t s, ITagSystem* sys,
+      [&](size_t, ITagSystem* sys,
           ProjectId local) -> Result<std::vector<Status>> {
-        std::vector<Status> out = sys->UploadResourceBatch(local, items, ids);
-        RefreshSnapshot(s, local);
-        return out;
+        return sys->UploadResourceBatch(local, items, ids);
       });
   if (r.ok()) return std::move(r).value();
   ids->assign(items.size(), tagging::kInvalidResource);
@@ -760,57 +843,44 @@ std::vector<Status> ShardedSystem::UploadResourceBatch(
 Status ShardedSystem::ImportPost(ProjectId project, ResourceId resource,
                                  const std::vector<std::string>& raw_tags) {
   return WithProject(project,
-                     [&](size_t s, ITagSystem* sys, ProjectId local) -> Status {
-                       Status st = sys->ImportPost(local, resource, raw_tags);
-                       // Imported posts move the corpus quality.
-                       if (st.ok()) RefreshSnapshot(s, local);
-                       return st;
+                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
+                       return sys->ImportPost(local, resource, raw_tags);
                      });
 }
 
 Status ShardedSystem::StartProject(ProjectId project) {
   return WithProject(project,
-                     [&](size_t s, ITagSystem* sys, ProjectId local) -> Status {
-                       Status st = sys->StartProject(local);
-                       if (st.ok()) RefreshSnapshot(s, local);
-                       return st;
+                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
+                       return sys->StartProject(local);
                      });
 }
 
 Status ShardedSystem::PauseProject(ProjectId project) {
   return WithProject(project,
-                     [&](size_t s, ITagSystem* sys, ProjectId local) -> Status {
-                       Status st = sys->PauseProject(local);
-                       if (st.ok()) RefreshSnapshot(s, local);
-                       return st;
+                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
+                       return sys->PauseProject(local);
                      });
 }
 
 Status ShardedSystem::StopProject(ProjectId project) {
   return WithProject(project,
-                     [&](size_t s, ITagSystem* sys, ProjectId local) -> Status {
-                       Status st = sys->StopProject(local);
-                       if (st.ok()) RefreshSnapshot(s, local);
-                       return st;
+                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
+                       return sys->StopProject(local);
                      });
 }
 
 Status ShardedSystem::AddBudget(ProjectId project, uint32_t tasks) {
   return WithProject(project,
-                     [&](size_t s, ITagSystem* sys, ProjectId local) -> Status {
-                       Status st = sys->AddBudget(local, tasks);
-                       if (st.ok()) RefreshSnapshot(s, local);
-                       return st;
+                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
+                       return sys->AddBudget(local, tasks);
                      });
 }
 
 Status ShardedSystem::SwitchStrategy(ProjectId project,
                                      strategy::StrategyKind kind) {
   return WithProject(project,
-                     [&](size_t s, ITagSystem* sys, ProjectId local) -> Status {
-                       Status st = sys->SwitchStrategy(local, kind);
-                       if (st.ok()) RefreshSnapshot(s, local);
-                       return st;
+                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
+                       return sys->SwitchStrategy(local, kind);
                      });
 }
 
@@ -826,73 +896,55 @@ Result<strategy::StrategyKind> ShardedSystem::RecommendStrategy(
 Status ShardedSystem::PromoteResource(ProjectId project,
                                       ResourceId resource) {
   return WithProject(project,
-                     [&](size_t s, ITagSystem* sys, ProjectId local) -> Status {
-                       Status st = sys->PromoteResource(local, resource);
-                       // Per-resource switches feed the projected gain.
-                       if (st.ok()) RefreshSnapshot(s, local);
-                       return st;
+                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
+                       return sys->PromoteResource(local, resource);
                      });
 }
 
 Status ShardedSystem::StopResource(ProjectId project, ResourceId resource) {
   return WithProject(project,
-                     [&](size_t s, ITagSystem* sys, ProjectId local) -> Status {
-                       Status st = sys->StopResource(local, resource);
-                       if (st.ok()) RefreshSnapshot(s, local);
-                       return st;
+                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
+                       return sys->StopResource(local, resource);
                      });
 }
 
 Status ShardedSystem::ResumeResource(ProjectId project,
                                      ResourceId resource) {
   return WithProject(project,
-                     [&](size_t s, ITagSystem* sys, ProjectId local) -> Status {
-                       Status st = sys->ResumeResource(local, resource);
-                       if (st.ok()) RefreshSnapshot(s, local);
-                       return st;
+                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
+                       return sys->ResumeResource(local, resource);
                      });
 }
 
+Result<std::shared_ptr<const ProjectView>> ShardedSystem::GetProjectView(
+    ProjectId project) const {
+  std::shared_ptr<const ProjectView> view = FindView(project, true);
+  if (view == nullptr) {
+    return Status::NotFound("project " + std::to_string(project));
+  }
+  return view;
+}
+
 Result<ProjectInfo> ShardedSystem::GetProjectInfo(ProjectId project) const {
-  return WithProject(
-      project,
-      [&](size_t, ITagSystem* sys, ProjectId local) -> Result<ProjectInfo> {
-        Result<ProjectInfo> r = sys->GetProjectInfo(local);
-        if (!r.ok()) return r;
-        ProjectInfo info = std::move(r).value();
-        info.id = project;  // the id the caller routed by — codec or moved
-        return info;
-      });
+  ITAG_ASSIGN_OR_RETURN(std::shared_ptr<const ProjectView> view,
+                        GetProjectView(project));
+  ProjectInfo info = view->info;
+  info.id = project;  // the id the caller routed by — codec or moved
+  return info;
 }
 
 std::vector<ProjectInfo> ShardedSystem::ListProjects(
     ProviderId provider) const {
-  std::vector<ProjectInfo> out;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (ProjectInfo info : shard.system->ListProjects(provider)) {
-      info.id = GlobalProjectOf(s, info.id);
-      out.push_back(std::move(info));
-    }
-  }
-  // Restore the global Fig. 3 ordering (each shard sorted only its own).
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ProjectInfo& a, const ProjectInfo& b) {
-                     return a.quality > b.quality;
-                   });
-  return out;
+  return ListViews([provider](const ProjectInfo& info) {
+    return provider == static_cast<ProviderId>(-1) ||
+           info.provider == provider;
+  });
 }
 
 std::vector<QualityPoint> ShardedSystem::QualityFeed(
     ProjectId project) const {
-  Result<std::vector<QualityPoint>> r = WithProject(
-      project,
-      [&](size_t, ITagSystem* sys,
-          ProjectId local) -> Result<std::vector<QualityPoint>> {
-        return sys->QualityFeed(local);
-      });
-  return r.ok() ? std::move(r).value() : std::vector<QualityPoint>{};
+  std::shared_ptr<const ProjectView> view = FindView(project, true);
+  return view != nullptr ? *view->feed : std::vector<QualityPoint>{};
 }
 
 Result<QualityManager::ResourceDetail> ShardedSystem::GetResourceDetail(
@@ -957,18 +1009,10 @@ std::vector<Status> ShardedSystem::DecideBatch(
                        const std::vector<Decision>& items,
                        const std::vector<size_t>& slots,
                        std::vector<Status>* out) {
-        // Only the decided submissions' projects need a snapshot refresh;
-        // resolve them before the decisions consume the handles.
-        std::set<ProjectId> touched;
-        for (const Decision& d : items) {
-          Result<ProjectId> p = sys->PendingProjectOf(d.first);
-          if (p.ok()) touched.insert(p.value());
-        }
         std::vector<Status> statuses = sys->DecideBatch(provider, items);
         for (size_t j = 0; j < statuses.size(); ++j) {
           (*out)[slots[j]] = std::move(statuses[j]);
         }
-        for (ProjectId local : touched) RefreshSnapshot(s, local);
         RefreshStats(s);
       });
 }
@@ -985,20 +1029,9 @@ Result<size_t> ShardedSystem::ExportProject(ProjectId project,
 // ------------------------------------------------------------- tagger API
 
 std::vector<ProjectInfo> ShardedSystem::ListOpenProjects() const {
-  std::vector<ProjectInfo> out;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (ProjectInfo info : shard.system->ListOpenProjects()) {
-      info.id = GlobalProjectOf(s, info.id);
-      out.push_back(std::move(info));
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ProjectInfo& a, const ProjectInfo& b) {
-                     return a.quality > b.quality;
-                   });
-  return out;
+  return ListViews([](const ProjectInfo& info) {
+    return info.state == ProjectState::kRunning && info.budget_remaining > 0;
+  });
 }
 
 Result<std::vector<AcceptedTask>> ShardedSystem::AcceptTasks(
@@ -1016,7 +1049,6 @@ Result<std::vector<AcceptedTask>> ShardedSystem::AcceptTasks(
           task.project = project;
         }
         shards_[s]->tasks_accepted += tasks.size();
-        RefreshSnapshot(s, local);
         RefreshStats(s);
         return tasks;
       });
@@ -1107,7 +1139,7 @@ Status ShardedSystem::Step(Tick ticks) {
       // A failing Step returns mid-tick; time still passed. Re-align the
       // shard clock so all shards stay in lockstep with Now().
       shard.system->clock().AdvanceTo(target);
-      RefreshShard(s);
+      RefreshStats(s);
     });
   }
   pool_->RunAll(std::move(tasks));
@@ -1121,29 +1153,21 @@ Status ShardedSystem::Step(Tick ticks) {
 // ---------------------------------------------------------- observability
 
 Result<QualitySnapshot> ShardedSystem::PeekQuality(ProjectId project) const {
-  // Lock-free with respect to shard mutexes even mid-migration: the
-  // destination snapshot is published (under the new slot) before routing
-  // flips, so a reader either sees the source entry or the destination
-  // one. A racing flip can make one probe miss both; one retry after a
-  // version change covers it.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const uint64_t v0 = placement_version_.load(std::memory_order_acquire);
-    PlacementMap::Location loc;
-    {
-      std::shared_lock<std::shared_mutex> pl(placement_mu_);
-      if (!placement_.Resolve(project, &loc) || loc.local == 0) {
-        return Status::NotFound("project " + std::to_string(project));
-      }
-    }
-    Shard& shard = *shards_[loc.shard];
-    {
-      std::shared_lock<std::shared_mutex> lock(shard.snap_mu);
-      auto it = shard.snapshots.find(static_cast<ProjectId>(loc.local));
-      if (it != shard.snapshots.end()) return it->second;
-    }
-    if (placement_version_.load(std::memory_order_acquire) == v0) break;
+  std::shared_ptr<const ProjectView> view = FindView(project, false);
+  if (view == nullptr) {
+    return Status::NotFound("project " + std::to_string(project));
   }
-  return Status::NotFound("project " + std::to_string(project));
+  const ProjectInfo& info = view->info;
+  QualitySnapshot snap;
+  snap.project = info.id;
+  snap.state = info.state;
+  snap.quality = info.quality;
+  snap.projected_gain = info.projected_gain;
+  snap.budget_remaining = info.budget_remaining;
+  snap.tasks_completed = info.tasks_completed;
+  snap.num_resources = static_cast<uint32_t>(info.num_resources);
+  snap.version = view->version;
+  return snap;
 }
 
 ShardStats ShardedSystem::StatsOf(size_t shard) const {
@@ -1189,7 +1213,7 @@ Status ShardedSystem::MigrateProject(ProjectId project, size_t to_shard,
   // The one place two shard mutexes are held at once: scoped_lock orders
   // them deadlock-free and migrate_mu_ keeps migrations single-file, so no
   // cycle can form. Writes to the project stall here; reads keep serving
-  // from the snapshot path.
+  // from the published views.
   std::scoped_lock locks(src.mu, dst.mu);
   Result<ITagSystem::ProjectBundle> bundle = src.system->ExtractProject(local);
   ITAG_RETURN_IF_ERROR(bundle.status());
@@ -1206,12 +1230,24 @@ Status ShardedSystem::MigrateProject(ProjectId project, size_t to_shard,
                      storage::Value::Int(static_cast<int64_t>(to_local)),
                      storage::Value::Int(0)});
   ITAG_RETURN_IF_ERROR(intent.status());
+  {
+    // Claim the destination slot before the copy lands: the view the
+    // adoption publishes then carries `project` while routing still points
+    // at the source.
+    std::unique_lock<std::shared_mutex> pl(placement_mu_);
+    placement_.RecordSlot(project, {to_shard, to_local});
+  }
   std::vector<std::pair<TaskHandle, TaskHandle>> renumbered;
   Result<ProjectId> adopted =
       dst.system->AdoptProject(bundle.value(), &renumbered);
   if (!adopted.ok()) {
-    // Nothing routes to the destination yet — best-effort cleanup, then
-    // surface the adopt failure. The source stayed untouched.
+    // Nothing routes to the destination yet — hand the slot back to its
+    // codec id, clean up best-effort, then surface the adopt failure. The
+    // source stayed untouched.
+    {
+      std::unique_lock<std::shared_mutex> pl(placement_mu_);
+      placement_.RecordSlot(ToGlobal(to_local, to_shard), {to_shard, to_local});
+    }
     if (dst.system->quality_manager().GetRec(to_local) != nullptr) {
       (void)dst.system->EraseProject(to_local);
     }
@@ -1221,14 +1257,6 @@ Status ShardedSystem::MigrateProject(ProjectId project, size_t to_shard,
   if (adopted.value() != to_local) {  // read under dst.mu — cannot drift
     return Status::Internal("adopted project id drifted");
   }
-  {
-    // Record the destination slot before publishing its snapshot, so the
-    // arriving copy globalizes to `project` while routing still points at
-    // the source.
-    std::unique_lock<std::shared_mutex> pl(placement_mu_);
-    placement_.RecordSlot(project, {to_shard, to_local});
-  }
-  RefreshSnapshot(to_shard, to_local);
   // Commit: flip routing + handle translations in memory, then persist the
   // whole mirror (placement row, slot row, handle rows, intent → committed)
   // as one WAL batch.
@@ -1295,13 +1323,9 @@ Status ShardedSystem::MigrateProject(ProjectId project, size_t to_shard,
   }
   SetPlacementGauge(project, to_shard);
   metrics_.placement_version->Set(static_cast<int64_t>(version));
-  // The move is durable and routed; drop the source copy, its stale
-  // snapshot, and the intent.
+  // The move is durable and routed; drop the source copy (its erase drops
+  // its view) and the intent.
   Status erase = src.system->EraseProject(local);
-  {
-    std::unique_lock<std::shared_mutex> snap_lock(src.snap_mu);
-    src.snapshots.erase(local);
-  }
   ITAG_RETURN_IF_ERROR(placement_db_->Delete(kIntentTable, intent.value()));
   --src.projects_created;
   ++dst.projects_created;
@@ -1317,6 +1341,21 @@ Status ShardedSystem::MigrateProject(ProjectId project, size_t to_shard,
   metrics_.rebalance_stall_us->Inc(stall_us);
   span.Annotate("stall_us", stall_us);
   return erase;
+}
+
+void ShardedSystem::DrainAttribution(
+    size_t shard_index, std::unordered_map<uint64_t, uint64_t>* out) {
+  Shard& shard = *shards_[shard_index];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  if (out != nullptr) {
+    for (const auto& [global, ops] : shard.project_ops) (*out)[global] += ops;
+  }
+  shard.project_ops.clear();
+  std::shared_lock<std::shared_mutex> views(shard.snap_mu);
+  for (const auto& [local, entry] : shard.views) {
+    const uint64_t reads = entry.reads.exchange(0, std::memory_order_relaxed);
+    if (out != nullptr && reads > 0) (*out)[entry.view->info.id] += reads;
+  }
 }
 
 void ShardedSystem::RebalanceLoop() {
@@ -1344,11 +1383,7 @@ void ShardedSystem::RebalanceOnce() {
     total += delta[s];
   }
   auto clear_attribution = [&] {
-    for (size_t s = 0; s < n; ++s) {
-      Shard& shard = *shards_[s];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.project_ops.clear();
-    }
+    for (size_t s = 0; s < n; ++s) DrainAttribution(s, nullptr);
   };
   if (total < options_.rebalance_min_ops) {  // idle window — never on noise
     hot_streak_ = 0;
@@ -1375,19 +1410,15 @@ void ShardedSystem::RebalanceOnce() {
   // per-project attribution.
   std::vector<std::pair<uint64_t, uint64_t>> attributed;  // (ops, global)
   {
-    Shard& shard = *shards_[hot];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    attributed.reserve(shard.project_ops.size());
-    for (const auto& [global, ops] : shard.project_ops) {
+    std::unordered_map<uint64_t, uint64_t> hot_ops;
+    DrainAttribution(hot, &hot_ops);
+    attributed.reserve(hot_ops.size());
+    for (const auto& [global, ops] : hot_ops) {
       attributed.emplace_back(ops, global);
     }
-    shard.project_ops.clear();
   }
   for (size_t s = 0; s < n; ++s) {
-    if (s == hot) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.project_ops.clear();
+    if (s != hot) DrainAttribution(s, nullptr);
   }
   hot_streak_ = 0;  // cool-down whether or not the migration lands
   if (attributed.empty()) return;

@@ -59,9 +59,19 @@ struct ShardedSystemOptions {
   bool read_only = false;
 };
 
-/// Lock-free-readable per-project quality snapshot (the monitoring hot
-/// path: dashboards poll quality far more often than they mutate). All
-/// fields mirror ProjectInfo; `version` counts snapshot refreshes.
+/// One immutable published version of a project: everything a dashboard
+/// read returns except per-resource details (the monitoring hot path:
+/// dashboards poll far more often than projects change). Built once per
+/// publication, read without any shard mutex, so one read sees one version.
+struct ProjectView {
+  ProjectInfo info;  ///< `id` is the global id (slot history)
+  /// The quality feed. Shared between versions while it is unchanged; a
+  /// publication that sees new points copies it.
+  std::shared_ptr<const std::vector<QualityPoint>> feed;
+  uint64_t version = 0;  ///< publications of this project on its shard
+};
+
+/// The quality fields of a ProjectView (PeekQuality's answer).
 struct QualitySnapshot {
   ProjectId project = 0;  ///< global id
   ProjectState state = ProjectState::kDraft;
@@ -102,11 +112,15 @@ struct ShardStats {
 ///  - Cross-shard batch calls (SubmitTagsBatch, DecideBatch, Step) group
 ///    items per shard and fan out on an internal worker pool, then merge
 ///    per-item statuses back into request order.
-///  - Quality reads (PeekQuality, StatsOf) bypass shard mutexes entirely:
-///    snapshots live behind a shared_mutex-guarded table refreshed on every
-///    mutation, and shard counters behind a seqlock.
-///  - Lock ordering: users_mu_ before any shard mutex; snapshot locks only
-///    inside a shard lock; placement_mu_ is a leaf (taken after a shard
+///  - Project reads (GetProjectView, GetProjectInfo, QualityFeed,
+///    PeekQuality, ListProjects, ListOpenProjects) bypass shard mutexes
+///    entirely: each project's ProjectView lives behind a
+///    shared_mutex-guarded table that the shard's facade republishes on
+///    every mutation (ITagSystem::SetPublishHook), and shard counters live
+///    behind a seqlock.
+///  - Lock ordering: users_mu_ before any shard mutex; a view table is
+///    written only inside its shard lock (readers take it alone);
+///    placement_mu_ is a leaf (taken after a shard
 ///    mutex, never around one). MigrateProject is the single path that
 ///    holds two shard mutexes at once (std::scoped_lock, deadlock-free),
 ///    serialized by migrate_mu_.
@@ -127,8 +141,8 @@ class ShardedSystem {
   /// durable shard's Init is a full recovery (snapshot load + WAL replay +
   /// corpus rebuild). After recovery the cross-shard id counters
   /// (round-robin project placement, clock, per-shard stats) are re-derived
-  /// from the shards' persisted state and every quality snapshot is
-  /// rebuilt, so monitors work immediately. Must be called once before use.
+  /// from the shards' persisted state and every project view is
+  /// published, so monitors work immediately. Must be called once before use.
   Status Init();
 
   /// Checkpoints every shard's database (snapshot + WAL truncate), each
@@ -160,7 +174,7 @@ class ShardedSystem {
   Status ImportPost(ProjectId project, tagging::ResourceId resource,
                     const std::vector<std::string>& raw_tags);
   /// Whole batch in one routed pass: one shard-lock acquisition and one
-  /// snapshot refresh regardless of item count. Unknown projects fail every
+  /// view publication regardless of item count. Unknown projects fail every
   /// item with NotFound.
   std::vector<Status> UploadResourceBatch(
       ProjectId project, const std::vector<ResourceUpload>& items,
@@ -175,12 +189,20 @@ class ShardedSystem {
   Status StopResource(ProjectId project, tagging::ResourceId resource);
   Status ResumeResource(ProjectId project, tagging::ResourceId resource);
 
+  /// The published view of `project` (see ProjectView). Takes no shard
+  /// mutex; counts as one routed op of the owning shard, in
+  /// core.shard.<i>.ops and in the rebalancer's attribution, like any
+  /// routed call. NotFound for unknown projects.
+  Result<std::shared_ptr<const ProjectView>> GetProjectView(
+      ProjectId project) const;
+  /// The view's info, carrying the id the caller routed by.
   Result<ProjectInfo> GetProjectInfo(ProjectId project) const;
-  /// All shards' projects of `provider`, merged and re-sorted by
-  /// descending quality (the Fig. 3 listing order), with global ids.
+  /// All shards' projects of `provider`, from their views, with global
+  /// ids: descending quality (the Fig. 3 listing order), then shard order,
+  /// then local id.
   std::vector<ProjectInfo> ListProjects(ProviderId provider) const;
-  /// Returns the feed by value (a reference into a shard would escape its
-  /// lock) — the one signature that differs from ITagSystem.
+  /// The view's feed, by value (empty for unknown projects) — the one
+  /// signature that differs from ITagSystem.
   std::vector<QualityPoint> QualityFeed(ProjectId project) const;
   Result<QualityManager::ResourceDetail> GetResourceDetail(
       ProjectId project, tagging::ResourceId resource) const;
@@ -200,6 +222,8 @@ class ShardedSystem {
                                const std::string& path) const;
 
   // ------------------------------------------------------------ tagger API
+  /// Running projects with budget left, from the views, in ListProjects
+  /// order.
   std::vector<ProjectInfo> ListOpenProjects() const;
   /// Routes to the owning shard; returned handles/project ids are global.
   Result<std::vector<AcceptedTask>> AcceptTasks(UserTaggerId tagger,
@@ -222,8 +246,9 @@ class ShardedSystem {
   Tick Now() const { return now_.load(std::memory_order_acquire); }
 
   // ------------------------------------------------------------ observability
-  /// Lock-free-path read of a project's quality snapshot; never contends
-  /// with the owning shard's mutex. NotFound for unknown projects.
+  /// The quality fields of the project's view; never contends with the
+  /// owning shard's mutex and counts no routed op. NotFound for unknown
+  /// projects.
   Result<QualitySnapshot> PeekQuality(ProjectId project) const;
   /// Seqlock read of one shard's aggregate counters.
   ShardStats StatsOf(size_t shard) const;
@@ -233,7 +258,7 @@ class ShardedSystem {
   // ------------------------------------------------------------ placement
   /// Moves a project (record, corpus, posts, accepted/pending tasks,
   /// ledger spend) to `to_shard` under a brief write stall of both shards;
-  /// reads keep serving from the snapshot path throughout. The project
+  /// reads keep serving from the published views throughout. The project
   /// keeps its global id; task handles are re-minted on the destination
   /// and the old ones keep working through the placement map's handle
   /// translation. Crash-atomic: an intent row written before the copy is
@@ -277,7 +302,7 @@ class ShardedSystem {
   Status ApplyReplicated(size_t db_index, const storage::WalRecord& rec);
 
   /// Re-derives one shard's in-memory state from its database
-  /// (ITagSystem::Reattach) and refreshes its counters + snapshots; a
+  /// (ITagSystem::Reattach) and republishes its counters + views; a
   /// follower calls this for every shard a burst touched, once caught up.
   Status ReattachShard(size_t shard_index);
 
@@ -298,19 +323,29 @@ class ShardedSystem {
   }
 
  private:
+  /// One project's slot in a shard's view table.
+  struct Published {
+    std::shared_ptr<const ProjectView> view;
+    /// View reads since the rebalancer last drained them: the read half
+    /// of the per-project attribution, bumped under a shared snap_mu.
+    mutable std::atomic<uint64_t> reads{0};
+  };
+
   struct Shard {
     std::unique_ptr<ITagSystem> system;
     mutable std::mutex mu;  ///< serializes every access to `system`
-    /// Snapshot table (keyed by *local* project id). Guarded by snap_mu,
-    /// written only while `mu` is also held.
+    /// View table (keyed by *local* project id). Guarded by snap_mu,
+    /// written only while `mu` is also held (or by a facade-direct caller,
+    /// which owns the whole system; see shard_system()).
     mutable std::shared_mutex snap_mu;
-    std::unordered_map<ProjectId, QualitySnapshot> snapshots;
+    std::unordered_map<ProjectId, Published> views;
     SeqLock<ShardStats> stats;
     // Counters feeding ShardStats; guarded by mu.
     uint64_t projects_created = 0;
     uint64_t tasks_accepted = 0;
-    /// Per-project routed-op attribution for the rebalancer, keyed by
-    /// *global* id. Guarded by mu; snapshotted + cleared once per window.
+    /// Per-project attribution of the locked routes for the rebalancer,
+    /// keyed by *global* id (view reads count in Published::reads). Guarded
+    /// by mu; drained once per window.
     std::unordered_map<uint64_t, uint64_t> project_ops;
     /// Registry mirror `core.shard.<i>.ops`: ops routed to this shard
     /// (single-project routes, batch-group runs, creates). Relaxed atomic,
@@ -370,13 +405,21 @@ class ShardedSystem {
                                     const char* noun, HandleOf handle_of,
                                     Relabel relabel, RunShard run_shard);
 
-  /// Refreshes the snapshot of one local project (shard mutex held).
-  void RefreshSnapshot(size_t shard_index, ProjectId local) const;
-  /// Publishes `info` as the snapshot of one local project, or drops the
-  /// snapshot when `info` is null (project gone; shard mutex held).
-  void PublishSnapshot(size_t shard_index, ProjectId local,
-                       const ProjectInfo* info) const;
-  /// Refreshes every project snapshot + shard stats (shard mutex held).
+  /// The publish hook of shard `shard_index`'s facade: builds the view of
+  /// one local project and swaps it in, or drops it when the project is
+  /// gone. Runs with the shard mutex held, or on a facade-direct caller.
+  void PublishView(size_t shard_index, ProjectId local) const;
+  /// The published entry of `project`, resolved through placement, or
+  /// null. Bumps the shard's routed-op counter and the project's read
+  /// attribution when `attribute`. Takes no shard mutex.
+  std::shared_ptr<const ProjectView> FindView(ProjectId project,
+                                              bool attribute) const;
+  /// The infos of every view matching `keep(info)`, with global ids, in
+  /// listing order (see ListProjects).
+  template <typename Keep>
+  std::vector<ProjectInfo> ListViews(Keep keep) const;
+  /// Republishes every project view of one shard, drops views of projects
+  /// it no longer holds, and refreshes its stats (shard mutex held).
   void RefreshShard(size_t shard_index) const;
   /// Publishes current ledger/project counters (shard mutex held).
   void RefreshStats(size_t shard_index) const;
@@ -397,6 +440,10 @@ class ShardedSystem {
   /// One sampling window: reads per-shard op deltas, applies the
   /// hot-ratio + hysteresis rules, migrates at most one project.
   void RebalanceOnce();
+  /// Moves one shard's per-project attribution (locked routes plus view
+  /// reads) into `out`, or discards it when `out` is null, and resets it.
+  void DrainAttribution(size_t shard_index,
+                        std::unordered_map<uint64_t, uint64_t>* out);
 
   ShardedSystemOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -473,7 +473,8 @@ void Server::HandleFrame(Reactor& r, const std::shared_ptr<Conn>& conn,
   }
   // Payload decoding (and everything after) runs on the pool: a frame near
   // the size cap must not stall this reactor's accepts and reads for every
-  // other connection. Reactors do framing and routing only.
+  // other connection. Reactors do framing and routing, and answer the one
+  // request cheaper than a pool handoff: a view-only ProjectQuery.
   conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
   metrics_->in_flight->Add(1);
   // The trace root opens here — frame decoded, request admitted — so the
@@ -488,26 +489,30 @@ void Server::HandleFrame(Reactor& r, const std::shared_ptr<Conn>& conn,
     root->Annotate("conn", static_cast<uint64_t>(conn->sock.fd()));
     root->Annotate("correlation", frame.correlation);
   }
-  if (frame.type == api::kRequestTypeIndex<api::BatchSubmitTagsRequest>) {
+  Work work{conn, std::move(frame), trace, std::move(root)};
+  if (IsViewOnlyQuery(work.frame.type, work.frame.payload)) {
+    // Run to completion here, as in IX (Belay et al., OSDI 2014): the read
+    // takes no shard mutex and costs less than the pool handoff and the
+    // cross-thread write queue it would otherwise pay.
+    DispatchOne(work);
+    return;
+  }
+  if (work.frame.type == api::kRequestTypeIndex<api::BatchSubmitTagsRequest>) {
     // Mergeable: the whole group becomes ONE backend batch (see
     // Service::BatchSubmitTagsMulti for the bit-equality argument).
-    groups.submits.push_back(
-        Work{conn, std::move(frame), trace, std::move(root)});
+    groups.submits.push_back(std::move(work));
     return;
   }
   if (std::optional<core::ProjectId> project =
-          PeekProjectId(frame.type, frame.payload)) {
+          PeekProjectId(work.frame.type, work.frame.payload)) {
     groups.by_shard[ShardOfId(*project, num_shards_)].push_back(
-        Work{conn, std::move(frame), trace, std::move(root)});
+        std::move(work));
     return;
   }
   // Unroutable (registrations, Step, Checkpoint, MetricsQuery, malformed):
   // one pool task each, preserving worker parallelism for endpoints that
   // fan out internally or block.
-  pool_->Submit(
-      [this, w = Work{conn, std::move(frame), trace, std::move(root)}]() mutable {
-        DispatchOne(w);
-      });
+  pool_->Submit([this, w = std::move(work)]() mutable { DispatchOne(w); });
 }
 
 void Server::FlushDispatchGroups(DispatchGroups& groups) {

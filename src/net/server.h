@@ -56,7 +56,8 @@ struct ServerOptions {
   /// Kernel accept-queue depth; connection storms (the 10k soak) need this
   /// well above the 128 default.
   int listen_backlog = 1024;
-  /// Test seam: runs on the worker thread right before Service::Dispatch.
+  /// Test seam: runs right before Service::Dispatch, on the thread that
+  /// dispatches: a worker, or the reactor for a detail-free ProjectQuery.
   /// Lets tests hold workers busy deterministically (e.g. to force the
   /// overload path); leave unset in production.
   std::function<void(const api::AnyRequest&)> before_dispatch;
@@ -106,9 +107,13 @@ struct ServerStats {
 /// pool handoff, and for BatchSubmitTags a single merged backend batch,
 /// amortizes over many requests, while an idle connection's lone request
 /// still dispatches immediately (the batching window is the event burst:
-/// it adapts to load and adds no timer latency). Responses are appended to
-/// a per-connection output queue and flushed by the owning reactor with
-/// one gathering writev per syscall — workers never block on a slow peer.
+/// it adapts to load and adds no timer latency). One request skips the
+/// pool: a ProjectQuery without detail_resources reads only the project's
+/// published view, takes no shard mutex, and costs less than the handoff,
+/// so the reactor runs it to completion through the same DispatchOne.
+/// Responses are appended to a per-connection output queue and flushed by
+/// the owning reactor with one gathering writev per syscall — workers
+/// never block on a slow peer.
 ///
 /// The correlation id ties replies to requests, so clients may pipeline
 /// freely; replies can overtake each other. The wrapped Service is
@@ -209,7 +214,8 @@ class Server {
   /// Submits every non-empty group of the burst to the pool, one task per
   /// group (chunked at max_dispatch_batch).
   void FlushDispatchGroups(DispatchGroups& groups);
-  /// Decode + before_dispatch + Dispatch + queue-response for one unit.
+  /// Decode + before_dispatch + Dispatch + queue-response for one unit, on
+  /// a worker or, for a detail-free ProjectQuery, on the reactor.
   void DispatchOne(Work& work);
   /// The merged path: N BatchSubmitTags requests through one backend batch.
   void DispatchMergedSubmits(std::vector<Work>& group);

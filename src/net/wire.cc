@@ -441,6 +441,18 @@ std::optional<core::ProjectId> PeekProjectId(uint16_t type,
   return project;
 }
 
+bool IsViewOnlyQuery(uint16_t type, std::string_view payload) {
+  if (type != api::kRequestTypeIndex<api::ProjectQueryRequest>) return false;
+  // The field list: project (u64), include_feed (u8), then the u32 count
+  // of detail_resources.
+  ByteReader r(payload);
+  uint64_t project = 0;
+  uint8_t include_feed = 0;
+  uint32_t details = 0;
+  return r.U64(&project) && r.U8(&include_feed) && r.U32(&details) &&
+         details == 0;
+}
+
 // ------------------------------------------------------------- replication
 
 std::string EncodeReplSubscribeFrame(uint64_t correlation,

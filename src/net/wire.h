@@ -122,6 +122,13 @@ Status DecodeResponsePayload(uint16_t type, std::string_view payload,
 std::optional<core::ProjectId> PeekProjectId(uint16_t type,
                                              std::string_view payload);
 
+/// True when an encoded request payload of variant index `type` is a
+/// ProjectQuery listing no detail_resources: a read served entirely from
+/// the project's published view, which a reactor answers without the
+/// worker pool. Read without decoding the rest; false for every other
+/// type and for a payload too short to tell.
+bool IsViewOnlyQuery(uint16_t type, std::string_view payload);
+
 // ------------------------------------------------------------- replication
 //
 // The v5 stream messages (kinds 3–5). They ride the same framing (magic,

@@ -33,6 +33,18 @@ ResourceId AllocationEngine::PopPromotion() {
   return kInvalidResource;
 }
 
+void AllocationEngine::FollowCorpus() {
+  if (assignment_.size() == corpus_->size()) return;
+  // Resources uploaded since the last call join unassigned and unstopped.
+  // The strategy is re-seeded over the grown corpus exactly as RestoreState
+  // seeds a recovered engine, and the RNG stream stays where it was, so the
+  // live run keeps allocating like one rebuilt from storage.
+  assignment_.resize(corpus_->size(), 0);
+  const RngState rng = rng_.SaveState();
+  strategy_->Initialize(ctx_);
+  rng_.RestoreState(rng);
+}
+
 void AllocationEngine::Account(ResourceId id) {
   --budget_remaining_;
   ++tasks_assigned_;
@@ -43,6 +55,7 @@ Result<ResourceId> AllocationEngine::ChooseNext() {
   if (budget_remaining_ == 0) {
     return Status::ResourceExhausted("budget spent");
   }
+  FollowCorpus();
   ResourceId id = PopPromotion();
   if (id == kInvalidResource) {
     id = strategy_->Choose(ctx_);
@@ -60,6 +73,7 @@ Result<std::vector<ResourceId>> AllocationEngine::ChooseBatch(size_t k) {
   if (budget_remaining_ == 0) {
     return Status::ResourceExhausted("budget spent");
   }
+  FollowCorpus();
   size_t want = std::min<size_t>(k, budget_remaining_);
   std::vector<ResourceId> chosen;
   chosen.reserve(want);
@@ -89,6 +103,7 @@ uint32_t AllocationEngine::AddBudget(uint32_t amount) {
 }
 
 void AllocationEngine::NotifyPost(ResourceId id) {
+  FollowCorpus();
   strategy_->OnPost(ctx_, id);
 }
 
@@ -96,6 +111,7 @@ Status AllocationEngine::Promote(ResourceId id) {
   if (!corpus_->IsValid(id)) {
     return Status::NotFound("resource " + std::to_string(id));
   }
+  FollowCorpus();
   if (ctx_.stopped(id)) {
     return Status::FailedPrecondition("resource is stopped");
   }
@@ -107,6 +123,7 @@ Status AllocationEngine::SetStopped(ResourceId id, bool stopped) {
   if (!corpus_->IsValid(id)) {
     return Status::NotFound("resource " + std::to_string(id));
   }
+  FollowCorpus();
   ctx_.set_stopped(id, stopped);
   // Re-seed strategy state so its priority structures drop/readmit the
   // resource. Strategies treat Initialize as idempotent w.r.t. the corpus.
@@ -116,6 +133,7 @@ Status AllocationEngine::SetStopped(ResourceId id, bool stopped) {
 
 void AllocationEngine::SwitchStrategy(std::unique_ptr<Strategy> strategy) {
   assert(strategy != nullptr);
+  assignment_.resize(corpus_->size(), 0);
   strategy_ = std::move(strategy);
   strategy_->Initialize(ctx_);
 }
@@ -125,6 +143,7 @@ EngineState AllocationEngine::SaveState() const {
   s.budget_remaining = budget_remaining_;
   s.tasks_assigned = tasks_assigned_;
   s.assignment = assignment_;
+  s.assignment.resize(corpus_->size(), 0);
   s.promoted.assign(promoted_.begin(), promoted_.end());
   s.stopped.resize(corpus_->size(), 0);
   for (ResourceId r = 0; r < corpus_->size(); ++r) {

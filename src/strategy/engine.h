@@ -58,7 +58,10 @@ struct EngineState {
 /// gets it tagged, appends the post to the corpus, and calls NotifyPost().
 class AllocationEngine {
  public:
-  /// `corpus` must outlive the engine.
+  /// `corpus` must outlive the engine. It may gain resources mid-run (an
+  /// upload to a running project): the next call grows the engine's
+  /// per-resource state to match, so the run allocates exactly like an
+  /// engine rebuilt over the grown corpus by RestoreState.
   AllocationEngine(tagging::Corpus* corpus, std::unique_ptr<Strategy> strategy,
                    EngineOptions options);
 
@@ -120,6 +123,9 @@ class AllocationEngine {
   void RestoreState(const EngineState& state);
 
  private:
+  /// Grows the per-resource state to a corpus that gained resources since
+  /// the last call (uploads to a running project).
+  void FollowCorpus();
   /// Pops the first non-stopped promoted resource, or kInvalidResource.
   tagging::ResourceId PopPromotion();
   /// Records one debited pick.

@@ -16,8 +16,8 @@ void Strategy::ChooseResources(const StrategyContext& ctx, size_t k,
 
 size_t StrategyContext::EligibleCount() const {
   size_t n = 0;
-  for (size_t i = 0; i < stopped_.size(); ++i) {
-    if (stopped_[i] == 0) ++n;
+  for (tagging::ResourceId id = 0; id < size(); ++id) {
+    if (!stopped(id)) ++n;
   }
   return n;
 }

@@ -27,8 +27,15 @@ class StrategyContext {
   size_t size() const { return corpus_->size(); }
 
   /// True when the provider stopped investment in `id` (§III-A Stop button).
-  bool stopped(tagging::ResourceId id) const { return stopped_[id] != 0; }
-  void set_stopped(tagging::ResourceId id, bool v) { stopped_[id] = v ? 1 : 0; }
+  /// The flags follow corpus growth: a resource uploaded after the context
+  /// was built starts eligible.
+  bool stopped(tagging::ResourceId id) const {
+    return id < stopped_.size() && stopped_[id] != 0;
+  }
+  void set_stopped(tagging::ResourceId id, bool v) {
+    if (id >= stopped_.size()) stopped_.resize(id + 1, 0);
+    stopped_[id] = v ? 1 : 0;
+  }
 
   /// Count of resources still eligible for tasks.
   size_t EligibleCount() const;

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace itag::api {
 namespace {
@@ -365,6 +368,71 @@ TEST_F(ApiServiceTest, FacadeAddBudgetSaturatesOnDraftProjects) {
   ASSERT_TRUE(facade.AddBudget(project_, 0xFFFFFFF0u).ok());
   ProjectQueryResponse info = service_.ProjectQuery({project_, false, {}});
   EXPECT_EQ(info.info.budget_remaining, 0xFFFFFFFFu);
+}
+
+TEST_F(ApiServiceTest, FacadeWritesReachProjectQuery) {
+  // Writes that go straight into a shard's facade, below the sharded core,
+  // still publish the project's view that ProjectQuery reads.
+  Upload(3);
+  core::ITagSystem& facade = service_.sharded()->shard_system(0);
+  ASSERT_TRUE(facade.StartProject(project_).ok());
+  ProjectQueryResponse q = service_.ProjectQuery({project_, true, {}});
+  EXPECT_EQ(q.info.state, core::ProjectState::kRunning);
+  EXPECT_EQ(q.feed.size(), 1u);
+
+  Result<std::vector<AcceptedTask>> tasks =
+      facade.AcceptTasks(tagger_, project_, 2);
+  ASSERT_TRUE(tasks.ok());
+  std::vector<core::TagSubmission> subs;
+  std::vector<std::pair<core::TaskHandle, bool>> decisions;
+  for (const AcceptedTask& t : tasks.value()) {
+    subs.push_back({tagger_, t.handle, {"direct"}});
+    decisions.emplace_back(t.handle, true);
+  }
+  facade.SubmitTagsBatch(subs);
+  facade.DecideBatch(provider_, decisions);
+  ASSERT_TRUE(facade.PauseProject(project_).ok());
+
+  q = service_.ProjectQuery({project_, true, {}});
+  ASSERT_TRUE(q.status.ok());
+  core::ProjectInfo direct = facade.GetProjectInfo(project_).value();
+  EXPECT_EQ(q.info.state, core::ProjectState::kPaused);
+  EXPECT_EQ(q.info.tasks_completed, 2u);
+  EXPECT_EQ(q.info.budget_remaining, direct.budget_remaining);
+  EXPECT_EQ(q.info.quality, direct.quality);
+  EXPECT_EQ(q.info.projected_gain, direct.projected_gain);
+  ASSERT_EQ(q.feed.size(), facade.QualityFeed(project_).size());
+  EXPECT_EQ(q.feed.back().tasks, 2u);
+}
+
+TEST_F(ApiServiceTest, DetailCountAboveTheLimitIsRejectedBeforeAdmission) {
+  std::vector<tagging::ResourceId> ids = Upload(2);
+  Start();
+  // One admission token: a charged rejection would starve the at-limit
+  // query below.
+  service_.SetAdmissionLimit(1);
+  obs::Counter* ops =
+      obs::MetricsRegistry::Default().GetCounter("core.shard.0.ops");
+  const uint64_t ops0 = ops->value();
+
+  ProjectQueryRequest over{project_, true, {}};
+  over.detail_resources.assign(kMaxDetailResources + 1, ids[0]);
+  ProjectQueryResponse rejected = service_.ProjectQuery(over);
+  EXPECT_TRUE(rejected.status.IsInvalidArgument())
+      << rejected.status.ToString();
+  EXPECT_TRUE(rejected.feed.empty());
+  EXPECT_TRUE(rejected.details.empty());
+  EXPECT_TRUE(rejected.detail_outcome.statuses.empty());
+  EXPECT_EQ(ops->value(), ops0);  // nothing routed, no detail computed
+
+  ProjectQueryRequest at{project_, true, {}};
+  at.detail_resources.assign(kMaxDetailResources, ids[1]);
+  ProjectQueryResponse served = service_.ProjectQuery(at);
+  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+  EXPECT_EQ(served.details.size(), kMaxDetailResources);
+  EXPECT_EQ(served.detail_outcome.ok_count, kMaxDetailResources);
+  // One routed op for the view read, one per detail.
+  EXPECT_EQ(ops->value(), ops0 + 1 + kMaxDetailResources);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // and the sharded core under multi-threaded fire. The central property test
 // hammers api::Service from several threads across shards and asserts the
 // result is bit-equal to a single-threaded replay of the same per-project
-// traffic — sharding must change throughput, never outcomes. All tests here
-// run under the ThreadSanitizer CI job.
+// traffic — sharding must change throughput, never outcomes. A wire hammer
+// checks that dashboard reads see one published version of a project. All
+// tests here run under the ThreadSanitizer CI job.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,8 @@
 #include "common/thread_pool.h"
 #include "itag/itag_system.h"
 #include "itag/sharded_system.h"
+#include "net/client.h"
+#include "net/server.h"
 
 namespace itag {
 namespace {
@@ -432,6 +435,80 @@ TEST(ConcurrentDispatchTest, ParallelStepRacesCleanlyWithQueries) {
   EXPECT_EQ(service.sharded()->Now(), 400);
   for (ProjectId p : projects) {
     EXPECT_GT(service.ProjectQuery({p, false, {}}).info.tasks_completed, 0u);
+  }
+}
+
+// Dashboard reads over the wire race writes to the same projects. A reply
+// is one published version: the write that last set info.tasks_completed
+// also emitted the feed's last point. Info and feed read under two separate
+// lock acquisitions can pair one write's info with a later write's feed.
+TEST(ConcurrentDispatchTest, WireQueriesSeeOneVersionOfInfoAndFeed) {
+  constexpr uint32_t kBudget = 20000;
+  api::Service service(ShardOpts(2));
+  ASSERT_TRUE(service.Init().ok());
+  ProviderId provider = service.RegisterProvider({"prov"}).provider;
+  std::vector<ProjectId> projects;
+  for (int i = 0; i < 2; ++i) {
+    api::CreateProjectRequest create;
+    create.provider = provider;
+    create.spec = StressSpec(kBudget);
+    ProjectId p = service.CreateProject(create).project;
+    api::BatchUploadResourcesRequest upload;
+    upload.project = p;
+    for (int r = 0; r < 12; ++r) {
+      api::UploadResourceItem item;
+      item.uri = "res-" + std::to_string(r);
+      upload.items.push_back(std::move(item));
+    }
+    ASSERT_TRUE(service.BatchUploadResources(upload).outcome.all_ok());
+    ASSERT_TRUE(service.BatchControl({p, {{api::ControlAction::kStart}}})
+                    .outcome.all_ok());
+    projects.push_back(p);
+  }
+  net::ServerOptions server_opts;
+  server_opts.reactors = 2;
+  server_opts.workers = 2;
+  net::Server server(&service, server_opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> checked{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      net::Client client;
+      ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+      while (!stop.load(std::memory_order_acquire)) {
+        for (ProjectId p : projects) {
+          Result<api::ProjectQueryResponse> q =
+              client.ProjectQuery({p, true, {}});
+          ASSERT_TRUE(q.ok()) << q.status().ToString();
+          const api::ProjectQueryResponse& r = q.value();
+          ASSERT_TRUE(r.status.ok());
+          if (!r.feed.empty()) {
+            ASSERT_EQ(r.feed.back().tasks, r.info.tasks_completed);
+          }
+          checked.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < 6; ++w) {
+    writers.emplace_back([&, w] {
+      UserTaggerId tagger =
+          service.RegisterTagger({"w-" + std::to_string(w)}).tagger;
+      DriveProject(service, provider, tagger, projects[w % projects.size()]);
+    });
+  }
+  for (std::thread& th : writers) th.join();
+  stop.store(true, std::memory_order_release);
+  for (std::thread& th : readers) th.join();
+  server.Stop();
+  EXPECT_GT(checked.load(), 0u);
+  for (ProjectId p : projects) {
+    EXPECT_EQ(service.ProjectQuery({p, false, {}}).info.tasks_completed,
+              kBudget);
   }
 }
 

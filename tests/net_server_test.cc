@@ -441,6 +441,72 @@ TEST(NetServerTest, PipelinedRepliesArriveOutOfOrderByCorrelation) {
   server.Stop();
 }
 
+TEST_P(NetServerReactorTest, ViewOnlyQueryIsAnsweredWithoutAWorker) {
+  api::Service service(ShardOpts(1, 1));
+  ASSERT_TRUE(service.Init().ok());
+  ProviderId provider = service.RegisterProvider({"prov"}).provider;
+  api::CreateProjectRequest create;
+  create.provider = provider;
+  create.spec.name = "dash";
+  create.spec.platform = core::PlatformChoice::kAudience;
+  ProjectId project = service.CreateProject(create).project;
+  api::BatchUploadResourcesRequest upload;
+  upload.project = project;
+  upload.items.push_back({tagging::ResourceKind::kWebUrl, "u", "", {"seed"}});
+  ASSERT_TRUE(service.BatchUploadResources(upload).outcome.all_ok());
+
+  // Both workers parked on Step requests; nothing else is held.
+  std::atomic<int> arrived{0};
+  std::atomic<bool> release{false};
+  ServerOptions opts;
+  opts.workers = 2;
+  opts.reactors = GetParam();
+  opts.before_dispatch = [&](const api::AnyRequest& req) {
+    if (!std::holds_alternative<api::StepRequest>(req)) return;
+    ++arrived;
+    while (!release.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  Server server(&service, opts);
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  Result<uint64_t> step1 =
+      client.DispatchAsync(api::AnyRequest{api::StepRequest{0}});
+  Result<uint64_t> step2 =
+      client.DispatchAsync(api::AnyRequest{api::StepRequest{0}});
+  ASSERT_TRUE(step1.ok());
+  ASSERT_TRUE(step2.ok());
+  while (arrived.load(std::memory_order_acquire) < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // A query with details needs a worker, so it waits behind the parked
+  // Steps; a detail-free one is answered on the reactor meanwhile.
+  Result<uint64_t> detailed = client.DispatchAsync(
+      api::AnyRequest{api::ProjectQueryRequest{project, false, {0}}});
+  ASSERT_TRUE(detailed.ok());
+  Result<api::ProjectQueryResponse> view =
+      client.ProjectQuery({project, true, {}});
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  ASSERT_TRUE(view.value().status.ok());
+  EXPECT_EQ(view.value().info.id, project);
+  EXPECT_EQ(view.value().info.num_resources, 1u);
+  EXPECT_TRUE(view.value().details.empty());
+  EXPECT_EQ(client.ready_count(), 0u);  // nothing else was answered
+
+  release.store(true, std::memory_order_release);
+  EXPECT_TRUE(client.Await(step1.value()).ok());
+  EXPECT_TRUE(client.Await(step2.value()).ok());
+  Result<api::AnyResponse> details = client.Await(detailed.value());
+  ASSERT_TRUE(details.ok());
+  const auto& resp = std::get<api::ProjectQueryResponse>(details.value());
+  ASSERT_TRUE(resp.status.ok());
+  EXPECT_EQ(resp.details.size(), 1u);
+  server.Stop();
+}
+
 // ------------------------------------------------------------- the hammer
 
 core::ProjectSpec HammerSpec(uint32_t budget) {

@@ -1,6 +1,6 @@
 // Functional (single-threaded) coverage of the sharded core: id encoding,
 // per-shard routing, broadcast user registration, cross-shard merges, the
-// lock-free quality snapshot path, and the api::Service sharded backend.
+// lock-free published project views, and the api::Service sharded backend.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "api/service.h"
 #include "common/sharding.h"
 #include "itag/sharded_system.h"
+#include "net_test_scenario.h"
 #include "obs/metrics.h"
 
 namespace itag {
@@ -805,6 +806,81 @@ TEST(ShardedServiceTest, AdmissionControlThrottlesPerProject) {
 
   // Other projects have their own bucket.
   EXPECT_TRUE(service.ProjectQuery({other, false, {}}).status.ok());
+}
+
+// ------------------------------------------------------- published views
+
+/// Field-by-field ProjectInfo equality (doubles exactly: the view and the
+/// oracle compute them from the same state).
+void ExpectSameInfo(const ProjectInfo& got, const ProjectInfo& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.provider, want.provider);
+  EXPECT_EQ(got.spec.name, want.spec.name);
+  EXPECT_EQ(got.spec.kind, want.spec.kind);
+  EXPECT_EQ(got.spec.description, want.spec.description);
+  EXPECT_EQ(got.spec.budget, want.spec.budget);
+  EXPECT_EQ(got.spec.pay_cents, want.spec.pay_cents);
+  EXPECT_EQ(got.spec.platform, want.spec.platform);
+  EXPECT_EQ(got.spec.strategy, want.spec.strategy);
+  EXPECT_EQ(got.state, want.state);
+  EXPECT_EQ(got.budget_remaining, want.budget_remaining);
+  EXPECT_EQ(got.tasks_completed, want.tasks_completed);
+  EXPECT_EQ(got.num_resources, want.num_resources);
+  EXPECT_EQ(got.quality, want.quality);
+  EXPECT_EQ(got.projected_gain, want.projected_gain);
+}
+
+class ProjectViewOracleTest : public ::testing::TestWithParam<size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Shards, ProjectViewOracleTest,
+                         ::testing::Values(size_t{1}, size_t{3}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return std::to_string(info.param) + "shard" +
+                                  (info.param == 1 ? "" : "s");
+                         });
+
+// After every request of the full-coverage script, every project's
+// published view equals what its shard's facade computes on the spot (the
+// locked path), with local ids translated to global ones, and the listings
+// hold exactly the views.
+TEST_P(ProjectViewOracleTest, ViewsMatchTheFacadeAfterEveryRequest) {
+  const size_t n = GetParam();
+  std::vector<api::AnyRequest> script = nettest::FullCoverageScript(n);
+  api::Service service(Opts(n));
+  ASSERT_TRUE(service.Init().ok());
+  ShardedSystem& sys = *service.sharded();
+  for (size_t step = 0; step < script.size(); ++step) {
+    SCOPED_TRACE("after request " + std::to_string(step));
+    service.Dispatch(script[step]);
+    size_t projects = 0;
+    size_t open = 0;
+    for (size_t s = 0; s < n; ++s) {
+      core::ITagSystem& facade = sys.shard_system(s);
+      for (ProjectId local : facade.quality_manager().ProjectIds()) {
+        ++projects;
+        const ProjectId global = EncodeShardedId(local, s, n);
+        ProjectInfo want = facade.GetProjectInfo(local).value();
+        want.id = global;
+        if (want.state == core::ProjectState::kRunning &&
+            want.budget_remaining > 0) {
+          ++open;
+        }
+        Result<std::shared_ptr<const core::ProjectView>> view =
+            sys.GetProjectView(global);
+        ASSERT_TRUE(view.ok()) << view.status().ToString();
+        ExpectSameInfo(view.value()->info, want);
+        const std::vector<core::QualityPoint>& feed = facade.QualityFeed(local);
+        ASSERT_EQ(view.value()->feed->size(), feed.size());
+        for (size_t i = 0; i < feed.size(); ++i) {
+          EXPECT_EQ((*view.value()->feed)[i].tasks, feed[i].tasks);
+          EXPECT_EQ((*view.value()->feed)[i].quality, feed[i].quality);
+          EXPECT_EQ((*view.value()->feed)[i].time, feed[i].time);
+        }
+      }
+    }
+    EXPECT_EQ(sys.ListProjects(static_cast<ProviderId>(-1)).size(), projects);
+    EXPECT_EQ(sys.ListOpenProjects().size(), open);
+  }
 }
 
 }  // namespace

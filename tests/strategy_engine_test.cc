@@ -291,5 +291,75 @@ TEST(EngineTest, AddBudgetSaturatesInsteadOfWrapping) {
   EXPECT_EQ(e.budget_remaining(), 0xFFFFFFFEu);
 }
 
+// An upload to a running project adds resources to the corpus under a live
+// engine. Stopping one of them, drawing and saving must touch only grown
+// state, and the engine must then allocate exactly like one rebuilt from
+// its saved state over the same corpus, which is what recovery builds.
+class CorpusGrowthTest : public ::testing::TestWithParam<StrategyKind> {};
+
+TEST_P(CorpusGrowthTest, GrownEngineAllocatesLikeRestoredOne) {
+  auto c = BuildCorpus(2);
+  AllocationEngine live(c.get(), MakeStrategy(GetParam()), Opts(100));
+  ASSERT_TRUE(live.ChooseBatch(2).ok());
+  for (size_t i = 2; i < 8; ++i) {
+    c->AddResource(ResourceKind::kWebUrl, "r" + std::to_string(i));
+  }
+  ASSERT_TRUE(live.SetStopped(2, true).ok());
+  ASSERT_TRUE(live.Promote(5).ok());
+  Result<std::vector<ResourceId>> drawn = live.ChooseBatch(4);
+  ASSERT_TRUE(drawn.ok());
+  for (ResourceId id : drawn.value()) {
+    ASSERT_TRUE(c->AddPost(id, MakePost({static_cast<TagId>(id)})).ok());
+    live.NotifyPost(id);
+  }
+
+  EngineState saved = live.SaveState();
+  ASSERT_EQ(saved.assignment.size(), 8u);
+  ASSERT_EQ(saved.stopped.size(), 8u);
+  EXPECT_EQ(saved.stopped[2], 1);
+  EXPECT_EQ(live.context().EligibleCount(), 7u);
+  AllocationEngine restored(c.get(), MakeStrategy(GetParam()), Opts(0));
+  restored.RestoreState(saved);
+
+  std::vector<ResourceId> from_live, from_restored;
+  for (int i = 0; i < 12; ++i) {
+    Result<ResourceId> a = live.ChooseNext();
+    Result<ResourceId> b = restored.ChooseNext();
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    ASSERT_LT(a.value(), 8u);
+    ASSERT_NE(a.value(), 2u);
+    from_live.push_back(a.value());
+    from_restored.push_back(b.value());
+    ASSERT_TRUE(c->AddPost(a.value(), MakePost({1})).ok());
+    live.NotifyPost(a.value());
+    if (b.value() != a.value()) {
+      ASSERT_TRUE(c->AddPost(b.value(), MakePost({1})).ok());
+    }
+    restored.NotifyPost(b.value());
+  }
+  // RR's cursor is not part of EngineState: a restored RR restarts at
+  // resource 0 whether or not the corpus grew.
+  if (GetParam() != StrategyKind::kRoundRobin) {
+    EXPECT_EQ(from_live, from_restored);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, CorpusGrowthTest,
+    ::testing::Values(StrategyKind::kFreeChoice,
+                      StrategyKind::kFewestPostsFirst,
+                      StrategyKind::kMostUnstableFirst,
+                      StrategyKind::kHybridFpMu, StrategyKind::kRandom,
+                      StrategyKind::kRoundRobin,
+                      StrategyKind::kEstimatedGain),
+    [](const ::testing::TestParamInfo<StrategyKind>& info) {
+      std::string name = StrategyKindName(info.param);
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
+
 }  // namespace
 }  // namespace itag::strategy
