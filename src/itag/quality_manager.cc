@@ -55,6 +55,16 @@ bool DecodeEngine(const std::string& blob, EngineState* s,
   return true;
 }
 
+/// q(R,k) from the memo's per-resource scores: the ordered sum over
+/// r = 0..n-1 divided by n, the arithmetic of QualityModel::CorpusQuality,
+/// so the two agree bit for bit.
+double MeanQuality(const std::vector<double>& scores) {
+  if (scores.empty()) return 0.0;
+  double total = 0.0;
+  for (double q : scores) total += q;
+  return total / static_cast<double>(scores.size());
+}
+
 /// The kProjects row for one record — the single row shape PersistProject,
 /// EncodeProjectRow and AdoptProject all share.
 Row BuildProjectRow(ProjectId project, const QualityManager::ProjectRec& rec) {
@@ -361,11 +371,13 @@ Result<ProjectInfo> QualityManager::GetInfo(ProjectId project) const {
       rec->engine != nullptr ? rec->engine->budget_remaining()
                              : rec->spec.budget;
   const tagging::Corpus* corpus = resources_->GetCorpus(project);
-  info.num_resources = corpus == nullptr ? 0 : corpus->size();
-  info.quality =
-      corpus == nullptr ? 0.0 : stability_.CorpusQuality(*corpus);
-  Result<double> projected = ProjectedGain(project);
-  info.projected_gain = projected.ok() ? projected.value() : 0.0;
+  if (corpus != nullptr) {
+    const ProjectRec::QualityMemo& memo = Memo(*rec, *corpus);
+    info.num_resources = corpus->size();
+    info.quality = MeanQuality(memo.scores);
+    info.projected_gain =
+        PlanProjection(memo.curves, info.budget_remaining).gain;
+  }
   return info;
 }
 
@@ -580,12 +592,30 @@ Status QualityManager::RefundTask(ProjectId project) {
   return Status::OK();
 }
 
+const QualityManager::ProjectRec::QualityMemo& QualityManager::Memo(
+    const ProjectRec& rec, const tagging::Corpus& corpus) const {
+  ProjectRec::QualityMemo& memo = rec.memo;
+  const size_t known = memo.posts.size();
+  const size_t n = corpus.size();
+  memo.posts.resize(n);
+  memo.scores.resize(n);
+  memo.curves.resize(n);
+  for (ResourceId r = 0; r < n; ++r) {
+    const tagging::TagStats& stats = corpus.stats(r);
+    if (r < known && memo.posts[r] == stats.post_count()) continue;
+    memo.posts[r] = stats.post_count();
+    memo.scores[r] = stability_.ResourceQuality(r, stats);
+    memo.curves[r] = gain_.Curve(stats);
+  }
+  return memo;
+}
+
 void QualityManager::EmitQualityPoint(ProjectId project, ProjectRec& rec) {
   const tagging::Corpus* corpus = resources_->GetCorpus(project);
   if (corpus == nullptr) return;
   QualityPoint p;
   p.tasks = rec.tasks_completed;
-  p.quality = stability_.CorpusQuality(*corpus);
+  p.quality = MeanQuality(Memo(rec, *corpus).scores);
   p.time = clock_->Now();
   if (persist()) {
     (void)db_->Insert(tables::kQualityFeed,
@@ -612,12 +642,12 @@ std::vector<Status> QualityManager::CompletePostBatch(
   if (!gate.ok()) return std::vector<Status>(posts.size(), gate);
 
   // Pre-batch quality per touched resource, for the notify bar.
+  const ProjectRec::QualityMemo& memo = Memo(*rec, *corpus);
   std::map<ResourceId, double> before;
   for (const auto& [resource, post] : posts) {
     (void)post;
-    if (before.count(resource) == 0) {
-      before[resource] =
-          stability_.ResourceQuality(resource, corpus->stats(resource));
+    if (corpus->IsValid(resource)) {
+      before.emplace(resource, memo.scores[resource]);
     }
   }
 
@@ -643,9 +673,9 @@ std::vector<Status> QualityManager::CompletePostBatch(
                    {NotificationKind::kNewTagging, clock_->Now(), project,
                     std::to_string(applied) + " new taggings"});
 
+  // EmitQualityPoint rescored the batch's resources in the memo.
   for (const auto& [resource, q0] : before) {
-    double after =
-        stability_.ResourceQuality(resource, corpus->stats(resource));
+    double after = memo.scores[resource];
     if (q0 < kNotifyQualityBar && after >= kNotifyQualityBar) {
       PushNotification(rec->provider,
                        {NotificationKind::kQualityImproved, clock_->Now(),
@@ -664,18 +694,12 @@ const std::vector<QualityPoint>& QualityManager::QualityFeed(
   return rec == nullptr ? kEmpty : rec->feed;
 }
 
-ProjectionPlan PlanProjection(const tagging::Corpus& corpus,
-                              const quality::EmpiricalGainEstimator& estimator,
-                              uint32_t budget) {
-  const size_t n = corpus.size();
+ProjectionPlan PlanProjection(
+    const std::vector<quality::ProjectionCurve>& curves, uint32_t budget) {
+  const size_t n = curves.size();
   ProjectionPlan plan{std::vector<uint32_t>(n, 0), 0.0};
   budget = std::min(budget, kProjectionHorizon);
   if (n == 0 || budget == 0) return plan;
-  std::vector<quality::ProjectionCurve> curves;
-  curves.reserve(n);
-  for (ResourceId r = 0; r < n; ++r) {
-    curves.push_back(estimator.Curve(corpus.stats(r)));
-  }
   plan.tasks = strategy::GreedyAllocate(
       n, budget,
       [&curves](uint32_t r, uint32_t extra) {
@@ -697,7 +721,7 @@ Result<double> QualityManager::ProjectedGain(ProjectId project) const {
   }
   uint32_t budget = rec->engine != nullptr ? rec->engine->budget_remaining()
                                            : rec->spec.budget;
-  return PlanProjection(*corpus, gain_, budget).gain;
+  return PlanProjection(Memo(*rec, *corpus).curves, budget).gain;
 }
 
 Result<QualityManager::ResourceDetail> QualityManager::GetResourceDetail(

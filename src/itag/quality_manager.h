@@ -41,13 +41,13 @@ struct ProjectionPlan {
   double gain = 0.0;            ///< mean projected quality gain per resource
 };
 
-/// Plans min(budget, kProjectionHorizon) more tasks over `corpus` with the
-/// greedy split of strategy::GreedyAllocate on the estimator's projection
-/// curves, warm-started from their quality::ThresholdPrefix: O(Σ|θ̂ᵣ| +
-/// n log n) rather than the cold start's O(B log n).
-ProjectionPlan PlanProjection(const tagging::Corpus& corpus,
-                              const quality::EmpiricalGainEstimator& estimator,
-                              uint32_t budget);
+/// Plans min(budget, kProjectionHorizon) more tasks over the resources
+/// whose projection curves are `curves` (resource r's at index r), with the
+/// greedy split of strategy::GreedyAllocate warm-started from their
+/// quality::ThresholdPrefix: O(n log n) rather than the cold start's
+/// O(B log n).
+ProjectionPlan PlanProjection(
+    const std::vector<quality::ProjectionCurve>& curves, uint32_t budget);
 
 /// The Quality Manager of Fig. 2: receives the provider's budget, creates a
 /// Project, "executes the best strategy to allocate resources to taggers",
@@ -79,7 +79,10 @@ class QualityManager {
   Result<ProjectId> CreateProject(ProviderId provider,
                                   const ProjectSpec& spec);
 
-  /// Project info snapshot (Fig. 3 row).
+  /// Project info snapshot (Fig. 3 row). Its quality and projected gain
+  /// come from the project's quality memo (ProjectRec::memo), so a call
+  /// rescores only the resources that got a post since the last read:
+  /// O(n) compares plus the plan's O(n log n).
   Result<ProjectInfo> GetInfo(ProjectId project) const;
 
   /// All projects of one provider (or all when provider == SIZE_MAX),
@@ -135,11 +138,13 @@ class QualityManager {
   /// posts in one pass. Every post is linked into corpus + storage and fed
   /// to the strategy individually (a failing post is skipped, not fatal to
   /// the rest — the returned statuses align with `posts`), but the
-  /// O(corpus) quality-feed point and the new-tagging notification are
-  /// emitted once per batch — the amortization that lets Step() pump heavy
-  /// platform traffic. Quality-improved notifications still fire per
-  /// resource. FailedPrecondition for every post when the project is not
-  /// started.
+  /// quality-feed point and the new-tagging notification are emitted once
+  /// per batch — the amortization that lets Step() pump heavy platform
+  /// traffic. The feed point rescores only the batch's resources through
+  /// the quality memo. Quality-improved notifications still fire per
+  /// resource; their before and after values are the memo's, so each
+  /// touched resource is scored once per batch. FailedPrecondition for
+  /// every post when the project is not started.
   std::vector<Status> CompletePostBatch(
       ProjectId project,
       std::vector<std::pair<tagging::ResourceId, tagging::Post>> posts);
@@ -149,7 +154,9 @@ class QualityManager {
 
   /// Projected additional quality if the remaining budget is spent with the
   /// estimated-gain-optimal split (the "projected quality gains" shown
-  /// while the provider picks a budget): PlanProjection's gain.
+  /// while the provider picks a budget): PlanProjection's gain over the
+  /// quality memo's curves, which are rebuilt only for resources that got
+  /// a post since the last read.
   Result<double> ProjectedGain(ProjectId project) const;
 
   /// Per-resource detail for Fig. 6: current quality and the posts so far.
@@ -204,11 +211,30 @@ class QualityManager {
     /// resource uploaded later is stopped.
     std::vector<uint8_t> stopped;
     bool exhausted_notified = false;  // de-dups budget-exhausted alerts
+
+    /// Per-resource quality memo, one entry per corpus resource (index =
+    /// resource id): the post count the entry was computed at, q_i from
+    /// StabilityQuality::ResourceQuality, and the projection curve from
+    /// EmpiricalGainEstimator::Curve. A resource's TagStats moves only when
+    /// a post lands, which bumps its post count, and a corpus only grows,
+    /// so an entry whose count still matches is current, whatever path the
+    /// posts came in by. Const reads refresh it (QualityManager::Memo),
+    /// like TagStats::Rfd's cache; it lives and dies with the record.
+    struct QualityMemo {
+      std::vector<uint32_t> posts;
+      std::vector<double> scores;
+      std::vector<quality::ProjectionCurve> curves;
+    };
+    mutable QualityMemo memo;
   };
   const ProjectRec* GetRec(ProjectId project) const;
 
  private:
   ProjectRec* Rec(ProjectId project);
+  /// Brings `rec`'s quality memo up to `corpus` (the record's own corpus):
+  /// rescores the resources whose post count moved and the new ones.
+  const ProjectRec::QualityMemo& Memo(const ProjectRec& rec,
+                                      const tagging::Corpus& corpus) const;
   void EmitQualityPoint(ProjectId project, ProjectRec& rec);
 
   /// True when mutations must be written through to storage.

@@ -46,6 +46,27 @@ struct StorageMetrics {
   }
 };
 
+/// Reads the WAL at `path` and cuts it back to the end of its last whole
+/// frame. The writer appends at the end of the file, so a torn or
+/// zero-filled tail left in place would sit in front of every later frame
+/// and hide it from the next recovery.
+Status ReadAndTrimWal(const std::string& path,
+                      std::vector<WalRecord>* records) {
+  uint64_t end = 0;
+  ITAG_RETURN_IF_ERROR(ReadWal(path, records, &end));
+  std::error_code ec;
+  const uintmax_t size = fs::file_size(path, ec);
+  if (ec || size <= end) return Status::OK();  // no log, or nothing torn
+  ITAG_LOG(kWarn) << "wal " << path << ": dropping " << size - end
+                  << " bytes after the last whole frame";
+  fs::resize_file(path, end, ec);
+  if (ec) {
+    return Status::IOError("cannot truncate wal " + path + ": " +
+                           ec.message());
+  }
+  return Status::OK();
+}
+
 /// First word of a v2 snapshot file. A v1 snapshot leads with its table
 /// count, which can never be ~0u, so one word distinguishes the formats.
 constexpr uint32_t kSnapshotV2Sentinel = 0xFFFFFFFFu;
@@ -86,7 +107,7 @@ Status Database::Recover() {
   }
   std::vector<WalRecord> records;
   ITAG_RETURN_IF_ERROR(
-      ReadWal(options_.directory + "/" + options_.wal_file, &records));
+      ReadAndTrimWal(options_.directory + "/" + options_.wal_file, &records));
   uint64_t max_lsn = snapshot_lsn_;
   for (const WalRecord& rec : records) {
     ++recovery_stats_.wal_records_scanned;
@@ -150,7 +171,7 @@ Status Database::RecoverPaged() {
   uint64_t max_lsn = ckpt;
   std::vector<WalRecord> records;
   ITAG_RETURN_IF_ERROR(
-      ReadWal(options_.directory + "/" + options_.wal_file, &records));
+      ReadAndTrimWal(options_.directory + "/" + options_.wal_file, &records));
   for (const WalRecord& rec : records) {
     ++recovery_stats_.wal_records_scanned;
     recovery_stats_.wal_bytes_scanned += rec.payload.size();

@@ -113,20 +113,27 @@ Status WalTailer::Next(WalRecord* out, bool* have) {
   return Status::OK();
 }
 
-Status ReadWal(const std::string& path, std::vector<WalRecord>* records) {
+Status ReadWal(const std::string& path, std::vector<WalRecord>* records,
+               uint64_t* end) {
   records->clear();
+  if (end != nullptr) *end = 0;
   if (!std::filesystem::exists(path)) return Status::OK();
+  std::error_code ec;
+  const uint64_t size = std::filesystem::file_size(path, ec);
+  if (ec) return Status::IOError("cannot stat wal: " + path);
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot read wal: " + path);
-  for (;;) {
+  uint64_t offset = 0;
+  while (size - offset >= 8) {
     uint32_t len = 0, crc = 0;
     in.read(reinterpret_cast<char*>(&len), 4);
-    if (in.gcount() < 4) break;  // clean EOF or torn header: stop
     in.read(reinterpret_cast<char*>(&crc), 4);
-    if (in.gcount() < 4) break;
+    if (!in) break;
+    if (len == 0 && crc == 0) break;     // zero-filled tail
+    if (len > size - offset - 8) break;  // torn tail
     std::string payload(len, '\0');
     in.read(payload.data(), len);
-    if (static_cast<uint32_t>(in.gcount()) < len) break;  // torn tail
+    if (static_cast<uint32_t>(in.gcount()) < len) break;
     if (Crc32(payload.data(), payload.size()) != crc) {
       return Status::Corruption("wal checksum mismatch in " + path);
     }
@@ -135,7 +142,9 @@ Status ReadWal(const std::string& path, std::vector<WalRecord>* records) {
       return Status::Corruption("wal record malformed in " + path);
     }
     records->push_back(std::move(rec));
+    offset += 8 + len;
   }
+  if (end != nullptr) *end = offset;
   return Status::OK();
 }
 

@@ -72,8 +72,14 @@ class WalWriter {
 /// Reads every valid record from a WAL file. Returns OK with the records
 /// decoded so far even when the tail is torn; returns Corruption only when a
 /// frame is malformed in a way that indicates a bug rather than a crash
-/// (checksum mismatch on a complete frame).
-Status ReadWal(const std::string& path, std::vector<WalRecord>* records);
+/// (checksum mismatch on a complete frame). The log ends at the first frame
+/// that is not whole: a short header, a length running past the end of the
+/// file (checked before the payload is allocated), or an all-zero header —
+/// the zero-filled tail a filesystem can leave after a crash, which the
+/// writer never produces since no record is empty. `end`, when given,
+/// receives the byte offset where the last whole frame ends.
+Status ReadWal(const std::string& path, std::vector<WalRecord>* records,
+               uint64_t* end = nullptr);
 
 /// Incremental reader over a live, append-only WAL file — the primary side
 /// of replication tails each shard's log with one of these. Next() returns

@@ -366,7 +366,7 @@ TEST(ProjectionPlanTest, MatchesTheColdStartOracle) {
                    std::to_string(n) + " budget " + std::to_string(budget));
       ++plans;
       const uint32_t horizon = std::min(budget, kProjectionHorizon);
-      ProjectionPlan plan = PlanProjection(corpus, estimator, budget);
+      ProjectionPlan plan = PlanProjection(curves, budget);
       ProjectionPlan want = oracle.Plan(budget);
       EXPECT_NEAR(plan.gain, want.gain, 1e-12);
       ASSERT_EQ(Sum(plan.tasks), horizon);

@@ -386,46 +386,57 @@ TEST_F(RecoveryTest, TornWalTailLandsOnLastCompleteRecord) {
   ASSERT_GT(size - last_start, 2u);
   fs::resize_file(wal, last_start + (size - last_start) / 2);
 
-  api::Service service(DurableOpts(dir));
-  ASSERT_TRUE(service.Init().ok());
   api::ProjectQueryRequest q;
   q.project = project;
   q.include_feed = true;
-  EXPECT_EQ(Bytes(service.Dispatch(api::AnyRequest{q})),
-            fingerprints[fingerprints.size() - 2])
-      << "recovery did not land on the last complete record";
+  std::string redone;
+  {
+    api::Service service(DurableOpts(dir));
+    ASSERT_TRUE(service.Init().ok());
+    EXPECT_EQ(Bytes(service.Dispatch(api::AnyRequest{q})),
+              fingerprints[fingerprints.size() - 2])
+        << "recovery did not land on the last complete record";
 
-  // Conservation invariants on the recovered state. At the recovered point
-  // all 4 tasks of the last round are submitted-but-undecided.
-  core::ITagSystem& sys = service.sharded()->shard_system(0);
-  Result<core::ProjectInfo> info = sys.GetProjectInfo(project);
-  ASSERT_TRUE(info.ok());
-  size_t pending = sys.PendingApprovals(project).size();
-  EXPECT_EQ(pending, 4u);
-  // Budget: every unit is exactly one of {remaining, completed post,
-  // awaiting decision} — rejections refunded their unit, so the identity
-  // is exact, not an inequality.
-  EXPECT_EQ(info.value().budget_remaining + info.value().tasks_completed +
-                pending,
-            kBudget);
-  // Ledger: internally consistent and exactly one payment per approval.
-  EXPECT_EQ(sys.ledger().TotalPaid(),
-            static_cast<uint64_t>(info.value().tasks_completed) * kPay);
-  EXPECT_EQ(sys.ledger().ProjectSpend(project), sys.ledger().TotalPaid());
-  EXPECT_EQ(sys.ledger().PaymentCount(), info.value().tasks_completed);
-  Result<core::TaggerProfile> tagger_profile = sys.GetTagger(0);
-  ASSERT_TRUE(tagger_profile.ok());
-  EXPECT_EQ(tagger_profile.value().earned_cents, sys.ledger().TotalPaid());
-  EXPECT_EQ(tagger_profile.value().approved, info.value().tasks_completed);
+    // Conservation invariants on the recovered state. At the recovered point
+    // all 4 tasks of the last round are submitted-but-undecided.
+    core::ITagSystem& sys = service.sharded()->shard_system(0);
+    Result<core::ProjectInfo> info = sys.GetProjectInfo(project);
+    ASSERT_TRUE(info.ok());
+    size_t pending = sys.PendingApprovals(project).size();
+    EXPECT_EQ(pending, 4u);
+    // Budget: every unit is exactly one of {remaining, completed post,
+    // awaiting decision} — rejections refunded their unit, so the identity
+    // is exact, not an inequality.
+    EXPECT_EQ(info.value().budget_remaining + info.value().tasks_completed +
+                  pending,
+              kBudget);
+    // Ledger: internally consistent and exactly one payment per approval.
+    EXPECT_EQ(sys.ledger().TotalPaid(),
+              static_cast<uint64_t>(info.value().tasks_completed) * kPay);
+    EXPECT_EQ(sys.ledger().ProjectSpend(project), sys.ledger().TotalPaid());
+    EXPECT_EQ(sys.ledger().PaymentCount(), info.value().tasks_completed);
+    Result<core::TaggerProfile> tagger_profile = sys.GetTagger(0);
+    ASSERT_TRUE(tagger_profile.ok());
+    EXPECT_EQ(tagger_profile.value().earned_cents, sys.ledger().TotalPaid());
+    EXPECT_EQ(tagger_profile.value().approved, info.value().tasks_completed);
 
-  // The torn system keeps serving: the pending batch can be re-decided.
-  std::vector<core::PendingSubmission> subs = sys.PendingApprovals(project);
-  api::BatchDecideRequest redo;
-  redo.provider = 0;
-  for (const core::PendingSubmission& sub : subs) {
-    redo.items.push_back({sub.handle, true});
+    // The torn system keeps serving: the pending batch can be re-decided.
+    std::vector<core::PendingSubmission> subs = sys.PendingApprovals(project);
+    api::BatchDecideRequest redo;
+    redo.provider = 0;
+    for (const core::PendingSubmission& sub : subs) {
+      redo.items.push_back({sub.handle, true});
+    }
+    EXPECT_TRUE(service.BatchDecide(redo).outcome.all_ok());
+    redone = Bytes(service.Dispatch(api::AnyRequest{q}));
   }
-  EXPECT_TRUE(service.BatchDecide(redo).outcome.all_ok());
+
+  // The redo was acknowledged after the torn restart, so the next restart
+  // must keep it: recovery cut the torn bytes off before appending.
+  api::Service restarted(DurableOpts(dir));
+  ASSERT_TRUE(restarted.Init().ok());
+  EXPECT_EQ(Bytes(restarted.Dispatch(api::AnyRequest{q})), redone)
+      << "the redo acknowledged after the torn restart was lost";
 }
 
 // ------------------------------------------- platform simulator restart

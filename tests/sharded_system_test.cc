@@ -1,14 +1,19 @@
 // Functional (single-threaded) coverage of the sharded core: id encoding,
 // per-shard routing, broadcast user registration, cross-shard merges, the
-// lock-free published project views, and the api::Service sharded backend.
+// lock-free published project views, the Quality Manager's per-resource
+// quality memo, and the api::Service sharded backend.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/service.h"
@@ -16,6 +21,8 @@
 #include "itag/sharded_system.h"
 #include "net_test_scenario.h"
 #include "obs/metrics.h"
+#include "quality/gain_estimator.h"
+#include "quality/quality_model.h"
 
 namespace itag {
 namespace {
@@ -881,6 +888,205 @@ TEST_P(ProjectViewOracleTest, ViewsMatchTheFacadeAfterEveryRequest) {
     EXPECT_EQ(sys.ListProjects(static_cast<ProviderId>(-1)).size(), projects);
     EXPECT_EQ(sys.ListOpenProjects().size(), open);
   }
+}
+
+// ------------------------------------------------------- quality memo
+
+/// Checks the Quality Manager's per-resource quality memo against the
+/// unmemoised oracle: QualityModel::CorpusQuality, and PlanProjection over
+/// curves freshly built by EmpiricalGainEstimator::Curve. Equality is
+/// exact, since the memo must not move a bit of any persisted or published
+/// value. Feed points emitted since the previous Check are compared too;
+/// the oracle can only be evaluated now, so each project may have emitted
+/// at most one in between. Points a project held when first seen (a
+/// recovered or adopted feed) are its baseline.
+class MemoOracle {
+ public:
+  void Check(ShardedSystem& sys) {
+    for (size_t s = 0; s < sys.num_shards(); ++s) {
+      core::ITagSystem& facade = sys.shard_system(s);
+      for (ProjectId local : facade.quality_manager().ProjectIds()) {
+        SCOPED_TRACE("shard " + std::to_string(s) + " project " +
+                     std::to_string(local));
+        const tagging::Corpus& corpus =
+            *facade.resource_manager().GetCorpus(local);
+        std::vector<quality::ProjectionCurve> curves;
+        for (tagging::ResourceId r = 0; r < corpus.size(); ++r) {
+          curves.push_back(estimator_.Curve(corpus.stats(r)));
+        }
+        const double quality = model_.CorpusQuality(corpus);
+        ProjectInfo info = facade.GetProjectInfo(local).value();
+        EXPECT_EQ(info.quality, quality);
+        EXPECT_EQ(info.projected_gain,
+                  core::PlanProjection(curves, info.budget_remaining).gain);
+
+        const std::vector<core::QualityPoint>& feed = facade.QualityFeed(local);
+        auto [seen, first] = feed_sizes_.try_emplace({s, local}, feed.size());
+        if (first) continue;
+        ASSERT_LE(feed.size(), seen->second + 1);
+        if (feed.size() > seen->second) {
+          EXPECT_EQ(feed.back().quality, quality);
+        }
+        seen->second = feed.size();
+      }
+    }
+  }
+
+ private:
+  quality::StabilityQuality model_;
+  quality::EmpiricalGainEstimator estimator_;
+  std::map<std::pair<size_t, ProjectId>, size_t> feed_sizes_;
+};
+
+class QualityMemoOracleTest : public ::testing::TestWithParam<size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Shards, QualityMemoOracleTest,
+                         ::testing::Values(size_t{1}, size_t{3}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return std::to_string(info.param) + "shard" +
+                                  (info.param == 1 ? "" : "s");
+                         });
+
+// After every request of the full-coverage script (uploads with imported
+// posts, start, decides, queries, steps, checkpoints), every project's
+// quality, projected gain and new feed point equal the oracle's.
+TEST_P(QualityMemoOracleTest, MatchesTheUnmemoisedOracleAfterEveryRequest) {
+  const size_t n = GetParam();
+  std::vector<api::AnyRequest> script = nettest::FullCoverageScript(n);
+  api::Service service(Opts(n));
+  ASSERT_TRUE(service.Init().ok());
+  MemoOracle oracle;
+  for (size_t step = 0; step < script.size(); ++step) {
+    SCOPED_TRACE("after request " + std::to_string(step));
+    service.Dispatch(script[step]);
+    oracle.Check(*service.sharded());
+  }
+}
+
+/// A round-robin audience project, so one decide batch touches several
+/// resources.
+ProjectSpec MemoSpec() {
+  ProjectSpec spec = AudienceSpec("memo", 60);
+  spec.strategy = strategy::StrategyKind::kRoundRobin;
+  return spec;
+}
+
+/// Accepts `k` tasks of `p`, submits two tags for each and approves them
+/// all in one decide batch.
+void ApproveRound(ShardedSystem& sys, ProviderId provider,
+                  UserTaggerId tagger, ProjectId p, uint32_t k) {
+  Result<std::vector<AcceptedTask>> tasks = sys.AcceptTasks(tagger, p, k);
+  ASSERT_TRUE(tasks.ok()) << tasks.status().ToString();
+  std::vector<TagSubmission> submit;
+  std::vector<std::pair<TaskHandle, bool>> decide;
+  for (size_t i = 0; i < tasks.value().size(); ++i) {
+    const TaskHandle handle = tasks.value()[i].handle;
+    submit.push_back({tagger, handle, {"t" + std::to_string(i % 3), "common"}});
+    decide.push_back({handle, true});
+  }
+  for (const Status& s : sys.SubmitTagsBatch(submit)) {
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  for (const Status& s : sys.DecideBatch(provider, decide)) {
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+}
+
+// Resources uploaded after Start, with and without imported posts, grow
+// the memo; the decide that follows rescores them.
+TEST(QualityMemoTest, UploadAfterStartThenDecide) {
+  ShardedSystem sys(Opts(1));
+  ASSERT_TRUE(sys.Init().ok());
+  ProviderId provider = sys.RegisterProvider("prov").value();
+  UserTaggerId tagger = sys.RegisterTagger("tag").value();
+  ProjectId p = sys.CreateProject(provider, MemoSpec()).value();
+  UploadAll(sys, p, Numbered("u", 3));
+  ASSERT_TRUE(sys.StartProject(p).ok());
+  MemoOracle oracle;
+  oracle.Check(sys);
+  ApproveRound(sys, provider, tagger, p, 6);
+  oracle.Check(sys);
+
+  std::vector<tagging::ResourceId> ids;
+  for (const Status& s : sys.UploadResourceBatch(
+           p,
+           {{tagging::ResourceKind::kWebUrl, "late0", "", {}},
+            {tagging::ResourceKind::kWebUrl, "late1", "", {"seed", "x"}}},
+           &ids)) {
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  oracle.Check(sys);
+  ApproveRound(sys, provider, tagger, p, 5);
+  oracle.Check(sys);
+  EXPECT_EQ(sys.GetProjectInfo(p).value().num_resources, 5u);
+  EXPECT_GT(sys.shard_system(0).resource_manager().GetCorpus(p)->PostCount(
+                ids[0]),
+            0u);
+}
+
+// A migrated project's memo starts empty on the destination and is
+// rebuilt from the adopted corpus.
+TEST(QualityMemoTest, MigratedProjectAdoptsItsMemo) {
+  ShardedSystem sys(Opts(2));
+  ASSERT_TRUE(sys.Init().ok());
+  ProviderId provider = sys.RegisterProvider("prov").value();
+  UserTaggerId tagger = sys.RegisterTagger("tag").value();
+  ProjectId p = sys.CreateProject(provider, MemoSpec()).value();
+  UploadAll(sys, p, Numbered("u", 4));
+  ASSERT_TRUE(sys.StartProject(p).ok());
+  ApproveRound(sys, provider, tagger, p, 8);
+  MemoOracle oracle;
+  oracle.Check(sys);
+  ProjectInfo before = sys.GetProjectInfo(p).value();
+
+  ASSERT_TRUE(sys.MigrateProject(p, 1 - ShardOfId(p, 2)).ok());
+  oracle.Check(sys);
+  ProjectInfo after = sys.GetProjectInfo(p).value();
+  EXPECT_EQ(after.quality, before.quality);
+  EXPECT_EQ(after.projected_gain, before.projected_gain);
+  ApproveRound(sys, provider, tagger, p, 8);
+  oracle.Check(sys);
+}
+
+// A durable restart recovers the corpus, not the memo; the rebuilt memo
+// reports the values the first process did, and keeps tracking new posts.
+TEST(QualityMemoTest, DurableRestartRecoversItsMemo) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("itag_memo_restart." + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  ShardedSystemOptions opts = Opts(1);
+  opts.shard.db.directory = dir;
+  ProjectId p = 0;
+  ProviderId provider = 0;
+  UserTaggerId tagger = 0;
+  ProjectInfo before;
+  {
+    ShardedSystem sys(opts);
+    ASSERT_TRUE(sys.Init().ok());
+    provider = sys.RegisterProvider("prov").value();
+    tagger = sys.RegisterTagger("tag").value();
+    p = sys.CreateProject(provider, MemoSpec()).value();
+    UploadAll(sys, p, Numbered("u", 4));
+    ASSERT_TRUE(sys.StartProject(p).ok());
+    ApproveRound(sys, provider, tagger, p, 8);
+    MemoOracle oracle;
+    oracle.Check(sys);
+    before = sys.GetProjectInfo(p).value();
+  }
+  {
+    ShardedSystem sys(opts);
+    ASSERT_TRUE(sys.Init().ok());
+    MemoOracle oracle;
+    oracle.Check(sys);
+    ProjectInfo after = sys.GetProjectInfo(p).value();
+    EXPECT_EQ(after.quality, before.quality);
+    EXPECT_EQ(after.projected_gain, before.projected_gain);
+    ApproveRound(sys, provider, tagger, p, 8);
+    oracle.Check(sys);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+
+#include "storage/database.h"
 
 namespace itag::storage {
 namespace {
@@ -184,6 +187,101 @@ TEST_F(WalTest, DecodeRejectsMalformedPayload) {
     EXPECT_FALSE(DecodeWalRecord(valid.substr(0, cut), &out)) << cut;
   }
 }
+
+TEST_F(WalTest, LyingLengthEndsTheLogAtTheLastWholeFrame) {
+  WalWriter w;
+  ASSERT_TRUE(w.Open(path_).ok());
+  ASSERT_TRUE(w.Append(MakeInsert("t", 1, "complete")).ok());
+  w.Close();
+  const uint64_t boundary = fs::file_size(path_);
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::app);
+    uint32_t len = 0xC0000000u;  // a 3 GiB claim over a 4-byte tail
+    uint32_t crc = 0;
+    out.write(reinterpret_cast<const char*>(&len), 4);
+    out.write(reinterpret_cast<const char*>(&crc), 4);
+    out.write("tail", 4);
+  }
+  std::vector<WalRecord> records;
+  uint64_t end = 0;
+  Status s = ReadWal(path_, &records, &end);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(end, boundary);
+}
+
+// ------------------------------------------ recovery over a damaged tail
+
+/// A database (snapshot or paged engine) whose WAL gets `damage` appended
+/// behind its last whole frame, as a crash can leave it. Recovery must cut
+/// the damage off: otherwise the writer appends behind it and every write
+/// acknowledged after the restart is hidden from the next one.
+class WalTailRecoveryTest : public WalTest,
+                            public ::testing::WithParamInterface<bool> {
+ protected:
+  DatabaseOptions Opts() const {
+    DatabaseOptions o;
+    o.directory = dir_.string();
+    o.paged = GetParam();
+    return o;
+  }
+
+  static Row KeyRow(int64_t k) { return {Value::Int(k)}; }
+
+  void ExpectWriteAfterDamageSurvives(const std::string& damage) {
+    {
+      Database db;
+      ASSERT_TRUE(db.Open(Opts()).ok());
+      ASSERT_TRUE(db.CreateTable("t", SchemaBuilder().Int("k").Build()).ok());
+      ASSERT_TRUE(db.Insert("t", KeyRow(1)).ok());
+    }
+    const uint64_t boundary = fs::file_size(path_);
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::app);
+      out.write(damage.data(), static_cast<std::streamsize>(damage.size()));
+    }
+    {
+      Database db;
+      Status s = db.Open(Opts());
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_EQ(fs::file_size(path_), boundary);
+      ASSERT_EQ(db.GetTable("t")->row_count(), 1u);
+      ASSERT_TRUE(db.Insert("t", KeyRow(2)).ok());
+    }
+    Database db;
+    Status s = db.Open(Opts());
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(db.GetTable("t")->row_count(), 2u)
+        << "the write acknowledged after the first restart was lost";
+  }
+};
+
+TEST_P(WalTailRecoveryTest, EightZeroBytes) {
+  ExpectWriteAfterDamageSurvives(std::string(8, '\0'));
+}
+
+TEST_P(WalTailRecoveryTest, PageOfZeroBytes) {
+  ExpectWriteAfterDamageSurvives(std::string(4096, '\0'));
+}
+
+TEST_P(WalTailRecoveryTest, TornFrame) {
+  std::string torn(8, '\0');
+  uint32_t len = 100;  // claims 100 bytes, delivers 10
+  std::memcpy(torn.data(), &len, 4);
+  ExpectWriteAfterDamageSurvives(torn + std::string(10, 'x'));
+}
+
+TEST_P(WalTailRecoveryTest, LyingLength) {
+  std::string header(8, '\0');
+  uint32_t len = 0xC0000000u;
+  std::memcpy(header.data(), &len, 4);
+  ExpectWriteAfterDamageSurvives(header + "tail");
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, WalTailRecoveryTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "paged" : "snapshot";
+                         });
 
 }  // namespace
 }  // namespace itag::storage
