@@ -1,7 +1,7 @@
 // E9 — storage-engine microbenchmarks (the MySQL substrate of Fig. 2):
 // heap inserts, unique-index point lookups, ordered-index range scans,
-// B+-tree ops, WAL appends, and full checkpoint+recovery cycles. Validates
-// that the embedded engine sustains the manager workloads comfortably.
+// WAL appends, and full checkpoint+recovery cycles. Validates that the
+// embedded engine sustains the manager workloads comfortably.
 // Since the batch-API redesign it also measures the resource-ingest path
 // end to end through itag::api::Service — one-item UploadResourceBatch
 // calls on the core vs one BatchUploadResources request hitting the same
@@ -14,7 +14,6 @@
 
 #include "api/service.h"
 #include "common/random.h"
-#include "storage/btree.h"
 #include "storage/database.h"
 
 namespace {
@@ -94,19 +93,6 @@ void BM_OrderedRangeScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OrderedRangeScan);
-
-void BM_BTreeInsertErase(benchmark::State& state) {
-  Rng rng(11);
-  for (auto _ : state) {
-    BPlusTree<uint64_t> tree;
-    for (int64_t i = 0; i < state.range(0); ++i) {
-      tree.Insert(rng.NextU64());
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BTreeInsertErase)->Arg(10000);
 
 void BM_WalAppend(benchmark::State& state) {
   namespace fs = std::filesystem;

@@ -11,10 +11,13 @@ namespace itag {
 
 /// Append-only little-endian byte writer: the one set of byte conventions
 /// (u32-length-prefixed strings, IEEE-754 bit patterns for doubles) shared
-/// by storage state blobs (engine state, RNG streams, platform-simulator
-/// snapshots) and the wire payloads net/wire.cc encodes. Dependency-free,
-/// so the lower layers (crowd, strategy, itag) use it without pulling in
-/// the api/net tier.
+/// by every storage byte format (rows, schemas, tables, WAL records and
+/// frame headers, batch sub-records, the snapshot file), the state blobs
+/// stored in it (engine state, RNG streams, platform-simulator snapshots)
+/// and the wire payloads net/wire.cc encodes. The paged engine's fixed page
+/// headers and B+tree node layouts under storage/pager/ keep their own
+/// field-by-field writers. Dependency-free, so the lower layers (storage,
+/// crowd, strategy, itag) use it without pulling in the api/net tier.
 class ByteWriter {
  public:
   void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }

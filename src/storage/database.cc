@@ -1,9 +1,10 @@
 #include "storage/database.h"
 
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
+#include <utility>
 
 #include "common/crc32.h"
 #include "common/logging.h"
@@ -67,6 +68,12 @@ Status ReadAndTrimWal(const std::string& path,
   return Status::OK();
 }
 
+/// File names inside DatabaseOptions::directory. Operators and tools
+/// (perfbench, the CI smokes) read these files by name.
+constexpr char kSnapshotFile[] = "snapshot.db";
+constexpr char kWalFile[] = "wal.log";
+constexpr char kPageFile[] = "pages.db";
+
 /// First word of a v2 snapshot file. A v1 snapshot leads with its table
 /// count, which can never be ~0u, so one word distinguishes the formats.
 constexpr uint32_t kSnapshotV2Sentinel = 0xFFFFFFFFu;
@@ -97,47 +104,21 @@ Status Database::Open(const DatabaseOptions& options) {
   } else {
     ITAG_RETURN_IF_ERROR(Recover());
   }
-  return wal_.Open(options_.directory + "/" + options_.wal_file);
+  return wal_.Open(wal_path());
 }
 
 Status Database::Recover() {
-  std::string snap = options_.directory + "/" + options_.snapshot_file;
+  std::string snap = options_.directory + "/" + kSnapshotFile;
   if (fs::exists(snap)) {
     ITAG_RETURN_IF_ERROR(LoadSnapshot(snap));
   }
-  std::vector<WalRecord> records;
-  ITAG_RETURN_IF_ERROR(
-      ReadAndTrimWal(options_.directory + "/" + options_.wal_file, &records));
-  uint64_t max_lsn = snapshot_lsn_;
-  for (const WalRecord& rec : records) {
-    ++recovery_stats_.wal_records_scanned;
-    recovery_stats_.wal_bytes_scanned += rec.payload.size();
-    if (rec.lsn > max_lsn) max_lsn = rec.lsn;
-    // A v2 snapshot records the highest LSN it contains, so a retained WAL
-    // (retain_wal: checkpoints keep the log for replication subscribers)
-    // replays only the frames past it. Pre-v2 snapshots leave snapshot_lsn_
-    // at 0 and replay everything, with the historical tolerance below.
-    if (rec.lsn != 0 && rec.lsn <= snapshot_lsn_) continue;
-    ++recovery_stats_.wal_records_replayed;
-    Status s = ApplyWalRecord(rec);
-    if (!s.ok()) {
-      // Replay must be idempotent-ish against a snapshot that already
-      // contains some of the records (checkpoint truncates the WAL, so in
-      // the normal protocol this cannot happen; tolerate AlreadyExists to be
-      // robust against a crash between snapshot write and WAL truncate).
-      if (!s.IsAlreadyExists()) return s;
-    }
-  }
-  next_lsn_ = max_lsn + 1;
-  ITAG_LOG(kInfo) << "recovered " << tables_.size() << " tables, replayed "
-                  << records.size() << " wal records";
-  return Status::OK();
+  return ReplayWal(snapshot_lsn_);
 }
 
 Status Database::RecoverPaged() {
   engine_ = std::make_unique<pager::PagedEngine>();
   pager::PagedEngineOptions eopts;
-  eopts.path = options_.directory + "/" + options_.page_file;
+  eopts.path = options_.directory + "/" + kPageFile;
   eopts.page_size = options_.page_size;
   eopts.cache_bytes = options_.page_cache_mb << 20;
   eopts.compression = options_.page_compression;
@@ -152,8 +133,8 @@ Status Database::RecoverPaged() {
   for (const std::string& name : engine_->TableNames()) {
     pager::PagedTableState* state = engine_->GetTable(name);
     Schema schema;
-    size_t off = 0;
-    if (!Schema::DecodeFrom(state->schema_blob, &off, &schema)) {
+    ByteReader blob(state->schema_blob);
+    if (!Schema::DecodeFrom(&blob, &schema)) {
       return Status::Corruption("catalog schema for " + name +
                                 " does not decode");
     }
@@ -164,36 +145,47 @@ Status Database::RecoverPaged() {
                                             state->next_row_id));
   }
 
-  // Replay only the WAL tail past the checkpoint: after a clean shutdown
-  // (checkpoint truncated the WAL) this loop reads nothing; after a crash it
-  // replays exactly the frames the page file does not contain yet.
-  const uint64_t ckpt = engine_->checkpoint_lsn();
-  uint64_t max_lsn = ckpt;
+  // After a clean shutdown (checkpoint truncated the WAL) the replay reads
+  // nothing; after a crash it replays exactly the frames the page file does
+  // not contain yet.
+  return ReplayWal(engine_->checkpoint_lsn());
+}
+
+Status Database::ReplayWal(uint64_t ckpt_lsn) {
   std::vector<WalRecord> records;
-  ITAG_RETURN_IF_ERROR(
-      ReadAndTrimWal(options_.directory + "/" + options_.wal_file, &records));
+  ITAG_RETURN_IF_ERROR(ReadAndTrimWal(wal_path(), &records));
+  uint64_t max_lsn = ckpt_lsn;
   for (const WalRecord& rec : records) {
     ++recovery_stats_.wal_records_scanned;
     recovery_stats_.wal_bytes_scanned += rec.payload.size();
     if (rec.lsn > max_lsn) max_lsn = rec.lsn;
-    if (rec.lsn <= ckpt) continue;  // already durable in the page file
+    // The checkpoint (snapshot v2 or paged meta) records the highest LSN it
+    // contains, so a retained WAL (retain_wal keeps the log for replication
+    // subscribers) replays only the frames past it. A pre-v2 snapshot
+    // leaves the checkpoint LSN at 0 and replays everything.
+    if (rec.lsn != 0 && rec.lsn <= ckpt_lsn) continue;
     ++recovery_stats_.wal_records_replayed;
     Status s = ApplyWalRecord(rec);
+    // Replay must be idempotent-ish against a checkpoint that already
+    // contains some of the records (checkpoint truncates the WAL, so in the
+    // normal protocol this cannot happen; tolerate AlreadyExists to be
+    // robust against a crash between checkpoint write and WAL truncate).
     if (!s.ok() && !s.IsAlreadyExists()) return s;
   }
   next_lsn_ = max_lsn + 1;
-  ITAG_LOG(kInfo) << "paged open: " << tables_.size() << " tables, replayed "
+  ITAG_LOG(kInfo) << (paged() ? "paged open: " : "open: ") << tables_.size()
+                  << " tables, replayed "
                   << recovery_stats_.wal_records_replayed << "/"
                   << recovery_stats_.wal_records_scanned
-                  << " wal records past lsn " << ckpt;
+                  << " wal records past lsn " << ckpt_lsn;
   return Status::OK();
 }
 
 Status Database::MakeTable(const std::string& name, const Schema& schema) {
   if (paged()) {
-    std::string blob;
+    ByteWriter blob;
     schema.EncodeTo(&blob);
-    ITAG_RETURN_IF_ERROR(engine_->CreateTable(name, blob));
+    ITAG_RETURN_IF_ERROR(engine_->CreateTable(name, blob.buffer()));
     pager::PagedTableState* state = engine_->GetTable(name);
     auto store = std::make_unique<PagedRowStore>(state->tree.get(),
                                                  schema.num_columns(), 0);
@@ -209,8 +201,8 @@ Status Database::ApplyWalRecord(const WalRecord& rec) {
   switch (rec.op) {
     case WalOp::kCreateTable: {
       Schema schema;
-      size_t off = 0;
-      if (!Schema::DecodeFrom(rec.payload, &off, &schema)) {
+      ByteReader in(rec.payload);
+      if (!Schema::DecodeFrom(&in, &schema) || !in.AtEnd()) {
         return Status::Corruption("bad schema in wal for " + rec.table);
       }
       if (tables_.count(rec.table)) return Status::AlreadyExists(rec.table);
@@ -249,26 +241,17 @@ Status Database::ApplyWalRecord(const WalRecord& rec) {
       return t->Delete(rec.row_id);
     }
     case WalOp::kBatch: {
-      // The group frame was CRC-complete, so every sub-record must parse;
-      // anything less is corruption, not a crash artifact.
-      size_t off = 0;
-      const std::string& buf = rec.payload;
-      while (off < buf.size()) {
-        if (buf.size() - off < 4) {
-          return Status::Corruption("torn batch sub-record header");
-        }
-        uint32_t len;
-        std::memcpy(&len, buf.data() + off, 4);
-        off += 4;
-        if (buf.size() - off < len) {
-          return Status::Corruption("torn batch sub-record body");
-        }
+      // The group frame was CRC-complete, so every sub-record (u32 length +
+      // an EncodeWalRecord payload) must parse; anything less is
+      // corruption, not a crash artifact.
+      ByteReader in(rec.payload);
+      while (!in.AtEnd()) {
+        std::string bytes;
         WalRecord sub;
-        if (!DecodeWalRecord(buf.substr(off, len), &sub) ||
+        if (!in.Str(&bytes) || !DecodeWalRecord(bytes, &sub) ||
             sub.op == WalOp::kBatch) {
           return Status::Corruption("malformed batch sub-record");
         }
-        off += len;
         Status s = ApplyWalRecord(sub);
         // Same tolerance as the top-level replay loop: a snapshot taken
         // between batch append and WAL truncate may already contain rows.
@@ -286,41 +269,68 @@ Status Database::LoadSnapshot(const std::string& path) {
   std::string data((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   if (data.size() < 8) return Status::Corruption("snapshot too short");
+  // [body][u32 crc32(body)]
+  const std::string_view body(data.data(), data.size() - 4);
   uint32_t stored_crc;
-  std::memcpy(&stored_crc, data.data() + data.size() - 4, 4);
-  if (Crc32(data.data(), data.size() - 4) != stored_crc) {
+  ByteReader(std::string_view(data).substr(body.size())).U32(&stored_crc);
+  if (Crc32(body.data(), body.size()) != stored_crc) {
     return Status::Corruption("snapshot checksum mismatch");
   }
-  size_t off = 0;
+  ByteReader r(body);
   uint32_t ntables;
-  std::memcpy(&ntables, data.data(), 4);
-  off += 4;
+  r.U32(&ntables);
   if (ntables == kSnapshotV2Sentinel) {
     // v2 layout: [sentinel][u32 version][u64 checkpoint_lsn][u32 ntables]…
     // The sentinel can never be a real table count, so v1 files (which lead
     // with the count) are told apart by the first word alone.
-    if (data.size() < off + 16) return Status::Corruption("snapshot too short");
     uint32_t version;
-    std::memcpy(&version, data.data() + off, 4);
-    off += 4;
+    if (!r.U32(&version)) return Status::Corruption("snapshot too short");
     if (version != 2) {
       return Status::Corruption("unsupported snapshot version " +
                                 std::to_string(version));
     }
-    std::memcpy(&snapshot_lsn_, data.data() + off, 8);
-    off += 8;
-    std::memcpy(&ntables, data.data() + off, 4);
-    off += 4;
+    if (!r.U64(&snapshot_lsn_) || !r.U32(&ntables)) {
+      return Status::Corruption("snapshot too short");
+    }
   }
   for (uint32_t i = 0; i < ntables; ++i) {
     auto t = std::make_unique<Table>("", Schema());
-    if (!Table::DecodeFrom(data, &off, t.get())) {
+    if (!Table::DecodeFrom(&r, t.get())) {
       return Status::Corruption("snapshot table " + std::to_string(i) +
                                 " malformed");
     }
     std::string name = t->name();
     tables_.emplace(name, std::move(t));
   }
+  if (!r.AtEnd()) return Status::Corruption("snapshot has trailing bytes");
+  return Status::OK();
+}
+
+Status Database::WriteSnapshot(uint64_t ckpt_lsn) {
+  // v2: sentinel + version + the highest LSN the snapshot contains, so
+  // recovery with a retained WAL replays only the tail past it.
+  ByteWriter w;
+  w.U32(kSnapshotV2Sentinel);
+  w.U32(2);
+  w.U64(ckpt_lsn);
+  w.U32(static_cast<uint32_t>(tables_.size()));
+  for (const auto& entry : tables_) entry.second->EncodeTo(&w);
+  w.U32(Crc32(w.buffer().data(), w.buffer().size()));
+  const std::string& data = w.buffer();
+
+  std::string snap = options_.directory + "/" + kSnapshotFile;
+  std::string tmp = snap + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return Status::IOError("cannot write " + tmp);
+    out.write(data.data(), static_cast<std::streamsize>(data.size()));
+    out.flush();
+    if (!out) return Status::IOError("snapshot write failed");
+  }
+  std::error_code ec;
+  fs::rename(tmp, snap, ec);
+  if (ec) return Status::IOError("snapshot rename failed: " + ec.message());
+  snapshot_lsn_ = ckpt_lsn;
   return Status::OK();
 }
 
@@ -336,10 +346,7 @@ Status Database::LogOp(WalOp op, const std::string& table, RowId row_id,
   if (batch_depth_ > 0) {
     // Buffer into the open atomic group instead of framing immediately; the
     // group frame's LSN covers every sub-record, so theirs stay 0.
-    std::string encoded = EncodeWalRecord(rec);
-    uint32_t len = static_cast<uint32_t>(encoded.size());
-    batch_buf_.append(reinterpret_cast<const char*>(&len), 4);
-    batch_buf_.append(encoded);
+    batch_buf_.Str(EncodeWalRecord(rec));
     ++batch_ops_;
     return Status::OK();
   }
@@ -366,19 +373,12 @@ Status Database::CommitBatch() {
   if (--batch_depth_ > 0) return Status::OK();
   size_t batch_ops = batch_ops_;
   batch_ops_ = 0;
-  if (!durable_ || batch_buf_.empty()) {
-    batch_buf_.clear();
-    return Status::OK();
-  }
-  if (!wal_error_.ok()) {
-    batch_buf_.clear();
-    return wal_error_;
-  }
   WalRecord rec;
+  rec.payload = std::exchange(batch_buf_, ByteWriter()).Take();
+  if (!durable_ || rec.payload.empty()) return Status::OK();
+  if (!wal_error_.ok()) return wal_error_;
   rec.op = WalOp::kBatch;
   rec.lsn = next_lsn_++;
-  rec.payload = std::move(batch_buf_);
-  batch_buf_.clear();
   size_t payload_bytes = rec.payload.size();
   obs::Span span("storage.wal.append");
   span.Annotate("bytes", static_cast<uint64_t>(payload_bytes));
@@ -398,9 +398,9 @@ Status Database::CreateTable(const std::string& name, const Schema& schema) {
   if (tables_.count(name)) {
     return Status::AlreadyExists("table " + name);
   }
-  std::string payload;
+  ByteWriter payload;
   schema.EncodeTo(&payload);
-  ITAG_RETURN_IF_ERROR(LogOp(WalOp::kCreateTable, name, 0, payload));
+  ITAG_RETURN_IF_ERROR(LogOp(WalOp::kCreateTable, name, 0, payload.Take()));
   return MakeTable(name, schema);
 }
 
@@ -475,6 +475,7 @@ Status Database::Checkpoint() {
   if (!wal_error_.ok()) return wal_error_;
   obs::Span span("storage.checkpoint");
   auto checkpoint_start = std::chrono::steady_clock::now();
+  const uint64_t ckpt_lsn = next_lsn_ - 1;
 
   if (paged()) {
     // Refresh the catalog scalars the engine persists alongside each tree
@@ -489,53 +490,12 @@ Status Database::Checkpoint() {
       state->next_row_id = table->next_row_id();
       state->row_count = table->row_count();
     }
-    const uint64_t ckpt_lsn = next_lsn_ - 1;
     ITAG_RETURN_IF_ERROR(engine_->Checkpoint(ckpt_lsn));
-    // retain_wal keeps the log for replication subscribers; recovery still
-    // skips frames with lsn <= the engine's recorded checkpoint LSN.
-    Status reset = options_.retain_wal ? Status::OK() : wal_.Reset();
-    if (reset.ok()) {
-      StorageMetrics::Get().checkpoints->Inc();
-      StorageMetrics::Get().checkpoint_latency_us->Observe(
-          static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - checkpoint_start)
-                  .count()));
-    }
-    return reset;
+  } else {
+    ITAG_RETURN_IF_ERROR(WriteSnapshot(ckpt_lsn));
   }
-
-  // v2 snapshot: sentinel + version + the highest LSN the snapshot contains,
-  // so recovery with a retained WAL replays only the tail past it.
-  std::string data;
-  const uint32_t sentinel = kSnapshotV2Sentinel;
-  const uint32_t version = 2;
-  const uint64_t ckpt_lsn = next_lsn_ - 1;
-  data.append(reinterpret_cast<const char*>(&sentinel), 4);
-  data.append(reinterpret_cast<const char*>(&version), 4);
-  data.append(reinterpret_cast<const char*>(&ckpt_lsn), 8);
-  uint32_t ntables = static_cast<uint32_t>(tables_.size());
-  data.append(reinterpret_cast<const char*>(&ntables), 4);
-  for (const auto& [name, table] : tables_) {
-    (void)name;
-    table->EncodeTo(&data);
-  }
-  uint32_t crc = Crc32(data.data(), data.size());
-  data.append(reinterpret_cast<const char*>(&crc), 4);
-
-  std::string snap = options_.directory + "/" + options_.snapshot_file;
-  std::string tmp = snap + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot write " + tmp);
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    out.flush();
-    if (!out) return Status::IOError("snapshot write failed");
-  }
-  std::error_code ec;
-  fs::rename(tmp, snap, ec);
-  if (ec) return Status::IOError("snapshot rename failed: " + ec.message());
-  snapshot_lsn_ = ckpt_lsn;
+  // retain_wal keeps the log for replication subscribers; recovery still
+  // skips frames with lsn <= the recorded checkpoint LSN.
   Status reset = options_.retain_wal ? Status::OK() : wal_.Reset();
   if (reset.ok()) {
     // Count and time only completed checkpoints, so the counter and the
@@ -555,7 +515,7 @@ uint64_t Database::checkpoint_lsn() const {
 }
 
 std::string Database::wal_path() const {
-  return durable_ ? options_.directory + "/" + options_.wal_file : "";
+  return durable_ ? options_.directory + "/" + kWalFile : "";
 }
 
 Status Database::ApplyReplicated(const WalRecord& rec) {

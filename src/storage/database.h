@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "storage/table.h"
@@ -19,15 +20,10 @@ class PagedEngine;
 
 /// Durability configuration for a Database.
 struct DatabaseOptions {
-  /// Directory holding the snapshot and WAL files. Empty means fully
-  /// in-memory (no durability) — the mode tests and benchmarks default to.
+  /// Directory holding the database files: `snapshot.db`, `wal.log` and,
+  /// in paged mode, `pages.db`. Empty means fully in-memory (no
+  /// durability) — the mode tests and benchmarks default to.
   std::string directory;
-
-  /// Snapshot file name inside `directory`.
-  std::string snapshot_file = "snapshot.db";
-
-  /// WAL file name inside `directory`.
-  std::string wal_file = "wal.log";
 
   /// Paged mode: rows live in a fixed-size-page file (storage/pager) instead
   /// of the monolithic snapshot. Checkpoint() flushes dirty pages and a
@@ -35,9 +31,6 @@ struct DatabaseOptions {
   /// the page-file meta + catalog — cold start is O(catalog), not O(rows),
   /// and tables may exceed RAM. Ignored when `directory` is empty.
   bool paged = false;
-
-  /// Page file name inside `directory` (paged mode).
-  std::string page_file = "pages.db";
 
   /// Page-cache budget in MiB (paged mode).
   size_t page_cache_mb = 64;
@@ -182,7 +175,11 @@ class Database {
                std::string payload);
   Status Recover();
   Status RecoverPaged();
+  /// Replays the WAL frames past checkpoint `ckpt_lsn` and sets next_lsn_;
+  /// the tail of both Recover paths.
+  Status ReplayWal(uint64_t ckpt_lsn);
   Status LoadSnapshot(const std::string& path);
+  Status WriteSnapshot(uint64_t ckpt_lsn);
   Status ApplyWalRecord(const WalRecord& rec);
   /// Creates a Table (and, in paged mode, its engine-side tree+catalog
   /// entry); shared by CreateTable and WAL replay.
@@ -197,7 +194,7 @@ class Database {
   uint64_t snapshot_lsn_ = 0;  ///< checkpoint LSN of the loaded/written snapshot
   RecoveryStats recovery_stats_;
   size_t batch_depth_ = 0;
-  std::string batch_buf_;  ///< length-prefixed sub-records of the open batch
+  ByteWriter batch_buf_;  ///< length-prefixed sub-records of the open batch
   size_t batch_ops_ = 0;   ///< sub-records buffered in the open batch
   Status wal_error_ = Status::OK();  ///< sticky first append failure
 };

@@ -1,31 +1,26 @@
 #include "storage/row_store.h"
 
-#include <cstring>
 #include <vector>
 
 namespace itag::storage {
 
 std::string EncodeRow(const Row& row) {
-  std::string out;
-  uint32_t n = static_cast<uint32_t>(row.size());
-  out.append(reinterpret_cast<const char*>(&n), 4);
+  ByteWriter out;
+  out.U32(static_cast<uint32_t>(row.size()));
   for (const Value& v : row) v.EncodeTo(&out);
-  return out;
+  return out.Take();
 }
 
-bool DecodeRow(const std::string& data, size_t arity, Row* out) {
-  size_t off = 0;
-  if (data.size() < 4) return false;
+bool DecodeRow(std::string_view data, size_t arity, Row* out) {
+  ByteReader in(data);
   uint32_t n;
-  std::memcpy(&n, data.data(), 4);
-  off += 4;
-  if (n != arity) return false;
+  if (!in.U32(&n) || n != arity) return false;
   out->clear();
   out->resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!Value::DecodeFrom(data, &off, &(*out)[i])) return false;
+  for (Value& v : *out) {
+    if (!Value::DecodeFrom(&in, &v)) return false;
   }
-  return off == data.size();
+  return in.AtEnd();
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -17,11 +18,13 @@ namespace itag::storage {
 /// reused.
 using RowId = uint64_t;
 
-/// Encodes a row for WAL payloads and the paged row heap.
+/// Encodes a row for WAL payloads and the paged row heap: u32 column count,
+/// then each Value.
 std::string EncodeRow(const Row& row);
 
-/// Decodes a row with `arity` columns; false on malformed input.
-bool DecodeRow(const std::string& data, size_t arity, Row* out);
+/// Decodes a row with `arity` columns that fills `data` exactly; false on
+/// malformed input.
+bool DecodeRow(std::string_view data, size_t arity, Row* out);
 
 /// The primary row heap behind a Table: RowId -> Row, iterable in id order.
 /// Two implementations exist — the original in-memory map and a paged one

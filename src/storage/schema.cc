@@ -1,7 +1,5 @@
 #include "storage/schema.h"
 
-#include <cstring>
-
 namespace itag::storage {
 
 Schema::Schema(std::vector<Column> columns) : columns_(std::move(columns)) {}
@@ -37,38 +35,28 @@ Status Schema::Validate(const Row& row) const {
   return Status::OK();
 }
 
-void Schema::EncodeTo(std::string* out) const {
-  uint32_t n = static_cast<uint32_t>(columns_.size());
-  out->append(reinterpret_cast<const char*>(&n), 4);
+void Schema::EncodeTo(ByteWriter* out) const {
+  out->U32(static_cast<uint32_t>(columns_.size()));
   for (const Column& c : columns_) {
-    uint32_t len = static_cast<uint32_t>(c.name.size());
-    out->append(reinterpret_cast<const char*>(&len), 4);
-    out->append(c.name);
-    out->push_back(static_cast<char>(c.type));
-    out->push_back(c.nullable ? 1 : 0);
+    out->Str(c.name);
+    out->U8(static_cast<uint8_t>(c.type));
+    out->U8(c.nullable ? 1 : 0);
   }
 }
 
-bool Schema::DecodeFrom(const std::string& data, size_t* offset, Schema* out) {
-  if (*offset + 4 > data.size()) return false;
+bool Schema::DecodeFrom(ByteReader* in, Schema* out) {
   uint32_t n;
-  std::memcpy(&n, data.data() + *offset, 4);
-  *offset += 4;
+  if (!in->U32(&n)) return false;
   std::vector<Column> cols;
-  cols.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    if (*offset + 4 > data.size()) return false;
-    uint32_t len;
-    std::memcpy(&len, data.data() + *offset, 4);
-    *offset += 4;
-    if (*offset + len + 2 > data.size()) return false;
     Column c;
-    c.name = data.substr(*offset, len);
-    *offset += len;
-    c.type = static_cast<FieldType>(data[*offset]);
-    ++*offset;
-    c.nullable = data[*offset] != 0;
-    ++*offset;
+    uint8_t type, nullable;
+    if (!in->Str(&c.name) || !in->U8(&type) || !in->U8(&nullable)) {
+      return false;
+    }
+    if (type > static_cast<uint8_t>(FieldType::kString)) return false;
+    c.type = static_cast<FieldType>(type);
+    c.nullable = nullable != 0;
     cols.push_back(std::move(c));
   }
   *out = Schema(std::move(cols));

@@ -44,11 +44,15 @@ class Schema {
   /// Checks arity, types and nullability of `row` against this schema.
   Status Validate(const Row& row) const;
 
-  /// Appends a binary encoding of the schema to `out` (for snapshots).
-  void EncodeTo(std::string* out) const;
+  /// Appends the schema: u32 column count, then per column its name
+  /// (u32-length string), FieldType byte and nullable byte. kCreateTable
+  /// WAL payloads, snapshots and the paged catalog carry it.
+  void EncodeTo(ByteWriter* out) const;
 
-  /// Decodes a schema from `data` at `*offset`; false on malformed input.
-  static bool DecodeFrom(const std::string& data, size_t* offset, Schema* out);
+  /// Reads a schema written by EncodeTo. Returns false on truncated input
+  /// or a column type byte outside FieldType; a column count larger than
+  /// the input holds runs out of bytes, never out of memory.
+  static bool DecodeFrom(ByteReader* in, Schema* out);
 
  private:
   std::vector<Column> columns_;

@@ -1,7 +1,6 @@
 #include "storage/table.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace itag::storage {
 
@@ -48,9 +47,9 @@ Status Table::AddOrderedIndex(const std::string& column) {
   int idx = schema_.ColumnIndex(column);
   if (idx < 0) return Status::NotFound("no column '" + column + "'");
   if (ordered_indexes_.count(idx)) return Status::OK();  // idempotent
-  BPlusTree<IndexKey>& tree = ordered_indexes_[idx];
+  std::set<IndexKey>& index = ordered_indexes_[idx];
   return store_->Scan([&](RowId id, const Row& row) {
-    tree.Insert(IndexKey{row[idx], id});
+    index.insert(IndexKey{row[idx], id});
     return true;
   });
 }
@@ -154,16 +153,12 @@ std::vector<RowId> Table::LookupEqual(const std::string& column,
   std::vector<RowId> out;
   int idx = schema_.ColumnIndex(column);
   if (idx < 0) return out;
-  auto tree_it = ordered_indexes_.find(idx);
-  if (tree_it != ordered_indexes_.end()) {
-    IndexKey lo{key, 0};
-    IndexKey hi{key, UINT64_MAX};
-    tree_it->second.ScanRange(lo, hi, [&](const IndexKey& k) {
-      out.push_back(k.row_id);
-      return true;
-    });
-    // UINT64_MAX itself is excluded by the half-open range; it is never a
-    // real row id (ids start at 1 and are assigned sequentially).
+  auto index = ordered_indexes_.find(idx);
+  if (index != ordered_indexes_.end()) {
+    for (auto e = index->second.lower_bound({key, 0});
+         e != index->second.end() && !(key < e->value); ++e) {
+      out.push_back(e->row_id);
+    }
     return out;
   }
   (void)store_->Scan([&](RowId id, const Row& row) {
@@ -178,13 +173,12 @@ std::vector<RowId> Table::LookupRange(const std::string& column,
   std::vector<RowId> out;
   int idx = schema_.ColumnIndex(column);
   if (idx < 0) return out;
-  auto tree_it = ordered_indexes_.find(idx);
-  if (tree_it != ordered_indexes_.end()) {
-    tree_it->second.ScanRange(IndexKey{lo, 0}, IndexKey{hi, 0},
-                              [&](const IndexKey& k) {
-                                out.push_back(k.row_id);
-                                return true;
-                              });
+  auto index = ordered_indexes_.find(idx);
+  if (index != ordered_indexes_.end()) {
+    for (auto e = index->second.lower_bound({lo, 0});
+         e != index->second.end() && e->value < hi; ++e) {
+      out.push_back(e->row_id);
+    }
     return out;
   }
   std::vector<std::pair<Value, RowId>> hits;
@@ -218,8 +212,8 @@ size_t Table::CountWhere(const std::function<bool(const Row&)>& pred) const {
 
 void Table::IndexRow(RowId id, const Row& row) {
   if (unique_col_ >= 0) unique_index_.emplace(row[unique_col_], id);
-  for (auto& [col, tree] : ordered_indexes_) {
-    tree.Insert(IndexKey{row[col], id});
+  for (auto& [col, index] : ordered_indexes_) {
+    index.insert(IndexKey{row[col], id});
   }
 }
 
@@ -230,87 +224,58 @@ void Table::UnindexRow(RowId id, const Row& row) {
       unique_index_.erase(it);
     }
   }
-  for (auto& [col, tree] : ordered_indexes_) {
-    tree.Erase(IndexKey{row[col], id});
+  for (auto& [col, index] : ordered_indexes_) {
+    index.erase(IndexKey{row[col], id});
   }
 }
 
-void Table::EncodeTo(std::string* out) const {
-  uint32_t nlen = static_cast<uint32_t>(name_.size());
-  out->append(reinterpret_cast<const char*>(&nlen), 4);
-  out->append(name_);
+void Table::EncodeTo(ByteWriter* out) const {
+  out->Str(name_);
   schema_.EncodeTo(out);
-  out->push_back(static_cast<char>(unique_col_ >= 0 ? unique_col_ + 1 : 0));
-  uint32_t nidx = static_cast<uint32_t>(ordered_indexes_.size());
-  out->append(reinterpret_cast<const char*>(&nidx), 4);
-  for (const auto& [col, tree] : ordered_indexes_) {
-    (void)tree;
-    uint32_t c = static_cast<uint32_t>(col);
-    out->append(reinterpret_cast<const char*>(&c), 4);
+  out->U8(static_cast<uint8_t>(unique_col_ >= 0 ? unique_col_ + 1 : 0));
+  out->U32(static_cast<uint32_t>(ordered_indexes_.size()));
+  for (const auto& entry : ordered_indexes_) {
+    out->U32(static_cast<uint32_t>(entry.first));
   }
-  uint64_t next = next_id_;
-  out->append(reinterpret_cast<const char*>(&next), 8);
-  uint64_t nrows = store_->size();
-  out->append(reinterpret_cast<const char*>(&nrows), 8);
+  out->U64(next_id_);
+  out->U64(store_->size());
   (void)store_->Scan([&](RowId id, const Row& row) {
-    out->append(reinterpret_cast<const char*>(&id), 8);
+    out->U64(id);
     for (const Value& v : row) v.EncodeTo(out);
     return true;
   });
 }
 
-bool Table::DecodeFrom(const std::string& data, size_t* offset, Table* out) {
-  auto need = [&](size_t n) { return *offset + n <= data.size(); };
-  if (!need(4)) return false;
-  uint32_t nlen;
-  std::memcpy(&nlen, data.data() + *offset, 4);
-  *offset += 4;
-  if (!need(nlen)) return false;
-  std::string name = data.substr(*offset, nlen);
-  *offset += nlen;
+bool Table::DecodeFrom(ByteReader* in, Table* out) {
+  std::string name;
   Schema schema;
-  if (!Schema::DecodeFrom(data, offset, &schema)) return false;
-  *out = Table(name, schema);
-  if (!need(1)) return false;
-  int unique_plus1 = static_cast<unsigned char>(data[*offset]);
-  ++*offset;
-  if (unique_plus1 > 0) {
-    out->unique_col_ = unique_plus1 - 1;
-  }
-  if (!need(4)) return false;
+  if (!in->Str(&name) || !Schema::DecodeFrom(in, &schema)) return false;
+  const size_t ncols = schema.num_columns();
+  *out = Table(std::move(name), std::move(schema));
+  // Column numbers index every row below, so one past the schema is
+  // corruption, not a crash.
+  uint8_t unique_plus1;
   uint32_t nidx;
-  std::memcpy(&nidx, data.data() + *offset, 4);
-  *offset += 4;
-  std::vector<int> index_cols;
+  if (!in->U8(&unique_plus1) || !in->U32(&nidx)) return false;
+  if (unique_plus1 > ncols) return false;
+  out->unique_col_ = unique_plus1 - 1;
   for (uint32_t i = 0; i < nidx; ++i) {
-    if (!need(4)) return false;
-    uint32_t c;
-    std::memcpy(&c, data.data() + *offset, 4);
-    *offset += 4;
-    index_cols.push_back(static_cast<int>(c));
+    uint32_t col;
+    if (!in->U32(&col) || col >= ncols) return false;
+    out->ordered_indexes_.emplace(static_cast<int>(col), std::set<IndexKey>());
   }
-  if (!need(8 + 8)) return false;
-  uint64_t next, nrows;
-  std::memcpy(&next, data.data() + *offset, 8);
-  *offset += 8;
-  std::memcpy(&nrows, data.data() + *offset, 8);
-  *offset += 8;
+  uint64_t nrows;
+  if (!in->U64(&out->next_id_) || !in->U64(&nrows)) return false;
   for (uint64_t i = 0; i < nrows; ++i) {
-    if (!need(8)) return false;
     RowId id;
-    std::memcpy(&id, data.data() + *offset, 8);
-    *offset += 8;
-    Row row(out->schema_.num_columns());
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (!Value::DecodeFrom(data, offset, &row[c])) return false;
+    if (!in->U64(&id)) return false;
+    Row row(ncols);
+    for (Value& v : row) {
+      if (!Value::DecodeFrom(in, &v)) return false;
     }
     if (!out->store_->Put(id, row).ok()) return false;
   }
-  out->next_id_ = next;
   // Rebuild in-memory indexes from the restored heap.
-  for (int col : index_cols) {
-    out->ordered_indexes_.emplace(col, BPlusTree<IndexKey>());
-  }
   (void)out->store_->Scan([&](RowId id, const Row& row) {
     out->IndexRow(id, row);
     return true;

@@ -5,13 +5,13 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
-#include "storage/btree.h"
 #include "storage/row_store.h"
 #include "storage/schema.h"
 #include "storage/value.h"
@@ -33,7 +33,8 @@ struct IndexKey {
 };
 
 /// One heap table: schema-validated rows addressed by RowId, with an optional
-/// unique hash index and any number of ordered B+-tree secondary indexes.
+/// unique hash index and any number of ordered secondary indexes (each a
+/// std::set of IndexKey).
 ///
 /// The Table itself is storage-only; durability is layered on by Database,
 /// which write-ahead-logs every mutation before applying it here.
@@ -101,11 +102,14 @@ class Table {
   /// Counts rows satisfying `pred`.
   size_t CountWhere(const std::function<bool(const Row&)>& pred) const;
 
-  /// Serializes the full table (schema + rows) into `out` for snapshots.
-  void EncodeTo(std::string* out) const;
+  /// Serializes the full table for snapshots: name, schema, unique column
+  /// (+1, 0 = none) as one byte, the ordered-index columns, the next row
+  /// id, then every (id, row).
+  void EncodeTo(ByteWriter* out) const;
 
-  /// Restores a table from snapshot bytes; false on malformed input.
-  static bool DecodeFrom(const std::string& data, size_t* offset, Table* out);
+  /// Restores a table written by EncodeTo and rebuilds its indexes. Returns
+  /// false on truncated input or an index column the schema does not have.
+  static bool DecodeFrom(ByteReader* in, Table* out);
 
  private:
   void IndexRow(RowId id, const Row& row);
@@ -120,7 +124,7 @@ class Table {
   std::unordered_map<Value, RowId, ValueHash> unique_index_;
 
   // column position -> ordered index
-  std::map<int, BPlusTree<IndexKey>> ordered_indexes_;
+  std::map<int, std::set<IndexKey>> ordered_indexes_;
 };
 
 }  // namespace itag::storage

@@ -1,6 +1,5 @@
 #include "storage/value.h"
 
-#include <cstring>
 #include <functional>
 
 namespace itag::storage {
@@ -62,97 +61,55 @@ std::string Value::ToString() const {
   return "?";
 }
 
-namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool GetU32(const std::string& data, size_t* offset, uint32_t* v) {
-  if (*offset + 4 > data.size()) return false;
-  std::memcpy(v, data.data() + *offset, 4);
-  *offset += 4;
-  return true;
-}
-
-bool GetU64(const std::string& data, size_t* offset, uint64_t* v) {
-  if (*offset + 8 > data.size()) return false;
-  std::memcpy(v, data.data() + *offset, 8);
-  *offset += 8;
-  return true;
-}
-
-}  // namespace
-
-void Value::EncodeTo(std::string* out) const {
-  out->push_back(static_cast<char>(type()));
+void Value::EncodeTo(ByteWriter* out) const {
+  out->U8(static_cast<uint8_t>(type()));
   switch (type()) {
     case FieldType::kNull:
       break;
     case FieldType::kBool:
-      out->push_back(as_bool() ? 1 : 0);
+      out->U8(as_bool() ? 1 : 0);
       break;
     case FieldType::kInt64:
-      PutU64(out, static_cast<uint64_t>(as_int()));
+      out->I64(as_int());
       break;
-    case FieldType::kDouble: {
-      uint64_t bits;
-      double d = as_double();
-      std::memcpy(&bits, &d, 8);
-      PutU64(out, bits);
+    case FieldType::kDouble:
+      out->F64(as_double());
       break;
-    }
-    case FieldType::kString: {
-      const std::string& s = as_string();
-      PutU32(out, static_cast<uint32_t>(s.size()));
-      out->append(s);
+    case FieldType::kString:
+      out->Str(as_string());
       break;
-    }
   }
 }
 
-bool Value::DecodeFrom(const std::string& data, size_t* offset, Value* out) {
-  if (*offset >= data.size()) return false;
-  FieldType t = static_cast<FieldType>(data[*offset]);
-  ++*offset;
-  switch (t) {
+bool Value::DecodeFrom(ByteReader* in, Value* out) {
+  uint8_t type;
+  if (!in->U8(&type)) return false;
+  switch (static_cast<FieldType>(type)) {
     case FieldType::kNull:
       *out = Value::Null();
       return true;
     case FieldType::kBool: {
-      if (*offset >= data.size()) return false;
-      *out = Value::Bool(data[*offset] != 0);
-      ++*offset;
+      uint8_t b;
+      if (!in->U8(&b)) return false;
+      *out = Value::Bool(b != 0);
       return true;
     }
     case FieldType::kInt64: {
-      uint64_t v;
-      if (!GetU64(data, offset, &v)) return false;
-      *out = Value::Int(static_cast<int64_t>(v));
+      int64_t i;
+      if (!in->I64(&i)) return false;
+      *out = Value::Int(i);
       return true;
     }
     case FieldType::kDouble: {
-      uint64_t bits;
-      if (!GetU64(data, offset, &bits)) return false;
       double d;
-      std::memcpy(&d, &bits, 8);
+      if (!in->F64(&d)) return false;
       *out = Value::Real(d);
       return true;
     }
     case FieldType::kString: {
-      uint32_t len;
-      if (!GetU32(data, offset, &len)) return false;
-      if (*offset + len > data.size()) return false;
-      *out = Value::Str(data.substr(*offset, len));
-      *offset += len;
+      std::string s;
+      if (!in->Str(&s)) return false;
+      *out = Value::Str(std::move(s));
       return true;
     }
   }

@@ -5,6 +5,8 @@
 #include <string>
 #include <variant>
 
+#include "common/binio.h"
+
 namespace itag::storage {
 
 /// Column types supported by the embedded engine. This is the subset the
@@ -22,8 +24,8 @@ enum class FieldType : uint8_t {
 const char* FieldTypeName(FieldType t);
 
 /// A dynamically-typed cell value. Values order first by type tag, then by
-/// payload, giving a total order usable as a B+-tree key. NULL sorts before
-/// everything.
+/// payload, giving a total order usable as an ordered-index key. NULL sorts
+/// before everything.
 class Value {
  public:
   /// Constructs NULL.
@@ -71,13 +73,14 @@ class Value {
   /// Renders the value for debugging/export ("NULL", "42", "3.14", "abc").
   std::string ToString() const;
 
-  /// Appends a self-delimiting binary encoding to `out` (used by the WAL and
-  /// snapshots).
-  void EncodeTo(std::string* out) const;
+  /// Appends a self-delimiting encoding: the FieldType byte, then the
+  /// payload (bool as one byte, int64 and double bits as u64, string as
+  /// u32 length + bytes). Rows in the WAL, snapshots and pages use it.
+  void EncodeTo(ByteWriter* out) const;
 
-  /// Decodes a value from `data` starting at `*offset`, advancing it.
-  /// Returns false on malformed input.
-  static bool DecodeFrom(const std::string& data, size_t* offset, Value* out);
+  /// Reads one value written by EncodeTo. Returns false on truncated input
+  /// or a type byte outside FieldType.
+  static bool DecodeFrom(ByteReader* in, Value* out);
 
   /// 64-bit hash usable in hash indexes.
   size_t Hash() const;

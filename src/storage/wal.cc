@@ -1,11 +1,28 @@
 #include "storage/wal.h"
 
-#include <cstring>
 #include <filesystem>
+#include <istream>
 
+#include "common/binio.h"
 #include "common/crc32.h"
 
 namespace itag::storage {
+
+namespace {
+
+/// Bytes of a frame header: [u32 payload_len][u32 crc32(payload)].
+constexpr size_t kFrameHeaderBytes = 8;
+
+/// Reads one frame header at the stream's position; false when fewer than
+/// kFrameHeaderBytes remain.
+bool ReadFrameHeader(std::istream& in, uint32_t* len, uint32_t* crc) {
+  char bytes[kFrameHeaderBytes];
+  if (!in.read(bytes, kFrameHeaderBytes)) return false;
+  ByteReader header(std::string_view(bytes, kFrameHeaderBytes));
+  return header.U32(len) && header.U32(crc);
+}
+
+}  // namespace
 
 WalWriter::~WalWriter() { Close(); }
 
@@ -19,10 +36,10 @@ Status WalWriter::Open(const std::string& path) {
 Status WalWriter::Append(const WalRecord& record) {
   if (!out_.is_open()) return Status::FailedPrecondition("wal not open");
   std::string payload = EncodeWalRecord(record);
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  uint32_t crc = Crc32(payload.data(), payload.size());
-  out_.write(reinterpret_cast<const char*>(&len), 4);
-  out_.write(reinterpret_cast<const char*>(&crc), 4);
+  ByteWriter header;
+  header.U32(static_cast<uint32_t>(payload.size()));
+  header.U32(Crc32(payload.data(), payload.size()));
+  out_.write(header.buffer().data(), kFrameHeaderBytes);
   out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   out_.flush();
   if (!out_) return Status::IOError("wal append failed: " + path_);
@@ -42,40 +59,24 @@ Status WalWriter::Reset() {
 }
 
 std::string EncodeWalRecord(const WalRecord& record) {
-  std::string out;
-  out.push_back(static_cast<char>(record.op));
-  out.append(reinterpret_cast<const char*>(&record.lsn), 8);
-  uint32_t tlen = static_cast<uint32_t>(record.table.size());
-  out.append(reinterpret_cast<const char*>(&tlen), 4);
-  out.append(record.table);
-  out.append(reinterpret_cast<const char*>(&record.row_id), 8);
-  uint32_t plen = static_cast<uint32_t>(record.payload.size());
-  out.append(reinterpret_cast<const char*>(&plen), 4);
-  out.append(record.payload);
-  return out;
+  ByteWriter out;
+  out.U8(static_cast<uint8_t>(record.op));
+  out.U64(record.lsn);
+  out.Str(record.table);
+  out.U64(record.row_id);
+  out.Str(record.payload);
+  return out.Take();
 }
 
-bool DecodeWalRecord(const std::string& payload, WalRecord* out) {
-  size_t off = 0;
-  if (payload.size() < 1 + 8 + 4) return false;
-  out->op = static_cast<WalOp>(payload[off]);
-  off += 1;
-  std::memcpy(&out->lsn, payload.data() + off, 8);
-  off += 8;
-  uint32_t tlen;
-  std::memcpy(&tlen, payload.data() + off, 4);
-  off += 4;
-  if (off + tlen + 8 + 4 > payload.size()) return false;
-  out->table = payload.substr(off, tlen);
-  off += tlen;
-  std::memcpy(&out->row_id, payload.data() + off, 8);
-  off += 8;
-  uint32_t plen;
-  std::memcpy(&plen, payload.data() + off, 4);
-  off += 4;
-  if (off + plen != payload.size()) return false;
-  out->payload = payload.substr(off, plen);
-  return true;
+bool DecodeWalRecord(std::string_view payload, WalRecord* out) {
+  ByteReader in(payload);
+  uint8_t op;
+  if (!in.U8(&op) || !in.U64(&out->lsn) || !in.Str(&out->table) ||
+      !in.U64(&out->row_id) || !in.Str(&out->payload)) {
+    return false;
+  }
+  out->op = static_cast<WalOp>(op);
+  return in.AtEnd();
 }
 
 Status WalTailer::Next(WalRecord* out, bool* have) {
@@ -88,15 +89,15 @@ Status WalTailer::Next(WalRecord* out, bool* have) {
         "wal " + path_ + " shrank below the tail cursor (history truncated); "
         "subscriber must resync");
   }
-  if (size - offset_ < 8) return Status::OK();
+  if (size - offset_ < kFrameHeaderBytes) return Status::OK();
   std::ifstream in(path_, std::ios::binary);
   if (!in) return Status::IOError("cannot read wal: " + path_);
   in.seekg(static_cast<std::streamoff>(offset_));
   uint32_t len = 0, crc = 0;
-  in.read(reinterpret_cast<char*>(&len), 4);
-  in.read(reinterpret_cast<char*>(&crc), 4);
-  if (in.gcount() < 4) return Status::OK();
-  if (size - offset_ - 8 < len) return Status::OK();  // torn tail: wait
+  if (!ReadFrameHeader(in, &len, &crc)) return Status::OK();
+  if (size - offset_ - kFrameHeaderBytes < len) {
+    return Status::OK();  // torn tail: wait
+  }
   std::string payload(len, '\0');
   in.read(payload.data(), len);
   if (static_cast<uint32_t>(in.gcount()) < len) return Status::OK();
@@ -106,7 +107,7 @@ Status WalTailer::Next(WalRecord* out, bool* have) {
   if (!DecodeWalRecord(payload, out)) {
     return Status::Corruption("wal record malformed in " + path_);
   }
-  offset_ += 8 + len;
+  offset_ += kFrameHeaderBytes + len;
   if (out->lsn > head_lsn_) head_lsn_ = out->lsn;
   if (offset_ > head_bytes_) head_bytes_ = offset_;
   *have = true;
@@ -124,13 +125,11 @@ Status ReadWal(const std::string& path, std::vector<WalRecord>* records,
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot read wal: " + path);
   uint64_t offset = 0;
-  while (size - offset >= 8) {
+  while (size - offset >= kFrameHeaderBytes) {
     uint32_t len = 0, crc = 0;
-    in.read(reinterpret_cast<char*>(&len), 4);
-    in.read(reinterpret_cast<char*>(&crc), 4);
-    if (!in) break;
-    if (len == 0 && crc == 0) break;     // zero-filled tail
-    if (len > size - offset - 8) break;  // torn tail
+    if (!ReadFrameHeader(in, &len, &crc)) break;
+    if (len == 0 && crc == 0) break;                     // zero-filled tail
+    if (len > size - offset - kFrameHeaderBytes) break;  // torn tail
     std::string payload(len, '\0');
     in.read(payload.data(), len);
     if (static_cast<uint32_t>(in.gcount()) < len) break;
@@ -142,7 +141,7 @@ Status ReadWal(const std::string& path, std::vector<WalRecord>* records,
       return Status::Corruption("wal record malformed in " + path);
     }
     records->push_back(std::move(rec));
-    offset += 8 + len;
+    offset += kFrameHeaderBytes + len;
   }
   if (end != nullptr) *end = offset;
   return Status::OK();

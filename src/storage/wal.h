@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -128,7 +129,7 @@ class WalTailer {
 std::string EncodeWalRecord(const WalRecord& record);
 
 /// Parses a record payload. Returns false on malformed input.
-bool DecodeWalRecord(const std::string& payload, WalRecord* out);
+bool DecodeWalRecord(std::string_view payload, WalRecord* out);
 
 }  // namespace itag::storage
 

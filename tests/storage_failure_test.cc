@@ -84,7 +84,9 @@ TEST_F(StorageFailureTest, CrashBetweenSnapshotWriteAndWalTruncate) {
     WalRecord create;
     create.op = WalOp::kCreateTable;
     create.table = "t";
-    KvSchema().EncodeTo(&create.payload);
+    ByteWriter schema;
+    KvSchema().EncodeTo(&schema);
+    create.payload = schema.Take();
     ASSERT_TRUE(w.Append(create).ok());
     WalRecord ins;
     ins.op = WalOp::kInsert;

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <utility>
+
+#include "common/random.h"
+
 namespace itag::storage {
 namespace {
 
@@ -51,12 +58,12 @@ TEST(SchemaTest, ValidateNullability) {
 
 TEST(SchemaTest, EncodeDecodeRoundtrip) {
   Schema s = UserSchema();
-  std::string buf;
+  ByteWriter buf;
   s.EncodeTo(&buf);
-  size_t off = 0;
+  ByteReader in(buf.buffer());
   Schema out;
-  ASSERT_TRUE(Schema::DecodeFrom(buf, &off, &out));
-  EXPECT_EQ(off, buf.size());
+  ASSERT_TRUE(Schema::DecodeFrom(&in, &out));
+  EXPECT_TRUE(in.AtEnd());
   ASSERT_EQ(out.num_columns(), 3u);
   EXPECT_EQ(out.column(0).name, "id");
   EXPECT_EQ(out.column(2).type, FieldType::kDouble);
@@ -223,12 +230,12 @@ TEST(TableTest, EncodeDecodeRoundtripWithIndexes) {
   ASSERT_TRUE(t.Delete(a).ok());
   RowId c = t.Insert(MakeUser(3, "alpha", 0.7)).value();
 
-  std::string buf;
+  ByteWriter buf;
   t.EncodeTo(&buf);
-  size_t off = 0;
+  ByteReader in(buf.buffer());
   Table out("", Schema());
-  ASSERT_TRUE(Table::DecodeFrom(buf, &off, &out));
-  EXPECT_EQ(off, buf.size());
+  ASSERT_TRUE(Table::DecodeFrom(&in, &out));
+  EXPECT_TRUE(in.AtEnd());
   EXPECT_EQ(out.name(), "users");
   EXPECT_EQ(out.row_count(), 2u);
   // Unique index is live after decode.
@@ -241,6 +248,172 @@ TEST(TableTest, EncodeDecodeRoundtripWithIndexes) {
   RowId d = out.Insert(MakeUser(9, "new", 0.0)).value();
   EXPECT_GT(d, c);
 }
+
+TEST(TableTest, IndexKeyOrdering) {
+  // The composite (Value, RowId) key of ordered indexes must order by value
+  // first, then row id.
+  std::set<IndexKey> keys{{Value::Int(2), 1},
+                          {Value::Int(1), 9},
+                          {Value::Int(1), 3},
+                          {Value::Int(2), 0}};
+  std::vector<std::pair<int64_t, RowId>> out;
+  for (const IndexKey& k : keys) out.emplace_back(k.value.as_int(), k.row_id);
+  EXPECT_EQ(out, (std::vector<std::pair<int64_t, RowId>>{
+                     {1, 3}, {1, 9}, {2, 0}, {2, 1}}));
+}
+
+// ------------------------------------------------------ ordered-index oracle
+
+/// When the ordered indexes come into being relative to the rows.
+enum class IndexDeclared {
+  kBeforeRows,      ///< declared on the empty table
+  kAfterRows,       ///< declared half way, backfilled from existing rows
+  kAfterRoundTrip,  ///< declared first, then rebuilt by EncodeTo/DecodeFrom
+};
+
+/// Seeded random inserts, updates and deletes on two indexed columns: a
+/// nullable int with many duplicates and a short string. After every step,
+/// every LookupEqual and a set of LookupRange calls must match a full scan
+/// of a reference copy of the rows, ordered by (value, row id).
+class OrderedIndexOracleTest : public ::testing::TestWithParam<IndexDeclared> {
+ protected:
+  static constexpr int kSteps = 400;
+
+  static Schema OracleSchema() {
+    return SchemaBuilder().Int("k", /*nullable=*/true).Str("tag").Build();
+  }
+
+  /// Probe values for column `col`: NULL (which sorts first), every value
+  /// RandomRow draws, and for "tag" some it never draws.
+  static std::vector<Value> Domain(int col) {
+    std::vector<Value> values{Value::Null()};
+    for (int i = 0; i < 12; ++i) {
+      values.push_back(col == 0 ? Value::Int(i)
+                                : Value::Str(std::string(1, 'a' + i)));
+    }
+    return values;
+  }
+
+  Row RandomRow() {
+    Value k = rng_.Uniform(8) == 0 ? Value::Null()
+                                    : Value::Int(rng_.Uniform(12));
+    return {k, Value::Str(std::string(1, 'a' + rng_.Uniform(6)))};
+  }
+
+  void DeclareIndexes(Table* t) {
+    ASSERT_TRUE(t->AddOrderedIndex("k").ok());
+    ASSERT_TRUE(t->AddOrderedIndex("tag").ok());
+  }
+
+  void Mutate(Table* t) {
+    const uint32_t op = rng_.Uniform(4);
+    if (rows_.empty() || op < 2) {
+      Row row = RandomRow();
+      Result<RowId> id = t->Insert(row);
+      ASSERT_TRUE(id.ok());
+      rows_[id.value()] = row;
+      return;
+    }
+    auto it = std::next(rows_.begin(),
+                        rng_.Uniform(static_cast<uint32_t>(rows_.size())));
+    if (op == 2) {
+      Row row = RandomRow();
+      ASSERT_TRUE(t->Update(it->first, row).ok());
+      it->second = row;
+    } else {
+      ASSERT_TRUE(t->Delete(it->first).ok());
+      rows_.erase(it);
+    }
+  }
+
+  /// Ids of reference rows with lo <= row[col] < hi, in (value, id) order.
+  std::vector<RowId> ScanRange(int col, const Value& lo,
+                               const Value& hi) const {
+    std::vector<std::pair<Value, RowId>> hits;
+    for (const auto& [id, row] : rows_) {
+      if (!(row[col] < lo) && row[col] < hi) hits.emplace_back(row[col], id);
+    }
+    std::sort(hits.begin(), hits.end(), [](const auto& a, const auto& b) {
+      if (a.first < b.first) return true;
+      if (b.first < a.first) return false;
+      return a.second < b.second;
+    });
+    std::vector<RowId> ids;
+    for (const auto& hit : hits) ids.push_back(hit.second);
+    return ids;
+  }
+
+  std::vector<RowId> ScanEqual(int col, const Value& v) const {
+    std::vector<RowId> ids;
+    for (const auto& [id, row] : rows_) {
+      if (row[col] == v) ids.push_back(id);
+    }
+    return ids;
+  }
+
+  void CheckAgainstScan(const Table& t, int step) {
+    for (int col : {0, 1}) {
+      const std::string& name = t.schema().column(col).name;
+      const std::vector<Value> domain = Domain(col);
+      for (const Value& v : domain) {
+        EXPECT_EQ(t.LookupEqual(name, v), ScanEqual(col, v))
+            << "step " << step << ": " << name << " = " << v.ToString();
+      }
+      for (int i = 0; i < 4; ++i) {
+        const Value& lo = domain[rng_.Uniform(domain.size())];
+        const Value& hi = domain[rng_.Uniform(domain.size())];
+        EXPECT_EQ(t.LookupRange(name, lo, hi), ScanRange(col, lo, hi))
+            << "step " << step << ": " << lo.ToString() << " <= " << name
+            << " < " << hi.ToString();
+      }
+      const Value past_all = col == 0 ? Value::Int(99) : Value::Str("z");
+      EXPECT_EQ(t.LookupRange(name, Value::Null(), past_all),
+                ScanRange(col, Value::Null(), past_all))
+          << "step " << step << ": all of " << name;
+    }
+  }
+
+  Rng rng_{20260418};
+  std::map<RowId, Row> rows_;  // reference copy of the table
+};
+
+TEST_P(OrderedIndexOracleTest, LookupsMatchAFullScan) {
+  auto table = std::make_unique<Table>("t", OracleSchema());
+  if (GetParam() != IndexDeclared::kAfterRows) DeclareIndexes(table.get());
+  for (int step = 0; step < kSteps; ++step) {
+    if (step == kSteps / 2 && GetParam() == IndexDeclared::kAfterRows) {
+      DeclareIndexes(table.get());
+    }
+    if (step == kSteps / 2 && GetParam() == IndexDeclared::kAfterRoundTrip) {
+      ByteWriter buf;
+      table->EncodeTo(&buf);
+      ByteReader in(buf.buffer());
+      auto decoded = std::make_unique<Table>("", Schema());
+      ASSERT_TRUE(Table::DecodeFrom(&in, decoded.get()));
+      table = std::move(decoded);
+    }
+    Mutate(table.get());
+    CheckAgainstScan(*table, step);
+    if (HasFatalFailure() || HasNonfatalFailure()) return;
+  }
+  EXPECT_GT(rows_.size(), 20u);  // the walk grew a table worth indexing
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Declared, OrderedIndexOracleTest,
+    ::testing::Values(IndexDeclared::kBeforeRows, IndexDeclared::kAfterRows,
+                      IndexDeclared::kAfterRoundTrip),
+    [](const ::testing::TestParamInfo<IndexDeclared>& info) -> std::string {
+      switch (info.param) {
+        case IndexDeclared::kBeforeRows:
+          return "BeforeRows";
+        case IndexDeclared::kAfterRows:
+          return "AfterRows";
+        case IndexDeclared::kAfterRoundTrip:
+          return "AfterRoundTrip";
+      }
+      return "Unknown";
+    });
 
 }  // namespace
 }  // namespace itag::storage

@@ -63,47 +63,55 @@ TEST(ValueTest, EncodeDecodeRoundtripAllTypes) {
                     Value::Real(-0.0),  Value::Str(""),
                     Value::Str("hello world"), Value::Str(std::string(300, 'x'))};
   for (const Value& v : values) {
-    std::string buf;
+    ByteWriter buf;
     v.EncodeTo(&buf);
-    size_t off = 0;
+    ByteReader in(buf.buffer());
     Value out;
-    ASSERT_TRUE(Value::DecodeFrom(buf, &off, &out)) << v.ToString();
-    EXPECT_EQ(off, buf.size());
+    ASSERT_TRUE(Value::DecodeFrom(&in, &out)) << v.ToString();
+    EXPECT_TRUE(in.AtEnd());
     EXPECT_EQ(out, v);
   }
 }
 
 TEST(ValueTest, EncodeDecodeSequence) {
-  std::string buf;
+  ByteWriter buf;
   Value::Int(1).EncodeTo(&buf);
   Value::Str("two").EncodeTo(&buf);
   Value::Real(3.0).EncodeTo(&buf);
-  size_t off = 0;
+  ByteReader in(buf.buffer());
   Value a, b, c;
-  ASSERT_TRUE(Value::DecodeFrom(buf, &off, &a));
-  ASSERT_TRUE(Value::DecodeFrom(buf, &off, &b));
-  ASSERT_TRUE(Value::DecodeFrom(buf, &off, &c));
+  ASSERT_TRUE(Value::DecodeFrom(&in, &a));
+  ASSERT_TRUE(Value::DecodeFrom(&in, &b));
+  ASSERT_TRUE(Value::DecodeFrom(&in, &c));
   EXPECT_EQ(a, Value::Int(1));
   EXPECT_EQ(b, Value::Str("two"));
   EXPECT_EQ(c, Value::Real(3.0));
-  EXPECT_EQ(off, buf.size());
+  EXPECT_TRUE(in.AtEnd());
 }
 
 TEST(ValueTest, DecodeRejectsTruncated) {
-  std::string buf;
+  ByteWriter buf;
   Value::Str("truncate-me").EncodeTo(&buf);
-  for (size_t cut = 1; cut < buf.size(); ++cut) {
-    std::string partial = buf.substr(0, cut);
-    size_t off = 0;
+  for (size_t cut = 1; cut < buf.buffer().size(); ++cut) {
+    ByteReader partial(std::string_view(buf.buffer()).substr(0, cut));
     Value out;
-    EXPECT_FALSE(Value::DecodeFrom(partial, &off, &out)) << "cut=" << cut;
+    EXPECT_FALSE(Value::DecodeFrom(&partial, &out)) << "cut=" << cut;
   }
 }
 
 TEST(ValueTest, DecodeEmptyFails) {
-  size_t off = 0;
+  ByteReader empty("");
   Value out;
-  EXPECT_FALSE(Value::DecodeFrom("", &off, &out));
+  EXPECT_FALSE(Value::DecodeFrom(&empty, &out));
+}
+
+TEST(ValueTest, DecodeRejectsTypeByteOutsideFieldType) {
+  ByteWriter buf;
+  buf.U8(static_cast<uint8_t>(FieldType::kString) + 1);
+  buf.I64(7);
+  ByteReader in(buf.buffer());
+  Value out;
+  EXPECT_FALSE(Value::DecodeFrom(&in, &out));
 }
 
 TEST(ValueTest, HashConsistentWithEquality) {
@@ -132,11 +140,11 @@ TEST(ValueTest, FuzzRoundtrip) {
         break;
       }
     }
-    std::string buf;
+    ByteWriter buf;
     v.EncodeTo(&buf);
-    size_t off = 0;
+    ByteReader in(buf.buffer());
     Value out;
-    ASSERT_TRUE(Value::DecodeFrom(buf, &off, &out));
+    ASSERT_TRUE(Value::DecodeFrom(&in, &out));
     EXPECT_EQ(out, v);
   }
 }
