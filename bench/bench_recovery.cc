@@ -16,6 +16,11 @@
 // (ratio < sqrt(posts ratio)); the snapshot engine's O(rows) curves stay
 // informational.
 //
+// The snapshot sweep's WAL size is gated too: at the largest size the log
+// may hold at most kMaxWalBytesPerPost bytes per approved post. The sweep
+// is single-threaded and seeded, so the byte count repeats exactly on any
+// host and noise cannot flip this gate.
+//
 // Output: tables on stdout plus BENCH_recovery.json (schema in
 // docs/benchmarks.md; the `page_cache_mb` field records the paged sweep's
 // cache budget).
@@ -70,6 +75,11 @@ struct Sample {
 /// Page-cache budget for the paged sweep; recorded in the JSON so runs with
 /// different budgets are comparable.
 constexpr size_t kPagedCacheMb = 64;
+
+/// WAL bytes per approved post allowed at the largest snapshot size: half
+/// of the 888 a log with one sub-record per row write took. Each call's
+/// batch logs one image per row it touches (docs/persistence.md).
+constexpr double kMaxWalBytesPerPost = 444.0;
 
 core::ITagSystemOptions Opts(const std::string& dir) {
   core::ITagSystemOptions opts;
@@ -275,6 +285,14 @@ int main(int argc, char** argv) {
                 p.checkpoint_ms, p.cold_open_ms, p.page_file_bytes / 1e6);
   }
 
+  const Sample& largest = samples.back();
+  const double wal_per_post =
+      static_cast<double>(largest.wal_bytes) / largest.posts;
+  const bool wal_ok = wal_per_post <= kMaxWalBytesPerPost;
+  std::printf(
+      "\ngate: wal at %u posts: %.1f bytes per approved post (bound %.0f)\n",
+      largest.posts, wal_per_post, kMaxWalBytesPerPost);
+
   // BENCH_*.json schema (see docs/benchmarks.md): one-line object with
   // "bench" and "host_cores", validated by the CI schema step.
   unsigned host_cores = std::thread::hardware_concurrency();
@@ -295,7 +313,12 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(s.snapshot_bytes));
     json += buf;
   }
-  json += "],\"page_cache_mb\":" + std::to_string(kPagedCacheMb) +
+  char wal_gate[96];
+  std::snprintf(wal_gate, sizeof(wal_gate),
+                "],\"wal_bytes_per_post\":%.1f,\"wal_gate\":\"%s\"",
+                wal_per_post, wal_ok ? "pass" : "fail");
+  json += wal_gate;
+  json += ",\"page_cache_mb\":" + std::to_string(kPagedCacheMb) +
           ",\"paged\":[";
   for (size_t i = 0; i < paged.size(); ++i) {
     const PagedSample& p = paged[i];
@@ -313,6 +336,14 @@ int main(int argc, char** argv) {
   json += "]}";
   std::cout << "\n" << json << "\n";
   std::ofstream("BENCH_recovery.json") << json << "\n";
+
+  if (!wal_ok) {
+    std::fprintf(stderr,
+                 "FAIL: the wal grew past %.0f bytes per approved post "
+                 "(same-row rewrites inside a batch are logged again)\n",
+                 kMaxWalBytesPerPost);
+    return 1;
+  }
 
   // Gate: the paged cold open reads meta + catalog only, so it must grow
   // sublinearly in post count — ratio of cold opens strictly below the

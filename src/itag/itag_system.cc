@@ -482,24 +482,33 @@ std::vector<Status> ITagSystem::UploadResourceBatch(
   return out;
 }
 
+// Each control verb is one atomic WAL record: Start from Draft writes a
+// quality point and the project row, Stop the project row and a
+// notification.
+
 Status ITagSystem::StartProject(ProjectId project) {
+  BatchScope batch(&db_);
   return MarkIfOk(project, quality_->Start(project));
 }
 
 Status ITagSystem::PauseProject(ProjectId project) {
+  BatchScope batch(&db_);
   return MarkIfOk(project, quality_->Pause(project));
 }
 
 Status ITagSystem::StopProject(ProjectId project) {
+  BatchScope batch(&db_);
   return MarkIfOk(project, quality_->Stop(project));
 }
 
 Status ITagSystem::AddBudget(ProjectId project, uint32_t tasks) {
+  BatchScope batch(&db_);
   return MarkIfOk(project, quality_->AddBudget(project, tasks));
 }
 
 Status ITagSystem::SwitchStrategy(ProjectId project,
                                   strategy::StrategyKind kind) {
+  BatchScope batch(&db_);
   return MarkIfOk(project, quality_->SwitchStrategy(project, kind));
 }
 
@@ -509,14 +518,17 @@ Result<strategy::StrategyKind> ITagSystem::RecommendStrategy(
 }
 
 Status ITagSystem::PromoteResource(ProjectId project, ResourceId resource) {
+  BatchScope batch(&db_);
   return MarkIfOk(project, quality_->PromoteResource(project, resource));
 }
 
 Status ITagSystem::StopResource(ProjectId project, ResourceId resource) {
+  BatchScope batch(&db_);
   return MarkIfOk(project, quality_->StopResource(project, resource));
 }
 
 Status ITagSystem::ResumeResource(ProjectId project, ResourceId resource) {
+  BatchScope batch(&db_);
   return MarkIfOk(project, quality_->ResumeResource(project, resource));
 }
 

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <utility>
 
+#include "common/binio.h"
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -28,6 +29,7 @@ struct StorageMetrics {
   obs::Counter* wal_appends;        ///< framed records appended to any WAL
   obs::Counter* wal_bytes;          ///< payload bytes across those records
   obs::Histogram* wal_batch_rows;   ///< sub-records per committed batch
+  obs::Counter* wal_coalesced_rows;  ///< row images folded into a sub-record
   obs::Counter* checkpoints;        ///< completed durable checkpoints
   obs::Histogram* checkpoint_latency_us;
 
@@ -38,6 +40,7 @@ struct StorageMetrics {
       s.wal_appends = reg.GetCounter("storage.wal.appends");
       s.wal_bytes = reg.GetCounter("storage.wal.bytes");
       s.wal_batch_rows = reg.GetHistogram("storage.wal.batch_rows");
+      s.wal_coalesced_rows = reg.GetCounter("storage.wal.coalesced_rows");
       s.checkpoints = reg.GetCounter("storage.checkpoint.count");
       s.checkpoint_latency_us =
           reg.GetHistogram("storage.checkpoint.latency_us");
@@ -346,8 +349,7 @@ Status Database::LogOp(WalOp op, const std::string& table, RowId row_id,
   if (batch_depth_ > 0) {
     // Buffer into the open atomic group instead of framing immediately; the
     // group frame's LSN covers every sub-record, so theirs stay 0.
-    batch_buf_.Str(EncodeWalRecord(rec));
-    ++batch_ops_;
+    batch_.emplace_back().rec = std::move(rec);
     return Status::OK();
   }
   rec.lsn = next_lsn_++;
@@ -364,6 +366,34 @@ Status Database::LogOp(WalOp op, const std::string& table, RowId row_id,
   return s;
 }
 
+Status Database::LogRow(WalOp op, const Table& t, RowId id, const Row& row) {
+  if (!durable_) return Status::OK();
+  if (batch_depth_ == 0) return LogOp(op, t.name(), id, EncodeRow(row));
+  if (!wal_error_.ok()) return wal_error_;
+  const int key_col = t.unique_column();
+  auto [slot, fresh] = batch_rows_.try_emplace(RowKey{&t, id}, batch_.size());
+  if (!fresh && op == WalOp::kUpdate) {
+    // The row's sub-record holds its image as of this update; overwrite it
+    // unless the unique key moves. Replay tolerates AlreadyExists, so a
+    // key-moving image replayed at the earlier position could collide with
+    // a row that only later gave the key up and be dropped without an error.
+    BatchEntry& entry = batch_[slot->second];
+    if (key_col < 0 || entry.key == row[key_col]) {
+      entry.rec.payload = EncodeRow(row);
+      ++batch_coalesced_;
+      return Status::OK();
+    }
+  }
+  slot->second = batch_.size();
+  BatchEntry& entry = batch_.emplace_back();
+  entry.rec.op = op;
+  entry.rec.table = t.name();
+  entry.rec.row_id = id;
+  entry.rec.payload = EncodeRow(row);
+  if (key_col >= 0) entry.key = row[key_col];
+  return Status::OK();
+}
+
 void Database::BeginBatch() { ++batch_depth_; }
 
 Status Database::CommitBatch() {
@@ -371,18 +401,26 @@ Status Database::CommitBatch() {
     return Status::FailedPrecondition("no batch open");
   }
   if (--batch_depth_ > 0) return Status::OK();
-  size_t batch_ops = batch_ops_;
-  batch_ops_ = 0;
-  WalRecord rec;
-  rec.payload = std::exchange(batch_buf_, ByteWriter()).Take();
-  if (!durable_ || rec.payload.empty()) return Status::OK();
+  if (batch_.empty()) return Status::OK();  // nothing logged, or not durable
+  const size_t batch_ops = batch_.size();
+  const size_t coalesced = std::exchange(batch_coalesced_, 0);
+  ByteWriter group;
+  for (const BatchEntry& entry : batch_) group.Str(EncodeWalRecord(entry.rec));
+  // Fresh containers, not clear(): a bulk batch (a project adoption, say)
+  // must not leave its memory, or a bucket array clear() would walk, to
+  // every batch after it.
+  batch_ = {};
+  batch_rows_ = {};
   if (!wal_error_.ok()) return wal_error_;
+  WalRecord rec;
   rec.op = WalOp::kBatch;
   rec.lsn = next_lsn_++;
+  rec.payload = group.Take();
   size_t payload_bytes = rec.payload.size();
   obs::Span span("storage.wal.append");
   span.Annotate("bytes", static_cast<uint64_t>(payload_bytes));
   span.Annotate("batch_ops", static_cast<uint64_t>(batch_ops));
+  span.Annotate("coalesced", static_cast<uint64_t>(coalesced));
   Status s = wal_.Append(rec);
   if (!s.ok()) {
     wal_error_ = s;
@@ -390,6 +428,7 @@ Status Database::CommitBatch() {
     StorageMetrics::Get().wal_appends->Inc();
     StorageMetrics::Get().wal_bytes->Inc(payload_bytes);
     StorageMetrics::Get().wal_batch_rows->Observe(batch_ops);
+    StorageMetrics::Get().wal_coalesced_rows->Inc(coalesced);
   }
   return s;
 }
@@ -401,12 +440,14 @@ Status Database::CreateTable(const std::string& name, const Schema& schema) {
   ByteWriter payload;
   schema.EncodeTo(&payload);
   ITAG_RETURN_IF_ERROR(LogOp(WalOp::kCreateTable, name, 0, payload.Take()));
+  batch_rows_.clear();  // DDL ends folding for the whole batch
   return MakeTable(name, schema);
 }
 
 Status Database::DropTable(const std::string& name) {
   if (!tables_.count(name)) return Status::NotFound("table " + name);
   ITAG_RETURN_IF_ERROR(LogOp(WalOp::kDropTable, name, 0, ""));
+  batch_rows_.clear();  // DDL ends folding for the whole batch
   if (paged()) {
     ITAG_RETURN_IF_ERROR(engine_->DropTable(name));
   }
@@ -445,7 +486,7 @@ Result<RowId> Database::Insert(const std::string& table, const Row& row) {
   ITAG_RETURN_IF_ERROR(t->schema().Validate(row));
   Result<RowId> id = t->Insert(row);
   if (!id.ok()) return id;
-  Status s = LogOp(WalOp::kInsert, table, id.value(), EncodeRow(row));
+  Status s = LogRow(WalOp::kInsert, *t, id.value(), row);
   if (!s.ok()) return s;
   return id;
 }
@@ -454,13 +495,16 @@ Status Database::Update(const std::string& table, RowId id, const Row& row) {
   Table* t = GetTable(table);
   if (t == nullptr) return Status::NotFound("table " + table);
   ITAG_RETURN_IF_ERROR(t->Update(id, row));
-  return LogOp(WalOp::kUpdate, table, id, EncodeRow(row));
+  return LogRow(WalOp::kUpdate, *t, id, row);
 }
 
 Status Database::Delete(const std::string& table, RowId id) {
   Table* t = GetTable(table);
   if (t == nullptr) return Status::NotFound("table " + table);
   ITAG_RETURN_IF_ERROR(t->Delete(id));
+  // Logged as itself; nothing folds into the row afterwards, since it is
+  // gone and row ids are never reused. An insert-then-delete pair keeps
+  // both sub-records: replaying the insert moves next_row_id past the row.
   return LogOp(WalOp::kDelete, table, id, "");
 }
 

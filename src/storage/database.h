@@ -1,12 +1,13 @@
 #ifndef ITAG_STORAGE_DATABASE_H_
 #define ITAG_STORAGE_DATABASE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "common/binio.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "storage/table.h"
@@ -107,10 +108,19 @@ class Database {
   /// into ONE framed WAL record, so recovery replays the whole group or
   /// none of it. Re-entrant (nested Begin/Commit pairs fold into the
   /// outermost batch); pair every Begin with a Commit — prefer BatchScope.
+  ///
+  /// The group keeps one sub-record per row: an Update of a row the batch
+  /// already inserted or updated replaces that sub-record's image, so an
+  /// insert followed by updates logs one insert of the final row. Three
+  /// cases are logged as themselves (docs/persistence.md says why):
+  ///   * a Delete, which also ends folding for its row;
+  ///   * an Update that changes the table's unique-key value;
+  ///   * DDL, which ends folding for the whole batch.
   void BeginBatch();
 
-  /// Closes the innermost batch; at depth zero, appends the buffered group
-  /// as one kBatch record (no-op when nothing was logged or not durable).
+  /// Closes the innermost batch; at depth zero, encodes the buffered
+  /// sub-records and appends them as one kBatch record (no-op when nothing
+  /// was logged or not durable).
   Status CommitBatch();
 
   /// Current batch nesting depth (0 = not batching).
@@ -171,8 +181,34 @@ class Database {
   Status ApplyReplicated(const WalRecord& rec);
 
  private:
+  /// One sub-record of the open batch. `key` is the unique-key value of its
+  /// image (NULL when the table has no unique index); a later Update folds
+  /// into the sub-record only while that value is unchanged.
+  struct BatchEntry {
+    WalRecord rec;
+    Value key;
+  };
+
+  /// A row of one table; keys the open batch's foldable sub-records.
+  struct RowKey {
+    const Table* table;
+    RowId id;
+    bool operator==(const RowKey& o) const {
+      return table == o.table && id == o.id;
+    }
+  };
+  struct RowKeyHash {
+    size_t operator()(const RowKey& k) const {
+      return std::hash<const Table*>()(k.table) ^
+             (std::hash<RowId>()(k.id) * 0x9E3779B97F4A7C15ull);
+    }
+  };
+
   Status LogOp(WalOp op, const std::string& table, RowId row_id,
                std::string payload);
+  /// Logs an insert or update of row `id` of `t`. Inside a batch, an update
+  /// folds into the row's sub-record when the unique key allows it.
+  Status LogRow(WalOp op, const Table& t, RowId id, const Row& row);
   Status Recover();
   Status RecoverPaged();
   /// Replays the WAL frames past checkpoint `ckpt_lsn` and sets next_lsn_;
@@ -194,8 +230,10 @@ class Database {
   uint64_t snapshot_lsn_ = 0;  ///< checkpoint LSN of the loaded/written snapshot
   RecoveryStats recovery_stats_;
   size_t batch_depth_ = 0;
-  ByteWriter batch_buf_;  ///< length-prefixed sub-records of the open batch
-  size_t batch_ops_ = 0;   ///< sub-records buffered in the open batch
+  std::vector<BatchEntry> batch_;  ///< sub-records of the open batch
+  /// Row -> index in batch_ of the sub-record a later update may fold into.
+  std::unordered_map<RowKey, size_t, RowKeyHash> batch_rows_;
+  size_t batch_coalesced_ = 0;  ///< row images folded in the open batch
   Status wal_error_ = Status::OK();  ///< sticky first append failure
 };
 

@@ -56,6 +56,9 @@ class Table {
   /// The id the next Insert will assign (persisted by paged checkpoints).
   RowId next_row_id() const { return next_id_; }
 
+  /// Position of the unique-index column, or -1 when there is none.
+  int unique_column() const { return unique_col_; }
+
   /// Declares a unique index on `column`. Inserts that duplicate an existing
   /// key fail with AlreadyExists. Existing rows are backfilled; declaring
   /// the index fails with AlreadyExists if they contain duplicates.

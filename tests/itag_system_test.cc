@@ -4,6 +4,12 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "storage/wal.h"
 
 namespace itag::core {
 namespace {
@@ -352,6 +358,56 @@ TEST(ITagSystemDurabilityTest, StateSurvivesRestart) {
     ASSERT_EQ(taggers.size(), 1u);
     EXPECT_EQ(taggers[0].name, "tess");
     EXPECT_EQ(taggers[0].earned_cents, 7u);
+  }
+  fs::remove_all(dir);
+}
+
+// Every control verb is one atomic WAL record. Start from Draft writes a
+// quality point and the project row; were they two frames, a tail torn
+// between them would recover a Draft project with a start point in its
+// feed, and the next Start would add a second one.
+TEST(ITagSystemDurabilityTest, ControlVerbsWriteAtMostOneWalFrame) {
+  std::string dir = (fs::temp_directory_path() /
+                     ("itag_system_verbs." + std::to_string(::getpid())))
+                        .string();
+  fs::remove_all(dir);
+  ITagSystemOptions opts;
+  opts.db.directory = dir;
+  ITagSystem system(opts);
+  ASSERT_TRUE(system.Init().ok());
+  ProviderId provider = system.RegisterProvider("verbs").value();
+  ProjectId p = system.CreateProject(provider, AudienceSpec("verbs")).value();
+  std::vector<tagging::ResourceId> ids;
+  std::vector<ResourceUpload> uploads = {{ResourceKind::kWebUrl, "u0", "", {}},
+                                         {ResourceKind::kWebUrl, "u1", "", {}}};
+  system.UploadResourceBatch(p, uploads, &ids);
+  ASSERT_EQ(ids.size(), 2u);
+
+  const std::string wal = system.database().wal_path();
+  auto frames = [&wal] {
+    std::vector<storage::WalRecord> records;
+    EXPECT_TRUE(storage::ReadWal(wal, &records).ok());
+    return records.size();
+  };
+  const std::vector<std::pair<std::string, std::function<Status()>>> verbs = {
+      {"StartProject from Draft", [&] { return system.StartProject(p); }},
+      {"PauseProject", [&] { return system.PauseProject(p); }},
+      {"StartProject from Paused", [&] { return system.StartProject(p); }},
+      {"AddBudget", [&] { return system.AddBudget(p, 5); }},
+      {"SwitchStrategy",
+       [&] {
+         return system.SwitchStrategy(p, StrategyKind::kMostUnstableFirst);
+       }},
+      {"PromoteResource", [&] { return system.PromoteResource(p, ids[1]); }},
+      {"StopResource", [&] { return system.StopResource(p, ids[0]); }},
+      {"ResumeResource", [&] { return system.ResumeResource(p, ids[0]); }},
+      {"StopProject", [&] { return system.StopProject(p); }},
+  };
+  for (const auto& [name, verb] : verbs) {
+    const size_t before = frames();
+    Status s = verb();
+    ASSERT_TRUE(s.ok()) << name << ": " << s.ToString();
+    EXPECT_LE(frames() - before, 1u) << name;
   }
   fs::remove_all(dir);
 }
