@@ -51,14 +51,17 @@ Outcome RunSession(bool promote_target, bool stop_target) {
       (void)system.ImportPost(project, i, {"seed-" + std::to_string(i)});
     }
   }
-  (void)system.StartProject(project);
-  if (stop_target) (void)system.StopResource(project, 0);
+  (void)system.ControlBatch(project, {{ControlAction::kStart}});
+  if (stop_target) {
+    (void)system.ControlBatch(project, {{ControlAction::kStopResource, 0}});
+  }
 
   UserTaggerId tagger = system.RegisterTagger("worker").value();
   Rng rng(7);
   for (int task = 0; task < 300; ++task) {
     if (promote_target && task % 3 == 0) {
-      (void)system.PromoteResource(project, 0);
+      (void)system.ControlBatch(project,
+                                {{ControlAction::kPromoteResource, 0}});
     }
     auto accepted = system.AcceptTasks(tagger, project, 1);
     if (!accepted.ok()) break;

@@ -118,29 +118,25 @@ struct BatchUploadResourcesResponse {
 
 /// Project lifecycle and provider controls, one verb per item so a whole
 /// console session can ship as one request.
-enum class ControlAction : uint8_t {
-  kStart,
-  kPause,
-  kStop,
-  kPromoteResource,
-  kStopResource,
-  kResumeResource,
-  kAddBudget,
-  kSwitchStrategy,
-};
-struct ControlItem {
-  ControlAction action = ControlAction::kStart;
-  /// For the per-resource verbs.
-  tagging::ResourceId resource = tagging::kInvalidResource;
-  /// For kAddBudget.
-  uint32_t budget_tasks = 0;
-  /// For kSwitchStrategy.
-  strategy::StrategyKind strategy = strategy::StrategyKind::kHybridFpMu;
-};
+using ControlAction = core::ControlAction;
+using ControlItem = core::ControlItem;
 /// Applies the control verbs to one project, in order, one Status per
-/// item. Per-item failures: NotFound for unknown project/resource,
-/// FailedPrecondition for illegal lifecycle transitions, InvalidArgument
-/// for a zero kAddBudget top-up.
+/// item, as one routed core call (ShardedSystem::ControlBatch) and so one
+/// atomic WAL frame. Per-item status by action and project state:
+///
+///                               Draft*  Draft  Running  Paused  Stopped
+///   Start                       FP      OK     FP       OK      FP
+///   Pause                       FP      FP     OK       FP      FP
+///   Stop                        OK      OK     OK       OK      OK
+///   AddBudget, SwitchStrategy   OK      OK     OK       OK      OK
+///   Promote/Stop/ResumeResource FP      FP     OK       OK      OK
+///
+/// (Draft* = Draft without resources; FP = FailedPrecondition.) Every
+/// action answers NotFound on a project that was never issued. The
+/// per-resource actions answer NotFound for an unknown resource, and
+/// PromoteResource FailedPrecondition for a stopped one. A zero kAddBudget
+/// top-up is InvalidArgument and never reaches the core. Items past the
+/// admission grant fail ResourceExhausted.
 struct BatchControlRequest {
   core::ProjectId project = 0;
   std::vector<ControlItem> items;

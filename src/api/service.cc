@@ -258,11 +258,9 @@ BatchUploadResourcesResponse Service::BatchUploadResources(
 BatchControlResponse Service::BatchControl(const BatchControlRequest& req) {
   ApiCallScope obs_scope(kRequestTypeIndex<BatchControlRequest>);
   BatchControlResponse resp;
-  resp.outcome.statuses.reserve(req.items.size());
+  resp.outcome.statuses.resize(req.items.size());
   if (replica_mode()) {
-    for (size_t i = 0; i < req.items.size(); ++i) {
-      Record(&resp.outcome, ReplicaRejected());
-    }
+    for (Status& s : resp.outcome.statuses) s = ReplicaRejected();
     return resp;
   }
   size_t granted = req.items.size();
@@ -270,45 +268,32 @@ BatchControlResponse Service::BatchControl(const BatchControlRequest& req) {
     granted = static_cast<size_t>(
         admission_->AdmitUpTo(req.project, req.items.size()));
   }
-  // Deliberately per-item (one route + snapshot refresh per verb): control
-  // batches are a console session's worth of lifecycle verbs, not a
-  // bulk-ingest path like BatchUploadResources.
+  // The granted prefix, less its zero top-ups, goes to the core as one
+  // batch: one route, one shard-lock hold, one WAL frame. `routed` maps
+  // backend results back to their request slots.
+  std::vector<ControlItem> items;
+  std::vector<size_t> routed;
   for (size_t i = 0; i < req.items.size(); ++i) {
-    if (i >= granted) {
-      Record(&resp.outcome, AdmissionDenied(req.project));
-      continue;
-    }
     const ControlItem& item = req.items[i];
-    Status s;
-    switch (item.action) {
-      case ControlAction::kStart:
-        s = sharded_->StartProject(req.project);
-        break;
-      case ControlAction::kPause:
-        s = sharded_->PauseProject(req.project);
-        break;
-      case ControlAction::kStop:
-        s = sharded_->StopProject(req.project);
-        break;
-      case ControlAction::kPromoteResource:
-        s = sharded_->PromoteResource(req.project, item.resource);
-        break;
-      case ControlAction::kStopResource:
-        s = sharded_->StopResource(req.project, item.resource);
-        break;
-      case ControlAction::kResumeResource:
-        s = sharded_->ResumeResource(req.project, item.resource);
-        break;
-      case ControlAction::kAddBudget:
-        s = item.budget_tasks == 0
-                ? Status::InvalidArgument("budget_tasks must be positive")
-                : sharded_->AddBudget(req.project, item.budget_tasks);
-        break;
-      case ControlAction::kSwitchStrategy:
-        s = sharded_->SwitchStrategy(req.project, item.strategy);
-        break;
+    if (i >= granted) {
+      resp.outcome.statuses[i] = AdmissionDenied(req.project);
+    } else if (item.action == ControlAction::kAddBudget &&
+               item.budget_tasks == 0) {
+      resp.outcome.statuses[i] =
+          Status::InvalidArgument("budget_tasks must be positive");
+    } else {
+      items.push_back(item);
+      routed.push_back(i);
     }
-    Record(&resp.outcome, std::move(s));
+  }
+  if (!items.empty()) {
+    std::vector<Status> statuses = sharded_->ControlBatch(req.project, items);
+    for (size_t j = 0; j < statuses.size(); ++j) {
+      resp.outcome.statuses[routed[j]] = std::move(statuses[j]);
+    }
+  }
+  for (const Status& s : resp.outcome.statuses) {
+    if (s.ok()) ++resp.outcome.ok_count;
   }
   return resp;
 }

@@ -133,7 +133,9 @@ class Service {
   /// item only. `resources[i]` is kInvalidResource where item i failed.
   BatchUploadResourcesResponse BatchUploadResources(
       const BatchUploadResourcesRequest& req);
-  /// Applies lifecycle/budget/strategy verbs in order, one Status each.
+  /// Applies lifecycle/budget/strategy verbs in order, one Status each:
+  /// the admitted items, less zero top-ups, as one ControlBatch call on
+  /// the core (one route, one WAL frame).
   BatchControlResponse BatchControl(const BatchControlRequest& req);
   /// Project info + optional feed, both from the project's published view
   /// (no shard mutex), + optional per-resource details (read under the

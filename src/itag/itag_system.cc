@@ -482,54 +482,23 @@ std::vector<Status> ITagSystem::UploadResourceBatch(
   return out;
 }
 
-// Each control verb is one atomic WAL record: Start from Draft writes a
-// quality point and the project row, Stop the project row and a
-// notification.
-
-Status ITagSystem::StartProject(ProjectId project) {
+std::vector<Status> ITagSystem::ControlBatch(
+    ProjectId project, const std::vector<ControlItem>& items) {
+  // One publication and one atomic WAL record for the whole batch: a torn
+  // tail keeps all of it or none.
+  PublishScope publish(this);
   BatchScope batch(&db_);
-  return MarkIfOk(project, quality_->Start(project));
-}
-
-Status ITagSystem::PauseProject(ProjectId project) {
-  BatchScope batch(&db_);
-  return MarkIfOk(project, quality_->Pause(project));
-}
-
-Status ITagSystem::StopProject(ProjectId project) {
-  BatchScope batch(&db_);
-  return MarkIfOk(project, quality_->Stop(project));
-}
-
-Status ITagSystem::AddBudget(ProjectId project, uint32_t tasks) {
-  BatchScope batch(&db_);
-  return MarkIfOk(project, quality_->AddBudget(project, tasks));
-}
-
-Status ITagSystem::SwitchStrategy(ProjectId project,
-                                  strategy::StrategyKind kind) {
-  BatchScope batch(&db_);
-  return MarkIfOk(project, quality_->SwitchStrategy(project, kind));
+  std::vector<Status> out;
+  out.reserve(items.size());
+  for (const ControlItem& item : items) {
+    out.push_back(MarkIfOk(project, quality_->Control(project, item)));
+  }
+  return out;
 }
 
 Result<strategy::StrategyKind> ITagSystem::RecommendStrategy(
     ProjectId project) const {
   return quality_->RecommendStrategy(project);
-}
-
-Status ITagSystem::PromoteResource(ProjectId project, ResourceId resource) {
-  BatchScope batch(&db_);
-  return MarkIfOk(project, quality_->PromoteResource(project, resource));
-}
-
-Status ITagSystem::StopResource(ProjectId project, ResourceId resource) {
-  BatchScope batch(&db_);
-  return MarkIfOk(project, quality_->StopResource(project, resource));
-}
-
-Status ITagSystem::ResumeResource(ProjectId project, ResourceId resource) {
-  BatchScope batch(&db_);
-  return MarkIfOk(project, quality_->ResumeResource(project, resource));
 }
 
 Result<ProjectInfo> ITagSystem::GetProjectInfo(ProjectId project) const {
@@ -618,7 +587,8 @@ Status ITagSystem::ApplyRejection(const PendingSubmission& sub,
   }
   // Refund the task and retry the resource.
   ITAG_RETURN_IF_ERROR(quality_->RefundTask(sub.project));
-  (void)quality_->PromoteResource(sub.project, sub.resource);
+  (void)quality_->Control(sub.project,
+                          {ControlAction::kPromoteResource, sub.resource});
   return Status::OK();
 }
 

@@ -117,9 +117,9 @@ struct CheckpointInfo {
 ///
 /// Publication: once per outermost mutating call, the facade hands every
 /// project whose info or feed that call may have changed to the installed
-/// PublishHook. These are create, upload and import, the lifecycle and
-/// per-resource controls, AcceptTasks (each on OK), the projects a
-/// DecideBatch touched, every project on Step, and adopt and erase.
+/// PublishHook. These are create, upload and import, ControlBatch and
+/// AcceptTasks (each on OK), the projects a DecideBatch touched, every
+/// project on Step, and adopt and erase.
 /// SubmitTagsBatch only moves the pending set, so it publishes nothing.
 /// Init and Reattach publish nothing either: the embedder republishes
 /// everything once its own routing state is loaded.
@@ -167,7 +167,7 @@ class ITagSystem {
   // ------------------------------------------------------------ provider API
   /// Creates a project in Draft state for `provider` (NotFound for unknown
   /// providers); the spec's budget/pay/platform/strategy are fixed until
-  /// AddBudget/SwitchStrategy change them.
+  /// ControlBatch's AddBudget/SwitchStrategy change them.
   Result<ProjectId> CreateProject(ProviderId provider,
                                   const ProjectSpec& spec);
   /// Imports the provider's historical tags for a resource (Fig. 4 upload).
@@ -186,23 +186,27 @@ class ITagSystem {
       ProjectId project, const std::vector<ResourceUpload>& items,
       std::vector<tagging::ResourceId>* ids);
 
-  /// Lifecycle transitions (§III-A). Each returns NotFound for unknown
-  /// projects and FailedPrecondition for illegal transitions (e.g. Start
-  /// with zero resources, controls on a stopped project).
-  Status StartProject(ProjectId project);
-  Status PauseProject(ProjectId project);
-  Status StopProject(ProjectId project);
-  /// Tops up the budget by `tasks` (clamped to uint32 max).
-  Status AddBudget(ProjectId project, uint32_t tasks);
-  /// Replaces the allocation strategy mid-run (Fig. 5 dropdown).
-  Status SwitchStrategy(ProjectId project, strategy::StrategyKind kind);
+  /// The provider console (§III-A): applies `items` to `project` in order
+  /// through QualityManager::Control, one Status per item — a failing item
+  /// never aborts the rest. The whole call is one atomic WAL frame and one
+  /// publication. Per-item status by action and project state:
+  ///
+  ///                               Draft*  Draft  Running  Paused  Stopped
+  ///   Start                       FP      OK     FP       OK      FP
+  ///   Pause                       FP      FP     OK       FP      FP
+  ///   Stop                        OK      OK     OK       OK      OK
+  ///   AddBudget, SwitchStrategy   OK      OK     OK       OK      OK
+  ///   Promote/Stop/ResumeResource FP      FP     OK       OK      OK
+  ///
+  /// (Draft* = Draft without resources; FP = FailedPrecondition.) Every
+  /// action answers NotFound on an unknown project. The per-resource actions
+  /// answer NotFound for an unknown resource, and PromoteResource
+  /// FailedPrecondition for a stopped one. AddBudget saturates at uint32
+  /// max.
+  std::vector<Status> ControlBatch(ProjectId project,
+                                   const std::vector<ControlItem>& items);
   /// Statistics-driven strategy suggestion (§III-A).
   Result<strategy::StrategyKind> RecommendStrategy(ProjectId project) const;
-  /// §III-A per-resource Promote / Stop / Resume buttons. NotFound for
-  /// unknown project or resource.
-  Status PromoteResource(ProjectId project, tagging::ResourceId resource);
-  Status StopResource(ProjectId project, tagging::ResourceId resource);
-  Status ResumeResource(ProjectId project, tagging::ResourceId resource);
 
   Result<ProjectInfo> GetProjectInfo(ProjectId project) const;
   std::vector<ProjectInfo> ListProjects(ProviderId provider) const;

@@ -64,6 +64,31 @@ struct ProjectSpec {
   strategy::StrategyKind strategy = strategy::StrategyKind::kHybridFpMu;
 };
 
+/// The provider console's controls (§III-A): the lifecycle verbs, the
+/// per-resource Promote / Stop / Resume buttons, a budget top-up and a
+/// strategy switch.
+enum class ControlAction : uint8_t {
+  kStart,
+  kPause,
+  kStop,
+  kPromoteResource,
+  kStopResource,
+  kResumeResource,
+  kAddBudget,
+  kSwitchStrategy,
+};
+
+/// One control applied to a project (QualityManager::Control).
+struct ControlItem {
+  ControlAction action = ControlAction::kStart;
+  /// For the per-resource verbs.
+  tagging::ResourceId resource = tagging::kInvalidResource;
+  /// For kAddBudget.
+  uint32_t budget_tasks = 0;
+  /// For kSwitchStrategy.
+  strategy::StrategyKind strategy = strategy::StrategyKind::kHybridFpMu;
+};
+
 /// Snapshot of a project row for listings (Fig. 3's main provider UI).
 struct ProjectInfo {
   ProjectId id = 0;

@@ -23,9 +23,9 @@ namespace {
 /// with the same seed before rewinding their RNG to the saved position.
 uint64_t EngineSeed(ProjectId project) { return 0x5151 + project; }
 
-/// Serializes the live part of a project record: the engine run (counters,
-/// assignment vector, pending promotions, RNG stream) and the provider's
-/// per-resource Stop flags.
+/// Serializes the engine run of a project record: counters, assignment
+/// vector, pending promotions, the provider's per-resource Stop flags and
+/// the RNG stream.
 std::string EncodeEngine(const QualityManager::ProjectRec& rec) {
   ByteWriter w;
   if (rec.engine == nullptr) return w.Take();
@@ -37,18 +37,21 @@ std::string EncodeEngine(const QualityManager::ProjectRec& rec) {
   w.U32Vec(s.assignment);
   w.U32Vec(s.promoted);
   w.U8Vec(s.stopped);
-  w.U8Vec(rec.stopped);
   return w.Take();
 }
 
-bool DecodeEngine(const std::string& blob, EngineState* s,
-                  std::vector<uint8_t>* rec_stopped) {
+/// Reads an EncodeEngine blob. Blobs written while the project record kept
+/// a copy of the Stop flags end in that second flag vector; it is read and
+/// dropped, since the engine's own flags are the same.
+bool DecodeEngine(const std::string& blob, EngineState* s) {
   ByteReader r(blob);
   std::vector<uint32_t> promoted;
+  std::vector<uint8_t> record_copy;
   if (!r.U32(&s->budget_remaining) || !r.U32(&s->tasks_assigned) ||
       !r.U64(&s->rng.state) || !r.U64(&s->rng.inc) ||
       !r.U32Vec(&s->assignment) || !r.U32Vec(&promoted) ||
-      !r.U8Vec(&s->stopped) || !r.U8Vec(rec_stopped) || !r.AtEnd()) {
+      !r.U8Vec(&s->stopped) || (!r.AtEnd() && !r.U8Vec(&record_copy)) ||
+      !r.AtEnd()) {
     return false;
   }
   s->promoted.assign(promoted.begin(), promoted.end());
@@ -194,7 +197,7 @@ Status QualityManager::DecodeProjectRow(ProjectId project, const Row& row,
   rec->exhausted_notified = row[11].as_bool();
   if (row[12].as_bool()) {
     EngineState state;
-    if (!DecodeEngine(row[13].as_string(), &state, &rec->stopped)) {
+    if (!DecodeEngine(row[13].as_string(), &state)) {
       return Status::Corruption("malformed engine state for project " +
                                 std::to_string(project));
     }
@@ -398,94 +401,80 @@ std::vector<ProjectInfo> QualityManager::ListProjects(
   return out;
 }
 
-Status QualityManager::Start(ProjectId project) {
+Status QualityManager::Control(ProjectId project, const ControlItem& item) {
   ProjectRec* rec = Rec(project);
   if (rec == nullptr) {
     return Status::NotFound("project " + std::to_string(project));
   }
-  tagging::Corpus* corpus = resources_->GetCorpus(project);
-  if (corpus == nullptr || corpus->size() == 0) {
-    return Status::FailedPrecondition("project has no resources");
-  }
-  switch (rec->state) {
-    case ProjectState::kDraft: {
-      EngineOptions opts;
-      opts.budget = rec->spec.budget;
-      opts.seed = EngineSeed(project);
-      rec->engine = std::make_unique<AllocationEngine>(
-          corpus, strategy::MakeStrategy(rec->spec.strategy), opts);
-      rec->stopped.assign(corpus->size(), 0);
+  AllocationEngine* engine = rec->engine.get();
+  switch (item.action) {
+    case ControlAction::kStart: {
+      tagging::Corpus* corpus = resources_->GetCorpus(project);
+      if (corpus == nullptr || corpus->size() == 0) {
+        return Status::FailedPrecondition("project has no resources");
+      }
+      if (rec->state == ProjectState::kRunning) {
+        return Status::FailedPrecondition("already running");
+      }
+      if (rec->state == ProjectState::kStopped) {
+        return Status::FailedPrecondition("project is stopped");
+      }
+      if (rec->state == ProjectState::kDraft) {  // Paused only resumes
+        EngineOptions opts;
+        opts.budget = rec->spec.budget;
+        opts.seed = EngineSeed(project);
+        rec->engine = std::make_unique<AllocationEngine>(
+            corpus, strategy::MakeStrategy(rec->spec.strategy), opts);
+        EmitQualityPoint(project, *rec);
+      }
       rec->state = ProjectState::kRunning;
-      EmitQualityPoint(project, *rec);
-      PersistProject(project, *rec);
-      return Status::OK();
+      break;
     }
-    case ProjectState::kPaused:
-      rec->state = ProjectState::kRunning;
+    case ControlAction::kPause:
+      if (rec->state != ProjectState::kRunning) {
+        return Status::FailedPrecondition("not running");
+      }
+      rec->state = ProjectState::kPaused;
+      break;
+    case ControlAction::kStop:
+      if (rec->state == ProjectState::kStopped) return Status::OK();
+      rec->state = ProjectState::kStopped;
       PersistProject(project, *rec);
+      PushNotification(rec->provider,
+                       {NotificationKind::kProjectStopped, clock_->Now(),
+                        project, "project '" + rec->spec.name + "' stopped"});
       return Status::OK();
-    case ProjectState::kRunning:
-      return Status::FailedPrecondition("already running");
-    case ProjectState::kStopped:
-      return Status::FailedPrecondition("project is stopped");
-  }
-  return Status::Internal("bad state");
-}
-
-Status QualityManager::Pause(ProjectId project) {
-  ProjectRec* rec = Rec(project);
-  if (rec == nullptr) {
-    return Status::NotFound("project " + std::to_string(project));
-  }
-  if (rec->state != ProjectState::kRunning) {
-    return Status::FailedPrecondition("not running");
-  }
-  rec->state = ProjectState::kPaused;
-  PersistProject(project, *rec);
-  return Status::OK();
-}
-
-Status QualityManager::Stop(ProjectId project) {
-  ProjectRec* rec = Rec(project);
-  if (rec == nullptr) {
-    return Status::NotFound("project " + std::to_string(project));
-  }
-  if (rec->state == ProjectState::kStopped) return Status::OK();
-  rec->state = ProjectState::kStopped;
-  PersistProject(project, *rec);
-  PushNotification(rec->provider,
-                   {NotificationKind::kProjectStopped, clock_->Now(), project,
-                    "project '" + rec->spec.name + "' stopped"});
-  return Status::OK();
-}
-
-Status QualityManager::AddBudget(ProjectId project, uint32_t tasks) {
-  ProjectRec* rec = Rec(project);
-  if (rec == nullptr) {
-    return Status::NotFound("project " + std::to_string(project));
-  }
-  if (rec->engine == nullptr) {
-    // Saturate like AllocationEngine::AddBudget does once running.
-    uint64_t total = static_cast<uint64_t>(rec->spec.budget) + tasks;
-    rec->spec.budget =
-        total > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(total);
-  } else {
-    rec->engine->AddBudget(tasks);
-  }
-  if (tasks > 0) rec->exhausted_notified = false;
-  PersistProject(project, *rec);
-  return Status::OK();
-}
-
-Status QualityManager::SwitchStrategy(ProjectId project,
-                                      strategy::StrategyKind kind) {
-  ProjectRec* rec = Rec(project);
-  if (rec == nullptr) {
-    return Status::NotFound("project " + std::to_string(project));
-  }
-  rec->spec.strategy = kind;
-  if (rec->engine != nullptr) {
-    rec->engine->SwitchStrategy(strategy::MakeStrategy(kind));
+    case ControlAction::kAddBudget:
+      if (engine == nullptr) {
+        // Saturate like AllocationEngine::AddBudget does once running.
+        uint64_t total =
+            static_cast<uint64_t>(rec->spec.budget) + item.budget_tasks;
+        rec->spec.budget =
+            total > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(total);
+      } else {
+        engine->AddBudget(item.budget_tasks);
+      }
+      if (item.budget_tasks > 0) rec->exhausted_notified = false;
+      break;
+    case ControlAction::kSwitchStrategy:
+      rec->spec.strategy = item.strategy;
+      if (engine != nullptr) {
+        engine->SwitchStrategy(strategy::MakeStrategy(item.strategy));
+      }
+      break;
+    case ControlAction::kPromoteResource:
+    case ControlAction::kStopResource:
+    case ControlAction::kResumeResource:
+      if (engine == nullptr) {
+        return Status::FailedPrecondition("project not started");
+      }
+      ITAG_RETURN_IF_ERROR(
+          item.action == ControlAction::kPromoteResource
+              ? engine->Promote(item.resource)
+              : engine->SetStopped(
+                    item.resource,
+                    item.action == ControlAction::kStopResource));
+      break;
   }
   PersistProject(project, *rec);
   return Status::OK();
@@ -520,42 +509,6 @@ PlatformChoice QualityManager::RecommendPlatform(tagging::ResourceKind kind) {
       return PlatformChoice::kMTurk;
   }
   return PlatformChoice::kMTurk;
-}
-
-Status QualityManager::PromoteResource(ProjectId project,
-                                       ResourceId resource) {
-  ProjectRec* rec = Rec(project);
-  if (rec == nullptr || rec->engine == nullptr) {
-    return Status::FailedPrecondition("project not started");
-  }
-  ITAG_RETURN_IF_ERROR(rec->engine->Promote(resource));
-  PersistProject(project, *rec);
-  return Status::OK();
-}
-
-Status QualityManager::StopResource(ProjectId project, ResourceId resource) {
-  ProjectRec* rec = Rec(project);
-  if (rec == nullptr || rec->engine == nullptr) {
-    return Status::FailedPrecondition("project not started");
-  }
-  ITAG_RETURN_IF_ERROR(rec->engine->SetStopped(resource, true));
-  if (resource >= rec->stopped.size()) rec->stopped.resize(resource + 1, 0);
-  rec->stopped[resource] = 1;
-  PersistProject(project, *rec);
-  return Status::OK();
-}
-
-Status QualityManager::ResumeResource(ProjectId project,
-                                      ResourceId resource) {
-  ProjectRec* rec = Rec(project);
-  if (rec == nullptr || rec->engine == nullptr) {
-    return Status::FailedPrecondition("project not started");
-  }
-  ITAG_RETURN_IF_ERROR(rec->engine->SetStopped(resource, false));
-  if (resource >= rec->stopped.size()) rec->stopped.resize(resource + 1, 0);
-  rec->stopped[resource] = 0;
-  PersistProject(project, *rec);
-  return Status::OK();
 }
 
 Result<std::vector<ResourceId>> QualityManager::ChooseTaskBatch(
@@ -739,7 +692,8 @@ Result<QualityManager::ResourceDetail> QualityManager::GetResourceDetail(
   d.posts = corpus->PostCount(resource);
   d.quality = stability_.ResourceQuality(resource, corpus->stats(resource));
   d.projected_gain_next_task = gain_.MarginalGain(corpus->stats(resource));
-  d.stopped = resource < rec->stopped.size() && rec->stopped[resource] != 0;
+  d.stopped =
+      rec->engine != nullptr && rec->engine->context().stopped(resource);
   d.top_tags = tags_->ResourceTags(*corpus, resource, 16);
   return d;
 }

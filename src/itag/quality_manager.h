@@ -89,21 +89,21 @@ class QualityManager {
   /// sorted by descending quality — the Fig. 3 listing order.
   std::vector<ProjectInfo> ListProjects(ProviderId provider) const;
 
-  /// Starts (or resumes) task allocation. Requires at least one resource.
-  Status Start(ProjectId project);
-
-  /// Pauses allocation: ChooseTaskBatch refuses while paused, so no
-  /// AllocationEngine::ChooseBatch draw happens.
-  Status Pause(ProjectId project);
-
-  /// Stops the project for good.
-  Status Stop(ProjectId project);
-
-  /// Adds budget (Fig. 3's "add budget to the project").
-  Status AddBudget(ProjectId project, uint32_t tasks);
-
-  /// Replaces the allocation strategy mid-run (Fig. 5).
-  Status SwitchStrategy(ProjectId project, strategy::StrategyKind kind);
+  /// Applies one provider control (§III-A) to `project`:
+  ///  - Start creates the allocation engine from Draft (at least one
+  ///    resource needed) and resumes from Paused;
+  ///  - Pause makes ChooseTaskBatch refuse, so no
+  ///    AllocationEngine::ChooseBatch draw happens;
+  ///  - Stop ends the project for good;
+  ///  - AddBudget tops the budget up, saturating (Fig. 3's "add budget to
+  ///    the project");
+  ///  - SwitchStrategy replaces the allocation strategy mid-run (Fig. 5);
+  ///  - the per-resource Promote / Stop / Resume buttons reach the engine.
+  /// Statuses follow the table on ITagSystem::ControlBatch; an unknown
+  /// project is NotFound whatever the action. A successful control writes
+  /// the project row through, except a Stop of a stopped project, which
+  /// changes nothing.
+  Status Control(ProjectId project, const ControlItem& item);
 
   /// Recommends a strategy from the current statistics: the paper's
   /// "we will help providers choose the best strategy given the current
@@ -116,11 +116,6 @@ class QualityManager {
   /// taggers from scientific communities other than MTurk" (§I): papers go
   /// to the community/social channel, mainstream media to the open market.
   static PlatformChoice RecommendPlatform(tagging::ResourceKind kind);
-
-  /// §III-A Promote / Stop buttons on a single resource.
-  Status PromoteResource(ProjectId project, tagging::ResourceId resource);
-  Status StopResource(ProjectId project, tagging::ResourceId resource);
-  Status ResumeResource(ProjectId project, tagging::ResourceId resource);
 
   /// Draws the next resources to task (the platform pump and the tagger UI
   /// both call this): up to `k` of them in one AllocationEngine::ChooseBatch
@@ -207,9 +202,6 @@ class QualityManager {
     std::unique_ptr<strategy::AllocationEngine> engine;
     std::vector<QualityPoint> feed;
     uint32_t tasks_completed = 0;
-    /// Provider's per-resource Stop flags; sized at Start, grown when a
-    /// resource uploaded later is stopped.
-    std::vector<uint8_t> stopped;
     bool exhausted_notified = false;  // de-dups budget-exhausted alerts
 
     /// Per-resource quality memo, one entry per corpus resource (index =

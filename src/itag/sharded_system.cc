@@ -848,40 +848,16 @@ Status ShardedSystem::ImportPost(ProjectId project, ResourceId resource,
                      });
 }
 
-Status ShardedSystem::StartProject(ProjectId project) {
-  return WithProject(project,
-                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
-                       return sys->StartProject(local);
-                     });
-}
-
-Status ShardedSystem::PauseProject(ProjectId project) {
-  return WithProject(project,
-                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
-                       return sys->PauseProject(local);
-                     });
-}
-
-Status ShardedSystem::StopProject(ProjectId project) {
-  return WithProject(project,
-                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
-                       return sys->StopProject(local);
-                     });
-}
-
-Status ShardedSystem::AddBudget(ProjectId project, uint32_t tasks) {
-  return WithProject(project,
-                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
-                       return sys->AddBudget(local, tasks);
-                     });
-}
-
-Status ShardedSystem::SwitchStrategy(ProjectId project,
-                                     strategy::StrategyKind kind) {
-  return WithProject(project,
-                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
-                       return sys->SwitchStrategy(local, kind);
-                     });
+std::vector<Status> ShardedSystem::ControlBatch(
+    ProjectId project, const std::vector<ControlItem>& items) {
+  Result<std::vector<Status>> r = WithProject(
+      project,
+      [&](size_t, ITagSystem* sys,
+          ProjectId local) -> Result<std::vector<Status>> {
+        return sys->ControlBatch(local, items);
+      });
+  if (r.ok()) return std::move(r).value();
+  return std::vector<Status>(items.size(), r.status());
 }
 
 Result<strategy::StrategyKind> ShardedSystem::RecommendStrategy(
@@ -890,29 +866,6 @@ Result<strategy::StrategyKind> ShardedSystem::RecommendStrategy(
                      [&](size_t, ITagSystem* sys,
                          ProjectId local) -> Result<strategy::StrategyKind> {
                        return sys->RecommendStrategy(local);
-                     });
-}
-
-Status ShardedSystem::PromoteResource(ProjectId project,
-                                      ResourceId resource) {
-  return WithProject(project,
-                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
-                       return sys->PromoteResource(local, resource);
-                     });
-}
-
-Status ShardedSystem::StopResource(ProjectId project, ResourceId resource) {
-  return WithProject(project,
-                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
-                       return sys->StopResource(local, resource);
-                     });
-}
-
-Status ShardedSystem::ResumeResource(ProjectId project,
-                                     ResourceId resource) {
-  return WithProject(project,
-                     [&](size_t, ITagSystem* sys, ProjectId local) -> Status {
-                       return sys->ResumeResource(local, resource);
                      });
 }
 

@@ -179,15 +179,12 @@ class ShardedSystem {
   std::vector<Status> UploadResourceBatch(
       ProjectId project, const std::vector<ResourceUpload>& items,
       std::vector<tagging::ResourceId>* ids);
-  Status StartProject(ProjectId project);
-  Status PauseProject(ProjectId project);
-  Status StopProject(ProjectId project);
-  Status AddBudget(ProjectId project, uint32_t tasks);
-  Status SwitchStrategy(ProjectId project, strategy::StrategyKind kind);
+  /// ITagSystem::ControlBatch in one routed pass: one shard-lock hold, one
+  /// WAL frame and one view publication regardless of item count. Unknown
+  /// projects fail every item with NotFound.
+  std::vector<Status> ControlBatch(ProjectId project,
+                                   const std::vector<ControlItem>& items);
   Result<strategy::StrategyKind> RecommendStrategy(ProjectId project) const;
-  Status PromoteResource(ProjectId project, tagging::ResourceId resource);
-  Status StopResource(ProjectId project, tagging::ResourceId resource);
-  Status ResumeResource(ProjectId project, tagging::ResourceId resource);
 
   /// The published view of `project` (see ProjectView). Takes no shard
   /// mutex; counts as one routed op of the owning shard, in

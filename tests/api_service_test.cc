@@ -1,19 +1,25 @@
 // The batch-first service surface: typed request/response routing, per-item
-// partial-failure semantics, batched moderation, and the NotFound contract
-// on unknown task handles.
+// partial-failure semantics, batched moderation, the NotFound contract on
+// unknown task handles, and the per-action status table of BatchControl.
 
 #include "api/service.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "net/wire.h"
 #include "obs/metrics.h"
+#include "storage/wal.h"
 
 namespace itag::api {
 namespace {
+
+namespace fs = std::filesystem;
 
 using core::AcceptedTask;
 using core::PendingSubmission;
@@ -34,20 +40,29 @@ class ApiServiceTest : public ::testing::Test {
     ASSERT_TRUE(service_.Init().ok());
     provider_ = service_.RegisterProvider({"prov"}).provider;
     tagger_ = service_.RegisterTagger({"tagger"}).tagger;
+    project_ = NewProject();
+    ASSERT_NE(project_, 0u);
+  }
+
+  /// Creates an audience project of `provider_` with a budget of 50.
+  ProjectId NewProject() {
     CreateProjectRequest create;
     create.provider = provider_;
     create.spec.name = "proj";
     create.spec.budget = 50;
     create.spec.platform = core::PlatformChoice::kAudience;
     CreateProjectResponse r = service_.CreateProject(create);
-    ASSERT_TRUE(r.status.ok());
-    project_ = r.project;
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    return r.project;
   }
 
   /// Uploads `n` bare resources and returns their ids.
   std::vector<tagging::ResourceId> Upload(size_t n) {
+    return UploadTo(project_, n);
+  }
+  std::vector<tagging::ResourceId> UploadTo(ProjectId project, size_t n) {
     BatchUploadResourcesRequest req;
-    req.project = project_;
+    req.project = project;
     for (size_t i = 0; i < n; ++i) {
       UploadResourceItem item;
       item.uri = "res-" + std::to_string(i);
@@ -62,6 +77,14 @@ class ApiServiceTest : public ::testing::Test {
     BatchControlResponse r =
         service_.BatchControl({project_, {{ControlAction::kStart}}});
     ASSERT_TRUE(r.outcome.all_ok());
+  }
+
+  /// Sends `item` as a one-item BatchControl and returns its status.
+  Status ControlOne(ProjectId project, const ControlItem& item) {
+    BatchControlResponse r = service_.BatchControl({project, {item}});
+    EXPECT_EQ(r.outcome.statuses.size(), 1u);
+    return r.outcome.statuses.empty() ? Status::Internal("no status")
+                                      : r.outcome.statuses[0];
   }
 
   Service service_{OneShard()};
@@ -150,6 +173,90 @@ TEST_F(ApiServiceTest, BatchControlRunsVerbsInOrder) {
       service_.BatchAcceptTasks({tagger_, project_, 1});
   ASSERT_TRUE(accepted.status.ok());
   EXPECT_EQ(accepted.tasks[0].resource, resources[2]);
+}
+
+/// One letter per status code in the matrix below.
+char StatusLetter(const Status& s) {
+  if (s.ok()) return '.';
+  if (s.IsFailedPrecondition()) return 'F';
+  if (s.IsNotFound()) return 'N';
+  if (s.IsInvalidArgument()) return 'I';
+  return '?';
+}
+
+// The per-action status table documented on BatchControlRequest: every
+// verb against a fresh project in every lifecycle state, resource 0 as the
+// target of the per-resource verbs.
+TEST_F(ApiServiceTest, BatchControlStatusMatrix) {
+  const char* const kColumns[] = {"never issued", "Draft without resources",
+                                  "Draft",        "Running",
+                                  "Paused",       "Stopped"};
+  // A project in column `col`'s state; 999 was never issued.
+  auto project_in = [&](size_t col) -> ProjectId {
+    if (col == 0) return 999;
+    ProjectId p = NewProject();
+    if (col == 1) return p;
+    UploadTo(p, 2);
+    std::vector<ControlItem> path;
+    if (col >= 3) path.push_back({ControlAction::kStart});
+    if (col == 4) path.push_back({ControlAction::kPause});
+    if (col == 5) path.push_back({ControlAction::kStop});
+    EXPECT_TRUE(service_.BatchControl({p, path}).outcome.all_ok());
+    return p;
+  };
+  // '.' OK, 'F' FailedPrecondition, 'N' NotFound, one letter per column.
+  const std::vector<std::pair<ControlAction, std::string>> rows = {
+      {ControlAction::kStart, "NF.F.F"},
+      {ControlAction::kPause, "NFF.FF"},
+      {ControlAction::kStop, "N....."},
+      {ControlAction::kPromoteResource, "NFF..."},
+      {ControlAction::kStopResource, "NFF..."},
+      {ControlAction::kResumeResource, "NFF..."},
+      {ControlAction::kAddBudget, "N....."},
+      {ControlAction::kSwitchStrategy, "N....."},
+  };
+  for (const auto& [action, expected] : rows) {
+    for (size_t col = 0; col < expected.size(); ++col) {
+      ControlItem item{action, 0, 5,
+                       strategy::StrategyKind::kMostUnstableFirst};
+      Status s = ControlOne(project_in(col), item);
+      EXPECT_EQ(StatusLetter(s), expected[col])
+          << "action " << static_cast<int>(action) << " on "
+          << kColumns[col] << ": " << s.ToString();
+    }
+  }
+
+  ProjectId running = project_in(3);
+  for (ControlAction action :
+       {ControlAction::kPromoteResource, ControlAction::kStopResource,
+        ControlAction::kResumeResource}) {
+    EXPECT_TRUE(ControlOne(running, {action, 99}).IsNotFound())
+        << "unknown resource, action " << static_cast<int>(action);
+  }
+  ASSERT_TRUE(ControlOne(running, {ControlAction::kStopResource, 0}).ok());
+  EXPECT_TRUE(ControlOne(running, {ControlAction::kPromoteResource, 0})
+                  .IsFailedPrecondition());
+  EXPECT_TRUE(ControlOne(running, {ControlAction::kAddBudget, 0, 0})
+                  .IsInvalidArgument());
+}
+
+TEST_F(ApiServiceTest, BatchControlOnNeverIssuedProjectIsNotFound) {
+  BatchControlRequest req;
+  req.project = 999;
+  req.items = {{ControlAction::kStart},
+               {ControlAction::kPause},
+               {ControlAction::kStop},
+               {ControlAction::kPromoteResource, 0},
+               {ControlAction::kStopResource, 0},
+               {ControlAction::kResumeResource, 0},
+               {ControlAction::kAddBudget, 0, 5},
+               {ControlAction::kSwitchStrategy}};
+  BatchControlResponse resp = service_.BatchControl(req);
+  ASSERT_EQ(resp.outcome.statuses.size(), req.items.size());
+  for (size_t i = 0; i < req.items.size(); ++i) {
+    EXPECT_TRUE(resp.outcome.statuses[i].IsNotFound())
+        << "item " << i << ": " << resp.outcome.statuses[i].ToString();
+  }
 }
 
 TEST_F(ApiServiceTest, AcceptBatchRespectsBudget) {
@@ -364,8 +471,9 @@ TEST_F(ApiServiceTest, NonOwningServiceWrapsExistingSystem) {
 TEST_F(ApiServiceTest, FacadeAddBudgetSaturatesOnDraftProjects) {
   // Satellite bugfix: topping up near UINT32_MAX clamps instead of wrapping.
   core::ITagSystem& facade = service_.sharded()->shard_system(0);
-  ASSERT_TRUE(facade.AddBudget(project_, 0xFFFFFFF0u).ok());
-  ASSERT_TRUE(facade.AddBudget(project_, 0xFFFFFFF0u).ok());
+  const ControlItem topup{ControlAction::kAddBudget, 0, 0xFFFFFFF0u};
+  ASSERT_TRUE(facade.ControlBatch(project_, {topup})[0].ok());
+  ASSERT_TRUE(facade.ControlBatch(project_, {topup})[0].ok());
   ProjectQueryResponse info = service_.ProjectQuery({project_, false, {}});
   EXPECT_EQ(info.info.budget_remaining, 0xFFFFFFFFu);
 }
@@ -375,7 +483,7 @@ TEST_F(ApiServiceTest, FacadeWritesReachProjectQuery) {
   // still publish the project's view that ProjectQuery reads.
   Upload(3);
   core::ITagSystem& facade = service_.sharded()->shard_system(0);
-  ASSERT_TRUE(facade.StartProject(project_).ok());
+  ASSERT_TRUE(facade.ControlBatch(project_, {{ControlAction::kStart}})[0].ok());
   ProjectQueryResponse q = service_.ProjectQuery({project_, true, {}});
   EXPECT_EQ(q.info.state, core::ProjectState::kRunning);
   EXPECT_EQ(q.feed.size(), 1u);
@@ -391,7 +499,7 @@ TEST_F(ApiServiceTest, FacadeWritesReachProjectQuery) {
   }
   facade.SubmitTagsBatch(subs);
   facade.DecideBatch(provider_, decisions);
-  ASSERT_TRUE(facade.PauseProject(project_).ok());
+  ASSERT_TRUE(facade.ControlBatch(project_, {{ControlAction::kPause}})[0].ok());
 
   q = service_.ProjectQuery({project_, true, {}});
   ASSERT_TRUE(q.status.ok());
@@ -433,6 +541,103 @@ TEST_F(ApiServiceTest, DetailCountAboveTheLimitIsRejectedBeforeAdmission) {
   EXPECT_EQ(served.detail_outcome.ok_count, kMaxDetailResources);
   // One routed op for the view read, one per detail.
   EXPECT_EQ(ops->value(), ops0 + 1 + kMaxDetailResources);
+}
+
+/// A durable one-shard Service over a scratch directory of its own.
+class ApiServiceDurableTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // Test name + pid: ctest -j runs several instances of this binary.
+    dir_ = (fs::temp_directory_path() /
+            ("itag_api_durable_" +
+             std::string(::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()) +
+             "_" + std::to_string(::getpid())))
+               .string();
+    fs::remove_all(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  core::ShardedSystemOptions Opts() const {
+    core::ShardedSystemOptions opts = OneShard();
+    opts.shard.db.directory = dir_;
+    return opts;
+  }
+  std::string WalPath() const { return dir_ + "/shard-0/wal.log"; }
+  size_t WalFrames() const {
+    std::vector<storage::WalRecord> records;
+    EXPECT_TRUE(storage::ReadWal(WalPath(), &records).ok());
+    return records.size();
+  }
+
+  /// A Running audience project with two resources.
+  static ProjectId RunningProject(Service* service) {
+    ProviderId provider = service->RegisterProvider({"prov"}).provider;
+    CreateProjectRequest create;
+    create.provider = provider;
+    create.spec.name = "durable";
+    create.spec.budget = 50;
+    create.spec.platform = core::PlatformChoice::kAudience;
+    ProjectId p = service->CreateProject(create).project;
+    BatchUploadResourcesRequest upload;
+    upload.project = p;
+    upload.items = {{tagging::ResourceKind::kWebUrl, "r0", "", {"seed"}},
+                    {tagging::ResourceKind::kWebUrl, "r1", "", {}}};
+    EXPECT_TRUE(service->BatchUploadResources(upload).outcome.all_ok());
+    EXPECT_TRUE(
+        service->BatchControl({p, {{ControlAction::kStart}}}).outcome.all_ok());
+    return p;
+  }
+
+  /// Pause, a top-up of 7, a switch to MU and a stop of resource 0.
+  static BatchControlRequest ConsoleSession(ProjectId p) {
+    return {p,
+            {{ControlAction::kPause},
+             {ControlAction::kAddBudget, 0, 7},
+             {ControlAction::kSwitchStrategy, 0, 0,
+              strategy::StrategyKind::kMostUnstableFirst},
+             {ControlAction::kStopResource, 0}}};
+  }
+
+  std::string dir_;
+};
+
+TEST_F(ApiServiceDurableTest, BatchControlRequestIsOneRouteAndOneWalFrame) {
+  Service service(Opts());
+  ASSERT_TRUE(service.Init().ok());
+  ProjectId p = RunningProject(&service);
+  obs::Counter* ops =
+      obs::MetricsRegistry::Default().GetCounter("core.shard.0.ops");
+  const uint64_t ops0 = ops->value();
+  const size_t before = WalFrames();
+  ASSERT_TRUE(service.BatchControl(ConsoleSession(p)).outcome.all_ok());
+  EXPECT_EQ(WalFrames() - before, 1u);
+  EXPECT_EQ(ops->value() - ops0, 1u);
+}
+
+// A crash that tears the request's frame loses all of the request: the
+// recovered project reads exactly as it did before the request was sent.
+TEST_F(ApiServiceDurableTest, TornBatchControlRecoversAllOrNothing) {
+  ProjectQueryRequest query;
+  query.include_feed = true;
+  query.detail_resources = {0};
+  std::string before;
+  {
+    Service service(Opts());
+    ASSERT_TRUE(service.Init().ok());
+    query.project = RunningProject(&service);
+    before = net::EncodeResponsePayload(service.Dispatch(AnyRequest{query}));
+    ASSERT_TRUE(
+        service.BatchControl(ConsoleSession(query.project)).outcome.all_ok());
+    ASSERT_NE(net::EncodeResponsePayload(service.Dispatch(AnyRequest{query})),
+              before);
+  }
+  fs::resize_file(WalPath(), fs::file_size(WalPath()) - 1);
+  Service reopened(Opts());
+  ASSERT_TRUE(reopened.Init().ok());
+  EXPECT_EQ(net::EncodeResponsePayload(reopened.Dispatch(AnyRequest{query})),
+            before);
 }
 
 }  // namespace

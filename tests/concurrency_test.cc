@@ -305,7 +305,10 @@ TEST(ConcurrentDispatchTest, MatchesSingleThreadedReplay) {
          reference.UploadResourceBatch(project.value(), uploads, &ids)) {
       ASSERT_TRUE(s.ok());
     }
-    ASSERT_TRUE(reference.StartProject(project.value()).ok());
+    ASSERT_TRUE(reference
+                    .ControlBatch(project.value(),
+                                  {{core::ControlAction::kStart}})[0]
+                    .ok());
     ref_projects.push_back(project.value());
   }
   std::vector<uint32_t> ref_completed(kProjects, 0);

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,7 +45,7 @@ class ITagSystemTest : public ::testing::Test {
       uris.push_back("http://r/" + std::to_string(i));
     }
     Upload(p, ResourceKind::kWebUrl, uris);
-    EXPECT_TRUE(system_->StartProject(p).ok());
+    EXPECT_TRUE(system_->ControlBatch(p, {{ControlAction::kStart}})[0].ok());
     return p;
   }
 
@@ -88,18 +87,21 @@ TEST_F(ITagSystemTest, CreateProjectValidation) {
 TEST_F(ITagSystemTest, ProjectLifecycle) {
   ProjectId p =
       system_->CreateProject(provider_, AudienceSpec("life")).value();
+  auto control = [&](ControlAction action) {
+    return system_->ControlBatch(p, {{action}})[0];
+  };
   // Cannot start with no resources.
-  EXPECT_TRUE(system_->StartProject(p).IsFailedPrecondition());
+  EXPECT_TRUE(control(ControlAction::kStart).IsFailedPrecondition());
   Upload(p, ResourceKind::kImage, {"a.jpg"});
-  ASSERT_TRUE(system_->StartProject(p).ok());
+  ASSERT_TRUE(control(ControlAction::kStart).ok());
   EXPECT_EQ(system_->GetProjectInfo(p).value().state, ProjectState::kRunning);
-  EXPECT_TRUE(system_->StartProject(p).IsFailedPrecondition());
-  ASSERT_TRUE(system_->PauseProject(p).ok());
+  EXPECT_TRUE(control(ControlAction::kStart).IsFailedPrecondition());
+  ASSERT_TRUE(control(ControlAction::kPause).ok());
   EXPECT_EQ(system_->GetProjectInfo(p).value().state, ProjectState::kPaused);
-  ASSERT_TRUE(system_->StartProject(p).ok());  // resume
-  ASSERT_TRUE(system_->StopProject(p).ok());
+  ASSERT_TRUE(control(ControlAction::kStart).ok());  // resume
+  ASSERT_TRUE(control(ControlAction::kStop).ok());
   EXPECT_EQ(system_->GetProjectInfo(p).value().state, ProjectState::kStopped);
-  EXPECT_TRUE(system_->StartProject(p).IsFailedPrecondition());
+  EXPECT_TRUE(control(ControlAction::kStart).IsFailedPrecondition());
 }
 
 TEST_F(ITagSystemTest, ImportPostSeedsStatistics) {
@@ -205,24 +207,29 @@ TEST_F(ITagSystemTest, PromoteAndStopThroughFacade) {
   // Give resource 0 several posts so FP prefers others, then promote it.
   ASSERT_TRUE(system_->ImportPost(p, 0, {"t1"}).ok());
   ASSERT_TRUE(system_->ImportPost(p, 0, {"t2"}).ok());
-  ASSERT_TRUE(system_->PromoteResource(p, 0).ok());
+  ASSERT_TRUE(
+      system_->ControlBatch(p, {{ControlAction::kPromoteResource, 0}})[0].ok());
   AcceptedTask task = system_->AcceptTasks(a, p, 1).value()[0];
   EXPECT_EQ(task.resource, 0u);
 
   // Stop resource 1: it is never assigned again.
-  ASSERT_TRUE(system_->StopResource(p, 1).ok());
+  ASSERT_TRUE(
+      system_->ControlBatch(p, {{ControlAction::kStopResource, 1}})[0].ok());
   for (int i = 0; i < 5; ++i) {
     AcceptedTask t = system_->AcceptTasks(a, p, 1).value()[0];
     EXPECT_NE(t.resource, 1u);
   }
   // Resume re-admits it.
-  ASSERT_TRUE(system_->ResumeResource(p, 1).ok());
+  ASSERT_TRUE(
+      system_->ControlBatch(p, {{ControlAction::kResumeResource, 1}})[0].ok());
 }
 
 TEST_F(ITagSystemTest, SwitchStrategyAndRecommend) {
   ProjectId p = MakeStartedProject();
-  ASSERT_TRUE(
-      system_->SwitchStrategy(p, StrategyKind::kMostUnstableFirst).ok());
+  ASSERT_TRUE(system_
+                  ->ControlBatch(p, {{ControlAction::kSwitchStrategy, 0, 0,
+                                      StrategyKind::kMostUnstableFirst}})[0]
+                  .ok());
   // Fresh project with under-posted resources recommends FP-MU.
   EXPECT_EQ(system_->RecommendStrategy(p).value(),
             StrategyKind::kHybridFpMu);
@@ -261,7 +268,8 @@ TEST_F(ITagSystemTest, BudgetExhaustionStopsAssignment) {
   auto exhausted = system_->AcceptTasks(a, p, 1);
   EXPECT_TRUE(exhausted.status().IsResourceExhausted());
   // Budget top-up reopens the tap (Fig. 3 "add budget").
-  ASSERT_TRUE(system_->AddBudget(p, 1).ok());
+  ASSERT_TRUE(
+      system_->ControlBatch(p, {{ControlAction::kAddBudget, 0, 1}})[0].ok());
   EXPECT_TRUE(system_->AcceptTasks(a, p, 1).ok());
 }
 
@@ -271,7 +279,7 @@ TEST_F(ITagSystemTest, MTurkProjectRunsViaStep) {
   ProjectId p = system_->CreateProject(provider_, spec).value();
   Upload(p, ResourceKind::kWebUrl,
          {"http://r/0", "http://r/1", "http://r/2", "http://r/3"});
-  ASSERT_TRUE(system_->StartProject(p).ok());
+  ASSERT_TRUE(system_->ControlBatch(p, {{ControlAction::kStart}})[0].ok());
   ASSERT_TRUE(system_->Step(2500).ok());
   ProjectInfo info = system_->GetProjectInfo(p).value();
   EXPECT_GT(info.tasks_completed, 10u);
@@ -284,7 +292,7 @@ TEST_F(ITagSystemTest, SocialProjectRunsViaStep) {
   spec.platform = PlatformChoice::kSocialNetwork;
   ProjectId p = system_->CreateProject(provider_, spec).value();
   Upload(p, ResourceKind::kImage, {"img0", "img1", "img2"});
-  ASSERT_TRUE(system_->StartProject(p).ok());
+  ASSERT_TRUE(system_->ControlBatch(p, {{ControlAction::kStart}})[0].ok());
   ASSERT_TRUE(system_->Step(4000).ok());
   EXPECT_GT(system_->GetProjectInfo(p).value().tasks_completed, 0u);
 }
@@ -298,7 +306,7 @@ TEST_F(ITagSystemTest, ApprovalPolicyFiltersCarelessWork) {
   // approval rate collapses.
   system_->SetApprovalPolicy(provider_,
                              [](const PendingSubmission&) { return false; });
-  ASSERT_TRUE(system_->StartProject(p).ok());
+  ASSERT_TRUE(system_->ControlBatch(p, {{ControlAction::kStart}})[0].ok());
   ASSERT_TRUE(system_->Step(600).ok());
   EXPECT_EQ(system_->GetProjectInfo(p).value().tasks_completed, 0u);
   EXPECT_LT(system_->GetProvider(provider_).value().ApprovalRate(), 0.5);
@@ -389,23 +397,22 @@ TEST(ITagSystemDurabilityTest, ControlVerbsWriteAtMostOneWalFrame) {
     EXPECT_TRUE(storage::ReadWal(wal, &records).ok());
     return records.size();
   };
-  const std::vector<std::pair<std::string, std::function<Status()>>> verbs = {
-      {"StartProject from Draft", [&] { return system.StartProject(p); }},
-      {"PauseProject", [&] { return system.PauseProject(p); }},
-      {"StartProject from Paused", [&] { return system.StartProject(p); }},
-      {"AddBudget", [&] { return system.AddBudget(p, 5); }},
+  const std::vector<std::pair<std::string, ControlItem>> verbs = {
+      {"StartProject from Draft", {ControlAction::kStart}},
+      {"PauseProject", {ControlAction::kPause}},
+      {"StartProject from Paused", {ControlAction::kStart}},
+      {"AddBudget", {ControlAction::kAddBudget, 0, 5}},
       {"SwitchStrategy",
-       [&] {
-         return system.SwitchStrategy(p, StrategyKind::kMostUnstableFirst);
-       }},
-      {"PromoteResource", [&] { return system.PromoteResource(p, ids[1]); }},
-      {"StopResource", [&] { return system.StopResource(p, ids[0]); }},
-      {"ResumeResource", [&] { return system.ResumeResource(p, ids[0]); }},
-      {"StopProject", [&] { return system.StopProject(p); }},
+       {ControlAction::kSwitchStrategy, 0, 0,
+        StrategyKind::kMostUnstableFirst}},
+      {"PromoteResource", {ControlAction::kPromoteResource, ids[1]}},
+      {"StopResource", {ControlAction::kStopResource, ids[0]}},
+      {"ResumeResource", {ControlAction::kResumeResource, ids[0]}},
+      {"StopProject", {ControlAction::kStop}},
   };
   for (const auto& [name, verb] : verbs) {
     const size_t before = frames();
-    Status s = verb();
+    Status s = system.ControlBatch(p, {verb})[0];
     ASSERT_TRUE(s.ok()) << name << ": " << s.ToString();
     EXPECT_LE(frames() - before, 1u) << name;
   }
@@ -446,7 +453,7 @@ class CorpusGrowthRestartTest : public ::testing::TestWithParam<StrategyKind> {
     std::vector<ResourceUpload> first = {{ResourceKind::kWebUrl, "u0", "", {}},
                                          {ResourceKind::kWebUrl, "u1", "", {}}};
     sys.UploadResourceBatch(p, first, &ids);
-    EXPECT_TRUE(sys.StartProject(p).ok());
+    EXPECT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
     std::vector<ResourceUpload> later;
     for (int i = 2; i < 8; ++i) {
       later.push_back({ResourceKind::kWebUrl, "u" + std::to_string(i), "",
@@ -455,7 +462,8 @@ class CorpusGrowthRestartTest : public ::testing::TestWithParam<StrategyKind> {
     for (const Status& st : sys.UploadResourceBatch(p, later, &ids)) {
       EXPECT_TRUE(st.ok()) << st.ToString();
     }
-    EXPECT_TRUE(sys.StopResource(p, ids[0]).ok());
+    EXPECT_TRUE(
+        sys.ControlBatch(p, {{ControlAction::kStopResource, ids[0]}})[0].ok());
     Result<std::vector<AcceptedTask>> tasks = sys.AcceptTasks(*tagger, p, 8);
     EXPECT_TRUE(tasks.ok()) << tasks.status().ToString();
     std::vector<TagSubmission> subs;

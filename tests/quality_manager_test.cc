@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.h"
 #include "common/random.h"
 #include "itag/itag_system.h"
 #include "strategy/allocator.h"
@@ -82,13 +83,13 @@ TEST_F(QualityManagerTest, InfoReflectsLifecycle) {
   EXPECT_EQ(info.state, ProjectState::kDraft);
   EXPECT_EQ(info.budget_remaining, 30u);
   EXPECT_EQ(info.num_resources, 5u);
-  ASSERT_TRUE(qm_->Start(p).ok());
+  ASSERT_TRUE(qm_->Control(p, {ControlAction::kStart}).ok());
   EXPECT_EQ(qm_->GetInfo(p).value().state, ProjectState::kRunning);
 }
 
 TEST_F(QualityManagerTest, ChooseCompleteLoopUpdatesEverything) {
   ProjectId p = NewProject(10, 2);
-  ASSERT_TRUE(qm_->Start(p).ok());
+  ASSERT_TRUE(qm_->Control(p, {ControlAction::kStart}).ok());
   for (int i = 0; i < 6; ++i) {
     auto r = qm_->ChooseTaskBatch(p, 1);
     ASSERT_TRUE(r.ok());
@@ -112,14 +113,14 @@ TEST_F(QualityManagerTest, ChooseCompleteLoopUpdatesEverything) {
 TEST_F(QualityManagerTest, ChooseFailsWhenNotRunning) {
   ProjectId p = NewProject();
   EXPECT_TRUE(qm_->ChooseTaskBatch(p, 1).status().IsFailedPrecondition());
-  ASSERT_TRUE(qm_->Start(p).ok());
-  ASSERT_TRUE(qm_->Pause(p).ok());
+  ASSERT_TRUE(qm_->Control(p, {ControlAction::kStart}).ok());
+  ASSERT_TRUE(qm_->Control(p, {ControlAction::kPause}).ok());
   EXPECT_TRUE(qm_->ChooseTaskBatch(p, 1).status().IsFailedPrecondition());
 }
 
 TEST_F(QualityManagerTest, BudgetExhaustionNotifiesOnce) {
   ProjectId p = NewProject(1, 1);
-  ASSERT_TRUE(qm_->Start(p).ok());
+  ASSERT_TRUE(qm_->Control(p, {ControlAction::kStart}).ok());
   ASSERT_TRUE(qm_->ChooseTaskBatch(p, 1).ok());
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(qm_->ChooseTaskBatch(p, 1).status().IsResourceExhausted());
@@ -130,7 +131,7 @@ TEST_F(QualityManagerTest, BudgetExhaustionNotifiesOnce) {
   }
   EXPECT_EQ(exhausted, 1u);
   // Top-up re-arms the alert.
-  ASSERT_TRUE(qm_->AddBudget(p, 1).ok());
+  ASSERT_TRUE(qm_->Control(p, {ControlAction::kAddBudget, 0, 1}).ok());
   ASSERT_TRUE(qm_->ChooseTaskBatch(p, 1).ok());
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(qm_->ChooseTaskBatch(p, 1).status().IsResourceExhausted());
@@ -147,7 +148,7 @@ TEST_F(QualityManagerTest, ProjectedGainPositiveAndShrinks) {
   double before = qm_->ProjectedGain(p).value();
   EXPECT_GT(before, 0.0);
   // Feed lots of stable posts: the remaining-budget projection shrinks.
-  ASSERT_TRUE(qm_->Start(p).ok());
+  ASSERT_TRUE(qm_->Control(p, {ControlAction::kStart}).ok());
   for (int i = 0; i < 60; ++i) {
     auto r = qm_->ChooseTaskBatch(p, 1);
     ASSERT_TRUE(r.ok());
@@ -161,7 +162,7 @@ TEST_F(QualityManagerTest, ProjectedGainPositiveAndShrinks) {
 
 TEST_F(QualityManagerTest, ProjectedGainZeroWithoutBudget) {
   ProjectId p = NewProject(2, 1);
-  ASSERT_TRUE(qm_->Start(p).ok());
+  ASSERT_TRUE(qm_->Control(p, {ControlAction::kStart}).ok());
   ASSERT_TRUE(qm_->ChooseTaskBatch(p, 1).ok());
   ASSERT_TRUE(qm_->ChooseTaskBatch(p, 1).ok());
   EXPECT_EQ(qm_->ProjectedGain(p).value(), 0.0);
@@ -194,13 +195,41 @@ TEST_F(QualityManagerTest, RecommendPlatformByResourceKind) {
 
 TEST_F(QualityManagerTest, ResourceDetailReportsStops) {
   ProjectId p = NewProject(10, 2);
-  ASSERT_TRUE(qm_->Start(p).ok());
-  ASSERT_TRUE(qm_->StopResource(p, 1).ok());
+  ASSERT_TRUE(qm_->Control(p, {ControlAction::kStart}).ok());
+  ASSERT_TRUE(qm_->Control(p, {ControlAction::kStopResource, 1}).ok());
   EXPECT_TRUE(qm_->GetResourceDetail(p, 1).value().stopped);
   EXPECT_FALSE(qm_->GetResourceDetail(p, 0).value().stopped);
-  ASSERT_TRUE(qm_->ResumeResource(p, 1).ok());
+  ASSERT_TRUE(qm_->Control(p, {ControlAction::kResumeResource, 1}).ok());
   EXPECT_FALSE(qm_->GetResourceDetail(p, 1).value().stopped);
   EXPECT_TRUE(qm_->GetResourceDetail(p, 99).status().IsNotFound());
+}
+
+// Project rows written while the record kept its own copy of the Stop
+// flags end the engine blob in that second flag vector. Decoding reads and
+// drops it, so the row re-encodes 4 + n bytes shorter with the same flags.
+TEST_F(QualityManagerTest, DecodesEngineBlobWithTheRecordsStopFlagCopy) {
+  ProjectId p = NewProject(10, 2);
+  ASSERT_TRUE(qm_->Control(p, {ControlAction::kStart}).ok());
+  ASSERT_TRUE(qm_->Control(p, {ControlAction::kStopResource, 1}).ok());
+  storage::Row row = qm_->EncodeProjectRow(p).value();
+  const std::string blob = row[13].as_string();
+  ByteWriter copy;
+  copy.U8Vec({0, 1});
+  const std::string older = blob + copy.Take();
+  ASSERT_EQ(older.size(), blob.size() + 4 + 2);
+
+  storage::Row legacy = row;
+  legacy[13] = storage::Value::Str(older);
+  ASSERT_TRUE(qm_->DropProject(p).ok());
+  ASSERT_TRUE(qm_->AdoptProject(p, legacy, {}).ok());
+  EXPECT_FALSE(qm_->GetResourceDetail(p, 0).value().stopped);
+  EXPECT_TRUE(qm_->GetResourceDetail(p, 1).value().stopped);
+  EXPECT_EQ(qm_->EncodeProjectRow(p).value()[13].as_string(), blob);
+
+  // Bytes past the copy are still corruption.
+  legacy[13] = storage::Value::Str(older + "x");
+  ASSERT_TRUE(qm_->DropProject(p).ok());
+  EXPECT_TRUE(qm_->AdoptProject(p, legacy, {}).IsCorruption());
 }
 
 TEST_F(QualityManagerTest, ListProjectsFiltersByProvider) {

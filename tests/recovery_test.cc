@@ -573,7 +573,8 @@ TEST_F(RecoveryTest, ShardedMigrationSurvivesKill9Restart) {
     for (const Status& s : sys->UploadResourceBatch(project, uploads, &ids)) {
       ASSERT_TRUE(s.ok());
     }
-    ASSERT_TRUE(sys->StartProject(project).ok());
+    ASSERT_TRUE(
+        sys->ControlBatch(project, {{core::ControlAction::kStart}})[0].ok());
     auto tasks = sys->AcceptTasks(tagger, project, 4);
     ASSERT_TRUE(tasks.ok());
     for (const core::AcceptedTask& task : tasks.value()) {

@@ -28,6 +28,7 @@ namespace itag {
 namespace {
 
 using core::AcceptedTask;
+using core::ControlAction;
 using core::PendingSubmission;
 using core::ProjectId;
 using core::ProjectInfo;
@@ -150,7 +151,7 @@ TEST(ShardedSystemTest, FullTaggingRoundTripThroughGlobalIds) {
   for (int i = 0; i < 5; ++i) {
     ProjectId p = sys.CreateProject(provider, AudienceSpec("p", 20)).value();
     UploadAll(sys, p, Numbered("uri-", 3));
-    ASSERT_TRUE(sys.StartProject(p).ok());
+    ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
     projects.push_back(p);
   }
   for (ProjectId p : projects) {
@@ -197,7 +198,7 @@ TEST(ShardedSystemTest, CrossShardBatchesMergeStatusesInInputOrder) {
   for (int i = 0; i < 4; ++i) {
     ProjectId p = sys.CreateProject(provider, AudienceSpec("p", 5)).value();
     UploadAll(sys, p, {"u"});
-    ASSERT_TRUE(sys.StartProject(p).ok());
+    ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
     tasks.push_back(sys.AcceptTasks(tagger, p, 1).value()[0]);
   }
   // Interleave valid handles with bogus ones; statuses must line up.
@@ -241,7 +242,7 @@ TEST(ShardedSystemTest, ListingsMergeAcrossShardsWithGlobalIds) {
   for (int i = 0; i < 6; ++i) {
     ProjectId p = sys.CreateProject(a, AudienceSpec("pa", 10)).value();
     UploadAll(sys, p, {"u"});
-    ASSERT_TRUE(sys.StartProject(p).ok());
+    ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
     a_projects.insert(p);
   }
   (void)sys.CreateProject(b, AudienceSpec("pb", 10)).value();
@@ -278,7 +279,7 @@ TEST(ShardedSystemTest, PeekQualityTracksProjectWithoutShardLock) {
   ASSERT_TRUE(sys.ImportPost(p, ids[0], {"seed", "tags"}).ok());
   EXPECT_DOUBLE_EQ(sys.PeekQuality(p).value().quality,
                    sys.GetProjectInfo(p).value().quality);
-  ASSERT_TRUE(sys.StartProject(p).ok());
+  ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
   AcceptedTask task = sys.AcceptTasks(tagger, p, 1).value()[0];
   ASSERT_TRUE(sys.SubmitTagsBatch({{tagger, task.handle, {"x"}}})[0].ok());
   ASSERT_TRUE(sys.DecideBatch(provider, {{task.handle, true}})[0].ok());
@@ -315,7 +316,7 @@ TEST(ShardedSystemTest, StepPumpsPlatformProjectsOnEveryShard) {
     spec.platform = core::PlatformChoice::kMTurk;
     ProjectId p = sys.CreateProject(provider, spec).value();
     UploadAll(sys, p, Numbered("u", 4));
-    ASSERT_TRUE(sys.StartProject(p).ok());
+    ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
     projects.push_back(p);
   }
   ASSERT_TRUE(sys.Step(400).ok());
@@ -342,7 +343,7 @@ TEST(ShardedSystemTest, ApprovalPolicySeesGlobalIds) {
   spec.platform = core::PlatformChoice::kMTurk;
   ProjectId p = sys.CreateProject(provider, spec).value();
   UploadAll(sys, p, {"u"});
-  ASSERT_TRUE(sys.StartProject(p).ok());
+  ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
   std::vector<ProjectId> seen;
   sys.SetApprovalPolicy(provider, [&](const PendingSubmission& sub) {
     seen.push_back(sub.project);
@@ -440,7 +441,7 @@ TEST(ShardedMigrationTest, ProjectKeepsIdAndHandlesAcrossMoves) {
   ProjectId p = projects[0];
   ASSERT_EQ(ShardOfId(p, 4), 0u);
   UploadAll(sys, p, Numbered("u", 3));
-  ASSERT_TRUE(sys.StartProject(p).ok());
+  ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
   auto tasks = sys.AcceptTasks(tagger, p, 4);
   ASSERT_TRUE(tasks.ok());
   // Two submitted (pending approval), two still only accepted.
@@ -518,7 +519,7 @@ TEST(ShardedMigrationTest, MigrationIsEquivalentToNoMigrationReplay) {
     ProjectId p = sys.CreateProject(provider, AudienceSpec("p", 30)).value();
     UploadAll(sys, p, Numbered("u", 4));
     EXPECT_TRUE(sys.ImportPost(p, 0, {"seed", "alpha"}).ok());
-    EXPECT_TRUE(sys.StartProject(p).ok());
+    EXPECT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
     for (int round = 0; round < 3; ++round) {
       auto tasks = sys.AcceptTasks(tagger, p, 3);
       EXPECT_TRUE(tasks.ok());
@@ -558,7 +559,7 @@ TEST(ShardedMigrationTest, ConcurrentTrafficDuringMigrationMatchesReplay) {
   UserTaggerId tagger = sys.RegisterTagger("tag").value();
   ProjectId p = sys.CreateProject(provider, AudienceSpec("hot", 100)).value();
   UploadAll(sys, p, Numbered("u", 3));
-  ASSERT_TRUE(sys.StartProject(p).ok());
+  ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
 
   std::atomic<bool> stop{false};
   std::thread reader([&] {
@@ -637,7 +638,7 @@ TEST(ShardedMigrationTest, ConcurrentTrafficDuringMigrationMatchesReplay) {
       replay.CreateProject(rprovider, AudienceSpec("hot", 100)).value();
   ASSERT_EQ(rp, p);
   UploadAll(replay, rp, Numbered("u", 3));
-  ASSERT_TRUE(replay.StartProject(rp).ok());
+  ASSERT_TRUE(replay.ControlBatch(rp, {{ControlAction::kStart}})[0].ok());
   for (int i = 0; i < kOps; ++i) {
     if (!ops[i].accepted) continue;
     auto task = replay.AcceptTasks(rtagger, rp, 1);
@@ -1001,7 +1002,7 @@ TEST(QualityMemoTest, UploadAfterStartThenDecide) {
   UserTaggerId tagger = sys.RegisterTagger("tag").value();
   ProjectId p = sys.CreateProject(provider, MemoSpec()).value();
   UploadAll(sys, p, Numbered("u", 3));
-  ASSERT_TRUE(sys.StartProject(p).ok());
+  ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
   MemoOracle oracle;
   oracle.Check(sys);
   ApproveRound(sys, provider, tagger, p, 6);
@@ -1033,7 +1034,7 @@ TEST(QualityMemoTest, MigratedProjectAdoptsItsMemo) {
   UserTaggerId tagger = sys.RegisterTagger("tag").value();
   ProjectId p = sys.CreateProject(provider, MemoSpec()).value();
   UploadAll(sys, p, Numbered("u", 4));
-  ASSERT_TRUE(sys.StartProject(p).ok());
+  ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
   ApproveRound(sys, provider, tagger, p, 8);
   MemoOracle oracle;
   oracle.Check(sys);
@@ -1069,7 +1070,7 @@ TEST(QualityMemoTest, DurableRestartRecoversItsMemo) {
     tagger = sys.RegisterTagger("tag").value();
     p = sys.CreateProject(provider, MemoSpec()).value();
     UploadAll(sys, p, Numbered("u", 4));
-    ASSERT_TRUE(sys.StartProject(p).ok());
+    ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
     ApproveRound(sys, provider, tagger, p, 8);
     MemoOracle oracle;
     oracle.Check(sys);
