@@ -42,13 +42,9 @@ Status ITagSystem::Reattach() {
   in_flight_social_.clear();
   pending_.clear();
   accepted_.clear();
-  accepted_by_.clear();
   next_handle_ = 1;
   tasks_accepted_total_ = 0;
   in_flight_rows_.clear();
-  sys_rows_.clear();
-  ledger_project_rows_.clear();
-  ledger_worker_rows_.clear();
   return AttachManagers();
 }
 
@@ -104,56 +100,44 @@ constexpr char kSysSocial[] = "social";
 Status ITagSystem::AttachRuntimeState() {
   if (!persist()) return Status::OK();
 
-  if (db_.GetTable(tables::kAccepted) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db_.CreateTable(tables::kAccepted,
-                                         SchemaBuilder()
-                                             .Int("handle")
-                                             .Int("project")
-                                             .Int("resource")
-                                             .Str("uri")
-                                             .Int("pay_cents")
-                                             .Int("tagger")
-                                             .Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db_.EnsureTable(tables::kAccepted,
+                                       SchemaBuilder()
+                                           .Int("handle")
+                                           .Int("project")
+                                           .Int("resource")
+                                           .Str("uri")
+                                           .Int("pay_cents")
+                                           .Int("tagger")
+                                           .Build()));
   ITAG_RETURN_IF_ERROR(db_.AddUniqueIndex(tables::kAccepted, "handle"));
-  if (db_.GetTable(tables::kPending) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db_.CreateTable(tables::kPending,
-                                         SchemaBuilder()
-                                             .Int("handle")
-                                             .Int("project")
-                                             .Int("resource")
-                                             .Int("tagger")
-                                             .Int("platform_task")
-                                             .Bool("conscientious")
-                                             .Str("tags")
-                                             .Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db_.EnsureTable(tables::kPending,
+                                       SchemaBuilder()
+                                           .Int("handle")
+                                           .Int("project")
+                                           .Int("resource")
+                                           .Int("tagger")
+                                           .Int("platform_task")
+                                           .Bool("conscientious")
+                                           .Str("tags")
+                                           .Build()));
   ITAG_RETURN_IF_ERROR(db_.AddUniqueIndex(tables::kPending, "handle"));
-  if (db_.GetTable(tables::kInFlight) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db_.CreateTable(tables::kInFlight,
-                                         SchemaBuilder()
-                                             .Int("platform")
-                                             .Int("task")
-                                             .Int("project")
-                                             .Int("resource")
-                                             .Build()));
-  }
-  if (db_.GetTable(tables::kLedgerProjects) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db_.CreateTable(
-        tables::kLedgerProjects,
-        SchemaBuilder().Int("project").Int("cents").Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db_.EnsureTable(tables::kInFlight,
+                                       SchemaBuilder()
+                                           .Int("platform")
+                                           .Int("task")
+                                           .Int("project")
+                                           .Int("resource")
+                                           .Build()));
+  ITAG_RETURN_IF_ERROR(db_.EnsureTable(
+      tables::kLedgerProjects,
+      SchemaBuilder().Int("project").Int("cents").Build()));
   ITAG_RETURN_IF_ERROR(db_.AddUniqueIndex(tables::kLedgerProjects, "project"));
-  if (db_.GetTable(tables::kLedgerWorkers) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db_.CreateTable(
-        tables::kLedgerWorkers,
-        SchemaBuilder().Int("worker").Int("cents").Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db_.EnsureTable(
+      tables::kLedgerWorkers,
+      SchemaBuilder().Int("worker").Int("cents").Build()));
   ITAG_RETURN_IF_ERROR(db_.AddUniqueIndex(tables::kLedgerWorkers, "worker"));
-  if (db_.GetTable(tables::kSys) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db_.CreateTable(
-        tables::kSys, SchemaBuilder().Str("k").Str("v").Build()));
-  }
+  ITAG_RETURN_IF_ERROR(
+      db_.EnsureTable(tables::kSys, SchemaBuilder().Str("k").Str("v").Build()));
   ITAG_RETURN_IF_ERROR(db_.AddUniqueIndex(tables::kSys, "k"));
 
   // ---- restore: workflow maps.
@@ -166,9 +150,9 @@ Status ITagSystem::AttachRuntimeState() {
         task.resource = static_cast<ResourceId>(row[2].as_int());
         task.uri = row[3].as_string();
         task.pay_cents = static_cast<uint32_t>(row[4].as_int());
-        accepted_by_[task.handle] =
-            static_cast<UserTaggerId>(row[5].as_int());
-        accepted_.emplace(task.handle, std::move(task));
+        accepted_.emplace(task.handle,
+                          OpenTask{std::move(task),
+                                   static_cast<UserTaggerId>(row[5].as_int())});
         return true;
       });
   Status restored = Status::OK();
@@ -207,26 +191,22 @@ Status ITagSystem::AttachRuntimeState() {
 
   // ---- restore: ledger balances, then arm the write-through sink.
   db_.GetTable(tables::kLedgerProjects)
-      ->Scan([&](storage::RowId rid, const Row& row) {
-        ProjectId project = static_cast<ProjectId>(row[0].as_int());
-        ledger_.RestoreProjectSpend(project,
+      ->Scan([&](storage::RowId, const Row& row) {
+        ledger_.RestoreProjectSpend(static_cast<ProjectId>(row[0].as_int()),
                                     static_cast<uint64_t>(row[1].as_int()));
-        ledger_project_rows_[project] = rid;
         return true;
       });
   db_.GetTable(tables::kLedgerWorkers)
-      ->Scan([&](storage::RowId rid, const Row& row) {
-        crowd::WorkerId worker = static_cast<crowd::WorkerId>(row[0].as_int());
-        ledger_.RestoreWorkerEarnings(worker,
-                                      static_cast<uint64_t>(row[1].as_int()));
-        ledger_worker_rows_[worker] = rid;
+      ->Scan([&](storage::RowId, const Row& row) {
+        ledger_.RestoreWorkerEarnings(
+            static_cast<crowd::WorkerId>(row[0].as_int()),
+            static_cast<uint64_t>(row[1].as_int()));
         return true;
       });
 
   // ---- restore: sys rows (scalars, ledger totals, platform blobs).
   std::map<std::string, std::string> sys;
-  db_.GetTable(tables::kSys)->Scan([&](storage::RowId rid, const Row& row) {
-    sys_rows_[row[0].as_string()] = rid;
+  db_.GetTable(tables::kSys)->Scan([&](storage::RowId, const Row& row) {
     sys[row[0].as_string()] = row[1].as_string();
     return true;
   });
@@ -266,43 +246,30 @@ Status ITagSystem::AttachRuntimeState() {
   ledger_.set_pay_sink([this](crowd::ProjectRef project,
                               crowd::WorkerId worker, uint32_t cents) {
     (void)cents;  // rows carry the already-applied balances
-    Row prow = {Value::Int(static_cast<int64_t>(project)),
-                Value::Int(static_cast<int64_t>(ledger_.ProjectSpend(project)))};
-    auto pit = ledger_project_rows_.find(project);
-    if (pit == ledger_project_rows_.end()) {
-      Result<storage::RowId> rid = db_.Insert(tables::kLedgerProjects, prow);
-      if (rid.ok()) ledger_project_rows_[project] = rid.value();
-    } else {
-      (void)db_.Update(tables::kLedgerProjects, pit->second, prow);
-    }
-    Row wrow = {
-        Value::Int(static_cast<int64_t>(worker)),
-        Value::Int(static_cast<int64_t>(ledger_.WorkerEarnings(worker)))};
-    auto wit = ledger_worker_rows_.find(worker);
-    if (wit == ledger_worker_rows_.end()) {
-      Result<storage::RowId> rid = db_.Insert(tables::kLedgerWorkers, wrow);
-      if (rid.ok()) ledger_worker_rows_[worker] = rid.value();
-    } else {
-      (void)db_.Update(tables::kLedgerWorkers, wit->second, wrow);
-    }
-    ByteWriter totals;
-    totals.U64(ledger_.TotalPaid());
-    totals.U64(ledger_.PaymentCount());
-    PersistSys(kSysLedger, totals.Take());
+    (void)db_.Upsert(
+        tables::kLedgerProjects,
+        {Value::Int(static_cast<int64_t>(project)),
+         Value::Int(static_cast<int64_t>(ledger_.ProjectSpend(project)))});
+    (void)db_.Upsert(
+        tables::kLedgerWorkers,
+        {Value::Int(static_cast<int64_t>(worker)),
+         Value::Int(static_cast<int64_t>(ledger_.WorkerEarnings(worker)))});
+    PersistLedgerTotals();
   });
   return Status::OK();
 }
 
 void ITagSystem::PersistSys(const std::string& key, std::string value) {
   if (!persist()) return;
-  Row row = {Value::Str(key), Value::Str(std::move(value))};
-  auto it = sys_rows_.find(key);
-  if (it == sys_rows_.end()) {
-    Result<storage::RowId> rid = db_.Insert(tables::kSys, row);
-    if (rid.ok()) sys_rows_[key] = rid.value();
-  } else {
-    (void)db_.Update(tables::kSys, it->second, row);
-  }
+  (void)db_.Upsert(tables::kSys,
+                   {Value::Str(key), Value::Str(std::move(value))});
+}
+
+void ITagSystem::PersistLedgerTotals() {
+  ByteWriter totals;
+  totals.U64(ledger_.TotalPaid());
+  totals.U64(ledger_.PaymentCount());
+  PersistSys(kSysLedger, totals.Take());
 }
 
 void ITagSystem::PersistCore() {
@@ -733,13 +700,11 @@ Result<ITagSystem::ProjectBundle> ITagSystem::ExtractProject(
                         quality_->EncodeProjectRow(project));
   bundle.feed = quality_->QualityFeed(project);
   ITAG_ASSIGN_OR_RETURN(bundle.corpus, resources_->ExtractCorpus(project));
-  for (const auto& [handle, task] : accepted_) {
+  for (const auto& [handle, open] : accepted_) {
+    const AcceptedTask& task = open.task;
     if (task.project != project) continue;
-    auto by = accepted_by_.find(handle);
     bundle.accepted.push_back(
-        {handle, task.resource, task.uri, task.pay_cents,
-         by == accepted_by_.end() ? static_cast<UserTaggerId>(-1)
-                                  : by->second});
+        {handle, task.resource, task.uri, task.pay_cents, open.tagger});
   }
   for (const auto& [handle, sub] : pending_) {
     if (sub.project != project) continue;
@@ -768,8 +733,7 @@ Result<ProjectId> ITagSystem::AdoptProject(
     task.resource = a.resource;
     task.uri = a.uri;
     task.pay_cents = a.pay_cents;
-    accepted_.emplace(task.handle, task);
-    accepted_by_.emplace(task.handle, a.tagger);
+    accepted_.emplace(task.handle, OpenTask{task, a.tagger});
     PersistAccepted(task, a.tagger);
     handle_map->emplace_back(a.handle, task.handle);
   }
@@ -787,14 +751,11 @@ Result<ProjectId> ITagSystem::AdoptProject(
   }
   ledger_.AdoptProjectSpend(id, bundle.ledger_spend_cents);
   if (persist() && bundle.ledger_spend_cents > 0) {
-    Row prow = {Value::Int(static_cast<int64_t>(id)),
-                Value::Int(static_cast<int64_t>(ledger_.ProjectSpend(id)))};
-    Result<storage::RowId> rid = db_.Insert(tables::kLedgerProjects, prow);
-    if (rid.ok()) ledger_project_rows_[id] = rid.value();
-    ByteWriter totals;
-    totals.U64(ledger_.TotalPaid());
-    totals.U64(ledger_.PaymentCount());
-    PersistSys(kSysLedger, totals.Take());
+    (void)db_.Upsert(
+        tables::kLedgerProjects,
+        {Value::Int(static_cast<int64_t>(id)),
+         Value::Int(static_cast<int64_t>(ledger_.ProjectSpend(id)))});
+    PersistLedgerTotals();
   }
   PersistCore();
   MarkChanged(id);
@@ -811,13 +772,12 @@ Status ITagSystem::EraseProject(ProjectId project) {
   MarkChanged(project);
   BatchScope batch(&db_);
   for (auto it = accepted_.begin(); it != accepted_.end();) {
-    if (it->second.project != project) {
+    if (it->second.task.project != project) {
       ++it;
       continue;
     }
     TaskHandle handle = it->first;
     it = accepted_.erase(it);
-    accepted_by_.erase(handle);
     DeleteAccepted(handle);
   }
   for (auto it = pending_.begin(); it != pending_.end();) {
@@ -831,17 +791,11 @@ Status ITagSystem::EraseProject(ProjectId project) {
   }
   uint64_t spend = ledger_.DropProjectSpend(project);
   if (persist()) {
-    auto rit = ledger_project_rows_.find(project);
-    if (rit != ledger_project_rows_.end()) {
-      (void)db_.Delete(tables::kLedgerProjects, rit->second);
-      ledger_project_rows_.erase(rit);
-    }
-    if (spend > 0) {
-      ByteWriter totals;
-      totals.U64(ledger_.TotalPaid());
-      totals.U64(ledger_.PaymentCount());
-      PersistSys(kSysLedger, totals.Take());
-    }
+    const Value key = Value::Int(static_cast<int64_t>(project));
+    Result<storage::RowId> rid =
+        db_.GetTable(tables::kLedgerProjects)->LookupUnique("project", key);
+    if (rid.ok()) (void)db_.Delete(tables::kLedgerProjects, rid.value());
+    if (spend > 0) PersistLedgerTotals();
   }
   ITAG_RETURN_IF_ERROR(quality_->DropProject(project));
   return resources_->DropCorpus(project);
@@ -878,8 +832,7 @@ Result<std::vector<AcceptedTask>> ITagSystem::AcceptTasks(UserTaggerId tagger,
     task.resource = resource;
     task.uri = corpus->resource(resource).uri;
     task.pay_cents = rec->spec.pay_cents;
-    accepted_.emplace(task.handle, task);
-    accepted_by_.emplace(task.handle, tagger);
+    accepted_.emplace(task.handle, OpenTask{task, tagger});
     PersistAccepted(task, tagger);
     tasks.push_back(std::move(task));
   }
@@ -897,8 +850,7 @@ Status ITagSystem::SubmitTags(UserTaggerId tagger, TaskHandle handle,
     // handles and already-submitted ones look the same to the caller.
     return Status::NotFound("task " + std::to_string(handle));
   }
-  auto by = accepted_by_.find(handle);
-  if (by == accepted_by_.end() || by->second != tagger) {
+  if (it->second.tagger != tagger) {
     return Status::FailedPrecondition("task accepted by another tagger");
   }
   std::vector<std::string> normalized;
@@ -911,14 +863,13 @@ Status ITagSystem::SubmitTags(UserTaggerId tagger, TaskHandle handle,
   }
   PendingSubmission sub;
   sub.handle = handle;
-  sub.project = it->second.project;
-  sub.resource = it->second.resource;
+  sub.project = it->second.task.project;
+  sub.resource = it->second.task.resource;
   sub.tagger = tagger;
   sub.tags = std::move(normalized);
   PersistPending(sub);
   pending_.emplace(handle, std::move(sub));
   accepted_.erase(it);
-  accepted_by_.erase(handle);
   DeleteAccepted(handle);
   return users_->RecordSubmission(tagger);
 }

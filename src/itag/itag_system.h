@@ -290,7 +290,7 @@ class ITagSystem {
   SimClock& clock() { return clock_; }
 
   /// Total audience tasks ever handed out through AcceptTasks
-  /// (persisted; the sharded layer re-derives its per-shard stats from it).
+  /// (persisted; the sharded layer's per-shard stats read it).
   uint64_t tasks_accepted_total() const { return tasks_accepted_total_; }
 
   /// The platform used by a project (nullptr for audience projects).
@@ -354,6 +354,12 @@ class ITagSystem {
     tagging::ResourceId resource = 0;
   };
 
+  /// An open accepted task and the tagger who accepted it.
+  struct OpenTask {
+    AcceptedTask task;
+    UserTaggerId tagger = 0;
+  };
+
   /// One approved-but-not-yet-recorded submission of a Step tick, kept with
   /// its built post until the per-project CompletePostBatch flush; settling
   /// (payment, records) only happens after its post lands in the corpus.
@@ -385,6 +391,8 @@ class ITagSystem {
   Status AttachRuntimeState();
   /// Upserts one sys key/value row.
   void PersistSys(const std::string& key, std::string value);
+  /// Writes the ledger's payment totals as one sys row.
+  void PersistLedgerTotals();
   /// Writes the facade scalars (next handle, accepted-task counter, clock,
   /// RNG stream) as one sys row.
   void PersistCore();
@@ -443,17 +451,14 @@ class ITagSystem {
   std::map<crowd::TaskId, InFlight> in_flight_mturk_;
   std::map<crowd::TaskId, InFlight> in_flight_social_;
   std::map<TaskHandle, PendingSubmission> pending_;
-  std::map<TaskHandle, AcceptedTask> accepted_;
-  std::map<TaskHandle, UserTaggerId> accepted_by_;
+  std::map<TaskHandle, OpenTask> accepted_;
   TaskHandle next_handle_ = 1;
   uint64_t tasks_accepted_total_ = 0;
   bool initialized_ = false;
 
-  // Write-through bookkeeping (row ids of upserted rows).
+  /// Row ids of the in-flight rows, which have no unique key of their own
+  /// to find them by.
   std::map<std::pair<int, crowd::TaskId>, storage::RowId> in_flight_rows_;
-  std::map<std::string, storage::RowId> sys_rows_;
-  std::map<ProjectId, storage::RowId> ledger_project_rows_;
-  std::map<crowd::WorkerId, storage::RowId> ledger_worker_rows_;
 
   /// Concurrency cap per platform-backed project.
   static constexpr size_t kMaxOpenTasksPerProject = 16;

@@ -100,58 +100,51 @@ QualityManager::QualityManager(ResourceManager* resources, TagManager* tags,
 
 Status QualityManager::Attach() {
   if (!persist()) return Status::OK();
-  if (db_->GetTable(tables::kProjects) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db_->CreateTable(tables::kProjects,
-                                          SchemaBuilder()
-                                              .Int("id")
-                                              .Int("provider")
-                                              .Str("name")
-                                              .Int("kind")
-                                              .Str("description")
-                                              .Int("budget")
-                                              .Int("pay_cents")
-                                              .Int("platform")
-                                              .Int("strategy")
-                                              .Int("state")
-                                              .Int("tasks_completed")
-                                              .Bool("exhausted")
-                                              .Bool("started")
-                                              .Str("engine")
-                                              .Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db_->EnsureTable(tables::kProjects,
+                                        SchemaBuilder()
+                                            .Int("id")
+                                            .Int("provider")
+                                            .Str("name")
+                                            .Int("kind")
+                                            .Str("description")
+                                            .Int("budget")
+                                            .Int("pay_cents")
+                                            .Int("platform")
+                                            .Int("strategy")
+                                            .Int("state")
+                                            .Int("tasks_completed")
+                                            .Bool("exhausted")
+                                            .Bool("started")
+                                            .Str("engine")
+                                            .Build()));
   ITAG_RETURN_IF_ERROR(db_->AddUniqueIndex(tables::kProjects, "id"));
-  if (db_->GetTable(tables::kQualityFeed) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db_->CreateTable(tables::kQualityFeed,
-                                          SchemaBuilder()
-                                              .Int("project")
-                                              .Int("tasks")
-                                              .Real("quality")
-                                              .Int("time")
-                                              .Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db_->EnsureTable(tables::kQualityFeed,
+                                        SchemaBuilder()
+                                            .Int("project")
+                                            .Int("tasks")
+                                            .Real("quality")
+                                            .Int("time")
+                                            .Build()));
   ITAG_RETURN_IF_ERROR(db_->AddOrderedIndex(tables::kQualityFeed, "project"));
-  if (db_->GetTable(tables::kNotifications) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db_->CreateTable(tables::kNotifications,
-                                          SchemaBuilder()
-                                              .Int("provider")
-                                              .Int("kind")
-                                              .Int("time")
-                                              .Int("project")
-                                              .Str("message")
-                                              .Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db_->EnsureTable(tables::kNotifications,
+                                        SchemaBuilder()
+                                            .Int("provider")
+                                            .Int("kind")
+                                            .Int("time")
+                                            .Int("project")
+                                            .Str("message")
+                                            .Build()));
 
   // ---- recovery: project rows drive everything else.
   projects_.clear();
-  project_rows_.clear();
   inboxes_.clear();
   inbox_rows_.clear();
   next_project_ = 1;
   Status recovered = Status::OK();
   db_->GetTable(tables::kProjects)
-      ->Scan([&](storage::RowId rid, const Row& row) {
+      ->Scan([&](storage::RowId, const Row& row) {
         ProjectId id = static_cast<ProjectId>(row[0].as_int());
-        recovered = RestoreProject(id, row, rid);
+        recovered = RestoreProject(id, row);
         return recovered.ok();
       });
   ITAG_RETURN_IF_ERROR(recovered);
@@ -213,13 +206,11 @@ Status QualityManager::DecodeProjectRow(ProjectId project, const Row& row,
   return Status::OK();
 }
 
-Status QualityManager::RestoreProject(ProjectId project, const Row& row,
-                                      storage::RowId rid) {
+Status QualityManager::RestoreProject(ProjectId project, const Row& row) {
   ITAG_RETURN_IF_ERROR(resources_->RestoreCorpus(project));
   ProjectRec rec;
   ITAG_RETURN_IF_ERROR(DecodeProjectRow(project, row, &rec));
   projects_.emplace(project, std::move(rec));
-  project_rows_[project] = rid;
   next_project_ = std::max(next_project_, project + 1);
   return Status::OK();
 }
@@ -227,14 +218,7 @@ Status QualityManager::RestoreProject(ProjectId project, const Row& row,
 void QualityManager::PersistProject(ProjectId project,
                                     const ProjectRec& rec) {
   if (!persist()) return;
-  Row row = BuildProjectRow(project, rec);
-  auto it = project_rows_.find(project);
-  if (it == project_rows_.end()) {
-    Result<storage::RowId> rid = db_->Insert(tables::kProjects, row);
-    if (rid.ok()) project_rows_[project] = rid.value();
-  } else {
-    (void)db_->Update(tables::kProjects, it->second, row);
-  }
+  (void)db_->Upsert(tables::kProjects, BuildProjectRow(project, rec));
 }
 
 Result<Row> QualityManager::EncodeProjectRow(ProjectId project) const {
@@ -265,9 +249,7 @@ Status QualityManager::AdoptProject(ProjectId project, const Row& row,
     // Re-key the row under the destination-local id; the engine blob is
     // regenerated from the restored engine, so the write-through matches
     // what PersistProject would produce after the same history.
-    Result<storage::RowId> rid =
-        db_->Insert(tables::kProjects, BuildProjectRow(project, it->second));
-    if (rid.ok()) project_rows_[project] = rid.value();
+    (void)db_->Upsert(tables::kProjects, BuildProjectRow(project, it->second));
     for (const QualityPoint& p : it->second.feed) {
       (void)db_->Insert(tables::kQualityFeed,
                         {Value::Int(static_cast<int64_t>(project)),
@@ -285,13 +267,11 @@ Status QualityManager::DropProject(ProjectId project) {
   }
   projects_.erase(it);
   if (persist()) {
-    auto rid = project_rows_.find(project);
-    if (rid != project_rows_.end()) {
-      (void)db_->Delete(tables::kProjects, rid->second);
-      project_rows_.erase(rid);
-    }
+    Value key = Value::Int(static_cast<int64_t>(project));
+    Result<storage::RowId> rid =
+        db_->GetTable(tables::kProjects)->LookupUnique("id", key);
+    if (rid.ok()) (void)db_->Delete(tables::kProjects, rid.value());
     if (storage::Table* feed = db_->GetTable(tables::kQualityFeed)) {
-      Value key = Value::Int(static_cast<int64_t>(project));
       for (storage::RowId r : feed->LookupEqual("project", key)) {
         (void)db_->Delete(tables::kQualityFeed, r);
       }

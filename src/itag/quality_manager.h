@@ -237,8 +237,7 @@ class QualityManager {
   /// queue capacity (the persisted inbox mirrors the in-memory one).
   void PushNotification(ProviderId provider, Notification n);
   /// Restores one persisted project row into projects_.
-  Status RestoreProject(ProjectId project, const storage::Row& row,
-                        storage::RowId rid);
+  Status RestoreProject(ProjectId project, const storage::Row& row);
   /// Decodes a project row into `rec` (engine rebuilt from the project's
   /// corpus, which must already exist). Shared by recovery and adoption.
   Status DecodeProjectRow(ProjectId project, const storage::Row& row,
@@ -252,8 +251,9 @@ class QualityManager {
   quality::StabilityQuality stability_;
   quality::EmpiricalGainEstimator gain_;
   std::map<ProjectId, ProjectRec> projects_;
-  std::map<ProjectId, storage::RowId> project_rows_;
   std::map<ProviderId, NotificationQueue> inboxes_;
+  /// Row ids of each inbox's rows, oldest first: the eviction order, which
+  /// no index of the notifications table holds.
   std::map<ProviderId, std::deque<storage::RowId>> inbox_rows_;
   ProjectId next_project_ = 1;
 

@@ -14,28 +14,24 @@ using storage::Value;
 ResourceManager::ResourceManager(storage::Database* db) : db_(db) {}
 
 Status ResourceManager::Attach() {
-  if (db_->GetTable(tables::kResources) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db_->CreateTable(tables::kResources,
-                                          SchemaBuilder()
-                                              .Int("project")
-                                              .Int("resource")
-                                              .Str("kind")
-                                              .Str("uri")
-                                              .Str("description")
-                                              .Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db_->EnsureTable(tables::kResources,
+                                        SchemaBuilder()
+                                            .Int("project")
+                                            .Int("resource")
+                                            .Str("kind")
+                                            .Str("uri")
+                                            .Str("description")
+                                            .Build()));
   ITAG_RETURN_IF_ERROR(db_->AddOrderedIndex(tables::kResources, "project"));
   if (db_->durable()) {
     // Tag-id assignment order is corpus state: the dict table records every
     // intern in order so recovery reassigns identical ids.
-    if (db_->GetTable(tables::kDict) == nullptr) {
-      ITAG_RETURN_IF_ERROR(db_->CreateTable(tables::kDict,
-                                            SchemaBuilder()
-                                                .Int("project")
-                                                .Int("tag")
-                                                .Str("text")
-                                                .Build()));
-    }
+    ITAG_RETURN_IF_ERROR(db_->EnsureTable(tables::kDict,
+                                          SchemaBuilder()
+                                              .Int("project")
+                                              .Int("tag")
+                                              .Str("text")
+                                              .Build()));
     ITAG_RETURN_IF_ERROR(db_->AddOrderedIndex(tables::kDict, "project"));
   }
   return Status::OK();

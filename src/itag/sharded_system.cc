@@ -112,31 +112,9 @@ Status ShardedSystem::Init() {
   if (!options_.read_only) {
     ITAG_RETURN_IF_ERROR(ResolveIntents());
   }
-  // Phase 3 — re-derive the per-shard counters from recovered state and
-  // publish every project view so the lock-free read path works
-  // immediately.
-  std::vector<std::function<void()>> refresh;
-  refresh.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    refresh.push_back([this, s] {
-      Shard& shard = *shards_[s];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.projects_created = shard.system->quality_manager().ProjectCount();
-      shard.tasks_accepted = shard.system->tasks_accepted_total();
-      RefreshShard(s);
-    });
-  }
-  pool_->RunAll(std::move(refresh));
-  // Cross-shard counters: the round-robin cursor equals the number of
-  // successful creates (a migration moves one projects_created from source
-  // to destination, leaving the sum unchanged); all shard clocks advance in
-  // lockstep.
-  uint64_t projects = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    projects += shard->projects_created;
-  }
-  next_project_shard_.store(projects, std::memory_order_release);
-  now_.store(shards_[0]->system->clock().Now(), std::memory_order_release);
+  // Phase 3 — publish every project view so the lock-free read path works
+  // immediately, then derive the cross-shard counters.
+  RefreshAll();
   // Debug surface: one placement gauge per live project, i.e. per view
   // the refresh above published.
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -203,8 +181,6 @@ Status ShardedSystem::ReattachShard(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   std::lock_guard<std::mutex> lock(shard.mu);
   ITAG_RETURN_IF_ERROR(shard.system->Reattach());
-  shard.projects_created = shard.system->quality_manager().ProjectCount();
-  shard.tasks_accepted = shard.system->tasks_accepted_total();
   RefreshShard(shard_index);
   // Shard clocks advance in lockstep on the primary, so the follower's
   // monotonic maximum converges to the primary's Now().
@@ -258,19 +234,7 @@ Status ShardedSystem::Promote() {
   }
   ITAG_RETURN_IF_ERROR(ReloadPlacement());
   ITAG_RETURN_IF_ERROR(ResolveIntents());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.projects_created = shard.system->quality_manager().ProjectCount();
-    shard.tasks_accepted = shard.system->tasks_accepted_total();
-    RefreshShard(s);
-  }
-  uint64_t projects = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    projects += shard->projects_created;
-  }
-  next_project_shard_.store(projects, std::memory_order_release);
-  now_.store(shards_[0]->system->clock().Now(), std::memory_order_release);
+  RefreshAll();
   read_only_.store(false, std::memory_order_release);
   if (options_.rebalance_interval_ms > 0) {
     rebalance_thread_ = std::thread([this] { RebalanceLoop(); });
@@ -329,37 +293,29 @@ Status ShardedSystem::OpenPlacement() {
   ITAG_RETURN_IF_ERROR(placement_db_->Open(popt));
   storage::Database& db = *placement_db_;
   using storage::SchemaBuilder;
-  if (db.GetTable(kPlacementTable) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db.CreateTable(kPlacementTable,
-                                        SchemaBuilder()
-                                            .Int("project")
-                                            .Int("shard")
-                                            .Int("local")
-                                            .Int("version")
-                                            .Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db.EnsureTable(kPlacementTable,
+                                      SchemaBuilder()
+                                          .Int("project")
+                                          .Int("shard")
+                                          .Int("local")
+                                          .Int("version")
+                                          .Build()));
   ITAG_RETURN_IF_ERROR(db.AddUniqueIndex(kPlacementTable, "project"));
-  if (db.GetTable(kSlotsTable) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db.CreateTable(
-        kSlotsTable, SchemaBuilder().Int("slot").Int("project").Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db.EnsureTable(
+      kSlotsTable, SchemaBuilder().Int("slot").Int("project").Build()));
   ITAG_RETURN_IF_ERROR(db.AddUniqueIndex(kSlotsTable, "slot"));
-  if (db.GetTable(kHandlesTable) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db.CreateTable(
-        kHandlesTable, SchemaBuilder().Int("old").Int("new").Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db.EnsureTable(
+      kHandlesTable, SchemaBuilder().Int("old").Int("new").Build()));
   ITAG_RETURN_IF_ERROR(db.AddUniqueIndex(kHandlesTable, "old"));
-  if (db.GetTable(kIntentTable) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db.CreateTable(kIntentTable,
-                                        SchemaBuilder()
-                                            .Int("project")
-                                            .Int("from_shard")
-                                            .Int("from_local")
-                                            .Int("to_shard")
-                                            .Int("to_local")
-                                            .Int("state")
-                                            .Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db.EnsureTable(kIntentTable,
+                                      SchemaBuilder()
+                                          .Int("project")
+                                          .Int("from_shard")
+                                          .Int("from_local")
+                                          .Int("to_shard")
+                                          .Int("to_local")
+                                          .Int("state")
+                                          .Build()));
   return LoadPlacementOverlay();
 }
 
@@ -367,17 +323,13 @@ Status ShardedSystem::LoadPlacementOverlay() {
   storage::Database& db = *placement_db_;
   std::unique_lock<std::shared_mutex> pl(placement_mu_);
   placement_ = PlacementMap(shards_.size());
-  placement_rows_.clear();
-  handle_rows_.clear();
   db.GetTable(kPlacementTable)
-      ->Scan([&](storage::RowId rid, const storage::Row& row) {
+      ->Scan([&](storage::RowId, const storage::Row& row) {
         PlacementMap::Location at;
         at.shard = static_cast<size_t>(row[1].as_int());
         at.local = static_cast<uint64_t>(row[2].as_int());
-        uint64_t project = static_cast<uint64_t>(row[0].as_int());
-        placement_.RestoreOverride(project, at,
+        placement_.RestoreOverride(static_cast<uint64_t>(row[0].as_int()), at,
                                    static_cast<uint64_t>(row[3].as_int()));
-        placement_rows_[project] = rid;
         return true;
       });
   db.GetTable(kSlotsTable)
@@ -387,11 +339,9 @@ Status ShardedSystem::LoadPlacementOverlay() {
         return true;
       });
   db.GetTable(kHandlesTable)
-      ->Scan([&](storage::RowId rid, const storage::Row& row) {
-        uint64_t old_handle = static_cast<uint64_t>(row[0].as_int());
-        placement_.RestoreHandle(old_handle,
+      ->Scan([&](storage::RowId, const storage::Row& row) {
+        placement_.RestoreHandle(static_cast<uint64_t>(row[0].as_int()),
                                  static_cast<uint64_t>(row[1].as_int()));
-        handle_rows_[old_handle] = rid;
         return true;
       });
   placement_version_.store(placement_.version(), std::memory_order_release);
@@ -685,11 +635,31 @@ std::vector<ProjectInfo> ShardedSystem::ListViews(Keep keep) const {
 void ShardedSystem::RefreshStats(size_t shard_index) const {
   Shard& shard = *shards_[shard_index];
   ShardStats stats;
-  stats.projects = shard.projects_created;
-  stats.tasks_accepted = shard.tasks_accepted;
+  stats.projects = shard.system->quality_manager().ProjectCount();
+  stats.tasks_accepted = shard.system->tasks_accepted_total();
   stats.payments = shard.system->ledger().PaymentCount();
   stats.paid_cents = shard.system->ledger().TotalPaid();
   shard.stats.Write(stats);
+}
+
+void ShardedSystem::RefreshAll() {
+  std::vector<std::function<void()>> refresh;
+  refresh.reserve(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    refresh.push_back([this, s] {
+      std::lock_guard<std::mutex> lock(shards_[s]->mu);
+      RefreshShard(s);
+    });
+  }
+  pool_->RunAll(std::move(refresh));
+  // The round-robin cursor equals the number of successful creates, which
+  // is the number of projects the shards hold: a migration moves one from
+  // source to destination and leaves the sum unchanged. All shard clocks
+  // advance in lockstep.
+  uint64_t projects = 0;
+  for (size_t s = 0; s < shards_.size(); ++s) projects += StatsOf(s).projects;
+  next_project_shard_.store(projects, std::memory_order_release);
+  now_.store(shards_[0]->system->clock().Now(), std::memory_order_release);
 }
 
 void ShardedSystem::RefreshShard(size_t shard_index) const {
@@ -817,7 +787,6 @@ Result<ProjectId> ShardedSystem::CreateProject(ProviderId provider,
   Result<ProjectId> r = shard.system->CreateProject(provider, spec);
   if (!r.ok()) return r;
   next_project_shard_.fetch_add(1, std::memory_order_relaxed);
-  ++shard.projects_created;
   RefreshStats(s);
   // Fresh projects own their codec slot — no placement entry needed, only
   // the debug gauge.
@@ -1001,7 +970,6 @@ Result<std::vector<AcceptedTask>> ShardedSystem::AcceptTasks(
           task.handle = ToGlobal(task.handle, s);  // fresh handles: codec
           task.project = project;
         }
-        shards_[s]->tasks_accepted += tasks.size();
         RefreshStats(s);
         return tasks;
       });
@@ -1231,19 +1199,14 @@ Status ShardedSystem::MigrateProject(ProjectId project, size_t to_shard,
   }
   {
     storage::BatchScope batch(placement_db_.get());
-    storage::Row prow = {storage::Value::Int(static_cast<int64_t>(project)),
-                         storage::Value::Int(static_cast<int64_t>(to_shard)),
-                         storage::Value::Int(static_cast<int64_t>(to_local)),
-                         storage::Value::Int(static_cast<int64_t>(version))};
-    auto it = placement_rows_.find(project);
-    if (it != placement_rows_.end()) {
-      ITAG_RETURN_IF_ERROR(
-          placement_db_->Update(kPlacementTable, it->second, prow));
-    } else {
-      Result<storage::RowId> rid = placement_db_->Insert(kPlacementTable, prow);
-      ITAG_RETURN_IF_ERROR(rid.status());
-      placement_rows_[project] = rid.value();
-    }
+    ITAG_RETURN_IF_ERROR(
+        placement_db_
+            ->Upsert(kPlacementTable,
+                     {storage::Value::Int(static_cast<int64_t>(project)),
+                      storage::Value::Int(static_cast<int64_t>(to_shard)),
+                      storage::Value::Int(static_cast<int64_t>(to_local)),
+                      storage::Value::Int(static_cast<int64_t>(version))})
+            .status());
     ITAG_RETURN_IF_ERROR(
         placement_db_
             ->Insert(kSlotsTable,
@@ -1252,17 +1215,12 @@ Status ShardedSystem::MigrateProject(ProjectId project, size_t to_shard,
                       storage::Value::Int(static_cast<int64_t>(project))})
             .status());
     for (const auto& [old_h, new_h] : handle_updates) {
-      storage::Row hrow = {storage::Value::Int(static_cast<int64_t>(old_h)),
-                           storage::Value::Int(static_cast<int64_t>(new_h))};
-      auto hit = handle_rows_.find(old_h);
-      if (hit != handle_rows_.end()) {
-        ITAG_RETURN_IF_ERROR(
-            placement_db_->Update(kHandlesTable, hit->second, hrow));
-      } else {
-        Result<storage::RowId> rid = placement_db_->Insert(kHandlesTable, hrow);
-        ITAG_RETURN_IF_ERROR(rid.status());
-        handle_rows_[old_h] = rid.value();
-      }
+      ITAG_RETURN_IF_ERROR(
+          placement_db_
+              ->Upsert(kHandlesTable,
+                       {storage::Value::Int(static_cast<int64_t>(old_h)),
+                        storage::Value::Int(static_cast<int64_t>(new_h))})
+              .status());
     }
     ITAG_RETURN_IF_ERROR(placement_db_->Update(
         kIntentTable, intent.value(),
@@ -1280,8 +1238,6 @@ Status ShardedSystem::MigrateProject(ProjectId project, size_t to_shard,
   // its view) and the intent.
   Status erase = src.system->EraseProject(local);
   ITAG_RETURN_IF_ERROR(placement_db_->Delete(kIntentTable, intent.value()));
-  --src.projects_created;
-  ++dst.projects_created;
   src.project_ops.erase(project);
   RefreshStats(from);
   RefreshStats(to_shard);
@@ -1391,7 +1347,7 @@ void ShardedSystem::RebalanceOnce() {
     {
       Shard& shard = *shards_[hot];
       std::lock_guard<std::mutex> lock(shard.mu);
-      hosted = shard.projects_created;
+      hosted = shard.system->quality_manager().ProjectCount();
     }
     if (hosted < 2) return;  // a lone project has nowhere better to be
     victim = 0;

@@ -86,7 +86,7 @@ struct QualitySnapshot {
 /// Per-shard aggregate counters, published through a seqlock so monitors
 /// can poll without touching any shard mutex.
 struct ShardStats {
-  uint64_t projects = 0;        ///< projects created on this shard
+  uint64_t projects = 0;        ///< projects on this shard
   uint64_t tasks_accepted = 0;  ///< audience tasks handed out
   uint64_t payments = 0;        ///< ledger payment records
   uint64_t paid_cents = 0;      ///< ledger grand total
@@ -337,9 +337,6 @@ class ShardedSystem {
     mutable std::shared_mutex snap_mu;
     std::unordered_map<ProjectId, Published> views;
     SeqLock<ShardStats> stats;
-    // Counters feeding ShardStats; guarded by mu.
-    uint64_t projects_created = 0;
-    uint64_t tasks_accepted = 0;
     /// Per-project attribution of the locked routes for the rebalancer,
     /// keyed by *global* id (view reads count in Published::reads). Guarded
     /// by mu; drained once per window.
@@ -420,14 +417,17 @@ class ShardedSystem {
   void RefreshShard(size_t shard_index) const;
   /// Publishes current ledger/project counters (shard mutex held).
   void RefreshStats(size_t shard_index) const;
+  /// Refreshes every shard (taking each shard mutex, on the pool), then
+  /// sets the round-robin cursor and the clock from them. Init and Promote.
+  void RefreshAll();
 
   /// Publishes `core.placement.project.<global>` = shard (debug surface).
   void SetPlacementGauge(uint64_t global, size_t shard) const;
   /// Opens <dir>/placement (in-memory when the shards are), creates its
-  /// tables, and loads the routing overlay + persisted-row maps.
+  /// tables, and loads the routing overlay.
   Status OpenPlacement();
-  /// (Re)builds placement_/placement_rows_/handle_rows_ from the placement
-  /// tables; shared by OpenPlacement and ReloadPlacement.
+  /// (Re)builds placement_ from the placement tables; shared by
+  /// OpenPlacement and ReloadPlacement.
   Status LoadPlacementOverlay();
   /// Replays unresolved migration intents left by a crash: pending →
   /// purge the destination copy, committed → purge the source copy.
@@ -467,8 +467,6 @@ class ShardedSystem {
   /// write to placement_db_ (Checkpoint takes it too).
   mutable std::mutex migrate_mu_;
   std::unique_ptr<storage::Database> placement_db_;
-  std::unordered_map<uint64_t, storage::RowId> placement_rows_;  // by project
-  std::unordered_map<uint64_t, storage::RowId> handle_rows_;     // by old handle
 
   // Rebalancer thread state (thread-owned except the stop flag).
   std::thread rebalance_thread_;

@@ -9,15 +9,19 @@ namespace itag::core::tables {
 // rebuild corpora, the facade reads the Quality Manager's project rows to
 // re-derive id counters, and so on.
 //
-// Ownership (who writes / who else reads):
-//   providers, taggers      UserManager
-//   resources, dict         ResourceManager (dict also written through the
-//                           TagDictionary new-tag hook by any interner)
-//   posts                   TagManager (+ ResourceManager: imports, replay)
-//   projects, quality_feed,
-//   notifications           QualityManager
-//   accepted, pending,
-//   in_flight, ledger_*, sys  ITagSystem facade
+// Ownership (who writes / who else reads), with the unique key of each
+// keyed table. A keyed row is found through that key's unique index
+// (Database::Upsert, Table::LookupUnique); no manager keeps a copy of it.
+//   providers (id), taggers (id)   UserManager
+//   resources, dict                ResourceManager (dict also written
+//                                  through the TagDictionary new-tag hook
+//                                  by any interner)
+//   posts                          TagManager (+ ResourceManager: imports,
+//                                  replay)
+//   projects (id), quality_feed,
+//   notifications                  QualityManager
+//   accepted (handle), pending (handle), in_flight, ledger_projects
+//   (project), ledger_workers (worker), sys (k)    ITagSystem facade
 inline constexpr char kProviders[] = "providers";
 inline constexpr char kTaggers[] = "taggers";
 inline constexpr char kResources[] = "resources";

@@ -14,16 +14,14 @@ using storage::Value;
 TagManager::TagManager(storage::Database* db) : db_(db) {}
 
 Status TagManager::Attach() {
-  if (db_->GetTable(tables::kPosts) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db_->CreateTable(tables::kPosts,
-                                          SchemaBuilder()
-                                              .Int("project")
-                                              .Int("resource")
-                                              .Int("tagger")
-                                              .Int("time")
-                                              .Str("tags")
-                                              .Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db_->EnsureTable(tables::kPosts,
+                                        SchemaBuilder()
+                                            .Int("project")
+                                            .Int("resource")
+                                            .Int("tagger")
+                                            .Int("time")
+                                            .Str("tags")
+                                            .Build()));
   return db_->AddOrderedIndex(tables::kPosts, "project");
 }
 

@@ -11,51 +11,41 @@ using storage::Value;
 UserManager::UserManager(storage::Database* db) : db_(db) {}
 
 Status UserManager::Attach() {
-  if (db_->GetTable(tables::kProviders) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db_->CreateTable(tables::kProviders,
-                                          SchemaBuilder()
-                                              .Int("id")
-                                              .Str("name")
-                                              .Int("approvals")
-                                              .Int("rejections")
-                                              .Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db_->EnsureTable(tables::kProviders,
+                                        SchemaBuilder()
+                                            .Int("id")
+                                            .Str("name")
+                                            .Int("approvals")
+                                            .Int("rejections")
+                                            .Build()));
   ITAG_RETURN_IF_ERROR(db_->AddUniqueIndex(tables::kProviders, "id"));
-  if (db_->GetTable(tables::kTaggers) == nullptr) {
-    ITAG_RETURN_IF_ERROR(db_->CreateTable(tables::kTaggers,
-                                          SchemaBuilder()
-                                              .Int("id")
-                                              .Str("name")
-                                              .Int("submitted")
-                                              .Int("approved")
-                                              .Int("rejected")
-                                              .Int("earned_cents")
-                                              .Build()));
-  }
+  ITAG_RETURN_IF_ERROR(db_->EnsureTable(tables::kTaggers,
+                                        SchemaBuilder()
+                                            .Int("id")
+                                            .Str("name")
+                                            .Int("submitted")
+                                            .Int("approved")
+                                            .Int("rejected")
+                                            .Int("earned_cents")
+                                            .Build()));
   ITAG_RETURN_IF_ERROR(db_->AddUniqueIndex(tables::kTaggers, "id"));
 
   // Reload any persisted rows (recovery path).
   providers_.clear();
-  provider_rows_.clear();
   db_->GetTable(tables::kProviders)
-      ->Scan([&](storage::RowId rid, const Row& row) {
+      ->Scan([&](storage::RowId, const Row& row) {
         ProviderProfile p;
         p.id = static_cast<ProviderId>(row[0].as_int());
         p.name = row[1].as_string();
         p.approvals_given = static_cast<uint32_t>(row[2].as_int());
         p.rejections_given = static_cast<uint32_t>(row[3].as_int());
-        if (p.id >= providers_.size()) {
-          providers_.resize(p.id + 1);
-          provider_rows_.resize(p.id + 1, 0);
-        }
+        if (p.id >= providers_.size()) providers_.resize(p.id + 1);
         providers_[p.id] = p;
-        provider_rows_[p.id] = rid;
         return true;
       });
   taggers_.clear();
-  tagger_rows_.clear();
   db_->GetTable(tables::kTaggers)
-      ->Scan([&](storage::RowId rid, const Row& row) {
+      ->Scan([&](storage::RowId, const Row& row) {
         TaggerProfile t;
         t.id = static_cast<UserTaggerId>(row[0].as_int());
         t.name = row[1].as_string();
@@ -63,12 +53,8 @@ Status UserManager::Attach() {
         t.approved = static_cast<uint32_t>(row[3].as_int());
         t.rejected = static_cast<uint32_t>(row[4].as_int());
         t.earned_cents = static_cast<uint64_t>(row[5].as_int());
-        if (t.id >= taggers_.size()) {
-          taggers_.resize(t.id + 1);
-          tagger_rows_.resize(t.id + 1, 0);
-        }
+        if (t.id >= taggers_.size()) taggers_.resize(t.id + 1);
         taggers_[t.id] = t;
-        tagger_rows_[t.id] = rid;
         return true;
       });
   return Status::OK();
@@ -77,7 +63,7 @@ Status UserManager::Attach() {
 Status UserManager::PersistProvider(const ProviderProfile& p) {
   Row row = {Value::Int(static_cast<int64_t>(p.id)), Value::Str(p.name),
              Value::Int(p.approvals_given), Value::Int(p.rejections_given)};
-  return db_->Update(tables::kProviders, provider_rows_[p.id], row);
+  return db_->Upsert(tables::kProviders, row).status();
 }
 
 Status UserManager::PersistTagger(const TaggerProfile& t) {
@@ -87,18 +73,15 @@ Status UserManager::PersistTagger(const TaggerProfile& t) {
              Value::Int(t.approved),
              Value::Int(t.rejected),
              Value::Int(static_cast<int64_t>(t.earned_cents))};
-  return db_->Update(tables::kTaggers, tagger_rows_[t.id], row);
+  return db_->Upsert(tables::kTaggers, row).status();
 }
 
 Result<ProviderId> UserManager::RegisterProvider(const std::string& name) {
   ProviderProfile p;
   p.id = providers_.size();
   p.name = name;
-  Row row = {Value::Int(static_cast<int64_t>(p.id)), Value::Str(name),
-             Value::Int(0), Value::Int(0)};
-  ITAG_ASSIGN_OR_RETURN(storage::RowId rid, db_->Insert(tables::kProviders, row));
+  ITAG_RETURN_IF_ERROR(PersistProvider(p));
   providers_.push_back(p);
-  provider_rows_.push_back(rid);
   return p.id;
 }
 
@@ -106,15 +89,8 @@ Result<UserTaggerId> UserManager::RegisterTagger(const std::string& name) {
   TaggerProfile t;
   t.id = taggers_.size();
   t.name = name;
-  Row row = {Value::Int(static_cast<int64_t>(t.id)),
-             Value::Str(name),
-             Value::Int(0),
-             Value::Int(0),
-             Value::Int(0),
-             Value::Int(0)};
-  ITAG_ASSIGN_OR_RETURN(storage::RowId rid, db_->Insert(tables::kTaggers, row));
+  ITAG_RETURN_IF_ERROR(PersistTagger(t));
   taggers_.push_back(t);
-  tagger_rows_.push_back(rid);
   return t.id;
 }
 

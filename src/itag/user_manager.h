@@ -86,14 +86,14 @@ class UserManager {
   size_t tagger_count() const { return taggers_.size(); }
 
  private:
+  /// Writes one profile as the row of its id (inserted on registration,
+  /// updated in place afterwards).
   Status PersistProvider(const ProviderProfile& p);
   Status PersistTagger(const TaggerProfile& t);
 
   storage::Database* db_;
   std::vector<ProviderProfile> providers_;  // index = id
   std::vector<TaggerProfile> taggers_;      // index = id
-  std::vector<storage::RowId> provider_rows_;
-  std::vector<storage::RowId> tagger_rows_;
 };
 
 }  // namespace itag::core

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string_view>
 #include <utility>
 
@@ -124,7 +125,6 @@ Status Database::RecoverPaged() {
   eopts.path = options_.directory + "/" + kPageFile;
   eopts.page_size = options_.page_size;
   eopts.cache_bytes = options_.page_cache_mb << 20;
-  eopts.compression = options_.page_compression;
   Status opened = engine_->Open(eopts);
   if (!opened.ok()) {
     engine_.reset();
@@ -444,6 +444,10 @@ Status Database::CreateTable(const std::string& name, const Schema& schema) {
   return MakeTable(name, schema);
 }
 
+Status Database::EnsureTable(const std::string& name, const Schema& schema) {
+  return tables_.count(name) ? Status::OK() : CreateTable(name, schema);
+}
+
 Status Database::DropTable(const std::string& name) {
   if (!tables_.count(name)) return Status::NotFound("table " + name);
   ITAG_RETURN_IF_ERROR(LogOp(WalOp::kDropTable, name, 0, ""));
@@ -496,6 +500,27 @@ Status Database::Update(const std::string& table, RowId id, const Row& row) {
   if (t == nullptr) return Status::NotFound("table " + table);
   ITAG_RETURN_IF_ERROR(t->Update(id, row));
   return LogRow(WalOp::kUpdate, *t, id, row);
+}
+
+Result<RowId> Database::Upsert(const std::string& table, const Row& row) {
+  Table* t = GetTable(table);
+  if (t == nullptr) return Status::NotFound("table " + table);
+  const int key_col = t->unique_column();
+  if (key_col < 0) {
+    return Status::FailedPrecondition("table " + table +
+                                      " has no unique index");
+  }
+  // Table::Insert and Table::Update validate the row; only its arity has
+  // to hold before the key column is read.
+  if (row.size() != t->schema().num_columns()) return t->schema().Validate(row);
+  if (std::optional<RowId> id = t->FindUnique(row[key_col])) {
+    ITAG_RETURN_IF_ERROR(t->Update(*id, row));
+    ITAG_RETURN_IF_ERROR(LogRow(WalOp::kUpdate, *t, *id, row));
+    return *id;
+  }
+  ITAG_ASSIGN_OR_RETURN(RowId id, t->Insert(row));
+  ITAG_RETURN_IF_ERROR(LogRow(WalOp::kInsert, *t, id, row));
+  return id;
 }
 
 Status Database::Delete(const std::string& table, RowId id) {

@@ -40,9 +40,6 @@ struct DatabaseOptions {
   /// recorded size wins.
   size_t page_size = 4096;
 
-  /// Compress page payloads (pagez) on write (paged mode).
-  bool page_compression = false;
-
   /// Keep the WAL across checkpoints instead of truncating it. Replication
   /// primaries need this: a follower resumes by asking for "everything after
   /// LSN N", which only works while the log still holds those frames.
@@ -85,6 +82,11 @@ class Database {
   /// Creates a table; fails with AlreadyExists on name collision.
   Status CreateTable(const std::string& name, const Schema& schema);
 
+  /// Creates the table unless one of that name exists, which keeps its
+  /// schema: the open-time call of every manager, on a fresh or a
+  /// recovered database alike.
+  Status EnsureTable(const std::string& name, const Schema& schema);
+
   /// Drops a table and its rows.
   Status DropTable(const std::string& name);
 
@@ -102,6 +104,12 @@ class Database {
   Result<RowId> Insert(const std::string& table, const Row& row);
   Status Update(const std::string& table, RowId id, const Row& row);
   Status Delete(const std::string& table, RowId id);
+
+  /// Writes `row` as the row of its unique-key value: updates the row that
+  /// holds the key in place, or inserts a new row when none does, and
+  /// returns the row id. Logged exactly like that Update or Insert.
+  /// FailedPrecondition when the table has no unique index.
+  Result<RowId> Upsert(const std::string& table, const Row& row);
 
   /// Opens an atomic WAL batch: until the matching CommitBatch, logged
   /// mutations are applied to the in-memory tables immediately but buffered

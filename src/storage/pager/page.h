@@ -44,9 +44,9 @@ enum class PageType : uint8_t {
 /// Stable display name for diagnostics ("leaf", "overflow", ...).
 const char* PageTypeName(PageType t);
 
-/// bit0 of PageHeader::flags: the stored payload bytes are compressed
-/// (PagezCompress) and payload_len is the size after decompression.
-inline constexpr uint8_t kPageFlagCompressed = 0x1;
+/// bit0 of PageHeader::flags is reserved: no writer sets it, and a slot
+/// that carries it reads as Corruption.
+inline constexpr uint8_t kPageFlagReserved = 0x1;
 
 /// Fixed 32-byte header at the start of every page slot. CRC-32 (the same
 /// common/crc32.h polynomial framing the WAL) covers the header with the
@@ -54,14 +54,15 @@ inline constexpr uint8_t kPageFlagCompressed = 0x1;
 /// a torn write, a bit flip, or a write that landed in the wrong slot
 /// (`page_id` is part of the covered bytes) all surface as typed
 /// Corruption on read. Only `32 + stored_len` bytes of a slot are ever
-/// written — with compression on, that is the physical-write saving.
+/// written.
 struct PageHeader {
   uint32_t crc = 0;
   PageId page_id = kNullPage;    ///< self id; catches misdirected IO
   PageType type = PageType::kFree;
   uint8_t flags = 0;
-  uint16_t payload_len = 0;      ///< logical (decompressed) payload bytes
-  uint16_t stored_len = 0;       ///< payload bytes physically in the slot
+  uint16_t payload_len = 0;      ///< payload bytes
+  uint16_t stored_len = 0;       ///< payload bytes in the slot; equal to
+                                 ///< payload_len in every written slot
   uint8_t reserved[2] = {0, 0};
   uint64_t lsn = 0;              ///< WAL frame lsn of the last mutation
   PageId next = kNullPage;       ///< chain link (catalog, overflow)
@@ -71,9 +72,9 @@ inline constexpr size_t kPageHeaderSize = 32;
 static_assert(sizeof(PageHeader) == kPageHeaderSize,
               "page header layout is part of the file format");
 
-/// Decoded in-memory image of one page: header plus the *uncompressed*
-/// payload bytes. The pager's ReadPage/WritePage translate between this and
-/// the on-disk slot (CRC check/stamp, compression).
+/// Decoded in-memory image of one page: header plus payload bytes. The
+/// pager's ReadPage/WritePage translate between this and the on-disk slot
+/// (CRC check/stamp).
 struct PageImage {
   PageHeader header;
   std::vector<uint8_t> payload;  ///< capacity page_size - kPageHeaderSize

@@ -9,7 +9,6 @@ Status PagedEngine::Open(const PagedEngineOptions& options) {
   PagerOptions popts;
   popts.path = options.path;
   popts.page_size = options.page_size;
-  popts.compression = options.compression;
   ITAG_RETURN_IF_ERROR(pager_.Open(popts));
   cache_ = std::make_unique<PageCache>(&pager_, options.cache_bytes);
   Status s = LoadCatalog();

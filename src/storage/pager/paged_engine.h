@@ -19,7 +19,6 @@ struct PagedEngineOptions {
   std::string path;                   ///< page file
   size_t page_size = kDefaultPageSize;
   size_t cache_bytes = 64ull << 20;   ///< PageCache budget
-  bool compression = false;           ///< pagez page payloads
 };
 
 /// One table's durable state inside the page file. `tree` is live; the

@@ -9,7 +9,6 @@
 #include "common/binio.h"
 #include "common/crc32.h"
 #include "obs/metrics.h"
-#include "storage/pager/pagez.h"
 
 namespace itag::storage::pager {
 
@@ -279,10 +278,9 @@ Status Pager::ReadPage(PageId id, PageImage* out) {
   ITAG_RETURN_IF_ERROR(ReadRaw(id, &buf));
   PageHeader h;
   GetHeader(buf.data(), &h);
-  if (h.stored_len > page_size_ - kPageHeaderSize ||
-      h.payload_len > page_size_ - kPageHeaderSize) {
+  if (h.stored_len > page_size_ - kPageHeaderSize) {
     return Status::Corruption("page " + std::to_string(id) +
-                              " header lengths out of range");
+                              " stored length out of range");
   }
   PageHeader zeroed = h;
   zeroed.crc = 0;
@@ -299,19 +297,16 @@ Status Pager::ReadPage(PageId id, PageImage* out) {
                               " carries id " + std::to_string(h.page_id) +
                               " (misdirected write)");
   }
-  out->header = h;
-  if (h.flags & kPageFlagCompressed) {
-    if (!PagezDecompress(buf.data() + kPageHeaderSize, h.stored_len,
-                         h.payload_len, &out->payload)) {
-      return Status::Corruption("page " + std::to_string(id) +
-                                " compressed payload malformed");
-    }
-  } else {
-    out->payload.assign(buf.begin() + kPageHeaderSize,
-                        buf.begin() + kPageHeaderSize + h.stored_len);
+  // WritePage stores every payload as it is and never sets the reserved
+  // flag, so a checksummed slot with either oddity is not one it wrote.
+  if ((h.flags & kPageFlagReserved) || h.stored_len != h.payload_len) {
+    return Status::Corruption("page " + std::to_string(id) +
+                              " has the reserved flag or a stored length "
+                              "unequal to its payload length");
   }
-  out->header.flags &= static_cast<uint8_t>(~kPageFlagCompressed);
-  out->header.stored_len = out->header.payload_len;
+  out->header = h;
+  out->payload.assign(buf.begin() + kPageHeaderSize,
+                      buf.begin() + kPageHeaderSize + h.stored_len);
   ++stats_.page_reads;
   PageIoMetrics::Get().reads->Inc();
   return Status::OK();
@@ -325,26 +320,16 @@ Status Pager::WritePage(PageImage* img) {
                                    " exceeds capacity");
   }
   h.payload_len = static_cast<uint16_t>(img->payload.size());
-  h.flags &= static_cast<uint8_t>(~kPageFlagCompressed);
+  h.stored_len = h.payload_len;
+  h.flags &= static_cast<uint8_t>(~kPageFlagReserved);
 
-  const uint8_t* stored = img->payload.data();
-  size_t stored_len = img->payload.size();
-  std::vector<uint8_t> packed;
-#ifndef ITAG_PAGER_NO_COMPRESSION
-  if (options_.compression && h.type != PageType::kMeta &&
-      PagezCompress(img->payload.data(), img->payload.size(), &packed)) {
-    stored = packed.data();
-    stored_len = packed.size();
-    h.flags |= kPageFlagCompressed;
-    ++stats_.compressed_writes;
-  }
-#endif
-  h.stored_len = static_cast<uint16_t>(stored_len);
-
-  std::vector<uint8_t> buf(kPageHeaderSize + stored_len);
+  std::vector<uint8_t> buf(kPageHeaderSize + img->payload.size());
   h.crc = 0;
   PutHeader(h, buf.data());
-  if (stored_len > 0) std::memcpy(buf.data() + kPageHeaderSize, stored, stored_len);
+  if (!img->payload.empty()) {
+    std::memcpy(buf.data() + kPageHeaderSize, img->payload.data(),
+                img->payload.size());
+  }
   h.crc = Crc32(buf.data(), buf.size());
   PutHeader(h, buf.data());
   ITAG_RETURN_IF_ERROR(WriteRaw(h.page_id, buf.data(), buf.size()));

@@ -18,10 +18,6 @@ struct PagerOptions {
   /// Page size used when the file is created; an existing file's recorded
   /// size wins and a mismatch is an InvalidArgument.
   size_t page_size = kDefaultPageSize;
-  /// Compress page payloads on write (pagez). Readable either way — the
-  /// per-page flag records how each slot was stored, so the setting can
-  /// change between opens and only affects new writes.
-  bool compression = false;
 };
 
 /// Local physical-IO counters (the process-wide storage.page.* metrics
@@ -29,8 +25,7 @@ struct PagerOptions {
 struct PagerStats {
   uint64_t page_reads = 0;
   uint64_t page_writes = 0;
-  uint64_t bytes_written = 0;      ///< physical bytes (post-compression)
-  uint64_t compressed_writes = 0;  ///< writes that stored a compressed payload
+  uint64_t bytes_written = 0;  ///< header + payload bytes written
 };
 
 /// The paged file underneath the storage engine: fixed-size CRC'd slots, a
@@ -75,12 +70,13 @@ class Pager {
   size_t free_pending() const { return free_pending_.size(); }
   const PagerStats& stats() const { return stats_; }
 
-  /// Reads slot `id`: CRC-verified, decompressed. Corruption on checksum or
-  /// self-id mismatch (torn page / misdirected write).
+  /// Reads slot `id`, CRC-verified. Corruption on checksum or self-id
+  /// mismatch (torn page / misdirected write), and on a slot carrying the
+  /// reserved flag or a stored length unequal to its payload length.
   Status ReadPage(PageId id, PageImage* out);
 
-  /// Writes `img` to slot `img.header.page_id`: stamps stored_len/flags/crc,
-  /// compresses when enabled and profitable, writes header + stored bytes.
+  /// Writes `img` to slot `img.header.page_id`: stamps the lengths, clears
+  /// the reserved flag, stamps the crc, writes header + payload bytes.
   Status WritePage(PageImage* img);
 
   /// Hands out a page that is free *as of the last commit* (or grows the

@@ -141,10 +141,14 @@ Result<RowId> Table::LookupUnique(const std::string& column,
   if (idx < 0 || idx != unique_col_) {
     return Status::NotFound("no unique index on '" + column + "'");
   }
+  std::optional<RowId> id = FindUnique(key);
+  if (!id) return Status::NotFound("key " + key.ToString() + " in " + name_);
+  return *id;
+}
+
+std::optional<RowId> Table::FindUnique(const Value& key) const {
   auto it = unique_index_.find(key);
-  if (it == unique_index_.end()) {
-    return Status::NotFound("key " + key.ToString() + " in " + name_);
-  }
+  if (it == unique_index_.end()) return std::nullopt;
   return it->second;
 }
 

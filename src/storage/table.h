@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -87,6 +88,10 @@ class Table {
   /// Looks up by unique index; NotFound if no such key or index.
   Result<RowId> LookupUnique(const std::string& column,
                              const Value& key) const;
+
+  /// The row holding unique-key value `key`, or nullopt when no row does or
+  /// the table has no unique index. Builds no status, so a miss is cheap.
+  std::optional<RowId> FindUnique(const Value& key) const;
 
   /// Collects ids of rows whose `column` equals `key`, via the ordered index
   /// if one exists, else a full scan.

@@ -8,6 +8,8 @@
 //    never-replicated replay of the same prefix;
 //  - promotion flips writability (writes succeed after, and applying the
 //    same post-promote write to replica and oracle keeps them byte-equal);
+//  - a promoted replica that served a tagging cycle restarts on its own
+//    directory to the state it served;
 //  - a second Promote is the typed refusal, not a double-flip.
 //
 // The kill here is in-process (destroy the primary's server + streamer);
@@ -231,6 +233,71 @@ TEST_F(ReplFailoverTest, CaughtUpReplicaMatchesRestartedPrimaryAfterKill) {
   ASSERT_TRUE(oracle.Init().ok());
   ExpectSameState(oracle, replica.service, "after promote");
   ExpectPromotedAndWritable(oracle, replica.service);
+}
+
+/// One accept/submit/approve cycle on the script's open project, by its
+/// first tagger and its provider (id 0 each). Between them the three calls
+/// write the project, provider, tagger, ledger and sys rows.
+void RunTaggingCycle(api::Service& service) {
+  std::vector<core::ProjectInfo> open = service.sharded()->ListOpenProjects();
+  ASSERT_EQ(open.size(), 1u);
+  api::BatchAcceptTasksResponse accepted =
+      service.BatchAcceptTasks({0, open[0].id, 1});
+  ASSERT_TRUE(accepted.status.ok()) << accepted.status.ToString();
+  ASSERT_EQ(accepted.tasks.size(), 1u);
+  const core::TaskHandle handle = accepted.tasks[0].handle;
+  api::BatchSubmitTagsRequest submit;
+  submit.items.push_back({0, handle, {"after", "promote"}});
+  ASSERT_TRUE(service.BatchSubmitTags(submit).outcome.all_ok());
+  api::BatchDecideRequest decide;
+  decide.provider = 0;
+  decide.items.push_back({handle, true});
+  ASSERT_TRUE(service.BatchDecide(decide).outcome.all_ok());
+}
+
+// Promote re-derives the replica's state from the replicated tables, and
+// its first keyed writes must land on the rows it replicated. A restart on
+// its directory then reads back the state it served.
+TEST_F(ReplFailoverTest, PromotedReplicaRestartsToTheStateItServed) {
+  std::vector<api::AnyRequest> script = nettest::FullCoverageScript(kShards);
+
+  auto primary = std::make_unique<PrimaryHarness>(Dir("primary"));
+  auto replica = std::make_unique<ReplicaHarness>(Dir("replica"),
+                                                  primary->server->port());
+  for (const api::AnyRequest& req : script) primary->service.Dispatch(req);
+  ASSERT_TRUE(WaitCaughtUp(*replica->follower, *primary->service.sharded()));
+  primary.reset();
+  api::PromoteResponse resp = replica->service.Promote({});
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+
+  api::Service oracle(WritableOpts(Dir("primary")));
+  ASSERT_TRUE(oracle.Init().ok());
+  RunTaggingCycle(oracle);
+  RunTaggingCycle(replica->service);
+  ExpectSameState(oracle, replica->service, "after the cycle");
+
+  replica.reset();
+  api::Service reopened(WritableOpts(Dir("replica")));
+  ASSERT_TRUE(reopened.Init().ok());
+  ExpectSameState(oracle, reopened, "after restarting the promoted replica");
+  core::ShardedSystem& want = *oracle.sharded();
+  core::ShardedSystem& got = *reopened.sharded();
+  Result<core::ProviderProfile> want_provider = want.GetProvider(0);
+  Result<core::ProviderProfile> got_provider = got.GetProvider(0);
+  ASSERT_TRUE(want_provider.ok() && got_provider.ok());
+  EXPECT_EQ(got_provider.value().approvals_given,
+            want_provider.value().approvals_given);
+  EXPECT_EQ(got_provider.value().rejections_given,
+            want_provider.value().rejections_given);
+  Result<core::TaggerProfile> want_tagger = want.GetTagger(0);
+  Result<core::TaggerProfile> got_tagger = got.GetTagger(0);
+  ASSERT_TRUE(want_tagger.ok() && got_tagger.ok());
+  EXPECT_EQ(got_tagger.value().submitted, want_tagger.value().submitted);
+  EXPECT_EQ(got_tagger.value().approved, want_tagger.value().approved);
+  EXPECT_EQ(got_tagger.value().rejected, want_tagger.value().rejected);
+  EXPECT_EQ(got_tagger.value().earned_cents,
+            want_tagger.value().earned_cents);
+  EXPECT_EQ(got.TotalPaidCents(), want.TotalPaidCents());
 }
 
 TEST_F(ReplFailoverTest, MidStreamPromoteMatchesTruncatedWalOracle) {

@@ -434,6 +434,58 @@ TEST_F(DatabaseTest, InsertThenUpdatesLogOneSubRecordWithTheLastImage) {
   EXPECT_EQ(subs[0].payload, EncodeRow(Kv(1, "v5")));
 }
 
+// Upsert writes a row as the row of its unique-key value and logs what an
+// Insert or Update of that row would have logged, so inside a batch it
+// folds like an Update.
+TEST_F(DatabaseTest, UpsertInsertsNewKeysAndUpdatesKnownOnesInPlace) {
+  const obs::Counter* coalesced =
+      obs::MetricsRegistry::Default().GetCounter("storage.wal.coalesced_rows");
+  RowId first = 0;
+  {
+    Database db;
+    ASSERT_TRUE(db.Open(Opts()).ok());
+    ASSERT_TRUE(db.CreateTable("kv", KvSchema()).ok());
+    ASSERT_TRUE(db.AddUniqueIndex("kv", "k").ok());
+    ASSERT_TRUE(db.CreateTable("plain", KvSchema()).ok());
+    first = db.Upsert("kv", Kv(1, "a")).value();
+    EXPECT_EQ(db.Upsert("kv", Kv(1, "b")).value(), first);
+    EXPECT_EQ(db.GetTable("kv")->row_count(), 1u);
+    EXPECT_EQ(db.GetTable("kv")->Get(first).value(), Kv(1, "b"));
+
+    // Refused before anything is applied or logged.
+    const uint64_t lsn = db.last_lsn();
+    EXPECT_TRUE(
+        db.Upsert("plain", Kv(1, "a")).status().IsFailedPrecondition());
+    EXPECT_TRUE(db.Upsert("nope", Kv(1, "a")).status().IsNotFound());
+    EXPECT_TRUE(
+        db.Upsert("kv", {Value::Int(1)}).status().IsInvalidArgument());
+    EXPECT_EQ(db.last_lsn(), lsn);
+    EXPECT_EQ(db.GetTable("plain")->row_count(), 0u);
+
+    const uint64_t before = coalesced->value();
+    BatchScope batch(&db);
+    RowId id = db.Insert("kv", Kv(2, "x")).value();
+    EXPECT_EQ(db.Upsert("kv", Kv(2, "y")).value(), id);
+    EXPECT_EQ(db.Upsert("kv", Kv(2, "z")).value(), id);
+    ASSERT_TRUE(batch.Commit().ok());
+    EXPECT_EQ(coalesced->value() - before, 2u);
+  }
+  // Frames: two creates, the upsert's insert, its update, then the batch.
+  std::vector<WalRecord> subs = BatchSubRecords(dir_ + "/wal.log", 4);
+  ASSERT_EQ(subs.size(), 1u);
+  EXPECT_EQ(subs[0].op, WalOp::kInsert);
+  EXPECT_EQ(subs[0].payload, EncodeRow(Kv(2, "z")));
+
+  // Index declarations are not logged; a reopen re-runs them, as every
+  // manager's Attach does.
+  Database db;
+  ASSERT_TRUE(db.Open(Opts()).ok());
+  ASSERT_TRUE(db.AddUniqueIndex("kv", "k").ok());
+  EXPECT_EQ(db.Upsert("kv", Kv(1, "c")).value(), first);
+  EXPECT_EQ(db.GetTable("kv")->row_count(), 2u);
+  EXPECT_EQ(db.GetTable("kv")->Get(first).value(), Kv(1, "c"));
+}
+
 TEST_F(DatabaseTest, DdlEndsFoldingForTheWholeBatch) {
   {
     Database db;

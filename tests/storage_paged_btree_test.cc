@@ -35,7 +35,6 @@ class PagedBTreeTest : public ::testing::Test {
     PagerOptions opts;
     opts.path = dir_ + "/pages.db";
     opts.page_size = 512;
-    opts.compression = true;  // codec in the loop for every node round-trip
     ASSERT_TRUE(pager_.Open(opts).ok());
     cache_ = std::make_unique<PageCache>(&pager_, 8 * 512);
     tree_ = std::make_unique<PagedBTree>(&pager_, cache_.get(), kNullPage);

@@ -354,7 +354,6 @@ TEST_F(PagedDatabaseTest, TornPageFileSurfacesAsTypedCorruption) {
 
 TEST_F(PagedDatabaseTest, LargeValuesAndTinyCacheStillRoundTrip) {
   DatabaseOptions opts = PagedOpts();
-  opts.page_compression = true;
   std::string big(3000, 'q');  // overflow chains several pages long
   {
     Database db;

@@ -3,14 +3,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "storage/pager/page_cache.h"
-#include "storage/pager/pagez.h"
 
 namespace itag::storage::pager {
 namespace {
@@ -39,66 +41,6 @@ class PagerTest : public ::testing::Test {
   std::string dir_;
   std::string path_;
 };
-
-// --------------------------------------------------------------------------
-// pagez codec
-
-TEST(PagezTest, RoundTripsCompressibleData) {
-  std::vector<uint8_t> src;
-  for (int i = 0; i < 500; ++i) {
-    src.push_back(static_cast<uint8_t>("abcabcab"[i % 8]));
-  }
-  std::vector<uint8_t> packed;
-  ASSERT_TRUE(PagezCompress(src.data(), src.size(), &packed));
-  ASSERT_LT(packed.size(), src.size());
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(PagezDecompress(packed.data(), packed.size(), src.size(), &out));
-  EXPECT_EQ(out, src);
-}
-
-TEST(PagezTest, StoresRandomDataRaw) {
-  std::mt19937 rng(7);
-  std::vector<uint8_t> src(2048);
-  for (uint8_t& b : src) b = static_cast<uint8_t>(rng());
-  std::vector<uint8_t> packed;
-  // Incompressible input must be rejected (caller stores it raw).
-  EXPECT_FALSE(PagezCompress(src.data(), src.size(), &packed));
-}
-
-TEST(PagezTest, RoundTripsManyRandomMixtures) {
-  std::mt19937 rng(11);
-  for (int round = 0; round < 50; ++round) {
-    // Mix of runs and noise so some inputs compress and some do not.
-    std::vector<uint8_t> src;
-    size_t n = 1 + rng() % 3000;
-    while (src.size() < n) {
-      if (rng() % 2 == 0) {
-        uint8_t b = static_cast<uint8_t>(rng());
-        size_t run = 1 + rng() % 40;
-        for (size_t i = 0; i < run && src.size() < n; ++i) src.push_back(b);
-      } else {
-        src.push_back(static_cast<uint8_t>(rng()));
-      }
-    }
-    std::vector<uint8_t> packed;
-    if (!PagezCompress(src.data(), src.size(), &packed)) continue;
-    std::vector<uint8_t> out;
-    ASSERT_TRUE(
-        PagezDecompress(packed.data(), packed.size(), src.size(), &out));
-    ASSERT_EQ(out, src) << "round " << round;
-  }
-}
-
-TEST(PagezTest, DecompressRejectsTruncatedStream) {
-  std::vector<uint8_t> src(600, 'x');
-  std::vector<uint8_t> packed;
-  ASSERT_TRUE(PagezCompress(src.data(), src.size(), &packed));
-  std::vector<uint8_t> out;
-  EXPECT_FALSE(
-      PagezDecompress(packed.data(), packed.size() - 1, src.size(), &out));
-  EXPECT_FALSE(
-      PagezDecompress(packed.data(), packed.size(), src.size() + 1, &out));
-}
 
 // --------------------------------------------------------------------------
 // Pager: format, read/write, reopen
@@ -185,6 +127,56 @@ TEST_F(PagerTest, TornPageReadsAsTypedCorruption) {
   EXPECT_NE(s.ToString().find("checksum"), std::string::npos);
 }
 
+// The writer never sets flag bit 0 and always stores a payload as it is, so
+// a slot with a valid checksum that carries the flag, or a stored length
+// unequal to its payload length, is corrupt, not a page to decode.
+TEST_F(PagerTest, FlaggedOrLengthMismatchedSlotReadsAsTypedCorruption) {
+  PageId id;
+  {
+    Pager pager;
+    ASSERT_TRUE(pager.Open(Opts()).ok());
+    Result<PageId> alloc = pager.Allocate();
+    ASSERT_TRUE(alloc.ok());
+    id = alloc.value();
+    PageImage img;
+    img.header.page_id = id;
+    img.header.type = PageType::kLeaf;
+    img.payload = std::vector<uint8_t>(100, 0xAB);
+    ASSERT_TRUE(pager.WritePage(&img).ok());
+    ASSERT_TRUE(pager.Commit(kNullPage, 1).ok());
+  }
+  const std::streamoff slot_at = static_cast<std::streamoff>(id) * 512;
+  std::vector<char> written(512);
+  {
+    std::ifstream f(path_, std::ios::binary);
+    f.seekg(slot_at);
+    f.read(written.data(), 512);
+  }
+  // Header byte 9 is the flags byte; bytes 10-11 hold payload_len (LE).
+  const std::vector<std::pair<size_t, char>> edits = {{9, 0x01}, {10, 99}};
+  for (const auto& [offset, value] : edits) {
+    SCOPED_TRACE("header byte " + std::to_string(offset));
+    std::vector<char> slot = written;
+    slot[offset] = value;
+    // Restamp the checksum over the header (crc zeroed) and the 100 stored
+    // bytes, so only the edited field is wrong.
+    std::fill(slot.begin(), slot.begin() + 4, 0);
+    const uint32_t crc = Crc32(slot.data(), kPageHeaderSize + 100);
+    for (int i = 0; i < 4; ++i) slot[i] = static_cast<char>(crc >> (8 * i));
+    {
+      std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(slot_at);
+      f.write(slot.data(), 512);
+    }
+    Pager pager;
+    ASSERT_TRUE(pager.Open(Opts()).ok());
+    PageImage img;
+    Status s = pager.ReadPage(id, &img);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find("reserved flag"), std::string::npos);
+  }
+}
+
 TEST_F(PagerTest, MisdirectedWriteDetectedBySelfId) {
   PageId a, b;
   {
@@ -220,32 +212,6 @@ TEST_F(PagerTest, MisdirectedWriteDetectedBySelfId) {
   Status s = pager.ReadPage(b, &img);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_NE(s.ToString().find("misdirected"), std::string::npos);
-}
-
-TEST_F(PagerTest, CompressedPagesRoundTrip) {
-  PagerOptions opts = Opts();
-  opts.compression = true;
-  PageId id;
-  {
-    Pager pager;
-    ASSERT_TRUE(pager.Open(opts).ok());
-    Result<PageId> alloc = pager.Allocate();
-    ASSERT_TRUE(alloc.ok());
-    id = alloc.value();
-    PageImage img;
-    img.header.page_id = id;
-    img.header.type = PageType::kLeaf;
-    img.payload = std::vector<uint8_t>(400, 'z');  // highly compressible
-    ASSERT_TRUE(pager.WritePage(&img).ok());
-    EXPECT_EQ(pager.stats().compressed_writes, 1u);
-    ASSERT_TRUE(pager.Commit(kNullPage, 1).ok());
-  }
-  // Reopen WITHOUT compression: the per-page flag still decodes the slot.
-  Pager pager;
-  ASSERT_TRUE(pager.Open(Opts()).ok());
-  PageImage img;
-  ASSERT_TRUE(pager.ReadPage(id, &img).ok());
-  EXPECT_EQ(img.payload, std::vector<uint8_t>(400, 'z'));
 }
 
 // --------------------------------------------------------------------------
