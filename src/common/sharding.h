@@ -8,23 +8,6 @@
 
 namespace itag {
 
-/// splitmix64 finalizer: a cheap, well-mixed 64→64 bit hash. Used to spread
-/// arbitrary keys (names, external ids) across shards without clustering.
-inline uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Shard index for an arbitrary (possibly clustered) key. ShardedSystem
-/// itself routes by the id codec below (ids already carry their shard);
-/// this is for callers partitioning by *external* keys — e.g. a frontend
-/// spreading session or account keys over service replicas.
-inline size_t HashShard(uint64_t key, size_t num_shards) {
-  return static_cast<size_t>(Mix64(key) % num_shards);
-}
-
 // ---------------------------------------------------------------------------
 // Sharded id codec.
 //

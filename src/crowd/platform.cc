@@ -26,7 +26,7 @@ Status SimPlatformBase::CancelTask(TaskId id) {
         std::string("task is ") + TaskStateName(it->second.state));
   }
   open_.erase({-static_cast<int64_t>(it->second.spec.pay_cents), id});
-  it->second.state = TaskState::kCancelled;
+  tasks_.erase(it);
   return Status::OK();
 }
 
@@ -38,12 +38,12 @@ Status SimPlatformBase::Approve(TaskId id) {
     return Status::FailedPrecondition(
         std::string("task is ") + TaskStateName(rec.state));
   }
-  rec.state = TaskState::kApproved;
   --pending_;
   if (rec.worker < stats_.size()) ++stats_[rec.worker].approved;
   if (ledger_ != nullptr) {
     ledger_->Pay(rec.spec.project, rec.worker, rec.spec.pay_cents);
   }
+  tasks_.erase(it);
   return Status::OK();
 }
 
@@ -55,9 +55,9 @@ Status SimPlatformBase::Reject(TaskId id) {
     return Status::FailedPrecondition(
         std::string("task is ") + TaskStateName(rec.state));
   }
-  rec.state = TaskState::kRejected;
   --pending_;
   if (rec.worker < stats_.size()) ++stats_[rec.worker].rejected;
+  tasks_.erase(it);
   return Status::OK();
 }
 
@@ -143,7 +143,8 @@ bool SimPlatformBase::RestoreState(const std::string& blob) {
       return false;
     }
     rec.state = static_cast<TaskState>(state);
-    tasks.emplace(id, rec);
+    // Blobs written before settled tasks were erased still list them.
+    if (rec.state <= TaskState::kSubmitted) tasks.emplace(id, rec);
   }
   uint32_t n_stats;
   if (!r.U32(&n_stats) || n_stats != stats_.size()) return false;
@@ -179,7 +180,7 @@ void SimPlatformBase::RebuildWorkerState() {
       case TaskState::kSubmitted:
         ++pending_;
         break;
-      case TaskState::kApproved:
+      case TaskState::kApproved:  // settled tasks are erased
       case TaskState::kRejected:
       case TaskState::kCancelled:
         break;

@@ -27,19 +27,24 @@ class CrowdPlatform {
   virtual Result<TaskId> PostTask(const TaskSpec& spec) = 0;
 
   /// Withdraws an Open task (Accepted and later states cannot be recalled).
+  /// A cancelled task is settled: the platform forgets it, so a second
+  /// cancel answers NotFound.
   virtual Status CancelTask(TaskId id) = 0;
 
   /// Advances the marketplace to `now`, returning every accept/submit event
   /// that occurred, in time order. Idempotent for now <= previous now.
   virtual std::vector<TaskEvent> AdvanceTo(Tick now) = 0;
 
-  /// Requester decision on a Submitted task. Updates worker approval stats;
-  /// approval also releases payment (recorded by the platform's ledger
-  /// integration, if any).
+  /// Requester decision on a Submitted task (FailedPrecondition for a task
+  /// still Open or Accepted). Updates worker approval stats; approval also
+  /// releases payment (recorded by the platform's ledger integration, if
+  /// any). The decision settles the task and the platform forgets it, so a
+  /// second decision answers NotFound.
   virtual Status Approve(TaskId id) = 0;
   virtual Status Reject(TaskId id) = 0;
 
-  /// State inspection (monitoring, tests).
+  /// State of a live task: Open, Accepted or Submitted. NotFound for an
+  /// unknown task and for a settled (approved, rejected or cancelled) one.
   virtual Result<TaskState> GetTaskState(TaskId id) const = 0;
   virtual Result<WorkerStats> GetWorkerStats(WorkerId id) const = 0;
 

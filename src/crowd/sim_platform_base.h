@@ -36,17 +36,21 @@ class SimPlatformBase : public CrowdPlatform {
     return workers_;
   }
 
-  /// Serializes the simulator's complete mutable state (task records,
-  /// worker statistics, clock, id counter, plus whatever the subclass adds
-  /// via EncodeExtra — RNG stream, exposure sets). The worker *pool* is not
+  /// Serializes the simulator's complete mutable state (the records of the
+  /// live tasks, worker statistics, clock, id counter, plus whatever the
+  /// subclass adds via EncodeExtra — RNG stream, exposure sets). Settled
+  /// tasks are erased when they settle, so the blob grows with the tasks in
+  /// flight, not with every task ever posted. The worker *pool* is not
   /// included: it is regenerated from the seed at construction, so a blob
   /// restored into an identically-configured simulator resumes the
   /// marketplace bit-exactly. Used by the persistence layer.
   std::string EncodeState() const;
 
   /// Restores a blob produced by EncodeState on an identically-configured
-  /// simulator (same worker pool). False on malformed input, in which case
-  /// the simulator state is unspecified and must be discarded.
+  /// simulator (same worker pool). Records of settled tasks, which blobs
+  /// written before settled tasks were erased still carry, are dropped.
+  /// False on malformed input, in which case the simulator state is
+  /// unspecified and must be discarded.
   bool RestoreState(const std::string& blob);
 
  protected:
@@ -80,6 +84,8 @@ class SimPlatformBase : public CrowdPlatform {
   /// Recomputes `state_` (and `open_`, `pending_`) from `tasks_`.
   void RebuildWorkerState();
 
+  /// Live (open, accepted or submitted) tasks; a task's record is erased
+  /// once it is approved, rejected or cancelled.
   std::map<TaskId, TaskRec> tasks_;
   /// Open tasks ordered by (pay descending, id ascending): the order
   /// pay-sensitive workers browse in.

@@ -28,10 +28,6 @@ Status ITagSystem::Init() {
 
 Status ITagSystem::Reattach() {
   if (!initialized_) return Status::FailedPrecondition("call Init() first");
-  if (!persist()) {
-    return Status::FailedPrecondition(
-        "Reattach needs a durable database to re-derive state from");
-  }
   // Reset to the post-construction baseline; AttachManagers then restores
   // from the tables exactly as a fresh Init on this directory would. The
   // database itself stays open — its contents are the input here.
@@ -98,8 +94,6 @@ constexpr char kSysSocial[] = "social";
 }  // namespace
 
 Status ITagSystem::AttachRuntimeState() {
-  if (!persist()) return Status::OK();
-
   ITAG_RETURN_IF_ERROR(db_.EnsureTable(tables::kAccepted,
                                        SchemaBuilder()
                                            .Int("handle")
@@ -260,7 +254,6 @@ Status ITagSystem::AttachRuntimeState() {
 }
 
 void ITagSystem::PersistSys(const std::string& key, std::string value) {
-  if (!persist()) return;
   (void)db_.Upsert(tables::kSys,
                    {Value::Str(key), Value::Str(std::move(value))});
 }
@@ -273,7 +266,6 @@ void ITagSystem::PersistLedgerTotals() {
 }
 
 void ITagSystem::PersistCore() {
-  if (!persist()) return;
   ByteWriter w;
   w.U64(next_handle_);
   w.U64(tasks_accepted_total_);
@@ -284,18 +276,13 @@ void ITagSystem::PersistCore() {
   PersistSys(kSysCore, w.Take());
 }
 
-void ITagSystem::PersistPlatform(crowd::CrowdPlatform* platform) {
-  if (!persist()) return;
-  if (platform == mturk_.get()) {
-    PersistSys(kSysMTurk, mturk_->EncodeState());
-  } else if (platform == social_.get()) {
-    PersistSys(kSysSocial, social_->EncodeState());
-  }
+void ITagSystem::PersistPlatforms() {
+  PersistSys(kSysMTurk, mturk_->EncodeState());
+  PersistSys(kSysSocial, social_->EncodeState());
 }
 
 void ITagSystem::PersistAccepted(const AcceptedTask& task,
                                  UserTaggerId tagger) {
-  if (!persist()) return;
   (void)db_.Insert(tables::kAccepted,
                    {Value::Int(static_cast<int64_t>(task.handle)),
                     Value::Int(static_cast<int64_t>(task.project)),
@@ -305,7 +292,6 @@ void ITagSystem::PersistAccepted(const AcceptedTask& task,
 }
 
 void ITagSystem::DeleteAccepted(TaskHandle handle) {
-  if (!persist()) return;
   const storage::Table* t = db_.GetTable(tables::kAccepted);
   Result<storage::RowId> rid =
       t->LookupUnique("handle", Value::Int(static_cast<int64_t>(handle)));
@@ -313,7 +299,6 @@ void ITagSystem::DeleteAccepted(TaskHandle handle) {
 }
 
 void ITagSystem::PersistPending(const PendingSubmission& sub) {
-  if (!persist()) return;
   ByteWriter tags;
   tags.StrVec(sub.tags);
   (void)db_.Insert(tables::kPending,
@@ -327,7 +312,6 @@ void ITagSystem::PersistPending(const PendingSubmission& sub) {
 }
 
 void ITagSystem::DeletePending(TaskHandle handle) {
-  if (!persist()) return;
   const storage::Table* t = db_.GetTable(tables::kPending);
   Result<storage::RowId> rid =
       t->LookupUnique("handle", Value::Int(static_cast<int64_t>(handle)));
@@ -336,7 +320,6 @@ void ITagSystem::DeletePending(TaskHandle handle) {
 
 void ITagSystem::PersistInFlight(int platform, crowd::TaskId task,
                                  const InFlight& flight) {
-  if (!persist()) return;
   Result<storage::RowId> rid =
       db_.Insert(tables::kInFlight,
                  {Value::Int(platform), Value::Int(static_cast<int64_t>(task)),
@@ -346,7 +329,6 @@ void ITagSystem::PersistInFlight(int platform, crowd::TaskId task,
 }
 
 void ITagSystem::DeleteInFlight(int platform, crowd::TaskId task) {
-  if (!persist()) return;
   auto it = in_flight_rows_.find({platform, task});
   if (it == in_flight_rows_.end()) return;
   (void)db_.Delete(tables::kInFlight, it->second);
@@ -566,8 +548,6 @@ std::vector<Status> ITagSystem::DecideBatch(
   // the whole batch, whatever the item's outcome.
   PublishScope publish(this);
   BatchScope db_batch(&db_);
-  bool touched_mturk = false;
-  bool touched_social = false;
   std::vector<Status> out;
   out.reserve(decisions.size());
   // Approved items queued for the per-project flush, each remembering the
@@ -596,12 +576,10 @@ std::vector<Status> ITagSystem::DecideBatch(
       out.push_back(Status::FailedPrecondition("not this provider's project"));
       continue;
     }
-    crowd::CrowdPlatform* platform =
-        sub.platform_task != 0 ? PlatformFor(sub.project) : nullptr;
-    touched_mturk |= platform == mturk_.get();
-    touched_social |= platform == social_.get();
+    // Only audience submissions wait here: Step decides platform work as
+    // it arrives, so no decision reaches a platform.
     if (!approve) {
-      out.push_back(ApplyRejection(sub, rec, platform));
+      out.push_back(ApplyRejection(sub, rec, nullptr));
       pending_.erase(it);
       DeletePending(handle);
       continue;
@@ -643,14 +621,10 @@ std::vector<Status> ITagSystem::DecideBatch(
         out[queued[i].out_index] = std::move(statuses[i]);
         continue;
       }
-      const PendingSubmission& sub = queued[i].item.sub;
-      crowd::CrowdPlatform* platform =
-          sub.platform_task != 0 ? PlatformFor(project) : nullptr;
-      out[queued[i].out_index] = SettleApproval(sub, rec, platform);
+      out[queued[i].out_index] =
+          SettleApproval(queued[i].item.sub, rec, nullptr);
     }
   }
-  if (touched_mturk) PersistPlatform(mturk_.get());
-  if (touched_social) PersistPlatform(social_.get());
   return out;
 }
 
@@ -671,10 +645,10 @@ Result<ITagSystem::ProjectBundle> ITagSystem::ExtractProject(
   if (rec == nullptr) {
     return Status::NotFound("project " + std::to_string(project));
   }
-  // Platform traffic references this shard's simulator (task ids, worker
-  // state) and cannot be carried across; the rebalancer retries once the
-  // in-flight window drains. Audience workflow entries are plain data and
-  // travel with the bundle.
+  // Posted platform tasks reference this shard's simulator (task ids,
+  // worker state) and cannot be carried across; the rebalancer retries once
+  // the in-flight window drains. Audience workflow entries are plain data
+  // and travel with the bundle.
   for (const auto* in_flight : {&in_flight_mturk_, &in_flight_social_}) {
     for (const auto& [task, flight] : *in_flight) {
       (void)task;
@@ -683,14 +657,6 @@ Result<ITagSystem::ProjectBundle> ITagSystem::ExtractProject(
             "project " + std::to_string(project) +
             " has in-flight platform tasks");
       }
-    }
-  }
-  for (const auto& [handle, sub] : pending_) {
-    (void)handle;
-    if (sub.project == project && sub.platform_task != 0) {
-      return Status::FailedPrecondition(
-          "project " + std::to_string(project) +
-          " has undecided platform submissions");
     }
   }
 
@@ -750,7 +716,7 @@ Result<ProjectId> ITagSystem::AdoptProject(
     pending_.emplace(sub.handle, std::move(sub));
   }
   ledger_.AdoptProjectSpend(id, bundle.ledger_spend_cents);
-  if (persist() && bundle.ledger_spend_cents > 0) {
+  if (bundle.ledger_spend_cents > 0) {
     (void)db_.Upsert(
         tables::kLedgerProjects,
         {Value::Int(static_cast<int64_t>(id)),
@@ -790,13 +756,11 @@ Status ITagSystem::EraseProject(ProjectId project) {
     DeletePending(handle);
   }
   uint64_t spend = ledger_.DropProjectSpend(project);
-  if (persist()) {
-    const Value key = Value::Int(static_cast<int64_t>(project));
-    Result<storage::RowId> rid =
-        db_.GetTable(tables::kLedgerProjects)->LookupUnique("project", key);
-    if (rid.ok()) (void)db_.Delete(tables::kLedgerProjects, rid.value());
-    if (spend > 0) PersistLedgerTotals();
-  }
+  Result<storage::RowId> rid =
+      db_.GetTable(tables::kLedgerProjects)
+          ->LookupUnique("project", Value::Int(static_cast<int64_t>(project)));
+  if (rid.ok()) (void)db_.Delete(tables::kLedgerProjects, rid.value());
+  if (spend > 0) PersistLedgerTotals();
   ITAG_RETURN_IF_ERROR(quality_->DropProject(project));
   return resources_->DropCorpus(project);
 }
@@ -1046,8 +1010,7 @@ Status ITagSystem::Step(Tick ticks) {
   // relational rows with a stale clock/RNG/simulator snapshot.
   if (clock_.Now() != start) {
     PersistCore();
-    PersistPlatform(mturk_.get());
-    PersistPlatform(social_.get());
+    PersistPlatforms();
   }
   if (publish_hook_) {
     for (ProjectId project : quality_->ProjectIds()) MarkChanged(project);
@@ -1088,10 +1051,10 @@ Status ITagSystem::RunTicks(Tick target) {
       std::vector<Status> statuses =
           quality_->CompletePostBatch(project, std::move(posts));
       const QualityManager::ProjectRec* rec = quality_->GetRec(project);
+      // Every approval of a tick is a platform worker's.
+      crowd::CrowdPlatform* platform = PlatformFor(project);
       for (size_t i = 0; i < statuses.size(); ++i) {
         ITAG_RETURN_IF_ERROR(statuses[i]);
-        crowd::CrowdPlatform* platform =
-            items[i].sub.platform_task != 0 ? PlatformFor(project) : nullptr;
         ITAG_RETURN_IF_ERROR(SettleApproval(items[i].sub, rec, platform));
       }
     }

@@ -47,7 +47,9 @@ struct PendingSubmission {
   /// Registered tagger for audience submissions; kInvalid for platform
   /// workers (those are paid through the platform's ledger instead).
   UserTaggerId tagger = static_cast<UserTaggerId>(-1);
-  crowd::TaskId platform_task = 0;  ///< 0 for audience submissions
+  /// The platform task of a submission Step moderates as it arrives; 0 for
+  /// audience submissions, the only ones that wait for a DecideBatch.
+  crowd::TaskId platform_task = 0;
   std::vector<std::string> tags;    ///< normalized tag texts
   /// Hidden simulation hint: whether the submitting worker was
   /// conscientious. Approval policies may use it to model the provider's
@@ -140,9 +142,8 @@ class ITagSystem {
   /// database, exactly like a fresh Init would — managers, workflow maps,
   /// ledger, clock, RNG stream, platform simulators. A replication follower
   /// calls this after applying a burst of shipped WAL records: the records
-  /// update tables, Reattach rebuilds everything derived from them. Only
-  /// meaningful on a durable system (FailedPrecondition otherwise — an
-  /// in-memory database has no authoritative tables to re-derive from).
+  /// update tables, Reattach rebuilds everything derived from them. Every
+  /// database holds the same rows, so an in-memory system re-derives too.
   /// Installed code (post source, approval policies) survives; it is code,
   /// not data.
   Status Reattach();
@@ -328,10 +329,10 @@ class ITagSystem {
   };
 
   /// Serializes project `project` (shard-local id) for migration.
-  /// FailedPrecondition while the project has platform traffic in flight
-  /// (posted platform tasks or platform-worker submissions awaiting
-  /// decision) — those reference this shard's simulator state and cannot
-  /// move; audience projects are always migratable.
+  /// FailedPrecondition only while the project has posted platform tasks in
+  /// flight — those reference this shard's simulator state and cannot move.
+  /// Step decides platform submissions as they arrive, so none waits in the
+  /// pending set; audience projects are always migratable.
   Result<ProjectBundle> ExtractProject(ProjectId project) const;
 
   /// Installs a bundle under the next free local project id (returned).
@@ -381,8 +382,6 @@ class ITagSystem {
   Status MarkIfOk(ProjectId project, Status status);
 
   // ----------------------------------------------------------- persistence
-  /// True when runtime state must be written through to storage.
-  bool persist() const { return db_.durable(); }
   /// Everything Init does after opening the database: construct the
   /// managers in dependency order, regenerate the worker pools from the
   /// seed, restore the runtime state. Shared with Reattach.
@@ -396,8 +395,8 @@ class ITagSystem {
   /// Writes the facade scalars (next handle, accepted-task counter, clock,
   /// RNG stream) as one sys row.
   void PersistCore();
-  /// Serializes one platform simulator into its sys row.
-  void PersistPlatform(crowd::CrowdPlatform* platform);
+  /// Serializes both platform simulators into their sys rows.
+  void PersistPlatforms();
   /// Write-through for the workflow maps.
   void PersistAccepted(const AcceptedTask& task, UserTaggerId tagger);
   void DeleteAccepted(TaskHandle handle);

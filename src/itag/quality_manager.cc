@@ -99,7 +99,6 @@ QualityManager::QualityManager(ResourceManager* resources, TagManager* tags,
       db_(db) {}
 
 Status QualityManager::Attach() {
-  if (!persist()) return Status::OK();
   ITAG_RETURN_IF_ERROR(db_->EnsureTable(tables::kProjects,
                                         SchemaBuilder()
                                             .Int("id")
@@ -217,7 +216,6 @@ Status QualityManager::RestoreProject(ProjectId project, const Row& row) {
 
 void QualityManager::PersistProject(ProjectId project,
                                     const ProjectRec& rec) {
-  if (!persist()) return;
   (void)db_->Upsert(tables::kProjects, BuildProjectRow(project, rec));
 }
 
@@ -245,17 +243,15 @@ Status QualityManager::AdoptProject(ProjectId project, const Row& row,
   auto [it, inserted] = projects_.emplace(project, std::move(rec));
   (void)inserted;
   next_project_ = std::max(next_project_, project + 1);
-  if (persist()) {
-    // Re-key the row under the destination-local id; the engine blob is
-    // regenerated from the restored engine, so the write-through matches
-    // what PersistProject would produce after the same history.
-    (void)db_->Upsert(tables::kProjects, BuildProjectRow(project, it->second));
-    for (const QualityPoint& p : it->second.feed) {
-      (void)db_->Insert(tables::kQualityFeed,
-                        {Value::Int(static_cast<int64_t>(project)),
-                         Value::Int(p.tasks), Value::Real(p.quality),
-                         Value::Int(p.time)});
-    }
+  // Re-key the row under the destination-local id; the engine blob is
+  // regenerated from the restored engine, so the write-through matches
+  // what PersistProject would produce after the same history.
+  PersistProject(project, it->second);
+  for (const QualityPoint& p : it->second.feed) {
+    (void)db_->Insert(tables::kQualityFeed,
+                      {Value::Int(static_cast<int64_t>(project)),
+                       Value::Int(p.tasks), Value::Real(p.quality),
+                       Value::Int(p.time)});
   }
   return Status::OK();
 }
@@ -266,26 +262,19 @@ Status QualityManager::DropProject(ProjectId project) {
     return Status::NotFound("project " + std::to_string(project));
   }
   projects_.erase(it);
-  if (persist()) {
-    Value key = Value::Int(static_cast<int64_t>(project));
-    Result<storage::RowId> rid =
-        db_->GetTable(tables::kProjects)->LookupUnique("id", key);
-    if (rid.ok()) (void)db_->Delete(tables::kProjects, rid.value());
-    if (storage::Table* feed = db_->GetTable(tables::kQualityFeed)) {
-      for (storage::RowId r : feed->LookupEqual("project", key)) {
-        (void)db_->Delete(tables::kQualityFeed, r);
-      }
-    }
+  Value key = Value::Int(static_cast<int64_t>(project));
+  Result<storage::RowId> rid =
+      db_->GetTable(tables::kProjects)->LookupUnique("id", key);
+  if (rid.ok()) (void)db_->Delete(tables::kProjects, rid.value());
+  for (storage::RowId r :
+       db_->GetTable(tables::kQualityFeed)->LookupEqual("project", key)) {
+    (void)db_->Delete(tables::kQualityFeed, r);
   }
   return Status::OK();
 }
 
 void QualityManager::PushNotification(ProviderId provider, Notification n) {
   NotificationQueue& inbox = Notifications(provider);
-  if (!persist()) {
-    inbox.Push(std::move(n));
-    return;
-  }
   Row row = {Value::Int(static_cast<int64_t>(provider)),
              Value::Int(static_cast<int64_t>(n.kind)), Value::Int(n.time),
              Value::Int(static_cast<int64_t>(n.project)),
@@ -550,12 +539,10 @@ void QualityManager::EmitQualityPoint(ProjectId project, ProjectRec& rec) {
   p.tasks = rec.tasks_completed;
   p.quality = MeanQuality(Memo(rec, *corpus).scores);
   p.time = clock_->Now();
-  if (persist()) {
-    (void)db_->Insert(tables::kQualityFeed,
-                      {Value::Int(static_cast<int64_t>(project)),
-                       Value::Int(p.tasks), Value::Real(p.quality),
-                       Value::Int(p.time)});
-  }
+  (void)db_->Insert(tables::kQualityFeed,
+                    {Value::Int(static_cast<int64_t>(project)),
+                     Value::Int(p.tasks), Value::Real(p.quality),
+                     Value::Int(p.time)});
   rec.feed.push_back(p);
 }
 

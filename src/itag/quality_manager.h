@@ -55,18 +55,17 @@ ProjectionPlan PlanProjection(
 /// strategy, promote/stop individual resources, and top budget up mid-run.
 class QualityManager {
  public:
-  /// `db` (optional) enables write-through persistence: on a durable
-  /// database every project mutation — spec, lifecycle state, engine
-  /// counters, RNG position, promotions, stop flags, the quality feed and
-  /// the notification inboxes — is written through, and Attach() rebuilds
-  /// it all (corpora included, via the ResourceManager) on reopen.
+  /// Every project mutation — spec, lifecycle state, engine counters, RNG
+  /// position, promotions, stop flags, the quality feed and the
+  /// notification inboxes — is written through to `db`, and Attach()
+  /// rebuilds it all (corpora included, via the ResourceManager) from
+  /// there.
   QualityManager(ResourceManager* resources, TagManager* tags,
-                 UserManager* users, Clock* clock,
-                 storage::Database* db = nullptr);
+                 UserManager* users, Clock* clock, storage::Database* db);
 
   /// Creates the backing tables (idempotent) and recovers every persisted
   /// project: corpus replay, record + engine rebuild, feed and inbox
-  /// reload, and the project-id counter. No-op without a durable database.
+  /// reload, and the project-id counter. Call once before use.
   Status Attach();
 
   /// Number of projects (recovered ones included).
@@ -174,17 +173,16 @@ class QualityManager {
   /// destination slot before the copy lands.
   ProjectId next_project_id() const { return next_project_; }
 
-  /// Serializes a project record into its storage-row form — the same row
-  /// PersistProject writes, but produced regardless of persistence mode.
-  /// Shard migration carries this row (plus the corpus transfer and the
-  /// quality feed) to the destination shard.
+  /// Serializes a project record into its storage-row form — the row
+  /// PersistProject writes. Shard migration carries this row (plus the
+  /// corpus transfer and the quality feed) to the destination shard.
   Result<storage::Row> EncodeProjectRow(ProjectId project) const;
 
   /// Installs a transferred project under `project` (which must be free,
   /// with its corpus already adopted): decodes the row, rebuilds the
   /// engine at the saved RNG position (running projects continue
   /// bit-exactly), installs the feed, and writes the project + feed rows
-  /// through on durable databases.
+  /// through.
   Status AdoptProject(ProjectId project, const storage::Row& row,
                       std::vector<QualityPoint> feed);
 
@@ -229,8 +227,6 @@ class QualityManager {
                                       const tagging::Corpus& corpus) const;
   void EmitQualityPoint(ProjectId project, ProjectRec& rec);
 
-  /// True when mutations must be written through to storage.
-  bool persist() const { return db_ != nullptr && db_->durable(); }
   /// Writes the project row (spec, state, counters, serialized engine).
   void PersistProject(ProjectId project, const ProjectRec& rec);
   /// Appends to the provider's inbox, write-through + prune beyond the

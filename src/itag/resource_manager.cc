@@ -23,23 +23,19 @@ Status ResourceManager::Attach() {
                                             .Str("description")
                                             .Build()));
   ITAG_RETURN_IF_ERROR(db_->AddOrderedIndex(tables::kResources, "project"));
-  if (db_->durable()) {
-    // Tag-id assignment order is corpus state: the dict table records every
-    // intern in order so recovery reassigns identical ids.
-    ITAG_RETURN_IF_ERROR(db_->EnsureTable(tables::kDict,
-                                          SchemaBuilder()
-                                              .Int("project")
-                                              .Int("tag")
-                                              .Str("text")
-                                              .Build()));
-    ITAG_RETURN_IF_ERROR(db_->AddOrderedIndex(tables::kDict, "project"));
-  }
-  return Status::OK();
+  // Tag-id assignment order is corpus state: the dict table records every
+  // intern in order so recovery reassigns identical ids.
+  ITAG_RETURN_IF_ERROR(db_->EnsureTable(tables::kDict,
+                                        SchemaBuilder()
+                                            .Int("project")
+                                            .Int("tag")
+                                            .Str("text")
+                                            .Build()));
+  return db_->AddOrderedIndex(tables::kDict, "project");
 }
 
 void ResourceManager::ArmDictHook(ProjectId project,
                                   tagging::Corpus* corpus) {
-  if (!db_->durable()) return;
   storage::Database* db = db_;
   corpus->dict().set_on_new_tag(
       [db, project](tagging::TagId id, const std::string& text) {
@@ -70,17 +66,16 @@ Status ResourceManager::RestoreCorpus(ProjectId project) {
   Value key = Value::Int(static_cast<int64_t>(project));
 
   // 1. Dictionary, in intern order (row ids ascend within the index).
-  if (const storage::Table* dict = db_->GetTable(tables::kDict)) {
-    for (storage::RowId rid : dict->LookupEqual("project", key)) {
-      ITAG_ASSIGN_OR_RETURN(Row row, dict->Get(rid));
-      tagging::TagId want = static_cast<tagging::TagId>(row[1].as_int());
-      tagging::TagId got = corpus->dict().Intern(row[2].as_string());
-      if (got != want) {
-        return Status::Corruption(
-            "dict replay diverged for project " + std::to_string(project) +
-            ": tag '" + row[2].as_string() + "' got id " +
-            std::to_string(got) + ", expected " + std::to_string(want));
-      }
+  const storage::Table* dict = db_->GetTable(tables::kDict);
+  for (storage::RowId rid : dict->LookupEqual("project", key)) {
+    ITAG_ASSIGN_OR_RETURN(Row row, dict->Get(rid));
+    tagging::TagId want = static_cast<tagging::TagId>(row[1].as_int());
+    tagging::TagId got = corpus->dict().Intern(row[2].as_string());
+    if (got != want) {
+      return Status::Corruption(
+          "dict replay diverged for project " + std::to_string(project) +
+          ": tag '" + row[2].as_string() + "' got id " + std::to_string(got) +
+          ", expected " + std::to_string(want));
     }
   }
 
@@ -298,17 +293,11 @@ Status ResourceManager::DropCorpus(ProjectId project) {
   Value key = Value::Int(static_cast<int64_t>(project));
   // Delete persisted rows in reverse-dependency order. LookupEqual returns
   // a snapshot of row ids, so deleting while iterating is safe.
-  for (const char* table : {tables::kPosts, tables::kResources}) {
+  for (const char* table :
+       {tables::kPosts, tables::kResources, tables::kDict}) {
     if (storage::Table* t = db_->GetTable(table)) {
       for (storage::RowId rid : t->LookupEqual("project", key)) {
         ITAG_RETURN_IF_ERROR(db_->Delete(table, rid));
-      }
-    }
-  }
-  if (db_->durable()) {
-    if (storage::Table* dict = db_->GetTable(tables::kDict)) {
-      for (storage::RowId rid : dict->LookupEqual("project", key)) {
-        ITAG_RETURN_IF_ERROR(db_->Delete(tables::kDict, rid));
       }
     }
   }

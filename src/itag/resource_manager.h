@@ -82,25 +82,22 @@ class ResourceManager {
     std::vector<PostRec> posts;  ///< grouped by resource, in-order within
   };
 
-  /// Serializes a project's corpus from memory (works on durable and
-  /// in-memory databases alike).
+  /// Serializes a project's corpus from memory.
   Result<CorpusTransfer> ExtractCorpus(ProjectId project) const;
 
   /// Installs a transferred corpus under `project` (which must be free):
   /// re-interns the dictionary in order, re-adds resources and posts, and
   /// writes the resource/post rows through to this database. The dict rows
-  /// are written by the write-through hook (durable databases only, same as
-  /// CreateProjectCorpus).
+  /// are written by the write-through hook, as in CreateProjectCorpus.
   Status AdoptCorpus(ProjectId project, const CorpusTransfer& transfer);
 
-  /// Removes a project's corpus and its resource/post rows (the migration
-  /// source's cleanup half; dict rows are deleted too on durable
-  /// databases).
+  /// Removes a project's corpus and its post, resource and dict rows (the
+  /// migration source's cleanup half).
   Status DropCorpus(ProjectId project);
 
  private:
   /// Arms the corpus dictionary's new-tag hook to write-through into the
-  /// dict table (durable databases only).
+  /// dict table.
   void ArmDictHook(ProjectId project, tagging::Corpus* corpus);
 
   storage::Database* db_;

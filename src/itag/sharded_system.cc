@@ -273,13 +273,11 @@ Result<CheckpointInfo> ShardedSystem::Checkpoint() {
     total.tables += info.tables;
     total.rows += info.rows;
   }
-  if (placement_db_ && placement_db_->durable()) {
-    // migrate_mu_ keeps the snapshot from splitting a migration's batch.
-    std::lock_guard<std::mutex> migration(migrate_mu_);
-    ITAG_RETURN_IF_ERROR(placement_db_->Checkpoint());
-    total.tables += placement_db_->TableNames().size();
-    total.rows += placement_db_->TotalRows();
-  }
+  // migrate_mu_ keeps the snapshot from splitting a migration's batch.
+  std::lock_guard<std::mutex> migration(migrate_mu_);
+  ITAG_RETURN_IF_ERROR(placement_db_->Checkpoint());
+  total.tables += placement_db_->TableNames().size();
+  total.rows += placement_db_->TotalRows();
   return total;
 }
 

@@ -5,8 +5,6 @@
 
 namespace itag::net {
 
-Client::Client(ClientOptions options) : options_(options) {}
-
 Status Client::Connect(const std::string& host, uint16_t port) {
   ITAG_ASSIGN_OR_RETURN(sock_, Socket::Connect(host, port));
   ITAG_RETURN_IF_ERROR(sock_.SetNoDelay(true));
@@ -32,8 +30,7 @@ Result<Frame> Client::ReadFrame() {
   for (;;) {
     Frame frame;
     size_t consumed = 0;
-    ITAG_RETURN_IF_ERROR(TryDecodeFrame(inbuf_, &frame, &consumed,
-                                        options_.max_frame_bytes));
+    ITAG_RETURN_IF_ERROR(TryDecodeFrame(inbuf_, &frame, &consumed));
     if (consumed > 0) {
       inbuf_.erase(0, consumed);
       return frame;

@@ -14,10 +14,6 @@
 
 namespace itag::net {
 
-struct ClientOptions {
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
-};
-
 /// Blocking client for the iTag wire protocol, mirroring the api::Service
 /// endpoint surface over one TCP connection.
 ///
@@ -38,7 +34,7 @@ struct ClientOptions {
 /// Not thread-safe: one Client per thread (connections are cheap).
 class Client {
  public:
-  explicit Client(ClientOptions options = {});
+  Client() = default;
   ~Client() = default;
 
   Client(Client&&) = default;
@@ -108,7 +104,6 @@ class Client {
   /// Turns a received frame into the caller-visible result.
   Result<api::AnyResponse> InterpretFrame(const Frame& frame);
 
-  ClientOptions options_;
   Socket sock_;
   std::string inbuf_;
   uint64_t next_correlation_ = 1;

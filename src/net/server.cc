@@ -30,6 +30,20 @@ constexpr size_t kErrorBacklogBytes = 1u << 20;
 /// syscall per 64 frames.
 constexpr size_t kMaxIov = 64;
 
+/// Cap on bytes buffered for one connection's unread responses. A peer
+/// that pipelines hard while never reading is disconnected at this bound
+/// instead of growing the queue until write_timeout_ms fires.
+constexpr size_t kMaxPendingWriteBytes = 64u << 20;
+
+/// Requests grouped into one dispatch task (and one merged backend batch
+/// for BatchSubmitTags) never exceed this, so a deep burst still spreads
+/// across workers.
+constexpr size_t kMaxDispatchBatch = 64;
+
+/// Kernel accept-queue depth; connection storms (the 10k soak) need this
+/// well above the 128 default.
+constexpr int kListenBacklog = 1024;
+
 }  // namespace
 
 /// Registry mirrors of the ServerStats counters plus the live levels and
@@ -117,7 +131,7 @@ Status Server::Start() {
   }
   ITAG_ASSIGN_OR_RETURN(
       listener_,
-      Socket::Listen(options_.host, options_.port, options_.listen_backlog));
+      Socket::Listen(options_.host, options_.port, kListenBacklog));
   ITAG_ASSIGN_OR_RETURN(uint16_t port, listener_.LocalPort());
   port_ = port;
   ITAG_RETURN_IF_ERROR(listener_.SetNonBlocking(true));
@@ -402,9 +416,8 @@ void Server::HandleReadable(Reactor& r, const std::shared_ptr<Conn>& conn,
   for (;;) {
     Frame frame;
     size_t consumed = 0;
-    Status s = TryDecodeFrame(
-        std::string_view(conn->inbuf).substr(parsed), &frame, &consumed,
-        options_.max_frame_bytes);
+    Status s = TryDecodeFrame(std::string_view(conn->inbuf).substr(parsed),
+                              &frame, &consumed);
     if (!s.ok()) {
       // Unparseable stream (bad magic/CRC/kind): nothing after this point
       // can be framed reliably, so the only safe move is to hang up.
@@ -516,11 +529,9 @@ void Server::HandleFrame(Reactor& r, const std::shared_ptr<Conn>& conn,
 }
 
 void Server::FlushDispatchGroups(DispatchGroups& groups) {
-  const size_t cap =
-      options_.max_dispatch_batch == 0 ? 1 : options_.max_dispatch_batch;
   auto submit_chunks = [&](std::vector<Work>& vec, bool merged) {
-    for (size_t start = 0; start < vec.size(); start += cap) {
-      const size_t end = std::min(vec.size(), start + cap);
+    for (size_t start = 0; start < vec.size(); start += kMaxDispatchBatch) {
+      const size_t end = std::min(vec.size(), start + kMaxDispatchBatch);
       metrics_->batch_size->Observe(end - start);
       if (end - start == 1) {
         // Low load: a singleton group dispatches exactly like the
@@ -636,7 +647,7 @@ void Server::DispatchMergedSubmits(std::vector<Work>& group) {
 void Server::FinishDispatch(const Work& work,
                             const api::AnyResponse& response) {
   std::string bytes = EncodeResponseFrame(work.frame.correlation, response);
-  if (bytes.size() - kHeaderSize > options_.max_frame_bytes) {
+  if (bytes.size() - kHeaderSize > kDefaultMaxFrameBytes) {
     // A legal request can amplify into a response the peer's decoder
     // would reject as unrecoverable (its frame cap mirrors ours).
     // Answer with a typed refusal instead of breaking the stream.
@@ -681,7 +692,7 @@ void Server::QueueWrite(const std::shared_ptr<Conn>& conn, std::string bytes) {
   {
     std::lock_guard<std::mutex> lock(conn->write_mu);
     if (conn->dead.load(std::memory_order_acquire)) return;
-    if (conn->out_bytes + bytes.size() > options_.max_pending_write_bytes) {
+    if (conn->out_bytes + bytes.size() > kMaxPendingWriteBytes) {
       overflow = true;
     } else {
       conn->out_bytes += bytes.size();

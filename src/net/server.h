@@ -38,24 +38,12 @@ struct ServerOptions {
   /// ResourceExhausted error reply — backpressure the client can see and
   /// retry on, instead of unbounded queueing.
   size_t max_in_flight = 256;
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Cap on how long queued response bytes may wait for the peer to drain
   /// its receive buffer. Workers never block on writes (they append to the
   /// connection's output queue and the owning reactor flushes it); when a
   /// flush stalls on a full socket buffer for longer than this, the
   /// connection is marked dead and its remaining responses are dropped.
   int write_timeout_ms = 10000;
-  /// Cap on bytes buffered for one connection's unread responses. A peer
-  /// that pipelines hard while never reading is disconnected at this bound
-  /// instead of growing the queue until write_timeout_ms fires.
-  size_t max_pending_write_bytes = 64u << 20;
-  /// Requests grouped into one dispatch task (and one merged backend batch
-  /// for BatchSubmitTags) never exceed this, so a deep burst still spreads
-  /// across workers.
-  size_t max_dispatch_batch = 64;
-  /// Kernel accept-queue depth; connection storms (the 10k soak) need this
-  /// well above the 128 default.
-  int listen_backlog = 1024;
   /// Test seam: runs right before Service::Dispatch, on the thread that
   /// dispatches: a worker, or the reactor for a detail-free ProjectQuery.
   /// Lets tests hold workers busy deterministically (e.g. to force the
@@ -212,7 +200,7 @@ class Server {
   void HandleFrame(Reactor& r, const std::shared_ptr<Conn>& conn,
                    Frame frame, DispatchGroups& groups);
   /// Submits every non-empty group of the burst to the pool, one task per
-  /// group (chunked at max_dispatch_batch).
+  /// group (chunked at kMaxDispatchBatch).
   void FlushDispatchGroups(DispatchGroups& groups);
   /// Decode + before_dispatch + Dispatch + queue-response for one unit, on
   /// a worker or, for a detail-free ProjectQuery, on the reactor.

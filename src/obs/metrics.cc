@@ -6,18 +6,6 @@
 
 namespace itag::obs {
 
-const char* MetricKindName(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter:
-      return "counter";
-    case MetricKind::kGauge:
-      return "gauge";
-    case MetricKind::kHistogram:
-      return "histogram";
-  }
-  return "?";
-}
-
 uint64_t ApproxQuantile(const MetricSample& sample, double q) {
   if (sample.kind != MetricKind::kHistogram || sample.count == 0) return 0;
   if (q < 0.0) q = 0.0;

@@ -48,9 +48,6 @@ enum class MetricKind : uint8_t {
   kHistogram = 2,
 };
 
-/// Stable display name ("counter", "gauge", "histogram").
-const char* MetricKindName(MetricKind kind);
-
 /// Monotonic event counter.
 class Counter {
  public:

@@ -12,6 +12,11 @@
 namespace itag::repl {
 
 namespace {
+
+/// A ReplAck is sent after every burst that applied at least one record,
+/// and at most once per this many applied records within a burst.
+constexpr size_t kAckEveryRecords = 512;
+
 /// Interruptible backoff: sleeps `ms` total in small slices so Stop() is
 /// honored within ~5ms instead of a full backoff window.
 void SleepUnless(const std::atomic<bool>& stop, int ms) {
@@ -205,7 +210,7 @@ void Follower::RunOnce() {
         } else {
           placement_dirty = true;
         }
-        if (since_ack >= options_.ack_every_records) {
+        if (since_ack >= kAckEveryRecords) {
           std::string ack = net::EncodeReplAckFrame(0, net::ReplAck{lsns});
           (void)sock->WriteAll(ack.data(), ack.size());
           since_ack = 0;

@@ -6,8 +6,18 @@
 
 namespace itag::repl {
 
-Primary::Primary(core::ShardedSystem* system, PrimaryOptions options)
-    : system_(system), options_(std::move(options)) {
+namespace {
+
+/// How often an idle streamer re-polls the WAL files for new frames.
+constexpr int kPollIntervalMs = 2;
+
+/// Records drained from one DB before the streamer rotates to the next, so
+/// one hot shard cannot starve the placement DB of the same stream.
+constexpr size_t kBurstRecords = 256;
+
+}  // namespace
+
+Primary::Primary(core::ShardedSystem* system) : system_(system) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   subscribers_ = reg.GetGauge("repl.subscribers");
   batches_sent_ = reg.GetCounter("repl.batches_sent");
@@ -157,7 +167,7 @@ void Primary::StreamTo(const std::shared_ptr<Subscriber>& sub) {
   while (!sub->stop.load(std::memory_order_acquire)) {
     bool sent_any = false;
     for (size_t db = 0; db < tailers.size(); ++db) {
-      for (size_t n = 0; n < options_.burst_records; ++n) {
+      for (size_t n = 0; n < kBurstRecords; ++n) {
         storage::WalRecord rec;
         bool have = false;
         Status s = tailers[db].Next(&rec, &have);
@@ -185,8 +195,7 @@ void Primary::StreamTo(const std::shared_ptr<Subscriber>& sub) {
       }
     }
     if (!sent_any) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.poll_interval_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(kPollIntervalMs));
     }
   }
   sub->done.store(true, std::memory_order_release);

@@ -28,14 +28,6 @@ namespace itag::repl {
 
 // --------------------------------------------------------------- primary
 
-struct PrimaryOptions {
-  /// How often an idle streamer re-polls the WAL files for new frames.
-  int poll_interval_ms = 2;
-  /// Records drained from one DB before the streamer rotates to the next,
-  /// so one hot shard cannot starve the placement DB of the same stream.
-  size_t burst_records = 256;
-};
-
 /// The send side: owns one streamer thread per subscribed follower, each
 /// tailing every WAL of `system` (shards + placement) from the follower's
 /// resume cursors. Installed into a net::Server via Hooks(); the server
@@ -48,7 +40,7 @@ struct PrimaryOptions {
 /// typed error and must resync from a fresh copy).
 class Primary {
  public:
-  explicit Primary(core::ShardedSystem* system, PrimaryOptions options = {});
+  explicit Primary(core::ShardedSystem* system);
   ~Primary();
 
   Primary(const Primary&) = delete;
@@ -86,7 +78,6 @@ class Primary {
   void ReapLocked();
 
   core::ShardedSystem* system_;
-  PrimaryOptions options_;
 
   mutable std::mutex mu_;
   std::vector<std::shared_ptr<Subscriber>> subs_;
@@ -106,9 +97,6 @@ struct FollowerOptions {
   /// Delay before a reconnect attempt after a failed connect, a severed
   /// stream, or a gap-triggered resubscribe.
   int reconnect_backoff_ms = 50;
-  /// A ReplAck is sent after every burst that applied at least one record,
-  /// and at most once per this many applied records within a burst.
-  size_t ack_every_records = 512;
 };
 
 /// The receive side: one thread that connects to the primary, subscribes

@@ -486,12 +486,9 @@ Status Database::AddOrderedIndex(const std::string& table,
 Result<RowId> Database::Insert(const std::string& table, const Row& row) {
   Table* t = GetTable(table);
   if (t == nullptr) return Status::NotFound("table " + table);
-  // Validate first so a bad row never reaches the log.
-  ITAG_RETURN_IF_ERROR(t->schema().Validate(row));
-  Result<RowId> id = t->Insert(row);
-  if (!id.ok()) return id;
-  Status s = LogRow(WalOp::kInsert, *t, id.value(), row);
-  if (!s.ok()) return s;
+  // Table::Insert validates the row, so a bad row never reaches the log.
+  ITAG_ASSIGN_OR_RETURN(RowId id, t->Insert(row));
+  ITAG_RETURN_IF_ERROR(LogRow(WalOp::kInsert, *t, id, row));
   return id;
 }
 

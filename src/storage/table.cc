@@ -108,13 +108,21 @@ Status Table::Update(RowId id, const Row& row) {
       return Status::AlreadyExists("duplicate key in " + name_);
     }
   }
-  UnindexRow(id, old.value());
-  Status s = store_->Put(id, row);
-  if (!s.ok()) {
-    IndexRow(id, old.value());  // keep indexes consistent with the heap
-    return s;
+  // The heap first: no index moves before the new image is stored, so a
+  // failed Put leaves nothing to undo. Then only the entries whose column
+  // value changed move; a rewrite that keeps its key touches no index.
+  ITAG_RETURN_IF_ERROR(store_->Put(id, row));
+  const Row& before = old.value();
+  if (unique_col_ >= 0 && before[unique_col_] != row[unique_col_]) {
+    auto it = unique_index_.find(before[unique_col_]);
+    if (it != unique_index_.end() && it->second == id) unique_index_.erase(it);
+    unique_index_.emplace(row[unique_col_], id);
   }
-  IndexRow(id, row);
+  for (auto& [col, index] : ordered_indexes_) {
+    if (before[col] == row[col]) continue;
+    index.erase(IndexKey{before[col], id});
+    index.insert(IndexKey{row[col], id});
+  }
   return Status::OK();
 }
 

@@ -40,9 +40,6 @@ class StrategyContext {
   /// Count of resources still eligible for tasks.
   size_t EligibleCount() const;
 
-  /// True if at least one resource is eligible.
-  bool AnyEligible() const { return EligibleCount() > 0; }
-
  private:
   const tagging::Corpus* corpus_;
   Rng* rng_;

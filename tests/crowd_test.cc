@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/binio.h"
 #include "crowd/ledger.h"
 #include "crowd/mturk_sim.h"
 #include "crowd/social_sim.h"
@@ -105,11 +106,13 @@ TEST(MTurkSimTest, TaskLifecycleTransitions) {
   EXPECT_EQ(sim.PendingDecisionCount(), 1u);
 
   ASSERT_TRUE(sim.Approve(id).ok());
-  EXPECT_EQ(sim.GetTaskState(id).value(), TaskState::kApproved);
+  // The decision settles the task: the platform forgets it.
+  EXPECT_TRUE(sim.GetTaskState(id).status().IsNotFound());
   EXPECT_EQ(sim.PendingDecisionCount(), 0u);
   EXPECT_EQ(ledger.TotalPaid(), 5u);
-  // Double decision fails.
-  EXPECT_TRUE(sim.Approve(id).IsFailedPrecondition());
+  // A second decision finds no task.
+  EXPECT_TRUE(sim.Approve(id).IsNotFound());
+  EXPECT_TRUE(sim.Reject(id).IsNotFound());
 }
 
 TEST(MTurkSimTest, CancelOnlyWhileOpen) {
@@ -117,12 +120,52 @@ TEST(MTurkSimTest, CancelOnlyWhileOpen) {
   MTurkSim sim(SmallPool(2), &ledger);
   TaskId id = sim.PostTask(Spec()).value();
   ASSERT_TRUE(sim.CancelTask(id).ok());
-  EXPECT_EQ(sim.GetTaskState(id).value(), TaskState::kCancelled);
-  EXPECT_TRUE(sim.CancelTask(id).IsFailedPrecondition());
+  EXPECT_TRUE(sim.GetTaskState(id).status().IsNotFound());
+  EXPECT_TRUE(sim.CancelTask(id).IsNotFound());
   EXPECT_EQ(sim.OpenTaskCount(), 0u);
   // Cancelled tasks are never picked up.
   sim.AdvanceTo(500);
-  EXPECT_EQ(sim.GetTaskState(id).value(), TaskState::kCancelled);
+  EXPECT_TRUE(sim.GetTaskState(id).status().IsNotFound());
+}
+
+// A blob written before settled tasks were erased still lists them next to
+// the live ones. Restoring it keeps only the live records, so the next
+// encode is one task record (53 bytes) shorter than the blob.
+TEST(MTurkSimTest, RestoreDropsSettledRecordsOfAnOlderBlob) {
+  PaymentLedger ledger;
+  MTurkSim sim(SmallPool(2), &ledger);
+  ByteWriter w;
+  w.I64(40);  // clock
+  w.U64(3);   // next task id
+  w.U32(2);   // task records
+  auto task = [&w](TaskId id, TaskState state, WorkerId worker) {
+    w.U64(id);
+    w.U64(1);    // project
+    w.U32(0);    // resource
+    w.U32(5);    // pay_cents
+    w.F64(1.0);  // requester approval rate
+    w.U8(static_cast<uint8_t>(state));
+    w.U32(worker);
+    w.I64(worker == kNoWorker ? 0 : 10);  // accepted at
+    w.I64(worker == kNoWorker ? 0 : 20);  // completes at
+  };
+  task(1, TaskState::kOpen, kNoWorker);
+  task(2, TaskState::kApproved, 0);
+  w.U32(2);  // worker statistics: worker 0 submitted and was approved once
+  for (uint32_t decided : {1u, 0u}) {
+    w.U32(decided);
+    w.U32(decided);
+    w.U32(0);
+  }
+  w.U64(0x853c49e6748fea9bULL);  // RNG state
+  w.U64(0xda3e39cb94b95bdbULL);  // RNG increment
+  const std::string blob = w.Take();
+
+  ASSERT_TRUE(sim.RestoreState(blob));
+  EXPECT_EQ(sim.GetTaskState(1).value(), TaskState::kOpen);
+  EXPECT_TRUE(sim.GetTaskState(2).status().IsNotFound());
+  EXPECT_EQ(sim.OpenTaskCount(), 1u);
+  EXPECT_EQ(sim.EncodeState().size() + 53, blob.size());
 }
 
 TEST(MTurkSimTest, UnknownTaskAndWorker) {

@@ -4,10 +4,12 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "storage/wal.h"
 
 namespace itag::core {
@@ -337,6 +339,192 @@ TEST_F(ITagSystemTest, ProjectListingSortsByQuality) {
   EXPECT_GE(list[0].quality, list[1].quality);
 }
 
+// ---------------------------------------------------- in-memory Reattach
+
+/// Text image of what a caller can read back from `system`: the clock, the
+/// accepted-task counter, the ledger totals, both profiles, and per project
+/// its info, dictionary size, quality feed, pending handles and resource
+/// details, then the provider's notifications. Doubles print with 17
+/// digits, so equal captures mean equal values.
+std::string CaptureState(ITagSystem& system, ProviderId provider,
+                         UserTaggerId tagger) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "clock " << system.clock().Now() << " accepted "
+      << system.tasks_accepted_total() << " paid "
+      << system.ledger().TotalPaid() << " in "
+      << system.ledger().PaymentCount() << "\n";
+  ProviderProfile p = system.GetProvider(provider).value();
+  out << "provider " << p.name << " " << p.approvals_given << "/"
+      << p.rejections_given << "\n";
+  TaggerProfile t = system.GetTagger(tagger).value();
+  out << "tagger " << t.name << " " << t.submitted << " " << t.approved
+      << "/" << t.rejected << " " << t.earned_cents << "\n";
+  for (const ProjectInfo& info : system.ListProjects(provider)) {
+    out << "project " << info.id << " state " << static_cast<int>(info.state)
+        << " strategy " << static_cast<int>(info.spec.strategy) << " budget "
+        << info.spec.budget << " remaining " << info.budget_remaining
+        << " completed " << info.tasks_completed << " resources "
+        << info.num_resources << " tags "
+        << system.resource_manager().GetCorpus(info.id)->dict().size()
+        << " quality " << info.quality << " gain " << info.projected_gain
+        << "\n";
+    for (const QualityPoint& point : system.QualityFeed(info.id)) {
+      out << "  point " << point.tasks << " " << point.quality << " "
+          << point.time << "\n";
+    }
+    for (const PendingSubmission& sub : system.PendingApprovals(info.id)) {
+      out << "  pending " << sub.handle << " resource " << sub.resource
+          << "\n";
+    }
+    for (tagging::ResourceId r = 0; r < info.num_resources; ++r) {
+      QualityManager::ResourceDetail d =
+          system.GetResourceDetail(info.id, r).value();
+      out << "  resource " << r << " posts " << d.posts << " quality "
+          << d.quality << " next " << d.projected_gain_next_task
+          << (d.stopped ? " stopped" : "");
+      for (const TagFrequency& tag : d.top_tags) {
+        out << " " << tag.tag << ":" << tag.count;
+      }
+      out << "\n";
+    }
+  }
+  for (const Notification& n : system.LatestNotifications(provider, 64)) {
+    out << "note " << static_cast<int>(n.kind) << " " << n.time << " "
+        << n.project << " " << n.message << "\n";
+  }
+  return out.str();
+}
+
+/// Runs the same script on two in-memory systems, so one of them can
+/// Reattach and be compared with the other.
+class ITagSystemInMemoryTest : public ::testing::Test {
+ protected:
+  struct Run {
+    ITagSystem system;
+    ProviderId provider = 0;
+    UserTaggerId tagger = 0;
+    ProjectId audience = 0;
+    std::vector<TaskHandle> open_tasks;  ///< accepted, not submitted
+  };
+
+  void SetUp() override {
+    for (Run* run : {&a_, &b_}) {
+      ASSERT_TRUE(run->system.Init().ok());
+      Prepare(run);
+    }
+  }
+
+  std::string Capture(Run& run) {
+    return CaptureState(run.system, run.provider, run.tagger);
+  }
+
+  /// An audience project with imported tags, a budget top-up and a stopped
+  /// resource; a 4-task cycle with one rejection; an MTurk project stepped
+  /// 200 ticks under a policy that rejects careless work, with budget left
+  /// for the Steps after it; then three more tasks, one of them submitted
+  /// and left pending, two left accepted.
+  static void Prepare(Run* run) {
+    ITagSystem& s = run->system;
+    run->provider = s.RegisterProvider("pat").value();
+    run->tagger = s.RegisterTagger("tom").value();
+    run->audience =
+        s.CreateProject(run->provider, AudienceSpec("aud", 20)).value();
+    std::vector<ResourceUpload> uploads = {
+        {ResourceKind::kWebUrl, "http://a/0", "", {"news", "daily"}},
+        {ResourceKind::kWebUrl, "http://a/1", "", {"sport"}},
+        {ResourceKind::kWebUrl, "http://a/2", "", {}}};
+    std::vector<tagging::ResourceId> ids;
+    for (const Status& st :
+         s.UploadResourceBatch(run->audience, uploads, &ids)) {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+    for (const Status& st :
+         s.ControlBatch(run->audience,
+                        {{ControlAction::kStart},
+                         {ControlAction::kAddBudget, 0, 5},
+                         {ControlAction::kStopResource, ids[2]}})) {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+    Cycle(run, 4, /*reject_first=*/true);
+
+    // Careless platform work is rejected, so the dictionary holds tags
+    // that no post carries and only the dict rows restore its order.
+    s.SetApprovalPolicy(run->provider, [](const PendingSubmission& sub) {
+      return sub.conscientious_hint;
+    });
+    ProjectSpec spec = AudienceSpec("turk", 300);
+    spec.platform = PlatformChoice::kMTurk;
+    ProjectId turk = s.CreateProject(run->provider, spec).value();
+    std::vector<ResourceUpload> turk_uploads;
+    for (int i = 0; i < 4; ++i) {
+      turk_uploads.push_back(
+          {ResourceKind::kImage, "img" + std::to_string(i), "", {}});
+    }
+    s.UploadResourceBatch(turk, turk_uploads, &ids);
+    ASSERT_TRUE(s.ControlBatch(turk, {{ControlAction::kStart}})[0].ok());
+    ASSERT_TRUE(s.Step(200).ok());
+
+    std::vector<AcceptedTask> tasks =
+        s.AcceptTasks(run->tagger, run->audience, 3).value();
+    ASSERT_EQ(tasks.size(), 3u);
+    ASSERT_TRUE(s.SubmitTagsBatch({{run->tagger, tasks[0].handle,
+                                    {"late", "news"}}})[0]
+                    .ok());
+    run->open_tasks = {tasks[1].handle, tasks[2].handle};
+  }
+
+  /// Accepts `count` audience tasks, submits them together with the
+  /// tasks left open before, and decides every pending submission,
+  /// rejecting the first one when `reject_first`.
+  static void Cycle(Run* run, size_t count, bool reject_first) {
+    ITagSystem& s = run->system;
+    std::vector<AcceptedTask> tasks =
+        s.AcceptTasks(run->tagger, run->audience, count).value();
+    ASSERT_EQ(tasks.size(), count);
+    std::vector<TagSubmission> items;
+    for (TaskHandle handle : run->open_tasks) {
+      items.push_back({run->tagger, handle, {"kept", "open"}});
+    }
+    run->open_tasks.clear();
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      items.push_back(
+          {run->tagger, tasks[i].handle, {"tag", "t" + std::to_string(i % 2)}});
+    }
+    for (const Status& st : s.SubmitTagsBatch(items)) {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+    std::vector<std::pair<TaskHandle, bool>> decisions;
+    for (const PendingSubmission& sub : s.PendingApprovals(run->audience)) {
+      decisions.emplace_back(sub.handle,
+                             !(reject_first && decisions.empty()));
+    }
+    for (const Status& st : s.DecideBatch(run->provider, decisions)) {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+  }
+
+  Run a_;
+  Run b_;
+};
+
+// Every manager writes the same rows on an in-memory database as on a
+// durable one, so Reattach re-derives an in-memory system too: workflow
+// maps, ledger, simulators, clock and RNG come back from the tables, and
+// the reattached system keeps running in lockstep with one that did not.
+TEST_F(ITagSystemInMemoryTest, ReattachRebuildsTheSameState) {
+  const std::string before = Capture(b_);
+  ASSERT_EQ(Capture(a_), before);
+  ASSERT_TRUE(b_.system.Reattach().ok());
+  EXPECT_EQ(Capture(b_), before);
+
+  for (Run* run : {&a_, &b_}) {
+    Cycle(run, 3, /*reject_first=*/false);
+    ASSERT_TRUE(run->system.Step(100).ok());
+  }
+  EXPECT_EQ(Capture(b_), Capture(a_));
+}
+
 TEST(ITagSystemDurabilityTest, StateSurvivesRestart) {
   std::string dir =
       (fs::temp_directory_path() /
@@ -416,6 +604,49 @@ TEST(ITagSystemDurabilityTest, ControlVerbsWriteAtMostOneWalFrame) {
     ASSERT_TRUE(s.ok()) << name << ": " << s.ToString();
     EXPECT_LE(frames() - before, 1u) << name;
   }
+  fs::remove_all(dir);
+}
+
+// Platform Steps write the simulators' state: one sys row per simulator,
+// which holds live tasks only. So the WAL bytes of a window of Steps stay
+// flat as settled tasks pile up, instead of growing with every task ever
+// posted.
+TEST(ITagSystemDurabilityTest, PlatformStepWalBytesStayFlat) {
+  std::string dir = (fs::temp_directory_path() /
+                     ("itag_system_step_wal." + std::to_string(::getpid())))
+                        .string();
+  fs::remove_all(dir);
+  ITagSystemOptions opts;
+  opts.db.directory = dir;
+  ITagSystem system(opts);
+  ASSERT_TRUE(system.Init().ok());
+  ProviderId provider = system.RegisterProvider("turk").value();
+  ProjectSpec spec = AudienceSpec("turk", /*budget=*/100000);
+  spec.platform = PlatformChoice::kMTurk;
+  ProjectId p = system.CreateProject(provider, spec).value();
+  std::vector<ResourceUpload> uploads;
+  for (int i = 0; i < 64; ++i) {
+    uploads.push_back({ResourceKind::kWebUrl, "u" + std::to_string(i), "", {}});
+  }
+  std::vector<tagging::ResourceId> ids;
+  system.UploadResourceBatch(p, uploads, &ids);
+  ASSERT_EQ(ids.size(), 64u);
+  ASSERT_TRUE(system.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+  ASSERT_TRUE(system.Checkpoint().ok());
+
+  const obs::Counter* wal_bytes =
+      obs::MetricsRegistry::Default().GetCounter("storage.wal.bytes");
+  std::vector<uint64_t> window_bytes;
+  for (int window = 0; window < 4; ++window) {
+    const uint64_t before = wal_bytes->value();
+    for (int i = 0; i < 400; ++i) ASSERT_TRUE(system.Step(1).ok());
+    window_bytes.push_back(wal_bytes->value() - before);
+    ASSERT_TRUE(system.Checkpoint().ok());
+  }
+  EXPECT_GT(system.GetProjectInfo(p).value().tasks_completed, 1000u);
+  EXPECT_LE(window_bytes.back(), window_bytes.front() * 5 / 4)
+      << "first window " << window_bytes.front() << " bytes, last "
+      << window_bytes.back();
   fs::remove_all(dir);
 }
 

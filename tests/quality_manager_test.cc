@@ -34,7 +34,8 @@ class QualityManagerTest : public ::testing::Test {
     tags_ = std::make_unique<TagManager>(&db_);
     ASSERT_TRUE(tags_->Attach().ok());
     qm_ = std::make_unique<QualityManager>(resources_.get(), tags_.get(),
-                                           users_.get(), &clock_);
+                                           users_.get(), &clock_, &db_);
+    ASSERT_TRUE(qm_->Attach().ok());
     provider_ = users_->RegisterProvider("p").value();
   }
 

@@ -90,23 +90,6 @@ TEST(ShardingCodecTest, RoundTripsAndNeverYieldsZero) {
   }
 }
 
-TEST(ShardingCodecTest, HashShardSpreadsClusteredKeys) {
-  // Sequential (clustered) keys must land near-uniformly: no shard may see
-  // more than twice its fair share of 4096 keys over 8 shards.
-  constexpr size_t kShards = 8;
-  constexpr size_t kKeys = 4096;
-  size_t counts[kShards] = {};
-  for (uint64_t key = 0; key < kKeys; ++key) {
-    size_t s = HashShard(key, kShards);
-    ASSERT_LT(s, kShards);
-    ++counts[s];
-  }
-  for (size_t s = 0; s < kShards; ++s) {
-    EXPECT_GT(counts[s], kKeys / kShards / 2) << "shard " << s;
-    EXPECT_LT(counts[s], kKeys / kShards * 2) << "shard " << s;
-  }
-}
-
 TEST(ShardedSystemTest, BroadcastRegistrationGivesOneIdValidEverywhere) {
   ShardedSystem sys(Opts(4));
   ASSERT_TRUE(sys.Init().ok());

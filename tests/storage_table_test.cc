@@ -144,6 +144,11 @@ TEST(TableTest, UniqueIndexFollowsUpdates) {
   ASSERT_TRUE(t.Update(a, MakeUser(3, "a", 0.0)).ok());
   EXPECT_TRUE(t.LookupUnique("id", Value::Int(1)).status().IsNotFound());
   EXPECT_TRUE(t.LookupUnique("id", Value::Int(3)).ok());
+  // A rewrite that keeps the key and changes another column still finds
+  // the row by its key.
+  ASSERT_TRUE(t.Update(a, MakeUser(3, "renamed", 1.5)).ok());
+  EXPECT_EQ(t.LookupUnique("id", Value::Int(3)).value(), a);
+  EXPECT_EQ(t.Get(a).value()[1].as_string(), "renamed");
 }
 
 TEST(TableTest, OrderedIndexEqualLookup) {
