@@ -32,9 +32,9 @@ class PaymentLedger {
   size_t PaymentCount() const { return count_; }
 
   /// Observer invoked after every Pay() with the payment just applied. The
-  /// iTag layer hooks this to write the updated balances through to the
-  /// storage engine (the crowd layer itself stays storage-agnostic). Pass
-  /// nullptr to detach.
+  /// iTag layer hooks this to persist the updated balances, once per call
+  /// (the crowd layer itself stays storage-agnostic). Pass nullptr to
+  /// detach.
   using PaySink = std::function<void(ProjectRef, WorkerId, uint32_t)>;
   void set_pay_sink(PaySink sink) { sink_ = std::move(sink); }
 

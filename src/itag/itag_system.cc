@@ -9,7 +9,6 @@
 
 namespace itag::core {
 
-using storage::BatchScope;
 using storage::Row;
 using storage::SchemaBuilder;
 using storage::Value;
@@ -237,32 +236,44 @@ Status ITagSystem::AttachRuntimeState() {
     }
   }
 
+  // A payment marks the balance rows it moved; they are written once per
+  // call, when its batch closes, or at once when no batch is open.
   ledger_.set_pay_sink([this](crowd::ProjectRef project,
                               crowd::WorkerId worker, uint32_t cents) {
     (void)cents;  // rows carry the already-applied balances
+    dirty_spend_.Mark(project);
+    dirty_earnings_.Mark(worker);
+    dirty_totals_ = true;
+    if (db_.batch_depth() == 0) FlushDirtyRows();
+  });
+  return Status::OK();
+}
+
+void ITagSystem::FlushDirtyRows() {
+  (void)users_->FlushDirty();
+  for (crowd::ProjectRef project : dirty_spend_.Take()) {
     (void)db_.Upsert(
         tables::kLedgerProjects,
         {Value::Int(static_cast<int64_t>(project)),
          Value::Int(static_cast<int64_t>(ledger_.ProjectSpend(project)))});
+  }
+  for (crowd::WorkerId worker : dirty_earnings_.Take()) {
     (void)db_.Upsert(
         tables::kLedgerWorkers,
         {Value::Int(static_cast<int64_t>(worker)),
          Value::Int(static_cast<int64_t>(ledger_.WorkerEarnings(worker)))});
-    PersistLedgerTotals();
-  });
-  return Status::OK();
+  }
+  if (std::exchange(dirty_totals_, false)) {
+    ByteWriter totals;
+    totals.U64(ledger_.TotalPaid());
+    totals.U64(ledger_.PaymentCount());
+    PersistSys(kSysLedger, totals.Take());
+  }
 }
 
 void ITagSystem::PersistSys(const std::string& key, std::string value) {
   (void)db_.Upsert(tables::kSys,
                    {Value::Str(key), Value::Str(std::move(value))});
-}
-
-void ITagSystem::PersistLedgerTotals() {
-  ByteWriter totals;
-  totals.U64(ledger_.TotalPaid());
-  totals.U64(ledger_.PaymentCount());
-  PersistSys(kSysLedger, totals.Take());
 }
 
 void ITagSystem::PersistCore() {
@@ -335,32 +346,35 @@ void ITagSystem::DeleteInFlight(int platform, crowd::TaskId task) {
   in_flight_rows_.erase(it);
 }
 
-// ------------------------------------------------------------- publication
+// --------------------------------------------------------------- call scope
 
-class ITagSystem::PublishScope {
+class ITagSystem::CallScope {
  public:
-  explicit PublishScope(ITagSystem* sys) : sys_(sys) { ++sys_->publish_depth_; }
-  ~PublishScope() {
-    if (--sys_->publish_depth_ > 0) return;
-    std::vector<ProjectId> queue;
-    queue.swap(sys_->publish_queue_);
-    for (ProjectId project : queue) sys_->publish_hook_(project);
+  explicit CallScope(ITagSystem* sys) : sys_(sys) {
+    ++sys_->call_depth_;
+    sys_->db_.BeginBatch();
   }
-  PublishScope(const PublishScope&) = delete;
-  PublishScope& operator=(const PublishScope&) = delete;
+  // Runs on every return path. A commit failure is not lost: it poisons the
+  // database (storage::Database::wal_error), so the next write reports it.
+  ~CallScope() {
+    const bool outermost = --sys_->call_depth_ == 0;
+    if (outermost) sys_->FlushDirtyRows();
+    (void)sys_->db_.CommitBatch();
+    if (!outermost) return;
+    for (ProjectId project : sys_->publish_queue_.Take()) {
+      sys_->publish_hook_(project);
+    }
+  }
+  CallScope(const CallScope&) = delete;
+  CallScope& operator=(const CallScope&) = delete;
 
  private:
   ITagSystem* sys_;
 };
 
 void ITagSystem::MarkChanged(ProjectId project) {
-  if (!publish_hook_) return;
-  if (publish_depth_ == 0) {
-    publish_hook_(project);
-  } else if (std::find(publish_queue_.begin(), publish_queue_.end(),
-                       project) == publish_queue_.end()) {
-    publish_queue_.push_back(project);
-  }
+  assert(call_depth_ > 0);
+  if (publish_hook_) publish_queue_.Mark(project);
 }
 
 Status ITagSystem::MarkIfOk(ProjectId project, Status status) {
@@ -390,7 +404,7 @@ Result<TaggerProfile> ITagSystem::GetTagger(UserTaggerId id) const {
 
 Result<ProjectId> ITagSystem::CreateProject(ProviderId provider,
                                             const ProjectSpec& spec) {
-  BatchScope batch(&db_);
+  CallScope call(this);
   Result<ProjectId> id = quality_->CreateProject(provider, spec);
   if (id.ok()) MarkChanged(id.value());
   return id;
@@ -398,7 +412,7 @@ Result<ProjectId> ITagSystem::CreateProject(ProviderId provider,
 
 Status ITagSystem::ImportPost(ProjectId project, ResourceId resource,
                               const std::vector<std::string>& raw_tags) {
-  BatchScope batch(&db_);
+  CallScope call(this);
   return MarkIfOk(project,
                   resources_->ImportPost(project, resource, raw_tags));
 }
@@ -407,9 +421,8 @@ std::vector<Status> ITagSystem::UploadResourceBatch(
     ProjectId project, const std::vector<ResourceUpload>& items,
     std::vector<ResourceId>* ids) {
   // One publication for the whole batch, not one per imported item.
-  PublishScope publish(this);
+  CallScope call(this);
   MarkChanged(project);
-  BatchScope batch(&db_);
   std::vector<Status> out;
   out.reserve(items.size());
   ids->clear();
@@ -435,8 +448,7 @@ std::vector<Status> ITagSystem::ControlBatch(
     ProjectId project, const std::vector<ControlItem>& items) {
   // One publication and one atomic WAL record for the whole batch: a torn
   // tail keeps all of it or none.
-  PublishScope publish(this);
-  BatchScope batch(&db_);
+  CallScope call(this);
   std::vector<Status> out;
   out.reserve(items.size());
   for (const ControlItem& item : items) {
@@ -546,8 +558,7 @@ std::vector<Status> ITagSystem::DecideBatch(
     const std::vector<std::pair<TaskHandle, bool>>& decisions) {
   // Every project a decided submission belongs to publishes once, after
   // the whole batch, whatever the item's outcome.
-  PublishScope publish(this);
-  BatchScope db_batch(&db_);
+  CallScope call(this);
   std::vector<Status> out;
   out.reserve(decisions.size());
   // Approved items queued for the per-project flush, each remembering the
@@ -684,7 +695,7 @@ Result<ITagSystem::ProjectBundle> ITagSystem::ExtractProject(
 Result<ProjectId> ITagSystem::AdoptProject(
     const ProjectBundle& bundle,
     std::vector<std::pair<TaskHandle, TaskHandle>>* handle_map) {
-  BatchScope batch(&db_);
+  CallScope call(this);
   ProjectId id = quality_->next_project_id();
   ITAG_RETURN_IF_ERROR(resources_->AdoptCorpus(id, bundle.corpus));
   ITAG_RETURN_IF_ERROR(
@@ -717,11 +728,8 @@ Result<ProjectId> ITagSystem::AdoptProject(
   }
   ledger_.AdoptProjectSpend(id, bundle.ledger_spend_cents);
   if (bundle.ledger_spend_cents > 0) {
-    (void)db_.Upsert(
-        tables::kLedgerProjects,
-        {Value::Int(static_cast<int64_t>(id)),
-         Value::Int(static_cast<int64_t>(ledger_.ProjectSpend(id)))});
-    PersistLedgerTotals();
+    dirty_spend_.Mark(id);
+    dirty_totals_ = true;
   }
   PersistCore();
   MarkChanged(id);
@@ -734,9 +742,8 @@ Status ITagSystem::EraseProject(ProjectId project) {
   }
   // Published on every return path: the observer drops a project that is
   // gone and keeps one a failed erase left behind.
-  PublishScope publish(this);
+  CallScope call(this);
   MarkChanged(project);
-  BatchScope batch(&db_);
   for (auto it = accepted_.begin(); it != accepted_.end();) {
     if (it->second.task.project != project) {
       ++it;
@@ -760,7 +767,7 @@ Status ITagSystem::EraseProject(ProjectId project) {
       db_.GetTable(tables::kLedgerProjects)
           ->LookupUnique("project", Value::Int(static_cast<int64_t>(project)));
   if (rid.ok()) (void)db_.Delete(tables::kLedgerProjects, rid.value());
-  if (spend > 0) PersistLedgerTotals();
+  if (spend > 0) dirty_totals_ = true;
   ITAG_RETURN_IF_ERROR(quality_->DropProject(project));
   return resources_->DropCorpus(project);
 }
@@ -782,7 +789,7 @@ Result<std::vector<AcceptedTask>> ITagSystem::AcceptTasks(UserTaggerId tagger,
                                                           ProjectId project,
                                                           size_t count) {
   ITAG_RETURN_IF_ERROR(users_->GetTagger(tagger).status());
-  BatchScope batch(&db_);
+  CallScope call(this);
   ITAG_ASSIGN_OR_RETURN(std::vector<ResourceId> resources,
                         quality_->ChooseTaskBatch(project, count));
   const QualityManager::ProjectRec* rec = quality_->GetRec(project);
@@ -840,7 +847,7 @@ Status ITagSystem::SubmitTags(UserTaggerId tagger, TaskHandle handle,
 
 std::vector<Status> ITagSystem::SubmitTagsBatch(
     const std::vector<TagSubmission>& items) {
-  BatchScope batch(&db_);
+  CallScope call(this);
   std::vector<Status> out;
   out.reserve(items.size());
   for (const TagSubmission& item : items) {
@@ -1002,7 +1009,7 @@ Status ITagSystem::PumpProject(ProjectId project,
 
 Status ITagSystem::Step(Tick ticks) {
   if (!initialized_) return Status::FailedPrecondition("call Init() first");
-  BatchScope batch(&db_);
+  CallScope call(this);
   Tick start = clock_.Now();
   Status result = RunTicks(start + ticks);
   // Persist the non-relational runtime state whenever any tick ran — on

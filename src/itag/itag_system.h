@@ -15,6 +15,7 @@
 #include "crowd/ledger.h"
 #include "crowd/mturk_sim.h"
 #include "crowd/social_sim.h"
+#include "itag/dirty_set.h"
 #include "itag/ids.h"
 #include "itag/project.h"
 #include "itag/quality_manager.h"
@@ -117,11 +118,15 @@ struct CheckpointInfo {
 /// engine and the simulated crowdsourcing platforms behind the provider and
 /// tagger APIs of §III. Single-threaded; time advances through Step().
 ///
-/// Publication: once per outermost mutating call, the facade hands every
-/// project whose info or feed that call may have changed to the installed
-/// PublishHook. These are create, upload and import, ControlBatch and
-/// AcceptTasks (each on OK), the projects a DecideBatch touched, every
-/// project on Step, and adopt and erase.
+/// Writes: each mutating call is one atomic WAL batch. The tagger,
+/// provider and ledger rows it changes are written once each, with their
+/// final values, when the call ends, however many of its items touched them.
+///
+/// Publication: once per outermost mutating call, after its batch commits,
+/// the facade hands every project whose info or feed that call may have
+/// changed to the installed PublishHook. These are create, upload and
+/// import, ControlBatch and AcceptTasks (each on OK), the projects a
+/// DecideBatch touched, every project on Step, and adopt and erase.
 /// SubmitTagsBatch only moves the pending set, so it publishes nothing.
 /// Init and Reattach publish nothing either: the embedder republishes
 /// everything once its own routing state is loaded.
@@ -370,13 +375,14 @@ class ITagSystem {
   };
   using ApprovedPosts = std::map<ProjectId, std::vector<ApprovedItem>>;
 
-  // ----------------------------------------------------------- publication
-  /// Marks a call that may mark projects before its mutation is complete
-  /// or that nests other public mutating calls: publication waits until
-  /// the outermost scope ends.
-  class PublishScope;
-  /// Hands `project` to the publish hook, now or at the end of the
-  /// outermost open PublishScope. No-op without a hook.
+  // ------------------------------------------------------------ call scope
+  /// One per mutating call, nested calls included: opens an atomic WAL
+  /// batch, and when the outermost scope closes (on every return path) it
+  /// writes the rows the call left dirty (FlushDirtyRows), commits the
+  /// batch, and then hands the marked projects to the publish hook.
+  class CallScope;
+  /// Queues `project` for publication when the outermost CallScope closes.
+  /// No-op without a hook.
   void MarkChanged(ProjectId project);
   /// MarkChanged(project) when `status` is OK; returns `status`.
   Status MarkIfOk(ProjectId project, Status status);
@@ -390,8 +396,11 @@ class ITagSystem {
   Status AttachRuntimeState();
   /// Upserts one sys key/value row.
   void PersistSys(const std::string& key, std::string value);
-  /// Writes the ledger's payment totals as one sys row.
-  void PersistLedgerTotals();
+  /// Writes each row marked dirty since the last flush once, with its
+  /// current value: the User Manager's profiles, then the ledger's project
+  /// and worker balances, then its totals (one sys row), each table in
+  /// first-mark order.
+  void FlushDirtyRows();
   /// Writes the facade scalars (next handle, accepted-task counter, clock,
   /// RNG stream) as one sys row.
   void PersistCore();
@@ -444,8 +453,12 @@ class ITagSystem {
   std::unique_ptr<crowd::SocialNetSim> social_;
   PostSource post_source_;
   PublishHook publish_hook_;
-  int publish_depth_ = 0;               ///< open PublishScopes
-  std::vector<ProjectId> publish_queue_;  ///< marked inside them, deduped
+  int call_depth_ = 0;                ///< open CallScopes
+  DirtySet<ProjectId> publish_queue_;  ///< marked inside them
+  /// Ledger rows a payment, adoption or erase moved inside the open call.
+  DirtySet<crowd::ProjectRef> dirty_spend_;
+  DirtySet<crowd::WorkerId> dirty_earnings_;
+  bool dirty_totals_ = false;
   std::map<ProviderId, ApprovalPolicy> policies_;
   std::map<crowd::TaskId, InFlight> in_flight_mturk_;
   std::map<crowd::TaskId, InFlight> in_flight_social_;

@@ -113,7 +113,8 @@ Status UserManager::RecordSubmission(UserTaggerId tagger) {
     return Status::NotFound("tagger " + std::to_string(tagger));
   }
   ++taggers_[tagger].submitted;
-  return PersistTagger(taggers_[tagger]);
+  dirty_taggers_.Mark(tagger);
+  return FlushUnlessBatching();
 }
 
 Status UserManager::RecordProviderDecision(ProviderId provider,
@@ -126,7 +127,8 @@ Status UserManager::RecordProviderDecision(ProviderId provider,
   } else {
     ++providers_[provider].rejections_given;
   }
-  return PersistProvider(providers_[provider]);
+  dirty_providers_.Mark(provider);
+  return FlushUnlessBatching();
 }
 
 Status UserManager::RecordDecision(ProviderId provider, UserTaggerId tagger,
@@ -145,8 +147,23 @@ Status UserManager::RecordDecision(ProviderId provider, UserTaggerId tagger,
     ++providers_[provider].rejections_given;
     ++taggers_[tagger].rejected;
   }
-  ITAG_RETURN_IF_ERROR(PersistProvider(providers_[provider]));
-  return PersistTagger(taggers_[tagger]);
+  dirty_providers_.Mark(provider);
+  dirty_taggers_.Mark(tagger);
+  return FlushUnlessBatching();
+}
+
+Status UserManager::FlushDirty() {
+  for (ProviderId id : dirty_providers_.Take()) {
+    ITAG_RETURN_IF_ERROR(PersistProvider(providers_[id]));
+  }
+  for (UserTaggerId id : dirty_taggers_.Take()) {
+    ITAG_RETURN_IF_ERROR(PersistTagger(taggers_[id]));
+  }
+  return Status::OK();
+}
+
+Status UserManager::FlushUnlessBatching() {
+  return db_->batch_depth() > 0 ? Status::OK() : FlushDirty();
 }
 
 std::vector<TaggerProfile> UserManager::QualifiedTaggers(

@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "itag/dirty_set.h"
 #include "itag/ids.h"
 #include "storage/database.h"
 
@@ -46,6 +47,13 @@ struct TaggerProfile {
 
 /// The User Manager of Fig. 2: registration and approval-rate tracking for
 /// both sides of the market, persisted through the storage engine.
+///
+/// Registration writes its row at once. The Record* methods update the
+/// profile in memory and mark its row dirty; with no batch open on the
+/// database they write it at once too. Inside an open batch they only
+/// mark, however often one call records against the same profile, and the
+/// batch's owner calls FlushDirty before it commits, so each row is written
+/// once per batch with its final value.
 class UserManager {
  public:
   /// `db` must outlive the manager; tables are created on Attach.
@@ -77,6 +85,10 @@ class UserManager {
   /// Marks a submission (pending decision) by a tagger.
   Status RecordSubmission(UserTaggerId tagger);
 
+  /// Writes every row the Record* methods marked dirty, each once with its
+  /// current value: providers, then taggers, each in first-mark order.
+  Status FlushDirty();
+
   /// All taggers whose approval rate is at least `min_rate` and who have at
   /// least `min_decided` decided submissions — the reliable-workforce filter.
   std::vector<TaggerProfile> QualifiedTaggers(double min_rate,
@@ -90,10 +102,14 @@ class UserManager {
   /// updated in place afterwards).
   Status PersistProvider(const ProviderProfile& p);
   Status PersistTagger(const TaggerProfile& t);
+  /// The tail of every Record* method: FlushDirty unless a batch is open.
+  Status FlushUnlessBatching();
 
   storage::Database* db_;
   std::vector<ProviderProfile> providers_;  // index = id
   std::vector<TaggerProfile> taggers_;      // index = id
+  DirtySet<ProviderId> dirty_providers_;
+  DirtySet<UserTaggerId> dirty_taggers_;
 };
 
 }  // namespace itag::core

@@ -650,6 +650,100 @@ TEST(ITagSystemDurabilityTest, PlatformStepWalBytesStayFlat) {
   fs::remove_all(dir);
 }
 
+// A tag cycle writes each tagger, provider and ledger row once per call,
+// when the call ends, so no row image folds inside any of its WAL batches.
+// The rows are still written, inside the call's batch: re-deriving the
+// system from its tables reads every live value back, also after a decide
+// whose items include an unknown handle.
+TEST(ITagSystemDurabilityTest, TagCycleWritesEachRowOnce) {
+  std::string dir = (fs::temp_directory_path() /
+                     ("itag_system_row_once." + std::to_string(::getpid())))
+                        .string();
+  fs::remove_all(dir);
+  ITagSystemOptions opts;
+  opts.db.directory = dir;
+  ITagSystem system(opts);
+  ASSERT_TRUE(system.Init().ok());
+  ProviderId provider = system.RegisterProvider("once").value();
+  UserTaggerId tagger = system.RegisterTagger("tagger").value();
+  ProjectId p =
+      system.CreateProject(provider, AudienceSpec("once", /*budget=*/100))
+          .value();
+  std::vector<ResourceUpload> uploads;
+  for (int i = 0; i < 8; ++i) {
+    uploads.push_back({ResourceKind::kWebUrl, "u" + std::to_string(i), "", {}});
+  }
+  std::vector<tagging::ResourceId> ids;
+  system.UploadResourceBatch(p, uploads, &ids);
+  ASSERT_TRUE(system.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+
+  const obs::Counter* folded =
+      obs::MetricsRegistry::Default().GetCounter("storage.wal.coalesced_rows");
+  // Accepts and submits 8 tasks, checking that neither call folds a row
+  // image; returns the approval of each.
+  auto accept_and_submit = [&] {
+    std::vector<std::pair<TaskHandle, bool>> decisions;
+    uint64_t before = folded->value();
+    Result<std::vector<AcceptedTask>> tasks = system.AcceptTasks(tagger, p, 8);
+    EXPECT_TRUE(tasks.ok()) << tasks.status().ToString();
+    if (!tasks.ok()) return decisions;
+    EXPECT_EQ(tasks.value().size(), 8u);
+    EXPECT_EQ(folded->value(), before) << "AcceptTasks";
+    std::vector<TagSubmission> subs;
+    for (const AcceptedTask& task : tasks.value()) {
+      subs.push_back(
+          {tagger, task.handle, {"t" + std::to_string(task.resource), "all"}});
+      decisions.emplace_back(task.handle, true);
+    }
+    before = folded->value();
+    for (const Status& s : system.SubmitTagsBatch(subs)) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+    EXPECT_EQ(folded->value(), before) << "SubmitTagsBatch";
+    return decisions;
+  };
+  auto capture = [&] {
+    const TaggerProfile t = system.GetTagger(tagger).value();
+    const crowd::PaymentLedger& ledger = system.ledger();
+    return std::vector<uint64_t>{
+        t.submitted,
+        t.approved,
+        t.earned_cents,
+        system.GetProvider(provider).value().approvals_given,
+        ledger.ProjectSpend(p),
+        ledger.TotalPaid(),
+        ledger.PaymentCount()};
+  };
+
+  std::vector<std::pair<TaskHandle, bool>> decisions = accept_and_submit();
+  uint64_t before = folded->value();
+  for (const Status& s : system.DecideBatch(provider, decisions)) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+  EXPECT_EQ(folded->value(), before) << "DecideBatch";
+  std::vector<uint64_t> live = capture();
+  EXPECT_EQ(live, (std::vector<uint64_t>{8, 8, 32, 8, 32, 32, 8}));
+  ASSERT_TRUE(system.Reattach().ok());
+  EXPECT_EQ(capture(), live);
+
+  // An unknown handle among valid ones: the items that settle still have
+  // their rows written.
+  decisions = accept_and_submit();
+  constexpr TaskHandle kUnknown = 1000000;
+  decisions.insert(decisions.begin() + 3, {kUnknown, true});
+  std::vector<Status> out = system.DecideBatch(provider, decisions);
+  ASSERT_EQ(out.size(), 9u);
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_TRUE(i == 3 ? out[i].IsNotFound() : out[i].ok())
+        << i << ": " << out[i].ToString();
+  }
+  live = capture();
+  EXPECT_EQ(live, (std::vector<uint64_t>{16, 16, 64, 16, 64, 64, 16}));
+  ASSERT_TRUE(system.Reattach().ok());
+  EXPECT_EQ(capture(), live);
+  fs::remove_all(dir);
+}
+
 // Resources uploaded to a running project: stopping one, accepting tasks
 // (which persists the engine) and restarting must stay inside the engine's
 // per-resource state, and the live engine must allocate exactly like the

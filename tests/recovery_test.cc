@@ -419,6 +419,15 @@ TEST_F(RecoveryTest, TornWalTailLandsOnLastCompleteRecord) {
     ASSERT_TRUE(tagger_profile.ok());
     EXPECT_EQ(tagger_profile.value().earned_cents, sys.ledger().TotalPaid());
     EXPECT_EQ(tagger_profile.value().approved, info.value().tasks_completed);
+    // Profile rows are written once per call, when it ends; they must sit
+    // inside that call's frame. Three rounds were decided (3 approvals and
+    // 1 rejection each) and four were submitted.
+    EXPECT_EQ(tagger_profile.value().submitted, 16u);
+    EXPECT_EQ(tagger_profile.value().rejected, 3u);
+    Result<core::ProviderProfile> provider_profile = sys.GetProvider(0);
+    ASSERT_TRUE(provider_profile.ok());
+    EXPECT_EQ(provider_profile.value().approvals_given, 9u);
+    EXPECT_EQ(provider_profile.value().rejections_given, 3u);
 
     // The torn system keeps serving: the pending batch can be re-decided.
     std::vector<core::PendingSubmission> subs = sys.PendingApprovals(project);
