@@ -18,6 +18,14 @@
 // made (the storage.page.reads delta across the timed Open), so a slow
 // open can be told apart from one that read more pages.
 //
+// Each paged size then times one service-level ITagSystem::Init of the same
+// checkpointed directory (init_ms, informational) and counts the page pins
+// it makes: the storage.page.cache_hits + cache_misses delta, per row. The
+// count is gated: recovery reads each table with one scan, so a pin serves
+// many rows, and a restore that fetched rows one by one (a root-to-leaf
+// descent per row) would pin about 3 pages per row. The sweep is seeded and
+// single-threaded, so the count repeats exactly on any host.
+//
 // The snapshot sweep's WAL size is gated too: at the largest size the log
 // may hold at most kMaxWalBytesPerPost bytes per approved post. The sweep
 // is single-threaded and seeded, so the byte count repeats exactly on any
@@ -25,8 +33,8 @@
 //
 // Output: tables on stdout plus BENCH_recovery.json (schema in
 // docs/benchmarks.md; the `page_cache_mb` field records the paged sweep's
-// cache budget, and `wal_gate` and `cold_open_gate` the two verdicts that
-// set the exit code).
+// cache budget, and `wal_gate`, `cold_open_gate` and `init_pins_gate` the
+// three verdicts that set the exit code).
 
 #include <algorithm>
 #include <chrono>
@@ -85,6 +93,10 @@ constexpr size_t kPagedCacheMb = 64;
 /// batch logs one image per row it touches (docs/persistence.md).
 constexpr double kMaxWalBytesPerPost = 444.0;
 
+/// Page pins per row allowed across a service-level Init of a checkpointed
+/// paged directory, at every paged size.
+constexpr double kMaxInitPinsPerRow = 0.5;
+
 core::ITagSystemOptions Opts(const std::string& dir) {
   core::ITagSystemOptions opts;
   opts.db.directory = dir;
@@ -105,6 +117,8 @@ struct PagedSample {
   double checkpoint_ms = 0;
   double cold_open_ms = 0;  ///< storage-level reopen right after checkpoint
   uint64_t cold_open_page_reads = 0;  ///< physical page reads of that open
+  double init_ms = 0;  ///< service-level Init of the same directory
+  double init_page_pins_per_row = 0;  ///< page pins of that Init, per row
   uint64_t rows = 0;
   uintmax_t page_file_bytes = 0;
 };
@@ -202,6 +216,23 @@ double TimeColdOpen(const std::string& dir, uint64_t* rows,
   return ms;
 }
 
+/// Times one service-level ITagSystem::Init of a checkpointed paged
+/// directory; `pins` receives the page pins it made (the
+/// storage.page.cache_hits + cache_misses delta across the Init).
+double TimeInit(const std::string& dir, uint64_t* pins) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  obs::Counter* hits = reg.GetCounter("storage.page.cache_hits");
+  obs::Counter* misses = reg.GetCounter("storage.page.cache_misses");
+  const uint64_t pins_before = hits->value() + misses->value();
+  auto start = std::chrono::steady_clock::now();
+  core::ITagSystem system(PagedOpts(dir));
+  Status init = system.Init();
+  double ms = MsSince(start);
+  *pins = hits->value() + misses->value() - pins_before;
+  CheckOk(init, "paged init");
+  return ms;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -272,6 +303,10 @@ int main(int argc, char** argv) {
                             ? fs::file_size(dir + "/pages.db")
                             : 0;
     p.cold_open_ms = TimeColdOpen(dir, &p.rows, &p.cold_open_page_reads);
+    uint64_t pins = 0;
+    p.init_ms = TimeInit(dir, &pins);
+    p.init_page_pins_per_row =
+        static_cast<double>(pins) / static_cast<double>(p.rows);
     paged.push_back(p);
     fs::remove_all(dir);
   }
@@ -288,15 +323,15 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\npaged engine (%zu MiB cache):\n", kPagedCacheMb);
-  std::printf("%8s %10s %9s %12s %13s %11s %12s\n", "posts", "rows",
-              "build_ms", "ckpt_ms", "cold_open_ms", "page_reads",
-              "pagefile_MB");
+  std::printf("%8s %10s %9s %12s %13s %11s %9s %13s %12s\n", "posts",
+              "rows", "build_ms", "ckpt_ms", "cold_open_ms", "page_reads",
+              "init_ms", "pins_per_row", "pagefile_MB");
   for (const PagedSample& p : paged) {
-    std::printf("%8u %10llu %9.1f %12.1f %13.2f %11llu %12.2f\n", p.posts,
-                static_cast<unsigned long long>(p.rows), p.build_ms,
+    std::printf("%8u %10llu %9.1f %12.1f %13.2f %11llu %9.1f %13.3f %12.2f\n",
+                p.posts, static_cast<unsigned long long>(p.rows), p.build_ms,
                 p.checkpoint_ms, p.cold_open_ms,
                 static_cast<unsigned long long>(p.cold_open_page_reads),
-                p.page_file_bytes / 1e6);
+                p.init_ms, p.init_page_pins_per_row, p.page_file_bytes / 1e6);
   }
 
   const Sample& largest = samples.back();
@@ -328,6 +363,16 @@ int main(int argc, char** argv) {
     cold_gate = cold_ratio < std::sqrt(posts_ratio) ? "pass" : "fail";
   }
 
+  // Gate: a service-level Init pins at most kMaxInitPinsPerRow pages per
+  // row at every paged size.
+  bool init_pins_ok = true;
+  for (const PagedSample& p : paged) {
+    std::printf("gate: paged init at %u posts: %.3f page pins per row "
+                "(bound %.1f)\n",
+                p.posts, p.init_page_pins_per_row, kMaxInitPinsPerRow);
+    if (p.init_page_pins_per_row > kMaxInitPinsPerRow) init_pins_ok = false;
+  }
+
   // BENCH_*.json schema (see docs/benchmarks.md): one-line object with
   // "bench" and "host_cores", validated by the CI schema step.
   unsigned host_cores = std::thread::hardware_concurrency();
@@ -354,19 +399,23 @@ int main(int argc, char** argv) {
                 wal_per_post, wal_ok ? "pass" : "fail");
   json += wal_gate;
   json += ",\"cold_open_gate\":\"" + cold_gate + "\"";
+  json += ",\"init_pins_gate\":\"" +
+          std::string(init_pins_ok ? "pass" : "fail") + "\"";
   json += ",\"page_cache_mb\":" + std::to_string(kPagedCacheMb) +
           ",\"paged\":[";
   for (size_t i = 0; i < paged.size(); ++i) {
     const PagedSample& p = paged[i];
-    char buf[320];
+    char buf[384];
     std::snprintf(buf, sizeof(buf),
                   "%s{\"posts\":%u,\"rows\":%llu,\"build_ms\":%.1f,"
                   "\"checkpoint_ms\":%.1f,\"cold_open_ms\":%.2f,"
-                  "\"cold_open_page_reads\":%llu,\"page_file_bytes\":%llu}",
+                  "\"cold_open_page_reads\":%llu,\"init_ms\":%.1f,"
+                  "\"init_page_pins_per_row\":%.3f,\"page_file_bytes\":%llu}",
                   i == 0 ? "" : ",", p.posts,
                   static_cast<unsigned long long>(p.rows), p.build_ms,
                   p.checkpoint_ms, p.cold_open_ms,
                   static_cast<unsigned long long>(p.cold_open_page_reads),
+                  p.init_ms, p.init_page_pins_per_row,
                   static_cast<unsigned long long>(p.page_file_bytes));
     json += buf;
   }
@@ -386,6 +435,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: paged cold start scales with post count "
                  "(O(catalog) restart regressed)\n");
+    exit_code = 1;
+  }
+  if (!init_pins_ok) {
+    std::fprintf(stderr,
+                 "FAIL: paged init pins more than %.1f pages per row "
+                 "(recovery reads rows one at a time)\n",
+                 kMaxInitPinsPerRow);
     exit_code = 1;
   }
   std::printf(

@@ -134,19 +134,28 @@ Status QualityManager::Attach() {
                                             .Str("message")
                                             .Build()));
 
-  // ---- recovery: project rows drive everything else.
+  // ---- recovery: project rows drive everything else. Every corpus is
+  // restored first, then each record and its engine over its corpus.
   projects_.clear();
   inboxes_.clear();
   inbox_rows_.clear();
   next_project_ = 1;
-  Status recovered = Status::OK();
-  db_->GetTable(tables::kProjects)
-      ->Scan([&](storage::RowId, const Row& row) {
-        ProjectId id = static_cast<ProjectId>(row[0].as_int());
-        recovered = RestoreProject(id, row);
-        return recovered.ok();
-      });
-  ITAG_RETURN_IF_ERROR(recovered);
+  std::vector<std::pair<ProjectId, Row>> rows;
+  ITAG_RETURN_IF_ERROR(db_->GetTable(tables::kProjects)
+                           ->Scan([&](storage::RowId, const Row& row) {
+                             rows.emplace_back(
+                                 static_cast<ProjectId>(row[0].as_int()), row);
+                             return true;
+                           }));
+  std::vector<ProjectId> ids;
+  for (const auto& [id, row] : rows) ids.push_back(id);
+  ITAG_RETURN_IF_ERROR(resources_->RestoreCorpora(ids));
+  for (const auto& [id, row] : rows) {
+    ProjectRec rec;
+    ITAG_RETURN_IF_ERROR(DecodeProjectRow(id, row, &rec));
+    projects_.emplace(id, std::move(rec));
+    next_project_ = std::max(next_project_, id + 1);
+  }
 
   db_->GetTable(tables::kQualityFeed)
       ->Scan([&](storage::RowId rid, const Row& row) {
@@ -202,15 +211,6 @@ Status QualityManager::DecodeProjectRow(ProjectId project, const Row& row,
         corpus, strategy::MakeStrategy(rec->spec.strategy), opts);
     rec->engine->RestoreState(state);
   }
-  return Status::OK();
-}
-
-Status QualityManager::RestoreProject(ProjectId project, const Row& row) {
-  ITAG_RETURN_IF_ERROR(resources_->RestoreCorpus(project));
-  ProjectRec rec;
-  ITAG_RETURN_IF_ERROR(DecodeProjectRow(project, row, &rec));
-  projects_.emplace(project, std::move(rec));
-  next_project_ = std::max(next_project_, project + 1);
   return Status::OK();
 }
 

@@ -232,8 +232,6 @@ class QualityManager {
   /// Appends to the provider's inbox, write-through + prune beyond the
   /// queue capacity (the persisted inbox mirrors the in-memory one).
   void PushNotification(ProviderId provider, Notification n);
-  /// Restores one persisted project row into projects_.
-  Status RestoreProject(ProjectId project, const storage::Row& row);
   /// Decodes a project row into `rec` (engine rebuilt from the project's
   /// corpus, which must already exist). Shared by recovery and adoption.
   Status DecodeProjectRow(ProjectId project, const storage::Row& row,

@@ -57,68 +57,84 @@ Status ResourceManager::CreateProjectCorpus(ProjectId project) {
   return Status::OK();
 }
 
-Status ResourceManager::RestoreCorpus(ProjectId project) {
-  if (corpora_.count(project)) {
-    return Status::AlreadyExists("corpus for project " +
-                                 std::to_string(project));
+Status ResourceManager::RestoreCorpora(const std::vector<ProjectId>& projects) {
+  std::unordered_map<ProjectId, std::unique_ptr<tagging::Corpus>> restored;
+  for (ProjectId project : projects) {
+    if (corpora_.count(project) || restored.count(project)) {
+      return Status::AlreadyExists("corpus for project " +
+                                   std::to_string(project));
+    }
+    restored.emplace(project, std::make_unique<tagging::Corpus>());
   }
-  auto corpus = std::make_unique<tagging::Corpus>();
-  Value key = Value::Int(static_cast<int64_t>(project));
+  // Visits `table` once, in row-id order, handing each row of a restored
+  // project to `apply`; a row of any other project id is skipped unread.
+  // No table may be written during a scan, which is why the dict hooks are
+  // armed only after the last one.
+  auto scan = [&](const char* table, auto apply) -> Status {
+    const storage::Table* t = db_->GetTable(table);
+    if (t == nullptr) return Status::OK();
+    Status applied = Status::OK();
+    Status scanned = t->Scan([&](storage::RowId, const Row& row) {
+      auto it = restored.find(static_cast<ProjectId>(row[0].as_int()));
+      if (it == restored.end()) return true;
+      applied = apply(it->first, it->second.get(), row);
+      return applied.ok();
+    });
+    return applied.ok() ? scanned : applied;
+  };
 
-  // 1. Dictionary, in intern order (row ids ascend within the index).
-  const storage::Table* dict = db_->GetTable(tables::kDict);
-  for (storage::RowId rid : dict->LookupEqual("project", key)) {
-    ITAG_ASSIGN_OR_RETURN(Row row, dict->Get(rid));
+  // 1. Dictionaries, in intern order.
+  ITAG_RETURN_IF_ERROR(scan(tables::kDict, [](ProjectId project,
+                                              tagging::Corpus* corpus,
+                                              const Row& row) {
     tagging::TagId want = static_cast<tagging::TagId>(row[1].as_int());
     tagging::TagId got = corpus->dict().Intern(row[2].as_string());
-    if (got != want) {
-      return Status::Corruption(
-          "dict replay diverged for project " + std::to_string(project) +
-          ": tag '" + row[2].as_string() + "' got id " + std::to_string(got) +
-          ", expected " + std::to_string(want));
-    }
-  }
+    if (got == want) return Status::OK();
+    return Status::Corruption(
+        "dict replay diverged for project " + std::to_string(project) +
+        ": tag '" + row[2].as_string() + "' got id " + std::to_string(got) +
+        ", expected " + std::to_string(want));
+  }));
 
   // 2. Resources, in upload order.
-  const storage::Table* resources = db_->GetTable(tables::kResources);
-  for (storage::RowId rid : resources->LookupEqual("project", key)) {
-    ITAG_ASSIGN_OR_RETURN(Row row, resources->Get(rid));
+  ITAG_RETURN_IF_ERROR(scan(tables::kResources, [](ProjectId project,
+                                                   tagging::Corpus* corpus,
+                                                   const Row& row) {
     tagging::ResourceId want =
         static_cast<tagging::ResourceId>(row[1].as_int());
     tagging::ResourceId got =
         corpus->AddResource(tagging::ParseResourceKind(row[2].as_string()),
                             row[3].as_string(), row[4].as_string());
-    if (got != want) {
-      return Status::Corruption("resource replay diverged for project " +
-                                std::to_string(project));
-    }
-  }
+    if (got == want) return Status::OK();
+    return Status::Corruption("resource replay diverged for project " +
+                              std::to_string(project));
+  }));
 
   // 3. The post log (imports and approved submissions interleaved in their
   // original order), folded back into per-resource statistics.
-  if (const storage::Table* posts = db_->GetTable(tables::kPosts)) {
-    for (storage::RowId rid : posts->LookupEqual("project", key)) {
-      ITAG_ASSIGN_OR_RETURN(Row row, posts->Get(rid));
-      tagging::Post post;
-      post.tagger = static_cast<tagging::TaggerId>(row[2].as_int());
-      post.time = row[3].as_int();
-      ByteReader r(row[4].as_string());
-      std::vector<std::string> texts;
-      if (!r.StrVec(&texts) || !r.AtEnd()) {
-        return Status::Corruption("malformed post tags for project " +
-                                  std::to_string(project));
-      }
-      for (const std::string& text : texts) {
-        post.tags.push_back(corpus->dict().Intern(text));
-      }
-      ITAG_RETURN_IF_ERROR(corpus->AddPost(
-          static_cast<tagging::ResourceId>(row[1].as_int()),
-          std::move(post)));
+  ITAG_RETURN_IF_ERROR(scan(tables::kPosts, [](ProjectId project,
+                                               tagging::Corpus* corpus,
+                                               const Row& row) {
+    tagging::Post post;
+    post.tagger = static_cast<tagging::TaggerId>(row[2].as_int());
+    post.time = row[3].as_int();
+    ByteReader r(row[4].as_string());
+    std::vector<std::string> texts;
+    if (!r.StrVec(&texts) || !r.AtEnd()) {
+      return Status::Corruption("malformed post tags for project " +
+                                std::to_string(project));
     }
-  }
+    for (const std::string& text : texts) {
+      post.tags.push_back(corpus->dict().Intern(text));
+    }
+    return corpus->AddPost(static_cast<tagging::ResourceId>(row[1].as_int()),
+                           std::move(post));
+  }));
 
-  ArmDictHook(project, corpus.get());
-  corpora_.emplace(project, std::move(corpus));
+  for (auto& [project, corpus] : restored) {
+    ArmDictHook(project, corpus.get());
+    corpora_.emplace(project, std::move(corpus));
+  }
   return Status::OK();
 }
 

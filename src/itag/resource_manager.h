@@ -31,12 +31,16 @@ class ResourceManager {
   /// Creates the working corpus for a project.
   Status CreateProjectCorpus(ProjectId project);
 
-  /// Recovery: recreates the corpus of a persisted project by replaying the
-  /// dictionary (restoring tag-id assignment order), the resource rows and
-  /// the post log, then re-arms write-through. The rebuilt corpus is
-  /// bit-equal to the one the original process held — statistics included,
-  /// since TagStats is a pure fold over the post sequence.
-  Status RestoreCorpus(ProjectId project);
+  /// Recovery: recreates the corpus of every persisted project in
+  /// `projects` from one scan each of the dict, resources and posts tables,
+  /// each row going to its project's corpus; rows of other projects are
+  /// skipped. A scan visits a project's rows in row-id order, the order
+  /// they were written in, so the dictionary (tag-id assignment order),
+  /// the resources and the post log replay as they happened, and the
+  /// rebuilt corpora are bit-equal to the ones the original process held —
+  /// statistics included, since TagStats is a pure fold over the post
+  /// sequence. Write-through is armed after the last scan.
+  Status RestoreCorpora(const std::vector<ProjectId>& projects);
 
   /// The project's corpus (nullptr when the project is unknown).
   tagging::Corpus* GetCorpus(ProjectId project);
@@ -63,7 +67,7 @@ class ResourceManager {
   /// (ids are corpus-local and do not survive the move). Shard migration
   /// extracts this on the source shard and adopts it on the destination
   /// under a different project id; replaying it rebuilds a bit-equal corpus
-  /// for the same reason RestoreCorpus does — TagStats is a pure fold over
+  /// for the same reason RestoreCorpora does — TagStats is a pure fold over
   /// the per-resource post sequence.
   struct CorpusTransfer {
     std::vector<std::string> dict;  ///< tag texts, id order (0, 1, ...)

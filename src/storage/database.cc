@@ -408,9 +408,10 @@ Status Database::CommitBatch() {
   for (const BatchEntry& entry : batch_) group.Str(EncodeWalRecord(entry.rec));
   // Fresh containers, not clear(): a bulk batch (a project adoption, say)
   // must not leave its memory, or a bucket array clear() would walk, to
-  // every batch after it.
-  batch_ = {};
-  batch_rows_ = {};
+  // every batch after it. Move-assigned, since `= {}` picks the
+  // initializer-list assignment, which keeps both.
+  batch_ = decltype(batch_)();
+  batch_rows_ = decltype(batch_rows_)();
   if (!wal_error_.ok()) return wal_error_;
   WalRecord rec;
   rec.op = WalOp::kBatch;

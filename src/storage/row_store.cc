@@ -98,15 +98,19 @@ Status PagedRowStore::Erase(RowId id) {
 
 Status PagedRowStore::Scan(
     const std::function<bool(RowId, const Row&)>& fn) const {
-  return tree_->Scan(0, [&](uint64_t key, const std::vector<uint8_t>& bytes) {
-    Row row;
-    if (!DecodeRow(std::string(bytes.begin(), bytes.end()), arity_, &row)) {
-      // Scan's visitor cannot surface a Status; stop. The corrupt row also
-      // fails loudly through Get on the same key.
-      return false;
-    }
-    return fn(key, row);
-  });
+  Status decoded = Status::OK();
+  ITAG_RETURN_IF_ERROR(
+      tree_->Scan(0, [&](uint64_t key, const std::vector<uint8_t>& bytes) {
+        Row row;
+        if (!DecodeRow(std::string(bytes.begin(), bytes.end()), arity_,
+                       &row)) {
+          decoded = Status::Corruption("stored row " + std::to_string(key) +
+                                       " does not decode");
+          return false;
+        }
+        return fn(key, row);
+      }));
+  return decoded;
 }
 
 }  // namespace itag::storage

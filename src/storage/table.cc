@@ -73,7 +73,10 @@ Result<RowId> Table::Insert(const Row& row) {
 
 Status Table::InsertWithId(RowId id, const Row& row) {
   ITAG_RETURN_IF_ERROR(schema_.Validate(row));
-  if (store_->Contains(id)) {
+  // Ids are never reused and every stored row's id is below next_id_, so
+  // only an id below it can be taken; a replayed insert past it (the usual
+  // case) writes without reading first.
+  if (id < next_id_ && store_->Contains(id)) {
     return Status::AlreadyExists("row id " + std::to_string(id) + " taken");
   }
   if (unique_col_ >= 0 && unique_index_.count(row[unique_col_])) {
@@ -208,8 +211,8 @@ std::vector<RowId> Table::LookupRange(const std::string& column,
   return out;
 }
 
-void Table::Scan(const std::function<bool(RowId, const Row&)>& fn) const {
-  (void)store_->Scan(fn);
+Status Table::Scan(const std::function<bool(RowId, const Row&)>& fn) const {
+  return store_->Scan(fn);
 }
 
 size_t Table::CountWhere(const std::function<bool(const Row&)>& pred) const {

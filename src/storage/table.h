@@ -104,8 +104,9 @@ class Table {
                                  const Value& hi) const;
 
   /// Visits every (id, row); `fn` returns false to stop. Iteration order is
-  /// ascending RowId.
-  void Scan(const std::function<bool(RowId, const Row&)>& fn) const;
+  /// ascending RowId. Returns the heap's read error, if any: a paged heap
+  /// can fail to read a page or find a row that does not decode.
+  Status Scan(const std::function<bool(RowId, const Row&)>& fn) const;
 
   /// Counts rows satisfying `pred`.
   size_t CountWhere(const std::function<bool(const Row&)>& pred) const;

@@ -1,0 +1,444 @@
+// Recovery of the Resource Manager's corpora from the dict, resources and
+// posts tables:
+//  - the restore checks: a dict id that skips, a resource id out of upload
+//    order and a malformed post tags blob each fail recovery with
+//    Corruption naming the project, on every storage mode;
+//  - rows of a project id with no `projects` row are never read;
+//  - an oracle: projects whose rows interleave on one shard (one of them
+//    erased) recover to exactly the corpora the per-project index walk
+//    builds, after an in-memory Reattach, a snapshot reopen and a paged
+//    reopen.
+
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/binio.h"
+#include "itag/itag_system.h"
+#include "itag/tables.h"
+#include "storage/database.h"
+
+namespace itag::core {
+namespace {
+
+namespace fs = std::filesystem;
+
+using storage::Row;
+using storage::Value;
+using tagging::ResourceKind;
+
+enum class Mode { kInMemory, kSnapshot, kPaged };
+
+std::string ModeName(Mode mode) {
+  switch (mode) {
+    case Mode::kInMemory:
+      return "InMemory";
+    case Mode::kSnapshot:
+      return "Snapshot";
+    case Mode::kPaged:
+      return "Paged";
+  }
+  return "";
+}
+
+ITagSystemOptions OptionsFor(Mode mode, const std::string& dir) {
+  ITagSystemOptions opts;
+  if (mode == Mode::kInMemory) return opts;
+  opts.db.directory = dir;
+  if (mode == Mode::kPaged) {
+    // Tiny pages and a one-frame cache: the tables span many leaves, so a
+    // restore walks splits and evictions, not one resident page.
+    opts.db.paged = true;
+    opts.db.page_size = 512;
+    opts.db.page_cache_mb = 0;
+  }
+  return opts;
+}
+
+ProjectSpec AudienceSpec(const std::string& name) {
+  ProjectSpec spec;
+  spec.name = name;
+  spec.budget = 400;
+  spec.pay_cents = 3;
+  spec.platform = PlatformChoice::kAudience;
+  spec.strategy = strategy::StrategyKind::kFewestPostsFirst;
+  return spec;
+}
+
+Row DictRow(ProjectId project, int64_t tag, const std::string& text) {
+  return {Value::Int(static_cast<int64_t>(project)), Value::Int(tag),
+          Value::Str(text)};
+}
+
+Row ResourceRow(ProjectId project, int64_t resource, const std::string& uri) {
+  return {Value::Int(static_cast<int64_t>(project)), Value::Int(resource),
+          Value::Str(tagging::ResourceKindName(ResourceKind::kWebUrl)),
+          Value::Str(uri), Value::Str("")};
+}
+
+Row PostRow(ProjectId project, int64_t resource, const std::string& tags) {
+  return {Value::Int(static_cast<int64_t>(project)), Value::Int(resource),
+          Value::Int(1), Value::Int(0), Value::Str(tags)};
+}
+
+/// The per-project restore recovery used before corpora were read with one
+/// scan per table, kept as the reference: for one project, LookupEqual on
+/// each table's `project` index, then one Get per row id, folding the dict
+/// rows, the resource rows and the post log into a fresh corpus.
+Result<std::unique_ptr<tagging::Corpus>> ReferenceCorpus(
+    const storage::Database& db, ProjectId project) {
+  auto corpus = std::make_unique<tagging::Corpus>();
+  Value key = Value::Int(static_cast<int64_t>(project));
+
+  const storage::Table* dict = db.GetTable(tables::kDict);
+  for (storage::RowId rid : dict->LookupEqual("project", key)) {
+    ITAG_ASSIGN_OR_RETURN(Row row, dict->Get(rid));
+    tagging::TagId want = static_cast<tagging::TagId>(row[1].as_int());
+    tagging::TagId got = corpus->dict().Intern(row[2].as_string());
+    if (got != want) {
+      return Status::Corruption("dict replay diverged for project " +
+                                std::to_string(project));
+    }
+  }
+
+  const storage::Table* resources = db.GetTable(tables::kResources);
+  for (storage::RowId rid : resources->LookupEqual("project", key)) {
+    ITAG_ASSIGN_OR_RETURN(Row row, resources->Get(rid));
+    tagging::ResourceId want =
+        static_cast<tagging::ResourceId>(row[1].as_int());
+    tagging::ResourceId got =
+        corpus->AddResource(tagging::ParseResourceKind(row[2].as_string()),
+                            row[3].as_string(), row[4].as_string());
+    if (got != want) {
+      return Status::Corruption("resource replay diverged for project " +
+                                std::to_string(project));
+    }
+  }
+
+  const storage::Table* posts = db.GetTable(tables::kPosts);
+  for (storage::RowId rid : posts->LookupEqual("project", key)) {
+    ITAG_ASSIGN_OR_RETURN(Row row, posts->Get(rid));
+    tagging::Post post;
+    post.tagger = static_cast<tagging::TaggerId>(row[2].as_int());
+    post.time = row[3].as_int();
+    ByteReader r(row[4].as_string());
+    std::vector<std::string> texts;
+    if (!r.StrVec(&texts) || !r.AtEnd()) {
+      return Status::Corruption("malformed post tags for project " +
+                                std::to_string(project));
+    }
+    for (const std::string& text : texts) {
+      post.tags.push_back(corpus->dict().Intern(text));
+    }
+    ITAG_RETURN_IF_ERROR(corpus->AddPost(
+        static_cast<tagging::ResourceId>(row[1].as_int()), std::move(post)));
+  }
+  return corpus;
+}
+
+/// Everything a corpus holds, in a diffable form: dict texts by id, each
+/// resource, and each resource's posts (tagger, time, tag ids) in order.
+std::string Dump(const tagging::Corpus& corpus) {
+  std::ostringstream out;
+  for (tagging::TagId t = 0; t < corpus.dict().size(); ++t) {
+    out << "tag " << t << " " << corpus.dict().Text(t) << "\n";
+  }
+  for (tagging::ResourceId r = 0; r < corpus.size(); ++r) {
+    const tagging::Resource& res = corpus.resource(r);
+    out << "resource " << r << " " << tagging::ResourceKindName(res.kind)
+        << " " << res.uri << " " << res.description << "\n";
+    for (const tagging::Post& post : corpus.posts(r)) {
+      out << "  post " << post.tagger << " " << post.time << ":";
+      for (tagging::TagId t : post.tags) out << " " << t;
+      out << "\n";
+    }
+  }
+  return out.str();
+}
+
+class ScratchDir {
+ public:
+  ScratchDir() {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name =
+        std::string(info->test_suite_name()) + "_" + info->name();
+    for (char& ch : name) {
+      if (ch == '/') ch = '_';
+    }
+    path_ = (fs::temp_directory_path() /
+             ("itag_corpus_restore_" + name + "_" +
+              std::to_string(::getpid())))
+                .string();
+    fs::remove_all(path_);
+  }
+  ~ScratchDir() { fs::remove_all(path_); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+// ------------------------------------------------------- restore checks
+
+/// One project with two resources and one imported post (tags "alpha" and
+/// "beta", ids 0 and 1), then crafted rows written straight through
+/// storage::Database, then recovery: Reattach on the in-memory system,
+/// a fresh Init on a durable directory.
+class RestoreChecksTest : public ::testing::TestWithParam<Mode> {
+ protected:
+  void SetUp() override {
+    opts_ = OptionsFor(GetParam(), dir_.path());
+    system_ = std::make_unique<ITagSystem>(opts_);
+    ASSERT_TRUE(system_->Init().ok());
+    ProviderId provider = system_->RegisterProvider("prov").value();
+    project_ = system_->CreateProject(provider, AudienceSpec("p")).value();
+    std::vector<tagging::ResourceId> ids;
+    for (const Status& s : system_->UploadResourceBatch(
+             project_,
+             {{ResourceKind::kWebUrl, "u0", "", {"alpha", "beta"}},
+              {ResourceKind::kWebUrl, "u1", "", {}}},
+             &ids)) {
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+    before_ = Dump(*system_->resource_manager().GetCorpus(project_));
+    if (GetParam() != Mode::kInMemory) system_.reset();
+  }
+
+  /// Writes `rows` and recovers; returns the recovery's status. On OK the
+  /// recovered system is in system_.
+  Status RecoverWith(const std::vector<std::pair<const char*, Row>>& rows) {
+    if (GetParam() == Mode::kInMemory) {
+      for (const auto& [table, row] : rows) {
+        Result<storage::RowId> rid = system_->database().Insert(table, row);
+        EXPECT_TRUE(rid.ok()) << rid.status().ToString();
+      }
+      return system_->Reattach();
+    }
+    {
+      storage::Database db;
+      EXPECT_TRUE(db.Open(opts_.db).ok());
+      for (const auto& [table, row] : rows) {
+        Result<storage::RowId> rid = db.Insert(table, row);
+        EXPECT_TRUE(rid.ok()) << rid.status().ToString();
+      }
+    }
+    system_ = std::make_unique<ITagSystem>(opts_);
+    return system_->Init();
+  }
+
+  void ExpectCorruptionNamingProject(const Status& s) {
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.message().find("project " + std::to_string(project_)),
+              std::string::npos)
+        << s.ToString();
+  }
+
+  ScratchDir dir_;
+  ITagSystemOptions opts_;
+  std::unique_ptr<ITagSystem> system_;
+  ProjectId project_ = 0;
+  std::string before_;
+};
+
+TEST_P(RestoreChecksTest, DictIdThatSkipsIsCorruption) {
+  // The next intern hands out id 2; the row claims 5.
+  ExpectCorruptionNamingProject(
+      RecoverWith({{tables::kDict, DictRow(project_, 5, "gamma")}}));
+}
+
+TEST_P(RestoreChecksTest, ResourceIdOutOfUploadOrderIsCorruption) {
+  // The next upload is resource 2; the row claims 7.
+  ExpectCorruptionNamingProject(
+      RecoverWith({{tables::kResources, ResourceRow(project_, 7, "u7")}}));
+}
+
+TEST_P(RestoreChecksTest, MalformedPostTagsBlobIsCorruption) {
+  // A string list that claims more bytes than it carries.
+  const std::string blob("\x09\0\0\0ab", 6);
+  ExpectCorruptionNamingProject(
+      RecoverWith({{tables::kPosts, PostRow(project_, 0, blob)}}));
+}
+
+TEST_P(RestoreChecksTest, OrphanRowsOfAnUnknownProjectAreIgnored) {
+  // Were they read, each of the first three rows would fail a restore
+  // check, and the last would give the orphan id a corpus.
+  const ProjectId orphan = project_ + 1000;
+  Status s = RecoverWith(
+      {{tables::kDict, DictRow(orphan, 9, "ghost")},
+       {tables::kResources, ResourceRow(orphan, 4, "ghost-uri")},
+       {tables::kPosts, PostRow(orphan, 6, "not a string list")},
+       {tables::kDict, DictRow(orphan, 0, "ghost-2")}});
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(system_->resource_manager().GetCorpus(orphan), nullptr);
+  EXPECT_TRUE(system_->GetProjectInfo(orphan).status().IsNotFound());
+  const tagging::Corpus* corpus =
+      system_->resource_manager().GetCorpus(project_);
+  ASSERT_NE(corpus, nullptr);
+  EXPECT_EQ(Dump(*corpus), before_);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, RestoreChecksTest,
+                         ::testing::Values(Mode::kInMemory, Mode::kSnapshot,
+                                           Mode::kPaged),
+                         [](const ::testing::TestParamInfo<Mode>& info) {
+                           return ModeName(info.param);
+                         });
+
+// ------------------------------------------------------- restore oracle
+
+/// Four projects on one system take turns: each round every project
+/// uploads resources with initial tags, imports a post with new tag texts,
+/// and runs an accept/submit/decide cycle, so the dict, resources and
+/// posts rows of all four interleave. The fourth project is erased after
+/// the second round, which leaves holes in every table's row ids. Durable
+/// modes checkpoint after the first round, so recovery reads a snapshot
+/// or a page file and then replays a WAL tail.
+class RestoreOracleTest : public ::testing::TestWithParam<Mode> {
+ protected:
+  static constexpr int kProjects = 4;
+  static constexpr int kRounds = 4;
+
+  void Run(ITagSystem& s) {
+    ProviderId provider = s.RegisterProvider("prov").value();
+    UserTaggerId tagger = s.RegisterTagger("tagger").value();
+    for (int p = 0; p < kProjects; ++p) {
+      projects_.push_back(
+          s.CreateProject(provider, AudienceSpec("p" + std::to_string(p)))
+              .value());
+    }
+    erased_ = projects_.back();
+    for (int round = 0; round < kRounds; ++round) {
+      for (ProjectId p : projects_) {
+        if (round >= 2 && p == erased_) continue;
+        const std::string stem =
+            std::to_string(p) + "-" + std::to_string(round);
+        std::vector<tagging::ResourceId> ids;
+        for (const Status& st : s.UploadResourceBatch(
+                 p,
+                 {{ResourceKind::kWebUrl, "u" + stem + "a", "d" + stem,
+                   {"shared", "up-" + stem}},
+                  {ResourceKind::kImage, "u" + stem + "b", "", {}}},
+                 &ids)) {
+          ASSERT_TRUE(st.ok()) << st.ToString();
+        }
+        ASSERT_TRUE(
+            s.ImportPost(p, ids[1], {"imp-" + stem, "shared", "Mixed Case"})
+                .ok());
+        if (round == 0) {
+          ASSERT_TRUE(s.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+        }
+      }
+      for (ProjectId p : projects_) {
+        if (round >= 2 && p == erased_) continue;
+        Cycle(s, provider, tagger, p, round);
+      }
+      if (round == 0 && GetParam() != Mode::kInMemory) {
+        ASSERT_TRUE(s.Checkpoint().ok());
+      }
+      if (round == 1) {
+        ASSERT_TRUE(s.EraseProject(erased_).ok());
+      }
+    }
+    for (ProjectId p : projects_) {
+      if (p == erased_) continue;
+      live_.push_back(Dump(*s.resource_manager().GetCorpus(p)));
+    }
+  }
+
+  /// Accepts three tasks, submits them with one new tag text each, and
+  /// approves all but the first.
+  static void Cycle(ITagSystem& s, ProviderId provider, UserTaggerId tagger,
+                    ProjectId p, int round) {
+    std::vector<AcceptedTask> tasks = s.AcceptTasks(tagger, p, 3).value();
+    ASSERT_EQ(tasks.size(), 3u);
+    std::vector<TagSubmission> items;
+    std::vector<std::pair<TaskHandle, bool>> decisions;
+    for (const AcceptedTask& t : tasks) {
+      items.push_back({tagger, t.handle,
+                       {"shared", "sub-" + std::to_string(p) + "-" +
+                                      std::to_string(round) + "-" +
+                                      std::to_string(t.resource)}});
+      decisions.emplace_back(t.handle, !decisions.empty());
+    }
+    for (const Status& st : s.SubmitTagsBatch(items)) {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+    for (const Status& st : s.DecideBatch(provider, decisions)) {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+  }
+
+  /// How often the project changes from one row to the next in a scan of
+  /// `table`: one less than the number of projects when their rows are
+  /// grouped, more when they interleave.
+  static int ProjectSwitches(const storage::Database& db, const char* table) {
+    int switches = 0;
+    int64_t last = -1;
+    db.GetTable(table)->Scan([&](storage::RowId, const Row& row) {
+      if (last >= 0 && row[0].as_int() != last) ++switches;
+      last = row[0].as_int();
+      return true;
+    });
+    return switches;
+  }
+
+  void ExpectOracle(ITagSystem& recovered) {
+    for (const char* table : {tables::kDict, tables::kResources,
+                              tables::kPosts}) {
+      EXPECT_GT(ProjectSwitches(recovered.database(), table), 2 * kProjects)
+          << table;
+    }
+    EXPECT_EQ(recovered.resource_manager().GetCorpus(erased_), nullptr);
+    size_t i = 0;
+    for (ProjectId p : projects_) {
+      if (p == erased_) continue;
+      const tagging::Corpus* corpus =
+          recovered.resource_manager().GetCorpus(p);
+      ASSERT_NE(corpus, nullptr) << "project " << p;
+      Result<std::unique_ptr<tagging::Corpus>> reference =
+          ReferenceCorpus(recovered.database(), p);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      const std::string got = Dump(*corpus);
+      EXPECT_EQ(got, Dump(*reference.value())) << "project " << p;
+      EXPECT_EQ(got, live_[i++]) << "project " << p;
+      EXPECT_GT(corpus->TotalPosts(), 0u);
+    }
+  }
+
+  ScratchDir dir_;
+  std::vector<ProjectId> projects_;
+  ProjectId erased_ = 0;
+  std::vector<std::string> live_;
+};
+
+TEST_P(RestoreOracleTest, InterleavedProjectsRestoreAsTheIndexWalkBuildsThem) {
+  const ITagSystemOptions opts = OptionsFor(GetParam(), dir_.path());
+  auto system = std::make_unique<ITagSystem>(opts);
+  ASSERT_TRUE(system->Init().ok());
+  Run(*system);
+  if (HasFatalFailure()) return;
+  if (GetParam() == Mode::kInMemory) {
+    ASSERT_TRUE(system->Reattach().ok());
+  } else {
+    system = std::make_unique<ITagSystem>(opts);
+    ASSERT_TRUE(system->Init().ok());
+  }
+  ExpectOracle(*system);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, RestoreOracleTest,
+                         ::testing::Values(Mode::kInMemory, Mode::kSnapshot,
+                                           Mode::kPaged),
+                         [](const ::testing::TestParamInfo<Mode>& info) {
+                           return ModeName(info.param);
+                         });
+
+}  // namespace
+}  // namespace itag::core

@@ -288,6 +288,27 @@ TEST_F(PagedDatabaseTest, RecoveredPagedTablesAcceptIndexes) {
   EXPECT_EQ(db.GetTable("t")->LookupEqual("v", Value::Str("b")).size(), 1u);
 }
 
+// A scan reports a stored row that does not decode, as Get does, rather
+// than stopping early as if the table ended there: recovery reads whole
+// tables through Scan.
+TEST_F(PagedDatabaseTest, ScanReportsAStoredRowThatDoesNotDecode) {
+  Database db;
+  ASSERT_TRUE(db.Open(PagedOpts()).ok());
+  ASSERT_TRUE(db.CreateTable("t", KvSchema()).ok());
+  ASSERT_TRUE(db.Insert("t", Kv(1, "a")).ok());
+  ASSERT_TRUE(db.Insert("t", Kv(2, "b")).ok());
+  ASSERT_TRUE(
+      db.engine()->GetTable("t")->tree->Put(2, {0xff, 0xff}).ok());
+  std::vector<RowId> seen;
+  Status s = db.GetTable("t")->Scan([&](RowId id, const Row&) {
+    seen.push_back(id);
+    return true;
+  });
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(seen, std::vector<RowId>{1});
+  EXPECT_TRUE(db.GetTable("t")->Get(2).status().IsCorruption());
+}
+
 TEST_F(PagedDatabaseTest, ManyCheckpointCyclesReclaimPages) {
   DatabaseOptions opts = PagedOpts();
   uint32_t pages_after_first_cycles = 0;

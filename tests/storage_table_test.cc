@@ -1,13 +1,18 @@
 #include "storage/table.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "common/random.h"
+#include "storage/database.h"
 
 namespace itag::storage {
 namespace {
@@ -266,6 +271,98 @@ TEST(TableTest, IndexKeyOrdering) {
   EXPECT_EQ(out, (std::vector<std::pair<int64_t, RowId>>{
                      {1, 3}, {1, 9}, {2, 0}, {2, 1}}));
 }
+
+// ------------------------------------------------------ InsertWithId contract
+
+/// InsertWithId is the insert of WAL replay and replication. Its contract
+/// holds on both row heaps: the in-memory map of a plain Table, and the
+/// paged B+tree of a table created on a paged Database.
+class InsertWithIdTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (!GetParam()) {
+      mem_ = std::make_unique<Table>("t", UserSchema());
+      table_ = mem_.get();
+    } else {
+      dir_ = (std::filesystem::temp_directory_path() /
+              ("itag_insert_with_id." + std::to_string(::getpid())))
+                 .string();
+      std::filesystem::remove_all(dir_);
+      DatabaseOptions opts;
+      opts.directory = dir_;
+      opts.paged = true;
+      opts.page_size = 512;
+      ASSERT_TRUE(db_.Open(opts).ok());
+      ASSERT_TRUE(db_.CreateTable("t", UserSchema()).ok());
+      table_ = db_.GetTable("t");
+    }
+    ASSERT_TRUE(table_->AddUniqueIndex("id").ok());
+    ASSERT_TRUE(table_->AddOrderedIndex("name").ok());
+    for (int64_t i = 1; i <= 3; ++i) {
+      ASSERT_EQ(table_->Insert(MakeUser(i, "u" + std::to_string(i), 0.5))
+                    .value(),
+                static_cast<RowId>(i));
+    }
+    ASSERT_EQ(table_->next_row_id(), 4u);
+  }
+  void TearDown() override {
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
+  }
+
+  std::string dir_;
+  Database db_;
+  std::unique_ptr<Table> mem_;
+  Table* table_ = nullptr;
+};
+
+TEST_P(InsertWithIdTest, TakenIdBelowNextRowIdIsRefusedAndKept) {
+  Status s = table_->InsertWithId(2, MakeUser(20, "other", 1.0));
+  EXPECT_TRUE(s.IsAlreadyExists()) << s.ToString();
+  EXPECT_EQ(table_->Get(2).value(), MakeUser(2, "u2", 0.5));
+  EXPECT_EQ(table_->row_count(), 3u);
+  EXPECT_EQ(table_->next_row_id(), 4u);
+  EXPECT_FALSE(table_->FindUnique(Value::Int(20)).has_value());
+  EXPECT_TRUE(table_->LookupEqual("name", Value::Str("other")).empty());
+}
+
+TEST_P(InsertWithIdTest, DeletedRowsIdInsertsAgain) {
+  ASSERT_TRUE(table_->Delete(2).ok());
+  ASSERT_TRUE(table_->InsertWithId(2, MakeUser(22, "again", 1.0)).ok());
+  EXPECT_EQ(table_->Get(2).value(), MakeUser(22, "again", 1.0));
+  EXPECT_EQ(table_->row_count(), 3u);
+  EXPECT_EQ(table_->next_row_id(), 4u);
+  EXPECT_EQ(table_->FindUnique(Value::Int(22)), std::optional<RowId>(2));
+  EXPECT_EQ(table_->LookupEqual("name", Value::Str("again")),
+            std::vector<RowId>{2});
+}
+
+TEST_P(InsertWithIdTest, IdAtOrPastNextRowIdInsertsAndMovesTheCounter) {
+  ASSERT_TRUE(table_->InsertWithId(4, MakeUser(4, "at", 1.0)).ok());
+  EXPECT_EQ(table_->next_row_id(), 5u);
+  ASSERT_TRUE(table_->InsertWithId(10, MakeUser(10, "past", 1.0)).ok());
+  EXPECT_EQ(table_->next_row_id(), 11u);
+  EXPECT_EQ(table_->Get(4).value(), MakeUser(4, "at", 1.0));
+  EXPECT_EQ(table_->Get(10).value(), MakeUser(10, "past", 1.0));
+  EXPECT_EQ(table_->row_count(), 5u);
+  EXPECT_EQ(table_->LookupEqual("name", Value::Str("past")),
+            std::vector<RowId>{10});
+  // The next plain insert continues past the replayed id.
+  EXPECT_EQ(table_->Insert(MakeUser(11, "next", 1.0)).value(), 11u);
+}
+
+TEST_P(InsertWithIdTest, FreshIdWithATakenKeyIsRefused) {
+  Status s = table_->InsertWithId(7, MakeUser(3, "dup", 1.0));
+  EXPECT_TRUE(s.IsAlreadyExists()) << s.ToString();
+  EXPECT_FALSE(table_->Get(7).ok());
+  EXPECT_EQ(table_->row_count(), 3u);
+  EXPECT_EQ(table_->next_row_id(), 4u);
+  EXPECT_EQ(table_->FindUnique(Value::Int(3)), std::optional<RowId>(3));
+}
+
+INSTANTIATE_TEST_SUITE_P(Heaps, InsertWithIdTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Paged" : "Mem");
+                         });
 
 // ------------------------------------------------------ ordered-index oracle
 
