@@ -10,13 +10,18 @@
 //
 // A second sweep (10k / 100k / 1M posts; the max is argv[1]-overridable)
 // runs the PAGED engine (storage/pager) and times the storage-level cold
-// start: a clean storage::Database::Open right after a checkpoint, which
-// reads only the page-file meta + catalog — no WAL replay, no row scan.
-// This sweep IS gated: cold start must grow sublinearly in post count
-// (ratio < sqrt(posts ratio)); the snapshot engine's O(rows) curves stay
-// informational. Each cold open also records the physical page reads it
-// made (the storage.page.reads delta across the timed Open), so a slow
-// open can be told apart from one that read more pages.
+// start: a clean storage::Database::Open of the checkpointed directory,
+// which reads only the page-file meta + catalog — no WAL replay, no row
+// scan. This sweep IS gated, twice; the snapshot engine's O(rows) curves
+// stay informational:
+//   * the physical page reads of an open (the storage.page.reads delta
+//     across it) must not grow with post count. A page count repeats
+//     exactly on any host.
+//   * the median of kColdOpens reopens must grow sublinearly in post count
+//     (ratio < sqrt(posts ratio)). The first open after the build is
+//     recorded as first_open_ms, informational only: it waits on the host
+//     writing back the page file the build just wrote, so it follows the
+//     file's size, not the pages the open reads.
 //
 // Each paged size then times one service-level ITagSystem::Init of the same
 // checkpointed directory (init_ms, informational) and counts the page pins
@@ -33,8 +38,8 @@
 //
 // Output: tables on stdout plus BENCH_recovery.json (schema in
 // docs/benchmarks.md; the `page_cache_mb` field records the paged sweep's
-// cache budget, and `wal_gate`, `cold_open_gate` and `init_pins_gate` the
-// three verdicts that set the exit code).
+// cache budget, and `wal_gate`, `cold_open_reads_gate`, `cold_open_gate`
+// and `init_pins_gate` the four verdicts that set the exit code).
 
 #include <algorithm>
 #include <chrono>
@@ -97,6 +102,10 @@ constexpr double kMaxWalBytesPerPost = 444.0;
 /// paged directory, at every paged size.
 constexpr double kMaxInitPinsPerRow = 0.5;
 
+/// Reopens of each checkpointed paged directory; the gate takes their
+/// median time.
+constexpr int kColdOpens = 5;
+
 core::ITagSystemOptions Opts(const std::string& dir) {
   core::ITagSystemOptions opts;
   opts.db.directory = dir;
@@ -115,8 +124,9 @@ struct PagedSample {
   uint32_t posts = 0;
   double build_ms = 0;
   double checkpoint_ms = 0;
-  double cold_open_ms = 0;  ///< storage-level reopen right after checkpoint
-  uint64_t cold_open_page_reads = 0;  ///< physical page reads of that open
+  double first_open_ms = 0;  ///< the first open after the build
+  double cold_open_ms = 0;   ///< median of kColdOpens reopens
+  uint64_t cold_open_page_reads = 0;  ///< most page reads of any one open
   double init_ms = 0;  ///< service-level Init of the same directory
   double init_page_pins_per_row = 0;  ///< page pins of that Init, per row
   uint64_t rows = 0;
@@ -302,7 +312,19 @@ int main(int argc, char** argv) {
     p.page_file_bytes = fs::exists(dir + "/pages.db")
                             ? fs::file_size(dir + "/pages.db")
                             : 0;
-    p.cold_open_ms = TimeColdOpen(dir, &p.rows, &p.cold_open_page_reads);
+    std::vector<double> opens;
+    for (int i = 0; i <= kColdOpens; ++i) {
+      uint64_t reads = 0;
+      const double ms = TimeColdOpen(dir, &p.rows, &reads);
+      p.cold_open_page_reads = std::max(p.cold_open_page_reads, reads);
+      if (i == 0) {
+        p.first_open_ms = ms;
+      } else {
+        opens.push_back(ms);
+      }
+    }
+    std::sort(opens.begin(), opens.end());
+    p.cold_open_ms = opens[opens.size() / 2];
     uint64_t pins = 0;
     p.init_ms = TimeInit(dir, &pins);
     p.init_page_pins_per_row =
@@ -323,15 +345,16 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\npaged engine (%zu MiB cache):\n", kPagedCacheMb);
-  std::printf("%8s %10s %9s %12s %13s %11s %9s %13s %12s\n", "posts",
-              "rows", "build_ms", "ckpt_ms", "cold_open_ms", "page_reads",
-              "init_ms", "pins_per_row", "pagefile_MB");
+  std::printf("%8s %10s %9s %12s %13s %13s %11s %9s %13s %12s\n", "posts",
+              "rows", "build_ms", "ckpt_ms", "first_open_ms", "cold_open_ms",
+              "page_reads", "init_ms", "pins_per_row", "pagefile_MB");
   for (const PagedSample& p : paged) {
-    std::printf("%8u %10llu %9.1f %12.1f %13.2f %11llu %9.1f %13.3f %12.2f\n",
-                p.posts, static_cast<unsigned long long>(p.rows), p.build_ms,
-                p.checkpoint_ms, p.cold_open_ms,
-                static_cast<unsigned long long>(p.cold_open_page_reads),
-                p.init_ms, p.init_page_pins_per_row, p.page_file_bytes / 1e6);
+    std::printf(
+        "%8u %10llu %9.1f %12.1f %13.2f %13.2f %11llu %9.1f %13.3f %12.2f\n",
+        p.posts, static_cast<unsigned long long>(p.rows), p.build_ms,
+        p.checkpoint_ms, p.first_open_ms, p.cold_open_ms,
+        static_cast<unsigned long long>(p.cold_open_page_reads), p.init_ms,
+        p.init_page_pins_per_row, p.page_file_bytes / 1e6);
   }
 
   const Sample& largest = samples.back();
@@ -342,24 +365,34 @@ int main(int argc, char** argv) {
       "\ngate: wal at %u posts: %.1f bytes per approved post (bound %.0f)\n",
       largest.posts, wal_per_post, kMaxWalBytesPerPost);
 
-  // Gate: the paged cold open reads meta + catalog only, so it must grow
-  // sublinearly in post count — ratio of cold opens strictly below the
-  // square root of the ratio of posts. The denominator is floored at 5 ms
-  // so sub-millisecond jitter on small states cannot flip the verdict.
-  // The snapshot-engine curves above stay informational (they are O(rows)
-  // by design). One paged size leaves nothing to compare: "skipped".
+  // Gates: the paged cold open reads meta + catalog only. So its page
+  // reads must not grow with post count, and its median reopen time must
+  // grow sublinearly: the ratio strictly below the square root of the
+  // ratio of posts. The denominator is floored at 5 ms so sub-millisecond
+  // jitter on small states cannot flip the verdict. The snapshot-engine
+  // curves above stay informational (they are O(rows) by design). One
+  // paged size leaves nothing to compare: "skipped".
   std::string cold_gate = "skipped";
+  std::string reads_gate = "skipped";
   if (paged.size() >= 2) {
     const PagedSample& small = paged.front();
     const PagedSample& large = paged.back();
+    std::printf("gate: paged cold open %u->%u posts: %llu -> %llu page reads "
+                "(bound: no growth)\n",
+                small.posts, large.posts,
+                static_cast<unsigned long long>(small.cold_open_page_reads),
+                static_cast<unsigned long long>(large.cold_open_page_reads));
+    reads_gate = large.cold_open_page_reads <= small.cold_open_page_reads
+                     ? "pass"
+                     : "fail";
     double cold_ratio = large.cold_open_ms / std::max(small.cold_open_ms, 5.0);
     double posts_ratio =
         static_cast<double>(large.posts) / static_cast<double>(small.posts);
     std::printf(
-        "gate: paged cold open %u->%u posts: %.2f ms -> %.2f ms "
-        "(ratio %.2f, sublinear bound %.2f)\n",
-        small.posts, large.posts, small.cold_open_ms, large.cold_open_ms,
-        cold_ratio, std::sqrt(posts_ratio));
+        "gate: paged cold open %u->%u posts, median of %d reopens: %.2f ms "
+        "-> %.2f ms (ratio %.2f, sublinear bound %.2f)\n",
+        small.posts, large.posts, kColdOpens, small.cold_open_ms,
+        large.cold_open_ms, cold_ratio, std::sqrt(posts_ratio));
     cold_gate = cold_ratio < std::sqrt(posts_ratio) ? "pass" : "fail";
   }
 
@@ -398,6 +431,7 @@ int main(int argc, char** argv) {
                 "],\"wal_bytes_per_post\":%.1f,\"wal_gate\":\"%s\"",
                 wal_per_post, wal_ok ? "pass" : "fail");
   json += wal_gate;
+  json += ",\"cold_open_reads_gate\":\"" + reads_gate + "\"";
   json += ",\"cold_open_gate\":\"" + cold_gate + "\"";
   json += ",\"init_pins_gate\":\"" +
           std::string(init_pins_ok ? "pass" : "fail") + "\"";
@@ -408,12 +442,13 @@ int main(int argc, char** argv) {
     char buf[384];
     std::snprintf(buf, sizeof(buf),
                   "%s{\"posts\":%u,\"rows\":%llu,\"build_ms\":%.1f,"
-                  "\"checkpoint_ms\":%.1f,\"cold_open_ms\":%.2f,"
+                  "\"checkpoint_ms\":%.1f,\"first_open_ms\":%.2f,"
+                  "\"cold_open_ms\":%.2f,"
                   "\"cold_open_page_reads\":%llu,\"init_ms\":%.1f,"
                   "\"init_page_pins_per_row\":%.3f,\"page_file_bytes\":%llu}",
                   i == 0 ? "" : ",", p.posts,
                   static_cast<unsigned long long>(p.rows), p.build_ms,
-                  p.checkpoint_ms, p.cold_open_ms,
+                  p.checkpoint_ms, p.first_open_ms, p.cold_open_ms,
                   static_cast<unsigned long long>(p.cold_open_page_reads),
                   p.init_ms, p.init_page_pins_per_row,
                   static_cast<unsigned long long>(p.page_file_bytes));
@@ -429,6 +464,12 @@ int main(int argc, char** argv) {
                  "FAIL: the wal grew past %.0f bytes per approved post "
                  "(same-row rewrites inside a batch are logged again)\n",
                  kMaxWalBytesPerPost);
+    exit_code = 1;
+  }
+  if (reads_gate == "fail") {
+    std::fprintf(stderr,
+                 "FAIL: paged cold open reads more pages at more posts "
+                 "(O(catalog) restart regressed)\n");
     exit_code = 1;
   }
   if (cold_gate == "fail") {

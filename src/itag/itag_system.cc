@@ -134,7 +134,7 @@ Status ITagSystem::AttachRuntimeState() {
   ITAG_RETURN_IF_ERROR(db_.AddUniqueIndex(tables::kSys, "k"));
 
   // ---- restore: workflow maps.
-  db_.GetTable(tables::kAccepted)
+  ITAG_RETURN_IF_ERROR(db_.GetTable(tables::kAccepted)
       ->Scan([&](storage::RowId rid, const Row& row) {
         (void)rid;
         AcceptedTask task;
@@ -147,9 +147,9 @@ Status ITagSystem::AttachRuntimeState() {
                           OpenTask{std::move(task),
                                    static_cast<UserTaggerId>(row[5].as_int())});
         return true;
-      });
+      }));
   Status restored = Status::OK();
-  db_.GetTable(tables::kPending)
+  ITAG_RETURN_IF_ERROR(db_.GetTable(tables::kPending)
       ->Scan([&](storage::RowId rid, const Row& row) {
         (void)rid;
         PendingSubmission sub;
@@ -167,9 +167,9 @@ Status ITagSystem::AttachRuntimeState() {
         }
         pending_.emplace(sub.handle, std::move(sub));
         return true;
-      });
+      }));
   ITAG_RETURN_IF_ERROR(restored);
-  db_.GetTable(tables::kInFlight)
+  ITAG_RETURN_IF_ERROR(db_.GetTable(tables::kInFlight)
       ->Scan([&](storage::RowId rid, const Row& row) {
         int platform = static_cast<int>(row[0].as_int());
         crowd::TaskId task = static_cast<crowd::TaskId>(row[1].as_int());
@@ -180,29 +180,30 @@ Status ITagSystem::AttachRuntimeState() {
             .emplace(task, flight);
         in_flight_rows_[{platform, task}] = rid;
         return true;
-      });
+      }));
 
   // ---- restore: ledger balances, then arm the write-through sink.
-  db_.GetTable(tables::kLedgerProjects)
+  ITAG_RETURN_IF_ERROR(db_.GetTable(tables::kLedgerProjects)
       ->Scan([&](storage::RowId, const Row& row) {
         ledger_.RestoreProjectSpend(static_cast<ProjectId>(row[0].as_int()),
                                     static_cast<uint64_t>(row[1].as_int()));
         return true;
-      });
-  db_.GetTable(tables::kLedgerWorkers)
+      }));
+  ITAG_RETURN_IF_ERROR(db_.GetTable(tables::kLedgerWorkers)
       ->Scan([&](storage::RowId, const Row& row) {
         ledger_.RestoreWorkerEarnings(
             static_cast<crowd::WorkerId>(row[0].as_int()),
             static_cast<uint64_t>(row[1].as_int()));
         return true;
-      });
+      }));
 
   // ---- restore: sys rows (scalars, ledger totals, platform blobs).
   std::map<std::string, std::string> sys;
-  db_.GetTable(tables::kSys)->Scan([&](storage::RowId, const Row& row) {
-    sys[row[0].as_string()] = row[1].as_string();
-    return true;
-  });
+  ITAG_RETURN_IF_ERROR(
+      db_.GetTable(tables::kSys)->Scan([&](storage::RowId, const Row& row) {
+        sys[row[0].as_string()] = row[1].as_string();
+        return true;
+      }));
   if (auto it = sys.find(kSysCore); it != sys.end()) {
     ByteReader r(it->second);
     uint64_t next_handle, accepted_total;

@@ -157,7 +157,7 @@ Status QualityManager::Attach() {
     next_project_ = std::max(next_project_, id + 1);
   }
 
-  db_->GetTable(tables::kQualityFeed)
+  ITAG_RETURN_IF_ERROR(db_->GetTable(tables::kQualityFeed)
       ->Scan([&](storage::RowId rid, const Row& row) {
         (void)rid;
         ProjectRec* rec = Rec(static_cast<ProjectId>(row[0].as_int()));
@@ -166,9 +166,9 @@ Status QualityManager::Attach() {
                                row[2].as_double(), row[3].as_int()});
         }
         return true;
-      });
+      }));
 
-  db_->GetTable(tables::kNotifications)
+  ITAG_RETURN_IF_ERROR(db_->GetTable(tables::kNotifications)
       ->Scan([&](storage::RowId rid, const Row& row) {
         ProviderId provider = static_cast<ProviderId>(row[0].as_int());
         Notification n;
@@ -179,7 +179,7 @@ Status QualityManager::Attach() {
         Notifications(provider).Push(std::move(n));
         inbox_rows_[provider].push_back(rid);
         return true;
-      });
+      }));
   return Status::OK();
 }
 

@@ -321,7 +321,7 @@ Status ShardedSystem::LoadPlacementOverlay() {
   storage::Database& db = *placement_db_;
   std::unique_lock<std::shared_mutex> pl(placement_mu_);
   placement_ = PlacementMap(shards_.size());
-  db.GetTable(kPlacementTable)
+  ITAG_RETURN_IF_ERROR(db.GetTable(kPlacementTable)
       ->Scan([&](storage::RowId, const storage::Row& row) {
         PlacementMap::Location at;
         at.shard = static_cast<size_t>(row[1].as_int());
@@ -329,19 +329,19 @@ Status ShardedSystem::LoadPlacementOverlay() {
         placement_.RestoreOverride(static_cast<uint64_t>(row[0].as_int()), at,
                                    static_cast<uint64_t>(row[3].as_int()));
         return true;
-      });
-  db.GetTable(kSlotsTable)
+      }));
+  ITAG_RETURN_IF_ERROR(db.GetTable(kSlotsTable)
       ->Scan([&](storage::RowId, const storage::Row& row) {
         placement_.RestoreSlot(static_cast<uint64_t>(row[0].as_int()),
                                static_cast<uint64_t>(row[1].as_int()));
         return true;
-      });
-  db.GetTable(kHandlesTable)
+      }));
+  ITAG_RETURN_IF_ERROR(db.GetTable(kHandlesTable)
       ->Scan([&](storage::RowId, const storage::Row& row) {
         placement_.RestoreHandle(static_cast<uint64_t>(row[0].as_int()),
                                  static_cast<uint64_t>(row[1].as_int()));
         return true;
-      });
+      }));
   placement_version_.store(placement_.version(), std::memory_order_release);
   return Status::OK();
 }
@@ -356,7 +356,7 @@ Status ShardedSystem::ResolveIntents() {
     int64_t state = 0;
   };
   std::vector<Intent> found;
-  placement_db_->GetTable(kIntentTable)
+  ITAG_RETURN_IF_ERROR(placement_db_->GetTable(kIntentTable)
       ->Scan([&](storage::RowId rid, const storage::Row& row) {
         Intent in;
         in.rid = rid;
@@ -367,7 +367,7 @@ Status ShardedSystem::ResolveIntents() {
         in.state = row[5].as_int();
         found.push_back(in);
         return true;
-      });
+      }));
   for (const Intent& in : found) {
     if (in.state == 0) {
       // Crash before the commit: routing still points at the source, which

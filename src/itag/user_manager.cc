@@ -32,7 +32,7 @@ Status UserManager::Attach() {
 
   // Reload any persisted rows (recovery path).
   providers_.clear();
-  db_->GetTable(tables::kProviders)
+  ITAG_RETURN_IF_ERROR(db_->GetTable(tables::kProviders)
       ->Scan([&](storage::RowId, const Row& row) {
         ProviderProfile p;
         p.id = static_cast<ProviderId>(row[0].as_int());
@@ -42,9 +42,9 @@ Status UserManager::Attach() {
         if (p.id >= providers_.size()) providers_.resize(p.id + 1);
         providers_[p.id] = p;
         return true;
-      });
+      }));
   taggers_.clear();
-  db_->GetTable(tables::kTaggers)
+  ITAG_RETURN_IF_ERROR(db_->GetTable(tables::kTaggers)
       ->Scan([&](storage::RowId, const Row& row) {
         TaggerProfile t;
         t.id = static_cast<UserTaggerId>(row[0].as_int());
@@ -56,7 +56,7 @@ Status UserManager::Attach() {
         if (t.id >= taggers_.size()) taggers_.resize(t.id + 1);
         taggers_[t.id] = t;
         return true;
-      });
+      }));
   return Status::OK();
 }
 

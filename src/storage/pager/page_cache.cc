@@ -35,35 +35,10 @@ struct CacheMetrics {
 PageRef& PageRef::operator=(PageRef&& other) noexcept {
   if (this != &other) {
     Release();
-    cache_ = other.cache_;
-    id_ = other.id_;
-    other.cache_ = nullptr;
+    frame_ = other.frame_;
+    other.frame_ = nullptr;
   }
   return *this;
-}
-
-PageRef::~PageRef() { Release(); }
-
-void PageRef::Release() {
-  if (cache_ != nullptr) {
-    cache_->Unpin(id_);
-    cache_ = nullptr;
-  }
-}
-
-PageImage& PageRef::image() {
-  assert(valid());
-  return cache_->ImageOf(id_);
-}
-
-const PageImage& PageRef::image() const {
-  assert(valid());
-  return cache_->ImageOf(id_);
-}
-
-void PageRef::MarkDirty() {
-  assert(valid());
-  cache_->MarkDirty(id_);
 }
 
 PageCache::PageCache(Pager* pager, size_t capacity_bytes) : pager_(pager) {
@@ -76,24 +51,6 @@ PageCache::~PageCache() {
   CacheMetrics::Get().resident->Sub(static_cast<int64_t>(frames_.size()));
 }
 
-PageImage& PageCache::ImageOf(PageId id) {
-  auto it = frames_.find(id);
-  assert(it != frames_.end());
-  return it->second.image;
-}
-
-void PageCache::MarkDirty(PageId id) {
-  auto it = frames_.find(id);
-  assert(it != frames_.end());
-  it->second.dirty = true;
-}
-
-void PageCache::Unpin(PageId id) {
-  auto it = frames_.find(id);
-  assert(it != frames_.end() && it->second.pins > 0);
-  --it->second.pins;
-}
-
 Result<PageRef> PageCache::Pin(PageId id) {
   auto it = frames_.find(id);
   if (it != frames_.end()) {
@@ -101,7 +58,7 @@ Result<PageRef> PageCache::Pin(PageId id) {
     it->second.referenced = true;
     ++stats_.hits;
     CacheMetrics::Get().hits->Inc();
-    return PageRef(this, id);
+    return PageRef(&it->second);
   }
   ++stats_.misses;
   CacheMetrics::Get().misses->Inc();
@@ -110,29 +67,29 @@ Result<PageRef> PageCache::Pin(PageId id) {
   obs::Span span("storage.page_cache.miss");
   span.Annotate("page", static_cast<uint64_t>(id));
   ITAG_RETURN_IF_ERROR(EvictForSpace());
-  Frame frame;
+  PageFrame frame;
   ITAG_RETURN_IF_ERROR(pager_->ReadPage(id, &frame.image));
   frame.pins = 1;
   frame.referenced = true;
-  frames_.emplace(id, std::move(frame));
+  PageFrame* slot = &frames_.emplace(id, std::move(frame)).first->second;
   clock_order_.push_back(id);
   CacheMetrics::Get().resident->Add(1);
-  return PageRef(this, id);
+  return PageRef(slot);
 }
 
 Result<PageRef> PageCache::PinNew(PageId id, PageType type) {
   assert(frames_.find(id) == frames_.end());
   ITAG_RETURN_IF_ERROR(EvictForSpace());
-  Frame frame;
+  PageFrame frame;
   frame.image.header.page_id = id;
   frame.image.header.type = type;
   frame.pins = 1;
   frame.dirty = true;
   frame.referenced = true;
-  frames_.emplace(id, std::move(frame));
+  PageFrame* slot = &frames_.emplace(id, std::move(frame)).first->second;
   clock_order_.push_back(id);
   CacheMetrics::Get().resident->Add(1);
-  return PageRef(this, id);
+  return PageRef(slot);
 }
 
 void PageCache::Drop(PageId id) {
@@ -141,10 +98,30 @@ void PageCache::Drop(PageId id) {
   assert(it->second.pins == 0 && "dropping a pinned page");
   frames_.erase(it);  // ring entry goes stale; the clock skips it
   CacheMetrics::Get().resident->Sub(1);
+  if (clock_order_.size() > kTicketsPerFrame * frames_.size()) CompactRing();
 }
 
-Status PageCache::WriteBack(PageId id, Frame* frame) {
-  (void)id;
+void PageCache::CompactRing() {
+  // The sweep retires a stale ticket without moving the hand or counting a
+  // step, so retiring it early changes no sweep, unless its page is pinned
+  // again before the hand gets there: the ticket then counts for the new
+  // frame. A full cache's sweep retires stale tickets as it goes, so its
+  // ring seldom reaches the threshold; a cache that never fills picks no
+  // victim at all.
+  size_t kept = 0;
+  size_t hand = 0;
+  for (size_t i = 0; i < clock_order_.size(); ++i) {
+    if (i == clock_hand_) hand = kept;
+    if (frames_.count(clock_order_[i]) != 0) {
+      clock_order_[kept++] = clock_order_[i];
+    }
+  }
+  if (clock_hand_ >= clock_order_.size()) hand = kept;
+  clock_order_.resize(kept);
+  clock_hand_ = hand;
+}
+
+Status PageCache::WriteBack(PageFrame* frame) {
   ITAG_RETURN_IF_ERROR(pager_->WritePage(&frame->image));
   frame->dirty = false;
   ++stats_.dirty_writebacks;
@@ -169,7 +146,7 @@ Status PageCache::EvictForSpace() {
         continue;
       }
       ++steps;
-      Frame& frame = it->second;
+      PageFrame& frame = it->second;
       if (frame.pins > 0) {
         ++clock_hand_;
         continue;
@@ -180,7 +157,7 @@ Status PageCache::EvictForSpace() {
         continue;
       }
       if (frame.dirty) {
-        ITAG_RETURN_IF_ERROR(WriteBack(id, &frame));
+        ITAG_RETURN_IF_ERROR(WriteBack(&frame));
       }
       frames_.erase(it);
       clock_order_.erase(clock_order_.begin() +
@@ -197,9 +174,9 @@ Status PageCache::EvictForSpace() {
 }
 
 Status PageCache::FlushAll() {
-  for (auto& [id, frame] : frames_) {
-    if (frame.dirty) {
-      ITAG_RETURN_IF_ERROR(WriteBack(id, &frame));
+  for (auto& entry : frames_) {
+    if (entry.second.dirty) {
+      ITAG_RETURN_IF_ERROR(WriteBack(&entry.second));
     }
   }
   return Status::OK();

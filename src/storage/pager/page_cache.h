@@ -13,11 +13,19 @@
 
 namespace itag::storage::pager {
 
-class PageCache;
+/// One resident page: its image, pin count and clock state. Frames live in
+/// a node-based map, so a frame's address is stable while it is resident.
+struct PageFrame {
+  PageImage image;
+  uint32_t pins = 0;
+  bool dirty = false;
+  bool referenced = false;  // clock second-chance bit
+};
 
 /// RAII pin on one cached page. While any PageRef to a page is alive the
 /// frame cannot be evicted; destruction unpins. Mutators go through
-/// image()/MarkDirty so write-back happens on eviction or FlushAll.
+/// image()/MarkDirty so write-back happens on eviction or FlushAll. The ref
+/// holds its frame, so none of these looks the page up again.
 class PageRef {
  public:
   PageRef() = default;
@@ -25,26 +33,27 @@ class PageRef {
   PageRef& operator=(PageRef&& other) noexcept;
   PageRef(const PageRef&) = delete;
   PageRef& operator=(const PageRef&) = delete;
-  ~PageRef();
+  ~PageRef() { Release(); }
 
-  bool valid() const { return cache_ != nullptr; }
-  PageId id() const { return id_; }
-  PageImage& image();
-  const PageImage& image() const;
+  bool valid() const { return frame_ != nullptr; }
+  PageImage& image() { return frame_->image; }
+  const PageImage& image() const { return frame_->image; }
   PageHeader& header() { return image().header; }
   std::vector<uint8_t>& payload() { return image().payload; }
   const std::vector<uint8_t>& payload() const { return image().payload; }
   /// Marks the frame dirty — it will be written back before eviction and
   /// at FlushAll. Every mutation of image() must be paired with this.
-  void MarkDirty();
+  void MarkDirty() { frame_->dirty = true; }
   /// Drops the pin early (idempotent).
-  void Release();
+  void Release() {
+    if (frame_ != nullptr) --frame_->pins;
+    frame_ = nullptr;
+  }
 
  private:
   friend class PageCache;
-  PageRef(PageCache* cache, PageId id) : cache_(cache), id_(id) {}
-  PageCache* cache_ = nullptr;
-  PageId id_ = kNullPage;
+  explicit PageRef(PageFrame* frame) : frame_(frame) {}
+  PageFrame* frame_ = nullptr;
 };
 
 /// Per-cache counters (the process-wide storage.page.* metrics aggregate
@@ -82,7 +91,10 @@ class PageCache {
   /// the (garbage) slot; the frame starts dirty with the given type.
   Result<PageRef> PinNew(PageId id, PageType type);
 
-  /// Discards the frame for `id` (page was freed): no write-back.
+  /// Discards the frame for `id` (page was freed): no write-back. Once the
+  /// clock ring holds more than kTicketsPerFrame tickets per resident frame
+  /// its stale tickets are retired, so a cache that never fills, and so
+  /// never sweeps, keeps a ring a few times the size of its frames.
   void Drop(PageId id);
 
   /// Writes back every dirty frame (checkpoint). Frames stay resident.
@@ -90,28 +102,26 @@ class PageCache {
 
   size_t resident() const { return frames_.size(); }
   size_t capacity_frames() const { return capacity_frames_; }
+  /// Tickets in the clock ring, stale ones included (test hook).
+  size_t clock_ring_size() const { return clock_order_.size(); }
   const PageCacheStats& stats() const { return stats_; }
 
  private:
-  friend class PageRef;
-  struct Frame {
-    PageImage image;
-    uint32_t pins = 0;
-    bool dirty = false;
-    bool referenced = false;  // clock second-chance bit
-  };
+  static constexpr size_t kTicketsPerFrame = 4;
 
-  void Unpin(PageId id);
-  PageImage& ImageOf(PageId id);
-  void MarkDirty(PageId id);
   /// Evicts down to capacity; stops early when only pinned frames remain.
   Status EvictForSpace();
-  Status WriteBack(PageId id, Frame* frame);
+  Status WriteBack(PageFrame* frame);
+  /// Retires the tickets of frames no longer resident, keeping the order
+  /// of the rest and the hand on the same next ticket.
+  void CompactRing();
 
   Pager* pager_;
   size_t capacity_frames_;
-  std::unordered_map<PageId, Frame> frames_;
-  std::vector<PageId> clock_order_;  ///< insertion ring the clock hand walks
+  std::unordered_map<PageId, PageFrame> frames_;
+  /// Insertion ring the clock hand walks. A dropped page leaves its ticket
+  /// stale until the hand retires it or the ring is compacted.
+  std::vector<PageId> clock_order_;
   size_t clock_hand_ = 0;
   PageCacheStats stats_;
 };

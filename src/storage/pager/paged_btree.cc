@@ -1,6 +1,7 @@
 #include "storage/pager/paged_btree.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 
 namespace itag::storage::pager {
@@ -10,61 +11,219 @@ namespace {
 constexpr uint8_t kValInline = 0;
 constexpr uint8_t kValOverflow = 1;
 
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v & 0xFF));
-  out->push_back(static_cast<uint8_t>(v >> 8));
+// A leaf entry is a u64 key and a u8 kind, then either a u16 length and the
+// value's bytes (inline) or a u32 total length and a u32 chain head.
+constexpr size_t kInlineEntryHead = 8 + 1 + 2;
+constexpr size_t kOverflowEntryBytes = 8 + 1 + 8;
+
+template <typename T>
+T GetLe(const uint8_t* p) {
+  T v = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(T{p[i]} << (8 * i));
+  }
+  return v;
 }
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xFF));
+template <typename T>
+void PutLe(uint8_t* p, T v) {
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
 }
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xFF));
-}
-
-/// Bounds-checked little-endian reader over a node payload.
-struct Cursor {
-  const uint8_t* p;
-  size_t n;
-  size_t pos = 0;
-
-  bool U8(uint8_t* v) {
-    if (n - pos < 1) return false;
-    *v = p[pos++];
-    return true;
-  }
-  bool U16(uint16_t* v) {
-    if (n - pos < 2) return false;
-    *v = static_cast<uint16_t>(p[pos] | (p[pos + 1] << 8));
-    pos += 2;
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (n - pos < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) *v |= static_cast<uint32_t>(p[pos + i]) << (8 * i);
-    pos += 4;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (n - pos < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) *v |= static_cast<uint64_t>(p[pos + i]) << (8 * i);
-    pos += 8;
-    return true;
-  }
-  bool Bytes(std::vector<uint8_t>* v, size_t k) {
-    if (n - pos < k) return false;
-    v->assign(p + pos, p + pos + k);
-    pos += k;
-    return true;
-  }
-  bool AtEnd() const { return pos == n; }
-};
 
 Status NodeCorruption(PageId id, const char* what) {
   return Status::Corruption("btree page " + std::to_string(id) + ": " + what);
+}
+
+size_t EntryBytes(PageId head, size_t inline_len) {
+  return head == kNullPage ? kInlineEntryHead + inline_len
+                           : kOverflowEntryBytes;
+}
+
+/// Writes one leaf entry at `p`: `len` value bytes from `bytes` when `head`
+/// is kNullPage, else a reference to the chain at `head` holding `len`
+/// bytes. Returns the byte past the entry.
+uint8_t* PutLeafEntry(uint8_t* p, uint64_t key, PageId head, size_t len,
+                      const void* bytes) {
+  PutLe<uint64_t>(p, key);
+  if (head == kNullPage) {
+    p[8] = kValInline;
+    PutLe<uint16_t>(p + 9, static_cast<uint16_t>(len));
+    if (len != 0) std::memcpy(p + kInlineEntryHead, bytes, len);
+    return p + kInlineEntryHead + len;
+  }
+  p[8] = kValOverflow;
+  PutLe<uint32_t>(p + 9, static_cast<uint32_t>(len));
+  PutLe<uint32_t>(p + 13, head);
+  return p + kOverflowEntryBytes;
+}
+
+/// Copies a leaf payload with bytes [from, to) replaced by `hole` bytes
+/// for the caller to fill, and the entry count set to `count`.
+std::vector<uint8_t> Splice(const std::vector<uint8_t>& payload, size_t from,
+                            size_t to, size_t hole, size_t count) {
+  std::vector<uint8_t> out(payload.size() - (to - from) + hole);
+  std::memcpy(out.data(), payload.data(), from);
+  std::memcpy(out.data() + from + hole, payload.data() + to,
+              payload.size() - to);
+  PutLe<uint16_t>(out.data(), static_cast<uint16_t>(count));
+  return out;
+}
+
+/// One leaf entry where it sits in the payload.
+struct LeafEntry {
+  uint64_t key = 0;
+  size_t begin = 0;         ///< offset of the entry's first byte
+  size_t end = 0;           ///< offset one past its last byte
+  PageId head = kNullPage;  ///< overflow chain head; kNullPage when inline
+  uint32_t total_len = 0;   ///< value bytes
+  const uint8_t* inline_bytes = nullptr;  ///< the value, when inline
+
+  std::string_view inline_value() const {
+    return {reinterpret_cast<const char*>(inline_bytes), total_len};
+  }
+};
+
+/// The one reader of the node format. Every visit to a node page opens one
+/// over the page's bytes, so every Corruption a node can raise is raised
+/// here. Opening checks the page type and the count, and an internal
+/// node's exact size; a leaf is checked entry by entry as Next() walks it,
+/// and Finish() checks that nothing trails the last entry.
+class NodeReader {
+ public:
+  /// Opens a node of either kind; `unexpected` names any other page type.
+  Status Open(const PageImage& img, const char* unexpected) {
+    if (img.header.type == PageType::kLeaf) return OpenLeaf(img);
+    if (img.header.type == PageType::kInternal) return OpenInternal(img);
+    return NodeCorruption(img.header.page_id, unexpected);
+  }
+
+  Status OpenLeaf(const PageImage& img) {
+    ITAG_RETURN_IF_ERROR(Start(img, PageType::kLeaf, "leaf"));
+    pos_ = 2;
+    return Status::OK();
+  }
+
+  Status OpenInternal(const PageImage& img) {
+    ITAG_RETURN_IF_ERROR(Start(img, PageType::kInternal, "internal"));
+    const size_t end = KeysAt() + 8 * size_t{count_};
+    if (n_ < KeysAt()) return Fail("truncated child list");
+    if (n_ < end) return Fail("truncated keys");
+    if (n_ > end) return Fail("internal trailing bytes");
+    return Status::OK();
+  }
+
+  bool leaf() const { return leaf_; }
+  /// Entries of a leaf; separator keys of an internal node.
+  size_t count() const { return count_; }
+  size_t bytes() const { return n_; }
+
+  PageId child(size_t i) const { return GetLe<uint32_t>(p_ + 2 + 4 * i); }
+  uint64_t key(size_t i) const {
+    return GetLe<uint64_t>(p_ + KeysAt() + 8 * i);
+  }
+  /// The child whose subtree holds `k`: the first separator above it.
+  size_t ChildIndex(uint64_t k) const {
+    size_t lo = 0;
+    size_t hi = count_;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (key(mid) <= k) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  /// Reads a leaf's next entry; call it count() times, then Finish().
+  Status Next(LeafEntry* e) {
+    e->begin = pos_;
+    if (n_ - pos_ < 9) return Fail("truncated leaf entry");
+    e->key = GetLe<uint64_t>(p_ + pos_);
+    const uint8_t kind = p_[pos_ + 8];
+    pos_ += 9;
+    if (kind == kValInline) {
+      if (n_ - pos_ < 2) return Fail("truncated inline value");
+      const size_t len = GetLe<uint16_t>(p_ + pos_);
+      pos_ += 2;
+      if (n_ - pos_ < len) return Fail("truncated inline value");
+      e->head = kNullPage;
+      e->total_len = static_cast<uint32_t>(len);
+      e->inline_bytes = p_ + pos_;
+      pos_ += len;
+    } else if (kind == kValOverflow) {
+      if (n_ - pos_ < 8) return Fail("truncated overflow ref");
+      e->total_len = GetLe<uint32_t>(p_ + pos_);
+      e->head = GetLe<uint32_t>(p_ + pos_ + 4);
+      e->inline_bytes = nullptr;
+      pos_ += 8;
+      if (e->head == kNullPage) return Fail("null overflow head");
+    } else {
+      return Fail("unknown value kind");
+    }
+    e->end = pos_;
+    return Status::OK();
+  }
+
+  Status Finish() const {
+    return pos_ == n_ ? Status::OK() : Fail("leaf trailing bytes");
+  }
+
+ private:
+  /// Checks the page type and reads the count; `kind` names the type.
+  Status Start(const PageImage& img, PageType type, const char* kind) {
+    id_ = img.header.page_id;
+    p_ = img.payload.data();
+    n_ = img.payload.size();
+    leaf_ = type == PageType::kLeaf;
+    if (img.header.type != type) {
+      return Fail((std::string("expected ") + kind).c_str());
+    }
+    if (n_ < 2) return Fail((std::string("truncated ") + kind).c_str());
+    count_ = GetLe<uint16_t>(p_);
+    return Status::OK();
+  }
+  size_t KeysAt() const { return 2 + 4 * (size_t{count_} + 1); }
+  Status Fail(const char* what) const { return NodeCorruption(id_, what); }
+
+  PageId id_ = kNullPage;
+  const uint8_t* p_ = nullptr;
+  size_t n_ = 0;
+  bool leaf_ = false;
+  uint16_t count_ = 0;
+  size_t pos_ = 0;
+};
+
+/// Where `key` sits in a leaf, or would go: the byte offset of its spot,
+/// and the entry holding it when present.
+struct LeafSpot {
+  size_t offset = 2;
+  bool found = false;
+  LeafEntry entry;
+};
+
+/// Walks every entry of an opened leaf, so the whole node is checked, and
+/// finds `key`'s spot.
+Status FindInLeaf(NodeReader* r, uint64_t key, LeafSpot* spot) {
+  LeafEntry e;
+  bool placed = false;
+  for (size_t i = 0; i < r->count(); ++i) {
+    ITAG_RETURN_IF_ERROR(r->Next(&e));
+    if (placed) continue;
+    if (e.key < key) {
+      spot->offset = e.end;
+      continue;
+    }
+    placed = true;
+    if (e.key == key) {
+      spot->found = true;
+      spot->entry = e;
+    }
+  }
+  return r->Finish();
 }
 
 }  // namespace
@@ -75,131 +234,87 @@ PagedBTree::PagedBTree(Pager* pager, PageCache* cache, PageId root)
 // ---------------------------------------------------------------------------
 // Node (de)serialization.
 
-size_t PagedBTree::LeafEntryBytes(const ValueRef& v) const {
-  return 8 + 1 + (v.head == kNullPage ? 2 + v.inline_value.size() : 8);
+size_t PagedBTree::LeafEntryBytes(const ValueRef& v) {
+  return EntryBytes(v.head, v.inline_value.size());
 }
 
-size_t PagedBTree::LeafBytes(const LeafNode& node) const {
+size_t PagedBTree::LeafBytes(const LeafNode& node) {
   size_t n = 2;
   for (const ValueRef& v : node.values) n += LeafEntryBytes(v);
   return n;
 }
 
-size_t PagedBTree::InternalBytes(const InternalNode& node) const {
+size_t PagedBTree::InternalBytes(const InternalNode& node) {
   return 2 + 4 * node.children.size() + 8 * node.keys.size();
 }
 
-void PagedBTree::EncodeLeaf(const LeafNode& node, std::vector<uint8_t>* out) {
-  out->clear();
-  PutU16(out, static_cast<uint16_t>(node.keys.size()));
+std::vector<uint8_t> PagedBTree::EncodeLeaf(const LeafNode& node) {
+  std::vector<uint8_t> out(LeafBytes(node));
+  uint8_t* p = out.data();
+  PutLe<uint16_t>(p, static_cast<uint16_t>(node.keys.size()));
+  p += 2;
   for (size_t i = 0; i < node.keys.size(); ++i) {
-    PutU64(out, node.keys[i]);
     const ValueRef& v = node.values[i];
-    if (v.head == kNullPage) {
-      out->push_back(kValInline);
-      PutU16(out, static_cast<uint16_t>(v.inline_value.size()));
-      out->insert(out->end(), v.inline_value.begin(), v.inline_value.end());
-    } else {
-      out->push_back(kValOverflow);
-      PutU32(out, v.total_len);
-      PutU32(out, v.head);
-    }
+    p = PutLeafEntry(p, node.keys[i], v.head,
+                     v.head == kNullPage ? v.inline_value.size() : v.total_len,
+                     v.inline_value.data());
   }
+  return out;
 }
 
-void PagedBTree::EncodeInternal(const InternalNode& node,
-                                std::vector<uint8_t>* out) {
-  out->clear();
-  PutU16(out, static_cast<uint16_t>(node.keys.size()));
-  for (PageId c : node.children) PutU32(out, c);
-  for (uint64_t k : node.keys) PutU64(out, k);
+std::vector<uint8_t> PagedBTree::EncodeInternal(const InternalNode& node) {
+  std::vector<uint8_t> out(InternalBytes(node));
+  uint8_t* p = out.data();
+  PutLe<uint16_t>(p, static_cast<uint16_t>(node.keys.size()));
+  p += 2;
+  for (PageId c : node.children) {
+    PutLe<uint32_t>(p, c);
+    p += 4;
+  }
+  for (uint64_t k : node.keys) {
+    PutLe<uint64_t>(p, k);
+    p += 8;
+  }
+  return out;
 }
 
 Status PagedBTree::DecodeLeaf(const PageImage& img, LeafNode* out) {
-  if (img.header.type != PageType::kLeaf) {
-    return NodeCorruption(img.header.page_id, "expected leaf");
-  }
-  Cursor c{img.payload.data(), img.payload.size()};
-  uint16_t count = 0;
-  if (!c.U16(&count)) return NodeCorruption(img.header.page_id, "truncated leaf");
+  NodeReader r;
+  ITAG_RETURN_IF_ERROR(r.OpenLeaf(img));
   out->keys.clear();
   out->values.clear();
-  out->keys.reserve(count);
-  out->values.reserve(count);
-  for (uint16_t i = 0; i < count; ++i) {
-    uint64_t key = 0;
-    uint8_t kind = 0;
-    ValueRef v;
-    if (!c.U64(&key) || !c.U8(&kind)) {
-      return NodeCorruption(img.header.page_id, "truncated leaf entry");
+  out->keys.reserve(r.count());
+  out->values.reserve(r.count());
+  LeafEntry e;
+  for (size_t i = 0; i < r.count(); ++i) {
+    ITAG_RETURN_IF_ERROR(r.Next(&e));
+    out->keys.push_back(e.key);
+    out->values.push_back({{}, e.head, e.total_len});
+    if (e.head == kNullPage) {
+      out->values.back().inline_value.assign(e.inline_bytes,
+                                             e.inline_bytes + e.total_len);
     }
-    if (kind == kValInline) {
-      uint16_t len = 0;
-      if (!c.U16(&len) || !c.Bytes(&v.inline_value, len)) {
-        return NodeCorruption(img.header.page_id, "truncated inline value");
-      }
-      v.total_len = len;
-    } else if (kind == kValOverflow) {
-      if (!c.U32(&v.total_len) || !c.U32(&v.head)) {
-        return NodeCorruption(img.header.page_id, "truncated overflow ref");
-      }
-      if (v.head == kNullPage) {
-        return NodeCorruption(img.header.page_id, "null overflow head");
-      }
-    } else {
-      return NodeCorruption(img.header.page_id, "unknown value kind");
-    }
-    out->keys.push_back(key);
-    out->values.push_back(std::move(v));
   }
-  if (!c.AtEnd()) return NodeCorruption(img.header.page_id, "leaf trailing bytes");
-  return Status::OK();
+  return r.Finish();
 }
 
 Status PagedBTree::DecodeInternal(const PageImage& img, InternalNode* out) {
-  if (img.header.type != PageType::kInternal) {
-    return NodeCorruption(img.header.page_id, "expected internal");
-  }
-  Cursor c{img.payload.data(), img.payload.size()};
-  uint16_t count = 0;
-  if (!c.U16(&count)) {
-    return NodeCorruption(img.header.page_id, "truncated internal");
-  }
-  out->keys.clear();
-  out->children.clear();
-  out->keys.reserve(count);
-  out->children.reserve(count + 1);
-  for (uint16_t i = 0; i <= count; ++i) {
-    PageId child = kNullPage;
-    if (!c.U32(&child)) {
-      return NodeCorruption(img.header.page_id, "truncated child list");
-    }
-    out->children.push_back(child);
-  }
-  for (uint16_t i = 0; i < count; ++i) {
-    uint64_t key = 0;
-    if (!c.U64(&key)) return NodeCorruption(img.header.page_id, "truncated keys");
-    out->keys.push_back(key);
-  }
-  if (!c.AtEnd()) {
-    return NodeCorruption(img.header.page_id, "internal trailing bytes");
-  }
+  NodeReader r;
+  ITAG_RETURN_IF_ERROR(r.OpenInternal(img));
+  out->keys.resize(r.count());
+  out->children.resize(r.count() + 1);
+  for (size_t i = 0; i <= r.count(); ++i) out->children[i] = r.child(i);
+  for (size_t i = 0; i < r.count(); ++i) out->keys[i] = r.key(i);
   return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
-// Values and overflow chains.
+// Overflow chains.
 
-Result<PagedBTree::ValueRef> PagedBTree::StoreValue(
-    const std::vector<uint8_t>& value) {
-  ValueRef ref;
-  ref.total_len = static_cast<uint32_t>(value.size());
-  if (value.size() <= MaxInlineValue()) {
-    ref.inline_value = value;
-    return ref;
-  }
+Result<PageId> PagedBTree::StoreChain(std::string_view value) {
   // Build the chain back to front so each page's `next` link is known when
   // the page is filled.
+  const auto* bytes = reinterpret_cast<const uint8_t*>(value.data());
   const size_t chunk = pager_->payload_size();
   const size_t nchunks = (value.size() + chunk - 1) / chunk;
   PageId next = kNullPage;
@@ -209,51 +324,46 @@ Result<PagedBTree::ValueRef> PagedBTree::StoreValue(
     ITAG_ASSIGN_OR_RETURN(PageId pid, pager_->Allocate());
     ITAG_ASSIGN_OR_RETURN(PageRef pref,
                           cache_->PinNew(pid, PageType::kOverflow));
-    pref.payload().assign(value.begin() + static_cast<ptrdiff_t>(off),
-                          value.begin() + static_cast<ptrdiff_t>(off + len));
+    pref.payload().assign(bytes + off, bytes + off + len);
     pref.header().next = next;
     pref.MarkDirty();
     next = pid;
   }
-  ref.head = next;
-  return ref;
+  return next;
 }
 
-Status PagedBTree::LoadValue(const ValueRef& ref, std::vector<uint8_t>* out) {
-  if (ref.head == kNullPage) {
-    *out = ref.inline_value;
-    return Status::OK();
-  }
+Status PagedBTree::LoadChain(PageId head, uint32_t total_len,
+                             std::string* out) {
   out->clear();
-  out->reserve(ref.total_len);
-  const size_t max_hops = ref.total_len / pager_->payload_size() + 2;
+  out->reserve(total_len);
+  const size_t max_hops = total_len / pager_->payload_size() + 2;
   size_t hops = 0;
-  PageId pid = ref.head;
+  PageId pid = head;
   while (pid != kNullPage) {
     if (++hops > max_hops) {
-      return NodeCorruption(ref.head, "overflow chain longer than its length");
+      return NodeCorruption(head, "overflow chain longer than its length");
     }
     ITAG_ASSIGN_OR_RETURN(PageRef pref, cache_->Pin(pid));
     if (pref.header().type != PageType::kOverflow) {
       return NodeCorruption(pid, "expected overflow page");
     }
-    out->insert(out->end(), pref.payload().begin(), pref.payload().end());
+    out->append(reinterpret_cast<const char*>(pref.payload().data()),
+                pref.payload().size());
     pid = pref.header().next;
   }
-  if (out->size() != ref.total_len) {
-    return NodeCorruption(ref.head, "overflow chain length mismatch");
+  if (out->size() != total_len) {
+    return NodeCorruption(head, "overflow chain length mismatch");
   }
   return Status::OK();
 }
 
-Status PagedBTree::ReleaseValue(const ValueRef& ref) {
-  if (ref.head == kNullPage) return Status::OK();
-  const size_t max_hops = ref.total_len / pager_->payload_size() + 2;
+Status PagedBTree::ReleaseChain(PageId head, uint32_t total_len) {
+  const size_t max_hops = total_len / pager_->payload_size() + 2;
   size_t hops = 0;
-  PageId pid = ref.head;
+  PageId pid = head;
   while (pid != kNullPage) {
     if (++hops > max_hops) {
-      return NodeCorruption(ref.head, "overflow chain longer than its length");
+      return NodeCorruption(head, "overflow chain longer than its length");
     }
     PageId next = kNullPage;
     {
@@ -273,67 +383,72 @@ Status PagedBTree::ReleaseValue(const ValueRef& ref) {
 // ---------------------------------------------------------------------------
 // Copy-on-write node writers.
 
-Result<PageId> PagedBTree::MakeWritable(PageId id, PageType type,
-                                        const std::vector<uint8_t>& payload) {
+Result<PageId> PagedBTree::WriteNode(PageId id, PageType type,
+                                     std::vector<uint8_t> payload) {
   if (pager_->IsFresh(id)) {
     ITAG_ASSIGN_OR_RETURN(PageRef ref, cache_->Pin(id));
-    ref.image().payload = payload;
+    ref.payload() = std::move(payload);
     ref.header().type = type;
     ref.MarkDirty();
     return id;
   }
-  ITAG_ASSIGN_OR_RETURN(PageId nid, WriteFreshNode(type, payload));
+  ITAG_ASSIGN_OR_RETURN(PageId nid, WriteFreshNode(type, std::move(payload)));
   pager_->Free(id);
   cache_->Drop(id);
   return nid;
 }
 
-Result<PageId> PagedBTree::WriteNode(PageId id, PageType type,
-                                     const std::vector<uint8_t>& payload) {
-  return MakeWritable(id, type, payload);
-}
-
 Result<PageId> PagedBTree::WriteFreshNode(PageType type,
-                                          const std::vector<uint8_t>& payload) {
+                                          std::vector<uint8_t> payload) {
   ITAG_ASSIGN_OR_RETURN(PageId nid, pager_->Allocate());
   ITAG_ASSIGN_OR_RETURN(PageRef ref, cache_->PinNew(nid, type));
-  ref.image().payload = payload;
+  ref.payload() = std::move(payload);
   ref.MarkDirty();
   return nid;
+}
+
+Result<PageId> PagedBTree::Relink(PageId id, size_t idx, PageId child) {
+  ITAG_ASSIGN_OR_RETURN(PageRef ref, cache_->Pin(id));
+  if (pager_->IsFresh(id)) {
+    PutLe<uint32_t>(ref.payload().data() + 2 + 4 * idx, child);
+    ref.MarkDirty();
+    return id;
+  }
+  std::vector<uint8_t> payload = ref.payload();
+  ref.Release();
+  PutLe<uint32_t>(payload.data() + 2 + 4 * idx, child);
+  return WriteNode(id, PageType::kInternal, std::move(payload));
 }
 
 // ---------------------------------------------------------------------------
 // Lookup.
 
-Result<bool> PagedBTree::Get(uint64_t key, std::vector<uint8_t>* value) {
+Result<bool> PagedBTree::Get(uint64_t key, const ValueFn& fn) {
   if (root_ == kNullPage) return false;
   PageId id = root_;
   for (size_t depth = 0; depth < 64; ++depth) {
-    PageType type;
-    LeafNode leaf;
-    InternalNode internal;
-    {
-      ITAG_ASSIGN_OR_RETURN(PageRef ref, cache_->Pin(id));
-      type = ref.header().type;
-      if (type == PageType::kLeaf) {
-        ITAG_RETURN_IF_ERROR(DecodeLeaf(ref.image(), &leaf));
-      } else if (type == PageType::kInternal) {
-        ITAG_RETURN_IF_ERROR(DecodeInternal(ref.image(), &internal));
-      } else {
-        return NodeCorruption(id, "unexpected page type on lookup path");
-      }
+    ITAG_ASSIGN_OR_RETURN(PageRef ref, cache_->Pin(id));
+    NodeReader r;
+    ITAG_RETURN_IF_ERROR(
+        r.Open(ref.image(), "unexpected page type on lookup path"));
+    if (!r.leaf()) {
+      id = r.child(r.ChildIndex(key));
+      continue;
     }
-    if (type == PageType::kLeaf) {
-      auto it = std::lower_bound(leaf.keys.begin(), leaf.keys.end(), key);
-      if (it == leaf.keys.end() || *it != key) return false;
-      size_t pos = static_cast<size_t>(it - leaf.keys.begin());
-      ITAG_RETURN_IF_ERROR(LoadValue(leaf.values[pos], value));
+    LeafSpot spot;
+    ITAG_RETURN_IF_ERROR(FindInLeaf(&r, key, &spot));
+    if (!spot.found) return false;
+    if (!fn) return true;
+    if (spot.entry.head == kNullPage) {
+      ITAG_RETURN_IF_ERROR(fn(spot.entry.inline_value()));
       return true;
     }
-    size_t idx = static_cast<size_t>(
-        std::upper_bound(internal.keys.begin(), internal.keys.end(), key) -
-        internal.keys.begin());
-    id = internal.children[idx];
+    ref.Release();
+    std::string value;
+    ITAG_RETURN_IF_ERROR(
+        LoadChain(spot.entry.head, spot.entry.total_len, &value));
+    ITAG_RETURN_IF_ERROR(fn(value));
+    return true;
   }
   return NodeCorruption(root_, "lookup exceeded maximum depth");
 }
@@ -341,126 +456,89 @@ Result<bool> PagedBTree::Get(uint64_t key, std::vector<uint8_t>* value) {
 // ---------------------------------------------------------------------------
 // Insertion.
 
-Result<bool> PagedBTree::Put(uint64_t key, const std::vector<uint8_t>& value) {
+Result<bool> PagedBTree::Put(uint64_t key, std::string_view value) {
+  ITAG_ASSIGN_OR_RETURN(InsertResult res, Write(key, value, nullptr));
+  return !res.replaced;
+}
+
+Result<bool> PagedBTree::Replace(uint64_t key, std::string_view value,
+                                 const ValueFn& old) {
+  ITAG_ASSIGN_OR_RETURN(InsertResult res, Write(key, value, &old));
+  return !res.absent;
+}
+
+Result<PagedBTree::InsertResult> PagedBTree::Write(uint64_t key,
+                                                   std::string_view value,
+                                                   const ValueFn* old) {
+  InsertResult res;
   if (root_ == kNullPage) {
-    LeafNode leaf;
-    leaf.keys.push_back(key);
-    ITAG_ASSIGN_OR_RETURN(ValueRef v, StoreValue(value));
-    leaf.values.push_back(std::move(v));
-    std::vector<uint8_t> enc;
-    EncodeLeaf(leaf, &enc);
-    ITAG_ASSIGN_OR_RETURN(root_, WriteFreshNode(PageType::kLeaf, enc));
-    return true;
+    res.absent = old != nullptr;
+    if (res.absent) return res;
+    PageId head = kNullPage;
+    if (value.size() > MaxInlineValue()) {
+      ITAG_ASSIGN_OR_RETURN(head, StoreChain(value));
+    }
+    std::vector<uint8_t> payload(2 + EntryBytes(head, value.size()));
+    PutLe<uint16_t>(payload.data(), 1);
+    PutLeafEntry(payload.data() + 2, key, head, value.size(), value.data());
+    ITAG_ASSIGN_OR_RETURN(root_,
+                          WriteFreshNode(PageType::kLeaf, std::move(payload)));
+    return res;
   }
-  ITAG_ASSIGN_OR_RETURN(InsertResult res, InsertRec(root_, key, value));
+  ITAG_ASSIGN_OR_RETURN(res, InsertRec(root_, key, value, old));
   root_ = res.node;
   if (res.split) {
     InternalNode root;
     root.keys.push_back(res.split_key);
-    root.children.push_back(res.node);
-    root.children.push_back(res.right);
-    std::vector<uint8_t> enc;
-    EncodeInternal(root, &enc);
-    ITAG_ASSIGN_OR_RETURN(root_, WriteFreshNode(PageType::kInternal, enc));
+    root.children = {res.node, res.right};
+    ITAG_ASSIGN_OR_RETURN(
+        root_, WriteFreshNode(PageType::kInternal, EncodeInternal(root)));
   }
-  return !res.replaced;
+  return res;
 }
 
 Result<PagedBTree::InsertResult> PagedBTree::InsertRec(
-    PageId id, uint64_t key, const std::vector<uint8_t>& value) {
-  PageType type;
-  LeafNode leaf;
+    PageId id, uint64_t key, std::string_view value, const ValueFn* old) {
+  size_t idx = 0;
+  PageId child_id = kNullPage;
+  {
+    ITAG_ASSIGN_OR_RETURN(PageRef ref, cache_->Pin(id));
+    NodeReader r;
+    ITAG_RETURN_IF_ERROR(
+        r.Open(ref.image(), "unexpected page type on insert path"));
+    if (r.leaf()) return InsertIntoLeaf(id, std::move(ref), key, value, old);
+    idx = r.ChildIndex(key);
+    child_id = r.child(idx);
+  }
+
+  ITAG_ASSIGN_OR_RETURN(InsertResult child,
+                        InsertRec(child_id, key, value, old));
+  InsertResult res;
+  res.node = id;
+  res.replaced = child.replaced;
+  res.absent = child.absent;
+  if (!child.split) {
+    // A child that kept its id was fresh, so this node is too and still
+    // points at it: nothing to write.
+    if (child.node != child_id) {
+      ITAG_ASSIGN_OR_RETURN(res.node, Relink(id, idx, child.node));
+    }
+    return res;
+  }
   InternalNode internal;
   {
     ITAG_ASSIGN_OR_RETURN(PageRef ref, cache_->Pin(id));
-    type = ref.header().type;
-    if (type == PageType::kLeaf) {
-      ITAG_RETURN_IF_ERROR(DecodeLeaf(ref.image(), &leaf));
-    } else if (type == PageType::kInternal) {
-      ITAG_RETURN_IF_ERROR(DecodeInternal(ref.image(), &internal));
-    } else {
-      return NodeCorruption(id, "unexpected page type on insert path");
-    }
+    ITAG_RETURN_IF_ERROR(DecodeInternal(ref.image(), &internal));
   }
-
-  bool replaced = false;
-  if (type == PageType::kLeaf) {
-    auto it = std::lower_bound(leaf.keys.begin(), leaf.keys.end(), key);
-    size_t pos = static_cast<size_t>(it - leaf.keys.begin());
-    if (it != leaf.keys.end() && *it == key) {
-      replaced = true;
-      ITAG_RETURN_IF_ERROR(ReleaseValue(leaf.values[pos]));
-      ITAG_ASSIGN_OR_RETURN(leaf.values[pos], StoreValue(value));
-    } else {
-      ITAG_ASSIGN_OR_RETURN(ValueRef v, StoreValue(value));
-      leaf.keys.insert(it, key);
-      leaf.values.insert(leaf.values.begin() + static_cast<ptrdiff_t>(pos),
-                         std::move(v));
-    }
-    if (LeafBytes(leaf) <= pager_->payload_size()) {
-      std::vector<uint8_t> enc;
-      EncodeLeaf(leaf, &enc);
-      InsertResult res;
-      res.replaced = replaced;
-      ITAG_ASSIGN_OR_RETURN(res.node, WriteNode(id, PageType::kLeaf, enc));
-      return res;
-    }
-    // Split at the entry boundary closest to half the encoded size; both
-    // halves stay non-empty (a single over-wide entry cannot reach here —
-    // inline values are capped at a quarter page).
-    const size_t total = LeafBytes(leaf);
-    size_t acc = 2;
-    size_t split_at = leaf.keys.size() / 2;
-    for (size_t i = 0; i < leaf.keys.size(); ++i) {
-      acc += LeafEntryBytes(leaf.values[i]);
-      if (acc >= total / 2) {
-        split_at = i + 1;
-        break;
-      }
-    }
-    if (split_at == 0) split_at = 1;
-    if (split_at >= leaf.keys.size()) split_at = leaf.keys.size() - 1;
-    LeafNode right;
-    right.keys.assign(leaf.keys.begin() + static_cast<ptrdiff_t>(split_at),
-                      leaf.keys.end());
-    right.values.assign(
-        std::make_move_iterator(leaf.values.begin() +
-                                static_cast<ptrdiff_t>(split_at)),
-        std::make_move_iterator(leaf.values.end()));
-    leaf.keys.resize(split_at);
-    leaf.values.resize(split_at);
-    std::vector<uint8_t> left_enc, right_enc;
-    EncodeLeaf(leaf, &left_enc);
-    EncodeLeaf(right, &right_enc);
-    InsertResult res;
-    res.replaced = replaced;
-    res.split = true;
-    res.split_key = right.keys.front();
-    ITAG_ASSIGN_OR_RETURN(res.node, WriteNode(id, PageType::kLeaf, left_enc));
-    ITAG_ASSIGN_OR_RETURN(res.right,
-                          WriteFreshNode(PageType::kLeaf, right_enc));
-    return res;
-  }
-
-  size_t idx = static_cast<size_t>(
-      std::upper_bound(internal.keys.begin(), internal.keys.end(), key) -
-      internal.keys.begin());
-  ITAG_ASSIGN_OR_RETURN(InsertResult child,
-                        InsertRec(internal.children[idx], key, value));
   internal.children[idx] = child.node;
-  if (child.split) {
-    internal.keys.insert(internal.keys.begin() + static_cast<ptrdiff_t>(idx),
-                         child.split_key);
-    internal.children.insert(
-        internal.children.begin() + static_cast<ptrdiff_t>(idx + 1),
-        child.right);
-  }
+  internal.keys.insert(internal.keys.begin() + static_cast<ptrdiff_t>(idx),
+                       child.split_key);
+  internal.children.insert(
+      internal.children.begin() + static_cast<ptrdiff_t>(idx + 1),
+      child.right);
   if (InternalBytes(internal) <= pager_->payload_size()) {
-    std::vector<uint8_t> enc;
-    EncodeInternal(internal, &enc);
-    InsertResult res;
-    res.replaced = child.replaced;
-    ITAG_ASSIGN_OR_RETURN(res.node, WriteNode(id, PageType::kInternal, enc));
+    ITAG_ASSIGN_OR_RETURN(
+        res.node, WriteNode(id, PageType::kInternal, EncodeInternal(internal)));
     return res;
   }
   // Split the internal node, promoting the middle separator.
@@ -474,109 +552,211 @@ Result<PagedBTree::InsertResult> PagedBTree::InsertRec(
   uint64_t up = internal.keys[mid];
   internal.keys.resize(mid);
   internal.children.resize(mid + 1);
-  std::vector<uint8_t> left_enc, right_enc;
-  EncodeInternal(internal, &left_enc);
-  EncodeInternal(right, &right_enc);
-  InsertResult res;
-  res.replaced = child.replaced;
   res.split = true;
   res.split_key = up;
-  ITAG_ASSIGN_OR_RETURN(res.node, WriteNode(id, PageType::kInternal, left_enc));
+  ITAG_ASSIGN_OR_RETURN(
+      res.node, WriteNode(id, PageType::kInternal, EncodeInternal(internal)));
+  ITAG_ASSIGN_OR_RETURN(
+      res.right, WriteFreshNode(PageType::kInternal, EncodeInternal(right)));
+  return res;
+}
+
+Result<PagedBTree::InsertResult> PagedBTree::InsertIntoLeaf(
+    PageId id, PageRef ref, uint64_t key, std::string_view value,
+    const ValueFn* old) {
+  NodeReader r;
+  ITAG_RETURN_IF_ERROR(r.OpenLeaf(ref.image()));
+  LeafSpot spot;
+  ITAG_RETURN_IF_ERROR(FindInLeaf(&r, key, &spot));
+  InsertResult res;
+  res.node = id;
+  if (!spot.found && old != nullptr) {
+    res.absent = true;
+    return res;
+  }
+  const LeafEntry was = spot.entry;
+  if (spot.found && old != nullptr && was.head == kNullPage) {
+    ITAG_RETURN_IF_ERROR((*old)(was.inline_value()));
+  }
+  res.replaced = spot.found;
+
+  // The new entry's size depends only on whether the value spills, so
+  // whether the leaf still fits is known before the chain is written.
+  const bool spills = value.size() > MaxInlineValue();
+  const size_t entry_bytes =
+      spills ? kOverflowEntryBytes : kInlineEntryHead + value.size();
+  const size_t from = spot.offset;
+  const size_t to = spot.found ? was.end : from;
+  const bool fits = ref.payload().size() - (to - from) + entry_bytes <=
+                    pager_->payload_size();
+  std::vector<uint8_t> spliced;
+  LeafNode leaf;
+  if (fits) {
+    spliced = Splice(ref.payload(), from, to, entry_bytes,
+                     r.count() + (spot.found ? 0 : 1));
+  } else {
+    ITAG_RETURN_IF_ERROR(DecodeLeaf(ref.image(), &leaf));
+  }
+  ref.Release();
+
+  if (spot.found) {
+    if (old != nullptr && was.head != kNullPage) {
+      std::string bytes;
+      ITAG_RETURN_IF_ERROR(LoadChain(was.head, was.total_len, &bytes));
+      ITAG_RETURN_IF_ERROR((*old)(bytes));
+    }
+    ITAG_RETURN_IF_ERROR(ReleaseChain(was.head, was.total_len));
+  }
+  PageId head = kNullPage;
+  if (spills) {
+    ITAG_ASSIGN_OR_RETURN(head, StoreChain(value));
+  }
+  if (fits) {
+    PutLeafEntry(spliced.data() + from, key, head, value.size(),
+                 value.data());
+    ITAG_ASSIGN_OR_RETURN(res.node,
+                          WriteNode(id, PageType::kLeaf, std::move(spliced)));
+    return res;
+  }
+
+  ValueRef v;
+  v.head = head;
+  v.total_len = static_cast<uint32_t>(value.size());
+  if (!spills) v.inline_value.assign(value.begin(), value.end());
+  auto it = std::lower_bound(leaf.keys.begin(), leaf.keys.end(), key);
+  const size_t pos = static_cast<size_t>(it - leaf.keys.begin());
+  if (spot.found) {
+    leaf.values[pos] = std::move(v);
+  } else {
+    leaf.keys.insert(it, key);
+    leaf.values.insert(leaf.values.begin() + static_cast<ptrdiff_t>(pos),
+                       std::move(v));
+  }
+  // Split at the entry boundary closest to half the encoded size; both
+  // halves stay non-empty (a single over-wide entry cannot reach here —
+  // inline values are capped at a quarter page).
+  const size_t total = LeafBytes(leaf);
+  size_t acc = 2;
+  size_t split_at = leaf.keys.size() / 2;
+  for (size_t i = 0; i < leaf.keys.size(); ++i) {
+    acc += LeafEntryBytes(leaf.values[i]);
+    if (acc >= total / 2) {
+      split_at = i + 1;
+      break;
+    }
+  }
+  if (split_at == 0) split_at = 1;
+  if (split_at >= leaf.keys.size()) split_at = leaf.keys.size() - 1;
+  LeafNode right;
+  right.keys.assign(leaf.keys.begin() + static_cast<ptrdiff_t>(split_at),
+                    leaf.keys.end());
+  right.values.assign(
+      std::make_move_iterator(leaf.values.begin() +
+                              static_cast<ptrdiff_t>(split_at)),
+      std::make_move_iterator(leaf.values.end()));
+  leaf.keys.resize(split_at);
+  leaf.values.resize(split_at);
+  res.split = true;
+  res.split_key = right.keys.front();
+  ITAG_ASSIGN_OR_RETURN(res.node,
+                        WriteNode(id, PageType::kLeaf, EncodeLeaf(leaf)));
   ITAG_ASSIGN_OR_RETURN(res.right,
-                        WriteFreshNode(PageType::kInternal, right_enc));
+                        WriteFreshNode(PageType::kLeaf, EncodeLeaf(right)));
   return res;
 }
 
 // ---------------------------------------------------------------------------
 // Deletion.
 
-Result<bool> PagedBTree::Erase(uint64_t key) {
+Result<bool> PagedBTree::Erase(uint64_t key, const ValueFn& old) {
   if (root_ == kNullPage) return false;
-  ITAG_ASSIGN_OR_RETURN(EraseResult res, EraseRec(root_, key));
+  ITAG_ASSIGN_OR_RETURN(EraseResult res,
+                        EraseRec(root_, key, old ? &old : nullptr));
   if (!res.found) return false;
   root_ = res.node;
   // Collapse trivial roots: an internal root with one child, or an empty
-  // leaf root (last entry deleted).
-  while (root_ != kNullPage) {
-    PageType type;
-    LeafNode leaf;
-    InternalNode internal;
-    {
-      ITAG_ASSIGN_OR_RETURN(PageRef ref, cache_->Pin(root_));
-      type = ref.header().type;
-      if (type == PageType::kInternal) {
-        ITAG_RETURN_IF_ERROR(DecodeInternal(ref.image(), &internal));
-      } else {
-        ITAG_RETURN_IF_ERROR(DecodeLeaf(ref.image(), &leaf));
-      }
-    }
-    if (type == PageType::kInternal && internal.children.size() == 1) {
-      pager_->Free(root_);
-      cache_->Drop(root_);
-      root_ = internal.children.front();
-      continue;
-    }
-    if (type == PageType::kLeaf && leaf.keys.empty()) {
-      pager_->Free(root_);
-      cache_->Drop(root_);
-      root_ = kNullPage;
-    }
-    break;
+  // leaf root (last entry deleted). Either one reports an underflow.
+  while (res.underflow && root_ != kNullPage) {
+    ITAG_ASSIGN_OR_RETURN(PageRef ref, cache_->Pin(root_));
+    NodeReader r;
+    ITAG_RETURN_IF_ERROR(
+        r.Open(ref.image(), "unexpected page type on erase path"));
+    if (r.count() != 0) break;
+    const PageId child = r.leaf() ? kNullPage : r.child(0);
+    ref.Release();
+    pager_->Free(root_);
+    cache_->Drop(root_);
+    root_ = child;
   }
   return true;
 }
 
-Result<PagedBTree::EraseResult> PagedBTree::EraseRec(PageId id, uint64_t key) {
-  PageType type;
-  LeafNode leaf;
+Result<PagedBTree::EraseResult> PagedBTree::EraseRec(PageId id, uint64_t key,
+                                                     const ValueFn* old) {
+  const size_t quarter = pager_->payload_size() / 4;
+  size_t idx = 0;
+  PageId child_id = kNullPage;
+  bool underflow = false;
+  {
+    ITAG_ASSIGN_OR_RETURN(PageRef ref, cache_->Pin(id));
+    NodeReader r;
+    ITAG_RETURN_IF_ERROR(
+        r.Open(ref.image(), "unexpected page type on erase path"));
+    if (r.leaf()) return EraseFromLeaf(id, std::move(ref), key, old);
+    idx = r.ChildIndex(key);
+    child_id = r.child(idx);
+    underflow = r.count() == 0 || r.bytes() < quarter;
+  }
+
+  ITAG_ASSIGN_OR_RETURN(EraseResult child, EraseRec(child_id, key, old));
+  if (!child.found) return EraseResult{id, false};
+  EraseResult res{id, true, underflow};
+  if (!child.underflow) {
+    // This node keeps its size; only a relocated child needs writing.
+    if (child.node != child_id) {
+      ITAG_ASSIGN_OR_RETURN(res.node, Relink(id, idx, child.node));
+    }
+    return res;
+  }
   InternalNode internal;
   {
     ITAG_ASSIGN_OR_RETURN(PageRef ref, cache_->Pin(id));
-    type = ref.header().type;
-    if (type == PageType::kLeaf) {
-      ITAG_RETURN_IF_ERROR(DecodeLeaf(ref.image(), &leaf));
-    } else if (type == PageType::kInternal) {
-      ITAG_RETURN_IF_ERROR(DecodeInternal(ref.image(), &internal));
-    } else {
-      return NodeCorruption(id, "unexpected page type on erase path");
-    }
+    ITAG_RETURN_IF_ERROR(DecodeInternal(ref.image(), &internal));
   }
-
-  const size_t quarter = pager_->payload_size() / 4;
-
-  if (type == PageType::kLeaf) {
-    auto it = std::lower_bound(leaf.keys.begin(), leaf.keys.end(), key);
-    if (it == leaf.keys.end() || *it != key) return EraseResult{id, false};
-    size_t pos = static_cast<size_t>(it - leaf.keys.begin());
-    ITAG_RETURN_IF_ERROR(ReleaseValue(leaf.values[pos]));
-    leaf.keys.erase(it);
-    leaf.values.erase(leaf.values.begin() + static_cast<ptrdiff_t>(pos));
-    std::vector<uint8_t> enc;
-    EncodeLeaf(leaf, &enc);
-    EraseResult res;
-    res.found = true;
-    res.underflow = LeafBytes(leaf) < quarter;
-    ITAG_ASSIGN_OR_RETURN(res.node, WriteNode(id, PageType::kLeaf, enc));
-    return res;
-  }
-
-  size_t idx = static_cast<size_t>(
-      std::upper_bound(internal.keys.begin(), internal.keys.end(), key) -
-      internal.keys.begin());
-  ITAG_ASSIGN_OR_RETURN(EraseResult child,
-                        EraseRec(internal.children[idx], key));
-  if (!child.found) return EraseResult{id, false};
   internal.children[idx] = child.node;
-  if (child.underflow) {
-    ITAG_RETURN_IF_ERROR(Rebalance(&internal, idx));
-  }
-  std::vector<uint8_t> enc;
-  EncodeInternal(internal, &enc);
-  EraseResult res;
-  res.found = true;
+  ITAG_RETURN_IF_ERROR(Rebalance(&internal, idx));
   res.underflow = internal.children.size() < 2 ||
                   InternalBytes(internal) < quarter;
-  ITAG_ASSIGN_OR_RETURN(res.node, WriteNode(id, PageType::kInternal, enc));
+  ITAG_ASSIGN_OR_RETURN(
+      res.node, WriteNode(id, PageType::kInternal, EncodeInternal(internal)));
+  return res;
+}
+
+Result<PagedBTree::EraseResult> PagedBTree::EraseFromLeaf(
+    PageId id, PageRef ref, uint64_t key, const ValueFn* old) {
+  NodeReader r;
+  ITAG_RETURN_IF_ERROR(r.OpenLeaf(ref.image()));
+  LeafSpot spot;
+  ITAG_RETURN_IF_ERROR(FindInLeaf(&r, key, &spot));
+  if (!spot.found) return EraseResult{id, false};
+  const LeafEntry was = spot.entry;
+  if (old != nullptr && was.head == kNullPage) {
+    ITAG_RETURN_IF_ERROR((*old)(was.inline_value()));
+  }
+  std::vector<uint8_t> spliced =
+      Splice(ref.payload(), was.begin, was.end, 0, r.count() - 1);
+  ref.Release();
+  if (old != nullptr && was.head != kNullPage) {
+    std::string bytes;
+    ITAG_RETURN_IF_ERROR(LoadChain(was.head, was.total_len, &bytes));
+    ITAG_RETURN_IF_ERROR((*old)(bytes));
+  }
+  ITAG_RETURN_IF_ERROR(ReleaseChain(was.head, was.total_len));
+  EraseResult res;
+  res.found = true;
+  res.underflow = spliced.size() < pager_->payload_size() / 4;
+  ITAG_ASSIGN_OR_RETURN(res.node,
+                        WriteNode(id, PageType::kLeaf, std::move(spliced)));
   return res;
 }
 
@@ -613,10 +793,9 @@ Status PagedBTree::Rebalance(InternalNode* parent, size_t idx) {
       left.values.insert(left.values.end(),
                          std::make_move_iterator(right.values.begin()),
                          std::make_move_iterator(right.values.end()));
-      std::vector<uint8_t> enc;
-      EncodeLeaf(left, &enc);
-      ITAG_ASSIGN_OR_RETURN(parent->children[li],
-                            WriteNode(left_id, PageType::kLeaf, enc));
+      ITAG_ASSIGN_OR_RETURN(
+          parent->children[li],
+          WriteNode(left_id, PageType::kLeaf, EncodeLeaf(left)));
       pager_->Free(right_id);
       cache_->Drop(right_id);
       parent->keys.erase(parent->keys.begin() + static_cast<ptrdiff_t>(li));
@@ -653,13 +832,12 @@ Status PagedBTree::Rebalance(InternalNode* parent, size_t idx) {
       return NodeCorruption(right_id, "rebalance emptied a leaf");
     }
     parent->keys[li] = right.keys.front();
-    std::vector<uint8_t> left_enc, right_enc;
-    EncodeLeaf(left, &left_enc);
-    EncodeLeaf(right, &right_enc);
-    ITAG_ASSIGN_OR_RETURN(parent->children[li],
-                          WriteNode(left_id, PageType::kLeaf, left_enc));
-    ITAG_ASSIGN_OR_RETURN(parent->children[ri],
-                          WriteNode(right_id, PageType::kLeaf, right_enc));
+    ITAG_ASSIGN_OR_RETURN(
+        parent->children[li],
+        WriteNode(left_id, PageType::kLeaf, EncodeLeaf(left)));
+    ITAG_ASSIGN_OR_RETURN(
+        parent->children[ri],
+        WriteNode(right_id, PageType::kLeaf, EncodeLeaf(right)));
     return Status::OK();
   }
 
@@ -681,10 +859,9 @@ Status PagedBTree::Rebalance(InternalNode* parent, size_t idx) {
     left.keys.insert(left.keys.end(), right.keys.begin(), right.keys.end());
     left.children.insert(left.children.end(), right.children.begin(),
                          right.children.end());
-    std::vector<uint8_t> enc;
-    EncodeInternal(left, &enc);
-    ITAG_ASSIGN_OR_RETURN(parent->children[li],
-                          WriteNode(left_id, PageType::kInternal, enc));
+    ITAG_ASSIGN_OR_RETURN(
+        parent->children[li],
+        WriteNode(left_id, PageType::kInternal, EncodeInternal(left)));
     pager_->Free(right_id);
     cache_->Drop(right_id);
     parent->keys.erase(parent->keys.begin() + static_cast<ptrdiff_t>(li));
@@ -713,103 +890,76 @@ Status PagedBTree::Rebalance(InternalNode* parent, size_t idx) {
     }
   }
   parent->keys[li] = sep;
-  std::vector<uint8_t> left_enc, right_enc;
-  EncodeInternal(left, &left_enc);
-  EncodeInternal(right, &right_enc);
-  ITAG_ASSIGN_OR_RETURN(parent->children[li],
-                        WriteNode(left_id, PageType::kInternal, left_enc));
-  ITAG_ASSIGN_OR_RETURN(parent->children[ri],
-                        WriteNode(right_id, PageType::kInternal, right_enc));
+  ITAG_ASSIGN_OR_RETURN(
+      parent->children[li],
+      WriteNode(left_id, PageType::kInternal, EncodeInternal(left)));
+  ITAG_ASSIGN_OR_RETURN(
+      parent->children[ri],
+      WriteNode(right_id, PageType::kInternal, EncodeInternal(right)));
   return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
 // Ordered scan.
 
-Status PagedBTree::Scan(
-    uint64_t start,
-    const std::function<bool(uint64_t, const std::vector<uint8_t>&)>& fn) {
+Status PagedBTree::Scan(uint64_t start, const ScanFn& fn) {
   if (root_ == kNullPage) return Status::OK();
-  struct StackEntry {
-    InternalNode node;
+  // Ancestors and the current leaf are held as copies of their pages, so
+  // `fn` runs with nothing pinned.
+  struct Level {
+    PageImage node;
     size_t idx;
   };
-  std::vector<StackEntry> stack;
-
-  // Descend to the leaf that may contain `start`.
+  std::vector<Level> stack;
+  PageImage leaf;
+  std::vector<LeafEntry> entries;
+  std::string chain;
   PageId id = root_;
-  LeafNode leaf;
-  size_t pos = 0;
+  bool first = true;
   for (;;) {
-    PageType type;
-    InternalNode internal;
-    {
-      ITAG_ASSIGN_OR_RETURN(PageRef ref, cache_->Pin(id));
-      type = ref.header().type;
-      if (type == PageType::kLeaf) {
-        ITAG_RETURN_IF_ERROR(DecodeLeaf(ref.image(), &leaf));
-      } else if (type == PageType::kInternal) {
-        ITAG_RETURN_IF_ERROR(DecodeInternal(ref.image(), &internal));
-      } else {
-        return NodeCorruption(id, "unexpected page type on scan path");
-      }
-    }
-    if (type == PageType::kLeaf) {
-      pos = static_cast<size_t>(
-          std::lower_bound(leaf.keys.begin(), leaf.keys.end(), start) -
-          leaf.keys.begin());
-      break;
-    }
-    size_t idx = static_cast<size_t>(
-        std::upper_bound(internal.keys.begin(), internal.keys.end(), start) -
-        internal.keys.begin());
-    PageId child = internal.children[idx];
-    stack.push_back(StackEntry{std::move(internal), idx});
-    id = child;
-    if (stack.size() > 64) {
-      return NodeCorruption(root_, "scan exceeded maximum depth");
-    }
-  }
-
-  std::vector<uint8_t> value;
-  for (;;) {
-    for (; pos < leaf.keys.size(); ++pos) {
-      ITAG_RETURN_IF_ERROR(LoadValue(leaf.values[pos], &value));
-      if (!fn(leaf.keys[pos], value)) return Status::OK();
-    }
-    // Climb to the first ancestor with an unvisited child, then descend its
-    // next subtree along the leftmost edge.
-    while (!stack.empty() &&
-           stack.back().idx + 1 == stack.back().node.children.size()) {
-      stack.pop_back();
-    }
-    if (stack.empty()) return Status::OK();
-    ++stack.back().idx;
-    id = stack.back().node.children[stack.back().idx];
+    // Descend to a leaf: towards `start` the first time, then along the
+    // leftmost edge of the next subtree.
     for (;;) {
-      PageType type;
-      InternalNode internal;
-      {
-        ITAG_ASSIGN_OR_RETURN(PageRef ref, cache_->Pin(id));
-        type = ref.header().type;
-        if (type == PageType::kLeaf) {
-          ITAG_RETURN_IF_ERROR(DecodeLeaf(ref.image(), &leaf));
-        } else if (type == PageType::kInternal) {
-          ITAG_RETURN_IF_ERROR(DecodeInternal(ref.image(), &internal));
-        } else {
-          return NodeCorruption(id, "unexpected page type on scan path");
-        }
-      }
-      if (type == PageType::kLeaf) {
-        pos = 0;
+      ITAG_ASSIGN_OR_RETURN(PageRef ref, cache_->Pin(id));
+      NodeReader r;
+      ITAG_RETURN_IF_ERROR(
+          r.Open(ref.image(), "unexpected page type on scan path"));
+      if (r.leaf()) {
+        leaf = ref.image();
         break;
       }
-      PageId child = internal.children.front();
-      stack.push_back(StackEntry{std::move(internal), 0});
-      id = child;
+      const size_t idx = first ? r.ChildIndex(start) : 0;
+      id = r.child(idx);
+      stack.push_back(Level{ref.image(), idx});
       if (stack.size() > 64) {
         return NodeCorruption(root_, "scan exceeded maximum depth");
       }
+    }
+    NodeReader r;
+    ITAG_RETURN_IF_ERROR(r.OpenLeaf(leaf));
+    entries.resize(r.count());
+    for (LeafEntry& e : entries) ITAG_RETURN_IF_ERROR(r.Next(&e));
+    ITAG_RETURN_IF_ERROR(r.Finish());
+    for (const LeafEntry& e : entries) {
+      if (first && e.key < start) continue;
+      std::string_view value = e.inline_value();
+      if (e.head != kNullPage) {
+        ITAG_RETURN_IF_ERROR(LoadChain(e.head, e.total_len, &chain));
+        value = chain;
+      }
+      if (!fn(e.key, value)) return Status::OK();
+    }
+    first = false;
+    // Climb to the first ancestor with an unvisited child and step to it.
+    for (;;) {
+      if (stack.empty()) return Status::OK();
+      NodeReader up;
+      ITAG_RETURN_IF_ERROR(up.OpenInternal(stack.back().node));
+      if (stack.back().idx < up.count()) {
+        id = up.child(++stack.back().idx);
+        break;
+      }
+      stack.pop_back();
     }
   }
 }
@@ -841,7 +991,7 @@ Status PagedBTree::DestroyRec(PageId id) {
   }
   if (type == PageType::kLeaf) {
     for (const ValueRef& v : leaf.values) {
-      ITAG_RETURN_IF_ERROR(ReleaseValue(v));
+      ITAG_RETURN_IF_ERROR(ReleaseChain(v.head, v.total_len));
     }
   } else {
     for (PageId child : internal.children) {
@@ -909,13 +1059,16 @@ Result<uint64_t> PagedBTree::CheckRec(PageId id, size_t depth,
     if (LeafBytes(leaf) > pager_->payload_size()) {
       return NodeCorruption(id, "leaf overflows its page");
     }
-    std::vector<uint8_t> value;
+    std::string value;
     for (size_t i = 0; i < leaf.keys.size(); ++i) {
       if (!in_bounds(leaf.keys[i])) return NodeCorruption(id, "key out of bounds");
       if (i > 0 && leaf.keys[i - 1] >= leaf.keys[i]) {
         return NodeCorruption(id, "unsorted leaf keys");
       }
-      ITAG_RETURN_IF_ERROR(LoadValue(leaf.values[i], &value));
+      const ValueRef& v = leaf.values[i];
+      if (v.head != kNullPage) {
+        ITAG_RETURN_IF_ERROR(LoadChain(v.head, v.total_len, &value));
+      }
     }
     return static_cast<uint64_t>(leaf.keys.size());
   }

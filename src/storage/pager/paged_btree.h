@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -28,34 +30,54 @@ namespace itag::storage::pager {
 ///    parent stack, which the COW discipline keeps valid for the duration
 ///    of a read.
 ///
-/// Mutations copy-on-write every non-fresh page on the descent path (so
-/// parents are already writable when a child split/merge propagates up) and
-/// may therefore change the root id: callers must re-read `root()` after any
-/// mutation and persist it at checkpoint. Splits trigger on encoded size
-/// overflow, borrows/merges when a node falls under a quarter of the payload
-/// budget. Single-writer, like the layers below.
+/// Visits read the page bytes in place through one bounds-checked node
+/// reader. An insert, replace or erase that fits its leaf splices the
+/// entry's bytes into a copy of the payload, which the page takes by move;
+/// only a split, borrow or merge decodes nodes into vectors. A mutated page
+/// that predates the epoch is copied on write to a fresh page, which gives
+/// it a new id, so its parent is rewritten to point at it. A parent whose
+/// child kept its id and neither split nor underflowed is left as it is:
+/// only a fresh child keeps its id, and under the epoch rule a fresh page's
+/// parent is fresh too, so the parent's bytes are already right. The root
+/// id may change on any mutation: callers must re-read `root()` and persist
+/// it at checkpoint. Splits trigger on encoded size overflow,
+/// borrows/merges when a node falls under a quarter of the payload budget.
+/// Single-writer, like the layers below.
 class PagedBTree {
  public:
+  /// Receives a stored value's bytes, valid only during the call. A non-OK
+  /// status is handed back to the caller, and from Replace or Erase it
+  /// stops the write before anything is changed.
+  using ValueFn = std::function<Status(std::string_view)>;
+  using ScanFn = std::function<bool(uint64_t, std::string_view)>;
+
   /// `root` is the committed root id, or kNullPage for an empty tree.
   PagedBTree(Pager* pager, PageCache* cache, PageId root);
 
   PageId root() const { return root_; }
   bool empty() const { return root_ == kNullPage; }
 
-  /// Looks `key` up; returns false (untouched `*value`) when absent.
-  Result<bool> Get(uint64_t key, std::vector<uint8_t>* value);
+  /// Looks `key` up and hands its value to `fn` (an inline value straight
+  /// from the pinned leaf); returns false when absent. An empty `fn` only
+  /// asks whether the key is present.
+  Result<bool> Get(uint64_t key, const ValueFn& fn);
 
   /// Inserts or replaces `key`; returns true when the key was new.
-  Result<bool> Put(uint64_t key, const std::vector<uint8_t>& value);
+  Result<bool> Put(uint64_t key, std::string_view value);
 
-  /// Removes `key`; returns false when it was absent.
-  Result<bool> Erase(uint64_t key);
+  /// Replaces the value of a present `key`, handing the old value to `old`
+  /// first; returns false, writing nothing, when `key` is absent.
+  Result<bool> Replace(uint64_t key, std::string_view value,
+                       const ValueFn& old);
+
+  /// Removes `key`, handing its value to `old` first when `old` is set;
+  /// returns false when it was absent.
+  Result<bool> Erase(uint64_t key, const ValueFn& old = {});
 
   /// In-order visit of every entry with key >= `start`. `fn` returns false
-  /// to stop early. The tree must not be mutated during the scan.
-  Status Scan(uint64_t start,
-              const std::function<bool(uint64_t, const std::vector<uint8_t>&)>&
-                  fn);
+  /// to stop early, and runs with no page pinned. The tree must not be
+  /// mutated during the scan.
+  Status Scan(uint64_t start, const ScanFn& fn);
 
   /// Frees every page of the tree (leaves, internals, overflow chains) and
   /// resets the root — used by DropTable and Clear.
@@ -66,8 +88,8 @@ class PagedBTree {
   Result<uint64_t> CheckInvariants();
 
  private:
-  // Decoded node images. Nodes are rewritten wholesale on mutation — pages
-  // are small and this keeps split/merge arithmetic in plain vectors.
+  // Decoded node images, built only where entries move between nodes
+  // (split, borrow, merge), for teardown and for the invariant walk.
   struct ValueRef {
     std::vector<uint8_t> inline_value;  // when head == kNullPage
     PageId head = kNullPage;            // overflow chain head otherwise
@@ -83,48 +105,57 @@ class PagedBTree {
   };
 
   size_t MaxInlineValue() const { return pager_->payload_size() / 4; }
-  size_t LeafEntryBytes(const ValueRef& v) const;
-  size_t LeafBytes(const LeafNode& node) const;
-  size_t InternalBytes(const InternalNode& node) const;
+  static size_t LeafEntryBytes(const ValueRef& v);
+  static size_t LeafBytes(const LeafNode& node);
+  static size_t InternalBytes(const InternalNode& node);
 
-  static void EncodeLeaf(const LeafNode& node, std::vector<uint8_t>* out);
-  static void EncodeInternal(const InternalNode& node,
-                             std::vector<uint8_t>* out);
+  static std::vector<uint8_t> EncodeLeaf(const LeafNode& node);
+  static std::vector<uint8_t> EncodeInternal(const InternalNode& node);
   static Status DecodeLeaf(const PageImage& img, LeafNode* out);
   static Status DecodeInternal(const PageImage& img, InternalNode* out);
 
-  /// Materializes `value` as a ValueRef, spilling to an overflow chain when
-  /// it exceeds MaxInlineValue().
-  Result<ValueRef> StoreValue(const std::vector<uint8_t>& value);
-  Status LoadValue(const ValueRef& ref, std::vector<uint8_t>* out);
-  /// Frees an overflow chain (no-op for inline values).
-  Status ReleaseValue(const ValueRef& ref);
+  /// Writes `value` as a chain of overflow pages and returns its head.
+  Result<PageId> StoreChain(std::string_view value);
+  /// Reads the chain at `head`, which must hold `total_len` bytes.
+  Status LoadChain(PageId head, uint32_t total_len, std::string* out);
+  /// Frees an overflow chain (no-op for kNullPage, an inline value).
+  Status ReleaseChain(PageId head, uint32_t total_len);
 
-  /// Copy-on-write: returns a writable page id holding `img`'s contents —
+  /// Copy-on-write: returns a writable page id now holding `payload` —
   /// `id` itself when fresh, otherwise a fresh copy (the old page is freed).
-  Result<PageId> MakeWritable(PageId id, PageType type,
-                              const std::vector<uint8_t>& payload);
   Result<PageId> WriteNode(PageId id, PageType type,
-                           const std::vector<uint8_t>& payload);
-  Result<PageId> WriteFreshNode(PageType type,
-                                const std::vector<uint8_t>& payload);
+                           std::vector<uint8_t> payload);
+  Result<PageId> WriteFreshNode(PageType type, std::vector<uint8_t> payload);
+  /// Points child `idx` of internal node `id` at `child`, patching the four
+  /// bytes in place when `id` is fresh, else in a copy written to a fresh
+  /// page.
+  Result<PageId> Relink(PageId id, size_t idx, PageId child);
 
   struct InsertResult {
     PageId node = kNullPage;     // (possibly COW'd) node id
     bool replaced = false;       // key existed and its value was overwritten
+    bool absent = false;         // a replace found no key and wrote nothing
     bool split = false;
     uint64_t split_key = 0;      // first key of `right` when split
     PageId right = kNullPage;
   };
+  /// Put and Replace: `old` set means replace only, reporting the old value.
+  Result<InsertResult> Write(uint64_t key, std::string_view value,
+                             const ValueFn* old);
   Result<InsertResult> InsertRec(PageId id, uint64_t key,
-                                 const std::vector<uint8_t>& value);
+                                 std::string_view value, const ValueFn* old);
+  Result<InsertResult> InsertIntoLeaf(PageId id, PageRef ref, uint64_t key,
+                                      std::string_view value,
+                                      const ValueFn* old);
 
   struct EraseResult {
     PageId node = kNullPage;
     bool found = false;
     bool underflow = false;
   };
-  Result<EraseResult> EraseRec(PageId id, uint64_t key);
+  Result<EraseResult> EraseRec(PageId id, uint64_t key, const ValueFn* old);
+  Result<EraseResult> EraseFromLeaf(PageId id, PageRef ref, uint64_t key,
+                                    const ValueFn* old);
   /// Fixes an underflowing child `idx` of `parent` by borrowing from or
   /// merging with an adjacent sibling. All three touched nodes end fresh.
   Status Rebalance(InternalNode* parent, size_t idx);

@@ -1,6 +1,6 @@
 #include "storage/row_store.h"
 
-#include <vector>
+#include <string_view>
 
 namespace itag::storage {
 
@@ -39,11 +39,20 @@ Status MemRowStore::Put(RowId id, const Row& row) {
   return Status::OK();
 }
 
-Status MemRowStore::Erase(RowId id) {
-  if (rows_.erase(id) == 0) {
-    return Status::NotFound("row " + std::to_string(id));
-  }
-  return Status::OK();
+Result<Row> MemRowStore::Replace(RowId id, const Row& row) {
+  auto it = rows_.find(id);
+  if (it == rows_.end()) return Status::NotFound("row " + std::to_string(id));
+  Row old = std::move(it->second);
+  it->second = row;
+  return old;
+}
+
+Result<Row> MemRowStore::Erase(RowId id) {
+  auto it = rows_.find(id);
+  if (it == rows_.end()) return Status::NotFound("row " + std::to_string(id));
+  Row old = std::move(it->second);
+  rows_.erase(it);
+  return old;
 }
 
 Status MemRowStore::Scan(
@@ -57,58 +66,66 @@ Status MemRowStore::Scan(
 // ---------------------------------------------------------------------------
 // PagedRowStore
 
-namespace {
-
-std::vector<uint8_t> ToBytes(const std::string& s) {
-  return std::vector<uint8_t>(s.begin(), s.end());
-}
-
-}  // namespace
-
-Result<Row> PagedRowStore::Get(RowId id) const {
-  std::vector<uint8_t> bytes;
-  ITAG_ASSIGN_OR_RETURN(bool found, tree_->Get(id, &bytes));
-  if (!found) return Status::NotFound("row " + std::to_string(id));
-  Row row;
-  if (!DecodeRow(std::string(bytes.begin(), bytes.end()), arity_, &row)) {
+Status PagedRowStore::DecodeStored(RowId id, std::string_view bytes,
+                                   Row* row) const {
+  if (!DecodeRow(bytes, arity_, row)) {
     return Status::Corruption("stored row " + std::to_string(id) +
                               " does not decode");
   }
+  return Status::OK();
+}
+
+Result<Row> PagedRowStore::Get(RowId id) const {
+  Row row;
+  ITAG_ASSIGN_OR_RETURN(bool found,
+                        tree_->Get(id, [&](std::string_view bytes) {
+                          return DecodeStored(id, bytes, &row);
+                        }));
+  if (!found) return Status::NotFound("row " + std::to_string(id));
   return row;
 }
 
 bool PagedRowStore::Contains(RowId id) const {
-  std::vector<uint8_t> bytes;
-  Result<bool> found = tree_->Get(id, &bytes);
+  Result<bool> found = tree_->Get(id, nullptr);
   return found.ok() && found.value();
 }
 
 Status PagedRowStore::Put(RowId id, const Row& row) {
-  ITAG_ASSIGN_OR_RETURN(bool inserted, tree_->Put(id, ToBytes(EncodeRow(row))));
+  ITAG_ASSIGN_OR_RETURN(bool inserted, tree_->Put(id, EncodeRow(row)));
   if (inserted) ++count_;
   return Status::OK();
 }
 
-Status PagedRowStore::Erase(RowId id) {
-  ITAG_ASSIGN_OR_RETURN(bool found, tree_->Erase(id));
+Result<Row> PagedRowStore::Replace(RowId id, const Row& row) {
+  Row old;
+  ITAG_ASSIGN_OR_RETURN(bool found,
+                        tree_->Replace(id, EncodeRow(row),
+                                       [&](std::string_view bytes) {
+                                         return DecodeStored(id, bytes, &old);
+                                       }));
+  if (!found) return Status::NotFound("row " + std::to_string(id));
+  return old;
+}
+
+Result<Row> PagedRowStore::Erase(RowId id) {
+  Row old;
+  ITAG_ASSIGN_OR_RETURN(bool found,
+                        tree_->Erase(id, [&](std::string_view bytes) {
+                          return DecodeStored(id, bytes, &old);
+                        }));
   if (!found) return Status::NotFound("row " + std::to_string(id));
   --count_;
-  return Status::OK();
+  return old;
 }
 
 Status PagedRowStore::Scan(
     const std::function<bool(RowId, const Row&)>& fn) const {
   Status decoded = Status::OK();
+  Row row;
   ITAG_RETURN_IF_ERROR(
-      tree_->Scan(0, [&](uint64_t key, const std::vector<uint8_t>& bytes) {
-        Row row;
-        if (!DecodeRow(std::string(bytes.begin(), bytes.end()), arity_,
-                       &row)) {
-          decoded = Status::Corruption("stored row " + std::to_string(key) +
-                                       " does not decode");
-          return false;
-        }
-        return fn(key, row);
+      tree_->Scan(0, [&](uint64_t key, std::string_view bytes) {
+        decoded = DecodeStored(key, bytes, &row);
+        return decoded.ok() && fn(key, row);
       }));
   return decoded;
 }

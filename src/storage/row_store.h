@@ -48,8 +48,12 @@ class RowStore {
   /// Inserts or replaces the row at `id`.
   virtual Status Put(RowId id, const Row& row) = 0;
 
-  /// Removes the row at `id`; NotFound when absent.
-  virtual Status Erase(RowId id) = 0;
+  /// Replaces the row at `id` and returns the row it replaced; NotFound,
+  /// writing nothing, when absent.
+  virtual Result<Row> Replace(RowId id, const Row& row) = 0;
+
+  /// Removes the row at `id` and returns it; NotFound when absent.
+  virtual Result<Row> Erase(RowId id) = 0;
 
   /// Number of rows.
   virtual uint64_t size() const = 0;
@@ -66,7 +70,8 @@ class MemRowStore : public RowStore {
   Result<Row> Get(RowId id) const override;
   bool Contains(RowId id) const override;
   Status Put(RowId id, const Row& row) override;
-  Status Erase(RowId id) override;
+  Result<Row> Replace(RowId id, const Row& row) override;
+  Result<Row> Erase(RowId id) override;
   uint64_t size() const override { return rows_.size(); }
   Status Scan(const std::function<bool(RowId, const Row&)>& fn) const override;
 
@@ -76,6 +81,9 @@ class MemRowStore : public RowStore {
 
 /// Rows serialized into an on-disk B+tree; only the pages a query touches
 /// are resident (in the shared PageCache), so the table can exceed RAM.
+/// Each write encodes its row once and hands the bytes to the tree. A read
+/// decodes the row straight from the pinned leaf when it is stored inline,
+/// and a replace or erase decodes the row it displaces in the same descent.
 /// The tree handle is owned by the PagedEngine that also owns the pager and
 /// cache; `arity` is the table's column count, used to validate decoded rows.
 class PagedRowStore : public RowStore {
@@ -86,11 +94,16 @@ class PagedRowStore : public RowStore {
   Result<Row> Get(RowId id) const override;
   bool Contains(RowId id) const override;
   Status Put(RowId id, const Row& row) override;
-  Status Erase(RowId id) override;
+  Result<Row> Replace(RowId id, const Row& row) override;
+  Result<Row> Erase(RowId id) override;
   uint64_t size() const override { return count_; }
   Status Scan(const std::function<bool(RowId, const Row&)>& fn) const override;
 
  private:
+  /// Decodes stored row `id` from `bytes` into `*row`; Corruption when the
+  /// bytes are not a row of this table.
+  Status DecodeStored(RowId id, std::string_view bytes, Row* row) const;
+
   pager::PagedBTree* tree_;
   size_t arity_;
   uint64_t count_;

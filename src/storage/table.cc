@@ -90,31 +90,27 @@ Status Table::InsertWithId(RowId id, const Row& row) {
 
 Result<Row> Table::Get(RowId id) const {
   Result<Row> row = store_->Get(id);
-  if (!row.ok() && row.status().IsNotFound()) {
-    return Status::NotFound("row " + std::to_string(id) + " in " + name_);
-  }
+  if (!row.ok()) return Named(row.status(), id);
   return row;
 }
 
 Status Table::Update(RowId id, const Row& row) {
   ITAG_RETURN_IF_ERROR(schema_.Validate(row));
-  Result<Row> old = store_->Get(id);
-  if (!old.ok()) {
-    if (old.status().IsNotFound()) {
-      return Status::NotFound("row " + std::to_string(id) + " in " + name_);
-    }
-    return old.status();
-  }
   if (unique_col_ >= 0) {
     auto u = unique_index_.find(row[unique_col_]);
     if (u != unique_index_.end() && u->second != id) {
+      // An absent id answers NotFound even when its new key is taken, so
+      // this collision is the one case that probes the heap for the row.
+      ITAG_RETURN_IF_ERROR(Get(id).status());
       return Status::AlreadyExists("duplicate key in " + name_);
     }
   }
-  // The heap first: no index moves before the new image is stored, so a
-  // failed Put leaves nothing to undo. Then only the entries whose column
-  // value changed move; a rewrite that keeps its key touches no index.
-  ITAG_RETURN_IF_ERROR(store_->Put(id, row));
+  // The heap first, in one write that hands back the old image: no index
+  // moves before the new image is stored, so a failed write leaves nothing
+  // to undo. Then only the entries whose column value changed move; a
+  // rewrite that keeps its key touches no index.
+  Result<Row> old = store_->Replace(id, row);
+  if (!old.ok()) return Named(old.status(), id);
   const Row& before = old.value();
   if (unique_col_ >= 0 && before[unique_col_] != row[unique_col_]) {
     auto it = unique_index_.find(before[unique_col_]);
@@ -130,20 +126,19 @@ Status Table::Update(RowId id, const Row& row) {
 }
 
 Status Table::Delete(RowId id) {
-  Result<Row> old = store_->Get(id);
-  if (!old.ok()) {
-    if (old.status().IsNotFound()) {
-      return Status::NotFound("row " + std::to_string(id) + " in " + name_);
-    }
-    return old.status();
-  }
+  // The heap first: its erase hands back the row, whose index entries go
+  // only once it is gone.
+  Result<Row> old = store_->Erase(id);
+  if (!old.ok()) return Named(old.status(), id);
   UnindexRow(id, old.value());
-  Status s = store_->Erase(id);
-  if (!s.ok()) {
-    IndexRow(id, old.value());
-    return s;
-  }
   return Status::OK();
+}
+
+Status Table::Named(const Status& s, RowId id) const {
+  if (s.IsNotFound()) {
+    return Status::NotFound("row " + std::to_string(id) + " in " + name_);
+  }
+  return s;
 }
 
 Result<RowId> Table::LookupUnique(const std::string& column,

@@ -105,8 +105,11 @@ class Table {
 
   /// Visits every (id, row); `fn` returns false to stop. Iteration order is
   /// ascending RowId. Returns the heap's read error, if any: a paged heap
-  /// can fail to read a page or find a row that does not decode.
-  Status Scan(const std::function<bool(RowId, const Row&)>& fn) const;
+  /// can fail to read a page or find a row that does not decode, and the
+  /// scan then ends early, so a caller that drops the error sees a table
+  /// cut short.
+  [[nodiscard]] Status Scan(
+      const std::function<bool(RowId, const Row&)>& fn) const;
 
   /// Counts rows satisfying `pred`.
   size_t CountWhere(const std::function<bool(const Row&)>& pred) const;
@@ -121,6 +124,8 @@ class Table {
   static bool DecodeFrom(ByteReader* in, Table* out);
 
  private:
+  /// `s`, with a heap's NotFound restated as "row <id> in <table>".
+  Status Named(const Status& s, RowId id) const;
   void IndexRow(RowId id, const Row& row);
   void UnindexRow(RowId id, const Row& row);
 

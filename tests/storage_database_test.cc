@@ -146,10 +146,10 @@ TEST_F(DatabaseTest, WalReplayRecoversEverything) {
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->row_count(), 2u);
   size_t found = 0;
-  t->Scan([&](RowId, const Row& row) {
+  EXPECT_TRUE(t->Scan([&](RowId, const Row& row) {
     found += row[0] == Value::Int(1) || row[0] == Value::Int(3);
     return true;
-  });
+  }).ok());
   EXPECT_EQ(found, 2u);
 }
 
@@ -604,14 +604,14 @@ class CoalescingOracleTest : public DatabaseTest,
       const Table* t = db.GetTable(name);
       out << name << " next=" << t->next_row_id()
           << " count=" << t->row_count() << "\n";
-      t->Scan([&](RowId id, const Row& row) {
+      EXPECT_TRUE(t->Scan([&](RowId id, const Row& row) {
         out << "  " << id << ":";
         for (const Value& v : row) out << " " << v.ToString();
         Result<RowId> by_key = t->LookupUnique("k", row[0]);
         out << " key->" << (by_key.ok() ? std::to_string(by_key.value()) : "-")
             << "\n";
         return true;
-      });
+      }).ok());
       for (int64_t g = 0; g < kGroups; ++g) {
         out << "  g=" << g << ":";
         for (RowId id : t->LookupEqual("g", Value::Int(g))) out << " " << id;
@@ -624,10 +624,10 @@ class CoalescingOracleTest : public DatabaseTest,
   static std::vector<RowId> LiveIds(const Database& db,
                                     const std::string& table) {
     std::vector<RowId> ids;
-    db.GetTable(table)->Scan([&](RowId id, const Row&) {
+    EXPECT_TRUE(db.GetTable(table)->Scan([&](RowId id, const Row&) {
       ids.push_back(id);
       return true;
-    });
+    }).ok());
     return ids;
   }
 

@@ -171,7 +171,7 @@ TEST_F(StorageFailureTest, RecoveryAfterEverySingleOperation) {
     Table* t = db.GetTable("t");
     ASSERT_NE(t, nullptr);
     ASSERT_EQ(t->row_count(), expected.size());
-    t->Scan([&](RowId id, const Row& row) {
+    EXPECT_TRUE(t->Scan([&](RowId id, const Row& row) {
       auto it = expected.find(id);
       EXPECT_NE(it, expected.end()) << "unexpected row " << id;
       if (it != expected.end()) {
@@ -179,7 +179,7 @@ TEST_F(StorageFailureTest, RecoveryAfterEverySingleOperation) {
         EXPECT_EQ(row[1].as_string(), it->second.second);
       }
       return true;
-    });
+    }).ok());
   };
 
   {

@@ -8,6 +8,7 @@
 #include <map>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/pager/page_cache.h"
@@ -18,8 +19,21 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::vector<uint8_t> Val(const std::string& s) {
-  return std::vector<uint8_t>(s.begin(), s.end());
+using Model = std::map<uint64_t, std::string>;
+
+/// `n` seeded random bytes.
+std::string RandomBytes(std::mt19937* rng, size_t n) {
+  std::string v(n, '\0');
+  for (char& b : v) b = static_cast<char>((*rng)());
+  return v;
+}
+
+/// Looks `key` up, copying its value into `*out`.
+Result<bool> GetValue(PagedBTree* tree, uint64_t key, std::string* out) {
+  return tree->Get(key, [&](std::string_view v) {
+    out->assign(v);
+    return Status::OK();
+  });
 }
 
 /// Tiny pages + tiny cache: a few hundred keys already exercise splits,
@@ -48,19 +62,19 @@ class PagedBTreeTest : public ::testing::Test {
 
   /// Asserts tree contents == `model` via point gets, a full scan, and the
   /// structural invariant walk.
-  void ExpectMatchesModel(const std::map<uint64_t, std::vector<uint8_t>>& model) {
+  void ExpectMatchesModel(const Model& model) {
     Result<uint64_t> count = tree_->CheckInvariants();
     ASSERT_TRUE(count.ok()) << count.status().ToString();
     ASSERT_EQ(count.value(), model.size());
     for (const auto& [k, v] : model) {
-      std::vector<uint8_t> got;
-      Result<bool> found = tree_->Get(k, &got);
+      std::string got;
+      Result<bool> found = GetValue(tree_.get(), k, &got);
       ASSERT_TRUE(found.ok()) << found.status().ToString();
       ASSERT_TRUE(found.value()) << "missing key " << k;
       ASSERT_EQ(got, v) << "wrong value for key " << k;
     }
     std::vector<uint64_t> scanned;
-    Status s = tree_->Scan(0, [&](uint64_t k, const std::vector<uint8_t>& v) {
+    Status s = tree_->Scan(0, [&](uint64_t k, std::string_view v) {
       scanned.push_back(k);
       auto it = model.find(k);
       EXPECT_TRUE(it != model.end() && it->second == v) << "scan key " << k;
@@ -71,23 +85,99 @@ class PagedBTreeTest : public ::testing::Test {
     EXPECT_TRUE(std::is_sorted(scanned.begin(), scanned.end()));
   }
 
+  /// Tears the stack down and reopens the tree at the committed root.
+  void Reopen() {
+    tree_.reset();
+    cache_.reset();
+    pager_.Close();
+    PagerOptions opts;
+    opts.path = dir_ + "/pages.db";
+    opts.page_size = 512;
+    ASSERT_TRUE(pager_.Open(opts).ok());
+    cache_ = std::make_unique<PageCache>(&pager_, 8 * 512);
+    tree_ = std::make_unique<PagedBTree>(&pager_, cache_.get(),
+                                         pager_.catalog_head());
+  }
+
+  /// Writes a CRC-valid node page of `type` holding `payload` and points a
+  /// fresh cache and tree at it, so every visit reads it from disk.
+  void UseCraftedRoot(PageType type, std::vector<uint8_t> payload) {
+    Result<PageId> id = pager_.Allocate();
+    ASSERT_TRUE(id.ok());
+    PageImage img;
+    img.header.page_id = id.value();
+    img.header.type = type;
+    img.payload = std::move(payload);
+    ASSERT_TRUE(pager_.WritePage(&img).ok());
+    tree_.reset();
+    cache_ = std::make_unique<PageCache>(&pager_, 8 * 512);
+    tree_ = std::make_unique<PagedBTree>(&pager_, cache_.get(), id.value());
+  }
+
+  /// Get, Put, Replace, Erase and Scan each answer Corruption naming
+  /// `what`, for a key the crafted node holds (5) and one it does not (9).
+  void ExpectEveryVisitFails(const std::string& what) {
+    auto check = [&](const Status& s, const std::string& op) {
+      EXPECT_TRUE(s.IsCorruption()) << op << ": " << s.ToString();
+      EXPECT_NE(s.message().find(what), std::string::npos)
+          << op << ": " << s.ToString();
+    };
+    auto keep = [](std::string_view) { return Status::OK(); };
+    for (uint64_t key : {5, 9}) {
+      const std::string k = " of key " + std::to_string(key);
+      std::string v;
+      check(GetValue(tree_.get(), key, &v).status(), "Get" + k);
+      check(tree_->Put(key, "value").status(), "Put" + k);
+      check(tree_->Replace(key, "value", keep).status(), "Replace" + k);
+      check(tree_->Erase(key, keep).status(), "Erase" + k);
+      check(tree_->Scan(key, [](uint64_t, std::string_view) { return true; }),
+            "Scan" + k);
+    }
+  }
+
   std::string dir_;
   Pager pager_;
   std::unique_ptr<PageCache> cache_;
   std::unique_ptr<PagedBTree> tree_;
 };
 
+/// Node payload bytes, little-endian, built field by field.
+class NodeBytes {
+ public:
+  NodeBytes& U8(uint8_t v) {
+    bytes_.push_back(v);
+    return *this;
+  }
+  NodeBytes& U16(uint16_t v) { return Le(v, 2); }
+  NodeBytes& U32(uint32_t v) { return Le(v, 4); }
+  NodeBytes& U64(uint64_t v) { return Le(v, 8); }
+  /// A well-formed inline leaf entry.
+  NodeBytes& Inline(uint64_t key, const std::string& value) {
+    U64(key).U8(0).U16(static_cast<uint16_t>(value.size()));
+    bytes_.insert(bytes_.end(), value.begin(), value.end());
+    return *this;
+  }
+  std::vector<uint8_t> Take() { return std::move(bytes_); }
+
+ private:
+  NodeBytes& Le(uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
+    return *this;
+  }
+  std::vector<uint8_t> bytes_;
+};
+
 TEST_F(PagedBTreeTest, EmptyTreeBehaves) {
   EXPECT_TRUE(tree_->empty());
-  std::vector<uint8_t> v;
-  Result<bool> got = tree_->Get(1, &v);
+  std::string v;
+  Result<bool> got = GetValue(tree_.get(), 1, &v);
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got.value());
   Result<bool> erased = tree_->Erase(1);
   ASSERT_TRUE(erased.ok());
   EXPECT_FALSE(erased.value());
   size_t visits = 0;
-  ASSERT_TRUE(tree_->Scan(0, [&](uint64_t, const std::vector<uint8_t>&) {
+  ASSERT_TRUE(tree_->Scan(0, [&](uint64_t, std::string_view) {
                        ++visits;
                        return true;
                      }).ok());
@@ -95,16 +185,16 @@ TEST_F(PagedBTreeTest, EmptyTreeBehaves) {
 }
 
 TEST_F(PagedBTreeTest, PutGetReplaceErase) {
-  Result<bool> r = tree_->Put(7, Val("seven"));
+  Result<bool> r = tree_->Put(7, std::string("seven"));
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value());  // new key
-  r = tree_->Put(7, Val("SEVEN"));
+  r = tree_->Put(7, std::string("SEVEN"));
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.value());  // replaced
-  std::vector<uint8_t> v;
-  Result<bool> got = tree_->Get(7, &v);
+  std::string v;
+  Result<bool> got = GetValue(tree_.get(), 7, &v);
   ASSERT_TRUE(got.ok() && got.value());
-  EXPECT_EQ(v, Val("SEVEN"));
+  EXPECT_EQ(v, std::string("SEVEN"));
   Result<bool> erased = tree_->Erase(7);
   ASSERT_TRUE(erased.ok());
   EXPECT_TRUE(erased.value());
@@ -112,9 +202,9 @@ TEST_F(PagedBTreeTest, PutGetReplaceErase) {
 }
 
 TEST_F(PagedBTreeTest, SequentialInsertSplitsToMultipleLevels) {
-  std::map<uint64_t, std::vector<uint8_t>> model;
+  Model model;
   for (uint64_t k = 0; k < 500; ++k) {
-    std::vector<uint8_t> v = Val("value-" + std::to_string(k));
+    std::string v = std::string("value-" + std::to_string(k));
     ASSERT_TRUE(tree_->Put(k, v).ok());
     model[k] = std::move(v);
   }
@@ -122,9 +212,9 @@ TEST_F(PagedBTreeTest, SequentialInsertSplitsToMultipleLevels) {
 }
 
 TEST_F(PagedBTreeTest, ReverseInsertThenDrainForward) {
-  std::map<uint64_t, std::vector<uint8_t>> model;
+  Model model;
   for (uint64_t k = 400; k > 0; --k) {
-    std::vector<uint8_t> v = Val("v" + std::to_string(k));
+    std::string v = std::string("v" + std::to_string(k));
     ASSERT_TRUE(tree_->Put(k, v).ok());
     model[k] = std::move(v);
   }
@@ -142,11 +232,10 @@ TEST_F(PagedBTreeTest, ReverseInsertThenDrainForward) {
 
 TEST_F(PagedBTreeTest, OverflowValuesRoundTripAndFreeTheirChains) {
   // payload/4 = 120 at 512-byte pages: these spill to multi-page chains.
-  std::map<uint64_t, std::vector<uint8_t>> model;
+  Model model;
   std::mt19937 rng(3);
   for (uint64_t k = 0; k < 20; ++k) {
-    std::vector<uint8_t> v(200 + k * 97);
-    for (uint8_t& b : v) b = static_cast<uint8_t>(rng());
+    std::string v = RandomBytes(&rng, 200 + k * 97);
     ASSERT_TRUE(tree_->Put(k, v).ok());
     model[k] = std::move(v);
   }
@@ -155,16 +244,14 @@ TEST_F(PagedBTreeTest, OverflowValuesRoundTripAndFreeTheirChains) {
   // Replacing an overflow value must free the old chain: page usage stays
   // bounded across many replacements instead of leaking a chain per Put.
   for (int round = 0; round < 30; ++round) {
-    std::vector<uint8_t> v(1500);
-    for (uint8_t& b : v) b = static_cast<uint8_t>(rng());
+    std::string v = RandomBytes(&rng, 1500);
     ASSERT_TRUE(tree_->Put(5, v).ok());
     model[5] = std::move(v);
   }
   ASSERT_TRUE(pager_.Commit(tree_->root(), 1).ok());
   uint32_t count_after_commit = pager_.page_count();
   for (int round = 0; round < 30; ++round) {
-    std::vector<uint8_t> v(1500);
-    for (uint8_t& b : v) b = static_cast<uint8_t>(rng());
+    std::string v = RandomBytes(&rng, 1500);
     ASSERT_TRUE(tree_->Put(5, v).ok());
     model[5] = std::move(v);
   }
@@ -175,7 +262,7 @@ TEST_F(PagedBTreeTest, OverflowValuesRoundTripAndFreeTheirChains) {
 }
 
 TEST_F(PagedBTreeTest, RandomizedOpsMatchReferenceModel) {
-  std::map<uint64_t, std::vector<uint8_t>> model;
+  Model model;
   std::mt19937 rng(12345);
   for (int op = 0; op < 3000; ++op) {
     uint64_t key = rng() % 300;
@@ -183,8 +270,7 @@ TEST_F(PagedBTreeTest, RandomizedOpsMatchReferenceModel) {
     if (action < 6) {  // put
       size_t len = rng() % 2 == 0 ? rng() % 40            // inline
                                   : 150 + rng() % 400;    // overflow
-      std::vector<uint8_t> v(len);
-      for (uint8_t& b : v) b = static_cast<uint8_t>(rng());
+      std::string v = RandomBytes(&rng, len);
       Result<bool> r = tree_->Put(key, v);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       EXPECT_EQ(r.value(), model.count(key) == 0);
@@ -194,8 +280,8 @@ TEST_F(PagedBTreeTest, RandomizedOpsMatchReferenceModel) {
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       EXPECT_EQ(r.value(), model.erase(key) == 1);
     } else {  // point lookup
-      std::vector<uint8_t> v;
-      Result<bool> r = tree_->Get(key, &v);
+      std::string v;
+      Result<bool> r = GetValue(tree_.get(), key, &v);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       auto it = model.find(key);
       ASSERT_EQ(r.value(), it != model.end());
@@ -208,12 +294,216 @@ TEST_F(PagedBTreeTest, RandomizedOpsMatchReferenceModel) {
   ExpectMatchesModel(model);
 }
 
+// The copy-on-write path and the unchanged-ancestor rule against the
+// model: a commit every 200 ops makes every page durable, so the next write
+// through it copies it to a fresh page, and a reopen every 1,000 ops reads
+// the committed tree back from disk. Values are inline or overflow chains
+// at random, so replaces move values across the inline limit both ways,
+// and every replace and erase must hand back the value it displaced.
+TEST_F(PagedBTreeTest, RandomizedOpsWithCommitsAndReopensMatchReferenceModel) {
+  Model model;
+  std::mt19937 rng(2026);
+  uint64_t lsn = 0;
+  for (int op = 1; op <= 6000; ++op) {
+    const uint64_t key = rng() % 400;
+    const int action = static_cast<int>(rng() % 10);
+    // payload/4 = 120 at 512-byte pages.
+    const size_t len = rng() % 2 == 0 ? rng() % 100 : 130 + rng() % 700;
+    auto it = model.find(key);
+    const bool present = it != model.end();
+    std::string displaced;
+    auto capture = [&](std::string_view old) {
+      displaced.assign(old);
+      return Status::OK();
+    };
+    if (action < 4) {
+      std::string v = RandomBytes(&rng, len);
+      Result<bool> r = tree_->Put(key, v);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r.value(), !present);
+      model[key] = std::move(v);
+    } else if (action < 7) {
+      std::string v = RandomBytes(&rng, len);
+      Result<bool> r = tree_->Replace(key, v, capture);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r.value(), present);
+      if (present) {
+        EXPECT_EQ(displaced, it->second) << "replace of key " << key;
+        it->second = std::move(v);
+      }
+    } else if (action < 9) {
+      Result<bool> r = tree_->Erase(key, capture);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r.value(), present);
+      if (present) {
+        EXPECT_EQ(displaced, it->second) << "erase of key " << key;
+        model.erase(it);
+      }
+    } else {
+      std::string v;
+      Result<bool> r = GetValue(tree_.get(), key, &v);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r.value(), present);
+      if (present) {
+        EXPECT_EQ(v, it->second);
+      }
+    }
+    if (op % 200 == 0) {
+      ASSERT_TRUE(cache_->FlushAll().ok());
+      ASSERT_TRUE(pager_.Commit(tree_->root(), ++lsn).ok());
+      Result<uint64_t> count = tree_->CheckInvariants();
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      ASSERT_EQ(count.value(), model.size());
+    }
+    if (op % 1000 == 0) {
+      Reopen();
+      ExpectMatchesModel(model);
+    }
+  }
+  ExpectMatchesModel(model);
+}
+
+// A replace or erase of an absent key descends, finds nothing and writes
+// nothing: no node of the committed path is copied, and the callback that
+// would receive the old value is not called. A callback that fails stops
+// the write before anything changes.
+TEST_F(PagedBTreeTest, ReplaceAndEraseOfAnAbsentKeyWriteNothing) {
+  for (uint64_t k = 0; k < 300; k += 2) {
+    ASSERT_TRUE(tree_->Put(k, std::string("even-" + std::to_string(k))).ok());
+  }
+  ASSERT_TRUE(cache_->FlushAll().ok());
+  ASSERT_TRUE(pager_.Commit(tree_->root(), 1).ok());
+  const PageId root = tree_->root();
+  const uint32_t pages = pager_.page_count();
+  const size_t free_now = pager_.free_now();
+  bool called = false;
+  auto seen = [&](std::string_view) {
+    called = true;
+    return Status::OK();
+  };
+  Result<bool> r = tree_->Replace(151, "odd", seen);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r.value());
+  r = tree_->Erase(151, seen);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r.value());
+  EXPECT_FALSE(called);
+
+  r = tree_->Replace(150, "changed", [](std::string_view old) {
+    EXPECT_EQ(old, "even-150");
+    return Status::Aborted("keep it");
+  });
+  EXPECT_EQ(r.status().code(), StatusCode::kAborted);
+  r = tree_->Erase(150, [](std::string_view) {
+    return Status::Aborted("keep it");
+  });
+  EXPECT_EQ(r.status().code(), StatusCode::kAborted);
+
+  EXPECT_EQ(tree_->root(), root);
+  EXPECT_EQ(pager_.page_count(), pages);
+  EXPECT_EQ(pager_.free_now(), free_now);
+  EXPECT_EQ(pager_.free_pending(), 0u);
+  std::string v;
+  ASSERT_TRUE(GetValue(tree_.get(), 150, &v).ok());
+  EXPECT_EQ(v, "even-150");
+}
+
+// Once a write has copied the path to a leaf, later writes to that leaf
+// edit it in place and keep its page id, so its parent still points at it
+// and is neither re-encoded nor dirtied: one write-back, the leaf's.
+TEST_F(PagedBTreeTest, AncestorOfALeafThatKeptItsPageIsNotRewritten) {
+  for (uint64_t k = 0; k < 300; ++k) {
+    ASSERT_TRUE(tree_->Put(k, std::string("value-" + std::to_string(k))).ok());
+  }
+  {
+    Result<PageRef> ref = cache_->Pin(tree_->root());
+    ASSERT_TRUE(ref.ok());
+    ASSERT_EQ(ref.value().header().type, PageType::kInternal);
+  }
+  ASSERT_TRUE(cache_->FlushAll().ok());
+  const PageId root = tree_->root();
+  for (uint64_t k : {150, 151, 7}) {
+    const uint64_t before = cache_->stats().dirty_writebacks;
+    ASSERT_TRUE(tree_->Put(k, std::string("new-" + std::to_string(k))).ok());
+    ASSERT_TRUE(tree_->Erase(k + 1000).ok());  // absent: writes nothing
+    EXPECT_EQ(tree_->root(), root);
+    ASSERT_TRUE(cache_->FlushAll().ok());
+    EXPECT_EQ(cache_->stats().dirty_writebacks - before, 1u) << "key " << k;
+  }
+  std::string v;
+  ASSERT_TRUE(GetValue(tree_.get(), 151, &v).ok());
+  EXPECT_EQ(v, "new-151");
+}
+
+// Crafted, CRC-valid node pages, one fault each: every visit reads the node
+// through the one reader, which must answer Corruption with the fault's
+// message and, under ASan, read nothing past the payload.
+TEST_F(PagedBTreeTest, LeafCountPastThePayloadIsCorruption) {
+  UseCraftedRoot(PageType::kLeaf, NodeBytes().U16(3).Inline(5, "ab").Take());
+  ExpectEveryVisitFails("truncated leaf entry");
+}
+
+TEST_F(PagedBTreeTest, TruncatedLeafEntryIsCorruption) {
+  UseCraftedRoot(PageType::kLeaf,
+                 NodeBytes().U16(2).Inline(5, "ab").U64(9).U8(1).U32(500).Take());
+  ExpectEveryVisitFails("truncated overflow ref");
+}
+
+TEST_F(PagedBTreeTest, InlineLengthPastTheEndIsCorruption) {
+  UseCraftedRoot(PageType::kLeaf,
+                 NodeBytes().U16(1).U64(5).U8(0).U16(100).U32(0).Take());
+  ExpectEveryVisitFails("truncated inline value");
+}
+
+TEST_F(PagedBTreeTest, UnknownValueKindIsCorruption) {
+  UseCraftedRoot(PageType::kLeaf,
+                 NodeBytes().U16(2).Inline(5, "ab").U64(9).U8(7).U16(0).Take());
+  ExpectEveryVisitFails("unknown value kind");
+}
+
+TEST_F(PagedBTreeTest, NullOverflowHeadIsCorruption) {
+  UseCraftedRoot(PageType::kLeaf,
+                 NodeBytes().U16(1).U64(5).U8(1).U32(500).U32(0).Take());
+  ExpectEveryVisitFails("null overflow head");
+}
+
+TEST_F(PagedBTreeTest, LeafTrailingBytesAreCorruption) {
+  UseCraftedRoot(PageType::kLeaf,
+                 NodeBytes().U16(1).Inline(5, "ab").U8(0).Take());
+  ExpectEveryVisitFails("leaf trailing bytes");
+}
+
+TEST_F(PagedBTreeTest, TruncatedLeafIsCorruption) {
+  UseCraftedRoot(PageType::kLeaf, NodeBytes().U8(1).Take());
+  ExpectEveryVisitFails("truncated leaf");
+}
+
+// An internal payload is exactly 2 + 4 * (count + 1) + 8 * count bytes.
+TEST_F(PagedBTreeTest, InternalPayloadOfTheWrongSizeIsCorruption) {
+  const std::vector<uint8_t> whole =
+      NodeBytes().U16(1).U32(100).U32(101).U64(7).Take();
+  ASSERT_EQ(whole.size(), 2u + 4 * 2 + 8);
+  std::vector<uint8_t> one_short(whole.begin(), whole.end() - 1);
+  UseCraftedRoot(PageType::kInternal, one_short);
+  ExpectEveryVisitFails("truncated keys");
+  std::vector<uint8_t> one_long = whole;
+  one_long.push_back(0);
+  UseCraftedRoot(PageType::kInternal, one_long);
+  ExpectEveryVisitFails("internal trailing bytes");
+  UseCraftedRoot(PageType::kInternal, NodeBytes().U16(1).U32(100).Take());
+  ExpectEveryVisitFails("truncated child list");
+  UseCraftedRoot(PageType::kInternal, NodeBytes().U16(400).Take());
+  ExpectEveryVisitFails("truncated child list");
+  UseCraftedRoot(PageType::kInternal, NodeBytes().U8(0).Take());
+  ExpectEveryVisitFails("truncated internal");
+}
+
 TEST_F(PagedBTreeTest, ScanFromMidpointAndEarlyStop) {
   for (uint64_t k = 0; k < 100; ++k) {
-    ASSERT_TRUE(tree_->Put(k * 3, Val(std::to_string(k))).ok());
+    ASSERT_TRUE(tree_->Put(k * 3, std::string(std::to_string(k))).ok());
   }
   std::vector<uint64_t> seen;
-  ASSERT_TRUE(tree_->Scan(100, [&](uint64_t k, const std::vector<uint8_t>&) {
+  ASSERT_TRUE(tree_->Scan(100, [&](uint64_t k, std::string_view) {
                        seen.push_back(k);
                        return seen.size() < 10;
                      }).ok());
@@ -225,11 +515,10 @@ TEST_F(PagedBTreeTest, ScanFromMidpointAndEarlyStop) {
 }
 
 TEST_F(PagedBTreeTest, PersistsAcrossCommitAndReopen) {
-  std::map<uint64_t, std::vector<uint8_t>> model;
+  Model model;
   std::mt19937 rng(9);
   for (uint64_t k = 0; k < 250; ++k) {
-    std::vector<uint8_t> v(k % 7 == 0 ? 300 : 20);  // mix overflow + inline
-    for (uint8_t& b : v) b = static_cast<uint8_t>(rng());
+    std::string v = RandomBytes(&rng, k % 7 == 0 ? 300 : 20);  // mixed
     ASSERT_TRUE(tree_->Put(k, v).ok());
     model[k] = std::move(v);
   }
@@ -259,9 +548,9 @@ TEST_F(PagedBTreeTest, PersistsAcrossCommitAndReopen) {
 }
 
 TEST_F(PagedBTreeTest, UncommittedMutationsVanishOnReopen) {
-  std::map<uint64_t, std::vector<uint8_t>> model;
+  Model model;
   for (uint64_t k = 0; k < 100; ++k) {
-    std::vector<uint8_t> v = Val("committed-" + std::to_string(k));
+    std::string v = std::string("committed-" + std::to_string(k));
     ASSERT_TRUE(tree_->Put(k, v).ok());
     model[k] = std::move(v);
   }
@@ -272,10 +561,10 @@ TEST_F(PagedBTreeTest, UncommittedMutationsVanishOnReopen) {
   // Mutate heavily after the commit, flush the cache (dirty pages reach
   // disk), but do NOT commit — the meta slot still points at the old epoch.
   for (uint64_t k = 0; k < 100; ++k) {
-    ASSERT_TRUE(tree_->Put(k, Val("uncommitted")).ok());
+    ASSERT_TRUE(tree_->Put(k, std::string("uncommitted")).ok());
   }
   for (uint64_t k = 100; k < 150; ++k) {
-    ASSERT_TRUE(tree_->Put(k, Val("extra")).ok());
+    ASSERT_TRUE(tree_->Put(k, std::string("extra")).ok());
   }
   ASSERT_TRUE(cache_->FlushAll().ok());
 
@@ -300,8 +589,7 @@ TEST_F(PagedBTreeTest, DestroyFreesEveryPage) {
   uint32_t count_before = pager_.page_count();
   std::mt19937 rng(5);
   for (uint64_t k = 0; k < 300; ++k) {
-    std::vector<uint8_t> v(k % 11 == 0 ? 400 : 16);  // some overflow chains
-    for (uint8_t& b : v) b = static_cast<uint8_t>(rng());
+    std::string v = RandomBytes(&rng, k % 11 == 0 ? 400 : 16);
     ASSERT_TRUE(tree_->Put(k, v).ok());
   }
   ASSERT_TRUE(tree_->Destroy().ok());

@@ -29,10 +29,10 @@ std::map<RowId, Row> Dump(const Database& db, const std::string& table) {
   std::map<RowId, Row> out;
   const Table* t = db.GetTable(table);
   if (t == nullptr) return out;
-  t->Scan([&](RowId id, const Row& row) {
+  EXPECT_TRUE(t->Scan([&](RowId id, const Row& row) {
     out[id] = row;
     return true;
-  });
+  }).ok());
   return out;
 }
 
@@ -298,7 +298,7 @@ TEST_F(PagedDatabaseTest, ScanReportsAStoredRowThatDoesNotDecode) {
   ASSERT_TRUE(db.Insert("t", Kv(1, "a")).ok());
   ASSERT_TRUE(db.Insert("t", Kv(2, "b")).ok());
   ASSERT_TRUE(
-      db.engine()->GetTable("t")->tree->Put(2, {0xff, 0xff}).ok());
+      db.engine()->GetTable("t")->tree->Put(2, "\xff\xff").ok());
   std::vector<RowId> seen;
   Status s = db.GetTable("t")->Scan([&](RowId id, const Row&) {
     seen.push_back(id);
@@ -321,10 +321,10 @@ TEST_F(PagedDatabaseTest, ManyCheckpointCyclesReclaimPages) {
     // Churn: overwrite the same logical rows each cycle.
     Table* t = db.GetTable("t");
     std::vector<RowId> ids;
-    t->Scan([&](RowId id, const Row&) {
+    EXPECT_TRUE(t->Scan([&](RowId id, const Row&) {
       ids.push_back(id);
       return true;
-    });
+    }).ok());
     for (RowId id : ids) {
       ASSERT_TRUE(db.Delete("t", id).ok());
     }
@@ -391,11 +391,11 @@ TEST_F(PagedDatabaseTest, LargeValuesAndTinyCacheStillRoundTrip) {
   ASSERT_TRUE(db.Open(opts).ok());
   ASSERT_EQ(db.GetTable("t")->row_count(), 20u);
   size_t seen = 0;
-  db.GetTable("t")->Scan([&](RowId, const Row& row) {
+  EXPECT_TRUE(db.GetTable("t")->Scan([&](RowId, const Row& row) {
     EXPECT_EQ(row[1].as_string().size(), big.size() + std::to_string(seen).size());
     ++seen;
     return true;
-  });
+  }).ok());
   EXPECT_EQ(seen, 20u);
 }
 

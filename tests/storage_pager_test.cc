@@ -396,5 +396,75 @@ TEST_F(PagerTest, CacheGrowsPastBudgetUnderPinPressureThenShrinksBack) {
   EXPECT_LE(cache.resident(), 2u);
 }
 
+// A cache larger than its working set never sweeps, so only the drop
+// itself can retire the ticket a freed page leaves in the clock ring; the
+// ring must not grow by one id per copy-on-write or freed overflow page.
+TEST_F(PagerTest, ClockRingStaysNearResidentFramesWhenCacheNeverFills) {
+  Pager pager;
+  ASSERT_TRUE(pager.Open(Opts()).ok());
+  PageCache cache(&pager, 64 * 512);  // 64 frames; at most 9 ever resident
+
+  std::vector<PageId> resident;
+  for (int i = 0; i < 8; ++i) {
+    Result<PageId> alloc = pager.Allocate();
+    ASSERT_TRUE(alloc.ok());
+    resident.push_back(alloc.value());
+    ASSERT_TRUE(cache.PinNew(alloc.value(), PageType::kLeaf).ok());
+  }
+  size_t widest = 0;
+  for (int i = 0; i < 100000; ++i) {
+    // The pager hands a freed fresh page straight out again, so this is
+    // also the same page id dropped and pinned anew, over and over.
+    Result<PageId> alloc = pager.Allocate();
+    ASSERT_TRUE(alloc.ok());
+    ASSERT_TRUE(cache.PinNew(alloc.value(), PageType::kOverflow).ok());
+    ASSERT_TRUE(cache.Pin(resident[static_cast<size_t>(i) % 8]).ok());
+    widest = std::max(widest, cache.clock_ring_size());
+    cache.Drop(alloc.value());
+    pager.Free(alloc.value());
+  }
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.resident(), 8u);
+  EXPECT_LE(widest, 4 * (cache.resident() + 1) + 1);
+  EXPECT_LE(cache.clock_ring_size(), 4 * cache.resident());
+}
+
+// Compacting the ring keeps the clock's order: the sweep skips stale
+// tickets without a step, so a compacted ring evicts what the full one
+// would have, in the same order.
+TEST_F(PagerTest, ClockRingCompactionKeepsEvictionOrder) {
+  Pager pager;
+  ASSERT_TRUE(pager.Open(Opts()).ok());
+  PageCache cache(&pager, 8 * 512);  // 8 frames
+
+  auto pin_new = [&]() {
+    Result<PageId> alloc = pager.Allocate();
+    EXPECT_TRUE(alloc.ok());
+    EXPECT_TRUE(cache.PinNew(alloc.value(), PageType::kLeaf).ok());
+    return alloc.value();
+  };
+  std::vector<PageId> ids;
+  for (int i = 0; i < 8; ++i) ids.push_back(pin_new());
+  // Seven drops leave one frame and seven stale tickets; the drop that
+  // left more than four tickets per frame compacted the ring.
+  for (int i = 1; i <= 7; ++i) cache.Drop(ids[static_cast<size_t>(i)]);
+  EXPECT_EQ(cache.clock_ring_size(), 1u);
+  // Refill to budget, then two more: every frame is referenced, so the
+  // first lap clears every bit and the frames go in ring order, oldest
+  // first: ids[0], then the first refill.
+  std::vector<PageId> later;
+  for (int i = 0; i < 7; ++i) later.push_back(pin_new());
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  pin_new();
+  pin_new();
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  ASSERT_TRUE(cache.Pin(later[1]).ok());
+  EXPECT_EQ(cache.stats().misses, 0u);
+  ASSERT_TRUE(cache.Pin(later[0]).ok());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  ASSERT_TRUE(cache.Pin(ids[0]).ok());
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
 }  // namespace
 }  // namespace itag::storage::pager

@@ -156,6 +156,123 @@ TEST(TableTest, UniqueIndexFollowsUpdates) {
   EXPECT_EQ(t.Get(a).value()[1].as_string(), "renamed");
 }
 
+/// A row heap that counts its calls and can be told to fail its next
+/// write, in front of the in-memory heap.
+class CountingRowStore : public RowStore {
+ public:
+  Result<Row> Get(RowId id) const override {
+    ++calls;
+    return inner_.Get(id);
+  }
+  bool Contains(RowId id) const override {
+    ++calls;
+    return inner_.Contains(id);
+  }
+  Status Put(RowId id, const Row& row) override {
+    ++calls;
+    if (fail_writes) return Status::IOError("injected");
+    return inner_.Put(id, row);
+  }
+  Result<Row> Replace(RowId id, const Row& row) override {
+    ++calls;
+    if (fail_writes) return Status::IOError("injected");
+    return inner_.Replace(id, row);
+  }
+  Result<Row> Erase(RowId id) override {
+    ++calls;
+    if (fail_writes) return Status::IOError("injected");
+    return inner_.Erase(id);
+  }
+  uint64_t size() const override { return inner_.size(); }
+  Status Scan(
+      const std::function<bool(RowId, const Row&)>& fn) const override {
+    ++calls;
+    return inner_.Scan(fn);
+  }
+
+  mutable int calls = 0;
+  bool fail_writes = false;
+
+ private:
+  MemRowStore inner_;
+};
+
+class TableStoreCallsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto store = std::make_unique<CountingRowStore>();
+    store_ = store.get();
+    table_ = std::make_unique<Table>("users", UserSchema(), std::move(store),
+                                     RowId{1});
+    ASSERT_TRUE(table_->AddUniqueIndex("id").ok());
+    ASSERT_TRUE(table_->AddOrderedIndex("name").ok());
+    a_ = table_->Insert(MakeUser(1, "ann", 0.0)).value();
+    b_ = table_->Insert(MakeUser(2, "bob", 0.0)).value();
+    store_->calls = 0;
+  }
+
+  /// Both index kinds still describe rows a (1, "ann") and b (2, "bob").
+  void ExpectIndexesUnchanged() {
+    EXPECT_EQ(table_->LookupUnique("id", Value::Int(1)).value(), a_);
+    EXPECT_EQ(table_->LookupUnique("id", Value::Int(2)).value(), b_);
+    EXPECT_TRUE(table_->LookupUnique("id", Value::Int(3)).status().IsNotFound());
+    EXPECT_EQ(table_->LookupEqual("name", Value::Str("ann")),
+              std::vector<RowId>{a_});
+    EXPECT_EQ(table_->LookupEqual("name", Value::Str("bob")),
+              std::vector<RowId>{b_});
+    EXPECT_TRUE(table_->LookupEqual("name", Value::Str("cy")).empty());
+  }
+
+  CountingRowStore* store_ = nullptr;
+  std::unique_ptr<Table> table_;
+  RowId a_ = 0;
+  RowId b_ = 0;
+};
+
+// The heap's write hands back the row it replaced or removed, so an update
+// and a delete each make one heap call, not a read and then a write.
+TEST_F(TableStoreCallsTest, UpdateAndDeleteMakeOneStoreCallEach) {
+  ASSERT_TRUE(table_->Update(a_, MakeUser(3, "cy", 1.0)).ok());
+  EXPECT_EQ(store_->calls, 1);
+  EXPECT_EQ(table_->LookupUnique("id", Value::Int(3)).value(), a_);
+  EXPECT_TRUE(table_->LookupUnique("id", Value::Int(1)).status().IsNotFound());
+  EXPECT_EQ(table_->LookupEqual("name", Value::Str("cy")),
+            std::vector<RowId>{a_});
+  store_->calls = 0;
+  ASSERT_TRUE(table_->Delete(a_).ok());
+  EXPECT_EQ(store_->calls, 1);
+  EXPECT_TRUE(table_->LookupUnique("id", Value::Int(3)).status().IsNotFound());
+  EXPECT_TRUE(table_->LookupEqual("name", Value::Str("cy")).empty());
+  EXPECT_EQ(table_->row_count(), 1u);
+}
+
+// An absent id answers NotFound and inserts nothing, even when the new key
+// is taken: replay tolerates AlreadyExists, so NotFound must win.
+TEST_F(TableStoreCallsTest, AbsentIdAnswersNotFoundAndInsertsNothing) {
+  EXPECT_TRUE(table_->Update(99, MakeUser(7, "zed", 0.0)).IsNotFound());
+  EXPECT_TRUE(table_->Update(99, MakeUser(2, "zed", 0.0)).IsNotFound());
+  EXPECT_TRUE(table_->Delete(99).IsNotFound());
+  EXPECT_EQ(table_->row_count(), 2u);
+  EXPECT_TRUE(table_->Get(99).status().IsNotFound());
+  EXPECT_TRUE(table_->LookupUnique("id", Value::Int(7)).status().IsNotFound());
+  ExpectIndexesUnchanged();
+  // A present id whose new key is taken still answers AlreadyExists.
+  EXPECT_TRUE(table_->Update(a_, MakeUser(2, "ann", 0.0)).IsAlreadyExists());
+  ExpectIndexesUnchanged();
+}
+
+// The heap write comes before any index moves, so a failed write leaves
+// both index kinds as they were.
+TEST_F(TableStoreCallsTest, FailedHeapWriteLeavesIndexesAsTheyWere) {
+  store_->fail_writes = true;
+  EXPECT_EQ(table_->Update(a_, MakeUser(3, "cy", 0.0)).code(),
+            StatusCode::kIOError);
+  ExpectIndexesUnchanged();
+  EXPECT_EQ(table_->Delete(b_).code(), StatusCode::kIOError);
+  ExpectIndexesUnchanged();
+  EXPECT_EQ(table_->row_count(), 2u);
+}
+
 TEST(TableTest, OrderedIndexEqualLookup) {
   Table t("users", UserSchema());
   ASSERT_TRUE(t.AddOrderedIndex("name").ok());
@@ -213,12 +330,12 @@ TEST(TableTest, ScanVisitsInRowIdOrder) {
     ASSERT_TRUE(t.Insert(MakeUser(i, "u", 0.0)).ok());
   }
   RowId prev = 0;
-  t.Scan([&](RowId id, const Row& row) {
+  EXPECT_TRUE(t.Scan([&](RowId id, const Row& row) {
     (void)row;
     EXPECT_GT(id, prev);
     prev = id;
     return true;
-  });
+  }).ok());
 }
 
 TEST(TableTest, CountWhere) {
