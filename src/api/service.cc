@@ -316,9 +316,9 @@ ProjectQueryResponse Service::ProjectQuery(const ProjectQueryRequest& req) {
       sharded_->GetProjectView(req.project);
   resp.status = view.status();
   if (!view.ok()) return resp;
-  resp.info = view.value()->info;
+  resp.info = view.value()->info();
   resp.info.id = req.project;  // the id the caller routed by
-  if (req.include_feed) resp.feed = *view.value()->feed;
+  if (req.include_feed) resp.feed = *view.value()->feed();
   resp.detail_outcome.statuses.reserve(req.detail_resources.size());
   for (tagging::ResourceId r : req.detail_resources) {
     Result<core::QualityManager::ResourceDetail> d =

@@ -1030,12 +1030,10 @@ Status ITagSystem::RunTicks(Tick target) {
   while (clock_.Now() < target) {
     clock_.Advance(1);
     // Keep task queues full for every running platform project.
-    for (const ProjectInfo& info :
-         quality_->ListProjects(static_cast<ProviderId>(-1))) {
-      if (info.state != ProjectState::kRunning) continue;
+    for (ProjectId project : quality_->RunningByQuality()) {
       QualityManager::ProjectRec* rec = const_cast<QualityManager::ProjectRec*>(
-          quality_->GetRec(info.id));
-      ITAG_RETURN_IF_ERROR(PumpProject(info.id, rec));
+          quality_->GetRec(project));
+      ITAG_RETURN_IF_ERROR(PumpProject(project, rec));
     }
     // Advance both platforms one tick, route submissions, and flush the
     // tick's approvals per project in one batched corpus/quality pass.

@@ -5,6 +5,7 @@
 
 #include "common/binio.h"
 #include "itag/tables.h"
+#include "obs/metrics.h"
 #include "strategy/allocator.h"
 
 namespace itag::core {
@@ -329,6 +330,15 @@ std::vector<ProjectId> QualityManager::ProjectIds() const {
 }
 
 Result<ProjectInfo> QualityManager::GetInfo(ProjectId project) const {
+  ProjectionInputs projection;
+  ITAG_ASSIGN_OR_RETURN(ProjectInfo info,
+                        GetUnplannedInfo(project, &projection));
+  info.projected_gain = projection.PlanGain();
+  return info;
+}
+
+Result<ProjectInfo> QualityManager::GetUnplannedInfo(
+    ProjectId project, ProjectionInputs* projection) const {
   const ProjectRec* rec = GetRec(project);
   if (rec == nullptr) {
     return Status::NotFound("project " + std::to_string(project));
@@ -342,13 +352,14 @@ Result<ProjectInfo> QualityManager::GetInfo(ProjectId project) const {
   info.budget_remaining =
       rec->engine != nullptr ? rec->engine->budget_remaining()
                              : rec->spec.budget;
+  projection->curves = nullptr;
+  projection->budget = info.budget_remaining;
   const tagging::Corpus* corpus = resources_->GetCorpus(project);
   if (corpus != nullptr) {
     const ProjectRec::QualityMemo& memo = Memo(*rec, *corpus);
     info.num_resources = corpus->size();
     info.quality = MeanQuality(memo.scores);
-    info.projected_gain =
-        PlanProjection(memo.curves, info.budget_remaining).gain;
+    projection->curves = memo.curves;
   }
   return info;
 }
@@ -368,6 +379,26 @@ std::vector<ProjectInfo> QualityManager::ListProjects(
     return a.id < b.id;
   });
   return out;
+}
+
+std::vector<ProjectId> QualityManager::RunningByQuality() const {
+  std::vector<std::pair<double, ProjectId>> running;
+  for (const auto& [id, rec] : projects_) {
+    if (rec.state != ProjectState::kRunning) continue;
+    // GetInfo's quality, without its plan.
+    const tagging::Corpus* corpus = resources_->GetCorpus(id);
+    running.emplace_back(
+        corpus != nullptr ? MeanQuality(Memo(rec, *corpus).scores) : 0.0, id);
+  }
+  std::sort(running.begin(), running.end(),
+            [](const auto& a, const auto& b) {
+              if (a.first != b.first) return a.first > b.first;
+              return a.second < b.second;
+            });
+  std::vector<ProjectId> ids;
+  ids.reserve(running.size());
+  for (const auto& entry : running) ids.push_back(entry.second);
+  return ids;
 }
 
 Status QualityManager::Control(ProjectId project, const ControlItem& item) {
@@ -521,13 +552,24 @@ const QualityManager::ProjectRec::QualityMemo& QualityManager::Memo(
   const size_t n = corpus.size();
   memo.posts.resize(n);
   memo.scores.resize(n);
-  memo.curves.resize(n);
+  // A published view may still plan from the current curves, so the first
+  // change copies them and the rest of the refresh writes the copy.
+  std::vector<quality::ProjectionCurve>* curves = nullptr;
   for (ResourceId r = 0; r < n; ++r) {
     const tagging::TagStats& stats = corpus.stats(r);
     if (r < known && memo.posts[r] == stats.post_count()) continue;
+    if (curves == nullptr) {
+      auto copy = std::make_shared<std::vector<quality::ProjectionCurve>>(n);
+      if (memo.curves != nullptr) {
+        std::copy_n(memo.curves->begin(), std::min(n, memo.curves->size()),
+                    copy->begin());
+      }
+      curves = copy.get();
+      memo.curves = std::move(copy);
+    }
     memo.posts[r] = stats.post_count();
     memo.scores[r] = stability_.ResourceQuality(r, stats);
-    memo.curves[r] = gain_.Curve(stats);
+    (*curves)[r] = gain_.Curve(stats);
   }
   return memo;
 }
@@ -616,6 +658,9 @@ const std::vector<QualityPoint>& QualityManager::QualityFeed(
 
 ProjectionPlan PlanProjection(
     const std::vector<quality::ProjectionCurve>& curves, uint32_t budget) {
+  static obs::Counter* const plans =
+      obs::MetricsRegistry::Default().GetCounter("core.projection.plans");
+  plans->Inc();
   const size_t n = curves.size();
   ProjectionPlan plan{std::vector<uint32_t>(n, 0), 0.0};
   budget = std::min(budget, kProjectionHorizon);
@@ -641,7 +686,7 @@ Result<double> QualityManager::ProjectedGain(ProjectId project) const {
   }
   uint32_t budget = rec->engine != nullptr ? rec->engine->budget_remaining()
                                            : rec->spec.budget;
-  return PlanProjection(Memo(*rec, *corpus).curves, budget).gain;
+  return ProjectionInputs{Memo(*rec, *corpus).curves, budget}.PlanGain();
 }
 
 Result<QualityManager::ResourceDetail> QualityManager::GetResourceDetail(

@@ -45,9 +45,23 @@ struct ProjectionPlan {
 /// whose projection curves are `curves` (resource r's at index r), with the
 /// greedy split of strategy::GreedyAllocate warm-started from their
 /// quality::ThresholdPrefix: O(n log n) rather than the cold start's
-/// O(B log n).
+/// O(B log n). Every call counts in `core.projection.plans`.
 ProjectionPlan PlanProjection(
     const std::vector<quality::ProjectionCurve>& curves, uint32_t budget);
+
+/// What one version of a project's projected gain is planned from: its
+/// quality memo's curves, shared with the memo until the memo next changes,
+/// and the budget left. A project without a corpus has no curves.
+struct ProjectionInputs {
+  std::shared_ptr<const std::vector<quality::ProjectionCurve>> curves;
+  uint32_t budget = 0;
+
+  /// PlanProjection's gain over these inputs; 0, with no plan, when there
+  /// are no curves.
+  double PlanGain() const {
+    return curves == nullptr ? 0.0 : PlanProjection(*curves, budget).gain;
+  }
+};
 
 /// The Quality Manager of Fig. 2: receives the provider's budget, creates a
 /// Project, "executes the best strategy to allocate resources to taggers",
@@ -84,9 +98,20 @@ class QualityManager {
   /// O(n) compares plus the plan's O(n log n).
   Result<ProjectInfo> GetInfo(ProjectId project) const;
 
+  /// GetInfo without the plan: every field but projected_gain, which stays
+  /// 0, and in `projection` what GetInfo would plan it from. O(n) compares;
+  /// the sharded core publishes its views this way, so a write never plans.
+  Result<ProjectInfo> GetUnplannedInfo(ProjectId project,
+                                       ProjectionInputs* projection) const;
+
   /// All projects of one provider (or all when provider == SIZE_MAX),
   /// sorted by descending quality — the Fig. 3 listing order.
   std::vector<ProjectInfo> ListProjects(ProviderId provider) const;
+
+  /// The running projects in ListProjects order (quality descending, then
+  /// id), from the quality memo alone: nothing is planned. Step's tick loop
+  /// pumps them in this order.
+  std::vector<ProjectId> RunningByQuality() const;
 
   /// Applies one provider control (§III-A) to `project`:
   ///  - Start creates the allocation engine from Draft (at least one
@@ -209,11 +234,13 @@ class QualityManager {
     /// a post lands, which bumps its post count, and a corpus only grows,
     /// so an entry whose count still matches is current, whatever path the
     /// posts came in by. Const reads refresh it (QualityManager::Memo),
-    /// like TagStats::Rfd's cache; it lives and dies with the record.
+    /// like TagStats::Rfd's cache; it lives and dies with the record. The
+    /// curves are shared with the unplanned views published from them
+    /// (ProjectionInputs), so a refresh that changes one copies them first.
     struct QualityMemo {
       std::vector<uint32_t> posts;
       std::vector<double> scores;
-      std::vector<quality::ProjectionCurve> curves;
+      std::shared_ptr<const std::vector<quality::ProjectionCurve>> curves;
     };
     mutable QualityMemo memo;
   };

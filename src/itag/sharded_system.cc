@@ -121,7 +121,7 @@ Status ShardedSystem::Init() {
     Shard& shard = *shards_[s];
     std::shared_lock<std::shared_mutex> lock(shard.snap_mu);
     for (const auto& [local, entry] : shard.views) {
-      SetPlacementGauge(entry.view->info.id, s);
+      SetPlacementGauge(entry.view->info_.id, s);
     }
   }
   metrics_.placement_version->Set(
@@ -530,7 +530,9 @@ std::vector<Status> ShardedSystem::RouteByHandle(
 void ShardedSystem::PublishView(size_t shard_index, ProjectId local) const {
   Shard& shard = *shards_[shard_index];
   const ITagSystem& sys = *shard.system;
-  Result<ProjectInfo> info = sys.GetProjectInfo(local);
+  ProjectionInputs projection;
+  Result<ProjectInfo> info =
+      shard.system->quality_manager().GetUnplannedInfo(local, &projection);
   if (!info.ok()) {
     std::unique_lock<std::shared_mutex> lock(shard.snap_mu);
     shard.views.erase(local);
@@ -541,19 +543,19 @@ void ShardedSystem::PublishView(size_t shard_index, ProjectId local) const {
   auto it = shard.views.find(local);
   const ProjectView* prev = it == shard.views.end() ? nullptr
                                                     : it->second.view.get();
-  auto view = std::make_shared<ProjectView>();
-  view->info = std::move(info).value();
   // Slot history, not the codec: a migrated project's view must carry the
   // global id it was created under. Resolved before snap_mu (leaf order:
   // shard.mu → placement_mu_, snap_mu independent).
-  view->info.id = GlobalProjectOf(shard_index, local);
+  info.value().id = GlobalProjectOf(shard_index, local);
   // A project's feed only ever grows (an adopted one arrives under a fresh
   // local id), so an unchanged length means the previous copy still holds.
   const std::vector<QualityPoint>& feed = sys.QualityFeed(local);
-  view->feed = prev != nullptr && prev->feed->size() == feed.size()
-                   ? prev->feed
-                   : std::make_shared<const std::vector<QualityPoint>>(feed);
-  view->version = prev != nullptr ? prev->version + 1 : 1;
+  auto view = std::make_shared<const ProjectView>(
+      std::move(info).value(), std::move(projection),
+      prev != nullptr && prev->feed()->size() == feed.size()
+          ? prev->feed()
+          : std::make_shared<const std::vector<QualityPoint>>(feed),
+      prev != nullptr ? prev->version() + 1 : 1);
   std::unique_lock<std::shared_mutex> lock(shard.snap_mu);
   shard.views[local].view = std::move(view);
 }
@@ -591,8 +593,10 @@ std::shared_ptr<const ProjectView> ShardedSystem::FindView(
 
 template <typename Keep>
 std::vector<ProjectInfo> ShardedSystem::ListViews(Keep keep) const {
+  // Views are picked and ordered by their unplanned fields; only the
+  // listed ones are planned, after every view-table lock is released.
   struct Row {
-    ProjectInfo info;
+    std::shared_ptr<const ProjectView> view;
     size_t shard;
     ProjectId local;
   };
@@ -601,7 +605,7 @@ std::vector<ProjectInfo> ShardedSystem::ListViews(Keep keep) const {
     Shard& shard = *shards_[s];
     std::shared_lock<std::shared_mutex> lock(shard.snap_mu);
     for (const auto& [local, entry] : shard.views) {
-      if (keep(entry.view->info)) rows.push_back({entry.view->info, s, local});
+      if (keep(entry.view->info_)) rows.push_back({entry.view, s, local});
     }
   }
   {
@@ -610,7 +614,8 @@ std::vector<ProjectInfo> ShardedSystem::ListViews(Keep keep) const {
     rows.erase(std::remove_if(rows.begin(), rows.end(),
                               [this](const Row& row) {
                                 PlacementMap::Location at;
-                                return !placement_.Resolve(row.info.id, &at) ||
+                                return !placement_.Resolve(
+                                           row.view->info_.id, &at) ||
                                        at.shard != row.shard ||
                                        at.local != row.local;
                               }),
@@ -618,15 +623,15 @@ std::vector<ProjectInfo> ShardedSystem::ListViews(Keep keep) const {
   }
   // The Fig. 3 order: quality descending, then shard, then local id.
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    if (a.info.quality != b.info.quality) {
-      return a.info.quality > b.info.quality;
+    if (a.view->info_.quality != b.view->info_.quality) {
+      return a.view->info_.quality > b.view->info_.quality;
     }
     if (a.shard != b.shard) return a.shard < b.shard;
     return a.local < b.local;
   });
   std::vector<ProjectInfo> out;
   out.reserve(rows.size());
-  for (Row& row : rows) out.push_back(std::move(row.info));
+  for (const Row& row : rows) out.push_back(row.view->info());
   return out;
 }
 
@@ -845,10 +850,15 @@ Result<std::shared_ptr<const ProjectView>> ShardedSystem::GetProjectView(
   return view;
 }
 
+bool ShardedSystem::ViewReadPlans(ProjectId project) const {
+  std::shared_ptr<const ProjectView> view = FindView(project, false);
+  return view != nullptr && !view->planned();
+}
+
 Result<ProjectInfo> ShardedSystem::GetProjectInfo(ProjectId project) const {
   ITAG_ASSIGN_OR_RETURN(std::shared_ptr<const ProjectView> view,
                         GetProjectView(project));
-  ProjectInfo info = view->info;
+  ProjectInfo info = view->info();
   info.id = project;  // the id the caller routed by — codec or moved
   return info;
 }
@@ -864,7 +874,7 @@ std::vector<ProjectInfo> ShardedSystem::ListProjects(
 std::vector<QualityPoint> ShardedSystem::QualityFeed(
     ProjectId project) const {
   std::shared_ptr<const ProjectView> view = FindView(project, true);
-  return view != nullptr ? *view->feed : std::vector<QualityPoint>{};
+  return view != nullptr ? *view->feed() : std::vector<QualityPoint>{};
 }
 
 Result<QualityManager::ResourceDetail> ShardedSystem::GetResourceDetail(
@@ -1076,16 +1086,16 @@ Result<QualitySnapshot> ShardedSystem::PeekQuality(ProjectId project) const {
   if (view == nullptr) {
     return Status::NotFound("project " + std::to_string(project));
   }
-  const ProjectInfo& info = view->info;
+  const ProjectInfo& info = view->info_;
   QualitySnapshot snap;
   snap.project = info.id;
   snap.state = info.state;
   snap.quality = info.quality;
-  snap.projected_gain = info.projected_gain;
+  snap.projected_gain = view->projected_gain();
   snap.budget_remaining = info.budget_remaining;
   snap.tasks_completed = info.tasks_completed;
   snap.num_resources = static_cast<uint32_t>(info.num_resources);
-  snap.version = view->version;
+  snap.version = view->version();
   return snap;
 }
 
@@ -1261,7 +1271,7 @@ void ShardedSystem::DrainAttribution(
   std::shared_lock<std::shared_mutex> views(shard.snap_mu);
   for (const auto& [local, entry] : shard.views) {
     const uint64_t reads = entry.reads.exchange(0, std::memory_order_relaxed);
-    if (out != nullptr && reads > 0) (*out)[entry.view->info.id] += reads;
+    if (out != nullptr && reads > 0) (*out)[entry.view->info_.id] += reads;
   }
 }
 

@@ -63,12 +63,61 @@ struct ShardedSystemOptions {
 /// read returns except per-resource details (the monitoring hot path:
 /// dashboards poll far more often than projects change). Built once per
 /// publication, read without any shard mutex, so one read sees one version.
-struct ProjectView {
-  ProjectInfo info;  ///< `id` is the global id (slot history)
+///
+/// A publication does not plan the projected gain: the view keeps what the
+/// plan needs (ProjectionInputs) and the first reader of the version plans
+/// it, once, whichever thread gets there first. Every reader goes through
+/// info() or projected_gain(), so none sees an unplanned gain, and a
+/// version nobody reads is never planned. The gain is QualityManager::
+/// GetInfo's for the same version, bit for bit: both are PlanProjection
+/// over the same curves and budget.
+class ProjectView {
+ public:
+  ProjectView(ProjectInfo info, ProjectionInputs projection,
+              std::shared_ptr<const std::vector<QualityPoint>> feed,
+              uint64_t version)
+      : info_(std::move(info)),
+        projection_(std::move(projection)),
+        feed_(std::move(feed)),
+        version_(version) {}
+
+  /// The project's info at this version, projected gain included. `id` is
+  /// the global id (slot history).
+  ProjectInfo info() const {
+    ProjectInfo info = info_;
+    info.projected_gain = projected_gain();
+    return info;
+  }
+  /// This version's projected gain; the first call, from any thread, plans
+  /// it and the others wait for that plan.
+  double projected_gain() const {
+    std::call_once(plan_once_, [this] {
+      gain_ = projection_.PlanGain();
+      planned_.store(true, std::memory_order_release);
+    });
+    return gain_;
+  }
+  /// True once some reader has planned this version, so reading it costs
+  /// no plan.
+  bool planned() const { return planned_.load(std::memory_order_acquire); }
   /// The quality feed. Shared between versions while it is unchanged; a
   /// publication that sees new points copies it.
-  std::shared_ptr<const std::vector<QualityPoint>> feed;
-  uint64_t version = 0;  ///< publications of this project on its shard
+  const std::shared_ptr<const std::vector<QualityPoint>>& feed() const {
+    return feed_;
+  }
+  /// Publications of this project on its shard.
+  uint64_t version() const { return version_; }
+
+ private:
+  friend class ShardedSystem;  // lists views by their unplanned fields
+
+  ProjectInfo info_;  ///< projected_gain stays 0; see projected_gain()
+  ProjectionInputs projection_;
+  std::shared_ptr<const std::vector<QualityPoint>> feed_;
+  uint64_t version_;
+  mutable std::once_flag plan_once_;
+  mutable double gain_ = 0.0;
+  mutable std::atomic<bool> planned_{false};
 };
 
 /// The quality fields of a ProjectView (PeekQuality's answer).
@@ -117,7 +166,8 @@ struct ShardStats {
 ///    entirely: each project's ProjectView lives behind a
 ///    shared_mutex-guarded table that the shard's facade republishes on
 ///    every mutation (ITagSystem::SetPublishHook), and shard counters live
-///    behind a seqlock.
+///    behind a seqlock. A publication does not plan the projected gain;
+///    the first read of a version does, on the reader's thread.
 ///  - Lock ordering: users_mu_ before any shard mutex; a view table is
 ///    written only inside its shard lock (readers take it alone);
 ///    placement_mu_ is a leaf (taken after a shard
@@ -192,6 +242,10 @@ class ShardedSystem {
   /// routed call. NotFound for unknown projects.
   Result<std::shared_ptr<const ProjectView>> GetProjectView(
       ProjectId project) const;
+  /// Whether reading `project`'s view now would plan its projected gain:
+  /// the view exists and no reader has planned it yet. Takes no shard
+  /// mutex and counts no routed op.
+  bool ViewReadPlans(ProjectId project) const;
   /// The view's info, carrying the id the caller routed by.
   Result<ProjectInfo> GetProjectInfo(ProjectId project) const;
   /// All shards' projects of `provider`, from their views, with global
@@ -399,9 +453,10 @@ class ShardedSystem {
                                     const char* noun, HandleOf handle_of,
                                     Relabel relabel, RunShard run_shard);
 
-  /// The publish hook of shard `shard_index`'s facade: builds the view of
-  /// one local project and swaps it in, or drops it when the project is
-  /// gone. Runs with the shard mutex held, or on a facade-direct caller.
+  /// The publish hook of shard `shard_index`'s facade: builds the
+  /// unplanned view of one local project and swaps it in, or drops it when
+  /// the project is gone. Runs with the shard mutex held, or on a
+  /// facade-direct caller.
   void PublishView(size_t shard_index, ProjectId local) const;
   /// The published entry of `project`, resolved through placement, or
   /// null. Bumps the shard's routed-op counter and the project's read

@@ -44,6 +44,9 @@ constexpr size_t kMaxDispatchBatch = 64;
 /// well above the 128 default.
 constexpr int kListenBacklog = 1024;
 
+/// The reactor whose loop runs on this thread, if any (see QueueWrite).
+thread_local const void* t_reactor = nullptr;
+
 }  // namespace
 
 /// Registry mirrors of the ServerStats counters plus the live levels and
@@ -111,6 +114,11 @@ struct Server::Reactor {
   std::vector<Socket> pending_accepts;
   std::vector<std::shared_ptr<Conn>> flush_ready;
   std::vector<std::shared_ptr<Conn>> dead_conns;
+
+  /// Connections that got a response queued on this reactor's own thread
+  /// (inline replies, error replies, replication hook sends): flushed at
+  /// the end of the event burst, with no inbox hop and no wake.
+  std::vector<std::shared_ptr<Conn>> local_flush;
 
   /// Per-reactor registry counters (net.reactor.<i>.*) — the balance
   /// check for the round-robin handoff.
@@ -248,8 +256,10 @@ ServerStats Server::stats() const {
 }
 
 void Server::ReactorLoop(Reactor& r) {
+  t_reactor = &r;
   std::vector<epoll_event> events(128);
   DispatchGroups groups;
+  std::vector<std::shared_ptr<Conn>> flushing;
   while (!stopping_.load(std::memory_order_acquire)) {
     int n = ::epoll_wait(r.epoll_fd, events.data(),
                          static_cast<int>(events.size()), NextTimeoutMs(r));
@@ -282,8 +292,12 @@ void Server::ReactorLoop(Reactor& r) {
     // End of the event burst — the adaptive batching window closes and
     // every accumulated group goes to the pool as one task.
     FlushDispatchGroups(groups);
+    flushing.swap(r.local_flush);
+    for (const std::shared_ptr<Conn>& conn : flushing) FlushConn(r, conn);
+    flushing.clear();
     ExpireWriteDeadlines(r, std::chrono::steady_clock::now());
   }
+  t_reactor = nullptr;
 }
 
 int Server::NextTimeoutMs(Reactor& r) const {
@@ -411,6 +425,10 @@ void Server::HandleReadable(Reactor& r, const std::shared_ptr<Conn>& conn,
     conn->inbuf.append(buf, *got);
     bytes_received_.fetch_add(*got, std::memory_order_relaxed);
     metrics_->bytes_in->Inc(*got);
+    // A short read drained the socket for now. The epoll set is
+    // level-triggered, so whatever comes next (EOF included) wakes the
+    // loop again; the read that would only say EAGAIN is skipped.
+    if (*got < sizeof(buf)) break;
   }
   size_t parsed = 0;
   for (;;) {
@@ -503,10 +521,14 @@ void Server::HandleFrame(Reactor& r, const std::shared_ptr<Conn>& conn,
     root->Annotate("correlation", frame.correlation);
   }
   Work work{conn, std::move(frame), trace, std::move(root)};
-  if (IsViewOnlyQuery(work.frame.type, work.frame.payload)) {
+  if (IsViewOnlyQuery(work.frame.type, work.frame.payload) &&
+      !service_->sharded()->ViewReadPlans(
+          *PeekProjectId(work.frame.type, work.frame.payload))) {
     // Run to completion here, as in IX (Belay et al., OSDI 2014): the read
     // takes no shard mutex and costs less than the pool handoff and the
-    // cross-thread write queue it would otherwise pay.
+    // cross-thread write queue it would otherwise pay. A read that would
+    // plan its view's projected gain (O(n log n) in the project's
+    // resources) goes to the pool below instead, like a detail query.
     DispatchOne(work);
     return;
   }
@@ -713,6 +735,11 @@ void Server::QueueWrite(const std::shared_ptr<Conn>& conn, std::string bytes) {
   }
   if (notify) {
     Reactor& r = *conn->owner;
+    if (t_reactor == &r) {
+      // The owner's own thread: its loop flushes at the end of this burst.
+      r.local_flush.push_back(conn);
+      return;
+    }
     {
       std::lock_guard<std::mutex> lock(r.mu);
       r.flush_ready.push_back(conn);

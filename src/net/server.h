@@ -45,7 +45,8 @@ struct ServerOptions {
   /// connection is marked dead and its remaining responses are dropped.
   int write_timeout_ms = 10000;
   /// Test seam: runs right before Service::Dispatch, on the thread that
-  /// dispatches: a worker, or the reactor for a detail-free ProjectQuery.
+  /// dispatches: a worker, or the reactor for a detail-free ProjectQuery
+  /// of a planned view.
   /// Lets tests hold workers busy deterministically (e.g. to force the
   /// overload path); leave unset in production.
   std::function<void(const api::AnyRequest&)> before_dispatch;
@@ -98,10 +99,13 @@ struct ServerStats {
 /// it adapts to load and adds no timer latency). One request skips the
 /// pool: a ProjectQuery without detail_resources reads only the project's
 /// published view, takes no shard mutex, and costs less than the handoff,
-/// so the reactor runs it to completion through the same DispatchOne.
+/// so the reactor runs it to completion through the same DispatchOne —
+/// when the view's projected gain is already planned. The first read of a
+/// version plans it, so that one goes to the pool.
 /// Responses are appended to a per-connection output queue and flushed by
 /// the owning reactor with one gathering writev per syscall — workers
-/// never block on a slow peer.
+/// never block on a slow peer. A response queued on the owning reactor's
+/// own thread is flushed at the end of its event burst, with no wake.
 ///
 /// The correlation id ties replies to requests, so clients may pipeline
 /// freely; replies can overtake each other. The wrapped Service is
@@ -203,7 +207,8 @@ class Server {
   /// group (chunked at kMaxDispatchBatch).
   void FlushDispatchGroups(DispatchGroups& groups);
   /// Decode + before_dispatch + Dispatch + queue-response for one unit, on
-  /// a worker or, for a detail-free ProjectQuery, on the reactor.
+  /// a worker or, for a detail-free ProjectQuery of a planned view, on the
+  /// reactor.
   void DispatchOne(Work& work);
   /// The merged path: N BatchSubmitTags requests through one backend batch.
   void DispatchMergedSubmits(std::vector<Work>& group);
@@ -225,9 +230,10 @@ class Server {
   /// Marks `conn` dead and schedules an owner-reactor close. Any thread.
   void AbandonConn(const std::shared_ptr<Conn>& conn);
   /// Appends an encoded frame to the connection's output queue and
-  /// notifies the owning reactor. Drops the bytes once the conn is dead;
-  /// disconnects when the queue cap is exceeded. Any thread; never blocks
-  /// on the peer.
+  /// notifies the owning reactor: through its inbox and eventfd from
+  /// another thread, or its end-of-burst flush list from its own. Drops
+  /// the bytes once the conn is dead; disconnects when the queue cap is
+  /// exceeded. Any thread; never blocks on the peer.
   void QueueWrite(const std::shared_ptr<Conn>& conn, std::string bytes);
   /// Queues a typed error reply directly (error frames are small and
   /// encode in microseconds — no pool hop). A peer that floods frames

@@ -71,10 +71,7 @@ Result<PageRef> PageCache::Pin(PageId id) {
   ITAG_RETURN_IF_ERROR(pager_->ReadPage(id, &frame.image));
   frame.pins = 1;
   frame.referenced = true;
-  PageFrame* slot = &frames_.emplace(id, std::move(frame)).first->second;
-  clock_order_.push_back(id);
-  CacheMetrics::Get().resident->Add(1);
-  return PageRef(slot);
+  return PageRef(AddFrame(id, std::move(frame)));
 }
 
 Result<PageRef> PageCache::PinNew(PageId id, PageType type) {
@@ -86,10 +83,21 @@ Result<PageRef> PageCache::PinNew(PageId id, PageType type) {
   frame.pins = 1;
   frame.dirty = true;
   frame.referenced = true;
-  PageFrame* slot = &frames_.emplace(id, std::move(frame)).first->second;
-  clock_order_.push_back(id);
+  return PageRef(AddFrame(id, std::move(frame)));
+}
+
+PageFrame* PageCache::AddFrame(PageId id, PageFrame frame) {
+  frame.stamp = ++next_stamp_;
+  clock_order_.push_back({id, frame.stamp});
   CacheMetrics::Get().resident->Add(1);
-  return PageRef(slot);
+  return &frames_.emplace(id, std::move(frame)).first->second;
+}
+
+PageFrame* PageCache::LiveFrame(const Ticket& ticket) {
+  auto it = frames_.find(ticket.id);
+  return it == frames_.end() || it->second.stamp != ticket.stamp
+             ? nullptr
+             : &it->second;
 }
 
 void PageCache::Drop(PageId id) {
@@ -103,16 +111,14 @@ void PageCache::Drop(PageId id) {
 
 void PageCache::CompactRing() {
   // The sweep retires a stale ticket without moving the hand or counting a
-  // step, so retiring it early changes no sweep, unless its page is pinned
-  // again before the hand gets there: the ticket then counts for the new
-  // frame. A full cache's sweep retires stale tickets as it goes, so its
-  // ring seldom reaches the threshold; a cache that never fills picks no
-  // victim at all.
+  // step, so retiring it early changes no sweep. A full cache's sweep
+  // retires stale tickets as it goes, so its ring seldom reaches the
+  // threshold; a cache that never fills picks no victim at all.
   size_t kept = 0;
   size_t hand = 0;
   for (size_t i = 0; i < clock_order_.size(); ++i) {
     if (i == clock_hand_) hand = kept;
-    if (frames_.count(clock_order_[i]) != 0) {
+    if (LiveFrame(clock_order_[i]) != nullptr) {
       clock_order_[kept++] = clock_order_[i];
     }
   }
@@ -137,16 +143,17 @@ Status PageCache::EvictForSpace() {
     const size_t max_steps = 2 * clock_order_.size();
     while (steps < max_steps && !clock_order_.empty()) {
       if (clock_hand_ >= clock_order_.size()) clock_hand_ = 0;
-      PageId id = clock_order_[clock_hand_];
-      auto it = frames_.find(id);
-      if (it == frames_.end()) {
-        // Stale ticket of an evicted/dropped frame — retire it.
+      const Ticket ticket = clock_order_[clock_hand_];
+      PageFrame* live = LiveFrame(ticket);
+      if (live == nullptr) {
+        // Stale ticket of an evicted/dropped frame, or of an earlier frame
+        // of a page framed again — retire it.
         clock_order_.erase(clock_order_.begin() +
                            static_cast<ptrdiff_t>(clock_hand_));
         continue;
       }
       ++steps;
-      PageFrame& frame = it->second;
+      PageFrame& frame = *live;
       if (frame.pins > 0) {
         ++clock_hand_;
         continue;
@@ -159,7 +166,7 @@ Status PageCache::EvictForSpace() {
       if (frame.dirty) {
         ITAG_RETURN_IF_ERROR(WriteBack(&frame));
       }
-      frames_.erase(it);
+      frames_.erase(ticket.id);
       clock_order_.erase(clock_order_.begin() +
                          static_cast<ptrdiff_t>(clock_hand_));
       ++stats_.evictions;

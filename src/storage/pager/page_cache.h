@@ -20,6 +20,7 @@ struct PageFrame {
   uint32_t pins = 0;
   bool dirty = false;
   bool referenced = false;  // clock second-chance bit
+  uint64_t stamp = 0;       // stamp of the frame's one live clock ticket
 };
 
 /// RAII pin on one cached page. While any PageRef to a page is alive the
@@ -91,10 +92,12 @@ class PageCache {
   /// the (garbage) slot; the frame starts dirty with the given type.
   Result<PageRef> PinNew(PageId id, PageType type);
 
-  /// Discards the frame for `id` (page was freed): no write-back. Once the
-  /// clock ring holds more than kTicketsPerFrame tickets per resident frame
-  /// its stale tickets are retired, so a cache that never fills, and so
-  /// never sweeps, keeps a ring a few times the size of its frames.
+  /// Discards the frame for `id` (page was freed): no write-back. Its
+  /// ticket goes stale, and stays stale if the page is framed again (the
+  /// new frame gets a ticket of its own). Once the clock ring holds more
+  /// than kTicketsPerFrame tickets per resident frame its stale tickets are
+  /// retired, so a cache that never fills, and so never sweeps, keeps a
+  /// ring a few times the size of its frames.
   void Drop(PageId id);
 
   /// Writes back every dirty frame (checkpoint). Frames stay resident.
@@ -109,20 +112,34 @@ class PageCache {
  private:
   static constexpr size_t kTicketsPerFrame = 4;
 
+  /// One entry of the clock ring: a page id and the stamp of the frame it
+  /// was made for. It is live while a frame of that page holds that stamp.
+  struct Ticket {
+    PageId id;
+    uint64_t stamp;
+  };
+
   /// Evicts down to capacity; stops early when only pinned frames remain.
   Status EvictForSpace();
   Status WriteBack(PageFrame* frame);
-  /// Retires the tickets of frames no longer resident, keeping the order
-  /// of the rest and the hand on the same next ticket.
+  /// Frames `frame` as page `id`, with a new stamp and a ticket at the
+  /// ring's end.
+  PageFrame* AddFrame(PageId id, PageFrame frame);
+  /// The frame `ticket` is live for, or null when the ticket is stale.
+  PageFrame* LiveFrame(const Ticket& ticket);
+  /// Retires the stale tickets, keeping the order of the rest and the hand
+  /// on the same next ticket.
   void CompactRing();
 
   Pager* pager_;
   size_t capacity_frames_;
   std::unordered_map<PageId, PageFrame> frames_;
-  /// Insertion ring the clock hand walks. A dropped page leaves its ticket
-  /// stale until the hand retires it or the ring is compacted.
-  std::vector<PageId> clock_order_;
+  /// Insertion ring the clock hand walks; each resident frame has exactly
+  /// one live ticket in it. A dropped or evicted frame's ticket stays stale
+  /// until the hand retires it or the ring is compacted.
+  std::vector<Ticket> clock_order_;
   size_t clock_hand_ = 0;
+  uint64_t next_stamp_ = 0;
   PageCacheStats stats_;
 };
 

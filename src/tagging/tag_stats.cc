@@ -37,8 +37,13 @@ const SparseDist& TagStats::Rfd() const {
 }
 
 void TagStats::SnapshotRfd() {
-  snapshots_.push_back(Rfd());
-  while (snapshots_.size() > history_window_ + 1) snapshots_.pop_front();
+  if (snapshots_.size() < history_window_ + 1) {
+    snapshots_.push_back(Rfd());
+    return;
+  }
+  // Full: the newest snapshot takes the oldest one's slot.
+  snapshots_[oldest_] = Rfd();
+  oldest_ = (oldest_ + 1) % snapshots_.size();
 }
 
 SparseDist TagStats::RfdBefore(size_t back) const {
@@ -48,9 +53,9 @@ SparseDist TagStats::RfdBefore(size_t back) const {
     // posts in total, the rfd back then was empty; otherwise the snapshot
     // was evicted and we conservatively return the oldest retained one.
     if (post_count_ <= back) return SparseDist();
-    return snapshots_.empty() ? SparseDist() : snapshots_.front();
+    return snapshots_.empty() ? SparseDist() : Snapshot(0);
   }
-  return snapshots_[snapshots_.size() - 1 - back];
+  return Snapshot(snapshots_.size() - 1 - back);
 }
 
 double TagStats::StabilityDistance(DistanceKind kind, size_t back) const {

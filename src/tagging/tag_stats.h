@@ -2,7 +2,7 @@
 #define ITAG_TAGGING_TAG_STATS_H_
 
 #include <cstdint>
-#include <deque>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -64,6 +64,10 @@ class TagStats {
 
  private:
   void SnapshotRfd();
+  /// The i-th oldest retained snapshot (i < snapshots_.size()).
+  const SparseDist& Snapshot(size_t i) const {
+    return snapshots_[(oldest_ + i) % snapshots_.size()];
+  }
 
   size_t history_window_;
   std::unordered_map<TagId, uint32_t> counts_;
@@ -73,10 +77,17 @@ class TagStats {
   mutable bool rfd_dirty_ = true;
   mutable SparseDist rfd_cache_;
 
-  /// snapshots_[i] is the rfd after (post_count_ - snapshots_.size() + 1 + i)
-  /// posts; the back() entry is the rfd after the latest post.
-  std::deque<SparseDist> snapshots_;
+  /// A ring of at most history_window_ + 1 snapshots, oldest at
+  /// snapshots_[oldest_]: Snapshot(i) is the rfd after
+  /// (post_count_ - snapshots_.size() + 1 + i) posts, so the last one is
+  /// the rfd after the latest post. A vector, unlike a deque, moves without
+  /// allocating, so a growing Corpus moves its stats instead of copying.
+  std::vector<SparseDist> snapshots_;
+  size_t oldest_ = 0;
 };
+
+static_assert(std::is_nothrow_move_constructible_v<TagStats>,
+              "Corpus growth must move resource stats, not copy them");
 
 }  // namespace itag::tagging
 

@@ -9,7 +9,9 @@
 //  - a frame with the wrong api version gets a typed FailedPrecondition
 //    reply and the connection survives (bump-safe negotiation);
 //  - requests beyond max_in_flight get a typed ResourceExhausted reply;
-//  - unparseable bytes close only the offending connection.
+//  - unparseable bytes close only the offending connection;
+//  - a detail-free ProjectQuery runs on the reactor only when its view's
+//    projected gain is planned; the read that plans it runs on a worker.
 //
 // The load-bearing guarantees run parameterized at reactors ∈ {1, 4}
 // (NetServerReactorTest / NetServerHammerTest): the multi-reactor server
@@ -25,6 +27,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -454,6 +458,9 @@ TEST_P(NetServerReactorTest, ViewOnlyQueryIsAnsweredWithoutAWorker) {
   upload.project = project;
   upload.items.push_back({tagging::ResourceKind::kWebUrl, "u", "", {"seed"}});
   ASSERT_TRUE(service.BatchUploadResources(upload).outcome.all_ok());
+  // The first read of a version plans its projected gain, and that read
+  // goes to a worker; this one leaves the view planned.
+  ASSERT_TRUE(service.ProjectQuery({project, false, {}}).status.ok());
 
   // Both workers parked on Step requests; nothing else is held.
   std::atomic<int> arrived{0};
@@ -505,6 +512,97 @@ TEST_P(NetServerReactorTest, ViewOnlyQueryIsAnsweredWithoutAWorker) {
   ASSERT_TRUE(resp.status.ok());
   EXPECT_EQ(resp.details.size(), 1u);
   server.Stop();
+}
+
+// A detail-free query of a view nobody has read yet would plan the view's
+// projected gain, so it runs on a worker, not the reactor; once that read
+// planned the version, the next one is answered on the reactor.
+TEST_P(NetServerReactorTest, UnplannedViewQueryRunsOnAWorker) {
+  api::Service service(ShardOpts(1, 1));
+  ASSERT_TRUE(service.Init().ok());
+  ProviderId provider = service.RegisterProvider({"prov"}).provider;
+  api::CreateProjectRequest create;
+  create.provider = provider;
+  create.spec.name = "dash";
+  create.spec.platform = core::PlatformChoice::kAudience;
+  ProjectId project = service.CreateProject(create).project;
+  api::BatchUploadResourcesRequest upload;
+  upload.project = project;
+  upload.items.push_back({tagging::ResourceKind::kWebUrl, "u", "", {"seed"}});
+  ASSERT_TRUE(service.BatchUploadResources(upload).outcome.all_ok());
+  ASSERT_TRUE(service.sharded()->ViewReadPlans(project));
+
+  // Both workers parked on Step requests, which names their threads.
+  std::mutex mu;
+  std::set<std::thread::id> workers;
+  std::vector<std::thread::id> queries;
+  std::atomic<int> arrived{0};
+  std::atomic<bool> release{false};
+  ServerOptions opts;
+  opts.workers = 2;
+  opts.reactors = GetParam();
+  opts.before_dispatch = [&](const api::AnyRequest& req) {
+    if (std::holds_alternative<api::ProjectQueryRequest>(req)) {
+      std::lock_guard<std::mutex> lock(mu);
+      queries.push_back(std::this_thread::get_id());
+      return;
+    }
+    if (!std::holds_alternative<api::StepRequest>(req)) return;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      workers.insert(std::this_thread::get_id());
+    }
+    ++arrived;
+    while (!release.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  Server server(&service, opts);
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  obs::Counter* plans =
+      obs::MetricsRegistry::Default().GetCounter("core.projection.plans");
+  const uint64_t plans0 = plans->value();
+  Result<uint64_t> step1 =
+      client.DispatchAsync(api::AnyRequest{api::StepRequest{0}});
+  Result<uint64_t> step2 =
+      client.DispatchAsync(api::AnyRequest{api::StepRequest{0}});
+  ASSERT_TRUE(step1.ok());
+  ASSERT_TRUE(step2.ok());
+  while (arrived.load(std::memory_order_acquire) < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Unplanned: the query waits for a worker behind the parked Steps.
+  Result<uint64_t> first = client.DispatchAsync(
+      api::AnyRequest{api::ProjectQueryRequest{project, false, {}}});
+  ASSERT_TRUE(first.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(client.ready_count(), 0u);
+  EXPECT_EQ(plans->value() - plans0, 0u);
+  release.store(true, std::memory_order_release);
+  EXPECT_TRUE(client.Await(step1.value()).ok());
+  EXPECT_TRUE(client.Await(step2.value()).ok());
+  Result<api::AnyResponse> answered = client.Await(first.value());
+  ASSERT_TRUE(answered.ok());
+  const auto& resp = std::get<api::ProjectQueryResponse>(answered.value());
+  ASSERT_TRUE(resp.status.ok());
+  EXPECT_EQ(plans->value() - plans0, 1u);
+
+  // Planned: the same query is answered on the reactor, and plans nothing.
+  Result<api::ProjectQueryResponse> second =
+      client.ProjectQuery({project, false, {}});
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_TRUE(second.value().status.ok());
+  EXPECT_EQ(second.value().info.projected_gain, resp.info.projected_gain);
+  EXPECT_EQ(plans->value() - plans0, 1u);
+  server.Stop();
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(workers.size(), 2u);
+  ASSERT_EQ(queries.size(), 2u);
+  EXPECT_EQ(workers.count(queries[0]), 1u) << "unplanned read on the reactor";
+  EXPECT_EQ(workers.count(queries[1]), 0u) << "planned read on a worker";
 }
 
 // ------------------------------------------------------------- the hammer

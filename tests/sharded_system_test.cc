@@ -1,6 +1,7 @@
 // Functional (single-threaded) coverage of the sharded core: id encoding,
 // per-shard routing, broadcast user registration, cross-shard merges, the
-// lock-free published project views, the Quality Manager's per-resource
+// lock-free published project views and their projected gains, planned
+// by the first read of each version, the Quality Manager's per-resource
 // quality memo, and the api::Service sharded backend.
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "api/service.h"
+#include "common/random.h"
 #include "common/sharding.h"
 #include "itag/sharded_system.h"
 #include "net_test_scenario.h"
@@ -859,13 +861,14 @@ TEST_P(ProjectViewOracleTest, ViewsMatchTheFacadeAfterEveryRequest) {
         Result<std::shared_ptr<const core::ProjectView>> view =
             sys.GetProjectView(global);
         ASSERT_TRUE(view.ok()) << view.status().ToString();
-        ExpectSameInfo(view.value()->info, want);
+        ExpectSameInfo(view.value()->info(), want);
         const std::vector<core::QualityPoint>& feed = facade.QualityFeed(local);
-        ASSERT_EQ(view.value()->feed->size(), feed.size());
+        const std::vector<core::QualityPoint>& got = *view.value()->feed();
+        ASSERT_EQ(got.size(), feed.size());
         for (size_t i = 0; i < feed.size(); ++i) {
-          EXPECT_EQ((*view.value()->feed)[i].tasks, feed[i].tasks);
-          EXPECT_EQ((*view.value()->feed)[i].quality, feed[i].quality);
-          EXPECT_EQ((*view.value()->feed)[i].time, feed[i].time);
+          EXPECT_EQ(got[i].tasks, feed[i].tasks);
+          EXPECT_EQ(got[i].quality, feed[i].quality);
+          EXPECT_EQ(got[i].time, feed[i].time);
         }
       }
     }
@@ -1069,6 +1072,244 @@ TEST(QualityMemoTest, DurableRestartRecoversItsMemo) {
     EXPECT_EQ(after.projected_gain, before.projected_gain);
     ApproveRound(sys, provider, tagger, p, 8);
     oracle.Check(sys);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------------- planning on read
+
+/// Plans made so far in this process (core.projection.plans).
+uint64_t Plans() {
+  return obs::MetricsRegistry::Default()
+      .GetCounter("core.projection.plans")
+      ->value();
+}
+
+/// The facade's own, eagerly planned info of global project `p`.
+ProjectInfo FacadeInfo(ShardedSystem& sys, ProjectId p) {
+  const size_t n = sys.num_shards();
+  return sys.shard_system(ShardOfId(p, n))
+      .quality_manager()
+      .GetInfo(static_cast<ProjectId>(LocalId(p, n)))
+      .value();
+}
+
+// Writes publish unplanned views: uploads, starts and whole
+// accept/submit/decide cycles on two shards plan nothing.
+TEST(PlanOnReadTest, WriteOnlyScriptPlansNothing) {
+  ShardedSystem sys(Opts(2));
+  ASSERT_TRUE(sys.Init().ok());
+  const uint64_t plans0 = Plans();
+  ProviderId provider = sys.RegisterProvider("prov").value();
+  UserTaggerId tagger = sys.RegisterTagger("tag").value();
+  std::vector<ProjectId> projects;
+  for (int i = 0; i < 2; ++i) {
+    ProjectId p = sys.CreateProject(provider, MemoSpec()).value();
+    UploadAll(sys, p, Numbered("u", 6));
+    ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+    projects.push_back(p);
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (ProjectId p : projects) {
+      ApproveRound(sys, provider, tagger, p, 4);
+      UploadAll(sys, p, Numbered("r" + std::to_string(round) + "-", 2));
+    }
+  }
+  EXPECT_EQ(Plans() - plans0, 0u);
+}
+
+// The first read of a version plans it, through whichever reader comes
+// first; later reads of that version, through any reader, plan nothing.
+TEST(PlanOnReadTest, EachVersionIsPlannedOnceByItsFirstReader) {
+  ShardedSystem sys(Opts(2));
+  ASSERT_TRUE(sys.Init().ok());
+  ProviderId provider = sys.RegisterProvider("prov").value();
+  UserTaggerId tagger = sys.RegisterTagger("tag").value();
+  ProjectId p = sys.CreateProject(provider, MemoSpec()).value();
+  UploadAll(sys, p, Numbered("u", 5));
+  ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+  ApproveRound(sys, provider, tagger, p, 4);
+
+  const uint64_t plans0 = Plans();
+  EXPECT_TRUE(sys.ViewReadPlans(p));
+  const double gain = sys.GetProjectInfo(p).value().projected_gain;
+  EXPECT_EQ(Plans() - plans0, 1u);
+  EXPECT_FALSE(sys.ViewReadPlans(p));
+  EXPECT_EQ(sys.PeekQuality(p).value().projected_gain, gain);
+  EXPECT_EQ(sys.ListProjects(provider).at(0).projected_gain, gain);
+  EXPECT_EQ(sys.ListOpenProjects().at(0).projected_gain, gain);
+  EXPECT_EQ(sys.GetProjectView(p).value()->info().projected_gain, gain);
+  EXPECT_EQ(Plans() - plans0, 1u);
+  EXPECT_EQ(FacadeInfo(sys, p).projected_gain, gain);
+
+  // A new version is unplanned again until it is read.
+  ApproveRound(sys, provider, tagger, p, 2);
+  const uint64_t plans1 = Plans();
+  EXPECT_TRUE(sys.ViewReadPlans(p));
+  EXPECT_EQ(Plans() - plans1, 0u);
+  const double next = sys.PeekQuality(p).value().projected_gain;
+  EXPECT_EQ(Plans() - plans1, 1u);
+  EXPECT_EQ(next, FacadeInfo(sys, p).projected_gain);
+  EXPECT_FALSE(sys.ViewReadPlans(0));  // no view, nothing to plan
+}
+
+// Eight readers racing to the first read of one version make one plan
+// between them and all see its gain (run under TSan in CI).
+TEST(PlanOnReadTest, ConcurrentFirstReadsPlanOnce) {
+  ShardedSystem sys(Opts(1));
+  ASSERT_TRUE(sys.Init().ok());
+  ProviderId provider = sys.RegisterProvider("prov").value();
+  UserTaggerId tagger = sys.RegisterTagger("tag").value();
+  ProjectId p = sys.CreateProject(provider, MemoSpec()).value();
+  UploadAll(sys, p, Numbered("u", 40));
+  ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+  ApproveRound(sys, provider, tagger, p, 20);
+  ASSERT_TRUE(sys.ViewReadPlans(p));
+
+  constexpr int kReaders = 8;
+  const uint64_t plans0 = Plans();
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<double> gains(kReaders, -1.0);
+  std::vector<std::thread> readers;
+  for (int i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&, i] {
+      ++ready;
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      gains[static_cast<size_t>(i)] =
+          i % 2 == 0 ? sys.PeekQuality(p).value().projected_gain
+                     : sys.GetProjectInfo(p).value().projected_gain;
+    });
+  }
+  while (ready.load() < kReaders) std::this_thread::yield();
+  go.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(Plans() - plans0, 1u);
+  const double want = FacadeInfo(sys, p).projected_gain;
+  EXPECT_GT(want, 0.0);
+  for (double g : gains) EXPECT_EQ(g, want);
+}
+
+// A seeded mix of writes and reads on two shards: every version read
+// carries the facade's gain for that version, and the views plan each
+// version at most once, on its first read.
+TEST(PlanOnReadTest, EveryVersionReadHasTheFacadesGain) {
+  ShardedSystem sys(Opts(2));
+  ASSERT_TRUE(sys.Init().ok());
+  ProviderId provider = sys.RegisterProvider("prov").value();
+  UserTaggerId tagger = sys.RegisterTagger("tag").value();
+  std::vector<ProjectId> projects;
+  for (int i = 0; i < 3; ++i) {
+    ProjectId p = sys.CreateProject(provider, MemoSpec()).value();
+    UploadAll(sys, p, Numbered("u", 4 + i));
+    ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+    projects.push_back(p);
+  }
+  Rng rng(27, 1);
+  std::map<ProjectId, std::set<uint64_t>> read;  // versions read so far
+  size_t reads = 0;
+  for (int step = 0; step < 120; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const ProjectId p =
+        projects[rng.Uniform(static_cast<uint32_t>(projects.size()))];
+    switch (rng.Uniform(5)) {
+      case 0:
+        ApproveRound(sys, provider, tagger, p, 1 + rng.Uniform(4));
+        break;
+      case 1:
+        UploadAll(sys, p, {"s" + std::to_string(step)});
+        break;
+      case 2: {
+        core::ControlItem add{ControlAction::kAddBudget};
+        add.budget_tasks = 3;
+        ASSERT_TRUE(sys.ControlBatch(p, {add})[0].ok());
+        break;
+      }
+      default: {
+        const uint64_t plans0 = Plans();
+        const QualitySnapshot snap = sys.PeekQuality(p).value();
+        const bool first = read[p].insert(snap.version).second;
+        EXPECT_EQ(Plans() - plans0, first ? 1u : 0u);
+        EXPECT_EQ(snap.projected_gain, FacadeInfo(sys, p).projected_gain);
+        EXPECT_EQ(sys.GetProjectInfo(p).value().projected_gain,
+                  snap.projected_gain);
+        ++reads;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(reads, 30u);
+}
+
+// Step's tick loop pumps the running projects in quality order without
+// planning them, and its republish leaves the views unplanned.
+TEST(PlanOnReadTest, StepPlansNothing) {
+  ShardedSystem sys(Opts(2));
+  ASSERT_TRUE(sys.Init().ok());
+  ProviderId provider = sys.RegisterProvider("p").value();
+  ProjectSpec spec;
+  spec.name = "mturk";
+  spec.budget = 60;
+  spec.platform = core::PlatformChoice::kMTurk;
+  ProjectId p = sys.CreateProject(provider, spec).value();
+  UploadAll(sys, p, Numbered("u", 5));
+  ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+  const uint64_t plans0 = Plans();
+  for (int i = 0; i < 300; ++i) ASSERT_TRUE(sys.Step(1).ok());
+  EXPECT_EQ(Plans() - plans0, 0u);
+  EXPECT_GT(sys.PeekQuality(p).value().tasks_completed, 0u);
+  EXPECT_EQ(Plans() - plans0, 1u);
+}
+
+// Reopening a checkpointed directory publishes every view unplanned:
+// Init, a follower's Reattach of every shard and its Promote plan nothing.
+TEST(PlanOnReadTest, RecoveryReattachAndPromotePlanNothing) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("itag_plan_on_read." + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  ShardedSystemOptions opts = Opts(2);
+  opts.shard.db.directory = dir;
+  std::vector<ProjectId> projects;
+  std::vector<double> gains;
+  {
+    ShardedSystem sys(opts);
+    ASSERT_TRUE(sys.Init().ok());
+    ProviderId provider = sys.RegisterProvider("prov").value();
+    UserTaggerId tagger = sys.RegisterTagger("tag").value();
+    for (int i = 0; i < 3; ++i) {
+      ProjectId p = sys.CreateProject(provider, MemoSpec()).value();
+      UploadAll(sys, p, Numbered("u", 5));
+      ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+      ApproveRound(sys, provider, tagger, p, 3);
+      projects.push_back(p);
+      gains.push_back(sys.GetProjectInfo(p).value().projected_gain);
+    }
+    ASSERT_TRUE(sys.Checkpoint().ok());
+  }
+  {
+    const uint64_t plans0 = Plans();
+    ShardedSystem sys(opts);
+    ASSERT_TRUE(sys.Init().ok());
+    EXPECT_EQ(Plans() - plans0, 0u);
+  }
+  {
+    ShardedSystemOptions follower = opts;
+    follower.read_only = true;
+    const uint64_t plans0 = Plans();
+    ShardedSystem sys(follower);
+    ASSERT_TRUE(sys.Init().ok());
+    for (size_t s = 0; s < sys.num_shards(); ++s) {
+      ASSERT_TRUE(sys.ReattachShard(s).ok());
+    }
+    ASSERT_TRUE(sys.Promote().ok());
+    EXPECT_EQ(Plans() - plans0, 0u);
+    for (size_t i = 0; i < projects.size(); ++i) {
+      EXPECT_EQ(sys.PeekQuality(projects[i]).value().projected_gain,
+                gains[i]);
+    }
+    EXPECT_EQ(Plans() - plans0, projects.size());
   }
   std::filesystem::remove_all(dir);
 }

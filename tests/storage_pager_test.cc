@@ -466,5 +466,42 @@ TEST_F(PagerTest, ClockRingCompactionKeepsEvictionOrder) {
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
+
+// A page freed and framed again before the hand passes its old ticket
+// still has one ticket: the sweep gives the re-framed page its second
+// chance like every other frame and evicts the oldest one instead.
+TEST_F(PagerTest, ReframedPageKeepsOneClockTicket) {
+  Pager pager;
+  ASSERT_TRUE(pager.Open(Opts()).ok());
+  PageCache cache(&pager, 4 * 512);  // 4 frames
+
+  std::vector<PageId> ids;
+  for (int i = 0; i < 4; ++i) {
+    Result<PageId> alloc = pager.Allocate();
+    ASSERT_TRUE(alloc.ok());
+    ids.push_back(alloc.value());
+    ASSERT_TRUE(cache.PinNew(alloc.value(), PageType::kLeaf).ok());
+  }
+  // Free ids[1] and allocate again: the pager hands the same page back.
+  cache.Drop(ids[1]);
+  pager.Free(ids[1]);
+  Result<PageId> again = pager.Allocate();
+  ASSERT_TRUE(again.ok());
+  ASSERT_EQ(again.value(), ids[1]);
+  ASSERT_TRUE(cache.PinNew(again.value(), PageType::kOverflow).ok());
+  EXPECT_EQ(cache.resident(), 4u);
+
+  // A fifth page: the first lap clears every reference bit, so the oldest
+  // frame, ids[0], goes, and the re-framed page stays.
+  Result<PageId> fifth = pager.Allocate();
+  ASSERT_TRUE(fifth.ok());
+  ASSERT_TRUE(cache.PinNew(fifth.value(), PageType::kLeaf).ok());
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  ASSERT_TRUE(cache.Pin(ids[1]).ok());
+  EXPECT_EQ(cache.stats().misses, 0u);
+  ASSERT_TRUE(cache.Pin(ids[0]).ok());
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
 }  // namespace
 }  // namespace itag::storage::pager
