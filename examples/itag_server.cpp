@@ -3,8 +3,8 @@
 //
 //   ./itag_server [port] [max_seconds] [--db-dir=DIR] [--shards=N]
 //                 [--page-cache-mb=N] [--reactors=N] [--follow=HOST:PORT]
-//                 [--rebalance-interval-ms=N] [--rebalance-hot-ratio=R]
-//                 [--admission-rps=N] [--log-level=LEVEL]
+//                 [--rebalance-interval-ms=N] [--admission-rps=N]
+//                 [--log-level=LEVEL]
 //                 [--trace-sample-n=N] [--trace-slow-us=N]
 //                 [--trace-export=FILE]
 //
@@ -37,9 +37,9 @@
 // many-connection fleets; 0 picks one reactor per hardware thread.
 // --rebalance-interval-ms=N turns on the background shard rebalancer: it
 // samples per-shard op-rate every N ms and live-migrates a hot shard's
-// busiest project when that shard's share of the window's ops exceeds
-// --rebalance-hot-ratio=R (default 0.45). 0 (the default) leaves
-// placement static. Watch it work with `itag_client PORT --placement`.
+// busiest project when that shard carried at least 45% of the ops of two
+// windows in a row. 0 (the default) leaves placement static. Watch it
+// work with `itag_client PORT --placement`.
 // --admission-rps=N caps each project at N request units per second at
 // the api tier; over-limit requests fail with ResourceExhausted instead
 // of queueing behind a hot project's shard mutex. 0 (default) disables.
@@ -94,7 +94,6 @@ int main(int argc, char** argv) {
   long page_cache_mb = -1;  // <0 = snapshot engine, >=0 = paged engine
   size_t reactors = 1;
   size_t rebalance_interval_ms = 0;  // 0 = static placement
-  double rebalance_hot_ratio = 0.45;
   uint64_t admission_rps = 0;  // 0 = no per-project admission cap
   std::string follow;          // empty = primary, HOST:PORT = read replica
   uint64_t trace_sample_n = 1024;
@@ -113,12 +112,6 @@ int main(int argc, char** argv) {
       reactors = static_cast<size_t>(std::atol(arg + 11));
     } else if (std::strncmp(arg, "--rebalance-interval-ms=", 24) == 0) {
       rebalance_interval_ms = static_cast<size_t>(std::atol(arg + 24));
-    } else if (std::strncmp(arg, "--rebalance-hot-ratio=", 22) == 0) {
-      rebalance_hot_ratio = std::atof(arg + 22);
-      if (rebalance_hot_ratio <= 0.0 || rebalance_hot_ratio >= 1.0) {
-        std::fprintf(stderr, "--rebalance-hot-ratio must be in (0, 1)\n");
-        return 2;
-      }
     } else if (std::strncmp(arg, "--follow=", 9) == 0) {
       follow = arg + 9;
     } else if (std::strncmp(arg, "--admission-rps=", 16) == 0) {
@@ -148,7 +141,7 @@ int main(int argc, char** argv) {
                    "usage: %s [port] [max_seconds] [--db-dir=DIR] "
                    "[--shards=N] [--page-cache-mb=N] [--reactors=N] "
                    "[--follow=HOST:PORT] "
-                   "[--rebalance-interval-ms=N] [--rebalance-hot-ratio=R] "
+                   "[--rebalance-interval-ms=N] "
                    "[--admission-rps=N] [--log-level=LEVEL] "
                    "[--trace-sample-n=N] [--trace-slow-us=N] "
                    "[--trace-export=FILE]\n",
@@ -194,7 +187,6 @@ int main(int argc, char** argv) {
     shard_opts.shard.db.page_cache_mb = static_cast<size_t>(page_cache_mb);
   }
   shard_opts.rebalance_interval_ms = rebalance_interval_ms;
-  shard_opts.rebalance_hot_ratio = rebalance_hot_ratio;
   api::Service service(shard_opts);
   Status init = service.Init();
   if (!init.ok()) {
@@ -252,8 +244,7 @@ int main(int argc, char** argv) {
     std::snprintf(placement, sizeof(placement), "static placement");
   } else {
     std::snprintf(placement, sizeof(placement),
-                  "rebalancing every %zu ms at hot-ratio %.2f",
-                  rebalance_interval_ms, rebalance_hot_ratio);
+                  "rebalancing every %zu ms", rebalance_interval_ms);
   }
   std::printf(
       "itag_server listening on 127.0.0.1:%u (api v%u, %zu shards, "

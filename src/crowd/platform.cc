@@ -40,9 +40,7 @@ Status SimPlatformBase::Approve(TaskId id) {
   }
   --pending_;
   if (rec.worker < stats_.size()) ++stats_[rec.worker].approved;
-  if (ledger_ != nullptr) {
-    ledger_->Pay(rec.spec.project, rec.worker, rec.spec.pay_cents);
-  }
+  if (ledger_ != nullptr) ledger_->Pay(rec.spec.pay_cents);
   tasks_.erase(it);
   return Status::OK();
 }

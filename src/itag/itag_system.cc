@@ -35,8 +35,7 @@ Status ITagSystem::Reattach() {
   ledger_ = crowd::PaymentLedger();
   in_flight_mturk_.clear();
   in_flight_social_.clear();
-  pending_.clear();
-  accepted_.clear();
+  tasks_.clear();
   next_handle_ = 1;
   tasks_accepted_total_ = 0;
   in_flight_rows_.clear();
@@ -90,30 +89,29 @@ constexpr char kSysLedger[] = "ledger";
 constexpr char kSysMTurk[] = "mturk";
 constexpr char kSysSocial[] = "social";
 
+/// The two tables that held open tasks before the `tasks` table.
+constexpr const char* kRetiredTaskTables[] = {"accepted", "pending"};
+
 }  // namespace
 
 Status ITagSystem::AttachRuntimeState() {
-  ITAG_RETURN_IF_ERROR(db_.EnsureTable(tables::kAccepted,
-                                       SchemaBuilder()
-                                           .Int("handle")
-                                           .Int("project")
-                                           .Int("resource")
-                                           .Str("uri")
-                                           .Int("pay_cents")
-                                           .Int("tagger")
-                                           .Build()));
-  ITAG_RETURN_IF_ERROR(db_.AddUniqueIndex(tables::kAccepted, "handle"));
-  ITAG_RETURN_IF_ERROR(db_.EnsureTable(tables::kPending,
+  for (const char* retired : kRetiredTaskTables) {
+    if (db_.GetTable(retired) != nullptr) {
+      return Status::FailedPrecondition(
+          std::string("table '") + retired +
+          "' holds open tasks of the layout before the tasks table, which "
+          "this version does not read");
+    }
+  }
+  ITAG_RETURN_IF_ERROR(db_.EnsureTable(tables::kTasks,
                                        SchemaBuilder()
                                            .Int("handle")
                                            .Int("project")
                                            .Int("resource")
                                            .Int("tagger")
-                                           .Int("platform_task")
-                                           .Bool("conscientious")
                                            .Str("tags")
                                            .Build()));
-  ITAG_RETURN_IF_ERROR(db_.AddUniqueIndex(tables::kPending, "handle"));
+  ITAG_RETURN_IF_ERROR(db_.AddUniqueIndex(tables::kTasks, "handle"));
   ITAG_RETURN_IF_ERROR(db_.EnsureTable(tables::kInFlight,
                                        SchemaBuilder()
                                            .Int("platform")
@@ -121,51 +119,26 @@ Status ITagSystem::AttachRuntimeState() {
                                            .Int("project")
                                            .Int("resource")
                                            .Build()));
-  ITAG_RETURN_IF_ERROR(db_.EnsureTable(
-      tables::kLedgerProjects,
-      SchemaBuilder().Int("project").Int("cents").Build()));
-  ITAG_RETURN_IF_ERROR(db_.AddUniqueIndex(tables::kLedgerProjects, "project"));
-  ITAG_RETURN_IF_ERROR(db_.EnsureTable(
-      tables::kLedgerWorkers,
-      SchemaBuilder().Int("worker").Int("cents").Build()));
-  ITAG_RETURN_IF_ERROR(db_.AddUniqueIndex(tables::kLedgerWorkers, "worker"));
   ITAG_RETURN_IF_ERROR(
       db_.EnsureTable(tables::kSys, SchemaBuilder().Str("k").Str("v").Build()));
   ITAG_RETURN_IF_ERROR(db_.AddUniqueIndex(tables::kSys, "k"));
 
   // ---- restore: workflow maps.
-  ITAG_RETURN_IF_ERROR(db_.GetTable(tables::kAccepted)
-      ->Scan([&](storage::RowId rid, const Row& row) {
-        (void)rid;
-        AcceptedTask task;
+  Status restored = Status::OK();
+  ITAG_RETURN_IF_ERROR(db_.GetTable(tables::kTasks)
+      ->Scan([&](storage::RowId, const Row& row) {
+        PendingSubmission task;
         task.handle = static_cast<TaskHandle>(row[0].as_int());
         task.project = static_cast<ProjectId>(row[1].as_int());
         task.resource = static_cast<ResourceId>(row[2].as_int());
-        task.uri = row[3].as_string();
-        task.pay_cents = static_cast<uint32_t>(row[4].as_int());
-        accepted_.emplace(task.handle,
-                          OpenTask{std::move(task),
-                                   static_cast<UserTaggerId>(row[5].as_int())});
-        return true;
-      }));
-  Status restored = Status::OK();
-  ITAG_RETURN_IF_ERROR(db_.GetTable(tables::kPending)
-      ->Scan([&](storage::RowId rid, const Row& row) {
-        (void)rid;
-        PendingSubmission sub;
-        sub.handle = static_cast<TaskHandle>(row[0].as_int());
-        sub.project = static_cast<ProjectId>(row[1].as_int());
-        sub.resource = static_cast<ResourceId>(row[2].as_int());
-        sub.tagger = static_cast<UserTaggerId>(row[3].as_int());
-        sub.platform_task = static_cast<crowd::TaskId>(row[4].as_int());
-        sub.conscientious_hint = row[5].as_bool();
-        ByteReader r(row[6].as_string());
-        if (!r.StrVec(&sub.tags) || !r.AtEnd()) {
-          restored = Status::Corruption("malformed pending submission " +
-                                        std::to_string(sub.handle));
+        task.tagger = static_cast<UserTaggerId>(row[3].as_int());
+        ByteReader r(row[4].as_string());
+        if (!r.StrVec(&task.tags) || !r.AtEnd()) {
+          restored = Status::Corruption("malformed tags of task " +
+                                        std::to_string(task.handle));
           return false;
         }
-        pending_.emplace(sub.handle, std::move(sub));
+        tasks_.emplace(task.handle, std::move(task));
         return true;
       }));
   ITAG_RETURN_IF_ERROR(restored);
@@ -182,22 +155,7 @@ Status ITagSystem::AttachRuntimeState() {
         return true;
       }));
 
-  // ---- restore: ledger balances, then arm the write-through sink.
-  ITAG_RETURN_IF_ERROR(db_.GetTable(tables::kLedgerProjects)
-      ->Scan([&](storage::RowId, const Row& row) {
-        ledger_.RestoreProjectSpend(static_cast<ProjectId>(row[0].as_int()),
-                                    static_cast<uint64_t>(row[1].as_int()));
-        return true;
-      }));
-  ITAG_RETURN_IF_ERROR(db_.GetTable(tables::kLedgerWorkers)
-      ->Scan([&](storage::RowId, const Row& row) {
-        ledger_.RestoreWorkerEarnings(
-            static_cast<crowd::WorkerId>(row[0].as_int()),
-            static_cast<uint64_t>(row[1].as_int()));
-        return true;
-      }));
-
-  // ---- restore: sys rows (scalars, ledger totals, platform blobs).
+  // ---- restore: sys rows (scalars, payment totals, platform blobs).
   std::map<std::string, std::string> sys;
   ITAG_RETURN_IF_ERROR(
       db_.GetTable(tables::kSys)->Scan([&](storage::RowId, const Row& row) {
@@ -226,6 +184,7 @@ Status ITagSystem::AttachRuntimeState() {
     }
     ledger_.RestoreTotals(total, count);
   }
+  persisted_payments_ = ledger_.PaymentCount();
   if (auto it = sys.find(kSysMTurk); it != sys.end()) {
     if (!mturk_->RestoreState(it->second)) {
       return Status::Corruption("malformed mturk platform state");
@@ -236,35 +195,15 @@ Status ITagSystem::AttachRuntimeState() {
       return Status::Corruption("malformed social platform state");
     }
   }
-
-  // A payment marks the balance rows it moved; they are written once per
-  // call, when its batch closes, or at once when no batch is open.
-  ledger_.set_pay_sink([this](crowd::ProjectRef project,
-                              crowd::WorkerId worker, uint32_t cents) {
-    (void)cents;  // rows carry the already-applied balances
-    dirty_spend_.Mark(project);
-    dirty_earnings_.Mark(worker);
-    dirty_totals_ = true;
-    if (db_.batch_depth() == 0) FlushDirtyRows();
-  });
   return Status::OK();
 }
 
 void ITagSystem::FlushDirtyRows() {
   (void)users_->FlushDirty();
-  for (crowd::ProjectRef project : dirty_spend_.Take()) {
-    (void)db_.Upsert(
-        tables::kLedgerProjects,
-        {Value::Int(static_cast<int64_t>(project)),
-         Value::Int(static_cast<int64_t>(ledger_.ProjectSpend(project)))});
-  }
-  for (crowd::WorkerId worker : dirty_earnings_.Take()) {
-    (void)db_.Upsert(
-        tables::kLedgerWorkers,
-        {Value::Int(static_cast<int64_t>(worker)),
-         Value::Int(static_cast<int64_t>(ledger_.WorkerEarnings(worker)))});
-  }
-  if (std::exchange(dirty_totals_, false)) {
+  // Every payment is made inside a call (SettleApproval, directly or
+  // through a platform's Approve), so the totals row is written at its end.
+  if (ledger_.PaymentCount() != persisted_payments_) {
+    persisted_payments_ = ledger_.PaymentCount();
     ByteWriter totals;
     totals.U64(ledger_.TotalPaid());
     totals.U64(ledger_.PaymentCount());
@@ -293,41 +232,22 @@ void ITagSystem::PersistPlatforms() {
   PersistSys(kSysSocial, social_->EncodeState());
 }
 
-void ITagSystem::PersistAccepted(const AcceptedTask& task,
-                                 UserTaggerId tagger) {
-  (void)db_.Insert(tables::kAccepted,
+void ITagSystem::PersistTask(const PendingSubmission& task) {
+  ByteWriter tags;
+  tags.StrVec(task.tags);
+  (void)db_.Upsert(tables::kTasks,
                    {Value::Int(static_cast<int64_t>(task.handle)),
                     Value::Int(static_cast<int64_t>(task.project)),
                     Value::Int(static_cast<int64_t>(task.resource)),
-                    Value::Str(task.uri), Value::Int(task.pay_cents),
-                    Value::Int(static_cast<int64_t>(tagger))});
-}
-
-void ITagSystem::DeleteAccepted(TaskHandle handle) {
-  const storage::Table* t = db_.GetTable(tables::kAccepted);
-  Result<storage::RowId> rid =
-      t->LookupUnique("handle", Value::Int(static_cast<int64_t>(handle)));
-  if (rid.ok()) (void)db_.Delete(tables::kAccepted, rid.value());
-}
-
-void ITagSystem::PersistPending(const PendingSubmission& sub) {
-  ByteWriter tags;
-  tags.StrVec(sub.tags);
-  (void)db_.Insert(tables::kPending,
-                   {Value::Int(static_cast<int64_t>(sub.handle)),
-                    Value::Int(static_cast<int64_t>(sub.project)),
-                    Value::Int(static_cast<int64_t>(sub.resource)),
-                    Value::Int(static_cast<int64_t>(sub.tagger)),
-                    Value::Int(static_cast<int64_t>(sub.platform_task)),
-                    Value::Bool(sub.conscientious_hint),
+                    Value::Int(static_cast<int64_t>(task.tagger)),
                     Value::Str(tags.Take())});
 }
 
-void ITagSystem::DeletePending(TaskHandle handle) {
-  const storage::Table* t = db_.GetTable(tables::kPending);
+void ITagSystem::DeleteTask(TaskHandle handle) {
+  const storage::Table* t = db_.GetTable(tables::kTasks);
   Result<storage::RowId> rid =
       t->LookupUnique("handle", Value::Int(static_cast<int64_t>(handle)));
-  if (rid.ok()) (void)db_.Delete(tables::kPending, rid.value());
+  if (rid.ok()) (void)db_.Delete(tables::kTasks, rid.value());
 }
 
 void ITagSystem::PersistInFlight(int platform, crowd::TaskId task,
@@ -489,9 +409,9 @@ std::vector<Notification> ITagSystem::LatestNotifications(ProviderId provider,
 std::vector<PendingSubmission> ITagSystem::PendingApprovals(
     ProjectId project) const {
   std::vector<PendingSubmission> out;
-  for (const auto& [handle, sub] : pending_) {
+  for (const auto& [handle, task] : tasks_) {
     (void)handle;
-    if (sub.project == project) out.push_back(sub);
+    if (task.project == project && !task.tags.empty()) out.push_back(task);
   }
   return out;
 }
@@ -526,8 +446,7 @@ Status ITagSystem::SettleApproval(const PendingSubmission& sub,
   if (sub.tagger != static_cast<UserTaggerId>(-1)) {
     ITAG_RETURN_IF_ERROR(users_->RecordDecision(
         rec->provider, sub.tagger, true, rec->spec.pay_cents));
-    ledger_.Pay(sub.project, static_cast<crowd::WorkerId>(sub.tagger),
-                rec->spec.pay_cents);
+    ledger_.Pay(rec->spec.pay_cents);
   } else {
     ITAG_RETURN_IF_ERROR(users_->RecordProviderDecision(rec->provider, true));
   }
@@ -548,6 +467,7 @@ Status ITagSystem::ApplyRejection(const PendingSubmission& sub,
         users_->RecordProviderDecision(rec->provider, false));
   }
   // Refund the task and retry the resource.
+  MarkChanged(sub.project);
   ITAG_RETURN_IF_ERROR(quality_->RefundTask(sub.project));
   (void)quality_->Control(sub.project,
                           {ControlAction::kPromoteResource, sub.resource});
@@ -571,8 +491,9 @@ std::vector<Status> ITagSystem::DecideBatch(
   std::map<ProjectId, std::vector<QueuedApproval>> approved;
 
   for (const auto& [handle, approve] : decisions) {
-    auto it = pending_.find(handle);
-    if (it == pending_.end()) {
+    auto it = tasks_.find(handle);
+    if (it == tasks_.end() || it->second.tags.empty()) {
+      // Never issued, not yet submitted, or already decided.
       out.push_back(Status::NotFound("submission " + std::to_string(handle)));
       continue;
     }
@@ -592,29 +513,29 @@ std::vector<Status> ITagSystem::DecideBatch(
     // it arrives, so no decision reaches a platform.
     if (!approve) {
       out.push_back(ApplyRejection(sub, rec, nullptr));
-      pending_.erase(it);
-      DeletePending(handle);
+      tasks_.erase(it);
+      DeleteTask(handle);
       continue;
     }
     tagging::Corpus* corpus = resources_->GetCorpus(sub.project);
     if (corpus == nullptr) {
       out.push_back(Status::Internal("corpus missing"));
-      pending_.erase(it);
-      DeletePending(handle);
+      tasks_.erase(it);
+      DeleteTask(handle);
       continue;
     }
     Result<tagging::Post> post = BuildPost(sub, corpus);
     if (!post.ok()) {
       out.push_back(post.status());
-      pending_.erase(it);
-      DeletePending(handle);
+      tasks_.erase(it);
+      DeleteTask(handle);
       continue;
     }
     approved[sub.project].push_back(
         {{sub, std::move(post).value()}, out.size()});
     out.push_back(Status::OK());  // finalized by the flush below
-    pending_.erase(it);
-    DeletePending(handle);
+    tasks_.erase(it);
+    DeleteTask(handle);
   }
 
   // One corpus/quality pass per touched project; a submission is only
@@ -659,8 +580,8 @@ Result<ITagSystem::ProjectBundle> ITagSystem::ExtractProject(
   }
   // Posted platform tasks reference this shard's simulator (task ids,
   // worker state) and cannot be carried across; the rebalancer retries once
-  // the in-flight window drains. Audience workflow entries are plain data
-  // and travel with the bundle.
+  // the in-flight window drains. Open audience tasks are plain data and
+  // travel with the bundle.
   for (const auto* in_flight : {&in_flight_mturk_, &in_flight_social_}) {
     for (const auto& [task, flight] : *in_flight) {
       (void)task;
@@ -678,18 +599,15 @@ Result<ITagSystem::ProjectBundle> ITagSystem::ExtractProject(
                         quality_->EncodeProjectRow(project));
   bundle.feed = quality_->QualityFeed(project);
   ITAG_ASSIGN_OR_RETURN(bundle.corpus, resources_->ExtractCorpus(project));
-  for (const auto& [handle, open] : accepted_) {
-    const AcceptedTask& task = open.task;
-    if (task.project != project) continue;
-    bundle.accepted.push_back(
-        {handle, task.resource, task.uri, task.pay_cents, open.tagger});
+  for (const auto& [handle, task] : tasks_) {
+    (void)handle;
+    if (task.project == project) bundle.tasks.push_back(task);
   }
-  for (const auto& [handle, sub] : pending_) {
-    if (sub.project != project) continue;
-    bundle.pending.push_back(
-        {handle, sub.resource, sub.tagger, sub.conscientious_hint, sub.tags});
-  }
-  bundle.ledger_spend_cents = ledger_.ProjectSpend(project);
+  // Adoption renumbers in bundle order: the unsubmitted tasks first, then
+  // the submitted ones, each oldest first.
+  std::stable_partition(
+      bundle.tasks.begin(), bundle.tasks.end(),
+      [](const PendingSubmission& task) { return task.tags.empty(); });
   return bundle;
 }
 
@@ -701,36 +619,15 @@ Result<ProjectId> ITagSystem::AdoptProject(
   ITAG_RETURN_IF_ERROR(resources_->AdoptCorpus(id, bundle.corpus));
   ITAG_RETURN_IF_ERROR(
       quality_->AdoptProject(id, bundle.project_row, bundle.feed));
-  // Workflow entries are renumbered onto this shard's handle counter (the
-  // source handles may already be taken here); the caller records the
-  // mapping so client-held handles keep resolving.
-  for (const ProjectBundle::BundledAccepted& a : bundle.accepted) {
-    AcceptedTask task;
+  // Open tasks are renumbered onto this shard's handle counter (the source
+  // handles may already be taken here); the caller records the mapping so
+  // client-held handles keep resolving.
+  for (PendingSubmission task : bundle.tasks) {
+    handle_map->emplace_back(task.handle, next_handle_);
     task.handle = next_handle_++;
     task.project = id;
-    task.resource = a.resource;
-    task.uri = a.uri;
-    task.pay_cents = a.pay_cents;
-    accepted_.emplace(task.handle, OpenTask{task, a.tagger});
-    PersistAccepted(task, a.tagger);
-    handle_map->emplace_back(a.handle, task.handle);
-  }
-  for (const ProjectBundle::BundledPending& p : bundle.pending) {
-    PendingSubmission sub;
-    sub.handle = next_handle_++;
-    sub.project = id;
-    sub.resource = p.resource;
-    sub.tagger = p.tagger;
-    sub.conscientious_hint = p.conscientious;
-    sub.tags = p.tags;
-    PersistPending(sub);
-    handle_map->emplace_back(p.handle, sub.handle);
-    pending_.emplace(sub.handle, std::move(sub));
-  }
-  ledger_.AdoptProjectSpend(id, bundle.ledger_spend_cents);
-  if (bundle.ledger_spend_cents > 0) {
-    dirty_spend_.Mark(id);
-    dirty_totals_ = true;
+    PersistTask(task);
+    tasks_.emplace(task.handle, std::move(task));
   }
   PersistCore();
   MarkChanged(id);
@@ -745,30 +642,15 @@ Status ITagSystem::EraseProject(ProjectId project) {
   // gone and keeps one a failed erase left behind.
   CallScope call(this);
   MarkChanged(project);
-  for (auto it = accepted_.begin(); it != accepted_.end();) {
-    if (it->second.task.project != project) {
-      ++it;
-      continue;
-    }
-    TaskHandle handle = it->first;
-    it = accepted_.erase(it);
-    DeleteAccepted(handle);
-  }
-  for (auto it = pending_.begin(); it != pending_.end();) {
+  for (auto it = tasks_.begin(); it != tasks_.end();) {
     if (it->second.project != project) {
       ++it;
       continue;
     }
     TaskHandle handle = it->first;
-    it = pending_.erase(it);
-    DeletePending(handle);
+    it = tasks_.erase(it);
+    DeleteTask(handle);
   }
-  uint64_t spend = ledger_.DropProjectSpend(project);
-  Result<storage::RowId> rid =
-      db_.GetTable(tables::kLedgerProjects)
-          ->LookupUnique("project", Value::Int(static_cast<int64_t>(project)));
-  if (rid.ok()) (void)db_.Delete(tables::kLedgerProjects, rid.value());
-  if (spend > 0) dirty_totals_ = true;
   ITAG_RETURN_IF_ERROR(quality_->DropProject(project));
   return resources_->DropCorpus(project);
 }
@@ -798,15 +680,15 @@ Result<std::vector<AcceptedTask>> ITagSystem::AcceptTasks(UserTaggerId tagger,
   std::vector<AcceptedTask> tasks;
   tasks.reserve(resources.size());
   for (ResourceId resource : resources) {
-    AcceptedTask task;
-    task.handle = next_handle_++;
-    task.project = project;
-    task.resource = resource;
-    task.uri = corpus->resource(resource).uri;
-    task.pay_cents = rec->spec.pay_cents;
-    accepted_.emplace(task.handle, OpenTask{task, tagger});
-    PersistAccepted(task, tagger);
-    tasks.push_back(std::move(task));
+    PendingSubmission open;
+    open.handle = next_handle_++;
+    open.project = project;
+    open.resource = resource;
+    open.tagger = tagger;
+    PersistTask(open);
+    tasks_.emplace(open.handle, open);
+    tasks.push_back({open.handle, project, resource,
+                     corpus->resource(resource).uri, rec->spec.pay_cents});
   }
   tasks_accepted_total_ += tasks.size();
   PersistCore();
@@ -816,10 +698,10 @@ Result<std::vector<AcceptedTask>> ITagSystem::AcceptTasks(UserTaggerId tagger,
 
 Status ITagSystem::SubmitTags(UserTaggerId tagger, TaskHandle handle,
                               const std::vector<std::string>& raw_tags) {
-  auto it = accepted_.find(handle);
-  if (it == accepted_.end()) {
-    // NotFound for any handle without an open accepted task — never-issued
-    // handles and already-submitted ones look the same to the caller.
+  auto it = tasks_.find(handle);
+  if (it == tasks_.end() || !it->second.tags.empty()) {
+    // NotFound for any handle without an open unsubmitted task — never-
+    // issued handles and already-submitted ones look the same to the caller.
     return Status::NotFound("task " + std::to_string(handle));
   }
   if (it->second.tagger != tagger) {
@@ -833,16 +715,8 @@ Status ITagSystem::SubmitTags(UserTaggerId tagger, TaskHandle handle,
   if (normalized.empty()) {
     return Status::InvalidArgument("no usable tags in submission");
   }
-  PendingSubmission sub;
-  sub.handle = handle;
-  sub.project = it->second.task.project;
-  sub.resource = it->second.task.resource;
-  sub.tagger = tagger;
-  sub.tags = std::move(normalized);
-  PersistPending(sub);
-  pending_.emplace(handle, std::move(sub));
-  accepted_.erase(it);
-  DeleteAccepted(handle);
+  it->second.tags = std::move(normalized);
+  PersistTask(it->second);
   return users_->RecordSubmission(tagger);
 }
 
@@ -986,6 +860,7 @@ Status ITagSystem::PumpProject(ProjectId project,
   Result<std::vector<ResourceId>> chosen =
       quality_->ChooseTaskBatch(project, kMaxOpenTasksPerProject - ours);
   if (!chosen.ok()) return Status::OK();  // paused / exhausted / no resource
+  MarkChanged(project);  // the draw debited the budget
   const std::vector<ResourceId>& resources = chosen.value();
   for (size_t i = 0; i < resources.size(); ++i) {
     crowd::TaskSpec spec;
@@ -1020,9 +895,6 @@ Status ITagSystem::Step(Tick ticks) {
     PersistCore();
     PersistPlatforms();
   }
-  if (publish_hook_) {
-    for (ProjectId project : quality_->ProjectIds()) MarkChanged(project);
-  }
   return result;
 }
 
@@ -1049,6 +921,7 @@ Status ITagSystem::RunTicks(Tick target) {
       }
     }
     for (auto& [project, items] : approved) {
+      MarkChanged(project);
       std::vector<std::pair<ResourceId, tagging::Post>> posts;
       posts.reserve(items.size());
       for (ApprovedItem& item : items) {

@@ -39,19 +39,23 @@ struct ITagSystemOptions {
   uint64_t seed = 2014;
 };
 
-/// A pending submission awaiting the provider's Approve/Disapprove decision
-/// (the Notification section workflow of Fig. 6).
+/// An open audience task, from AcceptTasks until its decision: accepted by
+/// `tagger`, and once SubmitTagsBatch gives it tags, a pending submission
+/// awaiting the provider's Approve/Disapprove decision (the Notification
+/// section workflow of Fig. 6). Step also builds one for each platform
+/// worker's submission, to moderate it as it arrives.
 struct PendingSubmission {
   TaskHandle handle = 0;
   ProjectId project = 0;
   tagging::ResourceId resource = 0;
   /// Registered tagger for audience submissions; kInvalid for platform
-  /// workers (those are paid through the platform's ledger instead).
+  /// workers (those are paid through the platform instead).
   UserTaggerId tagger = static_cast<UserTaggerId>(-1);
-  /// The platform task of a submission Step moderates as it arrives; 0 for
-  /// audience submissions, the only ones that wait for a DecideBatch.
+  /// The platform task of a submission Step moderates; 0 for audience
+  /// tasks, the only ones that are kept open.
   crowd::TaskId platform_task = 0;
-  std::vector<std::string> tags;    ///< normalized tag texts
+  /// Normalized tag texts; empty until the task is submitted.
+  std::vector<std::string> tags;
   /// Hidden simulation hint: whether the submitting worker was
   /// conscientious. Approval policies may use it to model the provider's
   /// quality judgement; it never reaches strategies.
@@ -118,39 +122,48 @@ struct CheckpointInfo {
 /// engine and the simulated crowdsourcing platforms behind the provider and
 /// tagger APIs of §III. Single-threaded; time advances through Step().
 ///
+/// State: each open audience task is one row of the `tasks` table, from
+/// its acceptance until its decision, and the payment ledger keeps totals
+/// only (one `sys` row).
+///
 /// Writes: each mutating call is one atomic WAL batch. The tagger,
-/// provider and ledger rows it changes are written once each, with their
-/// final values, when the call ends, however many of its items touched them.
+/// provider and ledger-totals rows it changes are written once each, with
+/// their final values, when the call ends, however many of its items
+/// touched them.
 ///
 /// Publication: once per outermost mutating call, after its batch commits,
 /// the facade hands every project whose info or feed that call may have
 /// changed to the installed PublishHook. These are create, upload and
 /// import, ControlBatch and AcceptTasks (each on OK), the projects a
-/// DecideBatch touched, every project on Step, and adopt and erase.
-/// SubmitTagsBatch only moves the pending set, so it publishes nothing.
-/// Init and Reattach publish nothing either: the embedder republishes
-/// everything once its own routing state is loaded.
+/// DecideBatch touched, the platform projects a Step drew tasks for or
+/// decided submissions of, and adopt and erase. SubmitTagsBatch only
+/// fills in open tasks, so it publishes nothing. Init and Reattach publish
+/// nothing either: the embedder republishes everything once its own
+/// routing state is loaded.
 class ITagSystem {
  public:
   explicit ITagSystem(ITagSystemOptions options = {});
 
   /// Opens storage and attaches managers. On a durable database this is
   /// also the recovery path: every manager rehydrates from its tables, the
-  /// workflow maps (accepted tasks, pending approvals, in-flight platform
-  /// tasks), the payment ledger, the platform simulators, the clock and the
-  /// RNG stream are restored, so close-and-reopen (or crash-and-reopen; the
-  /// WAL replays to the last complete record) resumes the system bit-equal
-  /// to the uninterrupted run. Must be called once before use.
+  /// workflow maps (open tasks, in-flight platform tasks), the payment
+  /// totals, the platform simulators, the clock and the RNG stream are
+  /// restored, so close-and-reopen (or crash-and-reopen; the WAL replays to
+  /// the last complete record) resumes the system bit-equal to the
+  /// uninterrupted run. FailedPrecondition, naming the table, for a
+  /// database that still holds the `accepted` or `pending` table of the
+  /// layout before the `tasks` table: its open tasks are not read. Must be
+  /// called once before use.
   Status Init();
 
   /// Re-derives every piece of in-memory state from the (already open)
   /// database, exactly like a fresh Init would — managers, workflow maps,
-  /// ledger, clock, RNG stream, platform simulators. A replication follower
-  /// calls this after applying a burst of shipped WAL records: the records
-  /// update tables, Reattach rebuilds everything derived from them. Every
-  /// database holds the same rows, so an in-memory system re-derives too.
-  /// Installed code (post source, approval policies) survives; it is code,
-  /// not data.
+  /// payment totals, clock, RNG stream, platform simulators. A replication
+  /// follower calls this after applying a burst of shipped WAL records: the
+  /// records update tables, Reattach rebuilds everything derived from them.
+  /// Every database holds the same rows, so an in-memory system re-derives
+  /// too. Installed code (post source, approval policies) survives; it is
+  /// code, not data.
   Status Reattach();
 
   /// Compacts durability state: snapshots all tables and truncates the WAL
@@ -222,7 +235,7 @@ class ITagSystem {
   std::vector<Notification> LatestNotifications(ProviderId provider,
                                                 size_t limit);
 
-  /// Pending submissions of one project, oldest first.
+  /// Submitted tasks of one project awaiting a decision, oldest first.
   std::vector<PendingSubmission> PendingApprovals(ProjectId project) const;
 
   /// Provider decisions on pending submissions (the Approve/Disapprove
@@ -304,33 +317,19 @@ class ITagSystem {
 
   // -------------------------------------------------------- shard migration
   /// Everything one project owns, lifted out of a shard: the project row
-  /// (spec, state, serialized engine), the quality feed, the corpus, the
-  /// open workflow entries (accepted tasks and audience pending
-  /// submissions), and the ledger spend balance. Self-contained — no
-  /// storage or pointer state — so ShardedSystem can extract on one shard
-  /// and adopt on another under a different local id.
+  /// (spec, state, serialized engine), the quality feed, the corpus and the
+  /// open tasks. Self-contained — no storage or pointer state — so
+  /// ShardedSystem can extract on one shard and adopt on another under a
+  /// different local id. Past payments are not the project's: they stay in
+  /// the totals of the shard that paid them.
   struct ProjectBundle {
     ProviderId provider = 0;
     storage::Row project_row;
     std::vector<QualityPoint> feed;
     ResourceManager::CorpusTransfer corpus;
-    struct BundledAccepted {
-      TaskHandle handle = 0;  ///< source-shard handle (remapped on adopt)
-      tagging::ResourceId resource = 0;
-      std::string uri;
-      uint32_t pay_cents = 0;
-      UserTaggerId tagger = 0;
-    };
-    std::vector<BundledAccepted> accepted;
-    struct BundledPending {
-      TaskHandle handle = 0;  ///< source-shard handle (remapped on adopt)
-      tagging::ResourceId resource = 0;
-      UserTaggerId tagger = 0;
-      bool conscientious = true;
-      std::vector<std::string> tags;
-    };
-    std::vector<BundledPending> pending;
-    uint64_t ledger_spend_cents = 0;
+    /// Open tasks under their source-shard handles (renumbered on adopt,
+    /// in this order: unsubmitted ones first, then submitted ones).
+    std::vector<PendingSubmission> tasks;
   };
 
   /// Serializes project `project` (shard-local id) for migration.
@@ -341,29 +340,22 @@ class ITagSystem {
   Result<ProjectBundle> ExtractProject(ProjectId project) const;
 
   /// Installs a bundle under the next free local project id (returned).
-  /// Workflow entries are renumbered onto this shard's handle counter;
+  /// Open tasks are renumbered onto this shard's handle counter;
   /// `handle_map` (required) receives the (source handle, new handle)
   /// pairs so the caller can forward client-held handles.
   Result<ProjectId> AdoptProject(
       const ProjectBundle& bundle,
       std::vector<std::pair<TaskHandle, TaskHandle>>* handle_map);
 
-  /// Removes a migrated-away project: record, corpus, workflow entries,
-  /// ledger spend, and all their persisted rows. The handle counter and
-  /// tasks_accepted_total() stay — they are shard history, not project
-  /// state.
+  /// Removes a migrated-away project: record, corpus, open tasks, and all
+  /// their persisted rows. The handle counter, tasks_accepted_total() and
+  /// the payment totals stay — they are shard history, not project state.
   Status EraseProject(ProjectId project);
 
  private:
   struct InFlight {
     ProjectId project = 0;
     tagging::ResourceId resource = 0;
-  };
-
-  /// An open accepted task and the tagger who accepted it.
-  struct OpenTask {
-    AcceptedTask task;
-    UserTaggerId tagger = 0;
   };
 
   /// One approved-but-not-yet-recorded submission of a Step tick, kept with
@@ -392,25 +384,23 @@ class ITagSystem {
   /// managers in dependency order, regenerate the worker pools from the
   /// seed, restore the runtime state. Shared with Reattach.
   Status AttachManagers();
-  /// Creates the workflow/ledger/sys tables and restores their contents.
+  /// Creates the tasks/in_flight/sys tables and restores their contents.
   Status AttachRuntimeState();
   /// Upserts one sys key/value row.
   void PersistSys(const std::string& key, std::string value);
   /// Writes each row marked dirty since the last flush once, with its
-  /// current value: the User Manager's profiles, then the ledger's project
-  /// and worker balances, then its totals (one sys row), each table in
-  /// first-mark order.
+  /// current value: the User Manager's profiles, each table in first-mark
+  /// order, then the ledger totals (one sys row) if a payment was made.
   void FlushDirtyRows();
   /// Writes the facade scalars (next handle, accepted-task counter, clock,
   /// RNG stream) as one sys row.
   void PersistCore();
   /// Serializes both platform simulators into their sys rows.
   void PersistPlatforms();
-  /// Write-through for the workflow maps.
-  void PersistAccepted(const AcceptedTask& task, UserTaggerId tagger);
-  void DeleteAccepted(TaskHandle handle);
-  void PersistPending(const PendingSubmission& sub);
-  void DeletePending(TaskHandle handle);
+  /// Write-through for the workflow maps. PersistTask inserts the row of a
+  /// new task and rewrites the row of a known one.
+  void PersistTask(const PendingSubmission& task);
+  void DeleteTask(TaskHandle handle);
   void PersistInFlight(int platform, crowd::TaskId task,
                        const InFlight& flight);
   void DeleteInFlight(int platform, crowd::TaskId task);
@@ -455,15 +445,14 @@ class ITagSystem {
   PublishHook publish_hook_;
   int call_depth_ = 0;                ///< open CallScopes
   DirtySet<ProjectId> publish_queue_;  ///< marked inside them
-  /// Ledger rows a payment, adoption or erase moved inside the open call.
-  DirtySet<crowd::ProjectRef> dirty_spend_;
-  DirtySet<crowd::WorkerId> dirty_earnings_;
-  bool dirty_totals_ = false;
+  /// ledger_.PaymentCount() as of the last ledger-totals row written or
+  /// restored; payments are only made inside calls.
+  size_t persisted_payments_ = 0;
   std::map<ProviderId, ApprovalPolicy> policies_;
   std::map<crowd::TaskId, InFlight> in_flight_mturk_;
   std::map<crowd::TaskId, InFlight> in_flight_social_;
-  std::map<TaskHandle, PendingSubmission> pending_;
-  std::map<TaskHandle, OpenTask> accepted_;
+  /// The open audience tasks, mirroring the `tasks` table.
+  std::map<TaskHandle, PendingSubmission> tasks_;
   TaskHandle next_handle_ = 1;
   uint64_t tasks_accepted_total_ = 0;
   bool initialized_ = false;

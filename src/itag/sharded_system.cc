@@ -27,6 +27,14 @@ constexpr char kSlotsTable[] = "slots";          // slot codec-key → owner
 constexpr char kHandlesTable[] = "handles";      // old handle → current
 constexpr char kIntentTable[] = "intent";        // in-progress migrations
 
+// Rebalancer thresholds. A shard is "hot" when its share of a window's
+// routed ops reaches kRebalanceHotRatio; two consecutive hot windows
+// (hysteresis) trigger one migration, and any migration resets the streak
+// (cool-down). Windows with fewer than kRebalanceMinOps routed ops are
+// ignored, so an idle system never migrates on noise.
+constexpr double kRebalanceHotRatio = 0.45;
+constexpr uint64_t kRebalanceMinOps = 64;
+
 }  // namespace
 
 ShardedSystem::ShardedSystem(ShardedSystemOptions options)
@@ -994,7 +1002,7 @@ std::vector<Status> ShardedSystem::SubmitTagsBatch(
       },
       [](size_t, ITagSystem* sys, const std::vector<TagSubmission>& group,
          const std::vector<size_t>& slots, std::vector<Status>* out) {
-        // Submissions only move the pending set, which no snapshot tracks.
+        // Submissions only fill in open tasks, which no view tracks.
         std::vector<Status> statuses = sys->SubmitTagsBatch(group);
         for (size_t j = 0; j < statuses.size(); ++j) {
           (*out)[slots[j]] = std::move(statuses[j]);
@@ -1302,7 +1310,7 @@ void ShardedSystem::RebalanceOnce() {
   auto clear_attribution = [&] {
     for (size_t s = 0; s < n; ++s) DrainAttribution(s, nullptr);
   };
-  if (total < options_.rebalance_min_ops) {  // idle window — never on noise
+  if (total < kRebalanceMinOps) {  // idle window — never on noise
     hot_streak_ = 0;
     clear_attribution();
     return;
@@ -1312,7 +1320,7 @@ void ShardedSystem::RebalanceOnce() {
     if (delta[s] > delta[hot]) hot = s;
   }
   const double ratio = static_cast<double>(delta[hot]) / total;
-  if (ratio < options_.rebalance_hot_ratio) {
+  if (ratio < kRebalanceHotRatio) {
     hot_streak_ = 0;
     clear_attribution();
     return;

@@ -39,17 +39,10 @@ struct ShardedSystemOptions {
 
   /// Sampling window of the background rebalancer, in milliseconds.
   /// 0 (the default) disables the thread entirely; placement can still be
-  /// moved explicitly through MigrateProject().
+  /// moved explicitly through MigrateProject(). The rebalancer migrates
+  /// after two consecutive windows in which one shard carried at least
+  /// 45% of at least 64 routed ops (docs/rebalancing.md).
   size_t rebalance_interval_ms = 0;
-
-  /// A shard is "hot" when its share of the window's routed ops exceeds
-  /// this ratio. Two consecutive hot windows (hysteresis) trigger one
-  /// migration; any migration resets the streak (cool-down).
-  double rebalance_hot_ratio = 0.45;
-
-  /// Windows with fewer total routed ops than this are ignored — idle
-  /// systems never migrate on noise.
-  uint64_t rebalance_min_ops = 64;
 
   /// Replication-follower mode: the system serves reads while a
   /// repl::Follower applies shipped WAL records underneath it. Init skips
@@ -307,9 +300,10 @@ class ShardedSystem {
   uint64_t TotalPaidCents() const;
 
   // ------------------------------------------------------------ placement
-  /// Moves a project (record, corpus, posts, accepted/pending tasks,
-  /// ledger spend) to `to_shard` under a brief write stall of both shards;
-  /// reads keep serving from the published views throughout. The project
+  /// Moves a project (record, corpus, posts, open tasks) to `to_shard`
+  /// under a brief write stall of both shards; reads keep serving from the
+  /// published views throughout. Its past payments stay in the totals of
+  /// the shard that paid them, so TotalPaidCents() does not change. The project
   /// keeps its global id; task handles are re-minted on the destination
   /// and the old ones keep working through the placement map's handle
   /// translation. Crash-atomic: an intent row written before the copy is
@@ -470,7 +464,7 @@ class ShardedSystem {
   /// Republishes every project view of one shard, drops views of projects
   /// it no longer holds, and refreshes its stats (shard mutex held).
   void RefreshShard(size_t shard_index) const;
-  /// Publishes current ledger/project counters (shard mutex held).
+  /// Publishes current payment/project counters (shard mutex held).
   void RefreshStats(size_t shard_index) const;
   /// Refreshes every shard (taking each shard mutex, on the pool), then
   /// sets the round-robin cursor and the clock from them. Init and Promote.

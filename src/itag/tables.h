@@ -20,8 +20,8 @@ namespace itag::core::tables {
 //                                  replay)
 //   projects (id), quality_feed,
 //   notifications                  QualityManager
-//   accepted (handle), pending (handle), in_flight, ledger_projects
-//   (project), ledger_workers (worker), sys (k)    ITagSystem facade
+//   tasks (handle), in_flight,
+//   sys (k)                        ITagSystem facade
 inline constexpr char kProviders[] = "providers";
 inline constexpr char kTaggers[] = "taggers";
 inline constexpr char kResources[] = "resources";
@@ -30,13 +30,11 @@ inline constexpr char kPosts[] = "posts";
 inline constexpr char kProjects[] = "projects";
 inline constexpr char kQualityFeed[] = "quality_feed";
 inline constexpr char kNotifications[] = "notifications";
-inline constexpr char kAccepted[] = "accepted";
-inline constexpr char kPending[] = "pending";
+/// One row per open audience task, from its acceptance until its decision.
+inline constexpr char kTasks[] = "tasks";
 inline constexpr char kInFlight[] = "in_flight";
-inline constexpr char kLedgerProjects[] = "ledger_projects";
-inline constexpr char kLedgerWorkers[] = "ledger_workers";
 /// Singleton key/value rows: clock, RNG streams, id counters, platform
-/// simulator blobs, ledger totals.
+/// simulator blobs, payment totals.
 inline constexpr char kSys[] = "sys";
 
 }  // namespace itag::core::tables

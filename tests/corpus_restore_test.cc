@@ -310,6 +310,8 @@ class UndecodableRowTest : public ::testing::Test {
     UserTaggerId tagger = s.RegisterTagger("tagger").value();
     ASSERT_TRUE(s.RegisterTagger("second").ok());
     ProjectId p = s.CreateProject(provider, AudienceSpec("p")).value();
+    tagger_ = tagger;
+    project_ = p;
     std::vector<tagging::ResourceId> ids;
     for (const Status& st : s.UploadResourceBatch(
              p,
@@ -373,6 +375,8 @@ class UndecodableRowTest : public ::testing::Test {
 
   ScratchDir dir_;
   ITagSystemOptions opts_;
+  UserTaggerId tagger_ = 0;
+  ProjectId project_ = 0;
 };
 
 TEST_F(UndecodableRowTest, TaggersRowFailsInit) {
@@ -398,6 +402,40 @@ TEST_F(UndecodableRowTest, NotificationsRowFailsInit) {
 TEST_F(UndecodableRowTest, InFlightRowFailsInit) {
   Status s = RecoverWithFirstRowOf(tables::kInFlight);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+// A `tasks` row that decodes as a row but whose tags blob does not: the
+// restore fails with Corruption naming the task's handle instead of
+// recovering the task with no tags, which would reopen it for a submit.
+TEST_F(UndecodableRowTest, TasksRowWithUndecodableTagsFailsInit) {
+  TaskHandle submitted = 0;
+  {
+    ITagSystem s(opts_);
+    ASSERT_TRUE(s.Init().ok());
+    std::vector<AcceptedTask> tasks =
+        s.AcceptTasks(tagger_, project_, 2).value();
+    ASSERT_EQ(tasks.size(), 2u);
+    submitted = tasks[1].handle;
+    ASSERT_TRUE(s.SubmitTagsBatch({{tagger_, submitted, {"gamma"}}})[0].ok());
+  }
+  {
+    storage::Database db;
+    ASSERT_TRUE(db.Open(opts_.db).ok());
+    ASSERT_TRUE(db.AddUniqueIndex(tables::kTasks, "handle").ok());
+    Result<storage::RowId> rid = db.GetTable(tables::kTasks)->LookupUnique(
+        "handle", Value::Int(static_cast<int64_t>(submitted)));
+    ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+    Row row = db.GetTable(tables::kTasks)->Get(rid.value()).value();
+    row.back() = Value::Str("\x01");  // a count, cut off after one byte
+    ASSERT_TRUE(db.Update(tables::kTasks, rid.value(), row).ok());
+    ASSERT_TRUE(db.Checkpoint().ok());
+  }
+  ITagSystem recovered(opts_);
+  Status s = recovered.Init();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("task " + std::to_string(submitted)),
+            std::string::npos)
+      << s.ToString();
 }
 
 // ------------------------------------------------------- restore oracle

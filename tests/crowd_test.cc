@@ -72,14 +72,9 @@ TEST(WorkerStatsTest, ApprovalRate) {
 
 TEST(LedgerTest, TracksFlows) {
   PaymentLedger ledger;
-  ledger.Pay(1, 10, 5);
-  ledger.Pay(1, 11, 7);
-  ledger.Pay(2, 10, 3);
-  EXPECT_EQ(ledger.ProjectSpend(1), 12u);
-  EXPECT_EQ(ledger.ProjectSpend(2), 3u);
-  EXPECT_EQ(ledger.ProjectSpend(9), 0u);
-  EXPECT_EQ(ledger.WorkerEarnings(10), 8u);
-  EXPECT_EQ(ledger.WorkerEarnings(11), 7u);
+  ledger.Pay(5);
+  ledger.Pay(7);
+  ledger.Pay(3);
   EXPECT_EQ(ledger.TotalPaid(), 15u);
   EXPECT_EQ(ledger.PaymentCount(), 3u);
 }

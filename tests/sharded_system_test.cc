@@ -491,6 +491,62 @@ TEST(ShardedMigrationTest, ProjectKeepsIdAndHandlesAcrossMoves) {
   EXPECT_EQ(sys.TotalPaidCents(), 5u * 5u);
 }
 
+// A project's past payments stay in the totals of the shard that paid
+// them, like its payment count: a migration with two accepted and two
+// submitted tasks moves no payment total, and the tasks decided after it
+// are paid by the destination.
+TEST(ShardedMigrationTest, PastPaymentsStayWithTheShardThatPaidThem) {
+  ShardedSystem sys(Opts(4));
+  ASSERT_TRUE(sys.Init().ok());
+  ProviderId provider = sys.RegisterProvider("prov").value();
+  UserTaggerId tagger = sys.RegisterTagger("tag").value();
+  ProjectId p = sys.CreateProject(provider, AudienceSpec("p", 20)).value();
+  ASSERT_EQ(ShardOfId(p, 4), 0u);
+  UploadAll(sys, p, Numbered("u", 4));
+  ASSERT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+  std::vector<AcceptedTask> paid = sys.AcceptTasks(tagger, p, 3).value();
+  for (const AcceptedTask& task : paid) {
+    ASSERT_TRUE(sys.SubmitTagsBatch({{tagger, task.handle, {"x"}}})[0].ok());
+    ASSERT_TRUE(sys.DecideBatch(provider, {{task.handle, true}})[0].ok());
+  }
+  std::vector<AcceptedTask> open = sys.AcceptTasks(tagger, p, 4).value();
+  ASSERT_EQ(open.size(), 4u);
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(sys.SubmitTagsBatch(
+                       {{tagger, open[i].handle, {"s" + std::to_string(i)}}})[0]
+                    .ok());
+  }
+  const core::ShardStats source = sys.StatsOf(0);
+  EXPECT_EQ(source.payments, 3u);
+  EXPECT_EQ(source.paid_cents, 15u);
+  const uint64_t total = sys.TotalPaidCents();
+
+  ASSERT_TRUE(sys.MigrateProject(p, 2).ok());
+  EXPECT_EQ(sys.StatsOf(0).payments, source.payments);
+  EXPECT_EQ(sys.StatsOf(0).paid_cents, source.paid_cents);
+  EXPECT_EQ(sys.StatsOf(2).payments, 0u);
+  EXPECT_EQ(sys.StatsOf(2).paid_cents, 0u);
+  EXPECT_EQ(sys.TotalPaidCents(), total);
+  std::vector<PendingSubmission> pending = sys.PendingApprovals(p);
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0].tags, std::vector<std::string>{"s0"});
+  EXPECT_EQ(pending[1].tags, std::vector<std::string>{"s1"});
+
+  // The open tasks finish on the destination, by their pre-move handles.
+  for (size_t i = 2; i < 4; ++i) {
+    ASSERT_TRUE(
+        sys.SubmitTagsBatch({{tagger, open[i].handle, {"late"}}})[0].ok());
+  }
+  for (const AcceptedTask& task : open) {
+    EXPECT_TRUE(sys.DecideBatch(provider, {{task.handle, true}})[0].ok());
+  }
+  EXPECT_EQ(sys.StatsOf(0).paid_cents, source.paid_cents);
+  EXPECT_EQ(sys.StatsOf(2).payments, 4u);
+  EXPECT_EQ(sys.StatsOf(2).paid_cents, 20u);
+  EXPECT_EQ(sys.TotalPaidCents(), total + 20u);
+  EXPECT_EQ(sys.GetTagger(tagger).value().earned_cents, 35u);
+}
+
 TEST(ShardedMigrationTest, MigrationIsEquivalentToNoMigrationReplay) {
   // The same deterministic script, with and without a mid-script migration
   // (injected while two submissions sit undecided); every observable must
@@ -645,8 +701,6 @@ TEST(ShardedMigrationTest, ConcurrentTrafficDuringMigrationMatchesReplay) {
 TEST(ShardedMigrationTest, RebalancerMovesLoadOffTheHotShard) {
   ShardedSystemOptions opts = Opts(4);
   opts.rebalance_interval_ms = 20;
-  opts.rebalance_min_ops = 16;
-  opts.rebalance_hot_ratio = 0.45;
   ShardedSystem sys(opts);
   ASSERT_TRUE(sys.Init().ok());
   ProviderId provider = sys.RegisterProvider("p").value();
@@ -1242,7 +1296,7 @@ TEST(PlanOnReadTest, EveryVersionReadHasTheFacadesGain) {
 }
 
 // Step's tick loop pumps the running projects in quality order without
-// planning them, and its republish leaves the views unplanned.
+// planning them, and the projects it changes are republished unplanned.
 TEST(PlanOnReadTest, StepPlansNothing) {
   ShardedSystem sys(Opts(2));
   ASSERT_TRUE(sys.Init().ok());
@@ -1259,6 +1313,62 @@ TEST(PlanOnReadTest, StepPlansNothing) {
   EXPECT_EQ(Plans() - plans0, 0u);
   EXPECT_GT(sys.PeekQuality(p).value().tasks_completed, 0u);
   EXPECT_EQ(Plans() - plans0, 1u);
+}
+
+/// Six started audience projects on two shards, each with one decided
+/// round, every view read once (so planned).
+std::vector<ProjectId> SixReadProjects(ShardedSystem& sys) {
+  ProviderId provider = sys.RegisterProvider("prov").value();
+  UserTaggerId tagger = sys.RegisterTagger("tag").value();
+  std::vector<ProjectId> projects;
+  for (int i = 0; i < 6; ++i) {
+    ProjectId p = sys.CreateProject(provider, MemoSpec()).value();
+    UploadAll(sys, p, Numbered("u", 5));
+    EXPECT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+    ApproveRound(sys, provider, tagger, p, 2);
+    EXPECT_GT(sys.PeekQuality(p).value().projected_gain, 0.0);
+    projects.push_back(p);
+  }
+  return projects;
+}
+
+// Step(0) changes no project, so it republishes none: reading six
+// projects, Step(0), then reading them again makes no plan and moves no
+// version.
+TEST(PlanOnReadTest, StepZeroKeepsEveryPlannedView) {
+  ShardedSystem sys(Opts(2));
+  ASSERT_TRUE(sys.Init().ok());
+  std::vector<ProjectId> projects = SixReadProjects(sys);
+  std::vector<uint64_t> versions;
+  for (ProjectId p : projects) {
+    versions.push_back(sys.PeekQuality(p).value().version);
+  }
+  const uint64_t plans0 = Plans();
+  ASSERT_TRUE(sys.Step(0).ok());
+  for (size_t i = 0; i < projects.size(); ++i) {
+    EXPECT_EQ(sys.PeekQuality(projects[i]).value().version, versions[i]);
+    EXPECT_FALSE(sys.ViewReadPlans(projects[i]));
+  }
+  EXPECT_EQ(Plans() - plans0, 0u);
+}
+
+// A Step that advances the clock with no platform project to pump moves
+// no view version either.
+TEST(PlanOnReadTest, AudienceOnlyStepMovesNoVersion) {
+  ShardedSystem sys(Opts(2));
+  ASSERT_TRUE(sys.Init().ok());
+  std::vector<ProjectId> projects = SixReadProjects(sys);
+  std::vector<uint64_t> versions;
+  for (ProjectId p : projects) {
+    versions.push_back(sys.GetProjectView(p).value()->version());
+  }
+  const uint64_t plans0 = Plans();
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(sys.Step(1).ok());
+  EXPECT_EQ(sys.Now(), 5);
+  for (size_t i = 0; i < projects.size(); ++i) {
+    EXPECT_EQ(sys.GetProjectView(projects[i]).value()->version(), versions[i]);
+  }
+  EXPECT_EQ(Plans() - plans0, 0u);
 }
 
 // Reopening a checkpointed directory publishes every view unplanned:
@@ -1312,6 +1422,88 @@ TEST(PlanOnReadTest, RecoveryReattachAndPromotePlanNothing) {
     EXPECT_EQ(Plans() - plans0, projects.size());
   }
   std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------------- step publication
+
+/// Every project's published view equals what its shard's facade computes
+/// on the spot, feed included.
+void ExpectViewsMatchFacades(ShardedSystem& sys) {
+  const size_t n = sys.num_shards();
+  for (size_t s = 0; s < n; ++s) {
+    core::ITagSystem& facade = sys.shard_system(s);
+    for (ProjectId local : facade.quality_manager().ProjectIds()) {
+      const ProjectId global = EncodeShardedId(local, s, n);
+      ProjectInfo want = facade.GetProjectInfo(local).value();
+      want.id = global;
+      Result<std::shared_ptr<const core::ProjectView>> view =
+          sys.GetProjectView(global);
+      ASSERT_TRUE(view.ok()) << view.status().ToString();
+      ExpectSameInfo(view.value()->info(), want);
+      const std::vector<core::QualityPoint>& feed = facade.QualityFeed(local);
+      const std::vector<core::QualityPoint>& got = *view.value()->feed();
+      ASSERT_EQ(got.size(), feed.size()) << "project " << global;
+      for (size_t i = 0; i < feed.size(); ++i) {
+        EXPECT_EQ(got[i].tasks, feed[i].tasks);
+        EXPECT_EQ(got[i].quality, feed[i].quality);
+        EXPECT_EQ(got[i].time, feed[i].time);
+      }
+    }
+  }
+}
+
+// Step republishes only the projects it changed: platform projects that
+// drew tasks, had approvals recorded or had a rejection refunded. After
+// every Step of a platform script (MTurk, social and audience projects on
+// two shards, a policy rejecting every fourth submission, a pause, and a
+// 20-task budget that runs out; every seventh Step a Step(0)) each view
+// still equals its facade.
+TEST(ProjectViewStepOracleTest, ViewsMatchTheFacadeAfterEveryStep) {
+  ShardedSystem sys(Opts(2));
+  ASSERT_TRUE(sys.Init().ok());
+  ProviderId provider = sys.RegisterProvider("prov").value();
+  UserTaggerId tagger = sys.RegisterTagger("tag").value();
+  auto platform_project = [&](const std::string& name, uint32_t budget,
+                              core::PlatformChoice platform, int resources) {
+    ProjectSpec spec = AudienceSpec(name, budget);
+    spec.platform = platform;
+    ProjectId p = sys.CreateProject(provider, spec).value();
+    UploadAll(sys, p, Numbered(name, resources));
+    EXPECT_TRUE(sys.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+    return p;
+  };
+  const ProjectId turk =
+      platform_project("turk", 200, core::PlatformChoice::kMTurk, 5);
+  const ProjectId social =
+      platform_project("social", 120, core::PlatformChoice::kSocialNetwork, 4);
+  const ProjectId small =
+      platform_project("small", 20, core::PlatformChoice::kMTurk, 3);
+  const ProjectId audience =
+      platform_project("aud", 30, core::PlatformChoice::kAudience, 4);
+  ApproveRound(sys, provider, tagger, audience, 3);
+  ASSERT_TRUE(sys.AcceptTasks(tagger, audience, 2).ok());
+  sys.SetApprovalPolicy(provider, [](const PendingSubmission& sub) {
+    return sub.handle % 4 != 0;
+  });
+
+  bool ran_out = false;
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE("after step " + std::to_string(step));
+    if (step == 100) {
+      ASSERT_TRUE(sys.ControlBatch(turk, {{ControlAction::kPause}})[0].ok());
+    }
+    if (step == 150) {
+      ASSERT_TRUE(sys.ControlBatch(turk, {{ControlAction::kStart}})[0].ok());
+    }
+    ASSERT_TRUE(sys.Step(step % 7 == 6 ? 0 : 1).ok());
+    ExpectViewsMatchFacades(sys);
+    if (HasFatalFailure()) return;
+    ran_out |= sys.GetProjectInfo(small).value().budget_remaining == 0;
+  }
+  EXPECT_TRUE(ran_out);
+  EXPECT_GT(sys.GetProjectInfo(turk).value().tasks_completed, 0u);
+  EXPECT_GT(sys.GetProjectInfo(social).value().tasks_completed, 0u);
+  EXPECT_GT(sys.GetProvider(provider).value().rejections_given, 0u);
 }
 
 }  // namespace
