@@ -36,10 +36,18 @@
 // is single-threaded and seeded, so the byte count repeats exactly on any
 // host and noise cannot flip this gate.
 //
+// So is the paged page file against the snapshot of the same state: at
+// kPageFileGatePosts posts the page file may be at most
+// kMaxPageFileToSnapshot times the snapshot's bytes. Rows are appended in
+// key order, so a B+tree that splits its right edge at the midpoint leaves
+// every leaf half full and a file about twice the data. Both byte counts
+// repeat exactly on any host.
+//
 // Output: tables on stdout plus BENCH_recovery.json (schema in
 // docs/benchmarks.md; the `page_cache_mb` field records the paged sweep's
-// cache budget, and `wal_gate`, `cold_open_reads_gate`, `cold_open_gate`
-// and `init_pins_gate` the four verdicts that set the exit code).
+// cache budget, and `wal_gate`, `cold_open_reads_gate`, `cold_open_gate`,
+// `init_pins_gate` and `page_file_gate` the five verdicts that set the exit
+// code).
 
 #include <algorithm>
 #include <chrono>
@@ -101,6 +109,11 @@ constexpr double kMaxWalBytesPerPost = 444.0;
 /// Page pins per row allowed across a service-level Init of a checkpointed
 /// paged directory, at every paged size.
 constexpr double kMaxInitPinsPerRow = 0.5;
+
+/// The posts at which the paged page file is weighed against the snapshot
+/// of the same state, and the most it may weigh.
+constexpr uint32_t kPageFileGatePosts = 100000;
+constexpr double kMaxPageFileToSnapshot = 1.5;
 
 /// Reopens of each checkpointed paged directory; the gate takes their
 /// median time.
@@ -406,6 +419,25 @@ int main(int argc, char** argv) {
     if (p.init_page_pins_per_row > kMaxInitPinsPerRow) init_pins_ok = false;
   }
 
+  // Gate: the page file of a checkpointed state is at most
+  // kMaxPageFileToSnapshot times that state's snapshot. Skipped when either
+  // sweep left out kPageFileGatePosts.
+  std::string page_file_gate = "skipped";
+  double page_file_ratio = 0;
+  for (const PagedSample& p : paged) {
+    for (const Sample& s : samples) {
+      if (p.posts != kPageFileGatePosts || s.posts != p.posts) continue;
+      page_file_ratio = static_cast<double>(p.page_file_bytes) /
+                        static_cast<double>(s.snapshot_bytes);
+      std::printf("gate: page file at %u posts: %.2f MB, %.2f x the "
+                  "snapshot's %.2f MB (bound %.1f)\n",
+                  p.posts, p.page_file_bytes / 1e6, page_file_ratio,
+                  s.snapshot_bytes / 1e6, kMaxPageFileToSnapshot);
+      page_file_gate =
+          page_file_ratio <= kMaxPageFileToSnapshot ? "pass" : "fail";
+    }
+  }
+
   // BENCH_*.json schema (see docs/benchmarks.md): one-line object with
   // "bench" and "host_cores", validated by the CI schema step.
   unsigned host_cores = std::thread::hardware_concurrency();
@@ -435,6 +467,11 @@ int main(int argc, char** argv) {
   json += ",\"cold_open_gate\":\"" + cold_gate + "\"";
   json += ",\"init_pins_gate\":\"" +
           std::string(init_pins_ok ? "pass" : "fail") + "\"";
+  char page_file[96];
+  std::snprintf(page_file, sizeof(page_file),
+                ",\"page_file_to_snapshot\":%.2f,\"page_file_gate\":\"%s\"",
+                page_file_ratio, page_file_gate.c_str());
+  json += page_file;
   json += ",\"page_cache_mb\":" + std::to_string(kPagedCacheMb) +
           ",\"paged\":[";
   for (size_t i = 0; i < paged.size(); ++i) {
@@ -483,6 +520,13 @@ int main(int argc, char** argv) {
                  "FAIL: paged init pins more than %.1f pages per row "
                  "(recovery reads rows one at a time)\n",
                  kMaxInitPinsPerRow);
+    exit_code = 1;
+  }
+  if (page_file_gate == "fail") {
+    std::fprintf(stderr,
+                 "FAIL: the page file outweighs the snapshot by more than "
+                 "%.1fx (appended rows leave their pages part empty)\n",
+                 kMaxPageFileToSnapshot);
     exit_code = 1;
   }
   std::printf(

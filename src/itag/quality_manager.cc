@@ -521,15 +521,18 @@ Result<std::vector<ResourceId>> QualityManager::ChooseTaskBatch(
     return Status::FailedPrecondition("project not running");
   }
   Result<std::vector<ResourceId>> chosen = rec->engine->ChooseBatch(k);
-  if (chosen.status().IsResourceExhausted() && !rec->exhausted_notified) {
+  if (chosen.status().IsResourceExhausted()) {
+    // A spent budget stops the draw before it moves the engine, so only the
+    // first such draw, which flags the notification, changes the row.
+    if (rec->exhausted_notified) return chosen;
     rec->exhausted_notified = true;  // re-armed by a top-up or a refund
     PushNotification(
         rec->provider,
         {NotificationKind::kBudgetExhausted, clock_->Now(), project,
          "budget exhausted for '" + rec->spec.name + "'"});
   }
-  // Success moved budget/assignment/RNG; failure may have flagged the
-  // exhaustion notification. Either way the row is dirty.
+  // A success moved budget/assignment/RNG, and a draw that found no
+  // eligible resource may have moved the engine's corpus view and strategy.
   PersistProject(project, *rec);
   return chosen;
 }

@@ -59,6 +59,15 @@ uint8_t* PutLeafEntry(uint8_t* p, uint64_t key, PageId head, size_t len,
   return p + kOverflowEntryBytes;
 }
 
+/// A leaf payload holding one entry, as PutLeafEntry writes it.
+std::vector<uint8_t> OneEntryLeaf(uint64_t key, PageId head,
+                                  std::string_view value) {
+  std::vector<uint8_t> out(2 + EntryBytes(head, value.size()));
+  PutLe<uint16_t>(out.data(), 1);
+  PutLeafEntry(out.data() + 2, key, head, value.size(), value.data());
+  return out;
+}
+
 /// Copies a leaf payload with bytes [from, to) replaced by `hole` bytes
 /// for the caller to fill, and the entry count set to `count`.
 std::vector<uint8_t> Splice(const std::vector<uint8_t>& payload, size_t from,
@@ -69,6 +78,21 @@ std::vector<uint8_t> Splice(const std::vector<uint8_t>& payload, size_t from,
               payload.size() - to);
   PutLe<uint16_t>(out.data(), static_cast<uint16_t>(count));
   return out;
+}
+
+/// Splice within the payload itself. The buffer is reserved to `capacity`
+/// once, so later edits of the page do not reallocate. It grows before the
+/// tail moves right and shrinks after the tail moves left, so every byte
+/// the edit touches lies inside the vector.
+void SpliceInPlace(std::vector<uint8_t>* payload, size_t capacity,
+                   size_t from, size_t to, size_t hole, size_t count) {
+  const size_t tail = payload->size() - to;
+  const size_t size = from + hole + tail;
+  if (payload->capacity() < capacity) payload->reserve(capacity);
+  if (size > payload->size()) payload->resize(size);
+  std::memmove(payload->data() + from + hole, payload->data() + to, tail);
+  payload->resize(size);
+  PutLe<uint16_t>(payload->data(), static_cast<uint16_t>(count));
 }
 
 /// One leaf entry where it sits in the payload.
@@ -478,11 +502,8 @@ Result<PagedBTree::InsertResult> PagedBTree::Write(uint64_t key,
     if (value.size() > MaxInlineValue()) {
       ITAG_ASSIGN_OR_RETURN(head, StoreChain(value));
     }
-    std::vector<uint8_t> payload(2 + EntryBytes(head, value.size()));
-    PutLe<uint16_t>(payload.data(), 1);
-    PutLeafEntry(payload.data() + 2, key, head, value.size(), value.data());
-    ITAG_ASSIGN_OR_RETURN(root_,
-                          WriteFreshNode(PageType::kLeaf, std::move(payload)));
+    ITAG_ASSIGN_OR_RETURN(
+        root_, WriteFreshNode(PageType::kLeaf, OneEntryLeaf(key, head, value)));
     return res;
   }
   ITAG_ASSIGN_OR_RETURN(res, InsertRec(root_, key, value, old));
@@ -541,8 +562,13 @@ Result<PagedBTree::InsertResult> PagedBTree::InsertRec(
         res.node, WriteNode(id, PageType::kInternal, EncodeInternal(internal)));
     return res;
   }
-  // Split the internal node, promoting the middle separator.
-  const size_t mid = internal.keys.size() / 2;
+  // Split the internal node, promoting the middle separator. When its last
+  // child split, as appends past the tree's last key make it do, it
+  // promotes the second-to-last one instead: the node keeps all but its
+  // last two children, and the new right node holds those two.
+  const size_t mid = idx + 1 == internal.keys.size()
+                         ? internal.keys.size() - 2
+                         : internal.keys.size() / 2;
   InternalNode right;
   right.keys.assign(internal.keys.begin() + static_cast<ptrdiff_t>(mid + 1),
                     internal.keys.end());
@@ -587,14 +613,29 @@ Result<PagedBTree::InsertResult> PagedBTree::InsertIntoLeaf(
       spills ? kOverflowEntryBytes : kInlineEntryHead + value.size();
   const size_t from = spot.offset;
   const size_t to = spot.found ? was.end : from;
+  const size_t count = r.count() + (spot.found ? 0 : 1);
   const bool fits = ref.payload().size() - (to - from) + entry_bytes <=
                     pager_->payload_size();
+  const bool chained = spills || (spot.found && was.head != kNullPage);
+  if (fits && !chained && pager_->IsFresh(id)) {
+    // No committed tree points at a fresh page, so it is edited where it
+    // lies and keeps its id.
+    SpliceInPlace(&ref.payload(), pager_->payload_size(), from, to,
+                  entry_bytes, count);
+    PutLeafEntry(ref.payload().data() + from, key, kNullPage, value.size(),
+                 value.data());
+    ref.MarkDirty();
+    return res;
+  }
+  // A key past the leaf's last entry splits it at its end: the leaf keeps
+  // every entry, unwritten, and the new right leaf starts with the new one
+  // alone, so ascending keys fill each leaf instead of leaving it half full.
+  const bool end_split = !fits && !spot.found && from == ref.payload().size();
   std::vector<uint8_t> spliced;
   LeafNode leaf;
   if (fits) {
-    spliced = Splice(ref.payload(), from, to, entry_bytes,
-                     r.count() + (spot.found ? 0 : 1));
-  } else {
+    spliced = Splice(ref.payload(), from, to, entry_bytes, count);
+  } else if (!end_split) {
     ITAG_RETURN_IF_ERROR(DecodeLeaf(ref.image(), &leaf));
   }
   ref.Release();
@@ -616,6 +657,14 @@ Result<PagedBTree::InsertResult> PagedBTree::InsertIntoLeaf(
                  value.data());
     ITAG_ASSIGN_OR_RETURN(res.node,
                           WriteNode(id, PageType::kLeaf, std::move(spliced)));
+    return res;
+  }
+  if (end_split) {
+    res.split = true;
+    res.split_key = key;
+    ITAG_ASSIGN_OR_RETURN(res.right,
+                          WriteFreshNode(PageType::kLeaf,
+                                         OneEntryLeaf(key, head, value)));
     return res;
   }
 
@@ -743,6 +792,13 @@ Result<PagedBTree::EraseResult> PagedBTree::EraseFromLeaf(
   if (old != nullptr && was.head == kNullPage) {
     ITAG_RETURN_IF_ERROR((*old)(was.inline_value()));
   }
+  const size_t quarter = pager_->payload_size() / 4;
+  if (was.head == kNullPage && pager_->IsFresh(id)) {
+    SpliceInPlace(&ref.payload(), pager_->payload_size(), was.begin, was.end,
+                  0, r.count() - 1);
+    ref.MarkDirty();
+    return EraseResult{id, true, ref.payload().size() < quarter};
+  }
   std::vector<uint8_t> spliced =
       Splice(ref.payload(), was.begin, was.end, 0, r.count() - 1);
   ref.Release();
@@ -754,7 +810,7 @@ Result<PagedBTree::EraseResult> PagedBTree::EraseFromLeaf(
   ITAG_RETURN_IF_ERROR(ReleaseChain(was.head, was.total_len));
   EraseResult res;
   res.found = true;
-  res.underflow = spliced.size() < pager_->payload_size() / 4;
+  res.underflow = spliced.size() < quarter;
   ITAG_ASSIGN_OR_RETURN(res.node,
                         WriteNode(id, PageType::kLeaf, std::move(spliced)));
   return res;

@@ -31,18 +31,25 @@ namespace itag::storage::pager {
 ///    of a read.
 ///
 /// Visits read the page bytes in place through one bounds-checked node
-/// reader. An insert, replace or erase that fits its leaf splices the
-/// entry's bytes into a copy of the payload, which the page takes by move;
-/// only a split, borrow or merge decodes nodes into vectors. A mutated page
-/// that predates the epoch is copied on write to a fresh page, which gives
-/// it a new id, so its parent is rewritten to point at it. A parent whose
-/// child kept its id and neither split nor underflowed is left as it is:
-/// only a fresh child keeps its id, and under the epoch rule a fresh page's
-/// parent is fresh too, so the parent's bytes are already right. The root
-/// id may change on any mutation: callers must re-read `root()` and persist
-/// it at checkpoint. Splits trigger on encoded size overflow,
-/// borrows/merges when a node falls under a quarter of the payload budget.
-/// Single-writer, like the layers below.
+/// reader. An insert, replace or erase that fits a fresh leaf (one
+/// allocated since the last commit, so no committed tree points at it) and
+/// writes or frees no overflow chain edits the cached payload where it
+/// lies. Any other edit that fits splices the entry's bytes into a copy of
+/// the payload, which the page takes by move; only a midpoint split, a
+/// borrow or a merge decodes nodes into vectors. A mutated page that
+/// predates the epoch is copied on write to a fresh page, which gives it a
+/// new id, so its parent is rewritten to point at it. A parent whose child
+/// kept its id and neither split nor underflowed is left as it is: only a
+/// fresh child keeps its id, and under the epoch rule a fresh page's parent
+/// is fresh too, so the parent's bytes are already right. The root id may
+/// change on any mutation: callers must re-read `root()` and persist it at
+/// checkpoint. Splits trigger on encoded size overflow, borrows/merges when
+/// a node falls under a quarter of the payload budget. A leaf that
+/// overflows on a key past its last entry splits at its end: it keeps its
+/// entries and the new right leaf holds the new one, and an internal node
+/// whose last child split promotes its second-to-last separator, so rows
+/// appended in key order fill their pages. Every other split is at the
+/// midpoint. Single-writer, like the layers below.
 class PagedBTree {
  public:
   /// Receives a stored value's bytes, valid only during the call. A non-OK

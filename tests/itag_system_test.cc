@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/binio.h"
+#include "itag/tables.h"
 #include "obs/metrics.h"
 #include "storage/wal.h"
 
@@ -646,6 +648,101 @@ TEST(ITagSystemDurabilityTest, PlatformStepWalBytesStayFlat) {
       << "first window " << window_bytes.front() << " bytes, last "
       << window_bytes.back();
   fs::remove_all(dir);
+}
+
+/// The WAL sub-records, batched or not, that write `table` in the log at
+/// `path`.
+size_t TableWrites(const std::string& path, const std::string& table) {
+  std::vector<storage::WalRecord> records;
+  EXPECT_TRUE(storage::ReadWal(path, &records).ok());
+  size_t writes = 0;
+  for (const storage::WalRecord& record : records) {
+    if (record.op != storage::WalOp::kBatch) {
+      writes += record.table == table;
+      continue;
+    }
+    ByteReader in(record.payload);
+    while (!in.AtEnd()) {
+      std::string bytes;
+      storage::WalRecord sub;
+      if (!in.Str(&bytes) || !storage::DecodeWalRecord(bytes, &sub)) {
+        ADD_FAILURE() << "malformed sub-record";
+        return writes;
+      }
+      writes += sub.table == table;
+    }
+  }
+  return writes;
+}
+
+// A platform project whose budget is spent draws on every Step tick and
+// finds nothing. The draw moves no engine state, and only the first one
+// changes the project row (it flags the budget-exhausted notification), so
+// later Steps write no project row. A restart still recovers the state of a
+// twin that never restarted, and both go on alike.
+TEST(ITagSystemDurabilityTest, SpentPlatformProjectStepsWriteNoProjectRow) {
+  const std::string base =
+      (fs::temp_directory_path() /
+       ("itag_system_spent." + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(base);
+  auto opts = [&base](const std::string& name) {
+    ITagSystemOptions o;
+    o.db.directory = base + "/" + name;
+    return o;
+  };
+  // A 20-task MTurk project stepped until every task is approved, then one
+  // Step more, so its first draw on the spent budget is behind it. Returns
+  // the Steps taken.
+  auto spend = [](ITagSystem& s) {
+    const ProviderId provider = s.RegisterProvider("turk").value();
+    EXPECT_TRUE(s.RegisterTagger("idle").ok());  // CaptureState reads one
+    ProjectSpec spec = AudienceSpec("spent", /*budget=*/20);
+    spec.platform = PlatformChoice::kMTurk;
+    const ProjectId p = s.CreateProject(provider, spec).value();
+    std::vector<ResourceUpload> uploads;
+    for (int i = 0; i < 8; ++i) {
+      uploads.push_back(
+          {ResourceKind::kWebUrl, "u" + std::to_string(i), "", {}});
+    }
+    std::vector<tagging::ResourceId> ids;
+    s.UploadResourceBatch(p, uploads, &ids);
+    EXPECT_TRUE(s.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+    int steps = 0;
+    for (ProjectInfo info = s.GetProjectInfo(p).value();
+         info.budget_remaining != 0 || info.tasks_completed != 20;
+         info = s.GetProjectInfo(p).value()) {
+      EXPECT_TRUE(s.Step(1).ok());
+      if (++steps == 20000) {
+        ADD_FAILURE() << "budget never spent";
+        break;
+      }
+    }
+    EXPECT_TRUE(s.Step(1).ok());
+    return steps + 1;
+  };
+  ITagSystem twin(opts("twin"));
+  ASSERT_TRUE(twin.Init().ok());
+  const int steps = spend(twin);
+  {
+    ITagSystem s(opts("restarted"));
+    ASSERT_TRUE(s.Init().ok());
+    ASSERT_EQ(spend(s), steps);
+    ASSERT_TRUE(s.Checkpoint().ok());
+    for (int i = 0; i < 100; ++i) ASSERT_TRUE(s.Step(1).ok());
+    const std::string wal = s.database().wal_path();
+    EXPECT_EQ(TableWrites(wal, tables::kProjects), 0u);
+    EXPECT_GT(TableWrites(wal, tables::kSys), 0u);  // the clock moved
+  }
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(twin.Step(1).ok());
+  ITagSystem restarted(opts("restarted"));
+  ASSERT_TRUE(restarted.Init().ok());
+  EXPECT_EQ(CaptureState(restarted, 0, 0), CaptureState(twin, 0, 0));
+  for (ITagSystem* s : {&twin, &restarted}) {
+    ASSERT_TRUE(s->Step(100).ok());
+  }
+  EXPECT_EQ(CaptureState(restarted, 0, 0), CaptureState(twin, 0, 0));
+  fs::remove_all(base);
 }
 
 // A tag cycle writes each tagger, provider and ledger row once per call,

@@ -85,6 +85,36 @@ class PagedBTreeTest : public ::testing::Test {
     EXPECT_TRUE(std::is_sorted(scanned.begin(), scanned.end()));
   }
 
+  /// Writes back every dirty page and commits the tree's current root.
+  void Commit(uint64_t lsn) {
+    ASSERT_TRUE(cache_->FlushAll().ok());
+    ASSERT_TRUE(pager_.Commit(tree_->root(), lsn).ok());
+  }
+
+  /// The tree's node count on each level, root first.
+  std::vector<size_t> PagesPerLevel() {
+    std::vector<size_t> pages;
+    for (std::vector<PageId> level = {tree_->root()}; !level.empty();) {
+      pages.push_back(level.size());
+      std::vector<PageId> below;
+      for (PageId id : level) {
+        Result<PageRef> ref = cache_->Pin(id);
+        EXPECT_TRUE(ref.ok());
+        if (!ref.ok() || ref.value().header().type != PageType::kInternal) {
+          return pages;
+        }
+        const uint8_t* p = ref.value().payload().data();
+        for (size_t i = 0; i <= size_t{p[0]} + (size_t{p[1]} << 8); ++i) {
+          const uint8_t* c = p + 2 + 4 * i;
+          below.push_back(PageId{c[0]} | PageId{c[1]} << 8 |
+                          PageId{c[2]} << 16 | PageId{c[3]} << 24);
+        }
+      }
+      level = std::move(below);
+    }
+    return pages;
+  }
+
   /// Tears the stack down and reopens the tree at the committed root.
   void Reopen() {
     tree_.reset();
@@ -209,6 +239,152 @@ TEST_F(PagedBTreeTest, SequentialInsertSplitsToMultipleLevels) {
     model[k] = std::move(v);
   }
   ExpectMatchesModel(model);
+}
+
+// Appended rows fill their pages: a leaf that overflows on a key past its
+// last entry keeps its entries, and an internal node whose last child split
+// keeps all but two children. After a commit the live pages are within 15%
+// of what the entries need, and the level over the leaves is as full;
+// splits at the midpoint leave every node about half full and need about
+// twice that.
+TEST_F(PagedBTreeTest, AscendingPutsFillTheirPages) {
+  Model model;
+  std::mt19937 rng(7);
+  size_t entry_bytes = 0;
+  for (uint64_t k = 0; k < 3000; ++k) {
+    std::string v = RandomBytes(&rng, 4 + rng() % 29);
+    entry_bytes += 8 + 1 + 2 + v.size();
+    ASSERT_TRUE(tree_->Put(k, v).ok());
+    model[k] = std::move(v);
+  }
+  Commit(1);
+  const std::vector<size_t> levels = PagesPerLevel();
+  ASSERT_EQ(levels.size(), 3u);
+  // Packed leaves, the internal levels over them at full fan-out, the two
+  // meta slots and the one page of the free list.
+  const size_t payload = pager_.payload_size();
+  const size_t fanout = (payload - 2 - 4) / 12 + 1;
+  size_t level = (entry_bytes + payload - 3) / (payload - 2);
+  size_t needed = level + 3;
+  while (level > 1) {
+    level = (level + fanout - 1) / fanout;
+    needed += level;
+  }
+  const size_t live = pager_.page_count() - pager_.free_now();
+  EXPECT_LE(live, needed * 115 / 100) << live << " live pages, " << needed
+                                      << " needed";
+  // An internal node that overflows on its last child keeps `fanout - 1`.
+  const size_t packed = (levels[2] + fanout - 2) / (fanout - 1);
+  EXPECT_LE(levels[1], packed + 1) << "over " << levels[2] << " leaves";
+  RecordProperty("live_pages", std::to_string(live));
+  RecordProperty("needed_pages", std::to_string(needed));
+  ExpectMatchesModel(model);
+}
+
+// Appends interleaved with puts below a leaf's last key, replaces and
+// erases, with a commit every 250 steps so edits meet both fresh pages,
+// edited in place, and committed ones, copied on write. The tree matches
+// the model and keeps its invariants after every step.
+TEST_F(PagedBTreeTest, AppendsMixedWithEditsMatchReferenceModel) {
+  Model model;
+  std::mt19937 rng(31);
+  uint64_t next = 0;
+  for (int step = 1; step <= 2000; ++step) {
+    const int action = static_cast<int>(rng() % 10);
+    // Inline mostly, an overflow chain now and then (payload/4 = 120).
+    const size_t len = rng() % 8 == 0 ? 130 + rng() % 300 : rng() % 60;
+    std::string v = RandomBytes(&rng, len);
+    if (action < 5 || model.empty()) {
+      next += 1 + rng() % 4;
+      Result<bool> r = tree_->Put(next, v);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(r.value());
+      model[next] = std::move(v);
+    } else if (action < 7) {
+      const uint64_t key = rng() % next;
+      Result<bool> r = tree_->Put(key, v);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r.value(), model.count(key) == 0);
+      model[key] = std::move(v);
+    } else {
+      auto it = model.lower_bound(rng() % (next + 1));
+      if (it == model.end()) it = std::prev(it);
+      std::string displaced;
+      auto capture = [&](std::string_view old) {
+        displaced.assign(old);
+        return Status::OK();
+      };
+      Result<bool> r = action < 9 ? tree_->Replace(it->first, v, capture)
+                                  : tree_->Erase(it->first, capture);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(r.value());
+      EXPECT_EQ(displaced, it->second) << "key " << it->first;
+      if (action < 9) {
+        it->second = std::move(v);
+      } else {
+        model.erase(it);
+      }
+    }
+    Result<uint64_t> count = tree_->CheckInvariants();
+    ASSERT_TRUE(count.ok()) << "step " << step << ": "
+                            << count.status().ToString();
+    ASSERT_EQ(count.value(), model.size()) << "step " << step;
+    if (step % 250 == 0) {
+      Commit(static_cast<uint64_t>(step));
+      ExpectMatchesModel(model);
+    }
+  }
+  ExpectMatchesModel(model);
+}
+
+// A fresh leaf's values cross the inline limit both ways: the replace that
+// writes a chain and the one that frees it splice a copy, the inline edits
+// between them work in place, and each replace hands back the old value. An
+// erase that empties a fresh leaf leaves it to be merged away.
+TEST_F(PagedBTreeTest, FreshLeafEditsCrossTheInlineLimitAndEmptyALeaf) {
+  Model model;
+  std::mt19937 rng(11);
+  for (uint64_t k = 0; k < 60; ++k) {
+    std::string v = RandomBytes(&rng, 20);
+    ASSERT_TRUE(tree_->Put(k, v).ok());
+    model[k] = std::move(v);
+  }
+  ASSERT_EQ(PagesPerLevel().size(), 2u);
+  for (uint64_t key : {0, 30, 59}) {
+    for (size_t len : {300, 10, 700, 0, 25}) {
+      std::string v = RandomBytes(&rng, len);
+      std::string displaced;
+      Result<bool> r = tree_->Replace(key, v, [&](std::string_view old) {
+        displaced.assign(old);
+        return Status::OK();
+      });
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_TRUE(r.value());
+      EXPECT_EQ(displaced, model[key]) << "key " << key << " len " << len;
+      model[key] = std::move(v);
+      ExpectMatchesModel(model);
+    }
+  }
+  // An append that overflows the last leaf end-splits it, so the new key
+  // sits alone in a fresh leaf, and erasing it empties that leaf.
+  for (uint64_t k = 60; k < 200; ++k) {
+    const std::string v = RandomBytes(&rng, 20);
+    ASSERT_TRUE(tree_->Put(k, v).ok());
+    Result<bool> r = tree_->Erase(k);
+    ASSERT_TRUE(r.ok() && r.value()) << r.status().ToString();
+    ExpectMatchesModel(model);
+    ASSERT_TRUE(tree_->Put(k, v).ok());
+    model[k] = v;
+  }
+  ExpectMatchesModel(model);
+  // Drain the tree from the back: every leaf empties in place in turn.
+  for (uint64_t k = 200; k-- > 0;) {
+    Result<bool> r = tree_->Erase(k);
+    ASSERT_TRUE(r.ok() && r.value()) << r.status().ToString();
+    model.erase(k);
+    if (k % 20 == 0) ExpectMatchesModel(model);
+  }
+  EXPECT_TRUE(tree_->empty());
 }
 
 TEST_F(PagedBTreeTest, ReverseInsertThenDrainForward) {
@@ -581,6 +757,55 @@ TEST_F(PagedBTreeTest, UncommittedMutationsVanishOnReopen) {
   tree_ = std::make_unique<PagedBTree>(&pager_, cache_.get(),
                                        pager_.catalog_head());
   ExpectMatchesModel(model);
+}
+
+// The epoch rule under in-place edits. After a commit, appends, replaces and
+// erases at the right edge copy the committed last leaf once and then edit
+// the fresh copy where it lies. Flushed but not committed, none of it
+// reaches the committed tree; committed, all of it reads back.
+TEST_F(PagedBTreeTest, InPlaceEditsOfTheRightEdgeLeafVanishUntilCommitted) {
+  Model committed;
+  for (uint64_t k = 0; k < 100; ++k) {
+    committed[k] = "committed-" + std::to_string(k);
+    ASSERT_TRUE(tree_->Put(k, committed[k]).ok());
+  }
+  Commit(1);
+  const PageId committed_root = tree_->root();
+
+  // Returns the model after the edits.
+  auto edit = [&] {
+    Model model = committed;
+    // Enough appends that the erases leave the new right leaf above a
+    // quarter page: a rebalance would copy the committed leaf and so hide
+    // an edit made to it in place.
+    for (uint64_t k = 100; k < 116; ++k) {
+      model[k] = "appended-" + std::to_string(k);
+      EXPECT_TRUE(tree_->Put(k, model[k]).ok());
+    }
+    for (uint64_t k : {99, 103, 115}) {
+      model[k] = "replaced-" + std::to_string(k);
+      EXPECT_TRUE(tree_->Replace(k, model[k], [](std::string_view) {
+                           return Status::OK();
+                         }).value());
+    }
+    for (uint64_t k : {98, 104}) {
+      EXPECT_TRUE(tree_->Erase(k).value());
+      model.erase(k);
+    }
+    return model;
+  };
+  const Model edited = edit();
+  ExpectMatchesModel(edited);
+  ASSERT_TRUE(cache_->FlushAll().ok());
+
+  Reopen();
+  EXPECT_EQ(pager_.catalog_head(), committed_root);
+  ExpectMatchesModel(committed);
+
+  EXPECT_EQ(edit(), edited);
+  Commit(2);
+  Reopen();
+  ExpectMatchesModel(edited);
 }
 
 TEST_F(PagedBTreeTest, DestroyFreesEveryPage) {
