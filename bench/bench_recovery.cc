@@ -31,6 +31,13 @@
 // descent per row) would pin about 3 pages per row. The sweep is seeded and
 // single-threaded, so the count repeats exactly on any host.
 //
+// The same Init is also weighed: the heap bytes it leaves allocated (the
+// mallinfo2() uordblks delta from before the system is built to after its
+// Init, with the system alive), per post. At kInitHeapGatePosts posts that
+// is gated: each post lives once, as its `posts` row, and the corpus keeps
+// only per-resource statistics, so RAM must not hold a copy of the post
+// log. Init is single-threaded, so the count repeats run to run.
+//
 // The snapshot sweep's WAL size is gated too: at the largest size the log
 // may hold at most kMaxWalBytesPerPost bytes per approved post. The sweep
 // is single-threaded and seeded, so the byte count repeats exactly on any
@@ -46,8 +53,10 @@
 // Output: tables on stdout plus BENCH_recovery.json (schema in
 // docs/benchmarks.md; the `page_cache_mb` field records the paged sweep's
 // cache budget, and `wal_gate`, `cold_open_reads_gate`, `cold_open_gate`,
-// `init_pins_gate` and `page_file_gate` the five verdicts that set the exit
-// code).
+// `init_pins_gate`, `page_file_gate` and `init_heap_gate` the six verdicts
+// that set the exit code).
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <chrono>
@@ -115,6 +124,12 @@ constexpr double kMaxInitPinsPerRow = 0.5;
 constexpr uint32_t kPageFileGatePosts = 100000;
 constexpr double kMaxPageFileToSnapshot = 1.5;
 
+/// The posts at which the heap a service-level Init holds is gated, and
+/// the most it may hold per post: half of the 249.5 bytes it held while
+/// the corpus kept every post and the `posts` table an ordered index.
+constexpr uint32_t kInitHeapGatePosts = 1000000;
+constexpr double kMaxInitHeapBytesPerPost = 249.5 / 2;
+
 /// Reopens of each checkpointed paged directory; the gate takes their
 /// median time.
 constexpr int kColdOpens = 5;
@@ -142,6 +157,7 @@ struct PagedSample {
   uint64_t cold_open_page_reads = 0;  ///< most page reads of any one open
   double init_ms = 0;  ///< service-level Init of the same directory
   double init_page_pins_per_row = 0;  ///< page pins of that Init, per row
+  double init_heap_bytes_per_post = 0;  ///< heap that Init holds, per post
   uint64_t rows = 0;
   uintmax_t page_file_bytes = 0;
 };
@@ -241,16 +257,21 @@ double TimeColdOpen(const std::string& dir, uint64_t* rows,
 
 /// Times one service-level ITagSystem::Init of a checkpointed paged
 /// directory; `pins` receives the page pins it made (the
-/// storage.page.cache_hits + cache_misses delta across the Init).
-double TimeInit(const std::string& dir, uint64_t* pins) {
+/// storage.page.cache_hits + cache_misses delta across the Init), and
+/// `heap_bytes` the heap it holds once done (the mallinfo2() uordblks delta
+/// from before the system is built, read while it is alive).
+double TimeInit(const std::string& dir, uint64_t* pins, int64_t* heap_bytes) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   obs::Counter* hits = reg.GetCounter("storage.page.cache_hits");
   obs::Counter* misses = reg.GetCounter("storage.page.cache_misses");
   const uint64_t pins_before = hits->value() + misses->value();
+  const size_t heap_before = mallinfo2().uordblks;
   auto start = std::chrono::steady_clock::now();
   core::ITagSystem system(PagedOpts(dir));
   Status init = system.Init();
   double ms = MsSince(start);
+  *heap_bytes = static_cast<int64_t>(mallinfo2().uordblks) -
+                static_cast<int64_t>(heap_before);
   *pins = hits->value() + misses->value() - pins_before;
   CheckOk(init, "paged init");
   return ms;
@@ -339,9 +360,12 @@ int main(int argc, char** argv) {
     std::sort(opens.begin(), opens.end());
     p.cold_open_ms = opens[opens.size() / 2];
     uint64_t pins = 0;
-    p.init_ms = TimeInit(dir, &pins);
+    int64_t heap_bytes = 0;
+    p.init_ms = TimeInit(dir, &pins, &heap_bytes);
     p.init_page_pins_per_row =
         static_cast<double>(pins) / static_cast<double>(p.rows);
+    p.init_heap_bytes_per_post =
+        static_cast<double>(heap_bytes) / static_cast<double>(posts);
     paged.push_back(p);
     fs::remove_all(dir);
   }
@@ -358,16 +382,19 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\npaged engine (%zu MiB cache):\n", kPagedCacheMb);
-  std::printf("%8s %10s %9s %12s %13s %13s %11s %9s %13s %12s\n", "posts",
-              "rows", "build_ms", "ckpt_ms", "first_open_ms", "cold_open_ms",
-              "page_reads", "init_ms", "pins_per_row", "pagefile_MB");
+  std::printf("%8s %10s %9s %12s %13s %13s %11s %9s %13s %12s %12s\n",
+              "posts", "rows", "build_ms", "ckpt_ms", "first_open_ms",
+              "cold_open_ms", "page_reads", "init_ms", "pins_per_row",
+              "heap_B/post", "pagefile_MB");
   for (const PagedSample& p : paged) {
     std::printf(
-        "%8u %10llu %9.1f %12.1f %13.2f %13.2f %11llu %9.1f %13.3f %12.2f\n",
+        "%8u %10llu %9.1f %12.1f %13.2f %13.2f %11llu %9.1f %13.3f %12.1f "
+        "%12.2f\n",
         p.posts, static_cast<unsigned long long>(p.rows), p.build_ms,
         p.checkpoint_ms, p.first_open_ms, p.cold_open_ms,
         static_cast<unsigned long long>(p.cold_open_page_reads), p.init_ms,
-        p.init_page_pins_per_row, p.page_file_bytes / 1e6);
+        p.init_page_pins_per_row, p.init_heap_bytes_per_post,
+        p.page_file_bytes / 1e6);
   }
 
   const Sample& largest = samples.back();
@@ -438,6 +465,20 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Gate: at kInitHeapGatePosts posts a service-level Init holds at most
+  // kMaxInitHeapBytesPerPost heap bytes per post. Skipped when the paged
+  // sweep left that size out.
+  std::string init_heap_gate = "skipped";
+  for (const PagedSample& p : paged) {
+    if (p.posts != kInitHeapGatePosts) continue;
+    std::printf("gate: paged init at %u posts holds %.1f heap bytes per post "
+                "(bound %.1f)\n",
+                p.posts, p.init_heap_bytes_per_post, kMaxInitHeapBytesPerPost);
+    init_heap_gate = p.init_heap_bytes_per_post <= kMaxInitHeapBytesPerPost
+                         ? "pass"
+                         : "fail";
+  }
+
   // BENCH_*.json schema (see docs/benchmarks.md): one-line object with
   // "bench" and "host_cores", validated by the CI schema step.
   unsigned host_cores = std::thread::hardware_concurrency();
@@ -472,6 +513,7 @@ int main(int argc, char** argv) {
                 ",\"page_file_to_snapshot\":%.2f,\"page_file_gate\":\"%s\"",
                 page_file_ratio, page_file_gate.c_str());
   json += page_file;
+  json += ",\"init_heap_gate\":\"" + init_heap_gate + "\"";
   json += ",\"page_cache_mb\":" + std::to_string(kPagedCacheMb) +
           ",\"paged\":[";
   for (size_t i = 0; i < paged.size(); ++i) {
@@ -482,12 +524,15 @@ int main(int argc, char** argv) {
                   "\"checkpoint_ms\":%.1f,\"first_open_ms\":%.2f,"
                   "\"cold_open_ms\":%.2f,"
                   "\"cold_open_page_reads\":%llu,\"init_ms\":%.1f,"
-                  "\"init_page_pins_per_row\":%.3f,\"page_file_bytes\":%llu}",
+                  "\"init_page_pins_per_row\":%.3f,"
+                  "\"init_heap_bytes_per_post\":%.1f,"
+                  "\"page_file_bytes\":%llu}",
                   i == 0 ? "" : ",", p.posts,
                   static_cast<unsigned long long>(p.rows), p.build_ms,
                   p.checkpoint_ms, p.first_open_ms, p.cold_open_ms,
                   static_cast<unsigned long long>(p.cold_open_page_reads),
                   p.init_ms, p.init_page_pins_per_row,
+                  p.init_heap_bytes_per_post,
                   static_cast<unsigned long long>(p.page_file_bytes));
     json += buf;
   }
@@ -527,6 +572,13 @@ int main(int argc, char** argv) {
                  "FAIL: the page file outweighs the snapshot by more than "
                  "%.1fx (appended rows leave their pages part empty)\n",
                  kMaxPageFileToSnapshot);
+    exit_code = 1;
+  }
+  if (init_heap_gate == "fail") {
+    std::fprintf(stderr,
+                 "FAIL: paged init holds more than %.1f heap bytes per post "
+                 "(RAM keeps a copy of the post log)\n",
+                 kMaxInitHeapBytesPerPost);
     exit_code = 1;
   }
   std::printf(

@@ -1,7 +1,7 @@
 // E9 — storage-engine microbenchmarks (the MySQL substrate of Fig. 2):
-// heap inserts, unique-index point lookups, ordered-index range scans,
-// WAL appends, and full checkpoint+recovery cycles. Validates that the
-// embedded engine sustains the manager workloads comfortably.
+// heap inserts, unique-index point lookups, WAL appends, and full
+// checkpoint+recovery cycles. Validates that the embedded engine sustains
+// the manager workloads comfortably.
 // Since the batch-API redesign it also measures the resource-ingest path
 // end to end through itag::api::Service — one-item UploadResourceBatch
 // calls on the core vs one BatchUploadResources request hitting the same
@@ -48,21 +48,6 @@ void BM_TableInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_TableInsert)->Arg(1000)->Arg(10000);
 
-void BM_TableInsertWithIndexes(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    Table t("posts", PostSchema());
-    (void)t.AddOrderedIndex("project");
-    (void)t.AddOrderedIndex("resource");
-    state.ResumeTiming();
-    for (int64_t i = 0; i < state.range(0); ++i) {
-      benchmark::DoNotOptimize(t.Insert(PostRow(i)));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TableInsertWithIndexes)->Arg(1000)->Arg(10000);
-
 void BM_UniqueLookup(benchmark::State& state) {
   Table t("users", SchemaBuilder().Int("id").Str("name").Build());
   (void)t.AddUniqueIndex("id");
@@ -77,22 +62,6 @@ void BM_UniqueLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_UniqueLookup);
-
-void BM_OrderedRangeScan(benchmark::State& state) {
-  Table t("posts", PostSchema());
-  (void)t.AddOrderedIndex("resource");
-  for (int64_t i = 0; i < 20000; ++i) {
-    (void)t.Insert(PostRow(i));
-  }
-  Rng rng(7);
-  for (auto _ : state) {
-    int64_t lo = rng.Uniform(500);
-    benchmark::DoNotOptimize(
-        t.LookupRange("resource", Value::Int(lo), Value::Int(lo + 20)));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_OrderedRangeScan);
 
 void BM_WalAppend(benchmark::State& state) {
   namespace fs = std::filesystem;

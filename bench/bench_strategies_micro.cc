@@ -35,7 +35,7 @@ void RunEngineLoop(benchmark::State& state, strategy::StrategyKind kind) {
       if (!chosen.ok()) break;
       sim::GeneratedPost gp = wl.tagger->Generate(
           chosen.value(), 0.92, task, 1, &rng);
-      (void)wl.corpus->AddPost(chosen.value(), std::move(gp.post));
+      (void)wl.corpus->AddPost(chosen.value(), gp.post);
       engine.NotifyPost(chosen.value());
     }
   }

@@ -9,6 +9,12 @@
 
 namespace itag {
 
+namespace internal {
+/// Prints `status` to stderr and aborts: what reading the value of a failed
+/// Result does.
+[[noreturn]] void DieOnFailedResult(const Status& status);
+}  // namespace internal
+
 /// Value-or-Status, the library's substitute for exceptions on fallible
 /// functions that produce a value. A Result is either OK and holds a T, or
 /// non-OK and holds only the Status.
@@ -36,17 +42,18 @@ class Result {
   /// The status (OK when a value is present).
   const Status& status() const { return status_; }
 
-  /// The held value; requires ok().
+  /// The held value. On a failed result it prints the status and aborts,
+  /// in every build.
   const T& value() const& {
-    assert(ok());
+    if (!ok()) internal::DieOnFailedResult(status_);
     return *value_;
   }
   T& value() & {
-    assert(ok());
+    if (!ok()) internal::DieOnFailedResult(status_);
     return *value_;
   }
   T&& value() && {
-    assert(ok());
+    if (!ok()) internal::DieOnFailedResult(status_);
     return std::move(*value_);
   }
 

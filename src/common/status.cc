@@ -1,5 +1,10 @@
 #include "common/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
+#include "common/result.h"
+
 namespace itag {
 
 std::string_view StatusCodeName(StatusCode code) {
@@ -41,5 +46,15 @@ std::string Status::ToString() const {
   }
   return out;
 }
+
+namespace internal {
+
+void DieOnFailedResult(const Status& status) {
+  std::fprintf(stderr, "value() of a failed Result: %s\n",
+               status.ToString().c_str());
+  std::abort();
+}
+
+}  // namespace internal
 
 }  // namespace itag

@@ -53,6 +53,12 @@ class SimPlatformBase : public CrowdPlatform {
   /// unspecified and must be discarded.
   bool RestoreState(const std::string& blob);
 
+  /// Sets the clock to `now` and nothing else: no task, worker or RNG
+  /// draw moves. The persistence layer writes a blob only when the state
+  /// after its leading clock changed, so after a restore it sets the clock
+  /// from its own, which every tick advances.
+  void SetClock(Tick now) { now_ = now; }
+
  protected:
   /// Subclass state riding the EncodeState blob (RNG position, exposure).
   virtual void EncodeExtra(ByteWriter* w) const = 0;

@@ -195,6 +195,13 @@ Status ITagSystem::AttachRuntimeState() {
       return Status::Corruption("malformed social platform state");
     }
   }
+  // A blob is not rewritten for ticks that only move its clock, so the
+  // clock it carries may trail the core clock, which every tick advances
+  // and every Step writes.
+  mturk_->SetClock(clock_.Now());
+  social_->SetClock(clock_.Now());
+  mturk_blob_ = mturk_->EncodeState();
+  social_blob_ = social_->EncodeState();
   return Status::OK();
 }
 
@@ -228,8 +235,22 @@ void ITagSystem::PersistCore() {
 }
 
 void ITagSystem::PersistPlatforms() {
-  PersistSys(kSysMTurk, mturk_->EncodeState());
-  PersistSys(kSysSocial, social_->EncodeState());
+  PersistPlatform(kSysMTurk, *mturk_, &mturk_blob_);
+  PersistPlatform(kSysSocial, *social_, &social_blob_);
+}
+
+void ITagSystem::PersistPlatform(const char* key,
+                                 const crowd::SimPlatformBase& sim,
+                                 std::string* written) {
+  std::string blob = sim.EncodeState();
+  // Every blob starts with its simulator's clock, one 8-byte tick.
+  constexpr size_t kClockBytes = sizeof(int64_t);
+  if (blob.compare(kClockBytes, std::string::npos, *written, kClockBytes,
+                   std::string::npos) == 0) {
+    return;
+  }
+  *written = blob;
+  PersistSys(key, std::move(blob));
 }
 
 void ITagSystem::PersistTask(const PendingSubmission& task) {
@@ -890,8 +911,12 @@ Status ITagSystem::Step(Tick ticks) {
   Status result = RunTicks(start + ticks);
   // Persist the non-relational runtime state whenever any tick ran — on
   // the error paths too, so the committed batch never pairs fresh
-  // relational rows with a stale clock/RNG/simulator snapshot.
+  // relational rows with a stale clock/RNG/simulator snapshot. A tick that
+  // failed part way may have left a simulator's clock behind; it is set
+  // to the core clock, as a restore sets it.
   if (clock_.Now() != start) {
+    mturk_->SetClock(clock_.Now());
+    social_->SetClock(clock_.Now());
     PersistCore();
     PersistPlatforms();
   }

@@ -395,8 +395,14 @@ class ITagSystem {
   /// Writes the facade scalars (next handle, accepted-task counter, clock,
   /// RNG stream) as one sys row.
   void PersistCore();
-  /// Serializes both platform simulators into their sys rows.
+  /// Serializes each platform simulator into its sys row, unless only its
+  /// clock moved since its blob was last written or restored.
   void PersistPlatforms();
+  /// One simulator of PersistPlatforms: upserts `sim`'s blob under `key`
+  /// unless it matches `*written` after the leading clock, and keeps what
+  /// it wrote in `*written`.
+  void PersistPlatform(const char* key, const crowd::SimPlatformBase& sim,
+                       std::string* written);
   /// Write-through for the workflow maps. PersistTask inserts the row of a
   /// new task and rewrites the row of a known one.
   void PersistTask(const PendingSubmission& task);
@@ -441,6 +447,10 @@ class ITagSystem {
   std::unique_ptr<QualityManager> quality_;
   std::unique_ptr<crowd::MTurkSim> mturk_;
   std::unique_ptr<crowd::SocialNetSim> social_;
+  /// Each simulator's blob as last written or restored; PersistPlatform
+  /// compares it past the clock.
+  std::string mturk_blob_;
+  std::string social_blob_;
   PostSource post_source_;
   PublishHook publish_hook_;
   int call_depth_ = 0;                ///< open CallScopes

@@ -125,7 +125,6 @@ Status QualityManager::Attach() {
                                             .Real("quality")
                                             .Int("time")
                                             .Build()));
-  ITAG_RETURN_IF_ERROR(db_->AddOrderedIndex(tables::kQualityFeed, "project"));
   ITAG_RETURN_IF_ERROR(db_->EnsureTable(tables::kNotifications,
                                         SchemaBuilder()
                                             .Int("provider")
@@ -263,15 +262,10 @@ Status QualityManager::DropProject(ProjectId project) {
     return Status::NotFound("project " + std::to_string(project));
   }
   projects_.erase(it);
-  Value key = Value::Int(static_cast<int64_t>(project));
-  Result<storage::RowId> rid =
-      db_->GetTable(tables::kProjects)->LookupUnique("id", key);
+  Result<storage::RowId> rid = db_->GetTable(tables::kProjects)->LookupUnique(
+      "id", Value::Int(static_cast<int64_t>(project)));
   if (rid.ok()) (void)db_->Delete(tables::kProjects, rid.value());
-  for (storage::RowId r :
-       db_->GetTable(tables::kQualityFeed)->LookupEqual("project", key)) {
-    (void)db_->Delete(tables::kQualityFeed, r);
-  }
-  return Status::OK();
+  return tables::DeleteProjectRows(db_, tables::kQualityFeed, project);
 }
 
 void QualityManager::PushNotification(ProviderId provider, Notification n) {
@@ -620,7 +614,7 @@ std::vector<Status> QualityManager::CompletePostBatch(
   statuses.reserve(posts.size());
   size_t applied = 0;
   for (auto& [resource, post] : posts) {
-    Status s = tags_->LinkPost(project, corpus, resource, std::move(post));
+    Status s = tags_->LinkPost(project, corpus, resource, post);
     if (s.ok()) {
       rec->engine->NotifyPost(resource);
       ++rec->tasks_completed;

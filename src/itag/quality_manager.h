@@ -211,10 +211,11 @@ class QualityManager {
   Status AdoptProject(ProjectId project, const storage::Row& row,
                       std::vector<QualityPoint> feed);
 
-  /// Removes a project record and its persisted project/feed rows (the
-  /// migration source's cleanup half). The corpus is dropped separately
-  /// via ResourceManager::DropCorpus; notifications stay with the
-  /// provider's inbox (they are history, not project state).
+  /// Removes a project record and its persisted project/feed rows, the
+  /// feed rows found with one scan (the migration source's cleanup half).
+  /// The corpus is dropped separately via ResourceManager::DropCorpus;
+  /// notifications stay with the provider's inbox (they are history, not
+  /// project state).
   Status DropProject(ProjectId project);
 
   /// Internal per-project record (exposed read-only for the facade).

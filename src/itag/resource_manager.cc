@@ -1,5 +1,7 @@
 #include "itag/resource_manager.h"
 
+#include <algorithm>
+
 #include "common/binio.h"
 #include "common/string_util.h"
 #include "itag/tables.h"
@@ -22,16 +24,13 @@ Status ResourceManager::Attach() {
                                             .Str("uri")
                                             .Str("description")
                                             .Build()));
-  ITAG_RETURN_IF_ERROR(db_->AddOrderedIndex(tables::kResources, "project"));
   // Tag-id assignment order is corpus state: the dict table records every
   // intern in order so recovery reassigns identical ids.
-  ITAG_RETURN_IF_ERROR(db_->EnsureTable(tables::kDict,
-                                        SchemaBuilder()
-                                            .Int("project")
-                                            .Int("tag")
-                                            .Str("text")
-                                            .Build()));
-  return db_->AddOrderedIndex(tables::kDict, "project");
+  return db_->EnsureTable(tables::kDict, SchemaBuilder()
+                                             .Int("project")
+                                             .Int("tag")
+                                             .Str("text")
+                                             .Build());
 }
 
 void ResourceManager::ArmDictHook(ProjectId project,
@@ -128,7 +127,7 @@ Status ResourceManager::RestoreCorpora(const std::vector<ProjectId>& projects) {
       post.tags.push_back(corpus->dict().Intern(text));
     }
     return corpus->AddPost(static_cast<tagging::ResourceId>(row[1].as_int()),
-                           std::move(post));
+                           post);
   }));
 
   for (auto& [project, corpus] : restored) {
@@ -201,7 +200,7 @@ Status ResourceManager::ImportPost(ProjectId project,
              Value::Int(static_cast<int64_t>(resource)),
              Value::Int(static_cast<int64_t>(post.tagger)),
              Value::Int(post.time), Value::Str(tags.Take())};
-  ITAG_RETURN_IF_ERROR(corpus->AddPost(resource, std::move(post)));
+  ITAG_RETURN_IF_ERROR(corpus->AddPost(resource, post));
   ITAG_ASSIGN_OR_RETURN(storage::RowId rid, db_->Insert(tables::kPosts, row));
   (void)rid;
   return Status::OK();
@@ -231,18 +230,37 @@ Result<ResourceManager::CorpusTransfer> ResourceManager::ExtractCorpus(
   for (tagging::ResourceId r = 0; r < corpus->size(); ++r) {
     const tagging::Resource& res = corpus->resource(r);
     out.resources.push_back({res.kind, res.uri, res.description});
-    for (const tagging::Post& post : corpus->posts(r)) {
-      CorpusTransfer::PostRec rec;
-      rec.resource = r;
-      rec.tagger = post.tagger;
-      rec.time = post.time;
-      rec.tags.reserve(post.tags.size());
-      for (tagging::TagId t : post.tags) {
-        rec.tags.push_back(corpus->dict().Text(t));
-      }
-      out.posts.push_back(std::move(rec));
-    }
   }
+  // The corpus keeps statistics only; each post lives once, as its row of
+  // the post log, which holds its tags as texts already. One scan visits
+  // the project's rows in row-id order, the order they were written, and a
+  // stable sort by resource then groups them with each resource's posts
+  // still in arrival order.
+  const storage::Table* posts = db_->GetTable(tables::kPosts);
+  if (posts == nullptr) return out;
+  const auto key = static_cast<int64_t>(project);
+  Status decoded = Status::OK();
+  ITAG_RETURN_IF_ERROR(posts->Scan([&](storage::RowId, const Row& row) {
+    if (row[0].as_int() != key) return true;
+    CorpusTransfer::PostRec rec;
+    rec.resource = static_cast<tagging::ResourceId>(row[1].as_int());
+    rec.tagger = static_cast<tagging::TaggerId>(row[2].as_int());
+    rec.time = row[3].as_int();
+    ByteReader r(row[4].as_string());
+    if (!r.StrVec(&rec.tags) || !r.AtEnd()) {
+      decoded = Status::Corruption("malformed post tags for project " +
+                                   std::to_string(project));
+      return false;
+    }
+    out.posts.push_back(std::move(rec));
+    return true;
+  }));
+  ITAG_RETURN_IF_ERROR(decoded);
+  std::stable_sort(out.posts.begin(), out.posts.end(),
+                   [](const CorpusTransfer::PostRec& a,
+                      const CorpusTransfer::PostRec& b) {
+                     return a.resource < b.resource;
+                   });
   return out;
 }
 
@@ -291,7 +309,7 @@ Status ResourceManager::AdoptCorpus(ProjectId project,
                Value::Int(static_cast<int64_t>(rec.resource)),
                Value::Int(static_cast<int64_t>(rec.tagger)),
                Value::Int(rec.time), Value::Str(tags.Take())};
-    ITAG_RETURN_IF_ERROR(corpus->AddPost(rec.resource, std::move(post)));
+    ITAG_RETURN_IF_ERROR(corpus->AddPost(rec.resource, post));
     ITAG_ASSIGN_OR_RETURN(storage::RowId rid,
                           db_->Insert(tables::kPosts, row));
     (void)rid;
@@ -306,16 +324,10 @@ Status ResourceManager::DropCorpus(ProjectId project) {
     return Status::NotFound("project " + std::to_string(project));
   }
   corpora_.erase(it);
-  Value key = Value::Int(static_cast<int64_t>(project));
-  // Delete persisted rows in reverse-dependency order. LookupEqual returns
-  // a snapshot of row ids, so deleting while iterating is safe.
+  // Delete persisted rows in reverse-dependency order, one scan per table.
   for (const char* table :
        {tables::kPosts, tables::kResources, tables::kDict}) {
-    if (storage::Table* t = db_->GetTable(table)) {
-      for (storage::RowId rid : t->LookupEqual("project", key)) {
-        ITAG_RETURN_IF_ERROR(db_->Delete(table, rid));
-      }
-    }
+    ITAG_RETURN_IF_ERROR(tables::DeleteProjectRows(db_, table, project));
   }
   return Status::OK();
 }

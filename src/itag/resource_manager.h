@@ -17,10 +17,12 @@ namespace itag::core {
 /// The Resource Manager of Fig. 2: "in charge of controlling the operations
 /// on resources and their related tags, and is responsible for storing
 /// resource and tagging information." Each project owns a Corpus (working
-/// set); the manager persists resource rows, the tag dictionary (in intern
-/// order — tag ids are positional) and imported posts in the storage
-/// engine, and can rebuild a project's complete corpus from those tables on
-/// recovery.
+/// set: resources, dictionary, per-resource TagStats); the manager persists
+/// resource rows, the tag dictionary (in intern order — tag ids are
+/// positional) and imported posts in the storage engine, and can rebuild a
+/// project's complete corpus from those tables on recovery. A post lives
+/// only as its `posts` row: what reads posts (recovery, migration) scans
+/// that table.
 class ResourceManager {
  public:
   explicit ResourceManager(storage::Database* db);
@@ -86,7 +88,8 @@ class ResourceManager {
     std::vector<PostRec> posts;  ///< grouped by resource, in-order within
   };
 
-  /// Serializes a project's corpus from memory.
+  /// Serializes a project's corpus: the dictionary and resources from
+  /// memory, the posts from one scan of the `posts` table.
   Result<CorpusTransfer> ExtractCorpus(ProjectId project) const;
 
   /// Installs a transferred corpus under `project` (which must be free):
@@ -95,8 +98,8 @@ class ResourceManager {
   /// are written by the write-through hook, as in CreateProjectCorpus.
   Status AdoptCorpus(ProjectId project, const CorpusTransfer& transfer);
 
-  /// Removes a project's corpus and its post, resource and dict rows (the
-  /// migration source's cleanup half).
+  /// Removes a project's corpus and its post, resource and dict rows, found
+  /// with one scan per table (the migration source's cleanup half).
   Status DropCorpus(ProjectId project);
 
  private:

@@ -1,6 +1,11 @@
 #ifndef ITAG_ITAG_TABLES_H_
 #define ITAG_ITAG_TABLES_H_
 
+#include <vector>
+
+#include "itag/ids.h"
+#include "storage/database.h"
+
 namespace itag::core::tables {
 
 // The storage-engine catalog of the iTag layer (the "MySQL schema" of the
@@ -36,6 +41,25 @@ inline constexpr char kInFlight[] = "in_flight";
 /// Singleton key/value rows: clock, RNG streams, id counters, platform
 /// simulator blobs, payment totals.
 inline constexpr char kSys[] = "sys";
+
+/// Deletes every row of `table` whose first column, `project` in each
+/// per-project table (dict, resources, posts, quality_feed), holds
+/// `project`. One scan collects the row ids first, since no table may be
+/// written during its scan; a read error ends the call before any delete.
+inline Status DeleteProjectRows(storage::Database* db, const char* table,
+                                ProjectId project) {
+  const storage::Table* t = db->GetTable(table);
+  if (t == nullptr) return Status::OK();
+  const auto key = static_cast<int64_t>(project);
+  std::vector<storage::RowId> ids;
+  ITAG_RETURN_IF_ERROR(
+      t->Scan([&](storage::RowId id, const storage::Row& row) {
+        if (row[0].as_int() == key) ids.push_back(id);
+        return true;
+      }));
+  for (storage::RowId id : ids) ITAG_RETURN_IF_ERROR(db->Delete(table, id));
+  return Status::OK();
+}
 
 }  // namespace itag::core::tables
 

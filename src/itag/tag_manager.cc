@@ -14,20 +14,18 @@ using storage::Value;
 TagManager::TagManager(storage::Database* db) : db_(db) {}
 
 Status TagManager::Attach() {
-  ITAG_RETURN_IF_ERROR(db_->EnsureTable(tables::kPosts,
-                                        SchemaBuilder()
-                                            .Int("project")
-                                            .Int("resource")
-                                            .Int("tagger")
-                                            .Int("time")
-                                            .Str("tags")
-                                            .Build()));
-  return db_->AddOrderedIndex(tables::kPosts, "project");
+  return db_->EnsureTable(tables::kPosts, SchemaBuilder()
+                                              .Int("project")
+                                              .Int("resource")
+                                              .Int("tagger")
+                                              .Int("time")
+                                              .Str("tags")
+                                              .Build());
 }
 
 Status TagManager::LinkPost(ProjectId project, tagging::Corpus* corpus,
                             tagging::ResourceId resource,
-                            tagging::Post post) {
+                            const tagging::Post& post) {
   if (corpus == nullptr) {
     return Status::InvalidArgument("null corpus");
   }
@@ -45,7 +43,7 @@ Status TagManager::LinkPost(ProjectId project, tagging::Corpus* corpus,
              Value::Int(static_cast<int64_t>(resource)),
              Value::Int(static_cast<int64_t>(post.tagger)),
              Value::Int(post.time), Value::Str(tags.Take())};
-  ITAG_RETURN_IF_ERROR(corpus->AddPost(resource, std::move(post)));
+  ITAG_RETURN_IF_ERROR(corpus->AddPost(resource, post));
   ITAG_ASSIGN_OR_RETURN(storage::RowId rid, db_->Insert(tables::kPosts, row));
   (void)rid;
   ++persisted_posts_;

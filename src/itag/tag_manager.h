@@ -29,10 +29,11 @@ class TagManager {
   /// Creates backing tables (idempotent).
   Status Attach();
 
-  /// Records an approved post: appends it to the project corpus and
-  /// persists the post row. `tagger` is the submitting user.
+  /// Records an approved post: folds it into the project corpus's
+  /// statistics and persists the post row. `post.tagger` is the submitting
+  /// user.
   Status LinkPost(ProjectId project, tagging::Corpus* corpus,
-                  tagging::ResourceId resource, tagging::Post post);
+                  tagging::ResourceId resource, const tagging::Post& post);
 
   /// The (tag, frequency) view of one resource, most frequent first.
   std::vector<TagFrequency> ResourceTags(const tagging::Corpus& corpus,

@@ -96,7 +96,7 @@ SyntheticWorkload GenerateDelicious(const DeliciousConfig& config) {
                             /*time=*/static_cast<Tick>(p),
                             tagging::kProviderImport, &rng);
     if (!gp.post.tags.empty()) {
-      Status s = wl.corpus->AddPost(r, std::move(gp.post));
+      Status s = wl.corpus->AddPost(r, gp.post);
       (void)s;
       assert(s.ok());
     }

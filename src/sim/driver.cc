@@ -63,7 +63,7 @@ RunResult RunDirect(SyntheticWorkload* workload,
             : workload->tagger->Generate(r, options.worker_reliability,
                                          static_cast<Tick>(done),
                                          /*tagger=*/done % 1000, &rng);
-    Status s = corpus.AddPost(r, std::move(gp.post));
+    Status s = corpus.AddPost(r, gp.post);
     assert(s.ok());
     (void)s;
     engine.NotifyPost(r);
@@ -160,7 +160,7 @@ RunResult RunWithPlatform(SyntheticWorkload* workload,
         Status s = platform->Approve(ev.task);
         assert(s.ok());
         (void)s;
-        s = corpus.AddPost(r, std::move(gp.post));
+        s = corpus.AddPost(r, gp.post);
         assert(s.ok());
         engine.NotifyPost(r);
         ++approved;

@@ -477,13 +477,6 @@ Status Database::AddUniqueIndex(const std::string& table,
   return t->AddUniqueIndex(column);
 }
 
-Status Database::AddOrderedIndex(const std::string& table,
-                                 const std::string& column) {
-  Table* t = GetTable(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  return t->AddOrderedIndex(column);
-}
-
 Result<RowId> Database::Insert(const std::string& table, const Row& row) {
   Table* t = GetTable(table);
   if (t == nullptr) return Status::NotFound("table " + table);

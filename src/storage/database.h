@@ -95,10 +95,9 @@ class Database {
   Table* GetTable(const std::string& name);
   const Table* GetTable(const std::string& name) const;
 
-  /// Declares indexes (not WAL-logged: index definitions are part of the
-  /// caller's schema-registration code path, re-run on every open).
+  /// Declares a unique index (not WAL-logged: index definitions are part of
+  /// the caller's schema-registration code path, re-run on every open).
   Status AddUniqueIndex(const std::string& table, const std::string& column);
-  Status AddOrderedIndex(const std::string& table, const std::string& column);
 
   /// Logged mutations. These are the only write paths the managers use.
   Result<RowId> Insert(const std::string& table, const Row& row);

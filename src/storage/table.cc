@@ -1,7 +1,5 @@
 #include "storage/table.h"
 
-#include <algorithm>
-
 namespace itag::storage {
 
 Table::Table(std::string name, Schema schema)
@@ -41,17 +39,6 @@ Status Table::AddUniqueIndex(const std::string& column) {
   unique_col_ = idx;
   unique_index_ = std::move(built);
   return Status::OK();
-}
-
-Status Table::AddOrderedIndex(const std::string& column) {
-  int idx = schema_.ColumnIndex(column);
-  if (idx < 0) return Status::NotFound("no column '" + column + "'");
-  if (ordered_indexes_.count(idx)) return Status::OK();  // idempotent
-  std::set<IndexKey>& index = ordered_indexes_[idx];
-  return store_->Scan([&](RowId id, const Row& row) {
-    index.insert(IndexKey{row[idx], id});
-    return true;
-  });
 }
 
 Result<RowId> Table::Insert(const Row& row) {
@@ -105,9 +92,9 @@ Status Table::Update(RowId id, const Row& row) {
       return Status::AlreadyExists("duplicate key in " + name_);
     }
   }
-  // The heap first, in one write that hands back the old image: no index
-  // moves before the new image is stored, so a failed write leaves nothing
-  // to undo. Then only the entries whose column value changed move; a
+  // The heap first, in one write that hands back the old image: the index
+  // does not move before the new image is stored, so a failed write leaves
+  // nothing to undo. Then the entry moves only if the key changed; a
   // rewrite that keeps its key touches no index.
   Result<Row> old = store_->Replace(id, row);
   if (!old.ok()) return Named(old.status(), id);
@@ -117,16 +104,11 @@ Status Table::Update(RowId id, const Row& row) {
     if (it != unique_index_.end() && it->second == id) unique_index_.erase(it);
     unique_index_.emplace(row[unique_col_], id);
   }
-  for (auto& [col, index] : ordered_indexes_) {
-    if (before[col] == row[col]) continue;
-    index.erase(IndexKey{before[col], id});
-    index.insert(IndexKey{row[col], id});
-  }
   return Status::OK();
 }
 
 Status Table::Delete(RowId id) {
-  // The heap first: its erase hands back the row, whose index entries go
+  // The heap first: its erase hands back the row, whose index entry goes
   // only once it is gone.
   Result<Row> old = store_->Erase(id);
   if (!old.ok()) return Named(old.status(), id);
@@ -158,54 +140,6 @@ std::optional<RowId> Table::FindUnique(const Value& key) const {
   return it->second;
 }
 
-std::vector<RowId> Table::LookupEqual(const std::string& column,
-                                      const Value& key) const {
-  std::vector<RowId> out;
-  int idx = schema_.ColumnIndex(column);
-  if (idx < 0) return out;
-  auto index = ordered_indexes_.find(idx);
-  if (index != ordered_indexes_.end()) {
-    for (auto e = index->second.lower_bound({key, 0});
-         e != index->second.end() && !(key < e->value); ++e) {
-      out.push_back(e->row_id);
-    }
-    return out;
-  }
-  (void)store_->Scan([&](RowId id, const Row& row) {
-    if (row[idx] == key) out.push_back(id);
-    return true;
-  });
-  return out;
-}
-
-std::vector<RowId> Table::LookupRange(const std::string& column,
-                                      const Value& lo, const Value& hi) const {
-  std::vector<RowId> out;
-  int idx = schema_.ColumnIndex(column);
-  if (idx < 0) return out;
-  auto index = ordered_indexes_.find(idx);
-  if (index != ordered_indexes_.end()) {
-    for (auto e = index->second.lower_bound({lo, 0});
-         e != index->second.end() && e->value < hi; ++e) {
-      out.push_back(e->row_id);
-    }
-    return out;
-  }
-  std::vector<std::pair<Value, RowId>> hits;
-  (void)store_->Scan([&](RowId id, const Row& row) {
-    if (!(row[idx] < lo) && row[idx] < hi) hits.emplace_back(row[idx], id);
-    return true;
-  });
-  std::sort(hits.begin(), hits.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first < b.first) return true;
-              if (b.first < a.first) return false;
-              return a.second < b.second;
-            });
-  for (const auto& [v, id] : hits) out.push_back(id);
-  return out;
-}
-
 Status Table::Scan(const std::function<bool(RowId, const Row&)>& fn) const {
   return store_->Scan(fn);
 }
@@ -222,9 +156,6 @@ size_t Table::CountWhere(const std::function<bool(const Row&)>& pred) const {
 
 void Table::IndexRow(RowId id, const Row& row) {
   if (unique_col_ >= 0) unique_index_.emplace(row[unique_col_], id);
-  for (auto& [col, index] : ordered_indexes_) {
-    index.insert(IndexKey{row[col], id});
-  }
 }
 
 void Table::UnindexRow(RowId id, const Row& row) {
@@ -234,19 +165,13 @@ void Table::UnindexRow(RowId id, const Row& row) {
       unique_index_.erase(it);
     }
   }
-  for (auto& [col, index] : ordered_indexes_) {
-    index.erase(IndexKey{row[col], id});
-  }
 }
 
 void Table::EncodeTo(ByteWriter* out) const {
   out->Str(name_);
   schema_.EncodeTo(out);
   out->U8(static_cast<uint8_t>(unique_col_ >= 0 ? unique_col_ + 1 : 0));
-  out->U32(static_cast<uint32_t>(ordered_indexes_.size()));
-  for (const auto& entry : ordered_indexes_) {
-    out->U32(static_cast<uint32_t>(entry.first));
-  }
+  out->U32(0);  // ordered-index columns: none since they were retired
   out->U64(next_id_);
   out->U64(store_->size());
   (void)store_->Scan([&](RowId id, const Row& row) {
@@ -269,10 +194,12 @@ bool Table::DecodeFrom(ByteReader* in, Table* out) {
   if (!in->U8(&unique_plus1) || !in->U32(&nidx)) return false;
   if (unique_plus1 > ncols) return false;
   out->unique_col_ = unique_plus1 - 1;
+  // Snapshots written while tables kept ordered indexes list their
+  // columns; nothing reads them now, but a column past the schema still
+  // marks a corrupt file.
   for (uint32_t i = 0; i < nidx; ++i) {
     uint32_t col;
     if (!in->U32(&col) || col >= ncols) return false;
-    out->ordered_indexes_.emplace(static_cast<int>(col), std::set<IndexKey>());
   }
   uint64_t nrows;
   if (!in->U64(&out->next_id_) || !in->U64(&nrows)) return false;
@@ -285,7 +212,7 @@ bool Table::DecodeFrom(ByteReader* in, Table* out) {
     }
     if (!out->store_->Put(id, row).ok()) return false;
   }
-  // Rebuild in-memory indexes from the restored heap.
+  // Rebuild the in-memory unique index from the restored heap.
   (void)out->store_->Scan([&](RowId id, const Row& row) {
     out->IndexRow(id, row);
     return true;

@@ -3,13 +3,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -19,23 +16,9 @@
 
 namespace itag::storage {
 
-/// Composite key for ordered secondary indexes: (column value, row id).
-/// Appending the row id makes entries unique even for non-unique columns and
-/// gives deterministic scan order among duplicates.
-struct IndexKey {
-  Value value;
-  RowId row_id;
-
-  bool operator<(const IndexKey& other) const {
-    if (value < other.value) return true;
-    if (other.value < value) return false;
-    return row_id < other.row_id;
-  }
-};
-
 /// One heap table: schema-validated rows addressed by RowId, with an optional
-/// unique hash index and any number of ordered secondary indexes (each a
-/// std::set of IndexKey).
+/// unique hash index. There are no other indexes: a reader that wants the
+/// rows with some other column value scans the table, in ascending RowId.
 ///
 /// The Table itself is storage-only; durability is layered on by Database,
 /// which write-ahead-logs every mutation before applying it here.
@@ -65,10 +48,6 @@ class Table {
   /// the index fails with AlreadyExists if they contain duplicates.
   Status AddUniqueIndex(const std::string& column);
 
-  /// Declares an ordered (non-unique) secondary index on `column`. May be
-  /// declared at any time; existing rows are indexed immediately.
-  Status AddOrderedIndex(const std::string& column);
-
   /// Validates and inserts `row`, returning its new RowId.
   Result<RowId> Insert(const Row& row);
 
@@ -93,16 +72,6 @@ class Table {
   /// the table has no unique index. Builds no status, so a miss is cheap.
   std::optional<RowId> FindUnique(const Value& key) const;
 
-  /// Collects ids of rows whose `column` equals `key`, via the ordered index
-  /// if one exists, else a full scan.
-  std::vector<RowId> LookupEqual(const std::string& column,
-                                 const Value& key) const;
-
-  /// Collects ids of rows with `lo <= column < hi` via the ordered index
-  /// (falls back to a scan when no index exists). Results are in key order.
-  std::vector<RowId> LookupRange(const std::string& column, const Value& lo,
-                                 const Value& hi) const;
-
   /// Visits every (id, row); `fn` returns false to stop. Iteration order is
   /// ascending RowId. Returns the heap's read error, if any: a paged heap
   /// can fail to read a page or find a row that does not decode, and the
@@ -115,12 +84,15 @@ class Table {
   size_t CountWhere(const std::function<bool(const Row&)>& pred) const;
 
   /// Serializes the full table for snapshots: name, schema, unique column
-  /// (+1, 0 = none) as one byte, the ordered-index columns, the next row
+  /// (+1, 0 = none) as one byte, a count of ordered-index columns (always
+  /// 0; the field stays so older snapshots keep their layout), the next row
   /// id, then every (id, row).
   void EncodeTo(ByteWriter* out) const;
 
-  /// Restores a table written by EncodeTo and rebuilds its indexes. Returns
-  /// false on truncated input or an index column the schema does not have.
+  /// Restores a table written by EncodeTo and rebuilds its unique index.
+  /// An older snapshot's ordered-index columns are read, checked against
+  /// the schema and dropped. Returns false on truncated input or an index
+  /// column the schema does not have.
   static bool DecodeFrom(ByteReader* in, Table* out);
 
  private:
@@ -136,9 +108,6 @@ class Table {
 
   int unique_col_ = -1;
   std::unordered_map<Value, RowId, ValueHash> unique_index_;
-
-  // column position -> ordered index
-  std::map<int, std::set<IndexKey>> ordered_indexes_;
 };
 
 }  // namespace itag::storage

@@ -24,8 +24,7 @@ enum class FieldType : uint8_t {
 const char* FieldTypeName(FieldType t);
 
 /// A dynamically-typed cell value. Values order first by type tag, then by
-/// payload, giving a total order usable as an ordered-index key. NULL sorts
-/// before everything.
+/// payload, giving a total order. NULL sorts before everything.
 class Value {
  public:
   /// Constructs NULL.

@@ -14,11 +14,10 @@ ResourceId Corpus::AddResource(ResourceKind kind, std::string uri,
   r.description = std::move(description);
   resources_.push_back(std::move(r));
   stats_.emplace_back(history_window_);
-  posts_.emplace_back();
   return id;
 }
 
-Status Corpus::AddPost(ResourceId id, Post post) {
+Status Corpus::AddPost(ResourceId id, const Post& post) {
   if (!IsValid(id)) {
     return Status::NotFound("resource " + std::to_string(id));
   }
@@ -26,7 +25,6 @@ Status Corpus::AddPost(ResourceId id, Post post) {
     return Status::InvalidArgument("a post must contain at least one tag");
   }
   stats_[id].AddPost(post);
-  posts_[id].push_back(std::move(post));
   return Status::OK();
 }
 

@@ -13,11 +13,12 @@
 
 namespace itag::tagging {
 
-/// The set R of resources under one provider's management, together with the
-/// full post sequence and incremental statistics of each resource. This is
-/// the in-memory working set the quality metrics and allocation strategies
-/// operate on; the iTag layer persists the same information through the
-/// storage engine.
+/// The set R of resources under one provider's management, the tag
+/// dictionary, and the incremental statistics (TagStats) of each resource.
+/// This is the in-memory working set the quality metrics and allocation
+/// strategies operate on: they read each resource's statistics, never its
+/// post sequence, so a post is folded into its resource's TagStats and not
+/// kept. The iTag layer persists the post log through the storage engine.
 class Corpus {
  public:
   /// `history_window` is forwarded to every resource's TagStats.
@@ -36,11 +37,10 @@ class Corpus {
   /// Metadata accessors.
   const Resource& resource(ResourceId id) const { return resources_[id]; }
   const TagStats& stats(ResourceId id) const { return stats_[id]; }
-  const PostSequence& posts(ResourceId id) const { return posts_[id]; }
 
-  /// Appends a post to resource `id`. Fails on unknown resource or an empty
-  /// post (posts are nonempty tag sets by definition).
-  Status AddPost(ResourceId id, Post post);
+  /// Folds a post into the statistics of resource `id`. Fails on unknown
+  /// resource or an empty post (posts are nonempty tag sets by definition).
+  Status AddPost(ResourceId id, const Post& post);
 
   /// Post count of resource `id` (k_i).
   uint32_t PostCount(ResourceId id) const { return stats_[id].post_count(); }
@@ -59,7 +59,6 @@ class Corpus {
   TagDictionary dict_;
   std::vector<Resource> resources_;
   std::vector<TagStats> stats_;
-  std::vector<PostSequence> posts_;
 };
 
 }  // namespace itag::tagging

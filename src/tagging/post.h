@@ -24,9 +24,6 @@ struct Post {
   std::vector<TagId> tags;  ///< unique, nonempty for a well-formed post
 };
 
-/// The post sequence (p(1), p(2), ...) of one resource, in arrival order.
-using PostSequence = std::vector<Post>;
-
 }  // namespace itag::tagging
 
 #endif  // ITAG_TAGGING_POST_H_

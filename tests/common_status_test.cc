@@ -113,5 +113,19 @@ TEST(ResultTest, MoveOnlyValue) {
   EXPECT_EQ(*v, 5);
 }
 
+// Reading the value of a failed Result stops the process and prints the
+// status, in every build: the check does not go through `assert`, which
+// NDEBUG builds (RelWithDebInfo, the default) compile out.
+TEST(ResultDeathTest, ValueOfAFailedResultAbortsWithItsStatus) {
+  Result<int> r = Status::NotFound("tagger 0");
+  EXPECT_DEATH((void)r.value(),
+               "value\\(\\) of a failed Result: not_found: tagger 0");
+  EXPECT_DEATH((void)*r, "not_found: tagger 0");
+  EXPECT_DEATH((void)std::move(r).value(), "not_found: tagger 0");
+  const Result<std::string> text = Status::Internal("no row");
+  EXPECT_DEATH((void)text->size(), "internal: no row");
+  EXPECT_DEATH((void)text.value(), "internal: no row");
+}
+
 }  // namespace
 }  // namespace itag

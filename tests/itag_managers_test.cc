@@ -5,7 +5,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
+#include "common/binio.h"
 #include "itag/resource_manager.h"
 #include "itag/tag_manager.h"
 #include "itag/user_manager.h"
@@ -57,9 +60,14 @@ TEST_F(ManagersTest, UploadPersistsRows) {
   const storage::Table* t = db_.GetTable("resources");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->row_count(), 2u);
-  // Index on project works.
-  EXPECT_EQ(t->LookupEqual("project", storage::Value::Int(7)).size(), 2u);
-  EXPECT_TRUE(t->LookupEqual("project", storage::Value::Int(8)).empty());
+  // Both rows carry their project id, which a scan finds them by.
+  auto rows_of = [t](int64_t project) {
+    return t->CountWhere([project](const storage::Row& row) {
+      return row[0] == storage::Value::Int(project);
+    });
+  };
+  EXPECT_EQ(rows_of(7), 2u);
+  EXPECT_EQ(rows_of(8), 0u);
 }
 
 TEST_F(ManagersTest, ImportPostNormalizesAndDedups) {
@@ -70,8 +78,22 @@ TEST_F(ManagersTest, ImportPostNormalizesAndDedups) {
       resources_->ImportPost(1, r.value(), {"Big Data", "big  data", "ai"})
           .ok());
   const tagging::Corpus* corpus = resources_->GetCorpus(1);
-  // "Big Data" and "big  data" normalize identically: 2 unique tags.
-  EXPECT_EQ(corpus->posts(r.value())[0].tags.size(), 2u);
+  // "Big Data" and "big  data" normalize identically: the post's row holds
+  // 2 unique tags, and the statistics count 2 occurrences.
+  ASSERT_EQ(corpus->dict().size(), 2u);
+  std::vector<std::vector<std::string>> rows;
+  ASSERT_TRUE(db_.GetTable("posts")
+                  ->Scan([&](storage::RowId, const storage::Row& row) {
+                    ByteReader in(row[4].as_string());
+                    rows.emplace_back();
+                    EXPECT_TRUE(in.StrVec(&rows.back()) && in.AtEnd());
+                    return true;
+                  })
+                  .ok());
+  EXPECT_EQ(rows, (std::vector<std::vector<std::string>>{
+                      {corpus->dict().Text(0), corpus->dict().Text(1)}}));
+  EXPECT_EQ(corpus->PostCount(r.value()), 1u);
+  EXPECT_EQ(corpus->stats(r.value()).tag_occurrences(), 2u);
   EXPECT_TRUE(resources_->ImportPost(1, r.value(), {"  "})
                   .IsInvalidArgument());
   EXPECT_TRUE(resources_->ImportPost(42, 0, {"x"}).IsNotFound());

@@ -650,6 +650,23 @@ TEST(ITagSystemDurabilityTest, PlatformStepWalBytesStayFlat) {
   fs::remove_all(dir);
 }
 
+/// The sub-records of `record`: those of a batch, or the record itself.
+std::vector<storage::WalRecord> SubRecords(const storage::WalRecord& record) {
+  if (record.op != storage::WalOp::kBatch) return {record};
+  std::vector<storage::WalRecord> subs;
+  ByteReader in(record.payload);
+  while (!in.AtEnd()) {
+    std::string bytes;
+    storage::WalRecord sub;
+    if (!in.Str(&bytes) || !storage::DecodeWalRecord(bytes, &sub)) {
+      ADD_FAILURE() << "malformed sub-record";
+      break;
+    }
+    subs.push_back(std::move(sub));
+  }
+  return subs;
+}
+
 /// The WAL sub-records, batched or not, that write `table` in the log at
 /// `path`.
 size_t TableWrites(const std::string& path, const std::string& table) {
@@ -657,22 +674,209 @@ size_t TableWrites(const std::string& path, const std::string& table) {
   EXPECT_TRUE(storage::ReadWal(path, &records).ok());
   size_t writes = 0;
   for (const storage::WalRecord& record : records) {
-    if (record.op != storage::WalOp::kBatch) {
-      writes += record.table == table;
-      continue;
-    }
-    ByteReader in(record.payload);
-    while (!in.AtEnd()) {
-      std::string bytes;
-      storage::WalRecord sub;
-      if (!in.Str(&bytes) || !storage::DecodeWalRecord(bytes, &sub)) {
-        ADD_FAILURE() << "malformed sub-record";
-        return writes;
-      }
+    for (const storage::WalRecord& sub : SubRecords(record)) {
       writes += sub.table == table;
     }
   }
   return writes;
+}
+
+/// The keys of the `sys` rows the last record of the log at `path` writes,
+/// in the order it writes them.
+std::vector<std::string> LastRecordSysKeys(const std::string& path) {
+  std::vector<storage::WalRecord> records;
+  EXPECT_TRUE(storage::ReadWal(path, &records).ok());
+  std::vector<std::string> keys;
+  if (records.empty()) return keys;
+  for (const storage::WalRecord& sub : SubRecords(records.back())) {
+    if (sub.table != tables::kSys) continue;
+    storage::Row row;
+    EXPECT_TRUE(storage::DecodeRow(sub.payload, 2, &row));
+    keys.push_back(row.empty() ? "" : row[0].as_string());
+  }
+  return keys;
+}
+
+// A Step on a system with no platform project moves the simulators' clocks
+// and nothing else of theirs, so it logs the core row (clock, RNG, id
+// counters) and no simulator blob: one sys sub-record, not three.
+TEST(ITagSystemDurabilityTest, AudienceOnlyStepLogsOnlyTheCoreRow) {
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("itag_system_audience_step." + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(dir);
+  ITagSystemOptions opts;
+  opts.db.directory = dir;
+  opts.db.paged = true;
+  {
+    ITagSystem system(opts);
+    ASSERT_TRUE(system.Init().ok());
+    ProviderId provider = system.RegisterProvider("aud").value();
+    ProjectId p = system.CreateProject(provider, AudienceSpec("aud")).value();
+    std::vector<tagging::ResourceId> ids;
+    system.UploadResourceBatch(p, {{ResourceKind::kWebUrl, "u0", "", {"a"}}},
+                               &ids);
+    ASSERT_TRUE(system.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+    const std::string wal = system.database().wal_path();
+    const size_t before = TableWrites(wal, tables::kSys);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(system.Step(1).ok());
+      EXPECT_EQ(LastRecordSysKeys(wal), std::vector<std::string>{"core"})
+          << "step " << i;
+    }
+    EXPECT_EQ(TableWrites(wal, tables::kSys) - before, 3u);
+  }
+  // The simulators restore at the core clock, and still write nothing.
+  ITagSystem system(opts);
+  ASSERT_TRUE(system.Init().ok());
+  EXPECT_EQ(system.clock().Now(), 3);
+  ASSERT_TRUE(system.Step(1).ok());
+  EXPECT_EQ(LastRecordSysKeys(system.database().wal_path()),
+            std::vector<std::string>{"core"});
+  fs::remove_all(dir);
+}
+
+// A simulator's blob is written only when the simulator changed past its
+// clock, and a restart sets every simulator's clock from the core row. A
+// system with an MTurk and a social project is restarted at ticks where
+// only the simulator clocks moved (every posted task accepted, its worker
+// busy), at ticks where tasks moved, and once its paused projects have
+// drained, before they resume. After each restart and each later Step it
+// matches a twin that never restarted: Step statuses, the sys rows each
+// Step writes, CaptureState (project infos, feeds, resource details,
+// notifications) and every row of every table.
+TEST(ITagSystemDurabilityTest, PlatformBlobsOfClockOnlyTicksAreSkippedExactly) {
+  const std::string base =
+      (fs::temp_directory_path() /
+       ("itag_system_blob_skip." + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(base);
+  auto opts = [&base](const std::string& name) {
+    ITagSystemOptions o;
+    o.db.directory = base + "/" + name;
+    o.db.paged = true;
+    return o;
+  };
+  std::vector<ProjectId> projects;
+  auto build = [&projects](ITagSystem& s) {
+    projects.clear();
+    const ProviderId provider = s.RegisterProvider("crowd").value();
+    EXPECT_TRUE(s.RegisterTagger("idle").ok());  // CaptureState reads one
+    for (PlatformChoice platform :
+         {PlatformChoice::kMTurk, PlatformChoice::kSocialNetwork}) {
+      ProjectSpec spec = AudienceSpec("crowd", /*budget=*/400);
+      spec.platform = platform;
+      const ProjectId p = s.CreateProject(provider, spec).value();
+      projects.push_back(p);
+      std::vector<ResourceUpload> uploads;
+      for (int i = 0; i < 6; ++i) {
+        uploads.push_back(
+            {ResourceKind::kWebUrl, "u" + std::to_string(i), "", {"seed"}});
+      }
+      std::vector<tagging::ResourceId> ids;
+      s.UploadResourceBatch(p, uploads, &ids);
+      EXPECT_TRUE(s.ControlBatch(p, {{ControlAction::kStart}})[0].ok());
+    }
+  };
+  // Every row of every table: its table, row id and encoded bytes.
+  auto rows = [](ITagSystem& s) {
+    std::ostringstream out;
+    for (const std::string& name : s.database().TableNames()) {
+      EXPECT_TRUE(s.database()
+                      .GetTable(name)
+                      ->Scan([&](storage::RowId id, const storage::Row& row) {
+                        out << name << " " << id << " "
+                            << storage::EncodeRow(row) << "\n";
+                        return true;
+                      })
+                      .ok());
+    }
+    return out.str();
+  };
+
+  ITagSystem twin(opts("twin"));
+  ASSERT_TRUE(twin.Init().ok());
+  build(twin);
+  auto restarted = std::make_unique<ITagSystem>(opts("restarted"));
+  ASSERT_TRUE(restarted->Init().ok());
+  build(*restarted);
+
+  int tick = 0;
+  // Steps both systems one tick; returns the sys keys the tick wrote.
+  auto step_both = [&] {
+    ++tick;
+    const Status a = twin.Step(1);
+    const Status b = restarted->Step(1);
+    EXPECT_EQ(a.ToString(), b.ToString()) << "tick " << tick;
+    const std::vector<std::string> keys =
+        LastRecordSysKeys(restarted->database().wal_path());
+    EXPECT_EQ(keys, LastRecordSysKeys(twin.database().wal_path()))
+        << "tick " << tick;
+    EXPECT_EQ(keys.empty() ? "" : keys.front(), "core") << "tick " << tick;
+    return keys;
+  };
+  auto expect_twins = [&] {
+    ASSERT_EQ(CaptureState(*restarted, 0, 0), CaptureState(twin, 0, 0))
+        << "tick " << tick;
+    ASSERT_EQ(rows(*restarted), rows(twin)) << "tick " << tick;
+  };
+  auto restart = [&] {
+    restarted = std::make_unique<ITagSystem>(opts("restarted"));
+    ASSERT_TRUE(restarted->Init().ok()) << "tick " << tick;
+    expect_twins();
+  };
+  auto control_both = [&](ControlAction action) {
+    for (ProjectId p : projects) {
+      EXPECT_EQ(twin.ControlBatch(p, {{action}})[0].ToString(),
+                restarted->ControlBatch(p, {{action}})[0].ToString());
+    }
+  };
+
+  // Running projects: restart at ticks where only the simulator clocks
+  // moved and at ticks where a blob was written.
+  int clock_only_restarts = 0;
+  int moving_restarts = 0;
+  while (tick < 300) {
+    const bool clock_only = step_both().size() == 1;
+    if (HasFailure()) return;
+    if (clock_only ? clock_only_restarts < 4 && tick % 3 == 0
+                   : moving_restarts < 4 && tick % 29 == 0) {
+      (clock_only ? clock_only_restarts : moving_restarts) += 1;
+      restart();
+    } else if (tick % 50 == 0) {
+      expect_twins();
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_EQ(clock_only_restarts, 4);
+  EXPECT_EQ(moving_restarts, 4);
+
+  // Paused projects drain their tasks; then every tick moves the clocks
+  // alone, so the blobs last written trail the core clock by the whole
+  // quiet spell. A restart there, then a resume: the tasks posted on the
+  // next tick meet simulators whose clocks a restore set from the core
+  // row, so they are browsed at the same tick, with the same draws, as on
+  // the twin.
+  control_both(ControlAction::kPause);
+  for (int quiet = 0; quiet < 25 && tick < 800;) {
+    quiet = step_both().size() == 1 ? quiet + 1 : 0;
+    if (HasFailure()) return;
+  }
+  EXPECT_LT(tick, 800) << "the paused projects never drained";
+  restart();
+  control_both(ControlAction::kStart);
+  for (int i = 0; i < 150; ++i) {
+    step_both();
+    if (i < 40 || i % 50 == 0) expect_twins();
+    if (HasFailure()) return;
+  }
+  for (const ProjectInfo& info : twin.ListProjects(0)) {
+    EXPECT_GT(info.tasks_completed, 20u) << info.id;
+  }
+  EXPECT_EQ(CaptureState(*restarted, 0, 0), CaptureState(twin, 0, 0));
+  EXPECT_EQ(rows(*restarted), rows(twin));
+  fs::remove_all(base);
 }
 
 // A platform project whose budget is spent draws on every Step tick and

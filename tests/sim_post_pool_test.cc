@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "sim/dataset.h"
 #include "sim/driver.h"
 
@@ -70,17 +76,38 @@ TEST(PostPoolTest, SameSeedSameStreams) {
   }
 }
 
+/// Resource `r`'s statistics in a comparable form: post and tag counts,
+/// every (tag, count), and the rfd history the stability metric reads.
+std::string StatsOf(const tagging::Corpus& corpus, ResourceId r) {
+  const tagging::TagStats& stats = corpus.stats(r);
+  std::ostringstream out;
+  out.precision(17);
+  out << stats.post_count() << " posts, " << stats.tag_occurrences()
+      << " tags:";
+  for (const auto& [tag, count] : stats.TopTags(stats.distinct_tags())) {
+    out << " " << tag << "x" << count;
+  }
+  for (size_t back = 0; back <= stats.history_window(); ++back) {
+    out << "\n  rfd -" << back << ":";
+    const SparseDist rfd = stats.RfdBefore(back);
+    for (const auto& [tag, p] : rfd.entries()) out << " " << tag << "=" << p;
+  }
+  return out.str();
+}
+
 TEST(PostPoolTest, PairedComparisonGivesIdenticalContentPerSlot) {
   // The point of the replay pool: when two strategies give resource r its
   // k-th crowd-era task, the post content is identical. Run FP and RAND on
-  // equal workloads with equal pools and compare each resource's received
-  // post sequence prefix.
+  // equal workloads with equal pools; each run's crowd posts for r must be
+  // the first posts of the pool's stream for r, in stream order.
+  constexpr uint32_t kDepth = 50;
+  constexpr uint64_t kPoolSeed = 9;
   SyntheticWorkload wl_fp = GenerateDelicious(SmallConfig());
   SyntheticWorkload wl_rand = GenerateDelicious(SmallConfig());
-  PostPool pool_fp =
-      PostPool::Build(wl_fp.tagger.get(), wl_fp.corpus->size(), 50, 0.9, 9);
-  PostPool pool_rand = PostPool::Build(wl_rand.tagger.get(),
-                                       wl_rand.corpus->size(), 50, 0.9, 9);
+  PostPool pool_fp = PostPool::Build(wl_fp.tagger.get(), wl_fp.corpus->size(),
+                                     kDepth, 0.9, kPoolSeed);
+  PostPool pool_rand = PostPool::Build(
+      wl_rand.tagger.get(), wl_rand.corpus->size(), kDepth, 0.9, kPoolSeed);
   // Snapshot provider-era post counts before the runs.
   std::vector<uint32_t> initial = wl_fp.initial_posts;
 
@@ -98,15 +125,51 @@ TEST(PostPoolTest, PairedComparisonGivesIdenticalContentPerSlot) {
                   strategy::MakeStrategy(strategy::StrategyKind::kRandom),
                   opts);
 
-  for (ResourceId r = 0; r < 40; ++r) {
-    const auto& posts_fp = wl_fp.corpus->posts(r);
-    const auto& posts_rand = wl_rand.corpus->posts(r);
-    size_t common = std::min(posts_fp.size(), posts_rand.size());
-    for (size_t k = initial[r]; k < common; ++k) {
-      EXPECT_EQ(posts_fp[k].tags, posts_rand[k].tags)
-          << "resource " << r << " crowd post " << k;
+  // The posts each pool delivered per resource. No stream ran dry, so
+  // every crowd post came from the pool.
+  auto delivered = [&](const PostPool& pool, const SyntheticWorkload& wl) {
+    std::vector<size_t> out;
+    for (ResourceId r = 0; r < 40; ++r) {
+      EXPECT_GT(pool.Remaining(r), 0u) << "resource " << r;
+      out.push_back(kDepth - pool.Remaining(r));
+      EXPECT_EQ(wl.corpus->PostCount(r), initial[r] + out.back())
+          << "resource " << r;
     }
+    return out;
+  };
+  const std::vector<size_t> fp = delivered(pool_fp, wl_fp);
+  const std::vector<size_t> rand = delivered(pool_rand, wl_rand);
+
+  // A fresh copy of the workload that folds the first `counts[r]` posts of
+  // a pool built like the runs' into each resource r: the statistics a run
+  // reaches when its crowd posts are the pool's, in the pool's order.
+  auto reference = [&](const std::vector<size_t>& counts) {
+    SyntheticWorkload ref = GenerateDelicious(SmallConfig());
+    PostPool pool = PostPool::Build(ref.tagger.get(), ref.corpus->size(),
+                                    kDepth, 0.9, kPoolSeed);
+    for (ResourceId r = 0; r < 40; ++r) {
+      for (size_t k = 0; k < counts[r]; ++k) {
+        std::optional<GeneratedPost> gp = pool.Pop(r);
+        EXPECT_TRUE(gp.has_value() && ref.corpus->AddPost(r, gp->post).ok());
+      }
+    }
+    return ref;
+  };
+  SyntheticWorkload ref_fp = reference(fp);
+  SyntheticWorkload ref_rand = reference(rand);
+  size_t paired_slots = 0;
+  for (ResourceId r = 0; r < 40; ++r) {
+    EXPECT_EQ(StatsOf(*wl_fp.corpus, r), StatsOf(*ref_fp.corpus, r))
+        << "resource " << r;
+    EXPECT_EQ(StatsOf(*wl_rand.corpus, r), StatsOf(*ref_rand.corpus, r))
+        << "resource " << r;
+    if (fp[r] == rand[r]) {
+      EXPECT_EQ(StatsOf(*wl_fp.corpus, r), StatsOf(*wl_rand.corpus, r))
+          << "resource " << r;
+    }
+    paired_slots += std::min(fp[r], rand[r]);
   }
+  EXPECT_GT(paired_slots, 100u);  // both runs reached most slots they share
 }
 
 TEST(PostPoolTest, DriverFallsBackWhenPoolRunsDry) {

@@ -187,7 +187,8 @@ TEST(CorpusTest, AddPostUpdatesStats) {
   TagId t = c.dict().Intern("tag");
   ASSERT_TRUE(c.AddPost(r, MakePost({t})).ok());
   EXPECT_EQ(c.PostCount(r), 1u);
-  EXPECT_EQ(c.posts(r).size(), 1u);
+  EXPECT_EQ(c.stats(r).post_count(), 1u);
+  EXPECT_EQ(c.stats(r).tag_occurrences(), 1u);
   EXPECT_EQ(c.stats(r).TagCount(t), 1u);
   EXPECT_EQ(c.TotalPosts(), 1u);
 }
