@@ -10,14 +10,15 @@
 namespace itag {
 
 /// Append-only little-endian byte writer: the one set of byte conventions
-/// (u32-length-prefixed strings, IEEE-754 bit patterns for doubles) shared
-/// by every storage byte format (rows, schemas, tables, WAL records and
-/// frame headers, batch sub-records, the snapshot file), the state blobs
-/// stored in it (engine state, RNG streams, platform-simulator snapshots)
-/// and the wire payloads net/wire.cc encodes. The paged engine's fixed page
-/// headers and B+tree node layouts under storage/pager/ keep their own
-/// field-by-field writers. Dependency-free, so the lower layers (storage,
-/// crowd, strategy, itag) use it without pulling in the api/net tier.
+/// (u32-length-prefixed strings, IEEE-754 bit patterns for doubles, LEB128
+/// varints) shared by every storage byte format (rows, schemas, tables, WAL
+/// records and frame headers, batch sub-records, the snapshot file), the
+/// state blobs stored in it (engine state, RNG streams, platform-simulator
+/// snapshots) and the wire payloads net/wire.cc encodes. The paged engine's
+/// fixed page headers and B+tree node layouts under storage/pager/ keep
+/// their own field-by-field writers. Dependency-free, so the lower layers
+/// (storage, crowd, strategy, itag) use it without pulling in the api/net
+/// tier.
 class ByteWriter {
  public:
   void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
@@ -38,6 +39,26 @@ class ByteWriter {
   }
   /// The bytes alone, no length prefix.
   void Raw(std::string_view bytes) { buf_.append(bytes.data(), bytes.size()); }
+  /// LEB128: seven bits per byte, low group first, the top bit set on every
+  /// byte but the last; 1 to 10 bytes.
+  void VarU64(uint64_t v) {
+    while (v >= 0x80) {
+      buf_.push_back(static_cast<char>(v | 0x80));
+      v >>= 7;
+    }
+    buf_.push_back(static_cast<char>(v));
+  }
+  /// Zigzag (0, -1, 1, -2, ... as 0, 1, 2, 3, ...), then VarU64, so a small
+  /// magnitude of either sign takes one byte.
+  void VarI64(int64_t v) {
+    const uint64_t u = static_cast<uint64_t>(v);
+    VarU64((u << 1) ^ (v < 0 ? ~uint64_t{0} : 0));
+  }
+  /// VarU64 byte count + raw bytes.
+  void VarStr(std::string_view s) {
+    VarU64(s.size());
+    Raw(s);
+  }
   void U32Vec(const std::vector<uint32_t>& v) {
     U32(static_cast<uint32_t>(v.size()));
     for (uint32_t e : v) U32(e);
@@ -98,11 +119,34 @@ class ByteReader {
   }
   bool Str(std::string* v) {
     uint32_t n;
-    if (!U32(&n)) return false;
-    if (data_.size() - pos_ < n) return Poison();
-    v->assign(data_.data() + pos_, n);
-    pos_ += n;
+    return U32(&n) && Bytes(n, v);
+  }
+  /// Reads a VarU64. False on a varint cut short, one longer than 10 bytes,
+  /// or one whose value does not fit 64 bits.
+  bool VarU64(uint64_t* v) {
+    uint64_t out = 0;
+    for (int shift = 0;; shift += 7) {
+      uint8_t b = 0;
+      if (!U8(&b)) return false;
+      // The tenth byte holds bit 63 alone, and ends the varint.
+      if (shift == 63 && b > 1) return Poison();
+      out |= static_cast<uint64_t>(b & 0x7F) << shift;
+      if ((b & 0x80) == 0) break;
+    }
+    *v = out;
     return true;
+  }
+  bool VarI64(int64_t* v) {
+    uint64_t u = 0;
+    if (!VarU64(&u)) return false;
+    *v = static_cast<int64_t>((u >> 1) ^ (~(u & 1) + 1));
+    return true;
+  }
+  /// Reads a VarStr; the length is checked against the input before any
+  /// byte is copied.
+  bool VarStr(std::string* v) {
+    uint64_t n = 0;
+    return VarU64(&n) && Bytes(n, v);
   }
   bool U32Vec(std::vector<uint32_t>* v) {
     uint32_t n;
@@ -145,6 +189,13 @@ class ByteReader {
   bool Poison() {
     ok_ = false;
     return false;
+  }
+  /// The next `n` bytes into `*v`; false, copying nothing, when fewer remain.
+  bool Bytes(uint64_t n, std::string* v) {
+    if (!ok_ || data_.size() - pos_ < n) return Poison();
+    v->assign(data_.data() + pos_, n);
+    pos_ += n;
+    return true;
   }
   template <typename T>
   bool TakeLe(T* v) {

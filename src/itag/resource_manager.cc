@@ -233,28 +233,29 @@ Result<ResourceManager::CorpusTransfer> ResourceManager::ExtractCorpus(
   }
   // The corpus keeps statistics only; each post lives once, as its row of
   // the post log, which holds its tags as texts already. One scan visits
-  // the project's rows in row-id order, the order they were written, and a
+  // the project's rows in row-id order, the order they were written (it
+  // decodes only the project column of another project's row), and a
   // stable sort by resource then groups them with each resource's posts
   // still in arrival order.
   const storage::Table* posts = db_->GetTable(tables::kPosts);
   if (posts == nullptr) return out;
-  const auto key = static_cast<int64_t>(project);
   Status decoded = Status::OK();
-  ITAG_RETURN_IF_ERROR(posts->Scan([&](storage::RowId, const Row& row) {
-    if (row[0].as_int() != key) return true;
-    CorpusTransfer::PostRec rec;
-    rec.resource = static_cast<tagging::ResourceId>(row[1].as_int());
-    rec.tagger = static_cast<tagging::TaggerId>(row[2].as_int());
-    rec.time = row[3].as_int();
-    ByteReader r(row[4].as_string());
-    if (!r.StrVec(&rec.tags) || !r.AtEnd()) {
-      decoded = Status::Corruption("malformed post tags for project " +
-                                   std::to_string(project));
-      return false;
-    }
-    out.posts.push_back(std::move(rec));
-    return true;
-  }));
+  ITAG_RETURN_IF_ERROR(posts->ScanWhereFirst(
+      storage::Value::Int(static_cast<int64_t>(project)),
+      [&](storage::RowId, const Row& row) {
+        CorpusTransfer::PostRec rec;
+        rec.resource = static_cast<tagging::ResourceId>(row[1].as_int());
+        rec.tagger = static_cast<tagging::TaggerId>(row[2].as_int());
+        rec.time = row[3].as_int();
+        ByteReader r(row[4].as_string());
+        if (!r.StrVec(&rec.tags) || !r.AtEnd()) {
+          decoded = Status::Corruption("malformed post tags for project " +
+                                       std::to_string(project));
+          return false;
+        }
+        out.posts.push_back(std::move(rec));
+        return true;
+      }));
   ITAG_RETURN_IF_ERROR(decoded);
   std::stable_sort(out.posts.begin(), out.posts.end(),
                    [](const CorpusTransfer::PostRec& a,

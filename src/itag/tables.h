@@ -44,17 +44,18 @@ inline constexpr char kSys[] = "sys";
 
 /// Deletes every row of `table` whose first column, `project` in each
 /// per-project table (dict, resources, posts, quality_feed), holds
-/// `project`. One scan collects the row ids first, since no table may be
-/// written during its scan; a read error ends the call before any delete.
+/// `project`. One scan, which decodes only the first column of another
+/// project's row, collects the row ids first, since no table may be written
+/// during its scan; a read error ends the call before any delete.
 inline Status DeleteProjectRows(storage::Database* db, const char* table,
                                 ProjectId project) {
   const storage::Table* t = db->GetTable(table);
   if (t == nullptr) return Status::OK();
-  const auto key = static_cast<int64_t>(project);
   std::vector<storage::RowId> ids;
-  ITAG_RETURN_IF_ERROR(
-      t->Scan([&](storage::RowId id, const storage::Row& row) {
-        if (row[0].as_int() == key) ids.push_back(id);
+  ITAG_RETURN_IF_ERROR(t->ScanWhereFirst(
+      storage::Value::Int(static_cast<int64_t>(project)),
+      [&](storage::RowId id, const storage::Row&) {
+        ids.push_back(id);
         return true;
       }));
   for (storage::RowId id : ids) ITAG_RETURN_IF_ERROR(db->Delete(table, id));

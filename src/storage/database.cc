@@ -51,14 +51,11 @@ struct StorageMetrics {
   }
 };
 
-/// Reads the WAL at `path` and cuts it back to the end of its last whole
-/// frame. The writer appends at the end of the file, so a torn or
-/// zero-filled tail left in place would sit in front of every later frame
-/// and hide it from the next recovery.
-Status ReadAndTrimWal(const std::string& path,
-                      std::vector<WalRecord>* records) {
-  uint64_t end = 0;
-  ITAG_RETURN_IF_ERROR(ReadWal(path, records, &end));
+/// Cuts the WAL at `path` back to `end`, where its last whole frame ends.
+/// The writer appends at the end of the file, so a torn or zero-filled tail
+/// left in place would sit in front of every later frame and hide it from
+/// the next recovery.
+Status TrimWal(const std::string& path, uint64_t end) {
   std::error_code ec;
   const uintmax_t size = fs::file_size(path, ec);
   if (ec || size <= end) return Status::OK();  // no log, or nothing torn
@@ -155,26 +152,33 @@ Status Database::RecoverPaged() {
 }
 
 Status Database::ReplayWal(uint64_t ckpt_lsn) {
-  std::vector<WalRecord> records;
-  ITAG_RETURN_IF_ERROR(ReadAndTrimWal(wal_path(), &records));
+  // Each frame is applied as it is read, so recovery holds one frame of the
+  // log at a time, not the whole log.
   uint64_t max_lsn = ckpt_lsn;
-  for (const WalRecord& rec : records) {
-    ++recovery_stats_.wal_records_scanned;
-    recovery_stats_.wal_bytes_scanned += rec.payload.size();
-    if (rec.lsn > max_lsn) max_lsn = rec.lsn;
-    // The checkpoint (snapshot v2 or paged meta) records the highest LSN it
-    // contains, so a retained WAL (retain_wal keeps the log for replication
-    // subscribers) replays only the frames past it. A pre-v2 snapshot
-    // leaves the checkpoint LSN at 0 and replays everything.
-    if (rec.lsn != 0 && rec.lsn <= ckpt_lsn) continue;
-    ++recovery_stats_.wal_records_replayed;
-    Status s = ApplyWalRecord(rec);
-    // Replay must be idempotent-ish against a checkpoint that already
-    // contains some of the records (checkpoint truncates the WAL, so in the
-    // normal protocol this cannot happen; tolerate AlreadyExists to be
-    // robust against a crash between checkpoint write and WAL truncate).
-    if (!s.ok() && !s.IsAlreadyExists()) return s;
-  }
+  uint64_t end = 0;
+  ITAG_RETURN_IF_ERROR(ScanWal(
+      wal_path(),
+      [&](WalRecord&& rec) {
+        ++recovery_stats_.wal_records_scanned;
+        recovery_stats_.wal_bytes_scanned += rec.payload.size();
+        if (rec.lsn > max_lsn) max_lsn = rec.lsn;
+        // The checkpoint (snapshot v2 or paged meta) records the highest
+        // LSN it contains, so a retained WAL (retain_wal keeps the log for
+        // replication subscribers) replays only the frames past it. A
+        // pre-v2 snapshot leaves the checkpoint LSN at 0 and replays
+        // everything.
+        if (rec.lsn != 0 && rec.lsn <= ckpt_lsn) return Status::OK();
+        ++recovery_stats_.wal_records_replayed;
+        Status s = ApplyWalRecord(rec);
+        // Replay must be idempotent-ish against a checkpoint that already
+        // contains some of the records (checkpoint truncates the WAL, so in
+        // the normal protocol this cannot happen; tolerate AlreadyExists to
+        // be robust against a crash between checkpoint write and WAL
+        // truncate).
+        return s.IsAlreadyExists() ? Status::OK() : s;
+      },
+      &end));
+  ITAG_RETURN_IF_ERROR(TrimWal(wal_path(), end));
   next_lsn_ = max_lsn + 1;
   ITAG_LOG(kInfo) << (paged() ? "paged open: " : "open: ") << tables_.size()
                   << " tables, replayed "
@@ -243,25 +247,14 @@ Status Database::ApplyWalRecord(const WalRecord& rec) {
                                                   rec.table);
       return t->Delete(rec.row_id);
     }
-    case WalOp::kBatch: {
-      // The group frame was CRC-complete, so every sub-record (u32 length +
-      // an EncodeWalRecord payload) must parse; anything less is
-      // corruption, not a crash artifact.
-      ByteReader in(rec.payload);
-      while (!in.AtEnd()) {
-        std::string bytes;
-        WalRecord sub;
-        if (!in.Str(&bytes) || !DecodeWalRecord(bytes, &sub) ||
-            sub.op == WalOp::kBatch) {
-          return Status::Corruption("malformed batch sub-record");
-        }
+    case WalOp::kBatch:
+    case WalOp::kBatchV2:
+      return ForEachSubRecord(rec, [this](const WalRecord& sub) {
         Status s = ApplyWalRecord(sub);
         // Same tolerance as the top-level replay loop: a snapshot taken
         // between batch append and WAL truncate may already contain rows.
-        if (!s.ok() && !s.IsAlreadyExists()) return s;
-      }
-      return Status::OK();
-    }
+        return s.IsAlreadyExists() ? Status::OK() : s;
+      });
   }
   return Status::Corruption("unknown wal op");
 }
@@ -405,7 +398,7 @@ Status Database::CommitBatch() {
   const size_t batch_ops = batch_.size();
   const size_t coalesced = std::exchange(batch_coalesced_, 0);
   ByteWriter group;
-  for (const BatchEntry& entry : batch_) group.Str(EncodeWalRecord(entry.rec));
+  for (const BatchEntry& entry : batch_) EncodeSubRecord(entry.rec, &group);
   // Fresh containers, not clear(): a bulk batch (a project adoption, say)
   // must not leave its memory, or a bucket array clear() would walk, to
   // every batch after it. Move-assigned, since `= {}` picks the
@@ -414,7 +407,7 @@ Status Database::CommitBatch() {
   batch_rows_ = decltype(batch_rows_)();
   if (!wal_error_.ok()) return wal_error_;
   WalRecord rec;
-  rec.op = WalOp::kBatch;
+  rec.op = WalOp::kBatchV2;
   rec.lsn = next_lsn_++;
   rec.payload = group.Take();
   size_t payload_bytes = rec.payload.size();

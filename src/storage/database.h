@@ -126,7 +126,7 @@ class Database {
   void BeginBatch();
 
   /// Closes the innermost batch; at depth zero, encodes the buffered
-  /// sub-records and appends them as one kBatch record (no-op when nothing
+  /// sub-records and appends them as one kBatchV2 record (no-op when nothing
   /// was logged or not durable).
   Status CommitBatch();
 

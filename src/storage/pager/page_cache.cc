@@ -75,7 +75,12 @@ Result<PageRef> PageCache::Pin(PageId id) {
 }
 
 Result<PageRef> PageCache::PinNew(PageId id, PageType type) {
-  assert(frames_.find(id) == frames_.end());
+  // A fresh page is never cached; one that is came from a corrupted free
+  // list, and framing it anew would write over a live page.
+  if (frames_.count(id) != 0) {
+    return Status::Corruption("allocated page " + std::to_string(id) +
+                              " is still cached");
+  }
   ITAG_RETURN_IF_ERROR(EvictForSpace());
   PageFrame frame;
   frame.image.header.page_id = id;

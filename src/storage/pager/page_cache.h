@@ -90,6 +90,7 @@ class PageCache {
 
   /// Pins a brand-new frame for freshly allocated page `id` without reading
   /// the (garbage) slot; the frame starts dirty with the given type.
+  /// Corruption when `id` is already cached.
   Result<PageRef> PinNew(PageId id, PageType type);
 
   /// Discards the frame for `id` (page was freed): no write-back. Its

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -389,6 +390,24 @@ Status Pager::LoadFreeList(PageId head) {
   std::vector<uint32_t> ids;
   if (!r.U32Vec(&ids) || !r.AtEnd()) {
     return Status::Corruption("free list malformed");
+  }
+  // Allocate hands these ids out as fresh pages, so an id that is not a
+  // data page, or one listed twice, would have a new node written over a
+  // live page.
+  for (PageId id : ids) {
+    if (id < kFirstDataPage || id >= page_count_) {
+      return Status::Corruption("free list names page " + std::to_string(id) +
+                                " outside the data pages [" +
+                                std::to_string(kFirstDataPage) + ", " +
+                                std::to_string(page_count_) + ")");
+    }
+  }
+  std::vector<uint32_t> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  auto twice = std::adjacent_find(sorted.begin(), sorted.end());
+  if (twice != sorted.end()) {
+    return Status::Corruption("free list names page " +
+                              std::to_string(*twice) + " twice");
   }
   free_now_.assign(ids.begin(), ids.end());
   return Status::OK();

@@ -4,23 +4,136 @@
 
 namespace itag::storage {
 
+namespace {
+
+/// Tags of a v2 row's values. A bool is its tag alone, so it takes two.
+enum RowTag : uint8_t {
+  kTagNull = 0,
+  kTagFalse = 1,
+  kTagTrue = 2,
+  kTagInt = 3,
+  kTagDouble = 4,
+  kTagString = 5,
+};
+
+/// First byte of a v2 row of `arity` columns: the low byte of the arity
+/// with its top bit flipped. A v1 row opens with the arity itself as a u32,
+/// so its first byte is that low byte unflipped, and one byte tells the two
+/// formats apart for every column count.
+uint8_t V2Lead(size_t arity) {
+  return static_cast<uint8_t>((arity & 0xFF) ^ 0x80);
+}
+
+void EncodeValue(const Value& v, ByteWriter* out) {
+  switch (v.type()) {
+    case FieldType::kNull:
+      out->U8(kTagNull);
+      break;
+    case FieldType::kBool:
+      out->U8(v.as_bool() ? kTagTrue : kTagFalse);
+      break;
+    case FieldType::kInt64:
+      out->U8(kTagInt);
+      out->VarI64(v.as_int());
+      break;
+    case FieldType::kDouble:
+      out->U8(kTagDouble);
+      out->F64(v.as_double());
+      break;
+    case FieldType::kString:
+      out->U8(kTagString);
+      out->VarStr(v.as_string());
+      break;
+  }
+}
+
+bool DecodeValue(ByteReader* in, Value* out) {
+  uint8_t tag = 0;
+  if (!in->U8(&tag)) return false;
+  switch (tag) {
+    case kTagNull:
+      *out = Value::Null();
+      return true;
+    case kTagFalse:
+    case kTagTrue:
+      *out = Value::Bool(tag == kTagTrue);
+      return true;
+    case kTagInt: {
+      int64_t i = 0;
+      if (!in->VarI64(&i)) return false;
+      *out = Value::Int(i);
+      return true;
+    }
+    case kTagDouble: {
+      double d = 0;
+      if (!in->F64(&d)) return false;
+      *out = Value::Real(d);
+      return true;
+    }
+    case kTagString: {
+      std::string s;
+      if (!in->VarStr(&s)) return false;
+      *out = Value::Str(std::move(s));
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Reads the head of a row of `arity` columns from `in`: the v2 lead byte,
+/// or the v1 column count, which must equal `arity`. Sets `*v2` to the
+/// format; false when the bytes open neither.
+bool ReadRowHead(ByteReader* in, std::string_view data, size_t arity,
+                 bool* v2) {
+  *v2 = !data.empty() && static_cast<uint8_t>(data[0]) == V2Lead(arity);
+  if (*v2) {
+    uint8_t lead = 0;
+    return in->U8(&lead);
+  }
+  uint32_t n = 0;
+  return in->U32(&n) && n == arity;
+}
+
+/// Reads one value in the row format `v2` says.
+bool ReadValue(ByteReader* in, bool v2, Value* out) {
+  return v2 ? DecodeValue(in, out) : Value::DecodeFrom(in, out);
+}
+
+/// Decodes the first value of a row of `arity` (at least 1) columns,
+/// leaving the rest unread; false on malformed input.
+bool DecodeFirstValue(std::string_view data, size_t arity, Value* out) {
+  ByteReader in(data);
+  bool v2 = false;
+  return ReadRowHead(&in, data, arity, &v2) && ReadValue(&in, v2, out);
+}
+
+}  // namespace
+
 std::string EncodeRow(const Row& row) {
   ByteWriter out;
-  out.U32(static_cast<uint32_t>(row.size()));
-  for (const Value& v : row) v.EncodeTo(&out);
+  out.U8(V2Lead(row.size()));
+  for (const Value& v : row) EncodeValue(v, &out);
   return out.Take();
 }
 
 bool DecodeRow(std::string_view data, size_t arity, Row* out) {
   ByteReader in(data);
-  uint32_t n;
-  if (!in.U32(&n) || n != arity) return false;
+  bool v2 = false;
+  if (!ReadRowHead(&in, data, arity, &v2)) return false;
   out->clear();
-  out->resize(n);
+  out->resize(arity);
   for (Value& v : *out) {
-    if (!Value::DecodeFrom(&in, &v)) return false;
+    if (!ReadValue(&in, v2, &v)) return false;
   }
   return in.AtEnd();
+}
+
+Status RowStore::ScanWhereFirst(
+    const Value& first,
+    const std::function<bool(RowId, const Row&)>& fn) const {
+  return Scan([&](RowId id, const Row& row) {
+    return row[0] != first || fn(id, row);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -62,6 +175,7 @@ Status MemRowStore::Scan(
   }
   return Status::OK();
 }
+
 
 // ---------------------------------------------------------------------------
 // PagedRowStore
@@ -124,6 +238,25 @@ Status PagedRowStore::Scan(
   Row row;
   ITAG_RETURN_IF_ERROR(
       tree_->Scan(0, [&](uint64_t key, std::string_view bytes) {
+        decoded = DecodeStored(key, bytes, &row);
+        return decoded.ok() && fn(key, row);
+      }));
+  return decoded;
+}
+
+Status PagedRowStore::ScanWhereFirst(
+    const Value& first,
+    const std::function<bool(RowId, const Row&)>& fn) const {
+  Status decoded = Status::OK();
+  Value head;
+  Row row;
+  ITAG_RETURN_IF_ERROR(
+      tree_->Scan(0, [&](uint64_t key, std::string_view bytes) {
+        if (DecodeFirstValue(bytes, arity_, &head) && head != first) {
+          return true;
+        }
+        // A match, or a row whose head does not decode: the full decode
+        // hands the row over or reports the corruption.
         decoded = DecodeStored(key, bytes, &row);
         return decoded.ok() && fn(key, row);
       }));

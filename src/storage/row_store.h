@@ -18,12 +18,17 @@ namespace itag::storage {
 /// reused.
 using RowId = uint64_t;
 
-/// Encodes a row for WAL payloads and the paged row heap: u32 column count,
-/// then each Value.
+/// Encodes a row for WAL payloads and the paged row heap, as a v2 row: a
+/// lead byte (the column count's low byte with its top bit flipped), then
+/// per column a tag byte and its payload. An int follows its tag as a
+/// zigzag varint, a string as a varint length and its bytes, a double as 8
+/// bytes; a bool (true and false have a tag each) and NULL are the tag
+/// alone.
 std::string EncodeRow(const Row& row);
 
 /// Decodes a row with `arity` columns that fills `data` exactly; false on
-/// malformed input.
+/// malformed input. Reads v2 rows and the v1 rows older builds wrote (a u32
+/// column count, then each Value::EncodeTo), told apart by the first byte.
 bool DecodeRow(std::string_view data, size_t arity, Row* out);
 
 /// The primary row heap behind a Table: RowId -> Row, iterable in id order.
@@ -62,6 +67,12 @@ class RowStore {
   /// stop early. The store must not be mutated during the scan.
   virtual Status Scan(
       const std::function<bool(RowId, const Row&)>& fn) const = 0;
+
+  /// Scan limited to the rows whose first column equals `first`; the store
+  /// has at least one column. By default a Scan that skips the others.
+  virtual Status ScanWhereFirst(
+      const Value& first,
+      const std::function<bool(RowId, const Row&)>& fn) const;
 };
 
 /// The original heap: a std::map of materialized rows.
@@ -84,6 +95,8 @@ class MemRowStore : public RowStore {
 /// Each write encodes its row once and hands the bytes to the tree. A read
 /// decodes the row straight from the pinned leaf when it is stored inline,
 /// and a replace or erase decodes the row it displaces in the same descent.
+/// ScanWhereFirst decodes a row's first value to test it, and the rest only
+/// when it matches.
 /// The tree handle is owned by the PagedEngine that also owns the pager and
 /// cache; `arity` is the table's column count, used to validate decoded rows.
 class PagedRowStore : public RowStore {
@@ -98,6 +111,9 @@ class PagedRowStore : public RowStore {
   Result<Row> Erase(RowId id) override;
   uint64_t size() const override { return count_; }
   Status Scan(const std::function<bool(RowId, const Row&)>& fn) const override;
+  Status ScanWhereFirst(
+      const Value& first,
+      const std::function<bool(RowId, const Row&)>& fn) const override;
 
  private:
   /// Decodes stored row `id` from `bytes` into `*row`; Corruption when the

@@ -144,6 +144,13 @@ Status Table::Scan(const std::function<bool(RowId, const Row&)>& fn) const {
   return store_->Scan(fn);
 }
 
+Status Table::ScanWhereFirst(
+    const Value& first,
+    const std::function<bool(RowId, const Row&)>& fn) const {
+  if (schema_.num_columns() == 0) return Status::OK();
+  return store_->ScanWhereFirst(first, fn);
+}
+
 size_t Table::CountWhere(const std::function<bool(const Row&)>& pred) const {
   size_t n = 0;
   (void)store_->Scan([&](RowId id, const Row& row) {

@@ -80,6 +80,13 @@ class Table {
   [[nodiscard]] Status Scan(
       const std::function<bool(RowId, const Row&)>& fn) const;
 
+  /// Scan limited to the rows whose first column equals `first`, in the
+  /// same order and with the same errors. A paged heap decodes only the
+  /// first value of a row that does not match.
+  [[nodiscard]] Status ScanWhereFirst(
+      const Value& first,
+      const std::function<bool(RowId, const Row&)>& fn) const;
+
   /// Counts rows satisfying `pred`.
   size_t CountWhere(const std::function<bool(const Row&)>& pred) const;
 

@@ -74,7 +74,8 @@ class Value {
 
   /// Appends a self-delimiting encoding: the FieldType byte, then the
   /// payload (bool as one byte, int64 and double bits as u64, string as
-  /// u32 length + bytes). Rows in the WAL, snapshots and pages use it.
+  /// u32 length + bytes). Snapshots use it, and so do the v1 rows older
+  /// builds wrote to the WAL and pages (EncodeRow now writes v2 rows).
   void EncodeTo(ByteWriter* out) const;
 
   /// Reads one value written by EncodeTo. Returns false on truncated input

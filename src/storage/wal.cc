@@ -114,9 +114,8 @@ Status WalTailer::Next(WalRecord* out, bool* have) {
   return Status::OK();
 }
 
-Status ReadWal(const std::string& path, std::vector<WalRecord>* records,
-               uint64_t* end) {
-  records->clear();
+Status ScanWal(const std::string& path,
+               const std::function<Status(WalRecord&&)>& fn, uint64_t* end) {
   if (end != nullptr) *end = 0;
   if (!std::filesystem::exists(path)) return Status::OK();
   std::error_code ec;
@@ -125,12 +124,13 @@ Status ReadWal(const std::string& path, std::vector<WalRecord>* records,
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot read wal: " + path);
   uint64_t offset = 0;
+  std::string payload;
   while (size - offset >= kFrameHeaderBytes) {
     uint32_t len = 0, crc = 0;
     if (!ReadFrameHeader(in, &len, &crc)) break;
     if (len == 0 && crc == 0) break;                     // zero-filled tail
     if (len > size - offset - kFrameHeaderBytes) break;  // torn tail
-    std::string payload(len, '\0');
+    payload.resize(len);
     in.read(payload.data(), len);
     if (static_cast<uint32_t>(in.gcount()) < len) break;
     if (Crc32(payload.data(), payload.size()) != crc) {
@@ -140,10 +140,56 @@ Status ReadWal(const std::string& path, std::vector<WalRecord>* records,
     if (!DecodeWalRecord(payload, &rec)) {
       return Status::Corruption("wal record malformed in " + path);
     }
-    records->push_back(std::move(rec));
     offset += kFrameHeaderBytes + len;
+    if (end != nullptr) *end = offset;
+    ITAG_RETURN_IF_ERROR(fn(std::move(rec)));
   }
-  if (end != nullptr) *end = offset;
+  return Status::OK();
+}
+
+Status ReadWal(const std::string& path, std::vector<WalRecord>* records,
+               uint64_t* end) {
+  records->clear();
+  return ScanWal(
+      path,
+      [records](WalRecord&& rec) {
+        records->push_back(std::move(rec));
+        return Status::OK();
+      },
+      end);
+}
+
+void EncodeSubRecord(const WalRecord& sub, ByteWriter* group) {
+  group->U8(static_cast<uint8_t>(sub.op));
+  group->VarStr(sub.table);
+  group->VarU64(sub.row_id);
+  group->VarStr(sub.payload);
+}
+
+Status ForEachSubRecord(const WalRecord& record,
+                        const std::function<Status(const WalRecord&)>& fn) {
+  const bool v2 = record.op == WalOp::kBatchV2;
+  if (!v2 && record.op != WalOp::kBatch) return fn(record);
+  // The group frame was CRC-complete, so every sub-record must parse;
+  // anything less is corruption, not a crash artifact.
+  ByteReader in(record.payload);
+  WalRecord sub;
+  while (!in.AtEnd()) {
+    bool parsed = false;
+    if (v2) {
+      uint8_t op = 0;
+      parsed = in.U8(&op) && in.VarStr(&sub.table) &&
+               in.VarU64(&sub.row_id) && in.VarStr(&sub.payload);
+      sub.op = static_cast<WalOp>(op);
+    } else {
+      std::string bytes;
+      parsed = in.Str(&bytes) && DecodeWalRecord(bytes, &sub);
+    }
+    if (!parsed || sub.op == WalOp::kBatch || sub.op == WalOp::kBatchV2) {
+      return Status::Corruption("malformed batch sub-record");
+    }
+    ITAG_RETURN_IF_ERROR(fn(sub));
+  }
   return Status::OK();
 }
 

@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/binio.h"
 #include "common/status.h"
 
 namespace itag::storage {
@@ -20,22 +22,27 @@ enum class WalOp : uint8_t {
   kInsert = 3,
   kUpdate = 4,
   kDelete = 5,
-  /// Atomic group: the payload is a sequence of u32-length-prefixed encoded
-  /// sub-records (each itself an EncodeWalRecord payload, kBatch excluded).
-  /// Because the whole group rides one framed record, recovery either
-  /// replays all of it or none — a torn tail can never expose half of a
-  /// logical mutation (e.g. a budget debit without its task rows).
+  /// Atomic group as older builds wrote it, replayed but no longer written:
+  /// the payload is a sequence of u32-length-prefixed sub-records, each an
+  /// EncodeWalRecord payload with LSN 0.
   kBatch = 6,
+  /// Atomic group: the payload is a sequence of sub-records, each `u8 op,
+  /// varint-length table name, varint row id, varint-length payload` (a
+  /// WalRecord without the LSN, which the group frame's covers). Because
+  /// the whole group rides one framed record, recovery either replays all
+  /// of it or none — a torn tail can never expose half of a logical
+  /// mutation (e.g. a budget debit without its task rows).
+  kBatchV2 = 7,
 };
 
 /// One decoded WAL record.
 struct WalRecord {
   WalOp op;
   /// Log sequence number the Database stamps on every appended frame
-  /// (monotonic, one per frame — a kBatch group shares one). The paged
+  /// (monotonic, one per frame — a batch group shares one). The paged
   /// engine's checkpoint records the highest LSN it contains, so recovery
-  /// replays only frames with lsn > checkpoint_lsn. Sub-records inside a
-  /// kBatch payload carry 0 (the frame's LSN covers the group).
+  /// replays only frames with lsn > checkpoint_lsn. Sub-records of a batch
+  /// carry 0 (the frame's LSN covers the group).
   uint64_t lsn = 0;
   std::string table;    ///< table name
   uint64_t row_id = 0;  ///< for insert/update/delete
@@ -70,15 +77,23 @@ class WalWriter {
   std::ofstream out_;
 };
 
-/// Reads every valid record from a WAL file. Returns OK with the records
-/// decoded so far even when the tail is torn; returns Corruption only when a
-/// frame is malformed in a way that indicates a bug rather than a crash
-/// (checksum mismatch on a complete frame). The log ends at the first frame
-/// that is not whole: a short header, a length running past the end of the
-/// file (checked before the payload is allocated), or an all-zero header —
-/// the zero-filled tail a filesystem can leave after a crash, which the
-/// writer never produces since no record is empty. `end`, when given,
-/// receives the byte offset where the last whole frame ends.
+/// Reads the WAL at `path` frame by frame and hands each whole frame's
+/// record to `fn` as it is read, so a reader holds one frame at a time.
+/// Returns OK once the log ends, even when its tail is torn; returns
+/// Corruption only when a frame is malformed in a way that indicates a bug
+/// rather than a crash (checksum mismatch on a complete frame), after
+/// handing over the frames before it. The log ends at the first frame that
+/// is not whole: a short header, a length running past the end of the file
+/// (checked before the payload is allocated), or an all-zero header — the
+/// zero-filled tail a filesystem can leave after a crash, which the writer
+/// never produces since no record is empty. A non-OK status from `fn` stops
+/// the read and is returned. `end`, when given, receives the byte offset
+/// where the last frame handed over ends.
+Status ScanWal(const std::string& path,
+               const std::function<Status(WalRecord&&)>& fn,
+               uint64_t* end = nullptr);
+
+/// ScanWal into a vector: every valid record of the log at `path`.
 Status ReadWal(const std::string& path, std::vector<WalRecord>* records,
                uint64_t* end = nullptr);
 
@@ -130,6 +145,18 @@ std::string EncodeWalRecord(const WalRecord& record);
 
 /// Parses a record payload. Returns false on malformed input.
 bool DecodeWalRecord(std::string_view payload, WalRecord* out);
+
+/// Appends `sub` to `group`, the payload of a kBatchV2 frame.
+void EncodeSubRecord(const WalRecord& sub, ByteWriter* group);
+
+/// Hands each sub-record of batch frame `record` (kBatchV2, or the older
+/// kBatch) to `fn` in log order; a record of any other op is handed over as
+/// itself. Corruption when a sub-record is cut short or malformed, or is a
+/// batch itself; the first non-OK status of `fn` ends the walk and is
+/// returned. The one reader of both batch layouts: replay and tools alike
+/// call it.
+Status ForEachSubRecord(const WalRecord& record,
+                        const std::function<Status(const WalRecord&)>& fn);
 
 }  // namespace itag::storage
 

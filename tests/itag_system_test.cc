@@ -652,18 +652,13 @@ TEST(ITagSystemDurabilityTest, PlatformStepWalBytesStayFlat) {
 
 /// The sub-records of `record`: those of a batch, or the record itself.
 std::vector<storage::WalRecord> SubRecords(const storage::WalRecord& record) {
-  if (record.op != storage::WalOp::kBatch) return {record};
   std::vector<storage::WalRecord> subs;
-  ByteReader in(record.payload);
-  while (!in.AtEnd()) {
-    std::string bytes;
-    storage::WalRecord sub;
-    if (!in.Str(&bytes) || !storage::DecodeWalRecord(bytes, &sub)) {
-      ADD_FAILURE() << "malformed sub-record";
-      break;
-    }
-    subs.push_back(std::move(sub));
-  }
+  EXPECT_TRUE(storage::ForEachSubRecord(record,
+                                        [&](const storage::WalRecord& sub) {
+                                          subs.push_back(sub);
+                                          return Status::OK();
+                                        })
+                  .ok());
   return subs;
 }
 

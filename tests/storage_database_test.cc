@@ -14,6 +14,7 @@
 #include "common/binio.h"
 #include "common/crc32.h"
 #include "obs/metrics.h"
+#include "storage/pager/paged_engine.h"
 
 namespace itag::storage {
 namespace {
@@ -304,7 +305,7 @@ TEST_F(DatabaseTest, BatchGroupsMutationsIntoOneWalRecordThatReplays) {
   std::vector<WalRecord> records;
   ASSERT_TRUE(ReadWal(dir_ + "/wal.log", &records).ok());
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[1].op, WalOp::kBatch);
+  EXPECT_EQ(records[1].op, WalOp::kBatchV2);
   Database db;
   ASSERT_TRUE(db.Open(Opts()).ok());
   ASSERT_EQ(db.GetTable("t")->row_count(), 2u);
@@ -329,7 +330,7 @@ TEST_F(DatabaseTest, NestedBatchesFoldIntoTheOutermost) {
   std::vector<WalRecord> records;
   ASSERT_TRUE(ReadWal(dir_ + "/wal.log", &records).ok());
   ASSERT_EQ(records.size(), 2u);  // create + one fused batch
-  EXPECT_EQ(records[1].op, WalOp::kBatch);
+  EXPECT_EQ(records[1].op, WalOp::kBatchV2);
   Database db;
   ASSERT_TRUE(db.Open(Opts()).ok());
   EXPECT_EQ(db.GetTable("t")->row_count(), 3u);
@@ -388,25 +389,19 @@ TEST_F(DatabaseTest, EmptyBatchWritesNothing) {
 // rules and check, against the live tables, that whatever folded still
 // recovers and replicates to the same state.
 
-/// The sub-records of the kBatch frame at `index` in the WAL at `path`.
+/// The sub-records of the batch frame at `index` in the WAL at `path`.
 std::vector<WalRecord> BatchSubRecords(const std::string& path, size_t index) {
   std::vector<WalRecord> records;
   EXPECT_TRUE(ReadWal(path, &records).ok());
   std::vector<WalRecord> subs;
-  if (index >= records.size() || records[index].op != WalOp::kBatch) {
+  if (index >= records.size() || records[index].op != WalOp::kBatchV2) {
     ADD_FAILURE() << "no batch frame at " << index;
     return subs;
   }
-  ByteReader in(records[index].payload);
-  while (!in.AtEnd()) {
-    std::string bytes;
-    WalRecord sub;
-    if (!in.Str(&bytes) || !DecodeWalRecord(bytes, &sub)) {
-      ADD_FAILURE() << "malformed sub-record";
-      break;
-    }
-    subs.push_back(std::move(sub));
-  }
+  EXPECT_TRUE(ForEachSubRecord(records[index], [&](const WalRecord& sub) {
+                subs.push_back(sub);
+                return Status::OK();
+              }).ok());
   return subs;
 }
 
@@ -757,6 +752,119 @@ INSTANTIATE_TEST_SUITE_P(Engines, CoalescingOracleTest, ::testing::Bool(),
                            return info.param ? "paged" : "snapshot";
                          });
 
+// ------------------------------------------------------------ filtered scans
+
+/// The storage mode of a ScanWhereFirstTest.
+enum class StorageMode { kMemory, kSnapshot, kPaged };
+
+/// Table::ScanWhereFirst against Scan plus the filter, on a table with rows
+/// deleted and a recovery behind it; on the paged engine half the stored
+/// rows are v1, as an older build left them.
+class ScanWhereFirstTest : public DatabaseTest,
+                           public ::testing::WithParamInterface<StorageMode> {
+ protected:
+  DatabaseOptions ModeOpts() const {
+    DatabaseOptions o;
+    if (GetParam() == StorageMode::kMemory) return o;
+    o.directory = dir_;
+    o.paged = GetParam() == StorageMode::kPaged;
+    o.page_size = 512;  // many leaves, so the scan crosses pages
+    return o;
+  }
+
+  using Rows = std::vector<std::pair<RowId, Row>>;
+
+  static Rows Filtered(const Table& t, const Value& first) {
+    Rows out;
+    EXPECT_TRUE(t.ScanWhereFirst(first, [&](RowId id, const Row& row) {
+                   out.emplace_back(id, row);
+                   return true;
+                 }).ok());
+    return out;
+  }
+
+  static Rows ScannedThenFiltered(const Table& t, const Value& first) {
+    Rows out;
+    EXPECT_TRUE(t.Scan([&](RowId id, const Row& row) {
+                   if (row[0] == first) out.emplace_back(id, row);
+                   return true;
+                 }).ok());
+    return out;
+  }
+};
+
+TEST_P(ScanWhereFirstTest, VisitsExactlyTheRowsOfAFilteredScan) {
+  const Schema schema =
+      SchemaBuilder().Int("project").Str("tags").Int("t").Build();
+  Database db;
+  ASSERT_TRUE(db.Open(ModeOpts()).ok());
+  ASSERT_TRUE(db.CreateTable("posts", schema).ok());
+  for (int64_t i = 0; i < 400; ++i) {
+    const int64_t project = i % 11 == 0 ? 7 : i % 3;
+    ASSERT_TRUE(db.Insert("posts", {Value::Int(project),
+                                    Value::Str(std::string(i % 13, 't')),
+                                    Value::Int(i)})
+                    .ok());
+  }
+  for (RowId id = 5; id <= 400; id += 5) {
+    ASSERT_TRUE(db.Delete("posts", id).ok());
+  }
+  if (GetParam() == StorageMode::kPaged) {
+    std::vector<std::pair<RowId, std::string>> v1_rows;
+    ASSERT_TRUE(db.GetTable("posts")->Scan([&](RowId id, const Row& row) {
+      if (id % 2 == 0) return true;
+      ByteWriter v1;
+      v1.U32(static_cast<uint32_t>(row.size()));
+      for (const Value& v : row) v.EncodeTo(&v1);
+      v1_rows.emplace_back(id, v1.Take());
+      return true;
+    }).ok());
+    // Not during the scan: no table is written while it is scanned.
+    pager::PagedBTree* tree = db.engine()->GetTable("posts")->tree.get();
+    for (const auto& [id, bytes] : v1_rows) {
+      ASSERT_TRUE(tree->Put(id, bytes).ok());
+    }
+  }
+  ASSERT_TRUE(db.Checkpoint().ok());
+  Database reopened;
+  const Database* read = &db;
+  if (GetParam() != StorageMode::kMemory) {
+    ASSERT_TRUE(reopened.Open(ModeOpts()).ok());
+    read = &reopened;
+  }
+  const Table& posts = *read->GetTable("posts");
+  for (const Value& first :
+       {Value::Int(0), Value::Int(1), Value::Int(2), Value::Int(7),
+        Value::Int(99), Value::Str("0"), Value::Null()}) {
+    SCOPED_TRACE(first.ToString());
+    const Rows want = ScannedThenFiltered(posts, first);
+    EXPECT_EQ(Filtered(posts, first), want);
+    EXPECT_TRUE(first != Value::Int(1) || want.size() > 50u);
+  }
+  // The callback stops it, as it stops Scan.
+  int visits = 0;
+  ASSERT_TRUE(posts.ScanWhereFirst(Value::Int(2), [&](RowId, const Row&) {
+                     return ++visits < 3;
+                   }).ok());
+  EXPECT_EQ(visits, 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, ScanWhereFirstTest,
+    ::testing::Values(StorageMode::kMemory, StorageMode::kSnapshot,
+                      StorageMode::kPaged),
+    [](const ::testing::TestParamInfo<StorageMode>& info) {
+      switch (info.param) {
+        case StorageMode::kMemory:
+          return "memory";
+        case StorageMode::kSnapshot:
+          return "snapshot";
+        case StorageMode::kPaged:
+          return "paged";
+      }
+      return "unknown";
+    });
+
 // ------------------------------------------------------------ golden bytes
 // Byte vectors of the storage formats, each checked in both directions: the
 // encoder must still write them and the decoder must still read them. Files
@@ -786,18 +894,35 @@ Schema GoldenSchema() {
       .Build();
 }
 
+/// A v2 row: the lead byte 0x88 (8 columns, top bit flipped), then each
+/// value's tag and payload: NULL 00, true 02, false 01, -2 as int tag 03
+/// and zigzag varint 03, the multi-byte int as a 9-byte varint, 1.5 as tag
+/// 04 and 8 bytes, "" as tag 05 and length 00, "a\0b" as 05 03 61 00 62.
 constexpr std::string_view kEveryTypeRowHex =
+    "88000201030303909cb0d080c181820204000000000000f83f05000503610062";
+
+/// The same row as older builds wrote it (v1: u32 column count, then each
+/// Value::EncodeTo). Kept as the read vector of the v1 row reader.
+constexpr std::string_view kEveryTypeRowV1Hex =
     "08000000000101010002feffffffffffffff0208070605040302010300000000"
     "0000f83f04000000000403000000610062";
 
 TEST(StorageGoldenBytesTest, RowOfEveryFieldType) {
   EXPECT_EQ(Hex(EncodeRow(EveryTypeRow())), kEveryTypeRowHex);
-  Row out;
-  ASSERT_TRUE(DecodeRow(Unhex(kEveryTypeRowHex), EveryTypeRow().size(), &out));
-  EXPECT_EQ(out, EveryTypeRow());
+  for (std::string_view hex : {kEveryTypeRowHex, kEveryTypeRowV1Hex}) {
+    Row out;
+    ASSERT_TRUE(DecodeRow(Unhex(hex), EveryTypeRow().size(), &out)) << hex;
+    EXPECT_EQ(out, EveryTypeRow());
+  }
 }
 
 constexpr std::string_view kWalRecordHex =
+    "04080706050403020105000000706f7374730201000000000000060000008203"
+    "0e050178";
+
+/// The same record as older builds wrote it, its row image in v1. The
+/// record layout is the same; only the payload moved.
+constexpr std::string_view kWalRecordV1Hex =
     "04080706050403020105000000706f7374730201000000000000130000000200"
     "0000020700000000000000040100000078";
 
@@ -809,13 +934,17 @@ TEST(StorageGoldenBytesTest, WalRecord) {
   rec.row_id = 258;
   rec.payload = EncodeRow(Kv(7, "x"));
   EXPECT_EQ(Hex(EncodeWalRecord(rec)), kWalRecordHex);
-  WalRecord out;
-  ASSERT_TRUE(DecodeWalRecord(Unhex(kWalRecordHex), &out));
-  EXPECT_EQ(out.op, rec.op);
-  EXPECT_EQ(out.lsn, rec.lsn);
-  EXPECT_EQ(out.table, rec.table);
-  EXPECT_EQ(out.row_id, rec.row_id);
-  EXPECT_EQ(out.payload, rec.payload);
+  for (std::string_view hex : {kWalRecordHex, kWalRecordV1Hex}) {
+    WalRecord out;
+    ASSERT_TRUE(DecodeWalRecord(Unhex(hex), &out)) << hex;
+    EXPECT_EQ(out.op, rec.op);
+    EXPECT_EQ(out.lsn, rec.lsn);
+    EXPECT_EQ(out.table, rec.table);
+    EXPECT_EQ(out.row_id, rec.row_id);
+    Row row;
+    ASSERT_TRUE(DecodeRow(out.payload, 2, &row)) << hex;
+    EXPECT_EQ(row, Kv(7, "x"));
+  }
 }
 
 constexpr std::string_view kSchemaHex =
@@ -864,8 +993,9 @@ constexpr std::string_view kBatchWalHex =
     "000201000000000000000403000000756e6f1b00000005000000000000000002"
     "0000006b76020000000000000000000000";
 
-/// The same script as written today: the update folds into row 1's insert,
-/// so the batch frame holds three sub-records (insert "uno", insert, delete).
+/// The same script as a build that folded updates but wrote v1 rows in a
+/// kBatch frame wrote it: the update folds into row 1's insert, so the
+/// batch frame holds three sub-records (insert "uno", insert, delete).
 constexpr std::string_view kCoalescedBatchWalHex =
     "2d0000004ead2291010100000000000000020000006b76000000000000000012"
     "00000002000000010000006b020001000000760400a0000000ce618c04060200"
@@ -874,6 +1004,16 @@ constexpr std::string_view kCoalescedBatchWalHex =
     "00000403000000756e6f30000000030000000000000000020000006b76020000"
     "00000000001500000002000000020200000000000000040300000074776f1b00"
     "0000050000000000000000020000006b76020000000000000000000000";
+
+/// The same script as written today: one kBatchV2 frame (op 07) whose three
+/// sub-records are `op, varint-length table, varint row id, varint-length
+/// payload`, with v2 rows: 03 026b76 01 08 8203020503756e6f is the insert
+/// of row 1 (1, "uno").
+constexpr std::string_view kBatchV2WalHex =
+    "2d0000004ead2291010100000000000000020000006b76000000000000000012"
+    "00000002000000010000006b0200010000007604003b000000f36f004d070200"
+    "0000000000000000000000000000000000002200000003026b76010882030205"
+    "03756e6f03026b760208820304050374776f05026b760200";
 
 TEST_F(DatabaseTest, GoldenWalFileWithBatchFrame) {
   {
@@ -887,9 +1027,10 @@ TEST_F(DatabaseTest, GoldenWalFileWithBatchFrame) {
     ASSERT_TRUE(db.Delete("kv", 2).ok());
     ASSERT_TRUE(batch.Commit().ok());
   }
-  EXPECT_EQ(Hex(ReadFile(dir_ + "/wal.log")), kCoalescedBatchWalHex);
+  EXPECT_EQ(Hex(ReadFile(dir_ + "/wal.log")), kBatchV2WalHex);
 
-  for (std::string_view hex : {kBatchWalHex, kCoalescedBatchWalHex}) {
+  for (std::string_view hex :
+       {kBatchWalHex, kCoalescedBatchWalHex, kBatchV2WalHex}) {
     fs::remove_all(dir_);
     WriteFile(dir_ + "/wal.log", Unhex(hex));
     Database db;
@@ -900,6 +1041,68 @@ TEST_F(DatabaseTest, GoldenWalFileWithBatchFrame) {
     ASSERT_EQ(kv->row_count(), 1u);
     EXPECT_EQ(kv->Get(1).value(), Kv(1, "uno"));
     EXPECT_EQ(db.Insert("kv", Kv(3, "three")).value(), 3u);
+  }
+}
+
+// A log an older build wrote (v1 rows in kBatch frames) replays, and what
+// the database logs after it is v2: rows and batch frames alike. A reopen
+// reads the mixed log.
+TEST_F(DatabaseTest, V1WalReplaysAndTheDatabaseThenWritesV2) {
+  WriteFile(dir_ + "/wal.log", Unhex(kBatchWalHex));
+  {
+    Database db;
+    ASSERT_TRUE(db.Open(Opts()).ok());
+    BatchScope batch(&db);
+    ASSERT_TRUE(db.Update("kv", 1, Kv(1, "eins")).ok());
+    ASSERT_TRUE(db.Insert("kv", Kv(4, "vier")).ok());
+    ASSERT_TRUE(batch.Commit().ok());
+  }
+  std::vector<WalRecord> records;
+  ASSERT_TRUE(ReadWal(dir_ + "/wal.log", &records).ok());
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[1].op, WalOp::kBatch);
+  EXPECT_EQ(records[2].op, WalOp::kBatchV2);
+  std::vector<WalRecord> subs = BatchSubRecords(dir_ + "/wal.log", 2);
+  ASSERT_EQ(subs.size(), 2u);
+  EXPECT_EQ(subs[0].payload, EncodeRow(Kv(1, "eins")));
+  EXPECT_EQ(subs[1].payload, EncodeRow(Kv(4, "vier")));
+  EXPECT_EQ(static_cast<uint8_t>(subs[1].payload[0]), 0x82);  // v2, 2 columns
+
+  Database db;
+  ASSERT_TRUE(db.Open(Opts()).ok());
+  EXPECT_EQ(db.last_lsn(), 3u);
+  const Table* kv = db.GetTable("kv");
+  ASSERT_EQ(kv->row_count(), 2u);
+  EXPECT_EQ(kv->Get(1).value(), Kv(1, "eins"));
+  EXPECT_EQ(kv->Get(3).value(), Kv(4, "vier"));
+}
+
+// A checksum-valid batch frame whose sub-record is cut short is corrupt,
+// not torn: Open fails rather than replay part of the group.
+TEST_F(DatabaseTest, BatchWithACutSubRecordFailsOpen) {
+  ByteWriter schema;
+  KvSchema().EncodeTo(&schema);
+  WalRecord sub;
+  sub.op = WalOp::kInsert;
+  sub.table = "kv";
+  sub.row_id = 1;
+  sub.payload = EncodeRow(Kv(1, "one"));
+  ByteWriter group;
+  EncodeSubRecord(sub, &group);
+  EncodeSubRecord(sub, &group);
+  const std::string whole = group.Take();
+  for (size_t cut : {whole.size() - 1, whole.size() / 2 + 3, size_t{2}}) {
+    SCOPED_TRACE(cut);
+    fs::remove_all(dir_);
+    WalRecord batch;
+    batch.op = WalOp::kBatchV2;
+    batch.lsn = 2;
+    batch.payload = whole.substr(0, cut);
+    WriteFile(dir_ + "/wal.log",
+              Frame(CreateTableRecord("kv", schema.buffer())) + Frame(batch));
+    Database db;
+    Status s = db.Open(Opts());
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   }
 }
 

@@ -7,10 +7,13 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/binio.h"
 #include "storage/pager/paged_engine.h"
 
 namespace itag::storage {
@@ -306,6 +309,95 @@ TEST_F(PagedDatabaseTest, ScanReportsAStoredRowThatDoesNotDecode) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_EQ(seen, std::vector<RowId>{1});
   EXPECT_TRUE(db.GetTable("t")->Get(2).status().IsCorruption());
+}
+
+// ScanWhereFirst decodes only a row's first value to test it, but a row
+// whose first value does not decode is reported like Scan reports it.
+TEST_F(PagedDatabaseTest, ScanWhereFirstReportsAStoredRowThatDoesNotDecode) {
+  Database db;
+  ASSERT_TRUE(db.Open(PagedOpts()).ok());
+  ASSERT_TRUE(db.CreateTable("t", KvSchema()).ok());
+  ASSERT_TRUE(db.Insert("t", Kv(1, "a")).ok());
+  ASSERT_TRUE(db.Insert("t", Kv(2, "b")).ok());
+  ASSERT_TRUE(db.Insert("t", Kv(1, "c")).ok());
+  // v2 lead byte for two columns, then an int tag with a cut varint.
+  ASSERT_TRUE(db.engine()->GetTable("t")->tree->Put(2, "\x82\x03\x80").ok());
+  std::vector<RowId> seen;
+  Status s = db.GetTable("t")->ScanWhereFirst(Value::Int(1),
+                                              [&](RowId id, const Row&) {
+                                                seen.push_back(id);
+                                                return true;
+                                              });
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(seen, std::vector<RowId>{1});
+}
+
+/// A row as builds before v2 rows stored it: u32 column count, then each
+/// Value::EncodeTo.
+std::string V1Row(const Row& row) {
+  ByteWriter out;
+  out.U32(static_cast<uint32_t>(row.size()));
+  for (const Value& v : row) v.EncodeTo(&out);
+  return out.Take();
+}
+
+// A page file an older build wrote holds v1 rows. Put into the tree
+// directly, they read, scan, back a unique index and recover, and the first
+// write of a row stores it as v2.
+TEST_F(PagedDatabaseTest, V1RowsReadAndRecoverAndARewriteStoresV2) {
+  std::map<RowId, Row> want;
+  {
+    Database db;
+    ASSERT_TRUE(db.Open(PagedOpts()).ok());
+    ASSERT_TRUE(db.CreateTable("kv", KvSchema()).ok());
+    for (int64_t k = 1; k <= 40; ++k) {
+      Row row = Kv(k, "v" + std::to_string(k));
+      want[db.Insert("kv", row).value()] = row;
+    }
+    pager::PagedBTree* tree = db.engine()->GetTable("kv")->tree.get();
+    for (const auto& [id, row] : want) {
+      ASSERT_TRUE(tree->Put(id, V1Row(row)).ok());
+    }
+    ASSERT_TRUE(db.Checkpoint().ok());
+  }
+  auto stored = [](Database* db, RowId id) {
+    std::string bytes;
+    EXPECT_TRUE(db->engine()
+                    ->GetTable("kv")
+                    ->tree->Get(id,
+                                [&](std::string_view b) {
+                                  bytes.assign(b);
+                                  return Status::OK();
+                                })
+                    .value());
+    return bytes;
+  };
+  {
+    Database db;
+    ASSERT_TRUE(db.Open(PagedOpts()).ok());
+    ASSERT_TRUE(db.AddUniqueIndex("kv", "k").ok());  // scans every row
+    const Table* kv = db.GetTable("kv");
+    EXPECT_EQ(Dump(db, "kv"), want);
+    for (const auto& [id, row] : want) {
+      EXPECT_EQ(kv->Get(id).value(), row);
+      EXPECT_EQ(kv->FindUnique(row[0]), std::optional<RowId>(id));
+    }
+    EXPECT_EQ(stored(&db, 1), V1Row(want[1]));
+    // Rewritten, a row is stored as v2; the WAL logs it and no checkpoint
+    // follows, so the reopen below replays it over the v1 page file.
+    want[1] = Kv(1, "rewritten");
+    ASSERT_TRUE(db.Update("kv", 1, want[1]).ok());
+    EXPECT_EQ(stored(&db, 1), EncodeRow(want[1]));
+    EXPECT_EQ(stored(&db, 2), V1Row(want[2]));
+  }
+  Database db;
+  ASSERT_TRUE(db.Open(PagedOpts()).ok());
+  EXPECT_EQ(db.recovery_stats().wal_records_replayed, 1u);
+  ASSERT_TRUE(db.AddUniqueIndex("kv", "k").ok());
+  EXPECT_EQ(Dump(db, "kv"), want);
+  EXPECT_EQ(db.GetTable("kv")->LookupUnique("k", Value::Int(40)).value(), 40u);
+  EXPECT_EQ(stored(&db, 1), EncodeRow(want[1]));
+  EXPECT_EQ(stored(&db, 40), V1Row(want[40]));
 }
 
 TEST_F(PagedDatabaseTest, ManyCheckpointCyclesReclaimPages) {

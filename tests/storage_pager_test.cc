@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/binio.h"
 #include "common/crc32.h"
 #include "storage/pager/page_cache.h"
 
@@ -277,6 +278,75 @@ TEST_F(PagerTest, FreeListSurvivesReopen) {
   Result<PageId> r = pager.Allocate();
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(pager.page_count(), count_before);
+}
+
+// Allocate hands free-list ids out as fresh pages, so Open refuses a list
+// that names a meta slot, a page at or past the page count, or one page
+// twice: any of them would have a new node written over a live page.
+TEST_F(PagerTest, FreeListNamingABadPageFailsOpen) {
+  PageId a = 0;
+  uint32_t count = 0;
+  {
+    Pager pager;
+    ASSERT_TRUE(pager.Open(Opts()).ok());
+    a = pager.Allocate().value();
+    PageId b = pager.Allocate().value();
+    ASSERT_TRUE(pager.Commit(kNullPage, 1).ok());
+    pager.Free(a);
+    pager.Free(b);
+    ASSERT_TRUE(pager.Commit(kNullPage, 2).ok());
+    count = pager.page_count();
+  }
+  const std::string good = path_ + ".good";
+  fs::copy_file(path_, good);
+  const std::vector<std::vector<uint32_t>> bad_lists = {
+      {0}, {1}, {count}, {a, count + 7}, {a, a}};
+  for (const std::vector<uint32_t>& bad : bad_lists) {
+    fs::copy_file(good, path_, fs::copy_options::overwrite_existing);
+    {
+      // With no catalog, the only catalog-typed page is the free list.
+      Pager pager;
+      ASSERT_TRUE(pager.Open(Opts()).ok());
+      bool rewritten = false;
+      for (PageId id = kFirstDataPage; id < pager.page_count(); ++id) {
+        PageImage img;
+        if (!pager.ReadPage(id, &img).ok() ||
+            img.header.type != PageType::kCatalog) {
+          continue;
+        }
+        ByteWriter w;
+        w.U32Vec(bad);
+        img.payload.assign(w.buffer().begin(), w.buffer().end());
+        ASSERT_TRUE(pager.WritePage(&img).ok());
+        rewritten = true;
+      }
+      ASSERT_TRUE(rewritten);
+    }
+    Pager pager;
+    Status s = pager.Open(Opts());
+    EXPECT_TRUE(s.IsCorruption()) << bad.size() << " ids: " << s.ToString();
+  }
+  fs::copy_file(good, path_, fs::copy_options::overwrite_existing);
+  Pager pager;
+  EXPECT_TRUE(pager.Open(Opts()).ok());
+}
+
+// A fresh page is never cached, so PinNew refuses one that is, in every
+// build, rather than framing it over the live frame.
+TEST_F(PagerTest, PinNewOfACachedPageIsCorruption) {
+  Pager pager;
+  ASSERT_TRUE(pager.Open(Opts()).ok());
+  PageCache cache(&pager, 8 * 512);
+  const PageId id = pager.Allocate().value();
+  Result<PageRef> live = cache.PinNew(id, PageType::kLeaf);
+  ASSERT_TRUE(live.ok());
+  live.value().payload().assign(3, 7);
+  live.value().MarkDirty();
+  Result<PageRef> again = cache.PinNew(id, PageType::kOverflow);
+  EXPECT_TRUE(again.status().IsCorruption()) << again.status().ToString();
+  EXPECT_EQ(live.value().header().type, PageType::kLeaf);
+  EXPECT_EQ(live.value().payload(), std::vector<uint8_t>(3, 7));
+  EXPECT_EQ(cache.resident(), 1u);
 }
 
 TEST_F(PagerTest, TornMetaWriteFallsBackToPreviousEpoch) {

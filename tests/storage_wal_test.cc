@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "storage/database.h"
 
@@ -208,6 +210,172 @@ TEST_F(WalTest, LyingLengthEndsTheLogAtTheLastWholeFrame) {
   EXPECT_TRUE(s.ok()) << s.ToString();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(end, boundary);
+}
+
+// ------------------------------------------ streaming reads
+
+TEST_F(WalTest, ScanWalHandsOverFramesInOrderAndStopsOnCallerError) {
+  WalWriter w;
+  ASSERT_TRUE(w.Open(path_).ok());
+  for (uint64_t id = 1; id <= 3; ++id) {
+    ASSERT_TRUE(w.Append(MakeInsert("t", id, "row")).ok());
+  }
+  w.Close();
+  std::vector<uint64_t> seen;
+  uint64_t end = 0;
+  ASSERT_TRUE(ScanWal(
+                  path_,
+                  [&](WalRecord&& rec) {
+                    seen.push_back(rec.row_id);
+                    return Status::OK();
+                  },
+                  &end)
+                  .ok());
+  EXPECT_EQ(seen, (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_EQ(end, fs::file_size(path_));
+
+  // The caller's error ends the read at the frame that raised it.
+  seen.clear();
+  Status s = ScanWal(
+      path_,
+      [&](WalRecord&& rec) {
+        seen.push_back(rec.row_id);
+        return rec.row_id == 2 ? Status::Corruption("stop") : Status::OK();
+      },
+      &end);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(seen, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(end, 2 * fs::file_size(path_) / 3);
+}
+
+// ------------------------------------------ batch sub-records
+
+/// Three sub-records of the kinds a batch holds: an insert, an update with
+/// a row id past one varint byte, and a delete with no payload.
+std::vector<WalRecord> SampleSubRecords() {
+  std::vector<WalRecord> subs(3);
+  subs[0].op = WalOp::kInsert;
+  subs[0].table = "posts";
+  subs[0].row_id = 7;
+  subs[0].payload = "image";
+  subs[1].op = WalOp::kUpdate;
+  subs[1].table = "tasks";
+  subs[1].row_id = 300;
+  subs[1].payload = std::string(200, 'u');
+  subs[2].op = WalOp::kDelete;
+  subs[2].table = "tasks";
+  subs[2].row_id = 1u << 20;
+  return subs;
+}
+
+/// The sub-records ForEachSubRecord hands over for `record`, or its error.
+Status Collect(const WalRecord& record, std::vector<WalRecord>* out) {
+  out->clear();
+  return ForEachSubRecord(record, [out](const WalRecord& sub) {
+    out->push_back(sub);
+    return Status::OK();
+  });
+}
+
+void ExpectSameRecords(const std::vector<WalRecord>& got,
+                       const std::vector<WalRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].op, want[i].op) << i;
+    EXPECT_EQ(got[i].lsn, 0u) << i;
+    EXPECT_EQ(got[i].table, want[i].table) << i;
+    EXPECT_EQ(got[i].row_id, want[i].row_id) << i;
+    EXPECT_EQ(got[i].payload, want[i].payload) << i;
+  }
+}
+
+TEST_F(WalTest, BatchSubRecordsOfBothLayoutsDecode) {
+  const std::vector<WalRecord> subs = SampleSubRecords();
+  ByteWriter v2;
+  ByteWriter v1;
+  for (const WalRecord& sub : subs) {
+    EncodeSubRecord(sub, &v2);
+    v1.Str(EncodeWalRecord(sub));  // as older builds framed them
+  }
+  WalRecord batch;
+  batch.op = WalOp::kBatchV2;
+  batch.payload = v2.Take();
+  // op, varint-length table, varint row id, varint-length payload: the
+  // insert takes 1 + 6 + 1 + 6 bytes.
+  EXPECT_EQ(batch.payload.substr(0, 14),
+            std::string("\x03\x05posts\x07\x05image", 14));
+  std::vector<WalRecord> got;
+  ASSERT_TRUE(Collect(batch, &got).ok());
+  ExpectSameRecords(got, subs);
+
+  WalRecord old;
+  old.op = WalOp::kBatch;
+  old.payload = v1.Take();
+  ASSERT_TRUE(Collect(old, &got).ok());
+  ExpectSameRecords(got, subs);
+
+  // A record of any other op is its own one sub-record.
+  ASSERT_TRUE(Collect(subs[0], &got).ok());
+  ExpectSameRecords(got, {subs[0]});
+}
+
+TEST_F(WalTest, MalformedBatchSubRecordsAreCorruption) {
+  const std::vector<WalRecord> subs = SampleSubRecords();
+  ByteWriter whole;
+  std::vector<size_t> ends;  // where each sub-record ends
+  for (const WalRecord& sub : subs) {
+    EncodeSubRecord(sub, &whole);
+    ends.push_back(whole.buffer().size());
+  }
+  auto batch = [](std::string payload, WalOp op = WalOp::kBatchV2) {
+    WalRecord rec;
+    rec.op = op;
+    rec.payload = std::move(payload);
+    return rec;
+  };
+  std::vector<WalRecord> got;
+  // Every cut inside a sub-record; a cut between two is a shorter batch.
+  for (size_t cut = 1; cut < whole.buffer().size(); ++cut) {
+    Status s = Collect(batch(whole.buffer().substr(0, cut)), &got);
+    const bool between =
+        std::find(ends.begin(), ends.end(), cut) != ends.end();
+    EXPECT_EQ(s.ok(), between) << cut << ": " << s.ToString();
+    EXPECT_TRUE(between || s.IsCorruption()) << cut;
+  }
+  // A row-id varint of 11 bytes, and a table-name length past the end.
+  std::string bad_id = std::string("\x03\x01t") + std::string(10, '\x80') +
+                       std::string("\x01\x00", 2);
+  EXPECT_TRUE(Collect(batch(bad_id), &got).IsCorruption());
+  EXPECT_TRUE(Collect(batch(std::string("\x03\x7ft\x01\x00", 5)), &got)
+                  .IsCorruption());
+  // A table-name length no input could hold: refused, not allocated.
+  std::string huge = std::string("\x03") + std::string(9, '\xff') +
+                     std::string("\x01", 1);
+  EXPECT_TRUE(Collect(batch(huge), &got).IsCorruption());
+  // A batch inside a batch, in either layout.
+  for (WalOp inner : {WalOp::kBatch, WalOp::kBatchV2}) {
+    WalRecord nested = subs[0];
+    nested.op = inner;
+    ByteWriter w;
+    EncodeSubRecord(nested, &w);
+    EXPECT_TRUE(Collect(batch(w.Take()), &got).IsCorruption());
+  }
+  // An old-layout batch cut inside its u32 length or its record.
+  ByteWriter v1;
+  v1.Str(EncodeWalRecord(subs[0]));
+  for (size_t cut = 1; cut < v1.buffer().size(); ++cut) {
+    EXPECT_TRUE(Collect(batch(v1.buffer().substr(0, cut), WalOp::kBatch), &got)
+                    .IsCorruption())
+        << cut;
+  }
+  // The callback's error ends the walk.
+  int calls = 0;
+  Status s = ForEachSubRecord(batch(whole.buffer()), [&](const WalRecord&) {
+    ++calls;
+    return Status::IOError("stop");
+  });
+  EXPECT_TRUE(s.IsIOError());
+  EXPECT_EQ(calls, 1);
 }
 
 // ------------------------------------------ recovery over a damaged tail
